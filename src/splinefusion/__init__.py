@@ -33,11 +33,10 @@ from .simulate import (
     make_ground_truth,
     synthesize,
 )
-from .residuals import GRAVITY, CtState, DtState, FactorWeight
+from .residuals import GRAVITY, CtState, DtState
 from .preintegration import PreintegratedImu, integrate, preint_residual
 from .initialization import (
     Sim3Transform,
-    align_to_world,
     fit_spline_to_poses,
     imu_scale_bootstrap,
     pnp_dlt,
@@ -71,7 +70,6 @@ __all__ = [
     "DegenerateConfigurationError",
     "DtConfig",
     "DtState",
-    "FactorWeight",
     "Frame",
     "GRAVITY",
     "GroundTruth",
@@ -96,7 +94,6 @@ __all__ = [
     "SplineR3",
     "SplineSO3",
     "align_pairs",
-    "align_to_world",
     "associate",
     "ate_p",
     "ate_r",

@@ -76,34 +76,9 @@ def _check_order(order):
     return k
 
 
-@dataclass(frozen=True)
-class BlendingCoefficients:
-    """Cumulative blending values and their u-derivatives at one sample.
-
-    ``lam[j-1] = lambda_j(u)`` for j = 1..k-1.  ``dlam`` and ``ddlam`` are
-    derivatives with respect to ``u``; divide by dt (dt^2) downstream for
-    time derivatives.
-    """
-
-    lam: np.ndarray
-    dlam: np.ndarray
-    ddlam: np.ndarray
-
-
 def _u_powers(u, k):
     u = np.asarray(u, dtype=float)
     return u[..., None] ** np.arange(k)
-
-
-def blending(order, u):
-    """Blending coefficients lambda_j(u) and u-derivatives for one fraction."""
-    k = _check_order(order)
-    u = float(u)
-    if not 0.0 <= u < 1.0:
-        raise InvalidArgumentError(f"fraction {u} outside [0, 1)")
-    C = cumulative_matrix(k)
-    lam, dlam, ddlam = blending_many(k, np.array([u]))
-    return BlendingCoefficients(lam[0], dlam[0], ddlam[0])
 
 
 def blending_many(order, u):
@@ -260,21 +235,6 @@ def so3_window_angvel(rot_windows, u, order, dt):
             ..., j, :
         ]
     return omega / dt
-
-
-def so3_window_eval_with_angvel(rot_windows, u, order, dt):
-    """Evaluate rotation and body angular velocity in one pass."""
-    lam, dlam, _ = blending_many(order, u)
-    diffs = so3_window_diffs(rot_windows)
-    R = rot_windows[..., 0, :, :].copy()
-    omega = np.zeros(rot_windows.shape[:-3] + (3,))
-    for j in range(order - 1):
-        A = so3_exp(lam[..., j, None] * diffs[..., j, :])
-        R = R @ A
-        omega = np.einsum("...ba,...b->...a", A, omega) + dlam[..., j, None] * diffs[
-            ..., j, :
-        ]
-    return R, omega / dt
 
 
 # ---------------------------------------------------------------------------

@@ -60,20 +60,6 @@ def _simulate_dataset(cfg: RunConfig):
     return gt, rig, noise, result
 
 
-def _check_imu_gaps(meas):
-    t = meas.imu_t_ns * 1e-9
-    if t.size < 2:
-        raise DataError("IMU stream has fewer than two samples")
-    d = np.diff(t)
-    med = float(np.median(d))
-    worst = int(np.argmax(d))
-    if d[worst] > 10.0 * med:
-        raise DataError(
-            f"IMU gap of {d[worst]:.4f} s between t={t[worst]:.4f} s and "
-            f"t={t[worst + 1]:.4f} s (median spacing {med:.4f} s)"
-        )
-
-
 def _write_estimate_csv(path, result):
     quat = rotation_to_quat(result.rotations)
     with open(path, "w") as f:
@@ -171,8 +157,6 @@ def _cmd_estimate(args, mode):
     meas, rig, noise, gt = read_dataset(
         args.data, require_gps=cfg.sensors.gps
     )
-    if cfg.sensors.imu:
-        _check_imu_gaps(meas)
     ecfg = cfg.estimator_config(mode)
     t0 = time.perf_counter()
     result = est.run(meas, rig, noise, ecfg, mode=mode, seed=cfg.seed)

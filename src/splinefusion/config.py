@@ -19,6 +19,9 @@ from .errors import DataError, InvalidArgumentError
 from .estimators import CtConfig, DtConfig
 from .simulate import PROFILES
 
+# CtConfig/DtConfig fields that RunConfig takes from ``sensors`` instead
+_SENSOR_SWITCHES = ("use_cam", "use_imu", "use_gps")
+
 
 @dataclass(frozen=True)
 class SimulateConfig:
@@ -99,8 +102,8 @@ class RunConfig:
             "sensors": dataclasses.asdict(self.sensors),
             "simulate": dataclasses.asdict(self.simulate),
             "noise": self.noise.to_dict(),
-            "ct": dataclasses.asdict(self.ct),
-            "dt": dataclasses.asdict(self.dt),
+            "ct": _estimator_dict(self.ct),
+            "dt": _estimator_dict(self.dt),
         }
 
     @classmethod
@@ -112,8 +115,14 @@ class RunConfig:
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
 
-        def build(klass, section):
-            section = dict(data.get(section) or {})
+        def build(klass, name, moved=()):
+            section = dict(data.get(name) or {})
+            misplaced = sorted(set(section) & set(moved))
+            if misplaced:
+                raise DataError(
+                    f"{misplaced} in config section {name!r}: sensors are "
+                    f"switched in the 'sensors' section (camera, imu, gps)"
+                )
             names = {f.name for f in dataclasses.fields(klass)}
             bad = set(section) - names
             if bad:
@@ -135,9 +144,16 @@ class RunConfig:
             sensors=build(SensorFlags, "sensors"),
             simulate=build(SimulateConfig, "simulate"),
             noise=NoiseSpec.from_dict(base_noise),
-            ct=build(CtConfig, "ct"),
-            dt=build(DtConfig, "dt"),
+            ct=build(CtConfig, "ct", _SENSOR_SWITCHES),
+            dt=build(DtConfig, "dt", _SENSOR_SWITCHES),
         )
+
+
+def _estimator_dict(cfg):
+    d = dataclasses.asdict(cfg)
+    for key in _SENSOR_SWITCHES:
+        del d[key]
+    return d
 
 
 def load_config(path=None):

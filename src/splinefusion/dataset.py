@@ -25,8 +25,6 @@ from .camera import CameraModel
 from .errors import DataError, InvalidArgumentError
 from .rotations import Pose, is_rotation, quat_to_rotation, rotation_to_quat
 
-NS = 1e-9
-
 
 @dataclass(frozen=True)
 class SensorRig:
@@ -80,9 +78,9 @@ class SensorRig:
 class NoiseSpec:
     """Sensor noise configuration.
 
-    ``accel_sigma``/``gyro_sigma`` are continuous densities; the discrete
-    per-sample standard deviation is ``density * sqrt(rate)``.  Bias
-    random-walk densities likewise scale with ``sqrt(dt)`` per step.
+    ``accel_sigma``/``gyro_sigma`` are per-sample standard deviations of
+    the IMU white noise (m/s^2 and rad/s), whatever ``imu_hz`` is.  The bias
+    random-walk densities scale with ``sqrt(dt)`` per step.
     """
 
     pixel_sigma: float = 1.0
@@ -107,14 +105,6 @@ class NoiseSpec:
             raise InvalidArgumentError("sensor rates must be > 0")
         if self.imu_hz < self.cam_hz:
             raise InvalidArgumentError("imu rate must be >= camera rate")
-
-    @property
-    def accel_sigma_d(self):
-        return self.accel_sigma * np.sqrt(self.imu_hz)
-
-    @property
-    def gyro_sigma_d(self):
-        return self.gyro_sigma * np.sqrt(self.imu_hz)
 
     def to_dict(self):
         return {

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,25 @@ from .solver import (
 
 
 @dataclass(frozen=True)
-class CtConfig:
+class EstimatorConfig:
+    """Settings shared by the continuous- and discrete-time estimators."""
+
+    estimate_t_cam: bool = True
+    estimate_t_gps: bool = True
+    use_cam: bool = True
+    use_imu: bool = True
+    use_gps: bool = True
+    max_iter: int = 50
+    offset_bound: float = 0.05
+    landmark_sigma: float = 0.1
+
+    def __post_init__(self):
+        if sum((self.use_cam, self.use_imu, self.use_gps)) < 2:
+            raise InvalidArgumentError("need at least two sensor modalities")
+
+
+@dataclass(frozen=True)
+class CtConfig(EstimatorConfig):
     """Continuous-time estimator settings.
 
     ``node_hz`` is the control-node rate of the trajectory spline.  The
@@ -55,19 +74,10 @@ class CtConfig:
     spline_order: int = 6
     node_hz: float = 10.0
     bias_node_hz: float = 1.0
-    estimate_t_cam: bool = True
-    estimate_t_gps: bool = True
-    use_cam: bool = True
-    use_imu: bool = True
-    use_gps: bool = True
-    max_iter: int = 50
-    offset_bound: float = 0.05
     margin: float = 0.06
-    landmark_sigma: float = 0.1
 
     def __post_init__(self):
-        if sum((self.use_cam, self.use_imu, self.use_gps)) < 2:
-            raise InvalidArgumentError("need at least two sensor modalities")
+        super().__post_init__()
         if self.use_imu and self.spline_order < 4:
             raise InvalidArgumentError(
                 "IMU factors need spline order >= 4 for C2 continuity"
@@ -77,20 +87,11 @@ class CtConfig:
 
 
 @dataclass(frozen=True)
-class DtConfig:
-    estimate_t_cam: bool = True
-    estimate_t_gps: bool = True
-    use_cam: bool = True
-    use_imu: bool = True
-    use_gps: bool = True
-    max_iter: int = 50
-    offset_bound: float = 0.05
+class DtConfig(EstimatorConfig):
     reintegration_threshold: float = 0.1
-    landmark_sigma: float = 0.1
 
     def __post_init__(self):
-        if sum((self.use_cam, self.use_imu, self.use_gps)) < 2:
-            raise InvalidArgumentError("need at least two sensor modalities")
+        super().__post_init__()
         if self.reintegration_threshold <= 0:
             raise InvalidArgumentError("reintegration threshold must be positive")
 
@@ -159,24 +160,47 @@ def _window_slots(first_block, seg, order, kind):
     return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
 
 
-class CtReprojGroup(FactorGroup):
-    """Reprojection residuals sampling the spline at t_k + t_cam_imu."""
+class _ReprojGroup(FactorGroup):
+    """Camera projection shared by the CT and DT reprojection families:
+    body pose (R, p) and world landmark -> camera point -> pixel."""
 
-    name = "ct_reproj"
     dim = 2
 
-    def __init__(self, grid, pos0, rot0, lm_ids, tcam_id, obs, rig, weight):
-        self.grid = grid
-        self.pos0 = pos0
-        self.rot0 = rot0
+    def __init__(self, lm_ids, tcam_id, obs, rig, weight):
         self.lm_ids = lm_ids  # (N,) block ids
         self.tcam_id = tcam_id
-        self.stamps = obs.stamps
         self.pixels = obs.pixels
         self.R_cb = rig.T_cam_imu.R
         self.p_cb = rig.T_cam_imu.p
         self.camera = rig.camera
         self.w = weight
+
+    def _project(self, R, p, lm):
+        """Camera-frame points, pixels and the valid-depth mask."""
+        p_body = np.einsum("nji,nj->ni", R, lm - p)
+        p_cam = (p_body - self.p_cb) @ self.R_cb
+        px, valid = project_many(self.camera, p_cam)
+        return p_cam, px, valid
+
+    def _landmark_jacobian(self, R, p_cam, valid):
+        """Whitened d e / d landmark, (N, 2, 3), zeroed where invalid."""
+        J_pi = _projection_jacobian(self.camera, p_cam, valid)
+        # dpc/dl = R_cb^T R^T; e = z - pi so de/dl = -J_pi R_cb^T R^T
+        B = np.einsum("nab,ncb,ndc->nad", -J_pi, self.R_cb[None], R)
+        return B * valid[:, None, None] * self.w
+
+
+class CtReprojGroup(_ReprojGroup):
+    """Reprojection residuals sampling the spline at t_k + t_cam_imu."""
+
+    name = "ct_reproj"
+
+    def __init__(self, grid, pos0, rot0, lm_ids, tcam_id, obs, rig, weight):
+        super().__init__(lm_ids, tcam_id, obs, rig, weight)
+        self.grid = grid
+        self.pos0 = pos0
+        self.rot0 = rot0
+        self.stamps = obs.stamps
 
     def build(self, problem, state):
         t_cam = state.euc[problem.blocks[self.tcam_id].store]
@@ -198,10 +222,7 @@ class CtReprojGroup(FactorGroup):
         u = (self.stamps + t_cam - ctx) / self.grid.dt
         R = bs.so3_window_eval(rotw, u, k)
         p = bs.r3_window_eval(posw, u, k, self.grid.dt)
-        p_body = np.einsum("nji,nj->ni", R, lm - p)
-        p_cam = (p_body - self.p_cb) @ self.R_cb
-        px, valid = project_many(self.camera, p_cam)
-        return R, p_cam, px, valid, u
+        return (R, *self._project(R, p, lm), u)
 
     def kernel(self, ctx, gathered):
         _, _, px, valid, _ = self._predict(ctx, gathered)
@@ -210,10 +231,7 @@ class CtReprojGroup(FactorGroup):
     def analytic_jacobians(self, ctx, gathered):
         k = self.grid.order
         R, p_cam, _, valid, u = self._predict(ctx, gathered)
-        J_pi = _projection_jacobian(self.camera, p_cam, valid)
-        # dpc/dl = R_cb^T R^T; e = z - pi so de/dl = -J_pi R_cb^T R^T
-        B = np.einsum("nab,ncb,ndc->nad", -J_pi, self.R_cb[None], R)
-        B = B * valid[:, None, None] * self.w
+        B = self._landmark_jacobian(R, p_cam, valid)
         coeff = bs.window_node_coefficients(k, u)
         out = {s: -coeff[:, s, None, None] * B for s in range(k)}
         out[2 * k] = B
@@ -401,23 +419,14 @@ class CtGpsGroup(FactorGroup):
 # discrete-time factor groups
 
 
-class DtReprojGroup(FactorGroup):
+class DtReprojGroup(_ReprojGroup):
     """Reprojection with constant-velocity feature shifting for t_cam_imu."""
 
     name = "dt_reproj"
-    dim = 2
 
     def __init__(self, p_ids, R_ids, lm_ids, tcam_id, obs, rig, weight):
-        self.p_ids = p_ids
-        self.R_ids = R_ids
-        self.lm_ids = lm_ids
-        self.tcam_id = tcam_id
-        self.pixels = obs.pixels
+        super().__init__(lm_ids, tcam_id, obs, rig, weight)
         self.vel = obs.velocities
-        self.R_cb = rig.T_cam_imu.R
-        self.p_cb = rig.T_cam_imu.p
-        self.camera = rig.camera
-        self.w = weight
         self._slots = [
             Slot(p_ids, EUCLIDEAN, 3),
             Slot(R_ids, ROTATION, 3),
@@ -428,24 +437,16 @@ class DtReprojGroup(FactorGroup):
     def build(self, problem, state):
         return None, self._slots
 
-    def _predict(self, gathered):
-        p, R, lm = gathered[0], gathered[1], gathered[2]
-        p_body = np.einsum("nji,nj->ni", R, lm - p)
-        p_cam = (p_body - self.p_cb) @ self.R_cb
-        px, valid = project_many(self.camera, p_cam)
-        return R, p_cam, px, valid
-
     def kernel(self, ctx, gathered):
-        t_cam = gathered[3][..., 0]
-        _, _, px, valid = self._predict(gathered)
-        z_shift = shift_feature(self.pixels, self.vel, -t_cam[..., None])
+        p, R, lm, t_cam = gathered
+        _, px, valid = self._project(R, p, lm)
+        z_shift = shift_feature(self.pixels, self.vel, -t_cam[..., 0, None])
         return (z_shift - px) * valid[:, None] * self.w
 
     def analytic_jacobians(self, ctx, gathered):
-        R, p_cam, _, valid = self._predict(gathered)
-        J_pi = _projection_jacobian(self.camera, p_cam, valid)
-        B = np.einsum("nab,ncb,ndc->nad", -J_pi, self.R_cb[None], R)
-        B = B * valid[:, None, None] * self.w
+        p, R, lm, _ = gathered
+        p_cam, _, valid = self._project(R, p, lm)
+        B = self._landmark_jacobian(R, p_cam, valid)
         Jt = -self.vel * valid[:, None] * self.w
         return {0: -B, 2: B, 3: Jt[:, :, None]}
 
@@ -665,6 +666,75 @@ def _check_domain(grid, lo, hi, margin, what):
         )
 
 
+def _check_imu_gaps(imu_t):
+    """Reject an IMU stream (seconds) with fewer than two samples or with a
+    spacing above 10x its median spacing."""
+    if imu_t.size < 2:
+        raise DataError("IMU stream has fewer than two samples")
+    d = np.diff(imu_t)
+    med = float(np.median(d))
+    worst = int(np.argmax(d))
+    if d[worst] > 10.0 * med:
+        raise DataError(
+            f"IMU gap of {d[worst]:.4f} s between t={imu_t[worst]:.4f} s and "
+            f"t={imu_t[worst + 1]:.4f} s (median spacing {med:.4f} s)"
+        )
+
+
+def _stream_times(meas: MeasurementSet, cfg: EstimatorConfig):
+    """IMU and GPS stamps in seconds; the IMU is checked for gaps if used."""
+    imu_t = meas.imu_t_ns * 1e-9
+    if cfg.use_imu:
+        _check_imu_gaps(imu_t)
+    return imu_t, meas.gps_t_ns * 1e-9
+
+
+def _first(values):
+    return values[0]
+
+
+def _scalar(values):
+    return float(values[0, 0])
+
+
+def _add_shared_blocks(problem, init, cfg, fix_landmarks):
+    """Landmark, t_cam, p_ant and t_gps blocks of the enabled sensors.
+
+    Returns ``(lm_block, tcam_id, pant_id, tgps_id)``, None for a block the
+    sensors leave out, and registers each block with ``problem.meta`` for
+    :func:`extract_state`.
+    """
+    bounds = (-cfg.offset_bound, cfg.offset_bound)
+    lm_block = {}
+    tcam_id = pant_id = tgps_id = None
+    if cfg.use_cam:
+        for lid in sorted(init.landmarks):
+            lm_block[lid] = problem.add_euclidean(
+                f"lm{lid}", init.landmarks[lid], fixed=fix_landmarks
+            )
+        tcam_id = problem.add_euclidean(
+            "t_cam", np.array([init.t_cam_imu]),
+            fixed=not cfg.estimate_t_cam, bounds=bounds,
+        )
+        lids = list(lm_block)
+        problem.meta["landmarks"] = (
+            list(lm_block.values()), lambda v: dict(zip(lids, v)))
+        problem.meta["t_cam_imu"] = ([tcam_id], _scalar)
+    if cfg.use_gps:
+        pant_id = problem.add_euclidean("p_ant", init.p_antenna_body)
+        tgps_id = problem.add_euclidean(
+            "t_gps", np.array([init.t_gps_imu]),
+            fixed=not cfg.estimate_t_gps, bounds=bounds,
+        )
+        problem.meta["p_antenna_body"] = ([pant_id], _first)
+        problem.meta["t_gps_imu"] = ([tgps_id], _scalar)
+    return lm_block, tcam_id, pant_id, tgps_id
+
+
+def _landmark_ids(lm_block, obs):
+    return np.array([lm_block[int(l)] for l in obs.landmark_ids])
+
+
 def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
                      noise: NoiseSpec, rig: SensorRig, fix_landmarks=False):
     """Assemble the continuous-time batch problem at the given initial state.
@@ -675,9 +745,8 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
     grid = init.position.grid
     if init.rotation.grid != grid:
         raise InvalidArgumentError("position and rotation grids must match")
+    imu_t, gps_t = _stream_times(meas, cfg)
     stamps = meas.frame_t_ns * 1e-9
-    imu_t = meas.imu_t_ns * 1e-9
-    gps_t = meas.gps_t_ns * 1e-9
     lo_list, hi_list = [], []
     if cfg.use_cam and stamps.size:
         lo_list.append(stamps[0])
@@ -695,56 +764,40 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
 
     problem = Problem()
     fix_gauge = not cfg.use_gps
-    pos0 = rot0 = None
-    for i in range(grid.count):
-        bid = problem.add_euclidean(f"pos{i}", init.position.nodes[i],
+    pos_ids = [problem.add_euclidean(f"pos{i}", init.position.nodes[i],
+                                     fixed=fix_gauge and i == 0)
+               for i in range(grid.count)]
+    rot_ids = [problem.add_rotation(f"rot{i}", init.rotation.nodes[i],
                                     fixed=fix_gauge and i == 0)
-        pos0 = bid if pos0 is None else pos0
-    for i in range(grid.count):
-        bid = problem.add_rotation(f"rot{i}", init.rotation.nodes[i],
-                                   fixed=fix_gauge and i == 0)
-        rot0 = bid if rot0 is None else rot0
+               for i in range(grid.count)]
+    pos0, rot0 = pos_ids[0], rot_ids[0]
+    problem.meta.update(position=(pos_ids, partial(bs.SplineR3, grid)),
+                        rotation=(rot_ids, partial(bs.SplineSO3, grid)))
 
     counts = {}
-    ba0 = bg0 = grav_id = None
     if cfg.use_imu:
         bias_grid = init.bias_accel.grid
         _check_domain(bias_grid, imu_t[0], imu_t[-1], 0.0, "bias spline")
-        for i in range(bias_grid.count):
-            bid = problem.add_euclidean(f"ba{i}", init.bias_accel.nodes[i])
-            ba0 = bid if ba0 is None else ba0
-        for i in range(bias_grid.count):
-            bid = problem.add_euclidean(f"bg{i}", init.bias_gyro.nodes[i])
-            bg0 = bid if bg0 is None else bg0
+        ba_ids = [problem.add_euclidean(f"ba{i}", init.bias_accel.nodes[i])
+                  for i in range(bias_grid.count)]
+        bg_ids = [problem.add_euclidean(f"bg{i}", init.bias_gyro.nodes[i])
+                  for i in range(bias_grid.count)]
+        ba0, bg0 = ba_ids[0], bg_ids[0]
         grav_id = problem.add_euclidean("grav", init.gravity)
+        problem.meta.update(
+            bias_accel=(ba_ids, partial(bs.SplineR3, bias_grid)),
+            bias_gyro=(bg_ids, partial(bs.SplineR3, bias_grid)),
+            gravity=([grav_id], _first),
+        )
 
-    lm_block = {}
-    tcam_id = tgps_id = pant_id = None
-    obs = None
+    lm_block, tcam_id, pant_id, tgps_id = _add_shared_blocks(
+        problem, init, cfg, fix_landmarks)
+
     if cfg.use_cam:
         obs = flatten_observations(meas)
-        for lid in sorted(init.landmarks):
-            lm_block[lid] = problem.add_euclidean(
-                f"lm{lid}", init.landmarks[lid], fixed=fix_landmarks
-            )
-        tcam_id = problem.add_euclidean(
-            "t_cam", np.array([init.t_cam_imu]),
-            fixed=not cfg.estimate_t_cam,
-            bounds=(-cfg.offset_bound, cfg.offset_bound),
-        )
-    if cfg.use_gps:
-        pant_id = problem.add_euclidean("p_ant", init.p_antenna_body)
-        tgps_id = problem.add_euclidean(
-            "t_gps", np.array([init.t_gps_imu]),
-            fixed=not cfg.estimate_t_gps,
-            bounds=(-cfg.offset_bound, cfg.offset_bound),
-        )
-
-    if cfg.use_cam:
-        lm_ids = np.array([lm_block[int(l)] for l in obs.landmark_ids])
         problem.add_group(
-            CtReprojGroup(grid, pos0, rot0, lm_ids, tcam_id, obs, rig,
-                          1.0 / _sigma(noise.pixel_sigma))
+            CtReprojGroup(grid, pos0, rot0, _landmark_ids(lm_block, obs),
+                          tcam_id, obs, rig, 1.0 / _sigma(noise.pixel_sigma))
         )
         counts["reprojection"] = obs.pixels.shape[0]
     if cfg.use_imu:
@@ -774,12 +827,6 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         counts["gps"] = gps_t.size
     counts["total"] = sum(counts.values())
     problem.factor_counts = counts
-    problem.meta = {
-        "grid": grid, "pos0": pos0, "rot0": rot0,
-        "bias_grid": init.bias_accel.grid if cfg.use_imu else None,
-        "ba0": ba0, "bg0": bg0, "grav": grav_id, "lm_block": lm_block,
-        "t_cam": tcam_id, "t_gps": tgps_id, "p_ant": pant_id,
-    }
     return problem
 
 
@@ -790,19 +837,12 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
     if K < 2:
         raise InvalidArgumentError("need at least two pose states")
     pose_times = init.times
-    imu_t = meas.imu_t_ns * 1e-9
-    gps_t = meas.gps_t_ns * 1e-9
+    imu_t, gps_t = _stream_times(meas, cfg)
     if cfg.use_imu:
         edge_slack = cfg.offset_bound + 0.01
         if (imu_t[0] > pose_times[0] + edge_slack
                 or imu_t[-1] < pose_times[-1] - edge_slack):
             raise DataError("IMU does not cover the pose span")
-        frame_gap = np.diff(pose_times).max()
-        if np.diff(imu_t).max() > frame_gap + 1e-9:
-            raise DataError(
-                f"IMU gap {np.diff(imu_t).max():.4f} s exceeds the frame "
-                f"interval {frame_gap:.4f} s"
-            )
 
     problem = Problem()
     fix_gauge = not cfg.use_gps
@@ -821,37 +861,23 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         for k in range(K):
             ids["bg"].append(problem.add_euclidean(f"bg{k}", init.bias_gyro[k]))
     ids = {k: np.array(v, dtype=int) for k, v in ids.items()}
+    for field_name, key in (("positions", "p"), ("rotations", "R"),
+                            ("velocities", "v"), ("bias_accel", "ba"),
+                            ("bias_gyro", "bg")):
+        if ids[key].size:
+            problem.meta[field_name] = (ids[key], np.asarray)
+
+    lm_block, tcam_id, pant_id, tgps_id = _add_shared_blocks(
+        problem, init, cfg, fix_landmarks)
 
     counts = {}
-    lm_block = {}
-    tcam_id = tgps_id = pant_id = None
-    if cfg.use_cam:
-        obs = flatten_observations(meas)
-        for lid in sorted(init.landmarks):
-            lm_block[lid] = problem.add_euclidean(
-                f"lm{lid}", init.landmarks[lid], fixed=fix_landmarks
-            )
-        tcam_id = problem.add_euclidean(
-            "t_cam", np.array([init.t_cam_imu]),
-            fixed=not cfg.estimate_t_cam,
-            bounds=(-cfg.offset_bound, cfg.offset_bound),
-        )
-    if cfg.use_gps:
-        pant_id = problem.add_euclidean("p_ant", init.p_antenna_body)
-        tgps_id = problem.add_euclidean(
-            "t_gps", np.array([init.t_gps_imu]),
-            fixed=not cfg.estimate_t_gps,
-            bounds=(-cfg.offset_bound, cfg.offset_bound),
-        )
-
     if cfg.use_cam:
         if len(meas.frames) != K:
             raise InvalidArgumentError("need one pose state per camera frame")
-        p_ids = ids["p"][obs.frame_index]
-        R_ids = ids["R"][obs.frame_index]
-        lm_ids = np.array([lm_block[int(l)] for l in obs.landmark_ids])
+        obs = flatten_observations(meas)
         problem.add_group(
-            DtReprojGroup(p_ids, R_ids, lm_ids, tcam_id, obs, rig,
+            DtReprojGroup(ids["p"][obs.frame_index], ids["R"][obs.frame_index],
+                          _landmark_ids(lm_block, obs), tcam_id, obs, rig,
                           1.0 / _sigma(noise.pixel_sigma))
         )
         counts["reprojection"] = obs.pixels.shape[0]
@@ -873,7 +899,6 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         keep = (gps_t + margin >= pose_times[0]) & (
             gps_t - margin + 1e-12 <= pose_times[-1]
         )
-        keep &= (gps_t >= pose_times[0] - margin)
         problem.add_group(
             DtGpsGroup(ids, pose_times, pant_id, tgps_id, gps_t[keep],
                        meas.gps[keep], 1.0 / _sigma(noise.gps_sigma))
@@ -881,9 +906,21 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         counts["gps"] = int(keep.sum())
     counts["total"] = sum(counts.values())
     problem.factor_counts = counts
-    problem.meta = {"ids": ids, "lm_block": lm_block, "t_cam": tcam_id,
-                    "t_gps": tgps_id, "p_ant": pant_id, "K": K}
     return problem
+
+
+def extract_state(problem, state, init):
+    """``init`` with every block of ``problem`` read back from ``state``.
+
+    ``problem.meta`` maps a state field to its block ids and to a function
+    that turns their stacked values into the field.  Fields the problem has
+    no blocks for keep their value from ``init``.  Read values are copies,
+    not views into ``state``.
+    """
+    return dataclasses.replace(init, **{
+        name: to_value(np.stack([problem.block_value(state, b) for b in ids]))
+        for name, (ids, to_value) in problem.meta.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -973,88 +1010,6 @@ def initialize_dt(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
     )
 
 
-def extract_ct_state(problem, state, init: CtState, cfg: CtConfig):
-    meta = problem.meta
-    grid = meta["grid"]
-    pos_nodes = np.stack(
-        [problem.block_value(state, meta["pos0"] + i) for i in range(grid.count)]
-    )
-    rot_nodes = np.stack(
-        [problem.block_value(state, meta["rot0"] + i) for i in range(grid.count)]
-    )
-    out = CtState(
-        position=bs.SplineR3(grid, pos_nodes),
-        rotation=bs.SplineSO3(grid, rot_nodes),
-        landmarks={
-            lid: problem.block_value(state, bid).copy()
-            for lid, bid in meta["lm_block"].items()
-        },
-        t_cam_imu=(
-            float(problem.block_value(state, meta["t_cam"])[0])
-            if meta["t_cam"] is not None else init.t_cam_imu
-        ),
-        T_cam_imu=init.T_cam_imu,
-        t_gps_imu=(
-            float(problem.block_value(state, meta["t_gps"])[0])
-            if meta["t_gps"] is not None else init.t_gps_imu
-        ),
-        p_antenna_body=(
-            problem.block_value(state, meta["p_ant"]).copy()
-            if meta["p_ant"] is not None else init.p_antenna_body
-        ),
-        gravity=(
-            problem.block_value(state, meta["grav"]).copy()
-            if meta["grav"] is not None else init.gravity
-        ),
-        bias_accel=(
-            bs.SplineR3(meta["bias_grid"], np.stack(
-                [problem.block_value(state, meta["ba0"] + i)
-                 for i in range(meta["bias_grid"].count)]))
-            if meta["ba0"] is not None else init.bias_accel
-        ),
-        bias_gyro=(
-            bs.SplineR3(meta["bias_grid"], np.stack(
-                [problem.block_value(state, meta["bg0"] + i)
-                 for i in range(meta["bias_grid"].count)]))
-            if meta["bg0"] is not None else init.bias_gyro
-        ),
-        camera=init.camera,
-    )
-    return out
-
-
-def extract_dt_state(problem, state, init: DtState, cfg: DtConfig):
-    meta = problem.meta
-    ids = meta["ids"]
-    K = meta["K"]
-    get = lambda arr: np.stack([problem.block_value(state, b) for b in arr])
-    return DtState(
-        t_ns=init.t_ns,
-        positions=get(ids["p"]),
-        rotations=get(ids["R"]),
-        velocities=get(ids["v"]) if ids["v"].size else init.velocities,
-        bias_accel=get(ids["ba"]) if ids["ba"].size else init.bias_accel,
-        bias_gyro=get(ids["bg"]) if ids["bg"].size else init.bias_gyro,
-        landmarks={
-            lid: problem.block_value(state, bid).copy()
-            for lid, bid in meta["lm_block"].items()
-        },
-        t_cam_imu=(
-            float(problem.block_value(state, meta["t_cam"])[0])
-            if meta["t_cam"] is not None else init.t_cam_imu
-        ),
-        T_cam_imu=init.T_cam_imu,
-        t_gps_imu=(
-            float(problem.block_value(state, meta["t_gps"])[0])
-            if meta["t_gps"] is not None else init.t_gps_imu
-        ),
-        p_antenna_body=(
-            problem.block_value(state, meta["p_ant"]).copy()
-            if meta["p_ant"] is not None else init.p_antenna_body
-        ),
-    )
-
-
 @dataclass
 class RunResult:
     mode: str
@@ -1078,7 +1033,6 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     stages = {}
     initialize = initialize_ct if mode == "ct" else initialize_dt
     build = build_ct_problem if mode == "ct" else build_dt_problem
-    extract = extract_ct_state if mode == "ct" else extract_dt_state
     opts = solve_options or SolveOptions(max_iter=cfg.max_iter)
 
     t0 = time.perf_counter()
@@ -1098,7 +1052,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
         problem1 = build(meas, init, frozen, noise, rig, fix_landmarks=True)
         opts1 = dataclasses.replace(opts, max_iter=min(opts.max_iter, 25))
         state1, _ = solve(problem1, opts1)
-        init = extract(problem1, state1, init, frozen)
+        init = extract_state(problem1, state1, init)
         stages["solve_fixed_offsets"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -1107,7 +1061,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     t3 = time.perf_counter()
     state, report = solve(problem, opts)
     stages["solve"] = time.perf_counter() - t3
-    final = extract(problem, state, init, cfg)
+    final = extract_state(problem, state, init)
     if mode == "ct":
         stamps = meas.frame_t_ns * 1e-9
         positions = final.position.sample_many(stamps)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -348,119 +348,6 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
         report=report,
         rms_position=float(np.sqrt((ep**2).sum(axis=1).mean())),
         rms_rotation=float(np.sqrt((er**2).sum(axis=1).mean())),
-    )
-
-
-# ---------------------------------------------------------------------------
-# GPS alignment (similarity + antenna lever arm + GPS-IMU time offset)
-
-
-class _GpsAlignGroup(FactorGroup):
-    """Residuals ``p_bar - (s R_wg p_gb(tau) + t + s R_wg R_gb(tau) p_ant)``
-    with ``tau = t_gps + t_offset``."""
-
-    name = "gps_align"
-    dim = 3
-
-    def __init__(self, pos_spline, rot_spline, gps_t, gps_p, block_names):
-        self.pos_spline = pos_spline
-        self.rot_spline = rot_spline
-        self.gps_t = gps_t
-        self.gps_p = gps_p
-        self.block_names = block_names
-        lo, hi = pos_spline.grid.domain
-        self._clip = (lo + 1e-9, np.nextafter(hi, lo))
-
-    def build(self, problem, state):
-        kinds = [ROTATION, EUCLIDEAN, EUCLIDEAN, EUCLIDEAN, EUCLIDEAN]
-        dims = [3, 3, 1, 3, 1]
-        slots = [
-            Slot(problem.block_id(nm), kind, d)
-            for nm, kind, d in zip(self.block_names, kinds, dims)
-        ]
-        return None, slots
-
-    def kernel(self, ctx, gathered):
-        R_wg, t_wg, scale, p_ant, t_off = gathered
-        tau = np.clip(self.gps_t + t_off[..., 0], *self._clip)
-        p_gb = self.pos_spline.sample_many(tau)
-        R_gb = self.rot_spline.sample_many(tau)
-        R_wb = R_wg @ R_gb
-        pred = (
-            scale * np.einsum("...ij,...j->...i", R_wg, p_gb)
-            + t_wg
-            + scale * np.einsum("...ij,...j->...i", R_wb, p_ant)
-        )
-        return self.gps_p - pred
-
-
-@dataclass
-class AlignResult:
-    sim3: Sim3Transform
-    p_antenna: np.ndarray
-    t_gps_imu: float
-    report: object
-    low_information: list = field(default_factory=list)
-
-
-def align_to_world(pos_spline, rot_spline, gps_t, gps_p, init=None,
-                   estimate_antenna=True, estimate_offset=True,
-                   offset_bound=0.1, max_iter=50):
-    """Estimate the world-from-spline similarity, antenna lever arm and
-    GPS-IMU time offset from GPS fixes.
-
-    The initial similarity comes from :func:`umeyama` between spline samples
-    and fixes (antenna and offset assumed zero there); the joint refinement
-    then minimizes the full antenna-aware prediction error.
-    """
-    gps_t = np.asarray(gps_t, dtype=float)
-    gps_p = np.asarray(gps_p, dtype=float)
-    lo, hi = pos_spline.grid.domain
-    margin = offset_bound + 0.02
-    keep = (gps_t >= lo + margin) & (gps_t < hi - margin)
-    gps_t = gps_t[keep]
-    gps_p = gps_p[keep]
-    if gps_t.size < 10 or gps_t[-1] - gps_t[0] < 2.0:
-        raise InvalidArgumentError("need >= 10 GPS fixes spanning >= 2 s")
-
-    if init is None:
-        init = umeyama(pos_spline.sample_many(gps_t), gps_p)
-
-    problem = Problem()
-    names = ["align_R", "align_t", "align_s", "align_p_ant", "align_t_off"]
-    problem.add_rotation(names[0], init.R)
-    problem.add_euclidean(names[1], init.t)
-    problem.add_euclidean(names[2], np.array([init.s]), bounds=(1e-3, 1e3))
-    problem.add_euclidean(
-        names[3], np.zeros(3), fixed=not estimate_antenna
-    )
-    problem.add_euclidean(
-        names[4], np.zeros(1), fixed=not estimate_offset,
-        bounds=(-offset_bound, offset_bound),
-    )
-    group = _GpsAlignGroup(pos_spline, rot_spline, gps_t, gps_p, names)
-    problem.add_group(group)
-    state, report = solve(problem, SolveOptions(max_iter=max_iter))
-
-    low_info = []
-    if estimate_offset:
-        _, J, _ = problem.linearize(state)
-        col = problem.blocks[problem.block_id(names[4])].col
-        colnorm = float(np.sqrt(J[:, col].multiply(J[:, col]).sum()))
-        if colnorm < 1e-3 * gps_t.size ** 0.5:
-            low_info.append("t_gps_imu")
-
-    sim3 = Sim3Transform(
-        float(problem.block_value(state, names[2])[0]),
-        problem.block_value(state, names[0]).copy(),
-        problem.block_value(state, names[1]).copy(),
-    )
-    return AlignResult(
-        sim3=sim3,
-        p_antenna=problem.block_value(state, names[3]).copy(),
-        t_gps_imu=float(problem.block_value(state, names[4])[0]),
-        report=report,
-        low_information=low_info,
     )
 
 

@@ -24,35 +24,6 @@ from .rotations import Pose, slerp
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
-@dataclass(frozen=True)
-class FactorWeight:
-    """Square-root information matrix W with whitened residual W @ e."""
-
-    sqrt_info: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.sqrt_info, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1] or not np.all(np.isfinite(W)):
-            raise InvalidArgumentError("sqrt_info must be a finite square matrix")
-        object.__setattr__(self, "sqrt_info", W)
-
-    @classmethod
-    def isotropic(cls, sigma, dim):
-        if sigma <= 0:
-            raise InvalidArgumentError("sigma must be positive")
-        return cls(np.eye(dim) / sigma)
-
-    @classmethod
-    def from_sigmas(cls, sigmas):
-        sigmas = np.asarray(sigmas, dtype=float)
-        if np.any(sigmas <= 0):
-            raise InvalidArgumentError("sigmas must be positive")
-        return cls(np.diag(1.0 / sigmas))
-
-    def apply(self, e):
-        return self.sqrt_info @ np.asarray(e, dtype=float)
-
-
 @dataclass
 class CtState:
     """Continuous-time state: spline trajectory plus calibration unknowns."""

@@ -238,6 +238,8 @@ class Problem:
         self._rot_init: list[np.ndarray] = []
         self._layout_dirty = True
         self.num_cols = 0
+        # set by the problem's builder, e.g. state field -> block ids
+        self.meta = {}
 
     # -- blocks -------------------------------------------------------------
 
@@ -273,9 +275,6 @@ class Problem:
 
     def add_group(self, group):
         self.groups.append(group)
-
-    def add_factor(self, factor):
-        self.groups.append(factor)
 
     # -- state access -------------------------------------------------------
 
@@ -393,27 +392,6 @@ class Problem:
             J_all = sp.csr_matrix((row0, self.num_cols))
         return r_all, J_all, jump_rows
 
-    def structure_pairs(self):
-        """Set of (block_i, block_j) pairs that share at least one factor."""
-        self._layout()
-        pairs = set()
-        state = self.initial_state()
-        for group in self.groups:
-            _, slots = group.build(self, state)
-            num = max(s.block_ids.size for s in slots)
-            per_factor = []
-            for s in slots:
-                ids = s.block_ids
-                if ids.size == 1:
-                    ids = np.broadcast_to(ids, (num,))
-                per_factor.append(ids)
-            per_factor = np.stack(per_factor, axis=1)
-            for row in per_factor:
-                for a in row:
-                    for b in row:
-                        pairs.add((int(a), int(b)))
-        return pairs
-
 
 @dataclass
 class SolveOptions:
@@ -422,8 +400,6 @@ class SolveOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_rejects: int = 40
-    log_path: str | None = None
-    verbose: bool = False
 
 
 @dataclass
@@ -484,7 +460,6 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
     termination = MAX_ITER
     grad_norm = float("inf")
     iterations = 0
-    log_rows = []
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
@@ -498,7 +473,6 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
         D = H.diagonal()
         D = np.clip(D, 1e-12, None)
         accepted = False
-        step_norm = float("nan")
         for _ in range(opts.max_rejects):
             A = H + sp.diags(lam * D)
             try:
@@ -521,7 +495,6 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
                 state = trial
                 cost = cost_new
                 history.append(cost)
-                step_norm = float(np.linalg.norm(delta))
                 lam = max(lam / 10.0, 1e-15)
                 r, J, jump_rows = problem.linearize(state)
                 accepted = True
@@ -529,12 +502,6 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
                     termination = CONVERGED
                 break
             lam *= 10.0
-        log_rows.append((it, cost, lam, step_norm, grad_norm))
-        if opts.verbose:
-            print(
-                f"iter {it:3d}  cost {cost:.6e}  lambda {lam:.1e}  "
-                f"|g|inf {grad_norm:.2e}"
-            )
         if not accepted:
             termination = CONVERGED if grad_norm < 1e-6 else STALLED
             break
@@ -542,12 +509,6 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
             break
     if jump_rows:
         termination = DISCONTINUOUS
-
-    if opts.log_path:
-        with open(opts.log_path, "w") as f:
-            f.write("iter,cost,lambda,step_norm,grad_norm\n")
-            for row in log_rows:
-                f.write(",".join(f"{v}" for v in row) + "\n")
 
     report = SolveReport(
         iterations=iterations,
@@ -561,9 +522,3 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
         jump_rows=jump_rows,
     )
     return state, report
-
-
-def numeric_jacobians(factor: Factor, problem: Problem, state: State):
-    """Finite-difference Jacobians of a single factor (test utility)."""
-    _, slots, jacs, _ = factor.linearize(problem, state)
-    return [jacs[i][0] for i in range(len(slots))]

@@ -84,3 +84,13 @@ def test_load_config_edge_cases(tmp_path):
         load_config(broken)
     with pytest.raises(DataError, match="not found"):
         load_config(tmp_path / "missing.yaml")
+
+
+def test_sensor_switches_only_in_sensors_section():
+    """``estimator_config`` takes the sensor switches from ``sensors``, so a
+    switch in the ``ct``/``dt`` section would be ignored; it is rejected."""
+    for section in ("ct", "dt"):
+        with pytest.raises(DataError, match="sensors"):
+            RunConfig.from_dict({section: {"use_gps": False}})
+        assert not {"use_cam", "use_imu", "use_gps"} & set(
+            RunConfig().to_dict()[section])

@@ -148,8 +148,6 @@ def test_noise_spec_validation():
         NoiseSpec(imu_hz=0.0)
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(cam_hz=300.0, imu_hz=200.0)
-    spec = NoiseSpec(accel_sigma=8e-3, imu_hz=100.0)
-    assert np.isclose(spec.accel_sigma_d, 8e-3 * 10.0)
 
 
 def test_rig_validation(rng):

@@ -233,6 +233,10 @@ def test_dt_imu_gap_rejected(zero_offset_sim):
     )
     with pytest.raises(DataError, match="gap"):
         est.build_dt_problem(gappy, state0, est.DtConfig(), noise, rig)
+    # the continuous-time builder applies the same check
+    ct_state0 = true_ct_state(gt, rig, meas.landmarks_true)
+    with pytest.raises(DataError, match="gap"):
+        est.build_ct_problem(gappy, ct_state0, est.CtConfig(), noise, rig)
 
 
 def test_initialize_ct_contract(tiny_noiseless):
@@ -271,9 +275,7 @@ def test_extract_roundtrip_ct(tiny_noiseless):
     state0 = true_ct_state(gt, rig, meas.landmarks_true)
     cfg = est.CtConfig()
     problem = est.build_ct_problem(meas, state0, cfg, noise, rig)
-    out = est.extract_ct_state(
-        problem, problem.initial_state(), state0, cfg
-    )
+    out = est.extract_state(problem, problem.initial_state(), state0)
     assert np.allclose(out.position.nodes, state0.position.nodes)
     assert np.allclose(out.rotation.nodes, state0.rotation.nodes)
     assert out.t_cam_imu == state0.t_cam_imu
@@ -288,7 +290,9 @@ def test_extract_roundtrip_dt(zero_offset_sim):
     state0 = true_dt_state(gt, rig, meas)
     cfg = est.DtConfig()
     problem = est.build_dt_problem(meas, state0, cfg, noise, rig)
-    out = est.extract_dt_state(problem, problem.initial_state(), state0, cfg)
+    state = problem.initial_state()
+    out = est.extract_state(problem, state, state0)
+    assert not np.shares_memory(out.positions, state.euc)
     assert np.allclose(out.positions, state0.positions)
     assert np.allclose(out.rotations, state0.rotations)
     assert np.allclose(out.velocities, state0.velocities)

@@ -140,29 +140,3 @@ def test_bootstrap_requires_static_prefix():
             gt.position, gt.rotation,
             meas.imu_t_ns * 1e-9, meas.gyro, meas.accel,
         )
-
-
-def test_align_to_world_recovers_offset_and_antenna(tiny_noiseless):
-    """GPS alignment jointly recovers the similarity, the antenna lever arm
-    and the GPS clock offset on noiseless data."""
-    gt, rig, noise, result = tiny_noiseless
-    meas = result.measurements
-    res = ini.align_to_world(
-        gt.position, gt.rotation,
-        meas.gps_t_ns * 1e-9, meas.gps,
-    )
-    assert abs(res.t_gps_imu - rig.t_gps_imu) < 1e-4
-    assert np.max(np.abs(res.p_antenna - rig.p_antenna_body)) < 1e-4
-    assert abs(res.sim3.s - 1.0) < 1e-6
-    assert rotation_angle(res.sim3.R) < 1e-5
-    assert np.linalg.norm(res.sim3.t) < 1e-4
-
-
-def test_align_to_world_needs_enough_fixes(tiny_noiseless):
-    gt, _, _, result = tiny_noiseless
-    meas = result.measurements
-    with pytest.raises(InvalidArgumentError):
-        ini.align_to_world(
-            gt.position, gt.rotation,
-            meas.gps_t_ns[:4] * 1e-9, meas.gps[:4],
-        )

@@ -7,17 +7,6 @@ from splinefusion.errors import InvalidArgumentError
 from splinefusion.rotations import Pose, random_rotation, so3_exp
 
 
-def test_factor_weight():
-    w = res.FactorWeight.isotropic(0.5, 2)
-    assert np.allclose(w.apply([1.0, 2.0]), [2.0, 4.0])
-    w2 = res.FactorWeight.from_sigmas([1.0, 0.1])
-    assert np.allclose(w2.apply([1.0, 1.0]), [1.0, 10.0])
-    with pytest.raises(InvalidArgumentError):
-        res.FactorWeight.isotropic(0.0, 2)
-    with pytest.raises(InvalidArgumentError):
-        res.FactorWeight(np.ones((2, 3)))
-
-
 def make_ct_state(gt, rig, landmarks):
     bias_grid = bs.grid_covering(gt.t_start - 0.5, gt.t_end + 0.5, 1.0, 4)
     zeros = np.zeros((bias_grid.count, 3))

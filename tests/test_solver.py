@@ -22,7 +22,7 @@ def test_linear_least_squares_exact():
     problem.add_euclidean("x", np.zeros(2))
     A = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]])
     b = np.array([1.0, 2.0, 3.0])
-    problem.add_factor(Factor(["x"], lambda x: A @ x - b, dim=3))
+    problem.add_group(Factor(["x"], lambda x: A @ x - b, dim=3))
     state, report = solve(problem, SolveOptions(lm_lambda0=1e-12))
     x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
     assert np.allclose(problem.block_value(state, "x"), x_ref, atol=1e-8)
@@ -32,7 +32,7 @@ def test_linear_least_squares_exact():
 def test_rosenbrock_converges():
     problem = Problem()
     problem.add_euclidean("x", np.array([-1.2, 1.0]))
-    problem.add_factor(Factor(
+    problem.add_group(Factor(
         ["x"], lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
         dim=2,
     ))
@@ -44,7 +44,7 @@ def test_rotation_block_manifold(rng):
     target = random_rotation(rng)
     problem = Problem()
     problem.add_rotation("R", np.eye(3))
-    problem.add_factor(Factor(
+    problem.add_group(Factor(
         ["R"], lambda R: so3_log(R.T @ target, validate=False), dim=3,
     ))
     state, report = solve(problem)
@@ -55,7 +55,7 @@ def test_fixed_blocks_do_not_move():
     problem = Problem()
     problem.add_euclidean("a", np.array([1.0]), fixed=True)
     problem.add_euclidean("b", np.array([0.0]))
-    problem.add_factor(Factor(["a", "b"], lambda a, b: a + b - 5.0, dim=1))
+    problem.add_group(Factor(["a", "b"], lambda a, b: a + b - 5.0, dim=1))
     state, _ = solve(problem)
     assert problem.block_value(state, "a")[0] == 1.0
     assert np.isclose(problem.block_value(state, "b")[0], 4.0, atol=1e-8)
@@ -64,7 +64,7 @@ def test_fixed_blocks_do_not_move():
 def test_bounds_clamped():
     problem = Problem()
     problem.add_euclidean("x", np.array([0.0]), bounds=(-0.5, 0.5))
-    problem.add_factor(Factor(["x"], lambda x: x - 3.0, dim=1))
+    problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1))
     state, _ = solve(problem)
     assert problem.block_value(state, "x")[0] <= 0.5 + 1e-12
 
@@ -72,7 +72,7 @@ def test_bounds_clamped():
 def test_no_free_blocks_raises():
     problem = Problem()
     problem.add_euclidean("x", np.zeros(1), fixed=True)
-    problem.add_factor(Factor(["x"], lambda x: x, dim=1))
+    problem.add_group(Factor(["x"], lambda x: x, dim=1))
     with pytest.raises(InvalidArgumentError):
         solve(problem)
 
@@ -80,7 +80,7 @@ def test_no_free_blocks_raises():
 def test_cost_history_monotone():
     problem = Problem()
     problem.add_euclidean("x", np.array([5.0, -3.0]))
-    problem.add_factor(Factor(
+    problem.add_group(Factor(
         ["x"], lambda x: np.array([np.sin(x[0]) + x[0], x[1] ** 3 - 1.0]),
         dim=2,
     ))
@@ -100,7 +100,7 @@ def test_analytic_jacobian_used():
 
     problem = Problem()
     problem.add_euclidean("x", np.array([3.0]))
-    problem.add_factor(Factor(
+    problem.add_group(Factor(
         ["x"], lambda x: np.array([x[0] ** 2 - 4.0]), dim=1, jac_fn=jac,
     ))
     state, _ = solve(problem)
@@ -152,17 +152,6 @@ def test_fd_matches_analytic_on_group(rng):
     _, slots, jacs, _ = group.linearize(problem, state)
     assert np.allclose(jacs[0], np.ones((4, 1, 1)), atol=1e-8)
     assert np.allclose(jacs[1], -np.ones((4, 1, 1)), atol=1e-8)
-
-
-def test_solver_log(tmp_path):
-    problem = Problem()
-    problem.add_euclidean("x", np.array([4.0]))
-    problem.add_factor(Factor(["x"], lambda x: np.array([x[0] ** 2 - 1.0]), dim=1))
-    log = tmp_path / "lm.csv"
-    solve(problem, SolveOptions(log_path=str(log)))
-    lines = log.read_text().strip().splitlines()
-    assert lines[0] == "iter,cost,lambda,step_norm,grad_norm"
-    assert len(lines) > 1
 
 
 def test_duplicate_block_name():
@@ -257,7 +246,7 @@ def _log_target_problem(target_angle):
     target = np.array([0.0, 0.0, target_angle])
     problem = Problem()
     problem.add_rotation("R", so3_exp(np.array([0.0, 0.0, 3.0])))
-    problem.add_factor(Factor(
+    problem.add_group(Factor(
         ["R"], lambda R: so3_log(R, validate=False) - target, dim=3,
     ))
     return problem
