@@ -13,7 +13,8 @@ and on SO(3) from
 The cumulative blending coefficients ``lambda_j(u)`` are polynomials in
 ``u`` whose exact rational coefficient matrices are precomputed per order.
 Time derivatives cost O(k): the difference vectors are formed once and
-combined with derivative blending coefficients.
+combined with derivative blending coefficients.  So do the Jacobians of an
+SO(3) sample and of its angular velocity with respect to the window nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, OutOfDomainError
-from .rotations import is_rotation, quat_to_rotation, rotation_to_quat, so3_exp, so3_log
+from .rotations import (
+    hat,
+    is_rotation,
+    quat_to_rotation,
+    rotation_to_quat,
+    so3_exp,
+    so3_log,
+    so3_right_jacobian,
+    so3_right_jacobian_inv,
+)
 
 MIN_ORDER = 2
 MAX_ORDER = 8
@@ -235,6 +245,96 @@ def so3_window_angvel(rot_windows, u, order, dt):
             ..., j, :
         ]
     return omega / dt
+
+
+def _so3_window_pass(rot_windows, u, order):
+    """Shared O(k) pass of the node Jacobians (Sommer et al., "Efficient
+    Derivative Computation for Cumulative B-Splines on Lie Groups", CVPR
+    2020).  With A_j = Exp(lambda_j d_j) and P_j = A_{j+1} ... A_{k-1}
+    (P_{k-1} = I), a change e of d_j turns R(u) by
+    G_j e = P_j^T lambda_j J_r(lambda_j d_j) e on the right, and
+    d_j = Log(R_{j-1}^T R_j) moves by J_r^-1(d_j) delta_j and by
+    -J_r^-1(d_j)^T delta_{j-1}.  Returns dlambda, d, A, P^T, G and the
+    inverse right Jacobians, each stacked over j on axis -3 (or -2)."""
+    lam, dlam, _ = blending_many(order, u)
+    d = so3_window_diffs(rot_windows)
+    A = so3_exp(lam[..., None] * d)
+    P = np.empty(A.shape[:-3] + (order, 3, 3))
+    P[..., -1, :, :] = np.eye(3)
+    for j in range(order - 1, 0, -1):
+        P[..., j - 1, :, :] = A[..., j - 1, :, :] @ P[..., j, :, :]
+    Pt = np.swapaxes(P, -1, -2)
+    G = Pt[..., 1:, :, :] * lam[..., None, None] @ so3_right_jacobian(
+        lam[..., None] * d)
+    return dlam, d, A, Pt, G, so3_right_jacobian_inv(d)
+
+
+def _node_jacobians(M, Jinv, first=None):
+    """Chain per-difference Jacobians M_j (..., k-1, a, 3) to the k nodes:
+    J_s = M_s J_r^-1(d_s) - M_{s+1} J_r^-1(d_{s+1})^T (+ ``first`` at s=0)."""
+    head = np.zeros(M.shape[:-3] + (1,) + M.shape[-2:])
+    J = np.concatenate([head, M @ Jinv], axis=-3)
+    J[..., :-1, :, :] -= M @ np.swapaxes(Jinv, -1, -2)
+    if first is not None:
+        J[..., 0, :, :] += first
+    return J
+
+
+def so3_window_eval_jacobians(rot_windows, u, order, dt):
+    """Value, angular velocity and value Jacobians of an SO(3) spline window.
+
+    Returns ``(R, omega, J)``: R(u) (..., 3, 3) as :func:`so3_window_eval`,
+    the body angular velocity omega(u) (..., 3) as
+    :func:`so3_window_angvel`, and J (..., k, 3, 3) with
+    R(u) <- R(u) Exp(J[s] delta_s) to first order under the right
+    perturbation R_s <- R_s Exp(delta_s) of window node s.  One O(k) pass.
+    """
+    dlam, d, A, Pt, G, Jinv = _so3_window_pass(rot_windows, u, order)
+    R = rot_windows[..., 0, :, :].copy()
+    omega = np.zeros(rot_windows.shape[:-3] + (3,))
+    for j in range(order - 1):
+        R = R @ A[..., j, :, :]
+        omega = np.einsum("...ba,...b->...a", A[..., j, :, :], omega) + dlam[
+            ..., j, None] * d[..., j, :]
+    return R, omega / dt, _node_jacobians(G, Jinv, Pt[..., 0, :, :])
+
+
+def so3_window_angvel_jacobians(rot_windows, u, order, dt):
+    """Angular velocity of an SO(3) spline window and its node Jacobians.
+
+    Returns ``(omega, J)``: omega(u) (..., 3) rad/s as
+    :func:`so3_window_angvel`, and J (..., k, 3, 3) = d omega / d delta_s
+    under the right perturbation R_s <- R_s Exp(delta_s).  One O(k) pass:
+    a change e of d_j moves omega by
+    (hat(P_j^T A_j^T omega_{j-1}) G_j + dlambda_j P_j^T) e / dt.
+    """
+    dlam, d, A, Pt, G, Jinv = _so3_window_pass(rot_windows, u, order)
+    omega = np.zeros(rot_windows.shape[:-3] + (3,))
+    H = np.empty_like(G)
+    for j in range(order - 1):
+        x = np.einsum("...ba,...b->...a", A[..., j, :, :], omega)
+        Ptj = Pt[..., j + 1, :, :]
+        H[..., j, :, :] = hat(np.einsum("...ab,...b->...a", Ptj, x)) @ G[
+            ..., j, :, :] + dlam[..., j, None, None] * Ptj
+        omega = x + dlam[..., j, None] * d[..., j, :]
+    return omega / dt, _node_jacobians(H / dt, Jinv)
+
+
+def so3_cut_pairs(nodes, reach):
+    """(count-1,) mask of consecutive control rotations whose relative
+    angle is within ``reach`` of pi.
+
+    There Log(R_i^T R_{i+1}) flips branch under a perturbation of
+    ``reach``, so every spline sample whose window holds the pair jumps.
+    """
+    return np.linalg.norm(so3_window_diffs(nodes), axis=-1) > np.pi - reach
+
+
+def windows_holding(pairs, seg, order):
+    """(N,) mask of the order-``order`` windows starting at node ``seg``
+    that hold a pair flagged in ``pairs`` (pair i joins nodes i, i+1)."""
+    before = np.concatenate([[0], np.cumsum(pairs)])  # flagged pairs < i
+    return before[seg + order - 1] > before[seg]
 
 
 # ---------------------------------------------------------------------------

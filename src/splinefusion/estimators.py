@@ -28,7 +28,7 @@ from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import DataError, InvalidArgumentError
 from .initialization import fit_spline_to_poses, pnp_dlt
 from .residuals import GRAVITY, CtState, DtState
-from .rotations import slerp_many, so3_exp, so3_log
+from .rotations import hat, slerp_many, so3_exp, so3_log
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -160,6 +160,26 @@ def _window_slots(first_block, seg, order, kind):
     return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
 
 
+class _SplineGroup(FactorGroup):
+    """A continuous-time family: ``kernel(ctx, gathered, jacobians=True)``
+    gives exact Jacobians of every slot from one pass over the spline
+    window, and ``ctx`` is the window's first segment.  Subclasses set
+    ``grid`` and ``rot0``, the block id of the first rotation node."""
+
+    one_pass = True
+
+    def jumps(self, problem, state, seg):
+        """Factors whose window holds a control pair within ``fd_step`` of
+        angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_pairs`)."""
+        ids = self.rot0 + np.arange(self.grid.count)
+        nodes = problem.gather(state, Slot(ids, ROTATION, 3))
+        pairs = bs.so3_cut_pairs(nodes, self.fd_step)
+        return bs.windows_holding(pairs, seg, self.grid.order)
+
+    def _u(self, stamps, offset, seg):
+        return (stamps + offset - self.grid.t0) / self.grid.dt - seg
+
+
 class _ReprojGroup(FactorGroup):
     """Camera projection shared by the CT and DT reprojection families:
     body pose (R, p) and world landmark -> camera point -> pixel."""
@@ -176,11 +196,11 @@ class _ReprojGroup(FactorGroup):
         self.w = weight
 
     def _project(self, R, p, lm):
-        """Camera-frame points, pixels and the valid-depth mask."""
+        """Body- and camera-frame points, pixels and the valid-depth mask."""
         p_body = np.einsum("nji,nj->ni", R, lm - p)
         p_cam = (p_body - self.p_cb) @ self.R_cb
         px, valid = project_many(self.camera, p_cam)
-        return p_cam, px, valid
+        return p_body, p_cam, px, valid
 
     def _landmark_jacobian(self, R, p_cam, valid):
         """Whitened d e / d landmark, (N, 2, 3), zeroed where invalid."""
@@ -190,7 +210,7 @@ class _ReprojGroup(FactorGroup):
         return B * valid[:, None, None] * self.w
 
 
-class CtReprojGroup(_ReprojGroup):
+class CtReprojGroup(_ReprojGroup, _SplineGroup):
     """Reprojection residuals sampling the spline at t_k + t_cam_imu."""
 
     name = "ct_reproj"
@@ -210,32 +230,33 @@ class CtReprojGroup(_ReprojGroup):
             + _window_slots(self.rot0, seg, self.grid.order, ROTATION)
             + [Slot(self.lm_ids, EUCLIDEAN, 3), Slot(self.tcam_id, EUCLIDEAN, 1)]
         )
-        ctx = self.grid.t0 + seg * self.grid.dt
-        return ctx, slots
+        return seg, slots
 
-    def _predict(self, ctx, gathered):
-        k = self.grid.order
+    def kernel(self, ctx, gathered, jacobians=False):
+        k, dt = self.grid.order, self.grid.dt
         posw = np.stack(gathered[0:k], axis=-2)
         rotw = np.stack(gathered[k : 2 * k], axis=-3)
         lm = gathered[2 * k]
-        t_cam = gathered[2 * k + 1][..., 0]
-        u = (self.stamps + t_cam - ctx) / self.grid.dt
-        R = bs.so3_window_eval(rotw, u, k)
-        p = bs.r3_window_eval(posw, u, k, self.grid.dt)
-        return (R, *self._project(R, p, lm), u)
-
-    def kernel(self, ctx, gathered):
-        _, _, px, valid, _ = self._predict(ctx, gathered)
-        return (self.pixels - px) * valid[:, None] * self.w
-
-    def analytic_jacobians(self, ctx, gathered):
-        k = self.grid.order
-        R, p_cam, _, valid, u = self._predict(ctx, gathered)
-        B = self._landmark_jacobian(R, p_cam, valid)
+        u = self._u(self.stamps, gathered[2 * k + 1][..., 0], ctx)
+        p = bs.r3_window_eval(posw, u, k, dt)
+        if not jacobians:
+            R = bs.so3_window_eval(rotw, u, k)
+            _, _, px, valid = self._project(R, p, lm)
+            return (self.pixels - px) * valid[:, None] * self.w
+        R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+        p_body, p_cam, px, valid = self._project(R, p, lm)
+        r = (self.pixels - px) * valid[:, None] * self.w
+        B = self._landmark_jacobian(R, p_cam, valid)  # = -d e / d p
+        # R <- R Exp(eps) moves p_body by hat(p_body) eps
+        B_rot = B @ R @ hat(p_body)
         coeff = bs.window_node_coefficients(k, u)
-        out = {s: -coeff[:, s, None, None] * B for s in range(k)}
-        out[2 * k] = B
-        return out
+        pdot = bs.r3_window_eval(posw, u, k, dt, 1)
+        jacs = {s: -coeff[:, s, None, None] * B for s in range(k)}
+        jacs.update({k + s: B_rot @ JR[:, s] for s in range(k)})
+        jacs[2 * k] = B
+        jacs[2 * k + 1] = (np.einsum("nab,nb->na", B_rot, omega)
+                           - np.einsum("nab,nb->na", B, pdot))[..., None]
+        return r, jacs
 
 
 def _projection_jacobian(camera, p_cam, valid):
@@ -249,7 +270,7 @@ def _projection_jacobian(camera, p_cam, valid):
     return J * valid[:, None, None]
 
 
-class CtAccelGroup(FactorGroup):
+class CtAccelGroup(_SplineGroup):
     """Accelerometer residuals R^T (pddot + g) + b_a - a_bar."""
 
     name = "ct_accel"
@@ -278,37 +299,38 @@ class CtAccelGroup(FactorGroup):
         self._cb = bs.window_node_coefficients(4, self.bu, 0)
 
     def build(self, problem, state):
-        return None, self._slots
+        return self.seg, self._slots
 
-    def kernel(self, ctx, gathered):
-        k = self.grid.order
+    def kernel(self, ctx, gathered, jacobians=False):
+        k, dt = self.grid.order, self.grid.dt
         posw = np.stack(gathered[0:k], axis=-2)
         rotw = np.stack(gathered[k : 2 * k], axis=-3)
         baw = np.stack(gathered[2 * k : 2 * k + 4], axis=-2)
         g = gathered[2 * k + 4]
-        acc = bs.r3_window_eval(posw, self.u, k, self.grid.dt, 2)
-        R = bs.so3_window_eval(rotw, self.u, k)
+        acc = bs.r3_window_eval(posw, self.u, k, dt, 2)
+        if jacobians:
+            R, _, JR = bs.so3_window_eval_jacobians(rotw, self.u, k, dt)
+        else:
+            R = bs.so3_window_eval(rotw, self.u, k)
         ba = bs.r3_window_eval(baw, self.bu, 4, self.bias_grid.dt)
-        e = np.einsum("nji,nj->ni", R, acc + g) + ba - self.accel
-        return e * self.w
-
-    def analytic_jacobians(self, ctx, gathered):
-        k = self.grid.order
-        rotw = np.stack(gathered[k : 2 * k], axis=-3)
-        R = bs.so3_window_eval(rotw, self.u, k)
+        f_body = np.einsum("nji,nj->ni", R, acc + g)
+        e = (f_body + ba - self.accel) * self.w
+        if not jacobians:
+            return e
         Rt = np.swapaxes(R, -1, -2) * self.w
-        out = {}
-        scale = 1.0 / (self.grid.dt**2)
-        for s in range(k):
-            out[s] = self._c2[:, s, None, None] * scale * Rt
+        scale = 1.0 / (dt**2)
         eye = np.eye(3)
+        # R <- R Exp(eps) moves R^T f by hat(R^T f) eps
+        J_rot = self.w * hat(f_body)
+        jacs = {s: self._c2[:, s, None, None] * scale * Rt for s in range(k)}
+        jacs.update({k + s: J_rot @ JR[:, s] for s in range(k)})
         for s in range(4):
-            out[2 * k + s] = self.w * self._cb[:, s, None, None] * eye[None]
-        out[2 * k + 4] = Rt
-        return out
+            jacs[2 * k + s] = self.w * self._cb[:, s, None, None] * eye[None]
+        jacs[2 * k + 4] = Rt
+        return e, jacs
 
 
-class CtGyroGroup(FactorGroup):
+class CtGyroGroup(_SplineGroup):
     """Gyroscope residuals omega + b_w - w_bar."""
 
     name = "ct_gyro"
@@ -317,6 +339,7 @@ class CtGyroGroup(FactorGroup):
     def __init__(self, grid, bias_grid, rot0, bg0, times, gyro, weight):
         self.grid = grid
         self.bias_grid = bias_grid
+        self.rot0 = rot0
         self.times = times
         self.gyro = gyro
         self.w = weight
@@ -329,23 +352,25 @@ class CtGyroGroup(FactorGroup):
         self._cb = bs.window_node_coefficients(4, self.bu, 0)
 
     def build(self, problem, state):
-        return None, self._slots
+        return self.seg, self._slots
 
-    def kernel(self, ctx, gathered):
-        k = self.grid.order
+    def kernel(self, ctx, gathered, jacobians=False):
+        k, dt = self.grid.order, self.grid.dt
         rotw = np.stack(gathered[0:k], axis=-3)
         bgw = np.stack(gathered[k : k + 4], axis=-2)
-        omega = bs.so3_window_angvel(rotw, self.u, k, self.grid.dt)
+        if jacobians:
+            omega, JW = bs.so3_window_angvel_jacobians(rotw, self.u, k, dt)
+        else:
+            omega = bs.so3_window_angvel(rotw, self.u, k, dt)
         bg = bs.r3_window_eval(bgw, self.bu, 4, self.bias_grid.dt)
-        return (omega + bg - self.gyro) * self.w
-
-    def analytic_jacobians(self, ctx, gathered):
-        k = self.grid.order
+        e = (omega + bg - self.gyro) * self.w
+        if not jacobians:
+            return e
         eye = np.eye(3)
-        return {
-            k + s: self.w * self._cb[:, s, None, None] * eye[None]
-            for s in range(4)
-        }
+        jacs = {s: self.w * JW[:, s] for s in range(k)}
+        for s in range(4):
+            jacs[k + s] = self.w * self._cb[:, s, None, None] * eye[None]
+        return e, jacs
 
 
 class CtBiasRateGroup(FactorGroup):
@@ -376,7 +401,7 @@ class CtBiasRateGroup(FactorGroup):
         }
 
 
-class CtGpsGroup(FactorGroup):
+class CtGpsGroup(_SplineGroup):
     """GPS residuals p_bar - (p + R p_ant) sampled at t_d + t_gps_imu."""
 
     name = "ct_gps"
@@ -400,19 +425,35 @@ class CtGpsGroup(FactorGroup):
             + _window_slots(self.rot0, seg, self.grid.order, ROTATION)
             + [Slot(self.pant_id, EUCLIDEAN, 3), Slot(self.tgps_id, EUCLIDEAN, 1)]
         )
-        return self.grid.t0 + seg * self.grid.dt, slots
+        return seg, slots
 
-    def kernel(self, ctx, gathered):
-        k = self.grid.order
+    def kernel(self, ctx, gathered, jacobians=False):
+        k, dt = self.grid.order, self.grid.dt
         posw = np.stack(gathered[0:k], axis=-2)
         rotw = np.stack(gathered[k : 2 * k], axis=-3)
-        p_ant = gathered[2 * k]
-        t_gps = gathered[2 * k + 1][..., 0]
-        u = (self.stamps + t_gps - ctx) / self.grid.dt
-        p = bs.r3_window_eval(posw, u, k, self.grid.dt)
-        R = bs.so3_window_eval(rotw, u, k)
-        pred = p + np.einsum("nij,j->ni", R, p_ant.reshape(-1, 3)[0])
-        return (self.gps - pred) * self.w
+        p_ant = gathered[2 * k].reshape(-1, 3)[0]
+        u = self._u(self.stamps, gathered[2 * k + 1][..., 0], ctx)
+        p = bs.r3_window_eval(posw, u, k, dt)
+        if jacobians:
+            R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+        else:
+            R = bs.so3_window_eval(rotw, u, k)
+        pred = p + np.einsum("nij,j->ni", R, p_ant)
+        e = (self.gps - pred) * self.w
+        if not jacobians:
+            return e
+        coeff = bs.window_node_coefficients(k, u)
+        pdot = bs.r3_window_eval(posw, u, k, dt, 1)
+        eye = np.eye(3)
+        # R <- R Exp(eps) moves R p_ant by -R hat(p_ant) eps
+        J_rot = self.w * R @ hat(p_ant)
+        jacs = {s: -self.w * coeff[:, s, None, None] * eye[None]
+                for s in range(k)}
+        jacs.update({k + s: J_rot @ JR[:, s] for s in range(k)})
+        jacs[2 * k] = -self.w * R
+        jacs[2 * k + 1] = -self.w * (
+            pdot + np.einsum("nij,nj->ni", R, np.cross(omega, p_ant)))[..., None]
+        return e, jacs
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +480,13 @@ class DtReprojGroup(_ReprojGroup):
 
     def kernel(self, ctx, gathered):
         p, R, lm, t_cam = gathered
-        _, px, valid = self._project(R, p, lm)
+        _, _, px, valid = self._project(R, p, lm)
         z_shift = shift_feature(self.pixels, self.vel, -t_cam[..., 0, None])
         return (z_shift - px) * valid[:, None] * self.w
 
     def analytic_jacobians(self, ctx, gathered):
         p, R, lm, _ = gathered
-        p_cam, _, valid = self._project(R, p, lm)
+        _, p_cam, _, valid = self._project(R, p, lm)
         B = self._landmark_jacobian(R, p_cam, valid)
         Jt = -self.vel * valid[:, None] * self.w
         return {0: -B, 2: B, 3: Jt[:, :, None]}
@@ -972,7 +1013,7 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
 
 def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
                   cfg: CtConfig, seed=0):
-    """Build the initial CtState: PnP poses, spline fit, GPS alignment."""
+    """Build the initial CtState: PnP poses and a spline fit to them."""
     rng = np.random.default_rng(seed)
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma, rng)
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
@@ -1026,10 +1067,16 @@ class RunResult:
 
 def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
         mode="ct", seed=0, solve_options=None):
-    """Full pipeline: initialize, build, solve, sample at camera times."""
+    """Full pipeline: initialize, build, solve, sample at camera times.
+
+    An IMU gap is rejected before the initialization, which is the slow
+    part of a failed run.
+    """
     mode = mode.lower()
     if mode not in ("ct", "dt"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
+    if cfg.use_imu:
+        _check_imu_gaps(meas.imu_t_ns * 1e-9)
     stages = {}
     initialize = initialize_ct if mode == "ct" else initialize_dt
     build = build_ct_problem if mode == "ct" else build_dt_problem

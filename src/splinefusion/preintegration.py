@@ -12,23 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .rotations import hat, so3_exp, so3_log
+from .rotations import hat, so3_exp, so3_log, so3_right_jacobian
 
 _JITTER = 1e-16
-
-
-def _right_jacobian(phi):
-    """SO(3) right Jacobian J_r(phi)."""
-    theta = np.linalg.norm(phi)
-    K = hat(phi)
-    if theta < 1e-7:
-        return np.eye(3) - 0.5 * K + K @ K / 6.0
-    t2 = theta * theta
-    return (
-        np.eye(3)
-        - (1.0 - np.cos(theta)) / t2 * K
-        + (theta - np.sin(theta)) / (t2 * theta) * (K @ K)
-    )
 
 
 @dataclass(frozen=True)
@@ -121,7 +107,7 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
         a = 0.5 * (accs[n] + accs[n + 1]) - b_a
         phi = w * dt
         E = so3_exp(phi)
-        Jr = _right_jacobian(phi)
+        Jr = so3_right_jacobian(phi)
         R_mid = dR @ so3_exp(0.5 * phi)
         Ra = R_mid @ a
         A = np.zeros((9, 9))

@@ -59,6 +59,40 @@ def so3_exp(v):
     return eye + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
 
+def _right_jacobian_parts(phi):
+    """hat(phi), its square, the small-angle mask and theta = |phi| (1.0
+    where small, so that no coefficient divides by zero)."""
+    phi = np.asarray(phi, dtype=float)
+    theta = np.sqrt(np.vecdot(phi, phi))
+    K = hat(phi)
+    small = theta < 1e-7
+    return K, K @ K, small, np.where(small, 1.0, theta)
+
+
+def so3_right_jacobian(phi):
+    """SO(3) right Jacobian J_r(phi), (..., 3, 3).
+
+    To first order ``Exp(phi + d) = Exp(phi) Exp(J_r(phi) d)``.
+    """
+    K, KK, small, theta = _right_jacobian_parts(phi)
+    t2 = theta * theta
+    a = np.where(small, 0.5, (1.0 - np.cos(theta)) / t2)
+    b = np.where(small, 1.0 / 6.0, (theta - np.sin(theta)) / (t2 * theta))
+    return np.eye(3) - a[..., None, None] * K + b[..., None, None] * KK
+
+
+def so3_right_jacobian_inv(phi):
+    """Inverse of :func:`so3_right_jacobian`, (..., 3, 3), for |phi| < 2 pi.
+
+    To first order ``Log(Exp(phi) Exp(d)) = phi + J_r(phi)^-1 d``.
+    """
+    K, KK, small, theta = _right_jacobian_parts(phi)
+    half = 0.5 * theta
+    c = np.where(small, 1.0 / 12.0, 1.0 / (theta * theta)
+                 - np.cos(half) / (2.0 * theta * np.sin(half)))
+    return np.eye(3) + 0.5 * K + c[..., None, None] * KK
+
+
 def rotation_to_quat(R):
     """Rotation matrix(es) to unit quaternion(s) (w, x, y, z), w >= 0.
 

@@ -9,7 +9,7 @@ either analytically or by central differences on the gathered values
 (one-sided where a rotation step straddles a jump of the residuals).
 
 The normal equations are assembled sparsely from group triplets and solved
-with a sparse LU factorization (dense Cholesky below 2000 unknowns).
+with a sparse LU factorization (a dense LU solve below 2000 unknowns).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, OutOfDomainError
 from .rotations import so3_exp
 
 EUCLIDEAN = "euclidean"
@@ -77,14 +77,19 @@ class FactorGroup:
     """Base class for vectorized residual families.
 
     Subclasses implement :meth:`build` (slots plus any cached context) and
-    :meth:`kernel` (whitened residuals from gathered slot values).  Jacobians
-    default to central finite differences in the tangent space of each slot;
-    override :meth:`analytic_jacobians` to supply exact ones for some slots.
+    :meth:`kernel` (whitened residuals from gathered slot values).  Exact
+    Jacobians come from :meth:`analytic_jacobians` for some slots, or, with
+    ``one_pass = True`` (the continuous-time families), from
+    ``kernel(ctx, gathered, jacobians=True) -> (r, jacs)`` for all of them,
+    with :meth:`jumps` naming the factors on a discontinuity.  Other slots
+    get central finite differences (:meth:`_fd_slot`): the fallback, and
+    the test oracle of the analytic Jacobians.
     """
 
     name = "group"
     dim = 1  # residual dimension per factor
     fd_step = 1e-6
+    one_pass = False
 
     def build(self, problem, state):
         """Return (ctx, [Slot, ...]) at the current state."""
@@ -96,7 +101,14 @@ class FactorGroup:
 
     def analytic_jacobians(self, ctx, gathered):
         """dict slot_index -> (num, dim, tdim); remaining slots use FD."""
+        if self.one_pass:
+            return self.kernel(ctx, gathered, jacobians=True)[1]
         return {}
+
+    def jumps(self, problem, state, ctx):
+        """(num,) mask of the factors whose residuals jump within
+        ``fd_step`` of ``state``; required of a ``one_pass`` group."""
+        raise NotImplementedError
 
     # -- shared machinery ---------------------------------------------------
 
@@ -106,18 +118,22 @@ class FactorGroup:
         return self.kernel(ctx, gathered)
 
     def linearize(self, problem, state):
-        """Residuals, per-slot Jacobians and the factors whose FD hit a jump.
+        """Residuals, per-slot Jacobians and the factors on a jump.
 
         Returns ``(r, slots, jacs, jumps)``; ``jumps`` is a (num,) bool mask
-        of the factors whose rotation-slot differences straddled a
-        discontinuity of the kernel (see :meth:`_fd_slot`).
+        of the factors on a discontinuity of the kernel: from :meth:`jumps`
+        for a ``one_pass`` group, else those whose rotation-slot differences
+        straddled one (see :meth:`_fd_slot`).
         """
         ctx, slots = self.build(problem, state)
         gathered = [problem.gather(state, s) for s in slots]
-        r = self.kernel(ctx, gathered)
-        num = r.shape[0]
-        jacs = self.analytic_jacobians(ctx, gathered)
-        jumps = np.zeros(num, dtype=bool)
+        if self.one_pass:
+            r, jacs = self.kernel(ctx, gathered, jacobians=True)
+            jumps = self.jumps(problem, state, ctx)
+        else:
+            r = self.kernel(ctx, gathered)
+            jacs = self.analytic_jacobians(ctx, gathered)
+            jumps = np.zeros(r.shape[0], dtype=bool)
         for si, slot in enumerate(slots):
             if si in jacs:
                 continue
@@ -353,7 +369,7 @@ class Problem:
 
     def linearize(self, state):
         """Full residual vector, sparse Jacobian over free tangent columns,
-        and the number of factors whose FD Jacobian straddled a jump."""
+        and the number of factors on a jump (see :meth:`FactorGroup.linearize`)."""
         self._layout()
         res_parts = []
         rows_l, cols_l, vals_l = [], [], []
@@ -414,8 +430,8 @@ class SolveReport:
     - ``"max_iter"``: the iteration cap was reached first;
     - ``"stalled"``: no damped step lowered the cost;
     - ``"discontinuous"``: the linearization at the returned state has
-      factors whose rotation-slot finite differences straddle a jump of the
-      residual (``jump_rows`` of them), so the returned state is not a
+      factors on a jump of the residual (``jump_rows`` of them; see
+      :meth:`FactorGroup.linearize`), so the returned state is not a
       stationary point of a smooth cost.  This overrides the other three.
 
     ``converged`` is True only for ``"converged"``.
@@ -477,7 +493,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
             A = H + sp.diags(lam * D)
             try:
                 delta = _solve_normal(A, g, problem.num_cols)
-            except Exception:
+            except (np.linalg.LinAlgError, RuntimeError):  # singular system
                 lam *= 10.0
                 continue
             if not np.all(np.isfinite(delta)):
@@ -486,7 +502,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
             trial = problem.retract(state, delta)
             try:
                 r_new = problem.residual_vector(trial)
-            except Exception:
+            except OutOfDomainError:
                 lam *= 10.0
                 continue
             cost_new = float(r_new @ r_new)

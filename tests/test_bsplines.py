@@ -201,3 +201,75 @@ def test_angular_velocity_needs_order3():
     spline = bs.SplineSO3(grid, np.stack([np.eye(3)] * 6))
     with pytest.raises(InvalidArgumentError):
         spline.angular_velocity(0.5)
+
+
+def _window(rng, order, big_step=None):
+    """Random SO(3) node window; ``big_step`` sets one node difference."""
+    nodes = [random_rotation(rng)]
+    for j in range(order - 1):
+        step = rng.normal(scale=0.5, size=3)
+        if j == order // 2 and big_step is not None:
+            step *= big_step / np.linalg.norm(step)
+        nodes.append(nodes[-1] @ so3_exp(step))
+    return np.stack(nodes)
+
+
+def _fd_node_jacobians(fn, windows, u, order, h=1e-6):
+    """Central differences of ``fn`` under R_s <- R_s Exp(delta_s); ``fn``
+    returns a (N, a) vector per window."""
+    J = np.empty(windows.shape[:1] + (order,) + fn(windows).shape[1:] + (3,))
+    for s in range(order):
+        for a in range(3):
+            step = np.zeros(3)
+            step[a] = h
+            plus, minus = windows.copy(), windows.copy()
+            plus[:, s] = windows[:, s] @ so3_exp(step)
+            minus[:, s] = windows[:, s] @ so3_exp(-step)
+            J[:, s, ..., a] = (fn(plus) - fn(minus)) / (2 * h)
+    return J
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_so3_window_node_jacobians_match_finite_differences(rng, order):
+    """Value and angular-velocity node Jacobians against central
+    differences, at both ends of the segment and across a 2.5 rad node
+    difference."""
+    dt = 0.1
+    windows = np.stack([_window(rng, order), _window(rng, order),
+                        _window(rng, order, big_step=2.5),
+                        _window(rng, order, big_step=2.8)])
+    diffs = np.linalg.norm(bs.so3_window_diffs(windows), axis=-1)
+    assert diffs[2:].max(axis=-1).min() >= 2.5
+    for u0 in (0.0, np.nextafter(1.0, 0.0), 0.43):
+        u = np.full(len(windows), u0)
+        R, omega, JR = bs.so3_window_eval_jacobians(windows, u, order, dt)
+        omega2, JW = bs.so3_window_angvel_jacobians(windows, u, order, dt)
+        assert np.array_equal(R, bs.so3_window_eval(windows, u, order))
+        assert np.array_equal(omega, bs.so3_window_angvel(windows, u, order, dt))
+        assert np.array_equal(omega2, omega)
+
+        # the value Jacobian as the right perturbation of R(u) about R
+        def rotvec(w):
+            return so3_log(np.swapaxes(R, -1, -2)
+                           @ bs.so3_window_eval(w, u, order), validate=False)
+
+        fd_R = _fd_node_jacobians(rotvec, windows, u, order)
+        assert np.abs(JR - fd_R).max() < 1e-7
+        fd_W = _fd_node_jacobians(
+            lambda w: bs.so3_window_angvel(w, u, order, dt), windows, u, order)
+        assert np.abs(JW - fd_W).max() / np.abs(fd_W).max() < 1e-7
+
+
+def test_branch_cut_rule_flags_pairs_near_pi():
+    """A control pair within ``reach`` of angle pi is on the cut of the Log
+    difference; a window holds it when it spans both nodes."""
+    z = np.array([0.0, 0.0, 1.0])
+    angles = [0.3, np.pi - 1e-9, 0.5, np.pi - 1e-3, 0.2]
+    nodes = [np.eye(3)]
+    for a in angles:
+        nodes.append(nodes[-1] @ so3_exp(a * z))
+    pairs = bs.so3_cut_pairs(np.stack(nodes), 1e-6)
+    assert pairs.tolist() == [False, True, False, False, False]
+    # order-3 windows starting at nodes 0..3 hold pairs (s, s+1)
+    assert bs.windows_holding(pairs, np.arange(4), 3).tolist() == [
+        True, True, False, False]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from splinefusion import estimators as est
 from splinefusion import simulate as sim
 from splinefusion.errors import DataError, InvalidArgumentError
 from splinefusion.residuals import GRAVITY, CtState, DtState
+from splinefusion.rotations import so3_exp
+from splinefusion.solver import FactorGroup
 
 from conftest import noiseless_spec, wobbly_ground_truth
 
@@ -130,16 +134,22 @@ def _jacobian_check(problem, state, rtol=5e-4):
 
 @pytest.fixture(scope="module")
 def perturbed_ct(tiny_noiseless):
-    """CT problem linearized away from the optimum (where Jacobians are
-    nontrivial)."""
+    """CT problem linearized away from the optimum, where every Jacobian
+    term is nontrivial: positions, rotations, landmarks, biases, both clock
+    offsets and the antenna lever arm are all off the truth."""
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements
     rng = np.random.default_rng(5)
     state0 = true_ct_state(gt, rig, meas.landmarks_true)
     state0.position.nodes += rng.normal(scale=0.01, size=state0.position.nodes.shape)
+    state0.rotation.nodes = state0.rotation.nodes @ so3_exp(
+        rng.normal(scale=0.02, size=(state0.rotation.nodes.shape[0], 3)))
     for lid in state0.landmarks:
         state0.landmarks[lid] += rng.normal(scale=0.02, size=3)
     state0.bias_accel.nodes += rng.normal(scale=1e-3, size=state0.bias_accel.nodes.shape)
+    state0 = dataclasses.replace(
+        state0, t_cam_imu=rig.t_cam_imu + 0.004, t_gps_imu=rig.t_gps_imu - 0.003,
+        p_antenna_body=rig.p_antenna_body + np.array([0.05, -0.03, 0.02]))
     problem = est.build_ct_problem(meas, state0, est.CtConfig(), noise, rig)
     problem._layout()
     return problem, problem.initial_state()
@@ -148,6 +158,35 @@ def perturbed_ct(tiny_noiseless):
 def test_ct_analytic_jacobians(perturbed_ct):
     problem, state = perturbed_ct
     _jacobian_check(problem, state)
+
+
+def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
+    """Every CT factor family supplies every slot's Jacobian exactly, each
+    from a single kernel evaluation."""
+    problem, state = perturbed_ct
+    calls = {"fd": 0, "kernel": 0}
+    fd_slot = FactorGroup._fd_slot
+
+    def counting_fd_slot(self, *args):
+        calls["fd"] += 1
+        return fd_slot(self, *args)
+
+    monkeypatch.setattr(FactorGroup, "_fd_slot", counting_fd_slot)
+    ct_families = [g for g in problem.groups if g.name in
+                   ("ct_reproj", "ct_accel", "ct_gyro", "ct_gps")]
+    assert len(ct_families) == 4
+    for group in ct_families:
+        kernel = group.kernel
+
+        def counting_kernel(*args, _kernel=kernel, **kwargs):
+            calls["kernel"] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(group, "kernel", counting_kernel)
+    _, J, jump_rows = problem.linearize(state)
+    assert calls == {"fd": 0, "kernel": 4}
+    assert jump_rows == 0
+    assert np.all(np.isfinite(J.data))
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +276,27 @@ def test_dt_imu_gap_rejected(zero_offset_sim):
     ct_state0 = true_ct_state(gt, rig, meas.landmarks_true)
     with pytest.raises(DataError, match="gap"):
         est.build_ct_problem(gappy, ct_state0, est.CtConfig(), noise, rig)
+
+
+def test_run_rejects_imu_gap_before_initialization(zero_offset_sim, monkeypatch):
+    gt, rig, noise, result = zero_offset_sim
+    meas = result.measurements
+    t = meas.imu_t_ns * 1e-9
+    mid = t[len(t) // 2]
+    keep = (t < mid) | (t > mid + 0.25)
+    gappy = dataclasses.replace(
+        meas, imu_t_ns=meas.imu_t_ns[keep], gyro=meas.gyro[keep],
+        accel=meas.accel[keep],
+    )
+
+    def no_initialization(*args, **kwargs):
+        raise AssertionError("initialization ran on a gappy IMU stream")
+
+    monkeypatch.setattr(est, "initialize_ct", no_initialization)
+    monkeypatch.setattr(est, "initialize_dt", no_initialization)
+    for cfg, mode in ((est.CtConfig(), "ct"), (est.DtConfig(), "dt")):
+        with pytest.raises(DataError, match="gap"):
+            est.run(gappy, rig, noise, cfg, mode=mode)
 
 
 def test_initialize_ct_contract(tiny_noiseless):

@@ -270,3 +270,31 @@ def test_solve_smooth_minimum_still_converges():
     assert report.jump_rows == 0
     assert np.allclose(so3_log(problem.block_value(state, "R")),
                        [0.0, 0.0, 2.0], atol=1e-8)
+
+
+class _TrialBugGroup(FactorGroup):
+    """x - 1, whose kernel fails with a ValueError once x leaves its
+    starting value: a bug in a kernel, not a rejected step."""
+
+    name = "trial_bug"
+    dim = 1
+
+    def build(self, problem, state):
+        return None, [Slot(problem.block_id("x"), EUCLIDEAN, 1)]
+
+    def kernel(self, ctx, gathered):
+        x = gathered[0]
+        if np.any(x != 0.0):
+            raise ValueError("kernel bug")
+        return x - 1.0
+
+    def analytic_jacobians(self, ctx, gathered):
+        return {0: np.ones((1, 1, 1))}
+
+
+def test_kernel_error_on_trial_state_propagates():
+    problem = Problem()
+    problem.add_euclidean("x", np.zeros(1))
+    problem.add_group(_TrialBugGroup())
+    with pytest.raises(ValueError, match="kernel bug"):
+        solve(problem)
