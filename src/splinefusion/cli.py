@@ -5,7 +5,9 @@ to a pose CSV), ``estimate-ct`` / ``estimate-dt`` (batch estimation),
 ``evaluate`` (ATE metrics), ``compare`` (both modes across an injected
 camera-offset grid).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure
+(including an estimate whose final solve ended ``stalled`` or
+``discontinuous``; its outputs are still written).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import DataError, NumericalFailureError, SplineFusionError
 from .initialization import fit_spline_to_poses
 from .rotations import quat_to_rotation, rotation_to_quat
 from .simulate import ProfileParams, default_rig, make_ground_truth, synthesize
+from .solver import DISCONTINUOUS, STALLED
 from .bsplines import save_spline_pair
 
 
@@ -172,6 +175,10 @@ def _cmd_estimate(args, mode):
           f"converged={report['converged']},"
           f"{ate_txt} t_cam={report['t_cam_imu_ms']:.2f} ms "
           f"t_gps={report['t_gps_imu_ms']:.2f} ms ({wall:.1f} s)")
+    if report["termination"] in (STALLED, DISCONTINUOUS):
+        print(f"solver failure: the final solve ended {report['termination']}",
+              file=sys.stderr)
+        return 3
     return 0
 
 

@@ -78,6 +78,18 @@ class RunConfig:
             raise InvalidArgumentError(f"mode must be 'ct' or 'dt', got {self.mode!r}")
         if self.align not in ("none", "se3", "sim3"):
             raise InvalidArgumentError(f"unknown align mode {self.align!r}")
+        # estimator_config takes the switches from ``sensors``, so a switch
+        # set in ``ct``/``dt`` would be ignored
+        for name in ("ct", "dt"):
+            section = getattr(self, name)
+            moved = sorted(f.name for f in dataclasses.fields(section)
+                           if f.name in _SENSOR_SWITCHES
+                           and getattr(section, f.name) != f.default)
+            if moved:
+                raise DataError(
+                    f"{moved} in config section {name!r}: sensors are "
+                    f"switched in the 'sensors' section (camera, imu, gps)"
+                )
 
     def estimator_config(self, mode=None):
         """The CtConfig/DtConfig for ``mode`` with sensor flags applied."""
@@ -115,14 +127,8 @@ class RunConfig:
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
 
-        def build(klass, name, moved=()):
+        def build(klass, name):
             section = dict(data.get(name) or {})
-            misplaced = sorted(set(section) & set(moved))
-            if misplaced:
-                raise DataError(
-                    f"{misplaced} in config section {name!r}: sensors are "
-                    f"switched in the 'sensors' section (camera, imu, gps)"
-                )
             names = {f.name for f in dataclasses.fields(klass)}
             bad = set(section) - names
             if bad:
@@ -144,8 +150,8 @@ class RunConfig:
             sensors=build(SensorFlags, "sensors"),
             simulate=build(SimulateConfig, "simulate"),
             noise=NoiseSpec.from_dict(base_noise),
-            ct=build(CtConfig, "ct", _SENSOR_SWITCHES),
-            dt=build(DtConfig, "dt", _SENSOR_SWITCHES),
+            ct=build(CtConfig, "ct"),
+            dt=build(DtConfig, "dt"),
         )
 
 

@@ -166,8 +166,6 @@ class _SplineGroup(FactorGroup):
     window, and ``ctx`` is the window's first segment.  Subclasses set
     ``grid`` and ``rot0``, the block id of the first rotation node."""
 
-    one_pass = True
-
     def jumps(self, problem, state, seg):
         """Factors whose window holds a control pair within ``fd_step`` of
         angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_pairs`)."""
@@ -389,13 +387,13 @@ class CtBiasRateGroup(FactorGroup):
     def build(self, problem, state):
         return None, self._slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         bw = np.stack(gathered, axis=-2)
-        return bs.r3_window_eval(bw, self.u, 4, self.grid.dt, 1) * self.w
-
-    def analytic_jacobians(self, ctx, gathered):
+        e = bs.r3_window_eval(bw, self.u, 4, self.grid.dt, 1) * self.w
+        if not jacobians:
+            return e
         eye = np.eye(3)
-        return {
+        return e, {
             s: self.w / self.grid.dt * self._c1[:, s, None, None] * eye[None]
             for s in range(4)
         }
@@ -478,18 +476,16 @@ class DtReprojGroup(_ReprojGroup):
     def build(self, problem, state):
         return None, self._slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         p, R, lm, t_cam = gathered
-        _, _, px, valid = self._project(R, p, lm)
+        _, p_cam, px, valid = self._project(R, p, lm)
         z_shift = shift_feature(self.pixels, self.vel, -t_cam[..., 0, None])
-        return (z_shift - px) * valid[:, None] * self.w
-
-    def analytic_jacobians(self, ctx, gathered):
-        p, R, lm, _ = gathered
-        _, p_cam, _, valid = self._project(R, p, lm)
+        r = (z_shift - px) * valid[:, None] * self.w
+        if not jacobians:
+            return r
         B = self._landmark_jacobian(R, p_cam, valid)
         Jt = -self.vel * valid[:, None] * self.w
-        return {0: -B, 2: B, 3: Jt[:, :, None]}
+        return r, {0: -B, 2: B, 3: Jt[:, :, None]}
 
 
 class DtPreintGroup(FactorGroup):
@@ -525,7 +521,6 @@ class DtPreintGroup(FactorGroup):
         self.accel_sigma = accel_sigma
         self.threshold = threshold
         self.pims = [None] * (len(frame_times) - 1)
-        self.reintegrations = 0
         self._slots = [
             Slot(ids["p"][:-1], EUCLIDEAN, 3),
             Slot(ids["R"][:-1], ROTATION, 3),
@@ -560,8 +555,6 @@ class DtPreintGroup(FactorGroup):
                 np.abs(ba[n] - pim.bias_lin[0]).max(),
                 np.abs(bg[n] - pim.bias_lin[1]).max(),
             ) > self.threshold:
-                if pim is not None:
-                    self.reintegrations += 1
                 self._integrate(n, ba[n], bg[n])
                 dirty = True
         if dirty:
@@ -579,7 +572,7 @@ class DtPreintGroup(FactorGroup):
             self._stacks = st
         return self._stacks, self._slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         p_i, R_i, v_i, ba_i, bg_i, p_j, R_j, v_j = gathered
         dba = ba_i - ctx["ba_lin"]
         dbg = bg_i - ctx["bg_lin"]
@@ -600,8 +593,9 @@ class DtPreintGroup(FactorGroup):
             np.einsum("nij,nj->ni", Rit, p_j - p_i - v_i * dt + 0.5 * g * dt**2)
             - dp
         )
-        r = np.concatenate([r_rot, r_vel, r_pos], axis=1)
-        return np.einsum("nij,nj->ni", ctx["W"], r)
+        r = np.einsum("nij,nj->ni", ctx["W"],
+                      np.concatenate([r_rot, r_vel, r_pos], axis=1))
+        return (r, {}) if jacobians else r
 
 
 class DtBiasWalkGroup(FactorGroup):
@@ -623,14 +617,14 @@ class DtBiasWalkGroup(FactorGroup):
     def build(self, problem, state):
         return None, self._slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         ba_i, bg_i, ba_j, bg_j = gathered
-        return np.concatenate(
+        r = np.concatenate(
             [(ba_j - ba_i) * self.w_a[:, None], (bg_j - bg_i) * self.w_g[:, None]],
             axis=1,
         )
-
-    def analytic_jacobians(self, ctx, gathered):
+        if not jacobians:
+            return r
         n = self.w_a.size
         eye = np.eye(3)
         J = {}
@@ -641,7 +635,7 @@ class DtBiasWalkGroup(FactorGroup):
             Jm = np.zeros((n, 6, 3))
             Jm[:, rows : rows + 3, :] = sgn * w[:, None, None] * eye[None]
             J[si] = Jm
-        return J
+        return r, J
 
 
 class DtGpsGroup(FactorGroup):
@@ -678,14 +672,15 @@ class DtGpsGroup(FactorGroup):
         ctx = (self.pose_times[k], self.pose_times[k + 1])
         return ctx, slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         t_k, t_k1 = ctx
         p_k, R_k, p_k1, R_k1, p_ant, t_gps = gathered
         alpha = (self.stamps + t_gps[..., 0] - t_k) / (t_k1 - t_k)
         p_int = p_k + alpha[:, None] * (p_k1 - p_k)
         R_int = slerp_many(R_k, R_k1, alpha)
         pred = p_int + np.einsum("nij,j->ni", R_int, p_ant.reshape(-1, 3)[0])
-        return (self.gps - pred) * self.w
+        r = (self.gps - pred) * self.w
+        return (r, {}) if jacobians else r
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1061,7 @@ class RunResult:
 
 
 def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
-        mode="ct", seed=0, solve_options=None):
+        mode="ct", seed=0):
     """Full pipeline: initialize, build, solve, sample at camera times.
 
     An IMU gap is rejected before the initialization, which is the slow
@@ -1080,7 +1075,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     stages = {}
     initialize = initialize_ct if mode == "ct" else initialize_dt
     build = build_ct_problem if mode == "ct" else build_dt_problem
-    opts = solve_options or SolveOptions(max_iter=cfg.max_iter)
+    opts = SolveOptions(max_iter=cfg.max_iter)
 
     t0 = time.perf_counter()
     init = initialize(meas, rig, noise, cfg, seed=seed)

@@ -105,12 +105,13 @@ class _PnPGroup(FactorGroup):
         ]
         return None, slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         R_wc = gathered[0][0]
         p_wc = gathered[1][0]
         pc = (self.points - p_wc) @ R_wc
         z = np.where(pc[:, 2] > 1e-6, pc[:, 2], 1e-6)
-        return np.stack([pc[:, 0] / z, pc[:, 1] / z], axis=1) - self.xy
+        r = np.stack([pc[:, 0] / z, pc[:, 1] / z], axis=1) - self.xy
+        return (r, {}) if jacobians else r
 
 
 def pnp_dlt(camera, points_world, pixels, refine=True):
@@ -216,14 +217,14 @@ class R3FitGroup(FactorGroup):
         ]
         return None, slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         windows = np.stack(gathered, axis=-2)
         val = bs.r3_window_eval(windows, self.u, self.grid.order, self.grid.dt)
-        return (val - self.targets) * self.weight
-
-    def analytic_jacobians(self, ctx, gathered):
+        r = (val - self.targets) * self.weight
+        if not jacobians:
+            return r
         eye = np.eye(3)
-        return {
+        return r, {
             j: self.weight * self._coeffs[:, j, None, None] * eye[None, :, :]
             for j in range(self.grid.order)
         }
@@ -250,12 +251,13 @@ class SO3FitGroup(FactorGroup):
         ]
         return None, slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         windows = np.stack(gathered, axis=-3)
         R = bs.so3_window_eval(windows, self.u, self.grid.order)
-        return self.weight * so3_log(
+        r = self.weight * so3_log(
             np.swapaxes(R, -1, -2) @ self.targets, validate=False
         )
+        return (r, {}) if jacobians else r
 
 
 @dataclass
@@ -268,15 +270,13 @@ class SplineFit:
 
 
 def fit_spline_to_poses(times, positions, rotations, order, node_hz,
-                        t_start=None, t_end=None, samples_per_interval=1,
-                        max_iter=25, rel_tol=1e-12):
+                        t_start=None, t_end=None):
     """Fit position and rotation splines to timestamped poses.
 
     Control nodes are initialized by linear interpolation (SLERP for
     rotations) at the knot times and refined by minimizing the summed
-    position and Log-rotation errors at the measurement times.  By default
-    one residual is placed at every input pose time; ``samples_per_interval``
-    > 1 adds interpolated measurements between consecutive poses.
+    position and Log-rotation errors at the input pose times, with at most
+    25 LM iterations.
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -300,14 +300,7 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     pos_nodes = _interp_positions(times, positions, clamped)
     rot_nodes = _interp_rotations(times, rotations, clamped)
 
-    if samples_per_interval > 1:
-        qs = []
-        for a, b in zip(times[:-1], times[1:]):
-            qs.append(np.linspace(a, b, samples_per_interval, endpoint=False))
-        query = np.concatenate(qs + [times[-1:]])
-    else:
-        query = times
-    query = query[(query >= grid.domain[0]) & (query < grid.domain[1])]
+    query = times[(times >= grid.domain[0]) & (times < grid.domain[1])]
     tgt_pos = _interp_positions(times, positions, query)
     tgt_rot = _interp_rotations(times, rotations, query)
 
@@ -327,9 +320,7 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     problem.add_group(R3FitGroup(grid, first_pos, seg, u, tgt_pos))
     problem.add_group(SO3FitGroup(grid, first_rot, seg, u, tgt_rot))
 
-    state, report = solve(
-        problem, SolveOptions(max_iter=max_iter, rel_tol=rel_tol)
-    )
+    state, report = solve(problem, SolveOptions(max_iter=25, rel_tol=1e-12))
     fitted_pos = np.stack(
         [problem.block_value(state, f"pos{i}") for i in range(grid.count)]
     )

@@ -4,8 +4,9 @@ Parameter blocks are either euclidean vectors or rotations; rotation blocks
 are updated on the manifold with the right retraction ``R <- R @ Exp(delta)``.
 Residuals are supplied by *factor groups*: vectorized batches of identically
 shaped factors.  Each group gathers its per-factor block values into dense
-arrays, evaluates all residuals at once, and produces per-slot Jacobians
-either analytically or by central differences on the gathered values
+arrays and evaluates all residuals at once; one kernel call with
+``jacobians=True`` also returns the exact per-slot Jacobians the group has,
+and central differences on the gathered values fill the other slots
 (one-sided where a rotation step straddles a jump of the residuals).
 
 The normal equations are assembled sparsely from group triplets and solved
@@ -77,38 +78,37 @@ class FactorGroup:
     """Base class for vectorized residual families.
 
     Subclasses implement :meth:`build` (slots plus any cached context) and
-    :meth:`kernel` (whitened residuals from gathered slot values).  Exact
-    Jacobians come from :meth:`analytic_jacobians` for some slots, or, with
-    ``one_pass = True`` (the continuous-time families), from
-    ``kernel(ctx, gathered, jacobians=True) -> (r, jacs)`` for all of them,
-    with :meth:`jumps` naming the factors on a discontinuity.  Other slots
-    get central finite differences (:meth:`_fd_slot`): the fallback, and
-    the test oracle of the analytic Jacobians.
+    :meth:`kernel`, the one Jacobian protocol: ``kernel(ctx, gathered)``
+    returns the whitened residuals, and ``kernel(ctx, gathered,
+    jacobians=True)`` returns ``(r, jacs)`` with the same ``r`` and the
+    exact Jacobians it has, slot index -> (num, dim, tdim).  A slot missing
+    from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
+    are also the test oracle of the exact ones.  The continuous-time
+    families, the bias groups, the position-spline fit and a
+    :class:`Factor` with ``jac_fn`` are exact in every slot; the
+    discrete-time preintegration and GPS groups, the DT reprojection
+    rotation slot, the rotation-spline fit and the PnP refinement still use
+    finite differences.
     """
 
     name = "group"
     dim = 1  # residual dimension per factor
     fd_step = 1e-6
-    one_pass = False
 
     def build(self, problem, state):
         """Return (ctx, [Slot, ...]) at the current state."""
         raise NotImplementedError
 
-    def kernel(self, ctx, gathered):
-        """Whitened residuals (num, dim) from gathered slot values."""
+    def kernel(self, ctx, gathered, jacobians=False):
+        """Whitened residuals (num, dim) from gathered slot values, or
+        ``(r, jacs)`` with ``jacobians=True``."""
         raise NotImplementedError
-
-    def analytic_jacobians(self, ctx, gathered):
-        """dict slot_index -> (num, dim, tdim); remaining slots use FD."""
-        if self.one_pass:
-            return self.kernel(ctx, gathered, jacobians=True)[1]
-        return {}
 
     def jumps(self, problem, state, ctx):
-        """(num,) mask of the factors whose residuals jump within
-        ``fd_step`` of ``state``; required of a ``one_pass`` group."""
-        raise NotImplementedError
+        """Mask of the factors whose residuals jump within ``fd_step`` of
+        ``state`` where the kernel's exact Jacobians cannot see it; none by
+        default."""
+        return False
 
     # -- shared machinery ---------------------------------------------------
 
@@ -121,19 +121,14 @@ class FactorGroup:
         """Residuals, per-slot Jacobians and the factors on a jump.
 
         Returns ``(r, slots, jacs, jumps)``; ``jumps`` is a (num,) bool mask
-        of the factors on a discontinuity of the kernel: from :meth:`jumps`
-        for a ``one_pass`` group, else those whose rotation-slot differences
+        of the factors on a discontinuity of the kernel: those named by
+        :meth:`jumps`, plus those whose finite-difference rotation slots
         straddled one (see :meth:`_fd_slot`).
         """
         ctx, slots = self.build(problem, state)
         gathered = [problem.gather(state, s) for s in slots]
-        if self.one_pass:
-            r, jacs = self.kernel(ctx, gathered, jacobians=True)
-            jumps = self.jumps(problem, state, ctx)
-        else:
-            r = self.kernel(ctx, gathered)
-            jacs = self.analytic_jacobians(ctx, gathered)
-            jumps = np.zeros(r.shape[0], dtype=bool)
+        r, jacs = self.kernel(ctx, gathered, jacobians=True)
+        jumps = np.zeros(r.shape[0], dtype=bool) | self.jumps(problem, state, ctx)
         for si, slot in enumerate(slots):
             if si in jacs:
                 continue
@@ -218,27 +213,22 @@ class Factor(FactorGroup):
             slots.append(Slot(np.array([bid]), meta.kind, meta.dim))
         return None, slots
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         values = [g[0] for g in gathered]
         r = np.asarray(self.fn(*values), dtype=float).reshape(self.dim)
         if self.sqrt_info is not None:
             r = self.sqrt_info @ r
-        return r[None, :]
-
-    def analytic_jacobians(self, ctx, gathered):
-        if self.jac_fn is None:
-            return {}
-        values = [g[0] for g in gathered]
-        jacs = self.jac_fn(*values)
-        out = {}
-        for si, J in enumerate(jacs):
+        if not jacobians:
+            return r[None, :]
+        jacs = {}
+        for si, J in enumerate(self.jac_fn(*values) if self.jac_fn else []):
             if J is None:
                 continue
             J = np.asarray(J, dtype=float)
             if self.sqrt_info is not None:
                 J = self.sqrt_info @ J
-            out[si] = J[None, :, :]
-        return out
+            jacs[si] = J[None, :, :]
+        return r[None, :], jacs
 
 
 class Problem:

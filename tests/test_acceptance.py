@@ -324,7 +324,8 @@ def test_ablation_spline_order_and_node_density(offset_grid_runs,
     assert not sparse.report.converged
     print(f"\nablations: PASS — offset error order-4 {e4:.3f} ms > "
           f"order-6 {e6:.3f} ms; 1 Hz nodes stop on a discontinuity "
-          f"({sparse.report.jump_rows} factors straddle the Log branch cut, "
+          f"({sparse.report.jump_rows} CT factors hold a control-rotation "
+          f"pair within fd_step of pi in their window, "
           f"ATE {sparse_ate * 1e3:.1f} mm, not converged); 10 Hz ATE "
           f"{dense_ate * 1e3:.1f} mm")
 

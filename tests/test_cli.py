@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from splinefusion import cli
+from splinefusion import estimators as est
+from splinefusion.solver import SolveReport
 
 
 CONFIG_SMALL = """\
@@ -134,3 +136,33 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0] == "t_ns,x,y,z,qw,qx,qy,qz"
     assert len(lines) > 50
+
+
+@pytest.mark.parametrize("termination, rc_expected", [
+    ("converged", 0), ("max_iter", 0), ("stalled", 3), ("discontinuous", 3),
+])
+def test_estimate_exit_code_follows_termination(small_dataset, tmp_path,
+                                                monkeypatch, capsys,
+                                                termination, rc_expected):
+    """A final solve that stalled or stopped on a discontinuity is a solver
+    failure: the estimate and report are written, and the exit code is 3."""
+    t_ns, pos, rot = cli._read_pose_csv(small_dataset / "gt.csv")
+
+    def fake_run(meas, rig, noise, cfg, mode="ct", seed=0):
+        report = SolveReport(iterations=2, initial_cost=2.0, final_cost=1.0,
+                             termination=termination)
+        return est.RunResult(mode=mode, state=None, report=report, t_ns=t_ns,
+                             positions=pos, rotations=rot, t_cam_imu=0.0,
+                             t_gps_imu=0.0, factor_counts={"total": 0})
+
+    monkeypatch.setattr(cli.est, "run", fake_run)
+    for command in ("estimate-ct", "estimate-dt"):
+        out = tmp_path / command
+        rc = cli.main([command, "--data", str(small_dataset),
+                       "--out", str(out)])
+        assert rc == rc_expected
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] == termination
+        assert (out / "estimate.csv").exists()
+        err = capsys.readouterr().err
+        assert ("solver failure" in err) == (rc_expected == 3)

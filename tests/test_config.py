@@ -8,6 +8,7 @@ from splinefusion.config import (
     save_config,
 )
 from splinefusion.errors import DataError, InvalidArgumentError
+from splinefusion.estimators import CtConfig, DtConfig
 
 
 def test_defaults_roundtrip():
@@ -88,9 +89,12 @@ def test_load_config_edge_cases(tmp_path):
 
 def test_sensor_switches_only_in_sensors_section():
     """``estimator_config`` takes the sensor switches from ``sensors``, so a
-    switch in the ``ct``/``dt`` section would be ignored; it is rejected."""
-    for section in ("ct", "dt"):
+    switch in the ``ct``/``dt`` section would be ignored; it is rejected,
+    from a config dict and from Python alike."""
+    for section, klass in (("ct", CtConfig), ("dt", DtConfig)):
         with pytest.raises(DataError, match="sensors"):
             RunConfig.from_dict({section: {"use_gps": False}})
+        with pytest.raises(DataError, match="sensors"):
+            RunConfig(**{section: klass(use_gps=False)})
         assert not {"use_cam", "use_imu", "use_gps"} & set(
             RunConfig().to_dict()[section])

@@ -5,6 +5,7 @@ import pytest
 
 from splinefusion import bsplines as bs
 from splinefusion import estimators as est
+from splinefusion import initialization as ini
 from splinefusion import simulate as sim
 from splinefusion.errors import DataError, InvalidArgumentError
 from splinefusion.residuals import GRAVITY, CtState, DtState
@@ -118,14 +119,14 @@ def test_ct_domain_check(tiny_noiseless):
 
 
 def _jacobian_check(problem, state, rtol=5e-4):
-    """Analytic Jacobians agree with finite differences slot by slot."""
+    """The exact Jacobians a kernel returns agree with finite differences
+    slot by slot."""
     problem._layout()
     for group in problem.groups:
         ctx, slots = group.build(problem, state)
         gathered = [problem.gather(state, s) for s in slots]
-        analytic = group.analytic_jacobians(ctx, gathered)
-        r = group.kernel(ctx, gathered)
-        for si, J in analytic.items():
+        r, exact = group.kernel(ctx, gathered, jacobians=True)
+        for si, J in exact.items():
             fd, _ = group._fd_slot(ctx, gathered, si, slots[si], r)
             scale = max(np.abs(fd).max(), 1.0)
             err = np.max(np.abs(J - fd)) / scale
@@ -155,8 +156,38 @@ def perturbed_ct(tiny_noiseless):
     return problem, problem.initial_state()
 
 
-def test_ct_analytic_jacobians(perturbed_ct):
+def test_ct_exact_jacobians_match_fd(perturbed_ct):
     problem, state = perturbed_ct
+    _jacobian_check(problem, state)
+
+
+@pytest.fixture(scope="module")
+def spline_fit_problem():
+    """The problem ``fit_spline_to_poses`` solves, at its initial state:
+    control nodes interpolated from noisy poses, away from the fit."""
+    gt = wobbly_ground_truth(duration=5.0)
+    ts = np.arange(0.0, 5.0, 0.05)
+    rng = np.random.default_rng(9)
+    pos = gt.position.sample_many(ts) + rng.normal(scale=0.01, size=(ts.size, 3))
+    rot = gt.rotation.sample_many(ts)
+    problems = []
+    solve = ini.solve
+
+    def capture(problem, opts=None):
+        problems.append(problem)
+        return solve(problem, opts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ini, "solve", capture)
+        ini.fit_spline_to_poses(ts, pos, rot, order=6, node_hz=4.0)
+    problem, = problems
+    problem._layout()
+    return problem, problem.initial_state()
+
+
+def test_spline_fit_exact_jacobians_match_fd(spline_fit_problem):
+    problem, state = spline_fit_problem
+    assert {g.name for g in problem.groups} == {"r3_fit", "so3_fit"}
     _jacobian_check(problem, state)
 
 
@@ -244,7 +275,8 @@ def test_dt_factor_counts(zero_offset_sim):
     )
 
 
-def test_dt_analytic_jacobians(zero_offset_sim):
+@pytest.fixture(scope="module")
+def perturbed_dt(zero_offset_sim):
     gt, rig, noise, result = zero_offset_sim
     meas = result.measurements
     rng = np.random.default_rng(6)
@@ -254,7 +286,27 @@ def test_dt_analytic_jacobians(zero_offset_sim):
         state0.landmarks[lid] += rng.normal(scale=0.02, size=3)
     problem = est.build_dt_problem(meas, state0, est.DtConfig(), noise, rig)
     problem._layout()
-    _jacobian_check(problem, problem.initial_state())
+    return problem, problem.initial_state()
+
+
+def test_dt_exact_jacobians_match_fd(perturbed_dt):
+    problem, state = perturbed_dt
+    _jacobian_check(problem, state)
+
+
+@pytest.mark.parametrize("which", ["perturbed_ct", "perturbed_dt",
+                                   "spline_fit_problem"])
+def test_kernel_residuals_same_with_and_without_jacobians(which, request):
+    """LM accepts a step by comparing the trial cost, from
+    ``kernel(ctx, gathered)``, with the cost at the linearization, from
+    ``kernel(ctx, gathered, jacobians=True)``: both must give the same
+    residual bits."""
+    problem, state = request.getfixturevalue(which)
+    for group in problem.groups:
+        ctx, slots = group.build(problem, state)
+        gathered = [problem.gather(state, s) for s in slots]
+        r, _ = group.kernel(ctx, gathered, jacobians=True)
+        assert np.array_equal(r, group.kernel(ctx, gathered)), group.name
 
 
 def test_dt_imu_gap_rejected(zero_offset_sim):

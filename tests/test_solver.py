@@ -125,9 +125,10 @@ class _SharedGroup(FactorGroup):
             Slot(self.shared_id, EUCLIDEAN, 1),
         ]
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         x, s = gathered
-        return x - s - self.targets[:, None]
+        r = x - s - self.targets[:, None]
+        return (r, {}) if jacobians else r
 
 
 def test_shared_slot_broadcasting():
@@ -175,9 +176,10 @@ class _SlerpGroup(FactorGroup):
     def build(self, problem, state):
         return None, [Slot(i, ROTATION, 3) for i in self.ids]
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         R = bs.so3_window_eval(np.stack(gathered, axis=-3), self.u, 2)
-        return R @ np.array([0.3, 1.0, -0.5])
+        r = R @ np.array([0.3, 1.0, -0.5])
+        return (r, {}) if jacobians else r
 
 
 def _slerp_problem(angle):
@@ -282,14 +284,11 @@ class _TrialBugGroup(FactorGroup):
     def build(self, problem, state):
         return None, [Slot(problem.block_id("x"), EUCLIDEAN, 1)]
 
-    def kernel(self, ctx, gathered):
+    def kernel(self, ctx, gathered, jacobians=False):
         x = gathered[0]
         if np.any(x != 0.0):
             raise ValueError("kernel bug")
-        return x - 1.0
-
-    def analytic_jacobians(self, ctx, gathered):
-        return {0: np.ones((1, 1, 1))}
+        return (x - 1.0, {0: np.ones((1, 1, 1))}) if jacobians else x - 1.0
 
 
 def test_kernel_error_on_trial_state_propagates():
