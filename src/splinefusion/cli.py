@@ -97,6 +97,7 @@ def _report(result, wall_s, pairs=None):
         "iterations": result.report.iterations,
         "converged": bool(result.report.converged),
         "termination": result.report.termination,
+        "at_bound": list(result.report.at_bound),
         "wall_ms": wall_s * 1e3,
     }
 
@@ -175,6 +176,9 @@ def _cmd_estimate(args, mode):
           f"converged={report['converged']},"
           f"{ate_txt} t_cam={report['t_cam_imu_ms']:.2f} ms "
           f"t_gps={report['t_gps_imu_ms']:.2f} ms ({wall:.1f} s)")
+    for name in report["at_bound"]:
+        print(f"warning: {name} ended on its bound; the estimate is clamped there",
+              file=sys.stderr)
     if report["termination"] in (STALLED, DISCONTINUOUS):
         print(f"solver failure: the final solve ended {report['termination']}",
               file=sys.stderr)

@@ -738,7 +738,8 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
 
     Returns ``(lm_block, tcam_id, pant_id, tgps_id)``, None for a block the
     sensors leave out, and registers each block with ``problem.meta`` for
-    :func:`extract_state`.
+    :func:`extract_state`.  Landmarks are point blocks: each reprojection
+    factor sees one, so the solver eliminates them by Schur complement.
     """
     bounds = (-cfg.offset_bound, cfg.offset_bound)
     lm_block = {}
@@ -746,7 +747,7 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
     if cfg.use_cam:
         for lid in sorted(init.landmarks):
             lm_block[lid] = problem.add_euclidean(
-                f"lm{lid}", init.landmarks[lid], fixed=fix_landmarks
+                f"lm{lid}", init.landmarks[lid], fixed=fix_landmarks, point=True
             )
         tcam_id = problem.add_euclidean(
             "t_cam", np.array([init.t_cam_imu]),

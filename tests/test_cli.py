@@ -128,6 +128,8 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     assert report["mode"] == "ct"
     assert report["converged"] is True
     assert report["termination"] == "converged"
+    # no clock offset of this dataset ends on its offset_bound clamp
+    assert report["at_bound"] == []
     # GPS noise is 0.1 m, so the unaligned ATE sits at that order
     assert report["ate_p_m"] < 0.3
     assert set(report["factor_counts"]) == {
@@ -138,6 +140,21 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     assert len(lines) > 50
 
 
+def _fake_run(small_dataset, **report_fields):
+    """A stand-in for ``est.run`` that returns the ground-truth poses with a
+    SolveReport made of ``report_fields``."""
+    t_ns, pos, rot = cli._read_pose_csv(small_dataset / "gt.csv")
+
+    def fake_run(meas, rig, noise, cfg, mode="ct", seed=0):
+        report = SolveReport(iterations=2, initial_cost=2.0, final_cost=1.0,
+                             **report_fields)
+        return est.RunResult(mode=mode, state=None, report=report, t_ns=t_ns,
+                             positions=pos, rotations=rot, t_cam_imu=0.0,
+                             t_gps_imu=0.0, factor_counts={"total": 0})
+
+    return fake_run
+
+
 @pytest.mark.parametrize("termination, rc_expected", [
     ("converged", 0), ("max_iter", 0), ("stalled", 3), ("discontinuous", 3),
 ])
@@ -146,16 +163,8 @@ def test_estimate_exit_code_follows_termination(small_dataset, tmp_path,
                                                 termination, rc_expected):
     """A final solve that stalled or stopped on a discontinuity is a solver
     failure: the estimate and report are written, and the exit code is 3."""
-    t_ns, pos, rot = cli._read_pose_csv(small_dataset / "gt.csv")
-
-    def fake_run(meas, rig, noise, cfg, mode="ct", seed=0):
-        report = SolveReport(iterations=2, initial_cost=2.0, final_cost=1.0,
-                             termination=termination)
-        return est.RunResult(mode=mode, state=None, report=report, t_ns=t_ns,
-                             positions=pos, rotations=rot, t_cam_imu=0.0,
-                             t_gps_imu=0.0, factor_counts={"total": 0})
-
-    monkeypatch.setattr(cli.est, "run", fake_run)
+    monkeypatch.setattr(cli.est, "run",
+                        _fake_run(small_dataset, termination=termination))
     for command in ("estimate-ct", "estimate-dt"):
         out = tmp_path / command
         rc = cli.main([command, "--data", str(small_dataset),
@@ -166,3 +175,20 @@ def test_estimate_exit_code_follows_termination(small_dataset, tmp_path,
         assert (out / "estimate.csv").exists()
         err = capsys.readouterr().err
         assert ("solver failure" in err) == (rc_expected == 3)
+
+
+def test_estimate_warns_for_each_block_on_its_bound(small_dataset, tmp_path,
+                                                     monkeypatch, capsys):
+    """Offsets that end on their clamp are listed in report.json and get a
+    warning line each; the run still counts as converged."""
+    monkeypatch.setattr(cli.est, "run", _fake_run(
+        small_dataset, termination="converged", at_bound=["t_cam", "t_gps"]))
+    out = tmp_path / "est"
+    rc = cli.main(["estimate-dt", "--data", str(small_dataset), "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "report.json").read_text())["at_bound"] == [
+        "t_cam", "t_gps"]
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 2
+    assert "t_cam" in warnings[0] and "t_gps" in warnings[1]

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from splinefusion import bsplines as bs
-from splinefusion.errors import InvalidArgumentError
+from splinefusion import estimators as est
+from splinefusion import solver
+from splinefusion.errors import InvalidArgumentError, NumericalFailureError
 from splinefusion.rotations import random_rotation, so3_exp, so3_log
 from splinefusion.solver import (
     EUCLIDEAN,
@@ -62,11 +66,17 @@ def test_fixed_blocks_do_not_move():
 
 
 def test_bounds_clamped():
+    """A factor pulls x past its upper bound: x ends on the bound and the
+    report names it; y, bounded but with its minimum inside, is not named."""
     problem = Problem()
     problem.add_euclidean("x", np.array([0.0]), bounds=(-0.5, 0.5))
+    problem.add_euclidean("y", np.array([0.0]), bounds=(-0.5, 0.5))
     problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1))
-    state, _ = solve(problem)
-    assert problem.block_value(state, "x")[0] <= 0.5 + 1e-12
+    problem.add_group(Factor(["y"], lambda y: y - 0.25, dim=1))
+    state, report = solve(problem)
+    assert problem.block_value(state, "x")[0] == 0.5
+    assert report.at_bound == ["x"]
+    assert report.termination == "converged"
 
 
 def test_no_free_blocks_raises():
@@ -297,3 +307,185 @@ def test_kernel_error_on_trial_state_propagates():
     problem.add_group(_TrialBugGroup())
     with pytest.raises(ValueError, match="kernel bug"):
         solve(problem)
+
+
+def test_nan_jacobian_raises_numerical_failure():
+    """Every damped system of the iteration has NaN entries, so no finite
+    step exists at any damping: a numerical failure, not a stall."""
+    problem = Problem()
+    problem.add_euclidean("x", np.zeros(1))
+    problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1,
+                             jac_fn=lambda x: [np.array([[np.nan]])]))
+    with pytest.raises(NumericalFailureError):
+        solve(problem)
+
+
+def test_uphill_steps_stall():
+    """A Jacobian with the wrong sign gives finite steps that all raise the
+    cost: that is a stall."""
+    problem = Problem()
+    problem.add_euclidean("x", np.zeros(1))
+    problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1,
+                             jac_fn=lambda x: [np.array([[-1.0]])]))
+    _, report = solve(problem)
+    assert report.termination == "stalled"
+
+
+def _reference_retract(problem, state, delta):
+    """Block-by-block retraction, the definition the batched one follows."""
+    new = state.copy()
+    for meta in problem.blocks:
+        if meta.col < 0:
+            continue
+        d = delta[meta.col : meta.col + meta.dim]
+        if meta.kind == ROTATION:
+            new.rot[meta.store] = new.rot[meta.store] @ so3_exp(d)
+        else:
+            seg = slice(meta.store, meta.store + meta.dim)
+            new.euc[seg] = new.euc[seg] + d
+            if meta.bounds is not None:
+                new.euc[seg] = np.clip(new.euc[seg], meta.bounds[0], meta.bounds[1])
+    return new
+
+
+def _mixed_problem(rng):
+    """Free, fixed, bounded, rotation and point blocks, interleaved."""
+    problem = Problem()
+    problem.add_euclidean("a", rng.normal(size=2))
+    problem.add_euclidean("p0", rng.normal(size=3), point=True)
+    problem.add_rotation("R0", random_rotation(rng))
+    problem.add_euclidean("t", np.array([0.01]), bounds=(-0.05, 0.05))
+    problem.add_euclidean("p_fixed", rng.normal(size=3), fixed=True, point=True)
+    problem.add_rotation("R_fixed", random_rotation(rng), fixed=True)
+    problem.add_euclidean("p1", rng.normal(size=3), point=True)
+    problem.add_euclidean("v", rng.normal(size=3),
+                          bounds=(np.array([-1.0, -2.0, -3.0]), 1.0))
+    problem.add_euclidean("b_fixed", rng.normal(size=2), fixed=True)
+    problem.add_rotation("R1", random_rotation(rng))
+    problem.add_euclidean("p_unobserved", rng.normal(size=3), point=True)
+    problem._layout()
+    return problem
+
+
+def test_retract_matches_block_by_block_reference(rng):
+    problem = _mixed_problem(rng)
+    state = problem.initial_state()
+    for scale in (1e-3, 1.0, 10.0):  # 10 drives t and v onto their clamps
+        delta = rng.normal(scale=scale, size=problem.num_cols)
+        got = problem.retract(state, delta)
+        ref = _reference_retract(problem, state, delta)
+        assert np.allclose(got.euc, ref.euc, rtol=0, atol=1e-15)
+        assert np.allclose(got.rot, ref.rot, rtol=0, atol=1e-15)
+    assert np.array_equal(got.euc[problem._bounded_stores],
+                          ref.euc[problem._bounded_stores])
+
+
+def test_free_points_take_the_last_columns(rng):
+    problem = _mixed_problem(rng)
+    assert problem.num_point_cols == 9  # p0, p1, p_unobserved; p_fixed has none
+    point_cols = sorted(m.col for m in problem.blocks if m.point and not m.fixed)
+    assert point_cols == [problem.num_cols - 9, problem.num_cols - 6,
+                          problem.num_cols - 3]
+
+
+def _arrow_system(problem, rng, damping=1e-4):
+    """Random damped normal equations H + damping * diag(H) of a Jacobian
+    whose rows each see some non-point columns and at most one point; the
+    last point column block is left unobserved."""
+    nc = problem.num_cols - problem.num_point_cols
+    m = problem.num_point_cols // 3
+    rows = []
+    for j in range(3 * m):
+        row = np.zeros(problem.num_cols)
+        row[rng.choice(nc, size=2, replace=False)] = rng.normal(size=2)
+        if j < 3 * (m - 1):
+            p = nc + 3 * (j % (m - 1))
+            row[p : p + 3] = rng.normal(size=3)
+        rows.append(row)
+    rows += list(rng.normal(size=(nc, nc)) @ np.eye(nc, problem.num_cols))
+    J = sp.csr_matrix(np.array(rows))
+    H = (J.T @ J).tocsr()
+    D = np.clip(H.diagonal(), 1e-12, None)
+    return (H + sp.diags(damping * D)).tocsr(), rng.normal(size=problem.num_cols)
+
+
+@pytest.mark.parametrize("dense_limit", [solver._DENSE_LIMIT, 1])
+def test_schur_solve_matches_dense_solve(rng, monkeypatch, dense_limit):
+    """Points eliminated by Schur complement, the reduced system by dense
+    Cholesky (or, below a lowered limit, sparse LU), against a dense LU of
+    the whole system; the unobserved point's block is its damping alone."""
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
+    problem = _mixed_problem(rng)
+    A, g = _arrow_system(problem, rng)
+    x = solver._solve_normal(A, g, problem.num_point_cols)
+    ref = np.linalg.solve(A.toarray(), -g)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_schur_solve_rejects_indefinite_point_block(rng):
+    problem = _mixed_problem(rng)
+    A, g = _arrow_system(problem, rng)
+    A = A.tolil()
+    p = problem.num_cols - 3
+    A[p, p] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._solve_normal(A.tocsr(), g, problem.num_point_cols)
+
+
+class _WideSlotGroup(FactorGroup):
+    """One 6-wide slot starting at point p0: its columns run into p1."""
+
+    name = "wide"
+    dim = 6
+
+    def build(self, problem, state):
+        return None, [Slot(problem.block_id("p0"), EUCLIDEAN, 6)]
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        r = gathered[0] - 1.0
+        return (r, {0: np.eye(6)[None]}) if jacobians else r
+
+
+@pytest.mark.parametrize("through", ["two slots", "one slot"])
+def test_factor_joining_two_points_raises(through):
+    problem = Problem()
+    problem.add_euclidean("p0", np.zeros(3), point=True)
+    problem.add_euclidean("p1", np.ones(3), point=True)
+    problem.add_euclidean("c", np.zeros(1))
+    problem.add_group(Factor(["p0", "c"], lambda p, c: p - c, dim=3))
+    if through == "two slots":
+        problem.add_group(Factor(["p0", "p1"], lambda a, b: a - b, dim=3))
+    else:
+        problem.add_group(_WideSlotGroup())
+    with pytest.raises(InvalidArgumentError, match="p0.*p1|p1.*p0"):
+        solve(problem)
+
+
+def test_point_blocks_must_be_unbounded_3_vectors():
+    problem = Problem()
+    with pytest.raises(InvalidArgumentError):
+        problem.add_euclidean("p", np.zeros(2), point=True)
+    with pytest.raises(InvalidArgumentError):
+        problem.add_euclidean("q", np.zeros(3), bounds=(-1.0, 1.0), point=True)
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_estimator_step_matches_dense_lu(tiny_noiseless, mode):
+    """The first damped LM step of a CT and a DT problem at their initial
+    state, with the landmarks as points, against a dense LU of the same
+    system."""
+    gt, rig, noise, result = tiny_noiseless
+    meas = result.measurements
+    cfg = est.CtConfig() if mode == "ct" else est.DtConfig()
+    initialize = est.initialize_ct if mode == "ct" else est.initialize_dt
+    build = est.build_ct_problem if mode == "ct" else est.build_dt_problem
+    init = initialize(meas, rig, noise, cfg, seed=0)
+    problem = build(meas, init, cfg, noise, rig)
+    r, J, _ = problem.linearize(problem.initial_state())
+    assert problem.num_point_cols == 3 * len(init.landmarks)
+    g = J.T @ r
+    H = (J.T @ J).tocsr()
+    A = H + sp.diags(SolveOptions().lm_lambda0 * np.clip(H.diagonal(), 1e-12, None))
+    x = solver._solve_normal(A, g, problem.num_point_cols)
+    ref = np.linalg.solve(A.toarray(), -g)
+    assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
