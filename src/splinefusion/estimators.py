@@ -25,10 +25,12 @@ from . import bsplines as bs
 from . import preintegration as pre
 from .camera import project_many
 from .dataset import MeasurementSet, NoiseSpec, SensorRig
-from .errors import DataError, InvalidArgumentError
+from .errors import (DataError, DegenerateConfigurationError,
+                     InvalidArgumentError, NumericalFailureError)
 from .initialization import fit_spline_to_poses, pnp_dlt
 from .residuals import GRAVITY, CtState, DtState
-from .rotations import hat, slerp_many, so3_exp, so3_log
+# so3_log is unused here; perfbench/selfcheck.py checks it is traced here too
+from .rotations import hat, slerp_many, so3_log  # noqa: F401
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -88,12 +90,12 @@ class CtConfig(EstimatorConfig):
 
 @dataclass(frozen=True)
 class DtConfig(EstimatorConfig):
-    reintegration_threshold: float = 0.1
+    """Discrete-time estimator settings: the shared ones, nothing of its own."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.reintegration_threshold <= 0:
-            raise InvalidArgumentError("reintegration threshold must be positive")
+
+# Bias change (either bias, any axis) at which DT re-preintegrates a segment
+# at the current bias instead of correcting it to first order.
+REINTEGRATION_THRESHOLD = 0.1
 
 
 def shift_feature(z, v_feat, t_offset):
@@ -478,28 +480,30 @@ class DtReprojGroup(_ReprojGroup):
 
     def kernel(self, ctx, gathered, jacobians=False):
         p, R, lm, t_cam = gathered
-        _, p_cam, px, valid = self._project(R, p, lm)
+        p_body, p_cam, px, valid = self._project(R, p, lm)
         z_shift = shift_feature(self.pixels, self.vel, -t_cam[..., 0, None])
         r = (z_shift - px) * valid[:, None] * self.w
         if not jacobians:
             return r
-        B = self._landmark_jacobian(R, p_cam, valid)
+        B = self._landmark_jacobian(R, p_cam, valid)  # = -d e / d p
+        # R <- R Exp(eps) moves p_body by hat(p_body) eps
+        B_rot = B @ R @ hat(p_body)
         Jt = -self.vel * valid[:, None] * self.w
-        return r, {0: -B, 2: B, 3: Jt[:, :, None]}
+        return r, {0: -B, 1: B_rot, 2: B, 3: Jt[:, :, None]}
 
 
 class DtPreintGroup(FactorGroup):
     """Preintegration residuals between consecutive frames.
 
     Re-integrates a segment whenever the current bias estimate deviates
-    from the linearization bias by more than the threshold.
+    from the linearization bias by more than ``REINTEGRATION_THRESHOLD``.
     """
 
     name = "dt_preint"
     dim = 9
 
     def __init__(self, ids, imu_t, gyro, accel, frame_times, gravity,
-                 gyro_sigma, accel_sigma, threshold):
+                 gyro_sigma, accel_sigma):
         # ids: dict name -> array of block ids for p, R, v, ba, bg
         self.ids = ids
         # hold-extrapolate the IMU at the edges so that pose stamps slightly
@@ -519,7 +523,6 @@ class DtPreintGroup(FactorGroup):
         self.gravity = gravity
         self.gyro_sigma = gyro_sigma
         self.accel_sigma = accel_sigma
-        self.threshold = threshold
         self.pims = [None] * (len(frame_times) - 1)
         self._slots = [
             Slot(ids["p"][:-1], EUCLIDEAN, 3),
@@ -531,7 +534,7 @@ class DtPreintGroup(FactorGroup):
             Slot(ids["R"][1:], ROTATION, 3),
             Slot(ids["v"][1:], EUCLIDEAN, 3),
         ]
-        self._stacks = None
+        self._ctx = None
 
     def _integrate(self, n, ba, bg):
         self.pims[n] = pre.integrate(
@@ -548,53 +551,26 @@ class DtPreintGroup(FactorGroup):
         bg = state.euc[
             store[self.ids["bg"][:-1]][:, None] + np.arange(3)
         ]
-        dirty = self._stacks is None
+        dirty = self._ctx is None
         for n in range(len(self.pims)):
             pim = self.pims[n]
             if pim is None or max(
                 np.abs(ba[n] - pim.bias_lin[0]).max(),
                 np.abs(bg[n] - pim.bias_lin[1]).max(),
-            ) > self.threshold:
+            ) > REINTEGRATION_THRESHOLD:
                 self._integrate(n, ba[n], bg[n])
                 dirty = True
         if dirty:
-            n = len(self.pims)
-            st = {
-                "dR": np.stack([p.dR for p in self.pims]),
-                "dv": np.stack([p.dv for p in self.pims]),
-                "dp": np.stack([p.dp for p in self.pims]),
-                "dt": np.array([p.dt_total for p in self.pims]),
-                "J": np.stack([p.J_bias for p in self.pims]),
-                "ba_lin": np.stack([p.bias_lin[0] for p in self.pims]),
-                "bg_lin": np.stack([p.bias_lin[1] for p in self.pims]),
-                "W": np.stack([p.sqrt_info() for p in self.pims]),
-            }
-            self._stacks = st
-        return self._stacks, self._slots
+            W = np.stack([p.sqrt_info() for p in self.pims])
+            self._ctx = (pre.stack(self.pims), W)
+        return self._ctx, self._slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         p_i, R_i, v_i, ba_i, bg_i, p_j, R_j, v_j = gathered
-        dba = ba_i - ctx["ba_lin"]
-        dbg = bg_i - ctx["bg_lin"]
-        J = ctx["J"]
-        dR = ctx["dR"] @ so3_exp(np.einsum("nij,nj->ni", J[:, 0:3, 3:6], dbg))
-        dv = ctx["dv"] + np.einsum("nij,nj->ni", J[:, 3:6, 0:3], dba) + np.einsum(
-            "nij,nj->ni", J[:, 3:6, 3:6], dbg
-        )
-        dp = ctx["dp"] + np.einsum("nij,nj->ni", J[:, 6:9, 0:3], dba) + np.einsum(
-            "nij,nj->ni", J[:, 6:9, 3:6], dbg
-        )
-        dt = ctx["dt"][:, None]
-        g = self.gravity
-        Rit = np.swapaxes(R_i, -1, -2)
-        r_rot = so3_log(np.swapaxes(dR, -1, -2) @ Rit @ R_j, validate=False)
-        r_vel = np.einsum("nij,nj->ni", Rit, v_j - v_i + g * dt) - dv
-        r_pos = (
-            np.einsum("nij,nj->ni", Rit, p_j - p_i - v_i * dt + 0.5 * g * dt**2)
-            - dp
-        )
-        r = np.einsum("nij,nj->ni", ctx["W"],
-                      np.concatenate([r_rot, r_vel, r_pos], axis=1))
+        pim, W = ctx
+        e = pre.preint_residual(R_i, p_i, v_i, ba_i, bg_i, R_j, p_j, v_j,
+                                self.gravity, pim)
+        r = np.einsum("nij,nj->ni", W, e)
         return (r, {}) if jacobians else r
 
 
@@ -922,8 +898,7 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         problem.add_group(
             DtPreintGroup(ids, imu_t, meas.gyro, meas.accel, pose_times,
                           GRAVITY, _sigma(noise.gyro_sigma),
-                          _sigma(noise.accel_sigma),
-                          cfg.reintegration_threshold)
+                          _sigma(noise.accel_sigma))
         )
         problem.add_group(
             DtBiasWalkGroup(ids, pose_times, noise.accel_bias_rw,
@@ -989,7 +964,8 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
             continue
         try:
             T_wc = pnp_dlt(rig.camera, pts, fr.pixels)
-        except Exception:
+        except (DegenerateConfigurationError, NumericalFailureError,
+                np.linalg.LinAlgError):
             continue
         T_wb = T_wc.compose(T_bc.inverse())
         positions[k] = T_wb.p

@@ -7,7 +7,7 @@ ordering (rotation, velocity, position) and bias ordering (accel, gyro).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,19 +30,38 @@ class PreintegratedImu:
     t_end: float
 
     def corrected(self, b_accel, b_gyro):
-        """First-order bias-corrected (dR, dv, dp)."""
+        """First-order bias-corrected (dR, dv, dp), per segment when the
+        fields carry a leading segment axis (see :func:`stack`)."""
         dba = np.asarray(b_accel, dtype=float) - self.bias_lin[0]
         dbg = np.asarray(b_gyro, dtype=float) - self.bias_lin[1]
         J = self.J_bias
-        dR = self.dR @ so3_exp(J[0:3, 3:6] @ dbg)
-        dv = self.dv + J[3:6, 0:3] @ dba + J[3:6, 3:6] @ dbg
-        dp = self.dp + J[6:9, 0:3] @ dba + J[6:9, 3:6] @ dbg
+        dR = self.dR @ so3_exp(_matvec(J[..., 0:3, 3:6], dbg))
+        dv = (self.dv + _matvec(J[..., 3:6, 0:3], dba)
+              + _matvec(J[..., 3:6, 3:6], dbg))
+        dp = (self.dp + _matvec(J[..., 6:9, 0:3], dba)
+              + _matvec(J[..., 6:9, 3:6], dbg))
         return dR, dv, dp
 
     def sqrt_info(self):
         """Matrix W with W^T W = covariance^{-1} (whitens the residual)."""
         cov = self.covariance + _JITTER * np.eye(9)
         return np.linalg.inv(np.linalg.cholesky(cov))
+
+
+def _matvec(A, x):
+    return np.einsum("...ij,...j->...i", A, x)
+
+
+def stack(pims):
+    """One PreintegratedImu whose fields stack those of ``pims`` along a
+    leading segment axis."""
+    def join(values):
+        if isinstance(values[0], tuple):
+            return tuple(join(v) for v in zip(*values))
+        return np.stack(values)
+
+    return PreintegratedImu(**{f.name: join([getattr(p, f.name) for p in pims])
+                               for f in fields(PreintegratedImu)})
 
 
 def _interp_row(times, values, t):
@@ -169,29 +188,15 @@ def preint_residual(R_i, p_i, v_i, b_accel_i, b_gyro_i, R_j, p_j, v_j,
     """9-DOF preintegration residual (rotation Log, velocity, position).
 
     Uses the kinematic model pddot = R(a_bar - b_a) - g implied by the
-    accelerometer convention a_bar = R^T (pddot + g) + b_a.
+    accelerometer convention a_bar = R^T (pddot + g) + b_a.  The states
+    and ``pim`` may carry a leading segment axis; the result is then
+    (N, 9), one row per segment.
     """
     dR, dv, dp = pim.corrected(b_accel_i, b_gyro_i)
-    dt = pim.dt_total
+    dt = np.asarray(pim.dt_total)[..., None]
     g = np.asarray(gravity, dtype=float)
-    r_rot = so3_log(dR.T @ R_i.T @ R_j, validate=False)
-    r_vel = R_i.T @ (v_j - v_i + g * dt) - dv
-    r_pos = R_i.T @ (p_j - p_i - v_i * dt + 0.5 * g * dt * dt) - dp
-    return np.concatenate([r_rot, r_vel, r_pos])
-
-
-def bias_rw_residual_dt(b_prev, b_next, dt, accel_rw=1.0, gyro_rw=1.0):
-    """Whitened bias random-walk residual between consecutive frames.
-
-    ``b_prev``/``b_next`` are (b_accel, b_gyro) pairs; the step standard
-    deviation over dt is density * sqrt(dt).
-    """
-    if dt <= 0:
-        raise InvalidArgumentError("dt must be positive")
-    da = (np.asarray(b_next[0], float) - np.asarray(b_prev[0], float)) / (
-        accel_rw * np.sqrt(dt)
-    )
-    dg = (np.asarray(b_next[1], float) - np.asarray(b_prev[1], float)) / (
-        gyro_rw * np.sqrt(dt)
-    )
-    return np.concatenate([da, dg])
+    Rit = np.swapaxes(R_i, -1, -2)
+    r_rot = so3_log(np.swapaxes(dR, -1, -2) @ Rit @ R_j, validate=False)
+    r_vel = _matvec(Rit, v_j - v_i + g * dt) - dv
+    r_pos = _matvec(Rit, p_j - p_i - v_i * dt + 0.5 * g * dt**2) - dp
+    return np.concatenate([r_rot, r_vel, r_pos], axis=-1)

@@ -97,11 +97,11 @@ class FactorGroup:
     exact Jacobians it has, slot index -> (num, dim, tdim).  A slot missing
     from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
     are also the test oracle of the exact ones.  The continuous-time
-    families, the bias groups, the position-spline fit and a
-    :class:`Factor` with ``jac_fn`` are exact in every slot; the
-    discrete-time preintegration and GPS groups, the DT reprojection
-    rotation slot, the rotation-spline fit and the PnP refinement still use
-    finite differences.
+    families, the DT reprojection family, the bias groups, the
+    position-spline fit and a :class:`Factor` with ``jac_fn`` are exact in
+    every slot; the discrete-time preintegration and GPS groups, the
+    rotation-spline fit and the PnP refinement still use finite
+    differences.
     """
 
     name = "group"

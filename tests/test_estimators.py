@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import initialization as ini
 from splinefusion import simulate as sim
-from splinefusion.errors import DataError, InvalidArgumentError
+from splinefusion.errors import (
+    DataError,
+    DegenerateConfigurationError,
+    InvalidArgumentError,
+)
 from splinefusion.residuals import GRAVITY, CtState, DtState
 from splinefusion.rotations import so3_exp
 from splinefusion.solver import FactorGroup
@@ -49,8 +54,6 @@ def test_config_validation():
         est.CtConfig(margin=0.01, offset_bound=0.05)
     with pytest.raises(InvalidArgumentError):
         est.DtConfig(use_imu=False, use_gps=False, use_cam=True)
-    with pytest.raises(InvalidArgumentError):
-        est.DtConfig(reintegration_threshold=0.0)
 
 
 def test_flatten_observations(tiny_noiseless):
@@ -294,6 +297,40 @@ def test_dt_exact_jacobians_match_fd(perturbed_dt):
     _jacobian_check(problem, state)
 
 
+def test_dt_reprojection_linearize_makes_no_finite_differences(perturbed_dt):
+    """The DT reprojection family is exact in every slot, so one kernel
+    evaluation linearizes it."""
+    problem, state = perturbed_dt
+    group, = [g for g in problem.groups if g.name == "dt_reproj"]
+    calls = []
+    kernel = group.kernel
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(kwargs.get("jacobians", False))
+        return kernel(*args, **kwargs)
+
+    group.kernel = counting_kernel
+    try:
+        group.linearize(problem, state)
+    finally:
+        del group.kernel
+    assert calls == [True]
+
+
+def test_dt_bias_walk_whitens_by_density_and_frame_gap():
+    """A bias step over a frame gap dt has standard deviation
+    density * sqrt(dt)."""
+    ids = {"ba": np.array([0, 2]), "bg": np.array([1, 3])}
+    group = est.DtBiasWalkGroup(ids, np.array([0.0, 0.25]), accel_rw=1e-3,
+                                gyro_rw=1e-4)
+    zero = np.zeros((1, 3))
+    r = group.kernel(None, [zero, zero, np.array([[1e-3, 0.0, 0.0]]),
+                            np.array([[0.0, 2e-4, 0.0]])])
+    assert np.isclose(r[0, 0], 1e-3 / (1e-3 * 0.5))
+    assert np.isclose(r[0, 4], 2e-4 / (1e-4 * 0.5))
+    assert np.count_nonzero(r) == 2
+
+
 @pytest.mark.parametrize("which", ["perturbed_ct", "perturbed_dt",
                                    "spline_fit_problem"])
 def test_kernel_residuals_same_with_and_without_jacobians(which, request):
@@ -349,6 +386,49 @@ def test_run_rejects_imu_gap_before_initialization(zero_offset_sim, monkeypatch)
     for cfg, mode in ((est.CtConfig(), "ct"), (est.DtConfig(), "dt")):
         with pytest.raises(DataError, match="gap"):
             est.run(gappy, rig, noise, cfg, mode=mode)
+
+
+def _first_frames(meas, n):
+    return types.SimpleNamespace(frames=meas.frames[:n],
+                                 frame_t_ns=meas.frame_t_ns[:n])
+
+
+def test_initial_frame_poses_skips_degenerate_frames(tiny_noiseless,
+                                                     monkeypatch):
+    """A frame whose PnP is degenerate inherits its neighbor's pose."""
+    _, rig, _, result = tiny_noiseless
+    meas = _first_frames(result.measurements, 3)
+    landmarks = {int(k): v for k, v in result.measurements.landmarks_true.items()}
+    pnp = est.pnp_dlt
+    calls = []
+
+    def degenerate_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise DegenerateConfigurationError("degenerate PnP configuration")
+        return pnp(*args, **kwargs)
+
+    monkeypatch.setattr(est, "pnp_dlt", degenerate_first)
+    _, pos, rot = est.initial_frame_poses(meas, rig, landmarks)
+    assert len(calls) == 3
+    assert np.array_equal(pos[0], pos[1]) and np.array_equal(rot[0], rot[1])
+    assert not np.array_equal(pos[1], pos[2])
+
+
+def test_initial_frame_poses_lets_other_errors_through(tiny_noiseless,
+                                                       monkeypatch):
+    """Only a degenerate or numerically failed PnP skips a frame; any
+    other exception is a bug and propagates."""
+    _, rig, _, result = tiny_noiseless
+    meas = _first_frames(result.measurements, 3)
+    landmarks = {int(k): v for k, v in result.measurements.landmarks_true.items()}
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the PnP code")
+
+    monkeypatch.setattr(est, "pnp_dlt", broken)
+    with pytest.raises(TypeError, match="bug in the PnP code"):
+        est.initial_frame_poses(meas, rig, landmarks)
 
 
 def test_initialize_ct_contract(tiny_noiseless):

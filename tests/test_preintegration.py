@@ -124,12 +124,35 @@ def test_coverage_errors():
         pre.integrate(bad, gyro, accel, t_start=0.0, t_end=0.2)
 
 
-def test_bias_rw_residual_dt():
-    b_prev = (np.zeros(3), np.zeros(3))
-    b_next = (np.array([1e-3, 0, 0]), np.array([0, 2e-4, 0]))
-    r = pre.bias_rw_residual_dt(b_prev, b_next, dt=0.25, accel_rw=1e-3,
-                                gyro_rw=1e-4)
-    assert np.isclose(r[0], 1e-3 / (1e-3 * 0.5))
-    assert np.isclose(r[4], 2e-4 / (1e-4 * 0.5))
-    with pytest.raises(InvalidArgumentError):
-        pre.bias_rw_residual_dt(b_prev, b_next, dt=0.0)
+def test_stacked_residual_matches_per_segment_calls(rng):
+    """With a leading segment axis, ``preint_residual`` gives row n the
+    residual of segment n alone."""
+    times = np.arange(0.0, 1.0 + 1e-9, 1.0 / 200.0)
+    gyro = 0.5 * np.sin(3 * times)[:, None] * np.array([1.0, -0.4, 0.2])
+    accel = np.cos(2 * times)[:, None] * np.array([0.3, 1.0, -0.7]) + np.array(
+        [0.0, 0.0, 9.81]
+    )
+    edges = [0.0, 0.3, 0.55, 1.0]
+    pims = [
+        pre.integrate(times, gyro, accel,
+                      bias_lin=(rng.normal(scale=1e-2, size=3),
+                                rng.normal(scale=1e-3, size=3)),
+                      t_start=a, t_end=b)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    n = len(pims)
+    R_i = np.stack([random_rotation(rng) for _ in range(n)])
+    R_j = np.stack([random_rotation(rng) for _ in range(n)])
+    p_i, v_i, p_j, v_j = (rng.normal(size=(n, 3)) for _ in range(4))
+    b_a = rng.normal(scale=1e-2, size=(n, 3))
+    b_g = rng.normal(scale=1e-3, size=(n, 3))
+    stacked = pre.stack(pims)
+    assert stacked.dR.shape == (n, 3, 3)
+    assert stacked.bias_lin[0].shape == (n, 3)
+    r = pre.preint_residual(R_i, p_i, v_i, b_a, b_g, R_j, p_j, v_j, GRAVITY,
+                            stacked)
+    assert r.shape == (n, 9)
+    for k, pim in enumerate(pims):
+        r_k = pre.preint_residual(R_i[k], p_i[k], v_i[k], b_a[k], b_g[k],
+                                  R_j[k], p_j[k], v_j[k], GRAVITY, pim)
+        assert np.allclose(r[k], r_k, rtol=0.0, atol=1e-12)

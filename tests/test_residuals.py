@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from splinefusion import bsplines as bs
+from splinefusion import estimators as est
 from splinefusion import residuals as res
 from splinefusion.errors import InvalidArgumentError
-from splinefusion.rotations import Pose, random_rotation, so3_exp
+from splinefusion.rotations import Pose, random_rotation, slerp
+from splinefusion.solver import Problem
 
 
 def make_ct_state(gt, rig, landmarks):
@@ -22,74 +24,50 @@ def make_ct_state(gt, rig, landmarks):
     )
 
 
-def test_ct_residuals_zero_at_truth(tiny_noiseless):
-    gt, rig, noise, result = tiny_noiseless
-    meas = result.measurements
-    state = make_ct_state(gt, rig, meas.landmarks_true)
-
-    fr = meas.frames[len(meas.frames) // 2]
-    t_k = fr.t_ns * 1e-9
-    for lid, px in zip(fr.landmark_ids[:5], fr.pixels[:5]):
-        e = res.reprojection_residual_ct(state, t_k, lid, px)
-        assert np.max(np.abs(e)) < 1e-9
-
-    for m in range(0, meas.imu_t_ns.size, 97):
-        t_m = meas.imu_t_ns[m] * 1e-9
-        assert np.max(np.abs(res.accel_residual(state, t_m, meas.accel[m]))) < 1e-9
-        assert np.max(np.abs(res.gyro_residual(state, t_m, meas.gyro[m]))) < 1e-9
-
-    for d in range(0, meas.gps_t_ns.size, 5):
-        t_d = meas.gps_t_ns[d] * 1e-9
-        e = res.gps_residual_ct(state, t_d, meas.gps[d])
-        assert np.max(np.abs(e)) < 1e-9
-
-    assert np.max(np.abs(res.bias_rw_residual(state.bias_accel, t_m))) < 1e-12
-
-
-def test_reprojection_requires_camera(tiny_noiseless):
-    gt, rig, noise, result = tiny_noiseless
-    state = make_ct_state(gt, rig, result.measurements.landmarks_true)
-    state.camera = None
-    with pytest.raises(InvalidArgumentError):
-        res.reprojection_residual_ct(state, 1.0, 0, np.zeros(2))
-
-
-def make_dt_state(rng, K=5):
-    t_ns = (np.arange(K) * 100_000_000).astype(np.int64)
+def dt_gps_residuals(rng, stamps, antenna_at, K=5):
+    """DT GPS residuals of a ``DtGpsGroup`` over K random pose states 0.1 s
+    apart, for GPS fixes made by ``antenna_at(positions, rotations,
+    p_antenna_body)`` at ``stamps``."""
+    pose_times = 0.1 * np.arange(K)
+    positions = rng.normal(size=(K, 3))
     rotations = np.stack([random_rotation(rng) for _ in range(K)])
-    return res.DtState(
-        t_ns=t_ns,
-        positions=rng.normal(size=(K, 3)),
-        rotations=rotations,
-        velocities=np.zeros((K, 3)),
-        bias_accel=np.zeros((K, 3)),
-        bias_gyro=np.zeros((K, 3)),
-        landmarks={},
-        t_cam_imu=0.0,
-        T_cam_imu=Pose(np.eye(3), np.zeros(3)),
-        t_gps_imu=0.0,
-        p_antenna_body=np.array([0.1, -0.05, 0.15]),
-    )
+    p_ant = np.array([0.1, -0.05, 0.15])
+    problem = Problem()
+    ids = {
+        "p": np.array([problem.add_euclidean(f"p{k}", positions[k])
+                       for k in range(K)]),
+        "R": np.array([problem.add_rotation(f"R{k}", rotations[k])
+                       for k in range(K)]),
+    }
+    pant_id = problem.add_euclidean("p_ant", p_ant)
+    tgps_id = problem.add_euclidean("t_gps", 0.0)
+    problem._layout()
+    gps = antenna_at(positions, rotations, p_ant)
+    group = est.DtGpsGroup(ids, pose_times, pant_id, tgps_id,
+                           np.asarray(stamps, dtype=float), gps, 1.0)
+    return group.residuals(problem, problem.initial_state())
 
 
 def test_interpolate_pose_dt(rng):
-    state = make_dt_state(rng)
-    T0 = res.interpolate_pose_dt(state, 0.0)
-    assert np.allclose(T0.p, state.positions[0], atol=1e-12)
-    assert np.allclose(T0.R, state.rotations[0], atol=1e-12)
-    Tm = res.interpolate_pose_dt(state, 0.05)
-    assert np.allclose(Tm.p, 0.5 * (state.positions[0] + state.positions[1]),
-                       atol=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        res.interpolate_pose_dt(state, -0.1)
+    """At a node the DT pose is the pose state; halfway between nodes it is
+    the mean position and the SLERP rotation."""
+    def antenna_at(positions, rotations, p_ant):
+        mid_R = slerp(rotations[0], rotations[1], 0.5)
+        return np.stack([
+            positions[0] + rotations[0] @ p_ant,
+            0.5 * (positions[0] + positions[1]) + mid_R @ p_ant,
+        ])
+    r = dt_gps_residuals(rng, [0.0, 0.05], antenna_at)
+    assert np.max(np.abs(r)) < 1e-12
 
 
 def test_gps_residual_dt_zero_at_node(rng):
-    state = make_dt_state(rng)
     k = 2
-    p_bar = state.positions[k] + state.rotations[k] @ state.p_antenna_body
-    e = res.gps_residual_dt(state, float(state.times[k]), p_bar)
-    assert np.max(np.abs(e)) < 1e-12
+
+    def antenna_at(positions, rotations, p_ant):
+        return (positions[k] + rotations[k] @ p_ant)[None]
+    r = dt_gps_residuals(rng, [0.1 * k], antenna_at)
+    assert np.max(np.abs(r)) < 1e-12
 
 
 def test_dt_state_validation(rng):
