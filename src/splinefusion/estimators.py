@@ -537,10 +537,15 @@ class DtPreintGroup(FactorGroup):
         self._ctx = None
 
     def _integrate(self, n, ba, bg):
+        # the samples from the last one at or before the segment start to
+        # the first one after its end: the ones integrate reads
+        t0, t1 = self.frame_times[n], self.frame_times[n + 1]
+        i0, i1 = np.searchsorted(self.imu_t, (t0, t1), side="right")
+        s = slice(max(i0 - 1, 0), i1 + 1)
         self.pims[n] = pre.integrate(
-            self.imu_t, self.gyro, self.accel, bias_lin=(ba, bg),
+            self.imu_t[s], self.gyro[s], self.accel[s], bias_lin=(ba, bg),
             gyro_sigma=self.gyro_sigma, accel_sigma=self.accel_sigma,
-            t_start=self.frame_times[n], t_end=self.frame_times[n + 1],
+            t_start=t0, t_end=t1,
         )
 
     def build(self, problem, state):
@@ -561,8 +566,8 @@ class DtPreintGroup(FactorGroup):
                 self._integrate(n, ba[n], bg[n])
                 dirty = True
         if dirty:
-            W = np.stack([p.sqrt_info() for p in self.pims])
-            self._ctx = (pre.stack(self.pims), W)
+            pim = pre.stack(self.pims)
+            self._ctx = (pim, pim.sqrt_info())
         return self._ctx, self._slots
 
     def kernel(self, ctx, gathered, jacobians=False):

@@ -12,7 +12,7 @@ from .errors import (
     DegenerateConfigurationError,
     InvalidArgumentError,
 )
-from .rotations import Pose, so3_exp, so3_log, slerp
+from .rotations import Pose, hat, so3_exp, so3_log, slerp
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -109,9 +109,19 @@ class _PnPGroup(FactorGroup):
         R_wc = gathered[0][0]
         p_wc = gathered[1][0]
         pc = (self.points - p_wc) @ R_wc
-        z = np.where(pc[:, 2] > 1e-6, pc[:, 2], 1e-6)
-        r = np.stack([pc[:, 0] / z, pc[:, 1] / z], axis=1) - self.xy
-        return (r, {}) if jacobians else r
+        front = pc[:, 2] > 1e-6
+        z = np.where(front, pc[:, 2], 1e-6)
+        uv = pc[:, :2] / z[:, None]
+        r = uv - self.xy
+        if not jacobians:
+            return r
+        # d uv / d pc, with no depth column where the depth is clamped
+        P = np.zeros((len(z), 2, 3))
+        P[:, 0, 0] = P[:, 1, 1] = 1.0 / z
+        P[:, :, 2] = -uv / z[:, None] * front[:, None]
+        # pc = R_wc^T (X - p_wc); a right perturbation of R_wc moves it by
+        # hat(pc) per unit angle
+        return r, {0: P @ hat(pc), 1: -P @ R_wc.T}
 
 
 def pnp_dlt(camera, points_world, pixels, refine=True):

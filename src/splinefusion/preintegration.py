@@ -78,6 +78,13 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     ``gyro_sigma``/``accel_sigma`` are discrete per-sample standard
     deviations.  Boundary samples are linearly interpolated to the exact
     segment edges; the samples must cover the segment.
+
+    Everything one step needs from its own samples is computed for all
+    steps at once: the increments ``E_n = Exp(phi_n)``, the right Jacobians,
+    the midpoint rotations ``R_mid = dR_n Exp(phi_n / 2)``, the transitions
+    ``A_n`` and the noise terms.  ``dv`` and ``dp`` are cumulative sums.
+    Only the recurrences ``dR <- dR E_n``, ``cov <- A_n cov A_n^T + C_n``
+    and ``J <- A_n J + G_n`` loop over the steps.
     """
     times = np.asarray(times, dtype=float)
     gyro = np.asarray(gyro, dtype=float)
@@ -112,55 +119,49 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     accs = np.vstack([[_interp_row(times, accel, t_start)], accel[inner],
                       [_interp_row(times, accel, t_end)]])
 
+    # one row per step n, from ts[n] to ts[n + 1]
+    dt = np.diff(ts)[:, None]
+    dt3 = dt[:, :, None]
+    w = 0.5 * (ws[:-1] + ws[1:]) - b_g
+    a = 0.5 * (accs[:-1] + accs[1:]) - b_a
+    phi = w * dt
+    E = so3_exp(phi)
+    dRs = np.empty_like(E)  # dR at the start of each step
     dR = np.eye(3)
-    dv = np.zeros(3)
-    dp = np.zeros(3)
+    for n, E_n in enumerate(E):
+        dRs[n] = dR
+        dR = dR @ E_n
+    R_mid = dRs @ so3_exp(0.5 * phi)
+    Ra = (R_mid @ a[:, :, None])[:, :, 0]
+    RH = R_mid @ hat(a)
+    eye = np.eye(3)
+    A = np.zeros((len(E), 9, 9))
+    A[:, 0:3, 0:3] = np.swapaxes(E, 1, 2)
+    A[:, 3:6, 0:3] = -RH * dt3
+    A[:, 3:6, 3:6] = eye
+    A[:, 6:9, 0:3] = -0.5 * RH * dt3 * dt3
+    A[:, 6:9, 3:6] = eye * dt3
+    A[:, 6:9, 6:9] = eye
+    # G_n: what step n adds to the bias Jacobian, columns (b_accel,
+    # b_gyro).  The noise map B_n is -G_n with the column blocks swapped to
+    # (gyro, accel), so C_n = B_n Q B_n^T = G_n diag(accel^2, gyro^2) G_n^T.
+    G = np.zeros((len(E), 9, 6))
+    G[:, 0:3, 3:6] = -so3_right_jacobian(phi) * dt3
+    G[:, 3:6, 0:3] = -R_mid * dt3
+    G[:, 6:9, 0:3] = -0.5 * R_mid * dt3 * dt3
+    q = np.repeat([accel_sigma**2, gyro_sigma**2], 3)
+    C = (G * q) @ np.swapaxes(G, 1, 2)
     cov = np.zeros((9, 9))
     J = np.zeros((9, 6))
-    eye = np.eye(3)
-    for n in range(len(ts) - 1):
-        dt = ts[n + 1] - ts[n]
-        if dt <= 0:
-            continue
-        w = 0.5 * (ws[n] + ws[n + 1]) - b_g
-        a = 0.5 * (accs[n] + accs[n + 1]) - b_a
-        phi = w * dt
-        E = so3_exp(phi)
-        Jr = so3_right_jacobian(phi)
-        R_mid = dR @ so3_exp(0.5 * phi)
-        Ra = R_mid @ a
-        A = np.zeros((9, 9))
-        A[0:3, 0:3] = E.T
-        A[3:6, 0:3] = -R_mid @ hat(a) * dt
-        A[3:6, 3:6] = eye
-        A[6:9, 0:3] = -0.5 * R_mid @ hat(a) * dt * dt
-        A[6:9, 3:6] = eye * dt
-        A[6:9, 6:9] = eye
-        B = np.zeros((9, 6))
-        B[0:3, 0:3] = Jr * dt
-        B[3:6, 3:6] = R_mid * dt
-        B[6:9, 3:6] = 0.5 * R_mid * dt * dt
-        Q = np.zeros((6, 6))
-        Q[0:3, 0:3] = gyro_sigma**2 * eye
-        Q[3:6, 3:6] = accel_sigma**2 * eye
-        cov = A @ cov @ A.T + B @ Q @ B.T
-        Jn = np.zeros((9, 6))
-        Jn[0:3, 3:6] = E.T @ J[0:3, 3:6] - Jr * dt
-        Jn[3:6, 0:3] = J[3:6, 0:3] - R_mid * dt
-        Jn[3:6, 3:6] = J[3:6, 3:6] - R_mid @ hat(a) @ J[0:3, 3:6] * dt
-        Jn[6:9, 0:3] = J[6:9, 0:3] + J[3:6, 0:3] * dt - 0.5 * R_mid * dt * dt
-        Jn[6:9, 3:6] = (
-            J[6:9, 3:6]
-            + J[3:6, 3:6] * dt
-            - 0.5 * R_mid @ hat(a) @ J[0:3, 3:6] * dt * dt
-        )
-        J = Jn
-        dp = dp + dv * dt + 0.5 * Ra * dt * dt
-        dv = dv + Ra * dt
-        dR = dR @ E
+    for A_n, C_n, G_n in zip(A, C, G):
+        cov = A_n @ cov @ A_n.T + C_n
+        J = A_n @ J + G_n
 
+    vel = np.cumsum(Ra * dt, axis=0)  # dv at the end of each step
+    dv_start = np.vstack([np.zeros(3), vel[:-1]])
+    dp = np.cumsum(dv_start * dt + 0.5 * Ra * dt * dt, axis=0)[-1]
     return PreintegratedImu(
-        dR=dR, dv=dv, dp=dp, dt_total=t_end - t_start,
+        dR=dR, dv=vel[-1], dp=dp, dt_total=t_end - t_start,
         covariance=0.5 * (cov + cov.T), J_bias=J,
         bias_lin=(b_a.copy(), b_g.copy()), t_start=t_start, t_end=t_end,
     )

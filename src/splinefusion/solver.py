@@ -98,9 +98,9 @@ class FactorGroup:
     from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
     are also the test oracle of the exact ones.  The continuous-time
     families, the DT reprojection family, the bias groups, the
-    position-spline fit and a :class:`Factor` with ``jac_fn`` are exact in
-    every slot; the discrete-time preintegration and GPS groups, the
-    rotation-spline fit and the PnP refinement still use finite
+    position-spline fit, the PnP refinement and a :class:`Factor` with
+    ``jac_fn`` are exact in every slot; the discrete-time preintegration
+    and GPS groups and the rotation-spline fit still use finite
     differences.
     """
 

@@ -7,6 +7,7 @@ import pytest
 from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import initialization as ini
+from splinefusion import preintegration as pre
 from splinefusion import simulate as sim
 from splinefusion.errors import (
     DataError,
@@ -315,6 +316,34 @@ def test_dt_reprojection_linearize_makes_no_finite_differences(perturbed_dt):
     finally:
         del group.kernel
     assert calls == [True]
+
+
+def test_dt_preint_segments_integrate_their_own_imu_slice():
+    """Each segment hands ``integrate`` only the samples around it and gets
+    exactly what integrating the whole (hold-extended) stream gives, with
+    frame stamps on, between and outside the sample stamps; the stacked
+    whitening equals the per-segment one."""
+    rng = np.random.default_rng(8)
+    imu_t = np.cumsum(rng.uniform(0.004, 0.006, size=200))
+    gyro = rng.normal(size=(200, 3))
+    accel = rng.normal(size=(200, 3)) + [0.0, 0.0, 9.81]
+    frame_times = np.concatenate([[imu_t[0] - 0.002], imu_t[[20, 51]],
+                                  [imu_t[90] + 0.003, imu_t[-1] + 0.001]])
+    ids = {k: np.arange(frame_times.size) for k in ("p", "R", "v", "ba", "bg")}
+    group = est.DtPreintGroup(ids, imu_t, gyro, accel, frame_times, GRAVITY,
+                              2e-3, 3e-2)
+    for n in range(frame_times.size - 1):
+        ba = rng.normal(scale=0.05, size=3)
+        bg = rng.normal(scale=0.01, size=3)
+        group._integrate(n, ba, bg)
+        whole = pre.integrate(group.imu_t, group.gyro, group.accel,
+                              bias_lin=(ba, bg), gyro_sigma=2e-3,
+                              accel_sigma=3e-2, t_start=frame_times[n],
+                              t_end=frame_times[n + 1])
+        for f in ("dR", "dv", "dp", "covariance", "J_bias"):
+            assert np.array_equal(getattr(group.pims[n], f), getattr(whole, f))
+    assert np.array_equal(pre.stack(group.pims).sqrt_info(),
+                          np.stack([p.sqrt_info() for p in group.pims]))
 
 
 def test_dt_bias_walk_whitens_by_density_and_frame_gap():

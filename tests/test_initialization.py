@@ -9,7 +9,8 @@ from splinefusion.errors import (
     DegenerateConfigurationError,
     InvalidArgumentError,
 )
-from splinefusion.rotations import random_rotation, rotation_angle
+from splinefusion.rotations import random_rotation, rotation_angle, so3_exp
+from splinefusion.solver import FactorGroup, Problem
 
 from conftest import noiseless_spec
 
@@ -53,7 +54,8 @@ def test_sim3_algebra(rng):
         ini.Sim3Transform(-1.0, np.eye(3), np.zeros(3))
 
 
-def test_pnp_recovers_pose(rng):
+def _pnp_scene(rng):
+    """A camera, its pose and 30 points in front of it with exact pixels."""
     cam = CameraModel(fx=400.0, fy=400.0, cx=320.0, cy=240.0,
                       width=640, height=480)
     R_wc = random_rotation(rng)
@@ -64,9 +66,77 @@ def test_pnp_recovers_pose(rng):
         cam.fx * pts_cam[:, 0] / pts_cam[:, 2] + cam.cx,
         cam.fy * pts_cam[:, 1] / pts_cam[:, 2] + cam.cy,
     ], axis=1)
+    return cam, R_wc, p_wc, pts_world, px
+
+
+def test_pnp_recovers_pose(rng):
+    cam, R_wc, p_wc, pts_world, px = _pnp_scene(rng)
     T = ini.pnp_dlt(cam, pts_world, px)
     assert np.linalg.norm(T.p - p_wc) < 1e-6
     assert rotation_angle(T.R.T @ R_wc) < 1e-6
+
+
+def test_pnp_jacobians_match_finite_differences():
+    """The PnP refinement's exact rotation and position Jacobians agree with
+    central differences, also for a point behind the camera, whose depth
+    is clamped."""
+    rng = np.random.default_rng(5)
+    R_wc = random_rotation(rng)
+    p_wc = rng.normal(size=3)
+    pts_cam = rng.uniform([-1.5, -1.0, 2.0], [1.5, 1.0, 8.0], size=(12, 3))
+    pts_cam[4] = [0.3, -0.2, -1.5]
+    xy = rng.normal(scale=0.2, size=(12, 2))
+    group = ini._PnPGroup(None, pts_cam @ R_wc.T + p_wc, xy)
+    problem = Problem()
+    problem.add_rotation("pnp_R", R_wc @ so3_exp([0.02, -0.01, 0.03]))
+    problem.add_euclidean("pnp_p", p_wc + [0.05, 0.02, -0.04])
+    problem.add_group(group)
+    problem._layout()
+    state = problem.initial_state()
+    ctx, slots = group.build(problem, state)
+    gathered = [problem.gather(state, s) for s in slots]
+    r, jacs = group.kernel(ctx, gathered, jacobians=True)
+    assert np.array_equal(r, group.kernel(ctx, gathered))
+    assert sorted(jacs) == [0, 1]
+    for si, slot in enumerate(slots):
+        fd, _ = group._fd_slot(ctx, gathered, si, slot, r)
+        assert jacs[si].shape == fd.shape == (12, 2, 3)
+        scale = np.abs(fd).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(jacs[si] - fd) <= 1e-7 * scale)
+
+
+def test_pnp_refinement_makes_no_finite_differences(rng, monkeypatch):
+    """Each linearization of the PnP refinement is one kernel call."""
+    calls = {"linearize": 0, "kernel": 0, "fd": 0}
+    inside = []
+    linearize = ini._PnPGroup.linearize
+    kernel = ini._PnPGroup.kernel
+    fd_slot = FactorGroup._fd_slot
+
+    def counting_linearize(self, *args):
+        calls["linearize"] += 1
+        inside.append(True)
+        try:
+            return linearize(self, *args)
+        finally:
+            inside.pop()
+
+    def counting_kernel(self, *args, **kwargs):
+        calls["kernel"] += bool(inside)
+        return kernel(self, *args, **kwargs)
+
+    def counting_fd_slot(self, *args):
+        calls["fd"] += 1
+        return fd_slot(self, *args)
+
+    monkeypatch.setattr(ini._PnPGroup, "linearize", counting_linearize)
+    monkeypatch.setattr(ini._PnPGroup, "kernel", counting_kernel)
+    monkeypatch.setattr(FactorGroup, "_fd_slot", counting_fd_slot)
+    cam, _, _, pts_world, px = _pnp_scene(rng)
+    ini.pnp_dlt(cam, pts_world, px + rng.normal(scale=0.5, size=px.shape))
+    assert calls["linearize"] > 0
+    assert calls == {"linearize": calls["linearize"],
+                     "kernel": calls["linearize"], "fd": 0}
 
 
 def test_pnp_degenerate(rng):

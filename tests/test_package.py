@@ -1,6 +1,8 @@
 """Package-level guards: the public names and the benchmark's call hooks."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import splinefusion
@@ -34,3 +36,17 @@ def test_benchmark_tracer_hooks_install_and_uninstall():
     assert estimators.run is run
     for cls in (estimators.CtReprojGroup, estimators.DtPreintGroup):
         assert "linearize" not in vars(cls)
+
+
+def test_benchmark_selfcheck_passes():
+    """``perfbench/selfcheck.py`` estimates a small DT dataset and checks the
+    counts the benchmark's per-layer metrics rely on: one ``pnp_dlt`` call
+    per camera frame, ``integrate`` calls per frame gap and 49
+    ``dt_preint`` kernel calls per linearization.  It pins its own BLAS
+    threads, writes no files and exits 0 when every check holds."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selfcheck.py")],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

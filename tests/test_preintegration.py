@@ -4,7 +4,12 @@ import pytest
 from splinefusion import preintegration as pre
 from splinefusion.errors import DataError, InvalidArgumentError
 from splinefusion.residuals import GRAVITY
-from splinefusion.rotations import random_rotation, so3_exp
+from splinefusion.rotations import (
+    hat,
+    random_rotation,
+    so3_exp,
+    so3_right_jacobian,
+)
 
 
 def constant_input(T=0.5, hz=200.0, omega=(0.0, 0.0, 0.0), a=(0.0, 0.0, 0.0)):
@@ -12,6 +17,96 @@ def constant_input(T=0.5, hz=200.0, omega=(0.0, 0.0, 0.0), a=(0.0, 0.0, 0.0)):
     gyro = np.tile(np.asarray(omega, float), (times.size, 1))
     accel = np.tile(np.asarray(a, float), (times.size, 1))
     return times, gyro, accel
+
+
+def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
+                        t_start, t_end):
+    """The per-sample loop ``integrate`` replaced: one step at a time, each
+    building its own 9x9 transition.  Returns (dR, dv, dp, covariance,
+    J_bias)."""
+    b_a, b_g = bias_lin
+    inner = (times > t_start) & (times < t_end)
+    ts = np.concatenate([[t_start], times[inner], [t_end]])
+    ws = np.vstack([[pre._interp_row(times, gyro, t_start)], gyro[inner],
+                    [pre._interp_row(times, gyro, t_end)]])
+    accs = np.vstack([[pre._interp_row(times, accel, t_start)], accel[inner],
+                      [pre._interp_row(times, accel, t_end)]])
+    dR = np.eye(3)
+    dv = np.zeros(3)
+    dp = np.zeros(3)
+    cov = np.zeros((9, 9))
+    J = np.zeros((9, 6))
+    eye = np.eye(3)
+    for n in range(len(ts) - 1):
+        dt = ts[n + 1] - ts[n]
+        if dt <= 0:
+            continue
+        w = 0.5 * (ws[n] + ws[n + 1]) - b_g
+        a = 0.5 * (accs[n] + accs[n + 1]) - b_a
+        phi = w * dt
+        E = so3_exp(phi)
+        Jr = so3_right_jacobian(phi)
+        R_mid = dR @ so3_exp(0.5 * phi)
+        Ra = R_mid @ a
+        A = np.zeros((9, 9))
+        A[0:3, 0:3] = E.T
+        A[3:6, 0:3] = -R_mid @ hat(a) * dt
+        A[3:6, 3:6] = eye
+        A[6:9, 0:3] = -0.5 * R_mid @ hat(a) * dt * dt
+        A[6:9, 3:6] = eye * dt
+        A[6:9, 6:9] = eye
+        B = np.zeros((9, 6))
+        B[0:3, 0:3] = Jr * dt
+        B[3:6, 3:6] = R_mid * dt
+        B[6:9, 3:6] = 0.5 * R_mid * dt * dt
+        Q = np.zeros((6, 6))
+        Q[0:3, 0:3] = gyro_sigma**2 * eye
+        Q[3:6, 3:6] = accel_sigma**2 * eye
+        cov = A @ cov @ A.T + B @ Q @ B.T
+        Jn = np.zeros((9, 6))
+        Jn[0:3, 3:6] = E.T @ J[0:3, 3:6] - Jr * dt
+        Jn[3:6, 0:3] = J[3:6, 0:3] - R_mid * dt
+        Jn[3:6, 3:6] = J[3:6, 3:6] - R_mid @ hat(a) @ J[0:3, 3:6] * dt
+        Jn[6:9, 0:3] = J[6:9, 0:3] + J[3:6, 0:3] * dt - 0.5 * R_mid * dt * dt
+        Jn[6:9, 3:6] = (
+            J[6:9, 3:6]
+            + J[3:6, 3:6] * dt
+            - 0.5 * R_mid @ hat(a) @ J[0:3, 3:6] * dt * dt
+        )
+        J = Jn
+        dp = dp + dv * dt + 0.5 * Ra * dt * dt
+        dv = dv + Ra * dt
+        dR = dR @ E
+    return dR, dv, dp, 0.5 * (cov + cov.T), J
+
+
+def test_integrate_matches_per_sample_reference():
+    """The batched ``integrate`` agrees with the per-sample loop to 1e-12
+    relative in every output, on jittered 200 Hz samples with random rates
+    and a nonzero linearization bias."""
+    rng = np.random.default_rng(11)
+    times = np.cumsum(rng.uniform(0.004, 0.006, size=120))
+    gyro = rng.normal(scale=1.5, size=(times.size, 3))
+    accel = rng.normal(scale=2.0, size=(times.size, 3)) + [0.0, 0.0, 9.81]
+    bias_lin = (rng.normal(scale=0.05, size=3), rng.normal(scale=0.01, size=3))
+    segments = [
+        (times[0] + 0.0013, times[-1] - 0.0021),  # both edges off the stamps
+        (times[5], times[60]),  # both edges on stamps
+        (times[7], times[30] + 0.001),  # one on, one off
+        (times[-2], times[-1]),  # one step, the segment's own samples
+        (times[40] + 0.001, times[41] - 0.001),  # no sample inside
+    ]
+    for t_start, t_end in segments:
+        pim = pre.integrate(times, gyro, accel, bias_lin=bias_lin,
+                            gyro_sigma=2e-3, accel_sigma=3e-2,
+                            t_start=t_start, t_end=t_end)
+        ref = reference_integrate(times, gyro, accel, bias_lin, 2e-3, 3e-2,
+                                  t_start, t_end)
+        got = (pim.dR, pim.dv, pim.dp, pim.covariance, pim.J_bias)
+        for name, x, y in zip(("dR", "dv", "dp", "covariance", "J_bias"),
+                              got, ref):
+            assert x.shape == y.shape, name
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
 
 
 def test_constant_acceleration_closed_form():
