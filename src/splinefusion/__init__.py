@@ -5,7 +5,6 @@ estimation.
 """
 
 from .errors import (
-    BehindCameraError,
     BootstrapUnavailableError,
     DataError,
     DegenerateConfigurationError,
@@ -61,7 +60,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlignedPairs",
-    "BehindCameraError",
     "BootstrapUnavailableError",
     "CameraModel",
     "CtConfig",

@@ -86,23 +86,29 @@ def _check_order(order):
     return k
 
 
-def _u_powers(u, k):
-    u = np.asarray(u, dtype=float)
-    return u[..., None] ** np.arange(k)
-
-
 def blending_many(order, u):
-    """Vectorized blending: returns (lam, dlam, ddlam), each (..., k-1)."""
+    """Vectorized blending: returns (lam, dlam, ddlam), each (..., k-1).
+
+    Each row is one matrix-matrix product whatever the batch holds, so a
+    sample does not depend on its batch.  numpy sends a one-row product to
+    matrix-vector BLAS, which sums in another order; a lone ``u`` is
+    therefore evaluated as two equal rows.
+    """
     k = _check_order(order)
     C = cumulative_matrix(k)
-    pow0 = _u_powers(u, k)
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    if flat.size == 1:
+        flat = np.repeat(flat, 2)
+    pow0 = flat[:, None] ** np.arange(k)
     n = np.arange(k)
     lam = pow0 @ C.T
     d1 = C * n
-    dlam = pow0[..., : k - 1] @ d1[:, 1:].T
+    dlam = pow0[:, : k - 1] @ d1[:, 1:].T
     d2 = C * n * (n - 1)
-    ddlam = pow0[..., : k - 2] @ d2[:, 2:].T if k > 2 else np.zeros_like(lam)
-    return lam, dlam, ddlam
+    ddlam = pow0[:, : k - 2] @ d2[:, 2:].T if k > 2 else np.zeros_like(lam)
+    shape = u.shape + (k - 1,)
+    return tuple(x[: u.size].reshape(shape) for x in (lam, dlam, ddlam))
 
 
 def window_node_coefficients(order, u, derivative=0):
@@ -155,36 +161,22 @@ class KnotGrid:
     def domain(self):
         return (self.t0, self.t0 + self.num_segments * self.dt)
 
-    def normalized_time(self, t):
-        """Map a time to (segment_index, u) with u in [0, 1)."""
-        t = float(t)
-        lo, hi = self.domain
-        if not np.isfinite(t) or t < lo or t >= hi:
-            raise OutOfDomainError(t, lo, hi)
-        h = (t - self.t0) / self.dt
-        i = min(int(np.floor(h)), self.num_segments - 1)
-        u = h - i
-        if u >= 1.0:  # float fuzz just below a knot
-            u = np.nextafter(1.0, 0.0)
-        return i, max(u, 0.0)
-
     def normalized_times(self, ts):
-        """Vectorized ``normalized_time``; raises on any out-of-domain time."""
+        """Map times to ``(segment_index, u)`` with ``u`` in [0, 1).
+
+        ``ts`` of shape (...) gives two arrays of shape (...); a Python
+        float gives 0-d results.  Raises :class:`OutOfDomainError` on the
+        first time outside the half-open domain.
+        """
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         bad = ~np.isfinite(ts) | (ts < lo) | (ts >= hi)
         if np.any(bad):
-            tb = float(ts[np.nonzero(bad)[0][0]] if ts.ndim else ts)
-            raise OutOfDomainError(tb, lo, hi)
+            raise OutOfDomainError(float(ts[bad][0]), lo, hi)
         h = (ts - self.t0) / self.dt
         i = np.minimum(np.floor(h).astype(int), self.num_segments - 1)
         u = np.clip(h - i, 0.0, np.nextafter(1.0, 0.0))
         return i, u
-
-    def contains(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        lo, hi = self.domain
-        return (ts >= lo) & (ts < hi)
 
 
 def grid_covering(t_min, t_max, dt, order):
@@ -357,14 +349,12 @@ class SplineR3:
         if not np.all(np.isfinite(self.nodes)):
             raise InvalidArgumentError("non-finite spline nodes")
 
-    def sample(self, t, derivative=0):
-        """Value (derivative 0), d/dt (1), or d^2/dt^2 (2) at time t."""
-        i, u = self.grid.normalized_time(t)
-        window = self.nodes[i : i + self.grid.order]
-        return r3_window_eval(window, np.float64(u), self.grid.order, self.grid.dt,
-                              derivative)
-
     def sample_many(self, ts, derivative=0):
+        """Value (derivative 0), d/dt (1) or d^2/dt^2 (2) at times ``ts``.
+
+        ``ts`` of shape (...) gives (..., 3); a Python float gives one
+        sample of shape (3,).
+        """
         i, u = self.grid.normalized_times(ts)
         idx = i[..., None] + np.arange(self.grid.order)
         return r3_window_eval(self.nodes[idx], u, self.grid.order, self.grid.dt,
@@ -387,25 +377,15 @@ class SplineSO3:
         if not is_rotation(self.nodes):
             raise InvalidArgumentError("spline nodes are not rotations")
 
-    def sample(self, t):
-        i, u = self.grid.normalized_time(t)
-        window = self.nodes[i : i + self.grid.order]
-        return so3_window_eval(window, np.float64(u), self.grid.order)
-
     def sample_many(self, ts):
+        """Rotations at times ``ts``: (..., 3, 3), or (3, 3) for a float."""
         i, u = self.grid.normalized_times(ts)
         idx = i[..., None] + np.arange(self.grid.order)
         return so3_window_eval(self.nodes[idx], u, self.grid.order)
 
-    def angular_velocity(self, t):
-        """Body-frame angular velocity omega with Rdot = R [omega]_x."""
-        if self.grid.order < 3:
-            raise InvalidArgumentError("angular velocity needs order >= 3")
-        i, u = self.grid.normalized_time(t)
-        window = self.nodes[i : i + self.grid.order]
-        return so3_window_angvel(window, np.float64(u), self.grid.order, self.grid.dt)
-
     def angular_velocity_many(self, ts):
+        """Body-frame angular velocity omega with Rdot = R [omega]_x at
+        times ``ts``: (..., 3) rad/s, or (3,) for a float."""
         if self.grid.order < 3:
             raise InvalidArgumentError("angular velocity needs order >= 3")
         i, u = self.grid.normalized_times(ts)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 MIN_DEPTH = 1e-6
 
@@ -37,25 +37,13 @@ class CameraModel:
         return cls(d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"])
 
 
-def project(cam: CameraModel, p_cam):
-    """Project a camera-frame point to pixels; raises behind the camera."""
-    p_cam = np.asarray(p_cam, dtype=float)
-    if p_cam[2] <= MIN_DEPTH:
-        raise BehindCameraError(f"point depth {p_cam[2]:.3e} <= {MIN_DEPTH}")
-    return np.array(
-        [
-            cam.fx * p_cam[0] / p_cam[2] + cam.cx,
-            cam.fy * p_cam[1] / p_cam[2] + cam.cy,
-        ]
-    )
-
-
 def project_many(cam: CameraModel, p_cam):
-    """Vectorized projection; returns (pixels (N, 2), valid mask (N,)).
+    """Project camera-frame points to pixels.
 
-    Points at or behind the minimum depth get a zero pixel and a False mask
-    instead of an error, matching the soft-exclusion policy of the batch
-    factors.
+    ``p_cam`` of shape (..., 3) gives (pixels (..., 2), valid mask (...));
+    one point of shape (3,) gives a (2,) pixel and a 0-d mask.  Points at
+    or behind the minimum depth get a zero pixel and a False mask instead
+    of an error, matching the soft-exclusion policy of the batch factors.
     """
     p_cam = np.asarray(p_cam, dtype=float)
     z = p_cam[..., 2]

@@ -24,10 +24,9 @@ import numpy as np
 from . import estimators as est
 from . import metrics as met
 from .config import RunConfig, load_config, save_config
-from .dataset import _HEADERS, _read_csv, read_dataset, write_dataset
+from .dataset import read_dataset, read_pose_csv, write_dataset, write_pose_csv
 from .errors import DataError, NumericalFailureError, SplineFusionError
 from .initialization import fit_spline_to_poses
-from .rotations import quat_to_rotation, rotation_to_quat
 from .simulate import ProfileParams, default_rig, make_ground_truth, synthesize
 from .solver import DISCONTINUOUS, STALLED
 from .bsplines import save_spline_pair
@@ -61,22 +60,6 @@ def _simulate_dataset(cfg: RunConfig):
     result = synthesize(gt, rig, noise, num_landmarks=sim.num_landmarks,
                         landmark_spread=sim.landmark_spread)
     return gt, rig, noise, result
-
-
-def _write_estimate_csv(path, result):
-    quat = rotation_to_quat(result.rotations)
-    with open(path, "w") as f:
-        f.write("t_ns,x,y,z,qw,qx,qy,qz\n")
-        for t, p, q in zip(result.t_ns, result.positions, quat):
-            vals = [f"{v:.17g}" for v in np.concatenate([p, q])]
-            f.write(",".join([str(int(t))] + vals) + "\n")
-
-
-def _read_pose_csv(path):
-    rows = _read_csv(path, 8)
-    if rows.size == 0:
-        raise DataError(f"{path}: no pose rows")
-    return rows[:, 0].astype(np.int64), rows[:, 1:4], quat_to_rotation(rows[:, 4:8])
 
 
 def _pairs_against_gt(result, gt, align="none"):
@@ -115,12 +98,10 @@ def _write_json(path, data):
 def cmd_simulate(args):
     cfg = load_config(args.config)
     if args.profile:
-        cfg = RunConfig.from_dict({
-            **cfg.to_dict(),
-            "simulate": {**cfg.to_dict()["simulate"], "profile": args.profile},
-        })
+        cfg = dataclasses.replace(
+            cfg, simulate=dataclasses.replace(cfg.simulate, profile=args.profile))
     if args.seed is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     gt, rig, noise, result = _simulate_dataset(cfg)
     os.makedirs(args.out, exist_ok=True)
     write_dataset(
@@ -137,7 +118,7 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    t_ns, pos, rot = _read_pose_csv(args.poses)
+    t_ns, pos, rot = read_pose_csv(args.poses)
     times = t_ns * 1e-9
     fit = fit_spline_to_poses(times, pos, rot, args.order, args.node_hz)
     os.makedirs(args.out, exist_ok=True)
@@ -157,7 +138,7 @@ def cmd_fit(args):
 def _cmd_estimate(args, mode):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     meas, rig, noise, gt = read_dataset(
         args.data, require_gps=cfg.sensors.gps
     )
@@ -166,7 +147,8 @@ def _cmd_estimate(args, mode):
     result = est.run(meas, rig, noise, ecfg, mode=mode, seed=cfg.seed)
     wall = time.perf_counter() - t0
     os.makedirs(args.out, exist_ok=True)
-    _write_estimate_csv(os.path.join(args.out, "estimate.csv"), result)
+    write_pose_csv(os.path.join(args.out, "estimate.csv"), result.t_ns,
+                   result.positions, result.rotations)
     pairs = _pairs_against_gt(result, gt, cfg.align) if gt is not None else None
     report = _report(result, wall, pairs)
     report["factor_counts"] = result.factor_counts
@@ -187,8 +169,8 @@ def _cmd_estimate(args, mode):
 
 
 def cmd_evaluate(args):
-    et, ep, er = _read_pose_csv(args.est)
-    gt_t, gt_p, gt_r = _read_pose_csv(args.gt)
+    et, ep, er = read_pose_csv(args.est)
+    gt_t, gt_p, gt_r = read_pose_csv(args.gt)
     pairs = met.make_pairs(et, ep, er, gt_t, gt_p, gt_r)
     if len(pairs) == 0:
         raise DataError("no estimate/ground-truth timestamp pairs within 1 ms")
@@ -205,7 +187,7 @@ def cmd_evaluate(args):
 def cmd_compare(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     try:
         offsets_ms = [float(x) for x in args.offsets.split(",") if x.strip()]
     except ValueError as e:
@@ -215,10 +197,8 @@ def cmd_compare(args):
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for off in offsets_ms:
-        run_cfg = RunConfig.from_dict({
-            **cfg.to_dict(),
-            "simulate": {**cfg.to_dict()["simulate"], "t_cam_imu_ms": off},
-        })
+        run_cfg = dataclasses.replace(
+            cfg, simulate=dataclasses.replace(cfg.simulate, t_cam_imu_ms=off))
         gt, rig, noise, sim_result = _simulate_dataset(run_cfg)
         meas = sim_result.measurements
         gt_tuple = (sim_result.gt_t_ns, sim_result.gt_positions,

@@ -64,7 +64,9 @@ class SensorFlags:
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "ct"
+    """Everything a run reads besides its data; the subcommand picks the
+    estimator (CT or DT)."""
+
     seed: int = 0
     align: str = "none"  # evaluation alignment: none | se3 | sim3
     sensors: SensorFlags = field(default_factory=SensorFlags)
@@ -74,8 +76,6 @@ class RunConfig:
     dt: DtConfig = field(default_factory=DtConfig)
 
     def __post_init__(self):
-        if self.mode not in ("ct", "dt"):
-            raise InvalidArgumentError(f"mode must be 'ct' or 'dt', got {self.mode!r}")
         if self.align not in ("none", "se3", "sim3"):
             raise InvalidArgumentError(f"unknown align mode {self.align!r}")
         # estimator_config takes the switches from ``sensors``, so a switch
@@ -91,9 +91,9 @@ class RunConfig:
                     f"switched in the 'sensors' section (camera, imu, gps)"
                 )
 
-    def estimator_config(self, mode=None):
-        """The CtConfig/DtConfig for ``mode`` with sensor flags applied."""
-        mode = mode or self.mode
+    def estimator_config(self, mode):
+        """The CtConfig/DtConfig for ``mode`` ("ct" or "dt") with sensor
+        flags applied."""
         base = self.ct if mode == "ct" else self.dt
         return dataclasses.replace(
             base,
@@ -108,7 +108,6 @@ class RunConfig:
 
     def to_dict(self):
         return {
-            "mode": self.mode,
             "seed": self.seed,
             "align": self.align,
             "sensors": dataclasses.asdict(self.sensors),
@@ -121,7 +120,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data):
         data = dict(data or {})
-        known = {"mode", "seed", "align", "sensors", "simulate", "noise",
+        known = {"seed", "align", "sensors", "simulate", "noise",
                  "ct", "dt"}
         unknown = set(data) - known
         if unknown:
@@ -144,7 +143,6 @@ class RunConfig:
             raise DataError(f"unknown keys in noise section: {sorted(bad)}")
         base_noise.update(noise_section)
         return cls(
-            mode=data.get("mode", "ct"),
             seed=int(data.get("seed", 0)),
             align=data.get("align", "none"),
             sensors=build(SensorFlags, "sensors"),

@@ -8,9 +8,10 @@ Directory layout written by the simulator and consumed by the estimators:
     gt.csv        t_ns,x,y,z,qw,qx,qy,qz        (IMU clock, body pose in world)
     scene.json    landmarks, rig, noise, seed, profile metadata
 
-Timestamps are integer nanoseconds everywhere; conversion to float seconds
-happens only inside the math (relative to the dataset origin to preserve
-precision).
+Timestamps are integer nanoseconds in every file.  The estimators convert
+them to absolute float seconds, ``t_ns * 1e-9``, with no origin subtracted,
+so epoch-scale stamps keep only about 2.4e-7 s of resolution (the open
+time-origin defect F2 in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -194,6 +195,12 @@ def _write_csv(path, header, rows):
             f.write(",".join(row) + "\n")
 
 
+def _stamped_rows(t_ns, values):
+    """CSV fields of the rows ``t_ns, values[i]...``, floats to round trip."""
+    return ([str(int(t))] + [f"{v:.17g}" for v in row]
+            for t, row in zip(t_ns, values))
+
+
 def _read_csv(path, ncols):
     name = os.path.basename(path)
     if not os.path.exists(path):
@@ -218,6 +225,22 @@ def _read_csv(path, ncols):
     return np.asarray(out, dtype=float).reshape(-1, ncols)
 
 
+def write_pose_csv(path, t_ns, positions, rotations):
+    """Write body poses as ``t_ns,x,y,z,qw,qx,qy,qz`` rows (the layout of
+    ``gt.csv`` and of an estimate's ``estimate.csv``)."""
+    _write_csv(path, _HEADERS["gt.csv"], _stamped_rows(
+        t_ns, np.hstack([positions, rotation_to_quat(rotations)])))
+
+
+def read_pose_csv(path):
+    """Read ``t_ns,x,y,z,qw,qx,qy,qz`` rows; returns (t_ns (N,) int64,
+    positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows."""
+    rows = _read_csv(path, 8)
+    if rows.size == 0:
+        raise DataError(f"{path}: no pose rows")
+    return rows[:, 0].astype(np.int64), rows[:, 1:4], quat_to_rotation(rows[:, 4:8])
+
+
 def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
                   gt=None, extra_meta=None):
     """Write the full CSV/JSON dataset layout.
@@ -226,22 +249,10 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
     (N,3,3))`` of body poses on the IMU clock.
     """
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "imu.csv"),
-        _HEADERS["imu.csv"],
-        (
-            [str(int(t))] + [f"{v:.17g}" for v in np.concatenate([w, a])]
-            for t, w, a in zip(meas.imu_t_ns, meas.gyro, meas.accel)
-        ),
-    )
-    _write_csv(
-        os.path.join(out_dir, "gps.csv"),
-        _HEADERS["gps.csv"],
-        (
-            [str(int(t))] + [f"{v:.17g}" for v in p]
-            for t, p in zip(meas.gps_t_ns, meas.gps)
-        ),
-    )
+    _write_csv(os.path.join(out_dir, "imu.csv"), _HEADERS["imu.csv"],
+               _stamped_rows(meas.imu_t_ns, np.hstack([meas.gyro, meas.accel])))
+    _write_csv(os.path.join(out_dir, "gps.csv"), _HEADERS["gps.csv"],
+               _stamped_rows(meas.gps_t_ns, meas.gps))
 
     def feature_rows():
         for k, fr in enumerate(meas.frames):
@@ -252,16 +263,7 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
     _write_csv(os.path.join(out_dir, "features.csv"), _HEADERS["features.csv"],
                feature_rows())
     if gt is not None:
-        t_ns, pos, rot = gt
-        quat = rotation_to_quat(rot)
-        _write_csv(
-            os.path.join(out_dir, "gt.csv"),
-            _HEADERS["gt.csv"],
-            (
-                [str(int(t))] + [f"{v:.17g}" for v in np.concatenate([p, q])]
-                for t, p, q in zip(t_ns, pos, quat)
-            ),
-        )
+        write_pose_csv(os.path.join(out_dir, "gt.csv"), *gt)
     lids = sorted(meas.landmarks_true)
     scene = {
         "seed": noise.seed,
@@ -345,13 +347,6 @@ def read_dataset(data_dir, require_gps=True):
                 f"scene.json count mismatch for {key}: {counts[key]} != {val}"
             )
 
-    gt = None
     gt_path = os.path.join(data_dir, "gt.csv")
-    if os.path.exists(gt_path):
-        rows = _read_csv(gt_path, 8)
-        gt = (
-            rows[:, 0].astype(np.int64),
-            rows[:, 1:4],
-            quat_to_rotation(rows[:, 4:8]),
-        )
+    gt = read_pose_csv(gt_path) if os.path.exists(gt_path) else None
     return meas, rig, noise, gt

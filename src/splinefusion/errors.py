@@ -24,10 +24,6 @@ class OutOfDomainError(SplineFusionError):
         )
 
 
-class BehindCameraError(SplineFusionError):
-    """A 3-D point lies behind (or on) the camera plane."""
-
-
 class DataError(SplineFusionError):
     """A dataset file or stream is malformed or inconsistent."""
 

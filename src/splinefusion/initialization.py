@@ -12,7 +12,7 @@ from .errors import (
     DegenerateConfigurationError,
     InvalidArgumentError,
 )
-from .rotations import Pose, hat, so3_exp, so3_log, slerp
+from .rotations import Pose, hat, so3_exp, so3_log, slerp_many
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -124,13 +124,13 @@ class _PnPGroup(FactorGroup):
         return r, {0: P @ hat(pc), 1: -P @ R_wc.T}
 
 
-def pnp_dlt(camera, points_world, pixels, refine=True):
+def pnp_dlt(camera, points_world, pixels):
     """Camera pose from 3D-2D correspondences (DLT plus LM refinement).
 
     Returns the world-from-camera pose (R_wc, p_wc).  Needs >= 6 points in
     general position; solves for the projection matrix in normalized image
-    coordinates, orthonormalizes the rotation part, then by default refines
-    the pose by minimizing the reprojection error.
+    coordinates, orthonormalizes the rotation part, then refines the pose
+    by minimizing the reprojection error.
     """
     pts = np.asarray(points_world, dtype=float)
     px = np.asarray(pixels, dtype=float)
@@ -169,8 +169,6 @@ def pnp_dlt(camera, points_world, pixels, refine=True):
     # undo the 3D normalization: p_cam = R_cw (X - mu) + t_eff
     t_eff = sc * P[:, 3] / det_scale
     T_wc = Pose(R_cw, t_eff - R_cw @ mu).inverse()
-    if not refine:
-        return T_wc
 
     problem = Problem()
     problem.add_rotation("pnp_R", T_wc.R)
@@ -199,10 +197,7 @@ def _interp_rotations(times, rotations, query):
     t0 = times[idx]
     t1 = times[idx + 1]
     alpha = np.clip((query - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0, 1.0)
-    out = np.empty((len(query), 3, 3))
-    for i, (j, a) in enumerate(zip(idx, alpha)):
-        out[i] = slerp(rotations[j], rotations[j + 1], float(a))
-    return out
+    return slerp_many(rotations[idx], rotations[idx + 1], alpha)
 
 
 class R3FitGroup(FactorGroup):

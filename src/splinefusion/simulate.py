@@ -271,13 +271,13 @@ def synthesize(gt: GroundTruth, rig: SensorRig, noise: NoiseSpec,
     lm_pts = np.stack([landmarks[i] for i in lm_ids])
     cam_dt = 1.0 / noise.cam_hz
     cam_tau = np.arange(t0, t1, cam_dt)
+    cam_R = gt.rotation.sample_many(cam_tau)
+    cam_p = gt.position.sample_many(cam_tau)
     T_ci = rig.T_cam_imu.inverse()  # imu-in-camera
     frames = []
     obs_count = np.zeros(len(lm_ids), dtype=int)
     kept = []
-    for tau in cam_tau:
-        R = gt.rotation.sample(tau)
-        p = gt.position.sample(tau)
+    for R, p in zip(cam_R, cam_p):
         p_body = (R.T @ (lm_pts - p).T).T
         p_cam = (T_ci.R @ p_body.T).T + T_ci.p
         px, valid = project_many(rig.camera, p_cam)

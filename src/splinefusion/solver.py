@@ -45,6 +45,11 @@ DISCONTINUOUS = "discontinuous"
 # thread).  The reduced systems of the camera workloads (about 600 and 1,100
 # columns once the landmarks are eliminated) stay below the limit.
 _DENSE_LIMIT = 2000
+# solve() stops as converged when the gradient's largest entry is below
+# _ABS_TOL, and raises after _MAX_REJECTS damped systems of one iteration
+# all fail to factor into a finite step.
+_ABS_TOL = 1e-12
+_MAX_REJECTS = 40
 # A rotation-slot FD entry straddles a jump when its forward and backward
 # differences disagree by more than this fraction of a step-h change.  A
 # smooth kernel makes them disagree by h * |f''| / |f'|, about 1e-6.
@@ -475,11 +480,12 @@ class Problem:
 
 @dataclass
 class SolveOptions:
+    """Iteration cap, initial LM damping, and the relative cost drop below
+    which an accepted step ends the solve as converged."""
+
     max_iter: int = 50
     lm_lambda0: float = 1e-4
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_rejects: int = 40
 
 
 @dataclass
@@ -565,7 +571,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
 
     Damping is multiplicative on the scaled diagonal: divided by 10 on an
     accepted step, multiplied by 10 on a rejected one.  Raises
-    :class:`NumericalFailureError` when none of the ``max_rejects`` damped
+    :class:`NumericalFailureError` when none of the ``_MAX_REJECTS`` damped
     systems of an iteration can be factored into a finite step, and
     :class:`InvalidArgumentError` when a factor joins two point blocks
     (see :meth:`Problem.linearize`).
@@ -587,7 +593,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
         iterations = it
         g = J.T @ r
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
-        if grad_norm < opts.abs_tol or cost == 0.0:
+        if grad_norm < _ABS_TOL or cost == 0.0:
             termination = CONVERGED
             iterations = it - 1
             break
@@ -596,7 +602,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
         D = np.clip(D, 1e-12, None)
         accepted = False
         failed = 0  # damped systems with no finite solution
-        for _ in range(opts.max_rejects):
+        for _ in range(_MAX_REJECTS):
             A = H + sp.diags(lam * D)
             try:
                 delta = _solve_normal(A, g, problem.num_point_cols)
@@ -625,7 +631,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
                     termination = CONVERGED
                 break
             lam *= 10.0
-        if failed and failed == opts.max_rejects:
+        if failed and failed == _MAX_REJECTS:
             raise NumericalFailureError(
                 f"LM iteration {it}: none of {failed} damped normal systems "
                 f"(lambda up to {lam / 10.0:.3g}) gave a finite step")

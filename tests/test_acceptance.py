@@ -153,8 +153,8 @@ def test_spline_correctness_against_independent_oracle():
             rot = bs.SplineSO3(grid, rots)
             for t in ts[:5]:
                 t = float(np.clip(t, lo + h, hi - h))
-                w = rot.angular_velocity(t)
-                dR = rot.sample(t - h).T @ rot.sample(t + h)
+                w = rot.angular_velocity_many(t)
+                dR = rot.sample_many(t - h).T @ rot.sample_many(t + h)
                 w_fd = so3_log(dR) / (2 * h)
                 worst_ang = max(worst_ang, np.max(np.abs(w - w_fd)))
     wall = time.perf_counter() - t0

@@ -61,13 +61,13 @@ def test_r3_derivatives_match_finite_differences(rng):
         lo, hi = spline.grid.domain
         ts = rng.uniform(lo + 2 * h, hi - 2 * h, size=15)
         for t in ts:
-            v1 = spline.sample(t, derivative=1)
-            fd1 = (spline.sample(t + h) - spline.sample(t - h)) / (2 * h)
+            v1 = spline.sample_many(t, derivative=1)
+            fd1 = (spline.sample_many(t + h) - spline.sample_many(t - h)) / (2 * h)
             assert np.linalg.norm(v1 - fd1) / max(np.linalg.norm(fd1), 1.0) < 1e-6
-            v2 = spline.sample(t, derivative=2)
+            v2 = spline.sample_many(t, derivative=2)
             fd2 = (
-                spline.sample(t + h, derivative=1)
-                - spline.sample(t - h, derivative=1)
+                spline.sample_many(t + h, derivative=1)
+                - spline.sample_many(t - h, derivative=1)
             ) / (2 * h)
             assert np.linalg.norm(v2 - fd2) / max(np.linalg.norm(fd2), 1.0) < 1e-6
 
@@ -87,9 +87,10 @@ def test_so3_angular_velocity_matches_log_difference(rng):
         spline = random_so3_spline(rng, order)
         lo, hi = spline.grid.domain
         for t in rng.uniform(lo + 2 * h, hi - 2 * h, size=15):
-            w = spline.angular_velocity(t)
+            w = spline.angular_velocity_many(t)
             fd = so3_log(
-                spline.sample(t - h).T @ spline.sample(t + h), validate=False
+                spline.sample_many(t - h).T @ spline.sample_many(t + h),
+                validate=False,
             ) / (2 * h)
             assert np.linalg.norm(w - fd) < 1e-5
 
@@ -100,8 +101,8 @@ def test_so3_order2_is_slerp(rng):
     nodes = np.stack([random_rotation(rng) for _ in range(5)])
     spline = bs.SplineSO3(grid, nodes)
     for i in range(4):
-        assert np.allclose(spline.sample(float(i)), nodes[i], atol=1e-12)
-        mid = spline.sample(i + 0.5)
+        assert np.allclose(spline.sample_many(float(i)), nodes[i], atol=1e-12)
+        mid = spline.sample_many(i + 0.5)
         d = so3_log(nodes[i].T @ nodes[i + 1], validate=False)
         assert np.allclose(mid, nodes[i] @ so3_exp(0.5 * d), atol=1e-12)
 
@@ -129,12 +130,12 @@ def test_grid_domain_and_errors():
     grid = bs.KnotGrid(t0=1.0, dt=0.5, count=10, order=4)
     lo, hi = grid.domain
     assert lo == 1.0 and np.isclose(hi, 1.0 + 7 * 0.5)
-    i, u = grid.normalized_time(1.0)
+    i, u = grid.normalized_times(1.0)
     assert i == 0 and u == 0.0
     with pytest.raises(OutOfDomainError):
-        grid.normalized_time(hi)
+        grid.normalized_times(hi)
     with pytest.raises(OutOfDomainError):
-        grid.normalized_time(lo - 1e-9)
+        grid.normalized_times(lo - 1e-9)
     with pytest.raises(OutOfDomainError):
         grid.normalized_times(np.array([lo, hi + 1.0]))
     with pytest.raises(InvalidArgumentError):
@@ -145,14 +146,53 @@ def test_grid_domain_and_errors():
         bs.KnotGrid(t0=0.0, dt=1.0, count=10, order=9)
 
 
-def test_normalized_times_matches_scalar(rng):
+def _one_sample_cases():
+    """(name, call, sample shape) of every batched sampling function, each
+    taking a time (or a Python float) and returning its samples."""
+    rng = np.random.default_rng(11)
     grid = bs.KnotGrid(t0=-2.0, dt=0.3, count=20, order=5)
-    lo, hi = grid.domain
-    ts = rng.uniform(lo, hi - 1e-12, size=50)
-    iv, uv = grid.normalized_times(ts)
-    for t, i, u in zip(ts, iv, uv):
-        si, su = grid.normalized_time(t)
-        assert si == i and np.isclose(su, u, atol=1e-12)
+    pos = bs.SplineR3(grid, rng.normal(size=(grid.count, 3)))
+    rot = bs.SplineSO3(grid, np.stack(
+        [so3_exp(rng.normal(scale=0.5, size=3)) for _ in range(grid.count)]))
+    cases = [(f"r3_derivative_{d}",
+              lambda ts, d=d: pos.sample_many(ts, derivative=d), (3,))
+             for d in (0, 1, 2)]
+    cases += [
+        ("so3", rot.sample_many, (3, 3)),
+        ("so3_angular_velocity", rot.angular_velocity_many, (3,)),
+        ("normalized_times", lambda ts: np.stack(grid.normalized_times(ts), -1),
+         (2,)),
+    ]
+    return grid, cases
+
+
+_GRID, _CASES = _one_sample_cases()
+
+
+@pytest.fixture(scope="module")
+def batch_times(rng):
+    # drawn once from the session rng, whose stream the later tests share
+    lo, hi = _GRID.domain
+    return rng.uniform(lo, hi - 1e-12, size=50)
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def test_float_time_gives_one_sample_equal_to_batch_row(case, batch_times):
+    """A Python float is a 0-d batch: it yields one sample's shape, equal
+    bit for bit to its row of a batched call, and raises at the domain end
+    like any out-of-domain time."""
+    _, call, shape = case
+    lo, hi = _GRID.domain
+    ts = np.concatenate([batch_times, [lo, lo + 3 * _GRID.dt,
+                                       np.nextafter(hi, lo)]])
+    batch = call(ts)
+    assert batch.shape == (len(ts),) + shape
+    for t, row in zip(ts.tolist(), batch):
+        one = call(t)
+        assert one.shape == shape
+        assert np.array_equal(one, row)
+    with pytest.raises(OutOfDomainError):
+        call(float(hi))
 
 
 def test_grid_covering():
@@ -160,13 +200,6 @@ def test_grid_covering():
     lo, hi = grid.domain
     assert lo <= 0.0 and hi > 10.0
     assert grid.num_segments == grid.count - grid.order + 1
-
-
-def test_contains():
-    grid = bs.KnotGrid(t0=0.0, dt=1.0, count=8, order=4)
-    assert list(grid.contains(np.array([-0.1, 0.0, 4.9, 5.0]))) == [
-        False, True, True, False,
-    ]
 
 
 def test_serialization_roundtrip(rng, tmp_path):
@@ -200,7 +233,7 @@ def test_angular_velocity_needs_order3():
     grid = bs.KnotGrid(t0=0.0, dt=1.0, count=6, order=2)
     spline = bs.SplineSO3(grid, np.stack([np.eye(3)] * 6))
     with pytest.raises(InvalidArgumentError):
-        spline.angular_velocity(0.5)
+        spline.angular_velocity_many(0.5)
 
 
 def _window(rng, order, big_step=None):

@@ -1,36 +1,32 @@
 import numpy as np
 import pytest
 
-from splinefusion.camera import CameraModel, in_image, project, project_many
-from splinefusion.errors import BehindCameraError, InvalidArgumentError
+from splinefusion.camera import CameraModel, in_image, project_many
+from splinefusion.errors import InvalidArgumentError
 
 CAM = CameraModel(fx=400.0, fy=420.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
 def test_principal_ray():
-    assert np.allclose(project(CAM, np.array([0.0, 0.0, 2.0])), [320.0, 240.0])
+    px, valid = project_many(CAM, np.array([0.0, 0.0, 2.0]))
+    assert valid and np.allclose(px, [320.0, 240.0])
 
 
 def test_known_projection():
     # x/z = 0.5, y/z = -0.25: u = 400*0.5 + 320, v = 420*(-0.25) + 240
-    px = project(CAM, np.array([1.0, -0.5, 2.0]))
-    assert np.allclose(px, [520.0, 135.0])
+    px, valid = project_many(CAM, np.array([1.0, -0.5, 2.0]))
+    assert valid and np.allclose(px, [520.0, 135.0])
 
 
-def test_behind_camera_raises():
-    with pytest.raises(BehindCameraError):
-        project(CAM, np.array([0.0, 0.0, -1.0]))
-    with pytest.raises(BehindCameraError):
-        project(CAM, np.array([0.0, 0.0, 0.0]))
-
-
-def test_project_many_matches_scalar(rng):
+def test_one_point_equals_its_batch_row(rng):
     pts = rng.normal(size=(50, 3))
     pts[:, 2] = rng.uniform(0.5, 10.0, size=50)
     px, valid = project_many(CAM, pts)
     assert np.all(valid)
     for p, z in zip(pts, px):
-        assert np.allclose(project(CAM, p), z, atol=1e-12)
+        one, ok = project_many(CAM, p)
+        assert one.shape == (2,) and ok.shape == () and ok
+        assert np.array_equal(one, z)
 
 
 def test_project_many_soft_invalid():

@@ -8,6 +8,7 @@ import pytest
 
 from splinefusion import cli
 from splinefusion import estimators as est
+from splinefusion.dataset import read_pose_csv
 from splinefusion.solver import SolveReport
 
 
@@ -143,7 +144,7 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
 def _fake_run(small_dataset, **report_fields):
     """A stand-in for ``est.run`` that returns the ground-truth poses with a
     SolveReport made of ``report_fields``."""
-    t_ns, pos, rot = cli._read_pose_csv(small_dataset / "gt.csv")
+    t_ns, pos, rot = read_pose_csv(small_dataset / "gt.csv")
 
     def fake_run(meas, rig, noise, cfg, mode="ct", seed=0):
         report = SolveReport(iterations=2, initial_cost=2.0, final_cost=1.0,

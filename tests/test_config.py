@@ -21,6 +21,8 @@ def test_defaults_roundtrip():
 def test_unknown_keys_rejected():
     with pytest.raises(DataError, match="unknown config keys"):
         RunConfig.from_dict({"speling": 1})
+    with pytest.raises(DataError, match="unknown config keys"):
+        RunConfig.from_dict({"mode": "dt"})  # the subcommand picks the mode
     with pytest.raises(DataError, match="unknown keys"):
         RunConfig.from_dict({"ct": {"spline_ordre": 6}})
     with pytest.raises(DataError, match="noise"):
@@ -29,10 +31,8 @@ def test_unknown_keys_rejected():
 
 def test_partial_overrides():
     cfg = RunConfig.from_dict(
-        {"mode": "dt", "noise": {"gps_sigma": 0.02},
-         "simulate": {"duration": 8.0}}
+        {"noise": {"gps_sigma": 0.02}, "simulate": {"duration": 8.0}}
     )
-    assert cfg.mode == "dt"
     assert cfg.noise.gps_sigma == 0.02
     assert cfg.noise.pixel_sigma == 1.0  # untouched default
     assert cfg.simulate.duration == 8.0
@@ -48,8 +48,6 @@ def test_estimator_config_applies_sensor_flags():
 
 def test_validation_errors():
     with pytest.raises(InvalidArgumentError):
-        RunConfig(mode="ekf")
-    with pytest.raises(InvalidArgumentError):
         RunConfig(align="icp")
     with pytest.raises(InvalidArgumentError):
         SimulateConfig(profile="spiral")
@@ -61,7 +59,7 @@ def test_validation_errors():
 
 def test_yaml_roundtrip(tmp_path):
     cfg = RunConfig.from_dict(
-        {"mode": "dt", "seed": 7, "ct": {"node_hz": 5.0}}
+        {"seed": 7, "ct": {"node_hz": 5.0}}
     )
     path = tmp_path / "config.yaml"
     save_config(path, cfg)

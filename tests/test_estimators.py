@@ -1,5 +1,11 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,3 +529,51 @@ def test_run_rejects_unknown_mode(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     with pytest.raises(InvalidArgumentError):
         est.run(result.measurements, rig, noise, est.CtConfig(), mode="ukf")
+
+
+# A small DT estimate in a fresh interpreter: the printed poses, offsets and
+# final cost are exact (hex floats and hashes of the raw bytes).
+_REPRO_SCRIPT = """
+import hashlib, json
+import numpy as np
+from splinefusion import estimators as est, simulate as sim
+from splinefusion.dataset import NoiseSpec
+
+gt = sim.make_ground_truth("lemniscate", duration=5.0, margin=0.6, radius=2.5,
+                           rate=0.7, wobble_roll=0.25, wobble_pitch=0.2,
+                           wobble_rate=1.3)
+rig = sim.default_rig(t_cam_imu=0.010)
+noise = NoiseSpec(cam_hz=10, imu_hz=200, gps_hz=7, seed=3, gps_sigma=0.1)
+data = sim.synthesize(gt, rig, noise, num_landmarks=80)
+out = est.run(data.measurements, rig, noise, est.DtConfig(), mode="dt", seed=0)
+print(json.dumps({
+    "positions": hashlib.sha256(out.positions.tobytes()).hexdigest(),
+    "rotations": hashlib.sha256(out.rotations.tobytes()).hexdigest(),
+    "t_cam_imu": float(out.t_cam_imu).hex(),
+    "t_gps_imu": float(out.t_gps_imu).hex(),
+    "final_cost": float(out.report.final_cost).hex(),
+    "termination": out.report.termination,
+}))
+"""
+
+
+def test_dt_estimate_is_bit_reproducible_at_one_blas_thread():
+    """Two processes with BLAS pinned to one thread give the same bytes for
+    the poses, the clock offsets and the final cost."""
+    src = Path(est.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    procs = [subprocess.Popen([sys.executable, "-c", _REPRO_SCRIPT], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for _ in range(2)]
+    outputs = []
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        outputs.append(json.loads(stdout.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["termination"] == "converged"
+    assert time.perf_counter() - start < 15.0

@@ -9,7 +9,7 @@ from splinefusion.errors import (
     DegenerateConfigurationError,
     InvalidArgumentError,
 )
-from splinefusion.rotations import random_rotation, rotation_angle, so3_exp
+from splinefusion.rotations import random_rotation, rotation_angle, slerp, so3_exp
 from splinefusion.solver import FactorGroup, Problem
 
 from conftest import noiseless_spec
@@ -177,6 +177,32 @@ def _bootstrap_dataset():
     noise = noiseless_spec(imu_hz=200.0)
     result = sim.synthesize(gt, rig, noise, num_landmarks=150)
     return gt, result.measurements
+
+
+def reference_interp_rotations(times, rotations, query):
+    """Per-query SLERP between the poses that bracket each query, held at
+    the end poses outside the stamps."""
+    out = np.empty((len(query), 3, 3))
+    for i, q in enumerate(query):
+        j = min(max(int(np.searchsorted(times, q, side="right")) - 1, 0),
+                len(times) - 2)
+        a = min(max((q - times[j]) / (times[j + 1] - times[j]), 0.0), 1.0)
+        out[i] = slerp(rotations[j], rotations[j + 1], a)
+    return out
+
+
+def test_interp_rotations_matches_per_query_slerp():
+    rng = np.random.default_rng(7)
+    times = np.cumsum(rng.uniform(0.05, 0.2, size=12))
+    rotations = np.stack([random_rotation(rng) for _ in times])
+    query = np.concatenate([
+        times,  # on the stamps
+        0.5 * (times[:-1] + times[1:]),  # between them
+        rng.uniform(times[0], times[-1], size=30),
+        [times[0] - 0.3, times[0] - 1e-9, times[-1] + 1e-9, times[-1] + 0.5],
+    ])
+    got = ini._interp_rotations(times, rotations, query)
+    assert np.array_equal(got, reference_interp_rotations(times, rotations, query))
 
 
 def test_imu_scale_bootstrap_recovers_scale():

@@ -87,8 +87,8 @@ def test_camera_stamps_shifted(tiny_noiseless):
     T_ci = rig.T_cam_imu.inverse()
     for fr in meas.frames[::7]:
         tau = fr.t_ns * 1e-9 + rig.t_cam_imu
-        R = gt.rotation.sample(tau)
-        p = gt.position.sample(tau)
+        R = gt.rotation.sample_many(tau)
+        p = gt.position.sample_many(tau)
         pts = np.stack([meas.landmarks_true[int(l)] for l in fr.landmark_ids])
         p_cam = (T_ci.R @ (R.T @ (pts - p).T)).T + T_ci.p
         px = np.stack([
