@@ -127,10 +127,11 @@ def cmd_fit(args):
     _write_json(os.path.join(args.out, "fit_report.json"), {
         "iterations": fit.report.iterations,
         "converged": bool(fit.report.converged),
+        "termination": fit.report.termination,
         "rms_position_m": fit.rms_position,
         "rms_rotation_rad": fit.rms_rotation,
     })
-    print(f"fit converged in {fit.report.iterations} iterations; "
+    print(f"fit {fit.report.termination} in {fit.report.iterations} iterations; "
           f"rms position {fit.rms_position:.3e} m")
     return 0
 
@@ -152,6 +153,7 @@ def _cmd_estimate(args, mode):
     pairs = _pairs_against_gt(result, gt, cfg.align) if gt is not None else None
     report = _report(result, wall, pairs)
     report["factor_counts"] = result.factor_counts
+    report["stage_seconds"] = result.stage_seconds
     _write_json(os.path.join(args.out, "report.json"), report)
     ate_txt = (f" ate_p={report['ate_p_m']:.4f} m" if pairs is not None else "")
     print(f"{mode}: {result.report.iterations} iterations, "

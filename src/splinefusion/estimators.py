@@ -954,8 +954,9 @@ def _perturbed_landmarks(meas, sigma, rng):
 def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
     """PnP body poses at each frame stamp from the landmark prior.
 
-    Frames with fewer than 6 usable observations inherit interpolated poses
-    from their PnP neighbors.
+    A frame with fewer than 6 observations, or whose PnP is degenerate or
+    fails numerically, takes the pose of the nearest frame with a PnP pose;
+    of two equally near frames, the earlier one.
     """
     stamps = meas.frame_t_ns * 1e-9
     K = len(meas.frames)

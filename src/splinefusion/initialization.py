@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import bsplines as bs
 from .errors import (
@@ -20,6 +21,7 @@ from .solver import (
     Problem,
     Slot,
     SolveOptions,
+    _levenberg_marquardt,
     solve,
 )
 
@@ -87,41 +89,28 @@ def umeyama(source, target):
     return Sim3Transform(s, R, t)
 
 
-class _PnPGroup(FactorGroup):
-    """Reprojection residuals for a single camera pose refinement."""
+def _pnp_residuals(R_wc, p_wc, points, xy, jacobians=False):
+    """Reprojection residuals (2n,) of the n world ``points`` seen from the
+    camera pose (R_wc, p_wc), against normalized image coordinates ``xy``.
 
-    name = "pnp"
-    dim = 2
-
-    def __init__(self, camera, points, xy_norm):
-        self.camera = camera
-        self.points = points
-        self.xy = xy_norm  # normalized image coordinates
-
-    def build(self, problem, state):
-        slots = [
-            Slot(problem.block_id("pnp_R"), ROTATION, 3),
-            Slot(problem.block_id("pnp_p"), EUCLIDEAN, 3),
-        ]
-        return None, slots
-
-    def kernel(self, ctx, gathered, jacobians=False):
-        R_wc = gathered[0][0]
-        p_wc = gathered[1][0]
-        pc = (self.points - p_wc) @ R_wc
-        front = pc[:, 2] > 1e-6
-        z = np.where(front, pc[:, 2], 1e-6)
-        uv = pc[:, :2] / z[:, None]
-        r = uv - self.xy
-        if not jacobians:
-            return r
-        # d uv / d pc, with no depth column where the depth is clamped
-        P = np.zeros((len(z), 2, 3))
-        P[:, 0, 0] = P[:, 1, 1] = 1.0 / z
-        P[:, :, 2] = -uv / z[:, None] * front[:, None]
-        # pc = R_wc^T (X - p_wc); a right perturbation of R_wc moves it by
-        # hat(pc) per unit angle
-        return r, {0: P @ hat(pc), 1: -P @ R_wc.T}
+    With ``jacobians=True`` returns ``(r, J)``: J (2n, 6) is exact, with
+    the right perturbation of R_wc in columns 0-2 and p_wc in columns 3-5.
+    Depths below 1e-6 are clamped and get no depth derivative.
+    """
+    pc = (points - p_wc) @ R_wc
+    front = pc[:, 2] > 1e-6
+    z = np.where(front, pc[:, 2], 1e-6)
+    uv = pc[:, :2] / z[:, None]
+    r = (uv - xy).ravel()
+    if not jacobians:
+        return r
+    # d uv / d pc, with no depth column where the depth is clamped
+    P = np.zeros((len(z), 2, 3))
+    P[:, 0, 0] = P[:, 1, 1] = 1.0 / z
+    P[:, :, 2] = -uv / z[:, None] * front[:, None]
+    # pc = R_wc^T (X - p_wc); a right perturbation of R_wc moves it by
+    # hat(pc) per unit angle
+    return r, np.concatenate([P @ hat(pc), -P @ R_wc.T], axis=2).reshape(-1, 6)
 
 
 def pnp_dlt(camera, points_world, pixels):
@@ -130,7 +119,8 @@ def pnp_dlt(camera, points_world, pixels):
     Returns the world-from-camera pose (R_wc, p_wc).  Needs >= 6 points in
     general position; solves for the projection matrix in normalized image
     coordinates, orthonormalizes the rotation part, then refines the pose
-    by minimizing the reprojection error.
+    by minimizing the reprojection error with the solver's LM loop on the
+    dense 6-column system of :func:`_pnp_residuals`.
     """
     pts = np.asarray(points_world, dtype=float)
     px = np.asarray(pixels, dtype=float)
@@ -149,7 +139,7 @@ def pnp_dlt(camera, points_world, pixels):
     A[0::2, 8:12] = -xn[:, None] * Xh
     A[1::2, 4:8] = Xh
     A[1::2, 8:12] = -yn[:, None] * Xh
-    _, sv, Vt = np.linalg.svd(A)
+    _, sv, Vt = np.linalg.svd(A, full_matrices=False)
     if sv[-2] < 1e-12 * sv[0]:
         raise DegenerateConfigurationError("degenerate PnP configuration")
     P = Vt[-1].reshape(3, 4)
@@ -170,15 +160,16 @@ def pnp_dlt(camera, points_world, pixels):
     t_eff = sc * P[:, 3] / det_scale
     T_wc = Pose(R_cw, t_eff - R_cw @ mu).inverse()
 
-    problem = Problem()
-    problem.add_rotation("pnp_R", T_wc.R)
-    problem.add_euclidean("pnp_p", T_wc.p)
-    problem.add_group(_PnPGroup(camera, pts, np.stack([xn, yn], axis=1)))
-    state, _ = solve(problem, SolveOptions(max_iter=15, rel_tol=1e-10))
-    return Pose(
-        problem.block_value(state, "pnp_R").copy(),
-        problem.block_value(state, "pnp_p").copy(),
-    )
+    xy = np.stack([xn, yn], axis=1)
+    (R_wc, p_wc), _ = _levenberg_marquardt(
+        (T_wc.R, T_wc.p),
+        lambda pose: (*_pnp_residuals(*pose, pts, xy, jacobians=True), 0),
+        lambda pose: _pnp_residuals(*pose, pts, xy),
+        lambda H, d, g: sla.cho_solve(
+            sla.cho_factor(H + np.diag(d), check_finite=False), -g, check_finite=False),
+        lambda pose, x: (pose[0] @ so3_exp(x[:3]), pose[1] + x[3:]),
+        SolveOptions(max_iter=15, rel_tol=1e-10))
+    return Pose(R_wc, p_wc)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ factorization of their 3x3 diagonal blocks, and solves the reduced system
 over the other columns by dense Cholesky below ``_DENSE_LIMIT`` columns and
 by sparse LU (SuperLU) at or above it.  Problems without points take the
 same path with nothing to eliminate.
+
+One LM loop, :func:`_levenberg_marquardt`, holds the damping, acceptance
+and termination rules: :func:`solve` runs it on a :class:`Problem`, the PnP
+refinement on its dense 6-column system.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ DISCONTINUOUS = "discontinuous"
 # thread).  The reduced systems of the camera workloads (about 600 and 1,100
 # columns once the landmarks are eliminated) stay below the limit.
 _DENSE_LIMIT = 2000
-# solve() stops as converged when the gradient's largest entry is below
+# The LM loop stops as converged when the gradient's largest entry is below
 # _ABS_TOL, and raises after _MAX_REJECTS damped systems of one iteration
 # all fail to factor into a finite step.
 _ABS_TOL = 1e-12
@@ -103,10 +107,9 @@ class FactorGroup:
     from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
     are also the test oracle of the exact ones.  The continuous-time
     families, the DT reprojection family, the bias groups, the
-    position-spline fit, the PnP refinement and a :class:`Factor` with
-    ``jac_fn`` are exact in every slot; the discrete-time preintegration
-    and GPS groups and the rotation-spline fit still use finite
-    differences.
+    position-spline fit and a :class:`Factor` with ``jac_fn`` are exact in
+    every slot; the discrete-time preintegration and GPS groups and the
+    rotation-spline fit still use finite differences.
     """
 
     name = "group"
@@ -566,21 +569,19 @@ def _solve_normal(A, g, n_points):
     return np.concatenate([x, x_l])
 
 
-def solve(problem: Problem, opts: SolveOptions | None = None):
-    """Run Levenberg-Marquardt; returns (final State, SolveReport).
-
-    Damping is multiplicative on the scaled diagonal: divided by 10 on an
-    accepted step, multiplied by 10 on a rejected one.  Raises
+def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opts):
+    """Levenberg-Marquardt from ``state``; returns (final state, SolveReport with
+    an empty ``at_bound``).  ``linearize(state)`` returns the residual vector,
+    its Jacobian (sparse or dense) and the number of factors on a jump;
+    ``residuals(state)`` the residual vector; ``solve_damped(H, d, g)`` the
+    step x of ``(H + diag(d)) x = -g``, or raises ``np.linalg.LinAlgError`` (or
+    ``RuntimeError``); ``retract(state, x)`` the stepped state.  Damping is
+    multiplicative on the scaled diagonal ``clip(diag(H), 1e-12)``: divided by
+    10 on an accepted step, multiplied by 10 on a rejected one.  Raises
     :class:`NumericalFailureError` when none of the ``_MAX_REJECTS`` damped
-    systems of an iteration can be factored into a finite step, and
-    :class:`InvalidArgumentError` when a factor joins two point blocks
-    (see :meth:`Problem.linearize`).
+    systems of an iteration gives a finite step.
     """
-    opts = opts or SolveOptions()
-    if problem.free_cols == 0:
-        raise InvalidArgumentError("problem has no free parameter blocks")
-    state = problem.initial_state()
-    r, J, jump_rows = problem.linearize(state)
+    r, J, jump_rows = linearize(state)
     cost = float(r @ r)
     initial_cost = cost
     history = [cost]
@@ -597,24 +598,22 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
             termination = CONVERGED
             iterations = it - 1
             break
-        H = (J.T @ J).tocsr()
-        D = H.diagonal()
-        D = np.clip(D, 1e-12, None)
+        H = J.T @ J
+        D = np.clip(H.diagonal(), 1e-12, None)
         accepted = False
         failed = 0  # damped systems with no finite solution
         for _ in range(_MAX_REJECTS):
-            A = H + sp.diags(lam * D)
             try:
-                delta = _solve_normal(A, g, problem.num_point_cols)
+                delta = solve_damped(H, lam * D, g)
             except (np.linalg.LinAlgError, RuntimeError):  # not positive definite
                 delta = None
             if delta is None or not np.all(np.isfinite(delta)):
                 failed += 1
                 lam *= 10.0
                 continue
-            trial = problem.retract(state, delta)
+            trial = retract(state, delta)
             try:
-                r_new = problem.residual_vector(trial)
+                r_new = residuals(trial)
             except OutOfDomainError:
                 lam *= 10.0
                 continue
@@ -625,7 +624,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
                 cost = cost_new
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)
-                r, J, jump_rows = problem.linearize(state)
+                r, J, jump_rows = linearize(state)
                 accepted = True
                 if rel_drop < opts.rel_tol:
                     termination = CONVERGED
@@ -653,6 +652,22 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
         lm_lambda=lam,
         rel_tol=opts.rel_tol,
         jump_rows=jump_rows,
-        at_bound=problem.at_bound(state),
     )
+    return state, report
+
+
+def solve(problem: Problem, opts: SolveOptions | None = None):
+    """:func:`_levenberg_marquardt` on a problem's sparse linearization and
+    :func:`_solve_normal`; returns (final State, SolveReport).  Raises
+    :class:`InvalidArgumentError` when the problem has no free blocks or a
+    factor joins two point blocks (see :meth:`Problem.linearize`).
+    """
+    opts = opts or SolveOptions()
+    if problem.free_cols == 0:
+        raise InvalidArgumentError("problem has no free parameter blocks")
+    state, report = _levenberg_marquardt(
+        problem.initial_state(), problem.linearize, problem.residual_vector,
+        lambda H, d, g: _solve_normal(H + sp.diags(d), g, problem.num_point_cols),
+        problem.retract, opts)
+    report.at_bound = problem.at_bound(state)
     return state, report

@@ -33,6 +33,8 @@ def tiny_noiseless():
     return gt, rig, noise, result
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A generator seeded afresh for each test, so a test's data do not
+    depend on which tests ran before it."""
     return np.random.default_rng(42)

@@ -169,9 +169,8 @@ def _one_sample_cases():
 _GRID, _CASES = _one_sample_cases()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def batch_times(rng):
-    # drawn once from the session rng, whose stream the later tests share
     lo, hi = _GRID.domain
     return rng.uniform(lo, hi - 1e-12, size=50)
 

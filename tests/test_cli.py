@@ -96,9 +96,34 @@ def test_fit_command(small_dataset, tmp_path, capsys):
     assert "fit converged" in capsys.readouterr().out
     report = json.loads((out / "fit_report.json").read_text())
     assert report["converged"] is True
+    assert report["termination"] == "converged"
     assert report["rms_position_m"] < 1e-3
     spline = json.loads((out / "spline.json").read_text())
     assert spline["order"] == 5
+
+
+def test_fit_reports_a_fit_stopped_at_max_iter(small_dataset, tmp_path,
+                                                monkeypatch, capsys):
+    """A fit that ends at its iteration cap says so on stdout and in
+    fit_report.json, not "converged"."""
+    fit_spline = cli.fit_spline_to_poses
+
+    def capped_fit(*args, **kwargs):
+        fit = fit_spline(*args, **kwargs)
+        fit.report = SolveReport(iterations=25, initial_cost=2.0, final_cost=1.0,
+                                 termination="max_iter")
+        return fit
+
+    monkeypatch.setattr(cli, "fit_spline_to_poses", capped_fit)
+    out = tmp_path / "fit"
+    rc = cli.main(["fit", "--poses", str(small_dataset / "gt.csv"),
+                   "--order", "5", "--node-hz", "10", "--out", str(out)])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    assert "fit max_iter in 25 iterations" in stdout and "converged" not in stdout
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["termination"] == "max_iter"
+    assert report["converged"] is False
 
 
 def test_evaluate_command(small_dataset, tmp_path, capsys):
@@ -136,6 +161,10 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     assert set(report["factor_counts"]) == {
         "reprojection", "accel", "gyro", "bias_rate", "gps", "total"
     }
+    stages = report["stage_seconds"]
+    assert set(stages) == {"initialize", "solve_fixed_offsets", "build", "solve"}
+    assert all(v > 0 for v in stages.values())
+    assert sum(stages.values()) <= report["wall_ms"] * 1e-3
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0] == "t_ns,x,y,z,qw,qx,qy,qz"
     assert len(lines) > 50
@@ -151,7 +180,8 @@ def _fake_run(small_dataset, **report_fields):
                              **report_fields)
         return est.RunResult(mode=mode, state=None, report=report, t_ns=t_ns,
                              positions=pos, rotations=rot, t_cam_imu=0.0,
-                             t_gps_imu=0.0, factor_counts={"total": 0})
+                             t_gps_imu=0.0, factor_counts={"total": 0},
+                             stage_seconds={"solve": 0.5})
 
     return fake_run
 
@@ -173,6 +203,7 @@ def test_estimate_exit_code_follows_termination(small_dataset, tmp_path,
         assert rc == rc_expected
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] == termination
+        assert report["stage_seconds"] == {"solve": 0.5}
         assert (out / "estimate.csv").exists()
         err = capsys.readouterr().err
         assert ("solver failure" in err) == (rc_expected == 3)

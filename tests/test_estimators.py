@@ -531,8 +531,8 @@ def test_run_rejects_unknown_mode(tiny_noiseless):
         est.run(result.measurements, rig, noise, est.CtConfig(), mode="ukf")
 
 
-# A small DT estimate in a fresh interpreter: the printed poses, offsets and
-# final cost are exact (hex floats and hashes of the raw bytes).
+# A small DT and CT estimate in a fresh interpreter: the printed poses,
+# offsets and final costs are exact (hex floats and hashes of the raw bytes).
 _REPRO_SCRIPT = """
 import hashlib, json
 import numpy as np
@@ -545,21 +545,24 @@ gt = sim.make_ground_truth("lemniscate", duration=5.0, margin=0.6, radius=2.5,
 rig = sim.default_rig(t_cam_imu=0.010)
 noise = NoiseSpec(cam_hz=10, imu_hz=200, gps_hz=7, seed=3, gps_sigma=0.1)
 data = sim.synthesize(gt, rig, noise, num_landmarks=80)
-out = est.run(data.measurements, rig, noise, est.DtConfig(), mode="dt", seed=0)
-print(json.dumps({
-    "positions": hashlib.sha256(out.positions.tobytes()).hexdigest(),
-    "rotations": hashlib.sha256(out.rotations.tobytes()).hexdigest(),
-    "t_cam_imu": float(out.t_cam_imu).hex(),
-    "t_gps_imu": float(out.t_gps_imu).hex(),
-    "final_cost": float(out.report.final_cost).hex(),
-    "termination": out.report.termination,
-}))
+result = {}
+for mode, cfg in (("dt", est.DtConfig()), ("ct", est.CtConfig())):
+    out = est.run(data.measurements, rig, noise, cfg, mode=mode, seed=0)
+    result[mode] = {
+        "positions": hashlib.sha256(out.positions.tobytes()).hexdigest(),
+        "rotations": hashlib.sha256(out.rotations.tobytes()).hexdigest(),
+        "t_cam_imu": float(out.t_cam_imu).hex(),
+        "t_gps_imu": float(out.t_gps_imu).hex(),
+        "final_cost": float(out.report.final_cost).hex(),
+        "termination": out.report.termination,
+    }
+print(json.dumps(result))
 """
 
 
-def test_dt_estimate_is_bit_reproducible_at_one_blas_thread():
+def test_estimates_are_bit_reproducible_at_one_blas_thread():
     """Two processes with BLAS pinned to one thread give the same bytes for
-    the poses, the clock offsets and the final cost."""
+    the DT and the CT poses, clock offsets and final costs."""
     src = Path(est.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
@@ -575,5 +578,6 @@ def test_dt_estimate_is_bit_reproducible_at_one_blas_thread():
         assert proc.returncode == 0, stderr
         outputs.append(json.loads(stdout.splitlines()[-1]))
     assert outputs[0] == outputs[1]
-    assert outputs[0]["termination"] == "converged"
+    assert [outputs[0][mode]["termination"] for mode in ("dt", "ct")] == [
+        "converged", "converged"]
     assert time.perf_counter() - start < 15.0

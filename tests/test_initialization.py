@@ -1,16 +1,29 @@
+import types
+
 import numpy as np
 import pytest
 
+from splinefusion import estimators as est
 from splinefusion import initialization as ini
 from splinefusion import simulate as sim
+from splinefusion import solver
 from splinefusion.camera import CameraModel
 from splinefusion.errors import (
     BootstrapUnavailableError,
     DegenerateConfigurationError,
     InvalidArgumentError,
+    NumericalFailureError,
 )
 from splinefusion.rotations import random_rotation, rotation_angle, slerp, so3_exp
-from splinefusion.solver import FactorGroup, Problem
+from splinefusion.solver import (
+    EUCLIDEAN,
+    ROTATION,
+    FactorGroup,
+    Problem,
+    Slot,
+    SolveOptions,
+    solve,
+)
 
 from conftest import noiseless_spec
 
@@ -76,6 +89,40 @@ def test_pnp_recovers_pose(rng):
     assert rotation_angle(T.R.T @ R_wc) < 1e-6
 
 
+class _PnPRefinement(FactorGroup):
+    """The PnP residuals of one camera pose as a factor group over the
+    blocks "pnp_R" and "pnp_p": the general sparse refinement, kept as the
+    oracle of the dense one in :func:`ini.pnp_dlt`."""
+
+    name = "pnp"
+    dim = 2
+
+    def __init__(self, points, xy):
+        self.points = points
+        self.xy = xy
+
+    def build(self, problem, state):
+        return None, [Slot(problem.block_id("pnp_R"), ROTATION, 3),
+                      Slot(problem.block_id("pnp_p"), EUCLIDEAN, 3)]
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        out = ini._pnp_residuals(gathered[0][0], gathered[1][0], self.points,
+                                 self.xy, jacobians=jacobians)
+        if not jacobians:
+            return out.reshape(-1, 2)
+        r, J = out
+        J = J.reshape(-1, 2, 6)
+        return r.reshape(-1, 2), {0: J[..., :3], 1: J[..., 3:]}
+
+
+def _pnp_problem(R_wc, p_wc, points, xy):
+    problem = Problem()
+    problem.add_rotation("pnp_R", R_wc)
+    problem.add_euclidean("pnp_p", p_wc)
+    problem.add_group(_PnPRefinement(points, xy))
+    return problem
+
+
 def test_pnp_jacobians_match_finite_differences():
     """The PnP refinement's exact rotation and position Jacobians agree with
     central differences, also for a point behind the camera, whose depth
@@ -86,11 +133,9 @@ def test_pnp_jacobians_match_finite_differences():
     pts_cam = rng.uniform([-1.5, -1.0, 2.0], [1.5, 1.0, 8.0], size=(12, 3))
     pts_cam[4] = [0.3, -0.2, -1.5]
     xy = rng.normal(scale=0.2, size=(12, 2))
-    group = ini._PnPGroup(None, pts_cam @ R_wc.T + p_wc, xy)
-    problem = Problem()
-    problem.add_rotation("pnp_R", R_wc @ so3_exp([0.02, -0.01, 0.03]))
-    problem.add_euclidean("pnp_p", p_wc + [0.05, 0.02, -0.04])
-    problem.add_group(group)
+    problem = _pnp_problem(R_wc @ so3_exp([0.02, -0.01, 0.03]),
+                           p_wc + [0.05, 0.02, -0.04], pts_cam @ R_wc.T + p_wc, xy)
+    group = problem.groups[0]
     problem._layout()
     state = problem.initial_state()
     ctx, slots = group.build(problem, state)
@@ -105,38 +150,86 @@ def test_pnp_jacobians_match_finite_differences():
         assert np.all(np.abs(jacs[si] - fd) <= 1e-7 * scale)
 
 
-def test_pnp_refinement_makes_no_finite_differences(rng, monkeypatch):
-    """Each linearization of the PnP refinement is one kernel call."""
-    calls = {"linearize": 0, "kernel": 0, "fd": 0}
-    inside = []
-    linearize = ini._PnPGroup.linearize
-    kernel = ini._PnPGroup.kernel
-    fd_slot = FactorGroup._fd_slot
+def test_pnp_dense_refinement_matches_sparse_problem(rng, monkeypatch):
+    """From the DLT pose, the dense 6-column refinement of ``pnp_dlt`` ends
+    at the pose that a general Problem with the same residuals ends at
+    under ``solver.solve``, on noisy frames and on one with a point behind
+    the camera.  That frame starts at a cost near 2e11 (the clamped depth
+    of the point behind) and ends at the 15-iteration cap; there the two
+    sums of the normal equations, sparse and dense, drift apart by 1.4e-11
+    over the iterations, so its poses agree to 1e-10."""
+    starts = []
+    lm = ini._levenberg_marquardt
 
-    def counting_linearize(self, *args):
-        calls["linearize"] += 1
-        inside.append(True)
-        try:
-            return linearize(self, *args)
-        finally:
-            inside.pop()
+    def recording_lm(state, *args):
+        starts.append(state)
+        return lm(state, *args)
 
-    def counting_kernel(self, *args, **kwargs):
-        calls["kernel"] += bool(inside)
-        return kernel(self, *args, **kwargs)
+    monkeypatch.setattr(ini, "_levenberg_marquardt", recording_lm)
+    for behind, tol in ((False, 1e-12), (False, 1e-12), (True, 1e-10)):
+        cam, R_wc, p_wc, pts_world, px = _pnp_scene(rng)
+        px = px + rng.normal(scale=0.5, size=px.shape)
+        if behind:
+            pts_world[7] = R_wc @ [0.3, -0.2, -1.5] + p_wc
+        T = ini.pnp_dlt(cam, pts_world, px)
+        xy = (px - [cam.cx, cam.cy]) / [cam.fx, cam.fy]
+        problem = _pnp_problem(*starts[-1], pts_world, xy)
+        state, _ = solve(problem, SolveOptions(max_iter=15, rel_tol=1e-10))
+        assert np.max(np.abs(T.R - problem.block_value(state, "pnp_R"))) <= tol
+        assert np.max(np.abs(T.p - problem.block_value(state, "pnp_p"))) <= tol
+    assert len(starts) == 3
 
-    def counting_fd_slot(self, *args):
-        calls["fd"] += 1
-        return fd_slot(self, *args)
 
-    monkeypatch.setattr(ini._PnPGroup, "linearize", counting_linearize)
-    monkeypatch.setattr(ini._PnPGroup, "kernel", counting_kernel)
-    monkeypatch.setattr(FactorGroup, "_fd_slot", counting_fd_slot)
+def test_pnp_builds_no_problem(rng, monkeypatch):
+    """The PnP refinement runs on its dense system: no Problem
+    linearization, no solver.solve and no finite differences."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by pnp_dlt")
+
+    monkeypatch.setattr(Problem, "linearize", forbidden)
+    monkeypatch.setattr(solver, "solve", forbidden)
+    monkeypatch.setattr(ini, "solve", forbidden)
+    monkeypatch.setattr(FactorGroup, "_fd_slot", forbidden)
+    cam, R_wc, p_wc, pts_world, px = _pnp_scene(rng)
+    T = ini.pnp_dlt(cam, pts_world, px + rng.normal(scale=0.5, size=px.shape))
+    assert np.linalg.norm(T.p - p_wc) < 0.1
+
+
+def test_pnp_without_a_finite_step_is_a_numerical_failure(rng, monkeypatch,
+                                                          tiny_noiseless):
+    """No damped system of the refinement gives a finite step (its
+    Jacobians are NaN): pnp_dlt raises NumericalFailureError, and
+    initial_frame_poses skips such a frame like a degenerate one."""
+    residuals = ini._pnp_residuals
+    broken = [True]  # whether the refinement gets NaN Jacobians
+
+    def nan_jacobians(*args, jacobians=False):
+        out = residuals(*args, jacobians=jacobians)
+        if not (jacobians and broken[0]):
+            return out
+        return out[0], np.full_like(out[1], np.nan)
+
+    monkeypatch.setattr(ini, "_pnp_residuals", nan_jacobians)
     cam, _, _, pts_world, px = _pnp_scene(rng)
-    ini.pnp_dlt(cam, pts_world, px + rng.normal(scale=0.5, size=px.shape))
-    assert calls["linearize"] > 0
-    assert calls == {"linearize": calls["linearize"],
-                     "kernel": calls["linearize"], "fd": 0}
+    with pytest.raises(NumericalFailureError):
+        ini.pnp_dlt(cam, pts_world, px + rng.normal(scale=0.5, size=px.shape))
+
+    _, rig, _, result = tiny_noiseless
+    meas = types.SimpleNamespace(frames=result.measurements.frames[:3],
+                                 frame_t_ns=result.measurements.frame_t_ns[:3])
+    landmarks = {int(k): v for k, v in result.measurements.landmarks_true.items()}
+    calls = []
+
+    def first_frame_broken(*args):
+        calls.append(None)
+        broken[0] = len(calls) == 1
+        return ini.pnp_dlt(*args)
+
+    monkeypatch.setattr(est, "pnp_dlt", first_frame_broken)
+    _, pos, rot = est.initial_frame_poses(meas, rig, landmarks)
+    assert len(calls) == 3
+    assert np.array_equal(pos[0], pos[1]) and np.array_equal(rot[0], rot[1])
+    assert not np.array_equal(pos[1], pos[2])
 
 
 def test_pnp_degenerate(rng):
