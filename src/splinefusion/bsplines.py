@@ -312,20 +312,15 @@ def so3_window_angvel_jacobians(rot_windows, u, order, dt):
     return omega / dt, _node_jacobians(H / dt, Jinv)
 
 
-def so3_cut_pairs(nodes, reach):
-    """(count-1,) mask of consecutive control rotations whose relative
-    angle is within ``reach`` of pi.
+def so3_cut_windows(nodes, seg, order, reach):
+    """(N,) mask of the order-``order`` windows starting at node ``seg``
+    that hold a consecutive control pair within ``reach`` of angle pi.
 
     There Log(R_i^T R_{i+1}) flips branch under a perturbation of
     ``reach``, so every spline sample whose window holds the pair jumps.
     """
-    return np.linalg.norm(so3_window_diffs(nodes), axis=-1) > np.pi - reach
-
-
-def windows_holding(pairs, seg, order):
-    """(N,) mask of the order-``order`` windows starting at node ``seg``
-    that hold a pair flagged in ``pairs`` (pair i joins nodes i, i+1)."""
-    before = np.concatenate([[0], np.cumsum(pairs)])  # flagged pairs < i
+    cut = np.linalg.norm(so3_window_diffs(nodes), axis=-1) > np.pi - reach
+    before = np.concatenate([[0], np.cumsum(cut)])  # cut pairs (i, i+1) < i
     return before[seg + order - 1] > before[seg]
 
 

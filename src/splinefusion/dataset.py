@@ -202,6 +202,8 @@ def _stamped_rows(t_ns, values):
 
 
 def _read_csv(path, ncols):
+    """(t_ns (N,) int64, the other columns (N, ncols - 1) float) of a CSV;
+    a float64 would hold an epoch-scale t_ns only to within 128 ns."""
     name = os.path.basename(path)
     if not os.path.exists(path):
         raise DataError(f"missing required file {path}")
@@ -210,7 +212,7 @@ def _read_csv(path, ncols):
         expect = _HEADERS.get(name)
         if expect is not None and header != expect:
             raise DataError(f"{path}: unexpected header {header!r} (want {expect!r})")
-        out = []
+        stamps, out = [], []
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
@@ -219,10 +221,12 @@ def _read_csv(path, ncols):
             if len(parts) != ncols:
                 raise DataError(f"{path}:{lineno}: expected {ncols} columns")
             try:
-                out.append([float(p) for p in parts])
+                stamps.append(int(parts[0]))
+                out.append([float(p) for p in parts[1:]])
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
-    return np.asarray(out, dtype=float).reshape(-1, ncols)
+    return (np.asarray(stamps, dtype=np.int64),
+            np.asarray(out, dtype=float).reshape(-1, ncols - 1))
 
 
 def write_pose_csv(path, t_ns, positions, rotations):
@@ -235,10 +239,10 @@ def write_pose_csv(path, t_ns, positions, rotations):
 def read_pose_csv(path):
     """Read ``t_ns,x,y,z,qw,qx,qy,qz`` rows; returns (t_ns (N,) int64,
     positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows."""
-    rows = _read_csv(path, 8)
-    if rows.size == 0:
+    t_ns, rows = _read_csv(path, 8)
+    if t_ns.size == 0:
         raise DataError(f"{path}: no pose rows")
-    return rows[:, 0].astype(np.int64), rows[:, 1:4], quat_to_rotation(rows[:, 4:8])
+    return t_ns, rows[:, :3], quat_to_rotation(rows[:, 3:7])
 
 
 def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
@@ -298,39 +302,40 @@ def read_dataset(data_dir, require_gps=True):
     rig = SensorRig.from_dict(scene["rig"])
     noise = NoiseSpec.from_dict(scene["noise"])
 
-    imu = _read_csv(os.path.join(data_dir, "imu.csv"), 7)
+    imu_t_ns, imu = _read_csv(os.path.join(data_dir, "imu.csv"), 7)
     gps_path = os.path.join(data_dir, "gps.csv")
     have_gps = require_gps or os.path.exists(gps_path)
     if have_gps:
-        gps = _read_csv(gps_path, 4)
+        gps_t_ns, gps = _read_csv(gps_path, 4)
     else:
-        gps = np.zeros((0, 4))
-    feats = _read_csv(os.path.join(data_dir, "features.csv"), 5)
+        gps_t_ns, gps = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
+    feat_t_ns, feats = _read_csv(os.path.join(data_dir, "features.csv"), 5)
 
     frames = []
     if feats.size:
-        frame_ids = feats[:, 1].astype(int)
+        frame_ids = feats[:, 0].astype(int)
         order = np.argsort(frame_ids, kind="stable")
         feats = feats[order]
+        feat_t_ns = feat_t_ns[order]
         frame_ids = frame_ids[order]
         for fid in np.unique(frame_ids):
             rows = feats[frame_ids == fid]
-            t_ns = int(rows[0, 0])
-            if np.any(rows[:, 0] != rows[0, 0]):
+            stamps = feat_t_ns[frame_ids == fid]
+            if np.any(stamps != stamps[0]):
                 raise DataError(f"features.csv: frame {fid} has mixed timestamps")
             frames.append(
-                Frame(t_ns, rows[:, 2].astype(int), rows[:, 3:5].copy())
+                Frame(int(stamps[0]), rows[:, 1].astype(int), rows[:, 2:4].copy())
             )
     landmarks = {
         int(i): np.asarray(p, dtype=float)
         for i, p in zip(scene["landmark_ids"], scene["landmarks"])
     }
     meas = MeasurementSet(
-        imu_t_ns=imu[:, 0].astype(np.int64),
-        gyro=imu[:, 1:4],
-        accel=imu[:, 4:7],
-        gps_t_ns=gps[:, 0].astype(np.int64),
-        gps=gps[:, 1:4],
+        imu_t_ns=imu_t_ns,
+        gyro=imu[:, :3],
+        accel=imu[:, 3:6],
+        gps_t_ns=gps_t_ns,
+        gps=gps,
         frames=frames,
         landmarks_true=landmarks,
     ).validate()

@@ -29,8 +29,8 @@ from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError)
 from .initialization import fit_spline_to_poses, pnp_dlt
 from .residuals import GRAVITY, CtState, DtState
-# so3_log is unused here; perfbench/selfcheck.py checks it is traced here too
-from .rotations import hat, slerp_many, so3_log  # noqa: F401
+from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
+                        so3_right_jacobian_inv)
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -170,11 +170,10 @@ class _SplineGroup(FactorGroup):
 
     def jumps(self, problem, state, seg):
         """Factors whose window holds a control pair within ``fd_step`` of
-        angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_pairs`)."""
+        angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_windows`)."""
         ids = self.rot0 + np.arange(self.grid.count)
         nodes = problem.gather(state, Slot(ids, ROTATION, 3))
-        pairs = bs.so3_cut_pairs(nodes, self.fd_step)
-        return bs.windows_holding(pairs, seg, self.grid.order)
+        return bs.so3_cut_windows(nodes, seg, self.grid.order, self.fd_step)
 
     def _u(self, stamps, offset, seg):
         return (stamps + offset - self.grid.t0) / self.grid.dt - seg
@@ -620,7 +619,9 @@ class DtBiasWalkGroup(FactorGroup):
 
 
 class DtGpsGroup(FactorGroup):
-    """GPS residuals via pose interpolation at t_d + t_gps_imu."""
+    """GPS residuals p_bar - (p_int + R_int p_ant) at t_d + t_gps_imu, with
+    p_int = p_k + alpha (p_{k+1} - p_k) and the slerp R_int = R_k Exp(alpha d),
+    d = Log(R_k^T R_{k+1}), between the frames k, k+1 around it."""
 
     name = "dt_gps"
     dim = 3
@@ -656,12 +657,38 @@ class DtGpsGroup(FactorGroup):
     def kernel(self, ctx, gathered, jacobians=False):
         t_k, t_k1 = ctx
         p_k, R_k, p_k1, R_k1, p_ant, t_gps = gathered
-        alpha = (self.stamps + t_gps[..., 0] - t_k) / (t_k1 - t_k)
-        p_int = p_k + alpha[:, None] * (p_k1 - p_k)
-        R_int = slerp_many(R_k, R_k1, alpha)
-        pred = p_int + np.einsum("nij,j->ni", R_int, p_ant.reshape(-1, 3)[0])
+        p_ant = p_ant.reshape(-1, 3)[0]
+        span = t_k1 - t_k
+        alpha = (self.stamps + t_gps[..., 0] - t_k) / span
+        dp = p_k1 - p_k
+        p_int = p_k + alpha[:, None] * dp
+        R_rel = np.swapaxes(R_k, -1, -2) @ R_k1
+        d = so3_log(R_rel, validate=False)
+        E = so3_exp(alpha[:, None] * d)
+        R_int = R_k @ E
+        pred = p_int + np.einsum("nij,j->ni", R_int, p_ant)
         r = (self.gps - pred) * self.w
-        return (r, {}) if jacobians else r
+        if not jacobians:
+            return r
+        # R_{k+1} <- R_{k+1} Exp(eps) moves d by J_r(d)^-1 eps and R_int by
+        # Exp(G1 eps); R_k <- R_k Exp(eps) moves d by -J_r(d)^-1 R_rel^T eps,
+        # so R_int by Exp(G0 eps)
+        G1 = alpha[:, None, None] * so3_right_jacobian(alpha[:, None] * d) \
+            @ so3_right_jacobian_inv(d)
+        G0 = np.swapaxes(E, -1, -2) - G1 @ np.swapaxes(R_rel, -1, -2)
+        # R_int <- R_int Exp(eps) moves R_int p_ant by -R_int hat(p_ant) eps
+        J_rot = self.w * R_int @ hat(p_ant)
+        # d R_int / d alpha = R_int hat(d), and d alpha / d t_gps = 1 / span
+        pred_rate = (dp + np.einsum("nij,nj->ni", R_int, np.cross(d, p_ant))
+                     ) / span[:, None]
+        return r, {
+            0: -self.w * (1.0 - alpha)[:, None, None] * np.eye(3),
+            1: J_rot @ G0,
+            2: -self.w * alpha[:, None, None] * np.eye(3),
+            3: J_rot @ G1,
+            4: -self.w * R_int,
+            5: -self.w * pred_rate[..., None],
+        }
 
 
 # ---------------------------------------------------------------------------

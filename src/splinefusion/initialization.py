@@ -255,6 +255,13 @@ class SO3FitGroup(FactorGroup):
         )
         return (r, {}) if jacobians else r
 
+    def jumps(self, problem, state, ctx):
+        """Factors whose window holds a control pair within ``fd_step`` of
+        angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_windows`)."""
+        ids = self.first_block + np.arange(self.grid.count)
+        nodes = problem.gather(state, Slot(ids, ROTATION, 3))
+        return bs.so3_cut_windows(nodes, self.seg, self.grid.order, self.fd_step)
+
 
 @dataclass
 class SplineFit:

@@ -6,8 +6,9 @@ Residuals are supplied by *factor groups*: vectorized batches of identically
 shaped factors.  Each group gathers its per-factor block values into dense
 arrays and evaluates all residuals at once; one kernel call with
 ``jacobians=True`` also returns the exact per-slot Jacobians the group has,
-and central differences on the gathered values fill the other slots
-(one-sided where a rotation step straddles a jump of the residuals).
+and central differences on the gathered values fill the other slots: those
+of DT preintegration and of the rotation-spline fit.  Each family declares
+the factors on a jump of its residuals through ``FactorGroup.jumps``.
 
 The normal equations are assembled sparsely from group triplets.  Blocks
 declared as *points* (free 3-vectors that no factor joins to another point,
@@ -54,10 +55,6 @@ _DENSE_LIMIT = 2000
 # all fail to factor into a finite step.
 _ABS_TOL = 1e-12
 _MAX_REJECTS = 40
-# A rotation-slot FD entry straddles a jump when its forward and backward
-# differences disagree by more than this fraction of a step-h change.  A
-# smooth kernel makes them disagree by h * |f''| / |f'|, about 1e-6.
-_JUMP_TOL = 1e-2
 
 
 @dataclass
@@ -105,11 +102,11 @@ class FactorGroup:
     jacobians=True)`` returns ``(r, jacs)`` with the same ``r`` and the
     exact Jacobians it has, slot index -> (num, dim, tdim).  A slot missing
     from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
-    are also the test oracle of the exact ones.  The continuous-time
-    families, the DT reprojection family, the bias groups, the
-    position-spline fit and a :class:`Factor` with ``jac_fn`` are exact in
-    every slot; the discrete-time preintegration and GPS groups and the
-    rotation-spline fit still use finite differences.
+    are also the test oracle of the exact ones.  Every family is exact in
+    every slot except the discrete-time preintegration group and the
+    rotation-spline fit.  A family whose residuals jump (the SO(3) spline
+    families, at a control pair near angle pi) names the factors on a jump
+    through :meth:`jumps`; nothing else looks for them.
     """
 
     name = "group"
@@ -127,8 +124,7 @@ class FactorGroup:
 
     def jumps(self, problem, state, ctx):
         """Mask of the factors whose residuals jump within ``fd_step`` of
-        ``state`` where the kernel's exact Jacobians cannot see it; none by
-        default."""
+        ``state``; none by default."""
         return False
 
     # -- shared machinery ---------------------------------------------------
@@ -141,115 +137,35 @@ class FactorGroup:
     def linearize(self, problem, state):
         """Residuals, per-slot Jacobians and the factors on a jump.
 
-        Returns ``(r, slots, jacs, jumps)``; ``jumps`` is a (num,) bool mask
-        of the factors on a discontinuity of the kernel: those named by
-        :meth:`jumps`, plus those whose finite-difference rotation slots
-        straddled one (see :meth:`_fd_slot`).
+        Returns ``(r, slots, jacs, jumps)``; ``jumps`` is the (num,) bool
+        mask of the factors :meth:`jumps` names.
         """
         ctx, slots = self.build(problem, state)
         gathered = [problem.gather(state, s) for s in slots]
         r, jacs = self.kernel(ctx, gathered, jacobians=True)
         jumps = np.zeros(r.shape[0], dtype=bool) | self.jumps(problem, state, ctx)
         for si, slot in enumerate(slots):
-            if si in jacs:
-                continue
-            jacs[si], jump = self._fd_slot(ctx, gathered, si, slot, r)
-            jumps |= jump
+            if si not in jacs:
+                jacs[si] = self._fd_slot(ctx, gathered, si, slot)
         return r, slots, jacs, jumps
 
-    def _fd_slot(self, ctx, gathered, si, slot, base):
-        """Central differences in the tangent space of slot ``si``.
-
-        ``base`` holds the residuals (num, dim) at the current state.
-        Returns ``(J, jump)``: J is (num, dim, tdim) and ``jump`` the (num,)
-        mask of factors where the differences straddle a jump.  Jumps are
-        looked for in rotation slots only: a cumulative SO(3) spline whose
-        consecutive nodes sit near angle pi flips the branch of its Log
-        difference under a step of h.  There the forward quotient
-        (f+ - f0)/h and the backward one (f0 - f-)/h differ by O(1/h), not
-        by the O(h) of a smooth kernel, and the factor gets the one-sided
-        quotient on the side that stays on the current branch.  Every other
-        entry is the central quotient.
-        """
+    def _fd_slot(self, ctx, gathered, si, slot):
+        """Central differences (num, dim, tdim) in the tangent space of slot
+        ``si``: euclidean steps, or ``R <- R Exp(+-h e_a)`` for a rotation."""
         h = self.fd_step
-        f_plus = np.empty(base.shape + (slot.dim,))
-        f_minus = np.empty_like(f_plus)
         value = gathered[si]
+        cols = []
         for a in range(slot.dim):
             if slot.kind == ROTATION:
-                step = np.zeros(3)
-                step[a] = h
-                dR = so3_exp(step)
-                plus = value @ dR
-                minus = value @ dR.T
+                dR = so3_exp(h * np.eye(3)[a])
+                moved = (value @ dR, value @ dR.T)
             else:
-                plus = value.copy()
-                plus[..., a] += h
-                minus = value.copy()
-                minus[..., a] -= h
-            g_plus = list(gathered)
-            g_plus[si] = plus
-            g_minus = list(gathered)
-            g_minus[si] = minus
-            f_plus[..., a] = self.kernel(ctx, g_plus)
-            f_minus[..., a] = self.kernel(ctx, g_minus)
-        J = (f_plus - f_minus) / (2 * h)
-        if slot.kind != ROTATION:
-            return J, np.zeros(base.shape[0], dtype=bool)
-        fwd = f_plus - base[..., None]
-        bwd = base[..., None] - f_minus
-        n_fwd = np.linalg.norm(fwd, axis=1)  # (num, tdim)
-        n_bwd = np.linalg.norm(bwd, axis=1)
-        gap = np.linalg.norm(fwd - bwd, axis=1)
-        # Size of a step-h change on the smooth side, per factor and (for
-        # factors that barely depend on the slot) per group.
-        smooth = np.minimum(n_fwd, n_bwd).max(axis=1)
-        scale = np.maximum(smooth, np.median(smooth))
-        straddle = gap > _JUMP_TOL * scale[:, None]
-        one_sided = np.where((n_fwd <= n_bwd)[:, None, :], fwd, bwd) / h
-        return np.where(straddle[:, None, :], one_sided, J), straddle.any(axis=1)
-
-
-class Factor(FactorGroup):
-    """Convenience wrapper: a single residual over named blocks.
-
-    ``fn(*values)`` returns the raw residual; ``sqrt_info`` (optional)
-    whitens it.  Jacobians are finite differences unless ``jac_fn`` returns
-    a list of per-block ``(dim, tdim)`` matrices.
-    """
-
-    def __init__(self, block_names, fn, dim, sqrt_info=None, jac_fn=None, name="factor"):
-        self.block_names = list(block_names)
-        self.fn = fn
-        self.dim = dim
-        self.sqrt_info = None if sqrt_info is None else np.asarray(sqrt_info, float)
-        self.jac_fn = jac_fn
-        self.name = name
-
-    def build(self, problem, state):
-        slots = []
-        for bn in self.block_names:
-            bid = problem.block_id(bn)
-            meta = problem.blocks[bid]
-            slots.append(Slot(np.array([bid]), meta.kind, meta.dim))
-        return None, slots
-
-    def kernel(self, ctx, gathered, jacobians=False):
-        values = [g[0] for g in gathered]
-        r = np.asarray(self.fn(*values), dtype=float).reshape(self.dim)
-        if self.sqrt_info is not None:
-            r = self.sqrt_info @ r
-        if not jacobians:
-            return r[None, :]
-        jacs = {}
-        for si, J in enumerate(self.jac_fn(*values) if self.jac_fn else []):
-            if J is None:
-                continue
-            J = np.asarray(J, dtype=float)
-            if self.sqrt_info is not None:
-                J = self.sqrt_info @ J
-            jacs[si] = J[None, :, :]
-        return r[None, :], jacs
+                step = h * np.eye(slot.dim)[a]
+                moved = (value + step, value - step)
+            f = [self.kernel(ctx, gathered[:si] + [m] + gathered[si + 1:])
+                 for m in moved]
+            cols.append((f[0] - f[1]) / (2 * h))
+        return np.stack(cols, axis=-1)
 
 
 class Problem:

@@ -294,14 +294,13 @@ def test_so3_window_node_jacobians_match_finite_differences(rng, order):
 
 def test_branch_cut_rule_flags_pairs_near_pi():
     """A control pair within ``reach`` of angle pi is on the cut of the Log
-    difference; a window holds it when it spans both nodes."""
+    difference; a window is flagged when it spans both nodes."""
     z = np.array([0.0, 0.0, 1.0])
     angles = [0.3, np.pi - 1e-9, 0.5, np.pi - 1e-3, 0.2]
     nodes = [np.eye(3)]
     for a in angles:
         nodes.append(nodes[-1] @ so3_exp(a * z))
-    pairs = bs.so3_cut_pairs(np.stack(nodes), 1e-6)
-    assert pairs.tolist() == [False, True, False, False, False]
-    # order-3 windows starting at nodes 0..3 hold pairs (s, s+1)
-    assert bs.windows_holding(pairs, np.arange(4), 3).tolist() == [
+    # only the pair (1, 2) is on the cut; order-3 windows start at nodes 0..3
+    assert bs.so3_cut_windows(np.stack(nodes), np.arange(4), 3, 1e-6).tolist() == [
         True, True, False, False]
+    assert not bs.so3_cut_windows(np.stack(nodes), np.arange(4), 3, 1e-10).any()

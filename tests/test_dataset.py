@@ -9,7 +9,9 @@ from splinefusion.dataset import (
     NoiseSpec,
     SensorRig,
     read_dataset,
+    read_pose_csv,
     write_dataset,
+    write_pose_csv,
 )
 from splinefusion.camera import CameraModel
 from splinefusion.errors import DataError, InvalidArgumentError
@@ -75,6 +77,32 @@ def test_roundtrip(tmp_path, rng):
     assert np.array_equal(gt2[0], gt_t)
     assert np.allclose(gt2[1], gt_p, atol=0)
     assert np.max(np.abs(gt2[2] - gt_R)) < 1e-12
+
+
+EPOCH_NS = 1_700_000_000_123_456_789
+
+
+def test_epoch_stamps_round_trip_exactly(tmp_path, rng):
+    """Stamps near 1.7e18 ns, 1 ns apart, come back to the nanosecond from
+    every CSV: a float64 parse would move them by up to 128 ns."""
+    meas = make_meas()
+    meas.imu_t_ns = EPOCH_NS + np.arange(meas.imu_t_ns.size, dtype=np.int64)
+    meas.gps_t_ns = EPOCH_NS + np.arange(meas.gps_t_ns.size, dtype=np.int64)
+    for k, fr in enumerate(meas.frames):
+        fr.t_ns = EPOCH_NS + k
+    gt_R = np.stack([random_rotation(rng) for _ in range(3)])
+    gt = (EPOCH_NS + np.arange(3, dtype=np.int64), rng.normal(size=(3, 3)), gt_R)
+    write_dataset(tmp_path, meas, make_rig(rng), NoiseSpec(), gt=gt)
+    meas2, _, _, gt2 = read_dataset(tmp_path)
+    assert np.array_equal(meas2.imu_t_ns, meas.imu_t_ns)
+    assert np.array_equal(meas2.gps_t_ns, meas.gps_t_ns)
+    assert [f.t_ns for f in meas2.frames] == [EPOCH_NS, EPOCH_NS + 1]
+    assert np.array_equal(gt2[0], gt[0])
+    write_pose_csv(tmp_path / "poses.csv", gt[0], gt[1], gt_R)
+    t_ns, pos, _ = read_pose_csv(tmp_path / "poses.csv")
+    assert t_ns.dtype == np.int64
+    assert np.array_equal(t_ns, gt[0])
+    assert np.array_equal(pos, gt[1])
 
 
 def test_missing_file(tmp_path):

@@ -137,7 +137,7 @@ def _jacobian_check(problem, state, rtol=5e-4):
         gathered = [problem.gather(state, s) for s in slots]
         r, exact = group.kernel(ctx, gathered, jacobians=True)
         for si, J in exact.items():
-            fd, _ = group._fd_slot(ctx, gathered, si, slots[si], r)
+            fd = group._fd_slot(ctx, gathered, si, slots[si])
             scale = max(np.abs(fd).max(), 1.0)
             err = np.max(np.abs(J - fd)) / scale
             assert err < rtol, f"{group.name} slot {si}: rel err {err:.2e}"
@@ -287,13 +287,21 @@ def test_dt_factor_counts(zero_offset_sim):
 
 @pytest.fixture(scope="module")
 def perturbed_dt(zero_offset_sim):
+    """DT problem linearized away from the optimum: positions, rotations,
+    landmarks, the GPS clock offset and the antenna lever arm are all off
+    the truth, so that every GPS Jacobian column is nontrivial."""
     gt, rig, noise, result = zero_offset_sim
     meas = result.measurements
     rng = np.random.default_rng(6)
     state0 = true_dt_state(gt, rig, meas)
     state0.positions += rng.normal(scale=0.01, size=state0.positions.shape)
+    state0.rotations = state0.rotations @ so3_exp(
+        rng.normal(scale=0.02, size=(state0.rotations.shape[0], 3)))
     for lid in state0.landmarks:
         state0.landmarks[lid] += rng.normal(scale=0.02, size=3)
+    state0 = dataclasses.replace(
+        state0, t_gps_imu=rig.t_gps_imu - 0.003,
+        p_antenna_body=rig.p_antenna_body + np.array([0.05, -0.03, 0.02]))
     problem = est.build_dt_problem(meas, state0, est.DtConfig(), noise, rig)
     problem._layout()
     return problem, problem.initial_state()
@@ -302,6 +310,36 @@ def perturbed_dt(zero_offset_sim):
 def test_dt_exact_jacobians_match_fd(perturbed_dt):
     problem, state = perturbed_dt
     _jacobian_check(problem, state)
+
+
+def test_dt_linearize_makes_finite_differences_only_for_preintegration(
+        perturbed_dt, monkeypatch):
+    """In a DT linearization only the preintegration family fills slots by
+    finite differences; the GPS family supplies all six slots exactly from
+    one kernel evaluation."""
+    problem, state = perturbed_dt
+    fd_groups = []
+    gps_kernels = []
+    fd_slot = FactorGroup._fd_slot
+
+    def counting_fd_slot(self, *args):
+        fd_groups.append(self.name)
+        return fd_slot(self, *args)
+
+    monkeypatch.setattr(FactorGroup, "_fd_slot", counting_fd_slot)
+    gps, = [g for g in problem.groups if g.name == "dt_gps"]
+    kernel = gps.kernel
+
+    def counting_kernel(*args, **kwargs):
+        gps_kernels.append(kwargs.get("jacobians", False))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gps, "kernel", counting_kernel)
+    _, J, jump_rows = problem.linearize(state)
+    assert fd_groups and set(fd_groups) == {"dt_preint"}
+    assert gps_kernels == [True]
+    assert jump_rows == 0
+    assert np.all(np.isfinite(J.data))
 
 
 def test_dt_reprojection_linearize_makes_no_finite_differences(perturbed_dt):

@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import initialization as ini
 from splinefusion import simulate as sim
@@ -144,7 +145,7 @@ def test_pnp_jacobians_match_finite_differences():
     assert np.array_equal(r, group.kernel(ctx, gathered))
     assert sorted(jacs) == [0, 1]
     for si, slot in enumerate(slots):
-        fd, _ = group._fd_slot(ctx, gathered, si, slot, r)
+        fd = group._fd_slot(ctx, gathered, si, slot)
         assert jacs[si].shape == fd.shape == (12, 2, 3)
         scale = np.abs(fd).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(jacs[si] - fd) <= 1e-7 * scale)
@@ -252,6 +253,27 @@ def test_fit_spline_to_poses_fast_convergence():
     assert fit.report.iterations < 20
     assert fit.rms_position < 1e-4
     assert fit.rms_rotation < 1e-3
+
+
+def test_so3_fit_declares_the_windows_holding_a_cut_pair():
+    """With the control pair (3, 4) within ``fd_step`` of angle pi, the
+    rotation-fit linearization flags exactly the order-4 windows that hold
+    both of its nodes, those starting at nodes 1, 2 and 3."""
+    grid = bs.grid_covering(0.0, 1.0, 0.1, 4)
+    angles = np.full(grid.count - 1, 0.2)
+    angles[3] = np.pi - 1e-9
+    nodes = [np.eye(3)]
+    for a in angles:
+        nodes.append(nodes[-1] @ so3_exp([0.0, 0.0, a]))
+    problem = Problem()
+    first = [problem.add_rotation(f"rot{i}", R) for i, R in enumerate(nodes)][0]
+    seg = np.arange(grid.count - 3)
+    u = np.full(seg.size, 0.5)
+    group = ini.SO3FitGroup(grid, first, seg, u, np.stack(nodes[:seg.size]))
+    problem.add_group(group)
+    problem._layout()
+    _, _, _, jumps = group.linearize(problem, problem.initial_state())
+    assert np.flatnonzero(jumps).tolist() == [1, 2, 3]
 
 
 def test_fit_spline_input_validation():

@@ -7,17 +7,58 @@ from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import solver
 from splinefusion.errors import InvalidArgumentError, NumericalFailureError
-from splinefusion.rotations import random_rotation, so3_exp, so3_log
+from splinefusion.rotations import hat, random_rotation, so3_exp, so3_log
 from splinefusion.solver import (
     EUCLIDEAN,
     ROTATION,
-    Factor,
     FactorGroup,
     Problem,
     Slot,
     SolveOptions,
     solve,
 )
+
+
+class Factor(FactorGroup):
+    """A single residual over named blocks.
+
+    ``fn(*values)`` returns the raw residual; ``sqrt_info`` (optional)
+    whitens it.  Jacobians are finite differences unless ``jac_fn`` returns
+    a list of per-block ``(dim, tdim)`` matrices.
+    """
+
+    def __init__(self, block_names, fn, dim, sqrt_info=None, jac_fn=None, name="factor"):
+        self.block_names = list(block_names)
+        self.fn = fn
+        self.dim = dim
+        self.sqrt_info = None if sqrt_info is None else np.asarray(sqrt_info, float)
+        self.jac_fn = jac_fn
+        self.name = name
+
+    def build(self, problem, state):
+        slots = []
+        for bn in self.block_names:
+            bid = problem.block_id(bn)
+            meta = problem.blocks[bid]
+            slots.append(Slot(np.array([bid]), meta.kind, meta.dim))
+        return None, slots
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        values = [g[0] for g in gathered]
+        r = np.asarray(self.fn(*values), dtype=float).reshape(self.dim)
+        if self.sqrt_info is not None:
+            r = self.sqrt_info @ r
+        if not jacobians:
+            return r[None, :]
+        jacs = {}
+        for si, J in enumerate(self.jac_fn(*values) if self.jac_fn else []):
+            if J is None:
+                continue
+            J = np.asarray(J, dtype=float)
+            if self.sqrt_info is not None:
+                J = self.sqrt_info @ J
+            jacs[si] = J[None, :, :]
+        return r[None, :], jacs
 
 
 def test_linear_least_squares_exact():
@@ -206,65 +247,46 @@ def _slerp_problem(angle):
     return group, problem, state, ctx, slots, gathered
 
 
-def _plain_central(group, ctx, gathered, si):
-    h = group.fd_step
-    J = np.empty((len(group.u), group.dim, 3))
-    for a in range(3):
-        step = np.zeros(3)
-        step[a] = h
-        dR = so3_exp(step)
-        g_plus = list(gathered)
-        g_plus[si] = gathered[si] @ dR
-        g_minus = list(gathered)
-        g_minus[si] = gathered[si] @ dR.T
-        J[:, :, a] = (group.kernel(ctx, g_plus)
-                      - group.kernel(ctx, g_minus)) / (2 * h)
-    return J
-
-
-def test_fd_rotation_slot_on_log_branch_cut():
-    """A node pair 1e-9 below pi: a step of h about z flips the branch of
-    Log(R0^T R1), so the central quotient about z is O(1/h).  The FD
-    column instead matches a 100x smaller one-sided difference that moves
-    the pair away from pi, on the current branch."""
-    group, problem, state, ctx, slots, gathered = _slerp_problem(np.pi - 1e-9)
-    r, _, jacs, jumps = group.linearize(problem, state)
-    assert jumps.all()
-    central = _plain_central(group, ctx, gathered, 1)
-    assert np.abs(central[:, :, 2]).max() > 1e5
-    assert np.abs(jacs[0]).max() < 10.0 and np.abs(jacs[1]).max() < 10.0
-    # turning R1 by -h about z lowers the pair angle: same branch
-    h = group.fd_step / 100
-    g_minus = list(gathered)
-    g_minus[1] = gathered[1] @ so3_exp(np.array([0.0, 0.0, h])).T
-    one_sided = (r - group.kernel(ctx, g_minus)) / h
-    assert np.allclose(jacs[1][:, :, 2], one_sided, rtol=0, atol=1e-5)
-    # the axes that do not cross pi keep the central quotient
-    assert np.array_equal(jacs[1][:, :, :2], central[:, :, :2])
-
-
 def test_fd_rotation_slot_away_from_cut_is_plain_central():
+    """Away from the cut of the Log difference no factor is on a jump, and
+    the central differences of each rotation slot match the spline's exact
+    node Jacobians: the point x turns by -R hat(x) JR_s per node step."""
     group, problem, state, ctx, slots, gathered = _slerp_problem(2.0)
     _, _, jacs, jumps = group.linearize(problem, state)
     assert not jumps.any()
+    windows = np.stack(gathered, axis=-3)
+    R, _, JR = bs.so3_window_eval_jacobians(windows, group.u, 2, 1.0)
+    x = np.array([0.3, 1.0, -0.5])
     for si in range(2):
-        assert np.array_equal(jacs[si], _plain_central(group, ctx, gathered, si))
+        exact = -R @ hat(x) @ JR[:, si]
+        assert np.abs(jacs[si] - exact).max() < 1e-8
 
 
-def _log_target_problem(target_angle):
+class _LogTargetGroup(Factor):
+    """Residual Log(R) - target; with ``declare`` it names itself on a jump
+    when R is within ``fd_step`` of angle pi, the branch cut of Log."""
+
+    def __init__(self, target, declare):
+        super().__init__(["R"], lambda R: so3_log(R, validate=False) - target, dim=3)
+        self.declare = declare
+
+    def jumps(self, problem, state, ctx):
+        angle = np.linalg.norm(so3_log(problem.block_value(state, "R")))
+        return self.declare and angle > np.pi - self.fd_step
+
+
+def _log_target_problem(target_angle, declare=True):
     """Residual Log(R) - target_angle * z from R = Rz(3): for a target
     beyond pi the minimum sits on the branch cut of Log, where the residual
     jumps from about (pi - target) z to (-pi - target) z."""
-    target = np.array([0.0, 0.0, target_angle])
     problem = Problem()
     problem.add_rotation("R", so3_exp(np.array([0.0, 0.0, 3.0])))
-    problem.add_group(Factor(
-        ["R"], lambda R: so3_log(R, validate=False) - target, dim=3,
-    ))
+    problem.add_group(_LogTargetGroup(np.array([0.0, 0.0, target_angle]), declare))
     return problem
 
 
 def test_solve_reports_discontinuous_minimum():
+    """A solve that ends on a jump its group declares is discontinuous."""
     problem = _log_target_problem(4.0)
     state, report = solve(problem)
     assert report.termination == "discontinuous"
@@ -272,6 +294,16 @@ def test_solve_reports_discontinuous_minimum():
     assert report.jump_rows == 1
     angle = np.linalg.norm(so3_log(problem.block_value(state, "R")))
     assert np.pi - angle < problem.groups[0].fd_step
+
+
+def test_solve_on_undeclared_jump_stalls():
+    """Nothing finds a jump a group does not declare: the central
+    differences across it point no step downhill, and the solve stalls."""
+    problem = _log_target_problem(4.0, declare=False)
+    _, report = solve(problem)
+    assert report.termination == "stalled"
+    assert not report.converged
+    assert report.jump_rows == 0
 
 
 def test_solve_smooth_minimum_still_converges():
