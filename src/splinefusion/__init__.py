@@ -5,7 +5,6 @@ estimation.
 """
 
 from .errors import (
-    BootstrapUnavailableError,
     DataError,
     DegenerateConfigurationError,
     InvalidArgumentError,
@@ -37,7 +36,6 @@ from .preintegration import PreintegratedImu, integrate, preint_residual
 from .initialization import (
     Sim3Transform,
     fit_spline_to_poses,
-    imu_scale_bootstrap,
     pnp_dlt,
     umeyama,
 )
@@ -60,7 +58,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlignedPairs",
-    "BootstrapUnavailableError",
     "CameraModel",
     "CtConfig",
     "CtState",
@@ -100,7 +97,6 @@ __all__ = [
     "default_rig",
     "fit_spline_to_poses",
     "grid_covering",
-    "imu_scale_bootstrap",
     "initialize_ct",
     "initialize_dt",
     "integrate",

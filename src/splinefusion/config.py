@@ -126,24 +126,35 @@ class RunConfig:
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
 
+        def section(name):
+            values = data.get(name)
+            if values is None:
+                return {}
+            if not isinstance(values, dict):
+                raise DataError(
+                    f"config section {name!r} must be a mapping, got {values!r}")
+            return values
+
         def build(klass, name):
-            section = dict(data.get(name) or {})
-            names = {f.name for f in dataclasses.fields(klass)}
-            bad = set(section) - names
+            values = section(name)
+            bad = set(values) - {f.name for f in dataclasses.fields(klass)}
             if bad:
                 raise DataError(
-                    f"unknown keys in config section: {sorted(bad)}"
-                )
-            return klass(**section)
+                    f"unknown keys in config section {name!r}: {sorted(bad)}")
+            return klass(**values)
 
-        noise_section = dict(data.get("noise") or {})
+        noise_section = section("noise")
         base_noise = NoiseSpec().to_dict()
         bad = set(noise_section) - set(base_noise)
         if bad:
-            raise DataError(f"unknown keys in noise section: {sorted(bad)}")
+            raise DataError(
+                f"unknown keys in config section 'noise': {sorted(bad)}")
         base_noise.update(noise_section)
+        seed = data.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise DataError(f"config key 'seed' must be an integer, got {seed!r}")
         return cls(
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             align=data.get("align", "none"),
             sensors=build(SensorFlags, "sensors"),
             simulate=build(SimulateConfig, "simulate"),

@@ -32,9 +32,5 @@ class DegenerateConfigurationError(SplineFusionError):
     """A geometric problem is rank deficient (e.g. collinear points)."""
 
 
-class BootstrapUnavailableError(SplineFusionError):
-    """IMU-based scale bootstrap cannot run on this dataset."""
-
-
 class NumericalFailureError(SplineFusionError):
     """The solver could not make progress at any damping level."""

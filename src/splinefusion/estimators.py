@@ -27,7 +27,8 @@ from .camera import project_many
 from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError)
-from .initialization import fit_spline_to_poses, pnp_dlt
+from .initialization import (R3FitGroup, fit_spline_to_poses, pnp_dlt,
+                             window_slots)
 from .residuals import GRAVITY, CtState, DtState
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
@@ -158,15 +159,22 @@ def flatten_observations(meas: MeasurementSet):
 # continuous-time factor groups
 
 
-def _window_slots(first_block, seg, order, kind):
-    return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
-
-
 class _SplineGroup(FactorGroup):
-    """A continuous-time family: ``kernel(ctx, gathered, jacobians=True)``
-    gives exact Jacobians of every slot from one pass over the spline
-    window, and ``ctx`` is the window's first segment.  Subclasses set
-    ``grid`` and ``rot0``, the block id of the first rotation node."""
+    """A continuous-time family on the pose spline pair.  Subclasses set
+    ``grid`` and ``pos0``/``rot0``, the block ids of the first position and
+    rotation node; ``ctx`` is the first segment of each factor's window.
+
+    A family that samples the pose puts the 2k window slots first
+    (:meth:`_pose_slots`: positions, then rotations) and states only its
+    residual's derivatives in the sampled pose: ``E_p`` in the sampled
+    position (or the derivative of it that it samples) and ``E_R`` in the
+    right perturbation ``R <- R Exp(eps)`` of the sampled rotation.
+    :meth:`_window_jacobians` chains them to the window nodes, after Sommer
+    et al., "Efficient Derivative Computation for Cumulative B-Splines on
+    Lie Groups" (CVPR 2020).  Families sampled at a clock-shifted time
+    derive from :class:`_ShiftedGroup`, which also samples the pose and
+    maps the derivatives to the offset; the others set fixed ``slots``.
+    """
 
     def jumps(self, problem, state, seg):
         """Factors whose window holds a control pair within ``fd_step`` of
@@ -175,8 +183,58 @@ class _SplineGroup(FactorGroup):
         nodes = problem.gather(state, Slot(ids, ROTATION, 3))
         return bs.so3_cut_windows(nodes, seg, self.grid.order, self.fd_step)
 
-    def _u(self, stamps, offset, seg):
-        return (stamps + offset - self.grid.t0) / self.grid.dt - seg
+    def _pose_slots(self, seg):
+        k = self.grid.order
+        return (window_slots(self.pos0, seg, k, EUCLIDEAN)
+                + window_slots(self.rot0, seg, k, ROTATION))
+
+    def _windows(self, gathered):
+        """Position (n, k, 3) and rotation (n, k, 3, 3) windows."""
+        k = self.grid.order
+        return (np.stack(gathered[:k], axis=-2),
+                np.stack(gathered[k : 2 * k], axis=-3))
+
+    def _window_jacobians(self, E_p, E_R, JR, coeff):
+        """Slot -> Jacobian of the 2k window slots: ``coeff_s E_p`` for
+        position node s, with ``coeff`` the per-node coefficients of the
+        sampled position derivative, and ``E_R JR_s`` for rotation node s,
+        with JR from :func:`bs.so3_window_eval_jacobians`."""
+        k = self.grid.order
+        jacs = {s: coeff[:, s, None, None] * E_p for s in range(k)}
+        jacs.update({k + s: E_R @ JR[:, s] for s in range(k)})
+        return jacs
+
+
+class _ShiftedGroup(_SplineGroup):
+    """A family sampling the pose at ``stamps + offset``, the offset being
+    the clock-offset block ``offset_id``.  Its slots are the pose window,
+    the family's own slot ``own``, then the offset.  The family supplies
+    ``_error(p, R, own)``, the whitened residual at the sampled pose, and
+    with ``jacobians=True`` ``(e, E_p, E_R, E_own)``; the offset column is
+    ``E_R omega + E_p pdot``."""
+
+    def build(self, problem, state):
+        offset = state.euc[problem.blocks[self.offset_id].store]
+        seg, _ = self.grid.normalized_times(self.stamps + offset)
+        return seg, (self._pose_slots(seg)
+                     + [self.own, Slot(self.offset_id, EUCLIDEAN, 1)])
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        k, dt = self.grid.order, self.grid.dt
+        posw, rotw = self._windows(gathered)
+        own = gathered[2 * k]
+        u = (self.stamps + gathered[2 * k + 1][..., 0] - self.grid.t0) / dt - ctx
+        p = bs.r3_window_eval(posw, u, k, dt)
+        if not jacobians:
+            return self._error(p, bs.so3_window_eval(rotw, u, k), own)
+        R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+        e, E_p, E_R, E_own = self._error(p, R, own, jacobians=True)
+        jacs = self._window_jacobians(E_p, E_R, JR,
+                                      bs.window_node_coefficients(k, u))
+        pdot = bs.r3_window_eval(posw, u, k, dt, 1)
+        jacs[2 * k] = E_own
+        jacs[2 * k + 1] = E_R @ omega[..., None] + E_p @ pdot[..., None]
+        return e, jacs
 
 
 class _ReprojGroup(FactorGroup):
@@ -185,9 +243,7 @@ class _ReprojGroup(FactorGroup):
 
     dim = 2
 
-    def __init__(self, lm_ids, tcam_id, obs, rig, weight):
-        self.lm_ids = lm_ids  # (N,) block ids
-        self.tcam_id = tcam_id
+    def __init__(self, obs, rig, weight):
         self.pixels = obs.pixels
         self.R_cb = rig.T_cam_imu.R
         self.p_cb = rig.T_cam_imu.p
@@ -209,53 +265,28 @@ class _ReprojGroup(FactorGroup):
         return B * valid[:, None, None] * self.w
 
 
-class CtReprojGroup(_ReprojGroup, _SplineGroup):
+class CtReprojGroup(_ReprojGroup, _ShiftedGroup):
     """Reprojection residuals sampling the spline at t_k + t_cam_imu."""
 
     name = "ct_reproj"
 
     def __init__(self, grid, pos0, rot0, lm_ids, tcam_id, obs, rig, weight):
-        super().__init__(lm_ids, tcam_id, obs, rig, weight)
+        super().__init__(obs, rig, weight)
         self.grid = grid
         self.pos0 = pos0
         self.rot0 = rot0
         self.stamps = obs.stamps
+        self.offset_id = tcam_id
+        self.own = Slot(lm_ids, EUCLIDEAN, 3)
 
-    def build(self, problem, state):
-        t_cam = state.euc[problem.blocks[self.tcam_id].store]
-        seg, _ = self.grid.normalized_times(self.stamps + t_cam)
-        slots = (
-            _window_slots(self.pos0, seg, self.grid.order, EUCLIDEAN)
-            + _window_slots(self.rot0, seg, self.grid.order, ROTATION)
-            + [Slot(self.lm_ids, EUCLIDEAN, 3), Slot(self.tcam_id, EUCLIDEAN, 1)]
-        )
-        return seg, slots
-
-    def kernel(self, ctx, gathered, jacobians=False):
-        k, dt = self.grid.order, self.grid.dt
-        posw = np.stack(gathered[0:k], axis=-2)
-        rotw = np.stack(gathered[k : 2 * k], axis=-3)
-        lm = gathered[2 * k]
-        u = self._u(self.stamps, gathered[2 * k + 1][..., 0], ctx)
-        p = bs.r3_window_eval(posw, u, k, dt)
-        if not jacobians:
-            R = bs.so3_window_eval(rotw, u, k)
-            _, _, px, valid = self._project(R, p, lm)
-            return (self.pixels - px) * valid[:, None] * self.w
-        R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+    def _error(self, p, R, lm, jacobians=False):
         p_body, p_cam, px, valid = self._project(R, p, lm)
-        r = (self.pixels - px) * valid[:, None] * self.w
+        e = (self.pixels - px) * valid[:, None] * self.w
+        if not jacobians:
+            return e
         B = self._landmark_jacobian(R, p_cam, valid)  # = -d e / d p
         # R <- R Exp(eps) moves p_body by hat(p_body) eps
-        B_rot = B @ R @ hat(p_body)
-        coeff = bs.window_node_coefficients(k, u)
-        pdot = bs.r3_window_eval(posw, u, k, dt, 1)
-        jacs = {s: -coeff[:, s, None, None] * B for s in range(k)}
-        jacs.update({k + s: B_rot @ JR[:, s] for s in range(k)})
-        jacs[2 * k] = B
-        jacs[2 * k + 1] = (np.einsum("nab,nb->na", B_rot, omega)
-                           - np.einsum("nab,nb->na", B, pdot))[..., None]
-        return r, jacs
+        return e, -B, B @ R @ hat(p_body), B
 
 
 def _projection_jacobian(camera, p_cam, valid):
@@ -281,29 +312,20 @@ class CtAccelGroup(_SplineGroup):
         self.bias_grid = bias_grid
         self.pos0 = pos0
         self.rot0 = rot0
-        self.ba0 = ba0
-        self.grav_id = grav_id
-        self.times = times
         self.accel = accel
         self.w = weight
-        self.seg, self.u = grid.normalized_times(times)
-        self.bseg, self.bu = bias_grid.normalized_times(times)
-        self._slots = (
-            _window_slots(pos0, self.seg, grid.order, EUCLIDEAN)
-            + _window_slots(rot0, self.seg, grid.order, ROTATION)
-            + _window_slots(ba0, self.bseg, 4, EUCLIDEAN)[:4]
-            + [Slot(grav_id, EUCLIDEAN, 3)]
-        )
-        self._c2 = bs.window_node_coefficients(grid.order, self.u, 2)
+        self.ctx, self.u = grid.normalized_times(times)
+        bseg, self.bu = bias_grid.normalized_times(times)
+        self.slots = (self._pose_slots(self.ctx)
+                      + window_slots(ba0, bseg, 4, EUCLIDEAN)
+                      + [Slot(grav_id, EUCLIDEAN, 3)])
+        self._c2 = bs.window_node_coefficients(grid.order, self.u, 2) * (
+            1.0 / grid.dt**2)
         self._cb = bs.window_node_coefficients(4, self.bu, 0)
-
-    def build(self, problem, state):
-        return self.seg, self._slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
-        posw = np.stack(gathered[0:k], axis=-2)
-        rotw = np.stack(gathered[k : 2 * k], axis=-3)
+        posw, rotw = self._windows(gathered)
         baw = np.stack(gathered[2 * k : 2 * k + 4], axis=-2)
         g = gathered[2 * k + 4]
         acc = bs.r3_window_eval(posw, self.u, k, dt, 2)
@@ -317,12 +339,9 @@ class CtAccelGroup(_SplineGroup):
         if not jacobians:
             return e
         Rt = np.swapaxes(R, -1, -2) * self.w
-        scale = 1.0 / (dt**2)
-        eye = np.eye(3)
         # R <- R Exp(eps) moves R^T f by hat(R^T f) eps
-        J_rot = self.w * hat(f_body)
-        jacs = {s: self._c2[:, s, None, None] * scale * Rt for s in range(k)}
-        jacs.update({k + s: J_rot @ JR[:, s] for s in range(k)})
+        jacs = self._window_jacobians(Rt, self.w * hat(f_body), JR, self._c2)
+        eye = np.eye(3)
         for s in range(4):
             jacs[2 * k + s] = self.w * self._cb[:, s, None, None] * eye[None]
         jacs[2 * k + 4] = Rt
@@ -339,19 +358,13 @@ class CtGyroGroup(_SplineGroup):
         self.grid = grid
         self.bias_grid = bias_grid
         self.rot0 = rot0
-        self.times = times
         self.gyro = gyro
         self.w = weight
-        self.seg, self.u = grid.normalized_times(times)
-        self.bseg, self.bu = bias_grid.normalized_times(times)
-        self._slots = (
-            _window_slots(rot0, self.seg, grid.order, ROTATION)
-            + _window_slots(bg0, self.bseg, 4, EUCLIDEAN)[:4]
-        )
+        self.ctx, self.u = grid.normalized_times(times)
+        bseg, self.bu = bias_grid.normalized_times(times)
+        self.slots = (window_slots(rot0, self.ctx, grid.order, ROTATION)
+                      + window_slots(bg0, bseg, 4, EUCLIDEAN))
         self._cb = bs.window_node_coefficients(4, self.bu, 0)
-
-    def build(self, problem, state):
-        return self.seg, self._slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
@@ -372,35 +385,17 @@ class CtGyroGroup(_SplineGroup):
         return e, jacs
 
 
-class CtBiasRateGroup(FactorGroup):
-    """Bias-spline velocity residuals on a uniform evaluation grid."""
+class CtBiasRateGroup(R3FitGroup):
+    """Bias-spline velocity residuals w b'(t) on a uniform evaluation grid."""
 
     name = "ct_bias_rate"
-    dim = 3
 
     def __init__(self, bias_grid, b0, times, weight):
-        self.grid = bias_grid
-        self.w = weight
-        self.seg, self.u = bias_grid.normalized_times(times)
-        self._slots = _window_slots(b0, self.seg, 4, EUCLIDEAN)[:4]
-        self._c1 = bs.window_node_coefficients(4, self.u, 1)
-
-    def build(self, problem, state):
-        return None, self._slots
-
-    def kernel(self, ctx, gathered, jacobians=False):
-        bw = np.stack(gathered, axis=-2)
-        e = bs.r3_window_eval(bw, self.u, 4, self.grid.dt, 1) * self.w
-        if not jacobians:
-            return e
-        eye = np.eye(3)
-        return e, {
-            s: self.w / self.grid.dt * self._c1[:, s, None, None] * eye[None]
-            for s in range(4)
-        }
+        seg, u = bias_grid.normalized_times(times)
+        super().__init__(bias_grid, b0, seg, u, 0.0, weight, derivative=1)
 
 
-class CtGpsGroup(_SplineGroup):
+class CtGpsGroup(_ShiftedGroup):
     """GPS residuals p_bar - (p + R p_ant) sampled at t_d + t_gps_imu."""
 
     name = "ct_gps"
@@ -410,49 +405,19 @@ class CtGpsGroup(_SplineGroup):
         self.grid = grid
         self.pos0 = pos0
         self.rot0 = rot0
-        self.pant_id = pant_id
-        self.tgps_id = tgps_id
         self.stamps = stamps
         self.gps = gps
         self.w = weight
+        self.offset_id = tgps_id
+        self.own = Slot(pant_id, EUCLIDEAN, 3)
 
-    def build(self, problem, state):
-        t_gps = state.euc[problem.blocks[self.tgps_id].store]
-        seg, _ = self.grid.normalized_times(self.stamps + t_gps)
-        slots = (
-            _window_slots(self.pos0, seg, self.grid.order, EUCLIDEAN)
-            + _window_slots(self.rot0, seg, self.grid.order, ROTATION)
-            + [Slot(self.pant_id, EUCLIDEAN, 3), Slot(self.tgps_id, EUCLIDEAN, 1)]
-        )
-        return seg, slots
-
-    def kernel(self, ctx, gathered, jacobians=False):
-        k, dt = self.grid.order, self.grid.dt
-        posw = np.stack(gathered[0:k], axis=-2)
-        rotw = np.stack(gathered[k : 2 * k], axis=-3)
-        p_ant = gathered[2 * k].reshape(-1, 3)[0]
-        u = self._u(self.stamps, gathered[2 * k + 1][..., 0], ctx)
-        p = bs.r3_window_eval(posw, u, k, dt)
-        if jacobians:
-            R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
-        else:
-            R = bs.so3_window_eval(rotw, u, k)
-        pred = p + np.einsum("nij,j->ni", R, p_ant)
-        e = (self.gps - pred) * self.w
+    def _error(self, p, R, p_ant, jacobians=False):
+        p_ant = p_ant.reshape(-1, 3)[0]
+        e = (self.gps - (p + np.einsum("nij,j->ni", R, p_ant))) * self.w
         if not jacobians:
             return e
-        coeff = bs.window_node_coefficients(k, u)
-        pdot = bs.r3_window_eval(posw, u, k, dt, 1)
-        eye = np.eye(3)
         # R <- R Exp(eps) moves R p_ant by -R hat(p_ant) eps
-        J_rot = self.w * R @ hat(p_ant)
-        jacs = {s: -self.w * coeff[:, s, None, None] * eye[None]
-                for s in range(k)}
-        jacs.update({k + s: J_rot @ JR[:, s] for s in range(k)})
-        jacs[2 * k] = -self.w * R
-        jacs[2 * k + 1] = -self.w * (
-            pdot + np.einsum("nij,nj->ni", R, np.cross(omega, p_ant)))[..., None]
-        return e, jacs
+        return e, -self.w * np.eye(3), self.w * R @ hat(p_ant), -self.w * R
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +430,14 @@ class DtReprojGroup(_ReprojGroup):
     name = "dt_reproj"
 
     def __init__(self, p_ids, R_ids, lm_ids, tcam_id, obs, rig, weight):
-        super().__init__(lm_ids, tcam_id, obs, rig, weight)
+        super().__init__(obs, rig, weight)
         self.vel = obs.velocities
-        self._slots = [
+        self.slots = [
             Slot(p_ids, EUCLIDEAN, 3),
             Slot(R_ids, ROTATION, 3),
             Slot(lm_ids, EUCLIDEAN, 3),
             Slot(tcam_id, EUCLIDEAN, 1),
         ]
-
-    def build(self, problem, state):
-        return None, self._slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         p, R, lm, t_cam = gathered
@@ -523,7 +485,7 @@ class DtPreintGroup(FactorGroup):
         self.gyro_sigma = gyro_sigma
         self.accel_sigma = accel_sigma
         self.pims = [None] * (len(frame_times) - 1)
-        self._slots = [
+        self.slots = [
             Slot(ids["p"][:-1], EUCLIDEAN, 3),
             Slot(ids["R"][:-1], ROTATION, 3),
             Slot(ids["v"][:-1], EUCLIDEAN, 3),
@@ -567,7 +529,7 @@ class DtPreintGroup(FactorGroup):
         if dirty:
             pim = pre.stack(self.pims)
             self._ctx = (pim, pim.sqrt_info())
-        return self._ctx, self._slots
+        return self._ctx, self.slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         p_i, R_i, v_i, ba_i, bg_i, p_j, R_j, v_j = gathered
@@ -587,15 +549,12 @@ class DtBiasWalkGroup(FactorGroup):
     def __init__(self, ids, frame_times, accel_rw, gyro_rw):
         self.w_a = 1.0 / (_sigma(accel_rw) * np.sqrt(np.diff(frame_times)))
         self.w_g = 1.0 / (_sigma(gyro_rw) * np.sqrt(np.diff(frame_times)))
-        self._slots = [
+        self.slots = [
             Slot(ids["ba"][:-1], EUCLIDEAN, 3),
             Slot(ids["bg"][:-1], EUCLIDEAN, 3),
             Slot(ids["ba"][1:], EUCLIDEAN, 3),
             Slot(ids["bg"][1:], EUCLIDEAN, 3),
         ]
-
-    def build(self, problem, state):
-        return None, self._slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         ba_i, bg_i, ba_j, bg_j = gathered

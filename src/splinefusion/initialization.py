@@ -1,4 +1,4 @@
-"""Initialization pipeline: spline fitting, similarity alignment, IMU bootstrap."""
+"""Initialization pipeline: PnP poses, spline fitting and similarity alignment."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import bsplines as bs
-from .errors import (
-    BootstrapUnavailableError,
-    DegenerateConfigurationError,
-    InvalidArgumentError,
-)
+from .errors import DegenerateConfigurationError, InvalidArgumentError
 from .rotations import Pose, hat, so3_exp, so3_log, slerp_many
 from .solver import (
     EUCLIDEAN,
@@ -41,19 +37,6 @@ class Sim3Transform:
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         return self.s * (self.R @ x.T).T + self.t
-
-    def compose(self, other: "Sim3Transform") -> "Sim3Transform":
-        return Sim3Transform(
-            self.s * other.s, self.R @ other.R, self.s * self.R @ other.t + self.t
-        )
-
-    def inverse(self) -> "Sim3Transform":
-        Rinv = self.R.T
-        return Sim3Transform(1.0 / self.s, Rinv, -Rinv @ self.t / self.s)
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, np.eye(3), np.zeros(3))
 
 
 def umeyama(source, target):
@@ -191,31 +174,34 @@ def _interp_rotations(times, rotations, query):
     return slerp_many(rotations[idx], rotations[idx + 1], alpha)
 
 
+def window_slots(first_block, seg, order, kind):
+    """The ``order`` slots of the spline window starting at node ``seg`` of
+    the nodes whose block ids count up from ``first_block``."""
+    return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
+
+
 class R3FitGroup(FactorGroup):
-    """Position-spline fitting residuals ``p(u(t_j)) - p_bar_j``."""
+    """Position-spline fitting residuals ``p^(d)(u(t_j)) - p_bar_j``, with
+    ``d`` the time ``derivative`` of the position that is fitted."""
 
     name = "r3_fit"
     dim = 3
 
-    def __init__(self, grid, first_block, seg, u, targets, weight=1.0):
+    def __init__(self, grid, first_block, seg, u, targets, weight=1.0,
+                 derivative=0):
         self.grid = grid
-        self.first_block = first_block
-        self.seg = seg
         self.u = u
         self.targets = targets
         self.weight = weight
-        self._coeffs = bs.window_node_coefficients(grid.order, u)
-
-    def build(self, problem, state):
-        slots = [
-            Slot(self.first_block + self.seg + j, EUCLIDEAN, 3)
-            for j in range(self.grid.order)
-        ]
-        return None, slots
+        self.derivative = derivative
+        self.slots = window_slots(first_block, seg, grid.order, EUCLIDEAN)
+        self._coeffs = bs.window_node_coefficients(
+            grid.order, u, derivative) / grid.dt**derivative
 
     def kernel(self, ctx, gathered, jacobians=False):
         windows = np.stack(gathered, axis=-2)
-        val = bs.r3_window_eval(windows, self.u, self.grid.order, self.grid.dt)
+        val = bs.r3_window_eval(windows, self.u, self.grid.order, self.grid.dt,
+                                self.derivative)
         r = (val - self.targets) * self.weight
         if not jacobians:
             return r
@@ -239,13 +225,7 @@ class SO3FitGroup(FactorGroup):
         self.u = u
         self.targets = targets
         self.weight = weight
-
-    def build(self, problem, state):
-        slots = [
-            Slot(self.first_block + self.seg + j, ROTATION, 3)
-            for j in range(self.grid.order)
-        ]
-        return None, slots
+        self.slots = window_slots(first_block, seg, grid.order, ROTATION)
 
     def kernel(self, ctx, gathered, jacobians=False):
         windows = np.stack(gathered, axis=-3)
@@ -343,101 +323,3 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
         rms_position=float(np.sqrt((ep**2).sum(axis=1).mean())),
         rms_rotation=float(np.sqrt((er**2).sum(axis=1).mean())),
     )
-
-
-# ---------------------------------------------------------------------------
-# IMU-based scale bootstrap (no-GPS branch)
-
-
-@dataclass
-class BootstrapResult:
-    sim3: Sim3Transform  # gravity-aligned frame from the scaleless frame
-    gravity_body: np.ndarray  # mean static accelerometer reading
-    static_end: float  # end of the detected static window (seconds)
-
-
-def imu_scale_bootstrap(pos_spline_g, rot_spline_g, imu_t, gyro, accel,
-                        static_window=1.0, motion_duration=3.0,
-                        accel_sigma=0.05, gravity_mag=9.81):
-    """Recover trajectory scale by dead reckoning a short IMU segment.
-
-    The gravity direction comes from accelerometer samples in an initial
-    static window; a few seconds of IMU integration after it produce a
-    metric trajectory segment that is aligned to the scaleless spline with
-    :func:`umeyama`, yielding the scale and the gravity-aligned transform.
-    """
-    imu_t = np.asarray(imu_t, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    accel = np.asarray(accel, dtype=float)
-    static = imu_t <= imu_t[0] + static_window
-    if static.sum() < 10:
-        raise BootstrapUnavailableError("too few samples in the static window")
-    thr = (3.0 * max(accel_sigma, 1e-4)) ** 2
-    if float(accel[static].var(axis=0).max()) > thr:
-        raise BootstrapUnavailableError(
-            "no static prefix detected (accelerometer variance above threshold)"
-        )
-    a_mean = accel[static].mean(axis=0)
-
-    moving = imu_t > imu_t[0] + static_window
-    if not np.any(moving):
-        raise BootstrapUnavailableError("no data after the static window")
-    motion_power = np.linalg.norm(gyro[moving], axis=1).max() + np.abs(
-        np.linalg.norm(accel[moving], axis=1) - np.linalg.norm(a_mean)
-    ).max()
-    if motion_power < 0.02:
-        raise BootstrapUnavailableError("no motion after the static window")
-    t_motion0 = imu_t[moving][0]
-    if imu_t[-1] - t_motion0 < motion_duration:
-        raise BootstrapUnavailableError(
-            f"need >= {motion_duration} s of motion after the static window"
-        )
-
-    # initial attitude: a static accelerometer reads a_bar = R^T g_world
-    # under the generative convention a_bar = R^T (pddot + g), so align the
-    # mean reading with the world gravity direction
-    g_world = np.array([0.0, 0.0, -gravity_mag])
-    a_dir = a_mean / np.linalg.norm(a_mean)
-    g_dir = g_world / gravity_mag
-    v = np.cross(a_dir, g_dir)
-    c = float(np.dot(a_dir, g_dir))
-    if np.linalg.norm(v) < 1e-12:
-        R_ib = np.eye(3) if c > 0 else so3_exp(np.array([np.pi, 0.0, 0.0]))
-    else:
-        axis = v / np.linalg.norm(v)
-        R_ib = so3_exp(axis * np.arccos(np.clip(c, -1.0, 1.0)))
-    # R_ib maps body vectors to the gravity-aligned frame I
-
-    sel = (imu_t >= t_motion0) & (imu_t <= t_motion0 + motion_duration)
-    ts = imu_t[sel]
-    ws = gyro[sel]
-    accs = accel[sel]
-    R = R_ib
-    v_i = np.zeros(3)
-    p_i = np.zeros(3)
-    dr_t = [ts[0]]
-    dr_p = [p_i.copy()]
-    for n in range(len(ts) - 1):
-        dt = ts[n + 1] - ts[n]
-        w_mid = 0.5 * (ws[n] + ws[n + 1])
-        a_mid = 0.5 * (accs[n] + accs[n + 1])
-        R_half = R @ so3_exp(w_mid * dt * 0.5)
-        acc_w = R_half @ a_mid - g_world
-        p_i = p_i + v_i * dt + 0.5 * acc_w * dt * dt
-        v_i = v_i + acc_w * dt
-        R = R @ so3_exp(w_mid * dt)
-        dr_t.append(ts[n + 1])
-        dr_p.append(p_i.copy())
-    dr_t = np.array(dr_t)
-    dr_p = np.stack(dr_p)
-    if np.linalg.norm(dr_p[-1] - dr_p[0]) < 1e-3:
-        raise BootstrapUnavailableError("dead-reckoned segment shows no motion")
-
-    lo, hi = pos_spline_g.grid.domain
-    keep = (dr_t >= lo) & (dr_t < hi)
-    if keep.sum() < 3:
-        raise BootstrapUnavailableError("dead-reckoned segment outside spline domain")
-    src = pos_spline_g.sample_many(dr_t[keep])
-    sim3 = umeyama(src, dr_p[keep])
-    return BootstrapResult(sim3=sim3, gravity_body=a_mean,
-                           static_end=imu_t[0] + static_window)

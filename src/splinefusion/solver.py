@@ -3,7 +3,9 @@
 Parameter blocks are either euclidean vectors or rotations; rotation blocks
 are updated on the manifold with the right retraction ``R <- R @ Exp(delta)``.
 Residuals are supplied by *factor groups*: vectorized batches of identically
-shaped factors.  Each group gathers its per-factor block values into dense
+shaped factors.  A group names the blocks each factor reads as *slots*,
+fixed ones in its ``slots`` attribute or state-dependent ones from its own
+``build``.  Each group gathers its per-factor block values into dense
 arrays and evaluates all residuals at once; one kernel call with
 ``jacobians=True`` also returns the exact per-slot Jacobians the group has,
 and central differences on the gathered values fill the other slots: those
@@ -96,15 +98,20 @@ class Slot:
 class FactorGroup:
     """Base class for vectorized residual families.
 
-    Subclasses implement :meth:`build` (slots plus any cached context) and
-    :meth:`kernel`, the one Jacobian protocol: ``kernel(ctx, gathered)``
+    Subclasses implement :meth:`kernel` and give their slots: a family
+    whose slots do not depend on the state sets ``slots`` (and ``ctx``, if
+    its kernel reads one) and takes the default :meth:`build`; one whose
+    slots or context move with the state overrides :meth:`build`.  The
+    kernel is the one Jacobian protocol: ``kernel(ctx, gathered)``
     returns the whitened residuals, and ``kernel(ctx, gathered,
     jacobians=True)`` returns ``(r, jacs)`` with the same ``r`` and the
     exact Jacobians it has, slot index -> (num, dim, tdim).  A slot missing
     from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
     are also the test oracle of the exact ones.  Every family is exact in
     every slot except the discrete-time preintegration group and the
-    rotation-spline fit.  A family whose residuals jump (the SO(3) spline
+    rotation-spline fit; the continuous-time families that sample the pose
+    state their derivatives in the sampled pose and get the ones in the
+    spline nodes from ``estimators._SplineGroup``.  A family whose residuals jump (the SO(3) spline
     families, at a control pair near angle pi) names the factors on a jump
     through :meth:`jumps`; nothing else looks for them.
     """
@@ -112,10 +119,12 @@ class FactorGroup:
     name = "group"
     dim = 1  # residual dimension per factor
     fd_step = 1e-6
+    ctx = None
 
     def build(self, problem, state):
-        """Return (ctx, [Slot, ...]) at the current state."""
-        raise NotImplementedError
+        """Return (ctx, [Slot, ...]) at the current state: by default the
+        ``ctx`` and ``slots`` that a family with fixed slots sets."""
+        return self.ctx, self.slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         """Whitened residuals (num, dim) from gathered slot values, or

@@ -67,6 +67,16 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_malformed_config_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    for text in ("ct: 5\n", "sensors: abc\n", "seed: x\n"):
+        cfg.write_text(text)
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2, text
+        assert "data error" in capsys.readouterr().err
+
+
 def test_imu_gap_reported(small_dataset, tmp_path, capsys):
     gappy = tmp_path / "gappy"
     shutil.copytree(small_dataset, gappy)

@@ -27,6 +27,18 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"ct": {"spline_ordre": 6}})
     with pytest.raises(DataError, match="noise"):
         RunConfig.from_dict({"noise": {"pixel_sgima": 1.0}})
+    with pytest.raises(DataError, match="section 'ct'"):
+        RunConfig.from_dict({"ct": {"spline_ordre": 6}})
+    # a section that is not a mapping and a seed that is not an integer
+    with pytest.raises(DataError, match="section 'ct' must be a mapping"):
+        RunConfig.from_dict({"ct": 5})
+    with pytest.raises(DataError, match="section 'sensors' must be a mapping"):
+        RunConfig.from_dict({"sensors": "abc"})
+    with pytest.raises(DataError, match="section 'noise' must be a mapping"):
+        RunConfig.from_dict({"noise": [1.0]})
+    for seed in ("x", 1.5, True):
+        with pytest.raises(DataError, match="'seed' must be an integer"):
+            RunConfig.from_dict({"seed": seed})
 
 
 def test_partial_overrides():

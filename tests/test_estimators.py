@@ -22,7 +22,7 @@ from splinefusion.errors import (
 )
 from splinefusion.residuals import GRAVITY, CtState, DtState
 from splinefusion.rotations import so3_exp
-from splinefusion.solver import FactorGroup
+from splinefusion.solver import FactorGroup, Problem
 
 from conftest import noiseless_spec, wobbly_ground_truth
 
@@ -214,8 +214,9 @@ def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
 
     monkeypatch.setattr(FactorGroup, "_fd_slot", counting_fd_slot)
     ct_families = [g for g in problem.groups if g.name in
-                   ("ct_reproj", "ct_accel", "ct_gyro", "ct_gps")]
-    assert len(ct_families) == 4
+                   ("ct_reproj", "ct_accel", "ct_gyro", "ct_gps",
+                    "ct_bias_rate")]
+    assert len(ct_families) == 6  # two bias-rate groups: accel and gyro
     for group in ct_families:
         kernel = group.kernel
 
@@ -225,9 +226,33 @@ def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
 
         monkeypatch.setattr(group, "kernel", counting_kernel)
     _, J, jump_rows = problem.linearize(state)
-    assert calls == {"fd": 0, "kernel": 4}
+    assert calls == {"fd": 0, "kernel": 6}
     assert jump_rows == 0
     assert np.all(np.isfinite(J.data))
+
+
+def test_bias_rate_residual_is_weighted_bias_velocity():
+    """At nonzero bias nodes the bias-rate residual is w b'(t), the time
+    derivative of the bias spline, and its Jacobians match finite
+    differences: on a 0.5 s grid a lost 1/dt halves either."""
+    rng = np.random.default_rng(4)
+    grid = bs.grid_covering(0.0, 5.0, 0.5, 4)
+    spline = bs.SplineR3(grid, rng.normal(scale=0.1, size=(grid.count, 3)))
+    problem = Problem()
+    b0 = problem.add_euclidean("b0", spline.nodes[0])
+    for i in range(1, grid.count):
+        problem.add_euclidean(f"b{i}", spline.nodes[i])
+    lo, hi = grid.domain
+    t = np.linspace(lo, hi, 23, endpoint=False)
+    group = est.CtBiasRateGroup(grid, b0, t, 2.5)
+    problem.add_group(group)
+    problem._layout()
+    state = problem.initial_state()
+    expected = 2.5 * spline.sample_many(t, derivative=1)
+    assert np.abs(expected).max() > 0.1
+    assert np.allclose(group.residuals(problem, state), expected,
+                       rtol=1e-12, atol=1e-12)
+    _jacobian_check(problem, state)
 
 
 @pytest.fixture(scope="module")

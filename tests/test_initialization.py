@@ -10,7 +10,6 @@ from splinefusion import simulate as sim
 from splinefusion import solver
 from splinefusion.camera import CameraModel
 from splinefusion.errors import (
-    BootstrapUnavailableError,
     DegenerateConfigurationError,
     InvalidArgumentError,
     NumericalFailureError,
@@ -25,8 +24,6 @@ from splinefusion.solver import (
     SolveOptions,
     solve,
 )
-
-from conftest import noiseless_spec
 
 
 def test_umeyama_exact(rng):
@@ -57,13 +54,7 @@ def test_umeyama_degenerate():
         ini.umeyama(np.zeros((5, 3)), np.zeros((6, 3)))
 
 
-def test_sim3_algebra(rng):
-    a = ini.Sim3Transform(2.0, random_rotation(rng), rng.normal(size=3))
-    b = ini.Sim3Transform(0.5, random_rotation(rng), rng.normal(size=3))
-    x = rng.normal(size=(5, 3))
-    assert np.allclose(a.compose(b).apply(x), a.apply(b.apply(x)), atol=1e-12)
-    ident = a.compose(a.inverse())
-    assert np.isclose(ident.s, 1.0) and np.allclose(ident.t, 0, atol=1e-12)
+def test_sim3_algebra():
     with pytest.raises(InvalidArgumentError):
         ini.Sim3Transform(-1.0, np.eye(3), np.zeros(3))
 
@@ -284,16 +275,6 @@ def test_fit_spline_input_validation():
         )
 
 
-def _bootstrap_dataset():
-    params = sim.ProfileParams(kind="circle", radius=2.0, rate=0.8,
-                               static_prefix=1.5)
-    gt = sim.make_ground_truth(params, duration=10.0)
-    rig = sim.default_rig()
-    noise = noiseless_spec(imu_hz=200.0)
-    result = sim.synthesize(gt, rig, noise, num_landmarks=150)
-    return gt, result.measurements
-
-
 def reference_interp_rotations(times, rotations, query):
     """Per-query SLERP between the poses that bracket each query, held at
     the end poses outside the stamps."""
@@ -318,36 +299,3 @@ def test_interp_rotations_matches_per_query_slerp():
     ])
     got = ini._interp_rotations(times, rotations, query)
     assert np.array_equal(got, reference_interp_rotations(times, rotations, query))
-
-
-def test_imu_scale_bootstrap_recovers_scale():
-    """Dead-reckoning a noiseless segment recovers a synthetic scale factor
-    to within 10%."""
-    gt, meas = _bootstrap_dataset()
-    true_scale = 2.5
-    grid = gt.position.grid
-    import splinefusion.bsplines as bs
-    pos_scaled = bs.SplineR3(grid, gt.position.nodes / true_scale)
-    res = ini.imu_scale_bootstrap(
-        pos_scaled, gt.rotation,
-        meas.imu_t_ns * 1e-9, meas.gyro, meas.accel,
-        static_window=1.0, motion_duration=3.0,
-    )
-    assert abs(res.sim3.s - true_scale) / true_scale < 0.10
-    assert np.allclose(
-        res.gravity_body / np.linalg.norm(res.gravity_body),
-        [0.0, 0.0, -1.0], atol=1e-3,
-    )
-
-
-def test_bootstrap_requires_static_prefix():
-    from conftest import wobbly_ground_truth
-    gt = wobbly_ground_truth(duration=6.0)
-    rig = sim.default_rig()
-    meas = sim.synthesize(gt, rig, noiseless_spec(imu_hz=200.0),
-                          num_landmarks=120).measurements
-    with pytest.raises(BootstrapUnavailableError):
-        ini.imu_scale_bootstrap(
-            gt.position, gt.rotation,
-            meas.imu_t_ns * 1e-9, meas.gyro, meas.accel,
-        )

@@ -166,15 +166,8 @@ class _SharedGroup(FactorGroup):
     dim = 1
 
     def __init__(self, ids, shared_id, targets):
-        self.ids = ids
-        self.shared_id = shared_id
         self.targets = targets
-
-    def build(self, problem, state):
-        return None, [
-            Slot(self.ids, EUCLIDEAN, 1),
-            Slot(self.shared_id, EUCLIDEAN, 1),
-        ]
+        self.slots = [Slot(ids, EUCLIDEAN, 1), Slot(shared_id, EUCLIDEAN, 1)]
 
     def kernel(self, ctx, gathered, jacobians=False):
         x, s = gathered
