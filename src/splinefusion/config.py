@@ -21,6 +21,14 @@ from .simulate import PROFILES
 
 # CtConfig/DtConfig fields that RunConfig takes from ``sensors`` instead
 _SENSOR_SWITCHES = ("use_cam", "use_imu", "use_gps")
+# the values a config field of each type accepts (YAML gives bool, int,
+# float or str; a bool is no number here)
+_ACCEPTS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
 
 
 @dataclass(frozen=True)
@@ -137,19 +145,18 @@ class RunConfig:
 
         def build(klass, name):
             values = section(name)
-            bad = set(values) - {f.name for f in dataclasses.fields(klass)}
+            types = {f.name: f.type for f in dataclasses.fields(klass)}
+            bad = set(values) - set(types)
             if bad:
                 raise DataError(
                     f"unknown keys in config section {name!r}: {sorted(bad)}")
+            for key, value in values.items():
+                if not _ACCEPTS[types[key]](value):
+                    raise DataError(
+                        f"config key {key!r} in section {name!r} must be "
+                        f"{types[key]}, got {value!r}")
             return klass(**values)
 
-        noise_section = section("noise")
-        base_noise = NoiseSpec().to_dict()
-        bad = set(noise_section) - set(base_noise)
-        if bad:
-            raise DataError(
-                f"unknown keys in config section 'noise': {sorted(bad)}")
-        base_noise.update(noise_section)
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise DataError(f"config key 'seed' must be an integer, got {seed!r}")
@@ -158,7 +165,7 @@ class RunConfig:
             align=data.get("align", "none"),
             sensors=build(SensorFlags, "sensors"),
             simulate=build(SimulateConfig, "simulate"),
-            noise=NoiseSpec.from_dict(base_noise),
+            noise=build(NoiseSpec, "noise"),
             ct=build(CtConfig, "ct"),
             dt=build(DtConfig, "dt"),
         )

@@ -144,9 +144,13 @@ def pnp_dlt(camera, points_world, pixels):
     T_wc = Pose(R_cw, t_eff - R_cw @ mu).inverse()
 
     xy = np.stack([xn, yn], axis=1)
+
+    def linearize(pose):
+        r, J = _pnp_residuals(*pose, pts, xy, jacobians=True)
+        return r, J.T @ J, J.T @ r
+
     (R_wc, p_wc), _ = _levenberg_marquardt(
-        (T_wc.R, T_wc.p),
-        lambda pose: (*_pnp_residuals(*pose, pts, xy, jacobians=True), 0),
+        (T_wc.R, T_wc.p), linearize,
         lambda pose: _pnp_residuals(*pose, pts, xy),
         lambda H, d, g: sla.cho_solve(
             sla.cho_factor(H + np.diag(d), check_finite=False), -g, check_finite=False),

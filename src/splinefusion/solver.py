@@ -12,14 +12,15 @@ and central differences on the gathered values fill the other slots: those
 of DT preintegration and of the rotation-spline fit.  Each family declares
 the factors on a jump of its residuals through ``FactorGroup.jumps``.
 
-The normal equations are assembled sparsely from group triplets.  Blocks
-declared as *points* (free 3-vectors that no factor joins to another point,
-such as bundle-adjustment landmarks) take the last columns; each damped
-system eliminates them by Schur complement, with one batched Cholesky
+The normal equations are accumulated from each group's dense per-factor
+Jacobians, as block-sparse bundle adjusters do.  Blocks declared as
+*points* (free 3-vectors that no factor joins to another point, such as
+bundle-adjustment landmarks) take the last columns; each damped system
+eliminates them by Schur complement, with one batched Cholesky
 factorization of their 3x3 diagonal blocks, and solves the reduced system
 over the other columns by dense Cholesky below ``_DENSE_LIMIT`` columns and
-by sparse LU (SuperLU) at or above it.  Problems without points take the
-same path with nothing to eliminate.
+by sparse LU (SuperLU) at or above it, with nothing to eliminate if there
+are no points.
 
 One LM loop, :func:`_levenberg_marquardt`, holds the damping, acceptance
 and termination rules: :func:`solve` runs it on a :class:`Problem`, the PnP
@@ -46,7 +47,7 @@ MAX_ITER = "max_iter"
 STALLED = "stalled"
 DISCONTINUOUS = "discontinuous"
 
-# Reduced systems with this many columns or more are solved by sparse LU.
+# Reduced systems with this many columns or more are kept sparse (sparse LU).
 # The banded 4,504-column IMU+GPS DT system of the benchmark takes 0.008 s
 # per solve by `splu` and 0.55 s by dense Cholesky (2-core Xeon, one BLAS
 # thread).  The reduced systems of the camera workloads (about 600 and 1,100
@@ -175,6 +176,22 @@ class FactorGroup:
                  for m in moved]
             cols.append((f[0] - f[1]) / (2 * h))
         return np.stack(cols, axis=-1)
+
+
+@dataclass
+class BlockJacobian:
+    """The Jacobian of :meth:`Problem.linearize` as ``blocks``, one ``(M,
+    cols)`` per group in residual order: ``M`` (num, dim, w) holds its slot
+    Jacobians side by side, ``cols`` (num, w) their columns, -1 if fixed."""
+
+    blocks: list
+    shape: tuple
+
+    @property
+    def nnz(self):
+        """Entries of a sparse assembly: each row's distinct free columns."""
+        return sum(M.shape[1] * np.count_nonzero(
+            np.diff(np.sort(c, axis=1), axis=1, prepend=-1)) for M, c in self.blocks)
 
 
 class Problem:
@@ -342,57 +359,34 @@ class Problem:
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def linearize(self, state):
-        """Full residual vector, sparse Jacobian over free tangent columns,
-        and the number of factors on a jump (see :meth:`FactorGroup.linearize`).
+        """Full residual vector, its :class:`BlockJacobian` over the free
+        tangent columns, and the number of factors on a jump (see
+        :meth:`FactorGroup.linearize`).
 
         Raises :class:`InvalidArgumentError` when a factor's columns fall in
         two point blocks, through two slots or through one slot wider than a
         point.
         """
         self._layout()
-        res_parts = []
-        rows_l, cols_l, vals_l = [], [], []
-        row0 = 0
-        jump_rows = 0
+        res, blocks, jump_rows = [], [], 0
         p0 = self.num_cols - self.num_point_cols  # first point column
         for group in self.groups:
             r, slots, jacs, jumps = group.linearize(self, state)
             jump_rows += int(np.count_nonzero(jumps))
             num, dim = r.shape
-            res_parts.append(r.ravel())
-            local_rows = row0 + np.arange(num * dim).reshape(num, dim)
-            points = []  # per slot column: the point it falls in, or -1
-            for si, slot in enumerate(slots):
-                J = jacs[si]
-                ids = slot.block_ids
-                if ids.size == 1 and num > 1:
-                    ids = np.broadcast_to(ids, (num,))
-                bcols = self._col_array[ids]
-                free = bcols >= 0
-                if not np.any(free):
-                    continue
-                cshape = bcols[:, None, None] + np.arange(slot.dim)[None, None, :]
-                if self.num_point_cols and bcols.max() >= p0:
-                    c = bcols[:, None] + np.arange(slot.dim)
-                    points.append(np.where(free[:, None] & (c >= p0), (c - p0) // 3, -1))
-                cmat = np.broadcast_to(cshape, (num, dim, slot.dim))
-                rmat = np.broadcast_to(local_rows[:, :, None], (num, dim, slot.dim))
-                mask = np.broadcast_to(free[:, None, None], (num, dim, slot.dim))
-                rows_l.append(rmat[mask])
-                cols_l.append(cmat[mask])
-                vals_l.append(J[mask])
-            if points:
-                self._check_points(group, np.hstack(points))
-            row0 += num * dim
-        r_all = np.concatenate(res_parts) if res_parts else np.zeros(0)
-        if rows_l:
-            J_all = sp.coo_matrix(
-                (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-                shape=(row0, self.num_cols),
-            ).tocsr()
-        else:
-            J_all = sp.csr_matrix((row0, self.num_cols))
-        return r_all, J_all, jump_rows
+            res.append(r.ravel())
+            starts = [np.broadcast_to(self._col_array[s.block_ids], (num,))[:, None]
+                      for s in slots]  # each slot's first column per factor, -1 if fixed
+            cols = np.hstack([np.where(c >= 0, c + np.arange(s.dim), -1)
+                              for c, s in zip(starts, slots)])
+            if self.num_point_cols:
+                self._check_points(group, np.where(cols >= p0, (cols - p0) // 3, -1))
+            if num:  # the normal equations take no empty group
+                blocks.append((np.concatenate(
+                    [np.broadcast_to(jacs[si], (num, dim, slot.dim))
+                     for si, slot in enumerate(slots)], axis=2), cols))
+        r_all = np.concatenate(res) if res else np.zeros(0)
+        return r_all, BlockJacobian(blocks, (r_all.size, self.num_cols)), jump_rows
 
     def _check_points(self, group, points):
         """Raise unless each factor's columns fall in at most one point;
@@ -427,9 +421,8 @@ class SolveReport:
       already below 1e-6;
     - ``"max_iter"``: the iteration cap was reached first;
     - ``"stalled"``: no damped step lowered the cost;
-    - ``"discontinuous"``: the linearization at the returned state has
-      factors on a jump of the residual (``jump_rows`` of them; see
-      :meth:`FactorGroup.linearize`), so the returned state is not a
+    - ``"discontinuous"``: the groups name ``jump_rows`` factors on a jump
+      at the returned state (:meth:`FactorGroup.jumps`), so it is not a
       stationary point of a smooth cost.  This overrides the other three.
 
     ``converged`` is True only for ``"converged"``.  ``at_bound`` names the
@@ -453,62 +446,115 @@ class SolveReport:
         return self.termination == CONVERGED
 
 
-def _solve_normal(A, g, n_points):
-    """Solve the damped normal equations ``A x = -g``.
+@dataclass
+class _Normal:
+    """J^T J in blocks: ``cc`` over the non-point columns (dense below
+    ``_DENSE_LIMIT`` of them, else sparse), ``ll`` the (m, 3, 3) point blocks,
+    ``cl`` (K, 3) the coupling of row ``rows[k]`` (ascending) to point ``pts[k]``."""
 
-    ``A`` is sparse, symmetric and positive definite.  Its last ``n_points``
-    columns belong to points, 3 each, and A couples no point to another.
-    The points' 3x3 diagonal blocks are factored as L L^T in one batch and
-    eliminated: with Y = A_cl L^-T, the reduced system over the other
-    columns is S = A_cc - Y Y^T, and the points follow from
-    x_l = L^-T (L^-1 b_l - Y^T x_c).  S is solved by dense Cholesky below
-    ``_DENSE_LIMIT`` columns and by sparse LU at or above it.  A system
-    that is not positive definite raises ``np.linalg.LinAlgError`` (or
-    ``RuntimeError`` from a singular sparse LU).
-    """
-    b = -g
-    nc = A.shape[0] - n_points
-    S, rhs = A, b
-    if n_points:
-        A = A.tocsr()
-        S, rhs = A[:nc, :nc], b[:nc]
-        m = n_points // 3
-        d = A[nc:, nc:].tocoo()
-        blocks = np.zeros((m, 3, 3))
-        np.add.at(blocks, (d.row // 3, d.row % 3, d.col % 3), d.data)
-        Linv = np.linalg.inv(np.linalg.cholesky(blocks))
-        LinvT = sp.bsr_matrix((np.swapaxes(Linv, 1, 2), np.arange(m), np.arange(m + 1)),
-                              shape=(n_points, n_points))
-        Y = (A[:nc, nc:] @ LinvT).tocsr()
-        y = np.einsum("nij,nj->ni", Linv, b[nc:].reshape(m, 3)).ravel()
-        S = S - Y @ Y.T
-        rhs = rhs - Y @ y
+    cc: object
+    ll: np.ndarray
+    cl: np.ndarray
+    rows: np.ndarray
+    pts: np.ndarray
+
+    def diagonal(self):
+        return np.concatenate([self.cc.diagonal(), np.einsum("nii->ni", self.ll).ravel()])
+
+
+def _normal_equations(r, J, n_points):
+    """``(r, H, g)``: ``r``, J^T J as a :class:`_Normal` and J^T r from the
+    :class:`BlockJacobian` J whose last ``n_points`` columns are points.  The
+    factors of a group that share their other columns stack their rows into
+    one M^T M per set; each factor adds its point's rows, M^T M_point."""
+    n, m = J.shape[1], n_points // 3
+    nc, g, row0 = n - n_points, np.zeros(n), 0
+    cc_at, cc_val, pt_at, pt_val = [[np.zeros(0, int)], [np.zeros(0)],
+                                    [np.zeros(0, int)], [np.zeros((0, 3))]]
+    for M, cols in J.blocks:
+        num, dim, _ = M.shape
+        rows = r[row0 : row0 + num * dim].reshape(num, dim)
+        row0 += num * dim
+        g += np.bincount(cols.ravel() + 1, np.einsum("ndw,nd->nw", M, rows).ravel(),
+                         n + 1)[1:]  # fixed columns (-1) fall in bin 0
+        cam = np.where(cols < nc, cols, -1)
+        used = np.flatnonzero((cam >= 0).any(axis=0))
+        order = np.argsort(cam[:, used] @ (np.arange(used.size) + 1), kind="stable")
+        sets = cam[order][:, used]  # equal rows together: each run is a set
+        start = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
+        size = np.diff(np.append(start, num))
+        P = np.zeros((start.size, size.max(), dim, used.size))
+        P[np.repeat(np.arange(start.size), size),
+          np.arange(num) - np.repeat(start, size)] = M[order][:, :, used]
+        P = P.reshape(start.size, size.max() * dim, used.size)
+        G, sets = np.swapaxes(P, 1, 2) @ P, sets[start]
+        on = (sets[:, :, None] >= 0) & (sets[:, None, :] >= 0) & (G != 0)
+        cc_at.append((sets[:, :, None] * nc + sets[:, None, :])[on])
+        cc_val.append(G[on])
+        pc = np.flatnonzero((cols >= nc).any(axis=0))  # columns holding a point
+        if pc.size:
+            pcol = cols[:, pc, None] - nc
+            pt = np.where(pcol >= 0, pcol // 3, -1).max(axis=(1, 2))  # its point
+            Mp = M[:, :, pc] @ ((pcol >= 0) & (pcol % 3 == np.arange(3)))
+            on = (cols >= 0) & (pt >= 0)[:, None]
+            pt_at.append((cols * m + pt[:, None])[on])
+            pt_val.append((np.swapaxes(M, 1, 2) @ Mp).reshape(-1, 3)[np.flatnonzero(on)])
+    at, val = np.concatenate(cc_at), np.concatenate(cc_val)
     if nc < _DENSE_LIMIT:
-        x = sla.cho_solve(sla.cho_factor(S.toarray(), check_finite=False), rhs,
-                          check_finite=False)
+        cc = np.bincount(at, val, nc * nc).reshape(nc, nc)
     else:
-        x = spla.splu(S.tocsc()).solve(rhs)
-    if not n_points:
-        return x
-    x_l = np.einsum("nji,nj->ni", Linv, (y - Y.T @ x).reshape(m, 3)).ravel()
-    return np.concatenate([x, x_l])
+        cc = sp.csc_matrix((val, np.divmod(at, nc)), shape=(nc, nc))
+    keys, inv = np.unique(np.concatenate(pt_at), return_inverse=True)
+    val = np.concatenate(pt_val)
+    val = np.stack([np.bincount(inv, val[:, a], keys.size) for a in range(3)], axis=-1)
+    rows, pts = np.divmod(keys, max(m, 1))
+    ll, own = np.zeros((m, 3, 3)), rows >= nc  # a point's own rows
+    ll[pts[own], (rows[own] - nc) % 3] = val[own]
+    return r, _Normal(cc, ll, val[~own], rows[~own], pts[~own]), g
+
+
+def _solve_normal(H, d, g):
+    """The step x of ``(H + diag(d)) x = -g`` for a :class:`_Normal` H.  The
+    points' damped 3x3 blocks are factored as L L^T in one batch and
+    eliminated: with Y = H_cl L^-T, S = H_cc + diag(d_c) - Y Y^T gives x_c,
+    and x_l = L^-T (L^-1 b_l - Y^T x_c), b = -g.  S takes dense Cholesky when
+    H_cc is dense, else sparse LU; one not positive definite raises
+    ``np.linalg.LinAlgError`` (or ``RuntimeError`` from a singular sparse LU)."""
+    nc, m = H.cc.shape[0], len(H.ll)
+    dense = isinstance(H.cc, np.ndarray)
+    S = np.diag(d[:nc]) if dense else sp.diags(d[:nc])
+    S += H.cc
+    Linv = np.linalg.inv(np.linalg.cholesky(H.ll + d[nc:].reshape(m, 3, 1) * np.eye(3)))
+    Y = sp.csr_matrix((np.einsum("ka,kba->kb", H.cl, Linv[H.pts]).ravel(),
+                       (3 * H.pts[:, None] + np.arange(3)).ravel(),
+                       3 * np.searchsorted(H.rows, np.arange(nc + 1))), shape=(nc, 3 * m))
+    y = np.einsum("nij,nj->ni", Linv, -g[nc:].reshape(m, 3)).ravel()
+    if dense:
+        on = np.flatnonzero(np.diff(Y.indptr))
+        Y_on = Y[on].toarray()
+        S[np.ix_(on, on)] -= Y_on @ Y_on.T
+        x = sla.cho_solve(sla.cho_factor(S.T, overwrite_a=True, check_finite=False),
+                          -g[:nc] - Y @ y, check_finite=False)  # S.T: factored in place
+    else:
+        x = spla.splu((S - Y @ Y.T).tocsc()).solve(-g[:nc] - Y @ y)
+    return np.concatenate(
+        [x, np.einsum("nji,nj->ni", Linv, (y - Y.T @ x).reshape(m, 3)).ravel()])
 
 
 def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opts):
-    """Levenberg-Marquardt from ``state``; returns (final state, SolveReport with
-    an empty ``at_bound``).  ``linearize(state)`` returns the residual vector,
-    its Jacobian (sparse or dense) and the number of factors on a jump;
-    ``residuals(state)`` the residual vector; ``solve_damped(H, d, g)`` the
-    step x of ``(H + diag(d)) x = -g``, or raises ``np.linalg.LinAlgError`` (or
-    ``RuntimeError``); ``retract(state, x)`` the stepped state.  Damping is
-    multiplicative on the scaled diagonal ``clip(diag(H), 1e-12)``: divided by
-    10 on an accepted step, multiplied by 10 on a rejected one.  Raises
-    :class:`NumericalFailureError` when none of the ``_MAX_REJECTS`` damped
-    systems of an iteration gives a finite step.
+    """Levenberg-Marquardt from ``state``; returns (final state, SolveReport
+    with an empty ``at_bound``).  ``linearize(state)`` returns the residual
+    vector r, J^T J (with a ``diagonal()``) and J^T r, at the start and after
+    each accepted step another iteration follows; ``residuals(state)`` the
+    residual vector; ``solve_damped(H, d, g)`` the step x of ``(H + diag(d))
+    x = -g``, or raises ``np.linalg.LinAlgError`` (or ``RuntimeError``);
+    ``retract(state, x)`` the stepped state.  Damping is multiplicative on
+    ``clip(diag(H), 1e-12)``: divided by 10 on an accepted step, multiplied
+    by 10 on a rejected one.  Raises :class:`NumericalFailureError` when none
+    of the ``_MAX_REJECTS`` damped systems of an iteration gives a finite step.
     """
-    r, J, jump_rows = linearize(state)
+    r, H, g = linearize(state)
     cost = float(r @ r)
-    initial_cost = cost
     history = [cost]
     lam = opts.lm_lambda0
     termination = MAX_ITER
@@ -517,13 +563,11 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        g = J.T @ r
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm < _ABS_TOL or cost == 0.0:
             termination = CONVERGED
             iterations = it - 1
             break
-        H = J.T @ J
         D = np.clip(H.diagonal(), 1e-12, None)
         accepted = False
         failed = 0  # damped systems with no finite solution
@@ -549,10 +593,12 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
                 cost = cost_new
                 history.append(cost)
                 lam = max(lam / 10.0, 1e-15)
-                r, J, jump_rows = linearize(state)
                 accepted = True
                 if rel_drop < opts.rel_tol:
                     termination = CONVERGED
+                elif it < opts.max_iter:
+                    H = None  # free J^T J before the next is accumulated
+                    r, H, g = linearize(state)
                 break
             lam *= 10.0
         if failed and failed == _MAX_REJECTS:
@@ -564,26 +610,15 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
             break
         if termination == CONVERGED:
             break
-    if jump_rows:
-        termination = DISCONTINUOUS
 
-    report = SolveReport(
-        iterations=iterations,
-        initial_cost=initial_cost,
-        final_cost=cost,
-        termination=termination,
-        cost_history=history,
-        grad_norm=grad_norm,
-        lm_lambda=lam,
-        rel_tol=opts.rel_tol,
-        jump_rows=jump_rows,
-    )
-    return state, report
+    return state, SolveReport(iterations, history[0], cost, termination, history,
+                              grad_norm, lam, opts.rel_tol)
 
 
 def solve(problem: Problem, opts: SolveOptions | None = None):
-    """:func:`_levenberg_marquardt` on a problem's sparse linearization and
-    :func:`_solve_normal`; returns (final State, SolveReport).  Raises
+    """:func:`_levenberg_marquardt` on :func:`_normal_equations` and
+    :func:`_solve_normal`; returns (final State, SolveReport), ``jump_rows``
+    named at the returned state by :meth:`FactorGroup.jumps`.  Raises
     :class:`InvalidArgumentError` when the problem has no free blocks or a
     factor joins two point blocks (see :meth:`Problem.linearize`).
     """
@@ -591,8 +626,12 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
     if problem.free_cols == 0:
         raise InvalidArgumentError("problem has no free parameter blocks")
     state, report = _levenberg_marquardt(
-        problem.initial_state(), problem.linearize, problem.residual_vector,
-        lambda H, d, g: _solve_normal(H + sp.diags(d), g, problem.num_point_cols),
-        problem.retract, opts)
+        problem.initial_state(),
+        lambda s: _normal_equations(*problem.linearize(s)[:2], problem.num_point_cols),
+        problem.residual_vector, _solve_normal, problem.retract, opts)
+    report.jump_rows = sum(int(np.count_nonzero(g.jumps(problem, state, g.build(
+        problem, state)[0]))) for g in problem.groups)
+    if report.jump_rows:
+        report.termination = DISCONTINUOUS
     report.at_bound = problem.at_bound(state)
     return state, report

@@ -1,0 +1,76 @@
+"""Reference forms of the solver's block normal equations, for the tests.
+
+``solver.solve`` accumulates the Gauss-Newton system straight from the
+dense per-group blocks of a ``BlockJacobian``.  The helpers here build the
+same matrices the general way, triplet by triplet into a CSR Jacobian, and
+convert a ``solver._Normal`` to and from a full matrix.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from splinefusion import solver
+
+
+def assemble_csr(J):
+    """The CSR matrix of a ``BlockJacobian``, from one triplet per entry
+    in a free column."""
+    rows, cols, vals = [], [], []
+    row0 = 0
+    for M, c in J.blocks:
+        num, dim, _ = M.shape
+        r = np.broadcast_to(row0 + np.arange(num * dim).reshape(num, dim, 1), M.shape)
+        c = np.broadcast_to(c[:, None, :], M.shape)
+        free = c >= 0
+        rows.append(r[free])
+        cols.append(c[free])
+        vals.append(M[free])
+        row0 += num * dim
+    if not vals:
+        return sp.csr_matrix(J.shape)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=J.shape).tocsr()
+
+
+def dense_normal(H):
+    """The full symmetric matrix of a ``solver._Normal``."""
+    nc, m = H.cc.shape[0], len(H.ll)
+    A = np.zeros((nc + 3 * m, nc + 3 * m))
+    A[:nc, :nc] = H.cc.toarray() if sp.issparse(H.cc) else H.cc
+    for j in range(m):
+        A[nc + 3 * j : nc + 3 * j + 3, nc + 3 * j : nc + 3 * j + 3] = H.ll[j]
+    for row, pt, val in zip(H.rows, H.pts, H.cl):
+        A[row, nc + 3 * pt : nc + 3 * pt + 3] = val
+        A[nc + 3 * pt : nc + 3 * pt + 3, row] = val
+    return A
+
+
+def block_normal(A, n_points):
+    """A symmetric matrix whose last ``n_points`` columns are points, as a
+    ``solver._Normal``: the other columns' block dense below
+    ``solver._DENSE_LIMIT`` of them and sparse at or above it, as
+    ``solver._normal_equations`` stores it."""
+    A = A.toarray() if sp.issparse(A) else np.asarray(A)
+    nc, m = A.shape[0] - n_points, n_points // 3
+    cc = A[:nc, :nc]
+    if nc >= solver._DENSE_LIMIT:
+        cc = sp.csc_matrix(cc)
+    ll = np.array([A[nc + 3 * j : nc + 3 * j + 3, nc + 3 * j : nc + 3 * j + 3]
+                   for j in range(m)]).reshape(m, 3, 3)
+    rows, pts = np.nonzero(A[:nc, nc:].reshape(nc, m, 3).any(axis=2))
+    cl = A[:nc, nc:].reshape(nc, m, 3)[rows, pts].reshape(-1, 3)
+    return solver._Normal(cc, ll, cl, rows, pts)
+
+
+def oracle_errors(problem, state):
+    """The largest differences of the solver's blockwise H and g from
+    J^T J and J^T r of the CSR assembly at ``state``, each relative to the
+    largest reference entry, and the nonzero counts of the block Jacobian
+    and of the CSR matrix."""
+    r, J, _ = problem.linearize(state)
+    _, H, g = solver._normal_equations(r, J, problem.num_point_cols)
+    Jc = assemble_csr(J)
+    H_ref, g_ref = (Jc.T @ Jc).toarray(), Jc.T @ r
+    return (np.abs(dense_normal(H) - H_ref).max() / np.abs(H_ref).max(),
+            np.abs(g - g_ref).max() / np.abs(g_ref).max(), J.nnz, Jc.nnz)

@@ -69,7 +69,10 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
 
 def test_malformed_config_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
-    for text in ("ct: 5\n", "sensors: abc\n", "seed: x\n"):
+    for text in ("ct: 5\n", "sensors: abc\n", "seed: x\n",
+                 "simulate: {duration: x}\n", "ct: {spline_order: x}\n",
+                 "noise: {pixel_sigma: x}\n", 'sensors: {camera: "no"}\n',
+                 "ct: {node_hz: abc}\n"):
         cfg.write_text(text)
         rc = cli.main(["simulate", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])

@@ -39,6 +39,18 @@ def test_unknown_keys_rejected():
     for seed in ("x", 1.5, True):
         with pytest.raises(DataError, match="'seed' must be an integer"):
             RunConfig.from_dict({"seed": seed})
+    # a value of the wrong type inside a section
+    for name, key, value in [("simulate", "duration", "x"),
+                             ("ct", "spline_order", "x"),
+                             ("ct", "spline_order", 6.5),
+                             ("ct", "node_hz", "abc"),
+                             ("ct", "estimate_t_cam", 1),
+                             ("dt", "max_iter", True),
+                             ("noise", "pixel_sigma", "x"),
+                             ("sensors", "camera", "no"),
+                             ("simulate", "profile", 3)]:
+        with pytest.raises(DataError, match=f"'{key}' in section '{name}'"):
+            RunConfig.from_dict({name: {key: value}})
 
 
 def test_partial_overrides():

@@ -24,6 +24,7 @@ from splinefusion.residuals import GRAVITY, CtState, DtState
 from splinefusion.rotations import so3_exp
 from splinefusion.solver import FactorGroup, Problem
 
+from block_oracle import oracle_errors
 from conftest import noiseless_spec, wobbly_ground_truth
 
 
@@ -201,6 +202,17 @@ def test_spline_fit_exact_jacobians_match_fd(spline_fit_problem):
     _jacobian_check(problem, state)
 
 
+@pytest.mark.parametrize("fixture", ["perturbed_ct", "perturbed_dt",
+                                     "spline_fit_problem"])
+def test_normal_equations_match_sparse_assembly(request, fixture):
+    """The blockwise H and g of the CT, DT and spline-fit problems against
+    J^T J and J^T r of the CSR Jacobian."""
+    problem, state = request.getfixturevalue(fixture)
+    h_err, g_err, nnz, csr_nnz = oracle_errors(problem, state)
+    assert h_err <= 1e-12 and g_err <= 1e-12
+    assert nnz == csr_nnz
+
+
 def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
     """Every CT factor family supplies every slot's Jacobian exactly, each
     from a single kernel evaluation."""
@@ -228,7 +240,7 @@ def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
     _, J, jump_rows = problem.linearize(state)
     assert calls == {"fd": 0, "kernel": 6}
     assert jump_rows == 0
-    assert np.all(np.isfinite(J.data))
+    assert all(np.all(np.isfinite(M)) for M, _ in J.blocks)
 
 
 def test_bias_rate_residual_is_weighted_bias_velocity():
@@ -364,7 +376,7 @@ def test_dt_linearize_makes_finite_differences_only_for_preintegration(
     assert fd_groups and set(fd_groups) == {"dt_preint"}
     assert gps_kernels == [True]
     assert jump_rows == 0
-    assert np.all(np.isfinite(J.data))
+    assert all(np.all(np.isfinite(M)) for M, _ in J.blocks)
 
 
 def test_dt_reprojection_linearize_makes_no_finite_differences(perturbed_dt):

@@ -18,6 +18,8 @@ from splinefusion.solver import (
     solve,
 )
 
+from block_oracle import assemble_csr, block_normal, dense_normal, oracle_errors
+
 
 class Factor(FactorGroup):
     """A single residual over named blocks.
@@ -442,7 +444,8 @@ def test_schur_solve_matches_dense_solve(rng, monkeypatch, dense_limit):
     monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
     problem = _mixed_problem(rng)
     A, g = _arrow_system(problem, rng)
-    x = solver._solve_normal(A, g, problem.num_point_cols)
+    x = solver._solve_normal(block_normal(A, problem.num_point_cols),
+                             np.zeros(problem.num_cols), g)
     ref = np.linalg.solve(A.toarray(), -g)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -454,7 +457,8 @@ def test_schur_solve_rejects_indefinite_point_block(rng):
     p = problem.num_cols - 3
     A[p, p] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        solver._solve_normal(A.tocsr(), g, problem.num_point_cols)
+        solver._solve_normal(block_normal(A, problem.num_point_cols),
+                             np.zeros(problem.num_cols), g)
 
 
 class _WideSlotGroup(FactorGroup):
@@ -508,9 +512,105 @@ def test_estimator_step_matches_dense_lu(tiny_noiseless, mode):
     problem = build(meas, init, cfg, noise, rig)
     r, J, _ = problem.linearize(problem.initial_state())
     assert problem.num_point_cols == 3 * len(init.landmarks)
-    g = J.T @ r
-    H = (J.T @ J).tocsr()
-    A = H + sp.diags(SolveOptions().lm_lambda0 * np.clip(H.diagonal(), 1e-12, None))
-    x = solver._solve_normal(A, g, problem.num_point_cols)
-    ref = np.linalg.solve(A.toarray(), -g)
+    _, H, g = solver._normal_equations(r, J, problem.num_point_cols)
+    d = SolveOptions().lm_lambda0 * np.clip(H.diagonal(), 1e-12, None)
+    x = solver._solve_normal(H, d, g)
+    Jc = assemble_csr(J)
+    ref = np.linalg.solve((Jc.T @ Jc).toarray() + np.diag(d), -(Jc.T @ r))
     assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+class _PointGroup(FactorGroup):
+    """R p - a for per-factor points p, one shared rotation R and one
+    shared vector a; Jacobians by finite differences."""
+
+    name = "points"
+    dim = 3
+
+    def __init__(self, point_ids, rot_id, vec_id):
+        self.slots = [Slot(point_ids, EUCLIDEAN, 3), Slot(rot_id, ROTATION, 3),
+                      Slot(vec_id, EUCLIDEAN, 3)]
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        p, R, a = gathered
+        r = np.einsum("nij,nj->ni", R, p) - a
+        return (r, {}) if jacobians else r
+
+
+def _oracle_problem(rng):
+    """A fixed block, a shared scalar slot, one block reached through two
+    slots, free points each seen by several factors beside a fixed point,
+    and a factor that sees a point alone."""
+    problem = Problem()
+    xs = [problem.add_euclidean(f"x{i}", rng.normal(size=1)) for i in range(4)]
+    shared = problem.add_euclidean("s", rng.normal(size=1))
+    problem.add_euclidean("b_fixed", rng.normal(size=2), fixed=True)
+    rot = problem.add_rotation("R", random_rotation(rng))
+    vec = problem.add_euclidean("a", rng.normal(size=3))
+    pts = [problem.add_euclidean(f"p{i}", rng.normal(size=3), point=True)
+           for i in range(3)]
+    pts.append(problem.add_euclidean("p_fixed", rng.normal(size=3), fixed=True,
+                                     point=True))
+    problem.add_group(_SharedGroup(np.array(xs), shared, rng.normal(size=4)))
+    problem.add_group(Factor(
+        ["a", "a", "b_fixed", "s"],
+        lambda a, a2, b, s: np.array([a @ a2, a[0] * b[1] * s[0], np.sin(a[2])]),
+        dim=3))
+    problem.add_group(_PointGroup(np.array(pts)[[0, 1, 0, 2, 3, 1]], rot, vec))
+    problem.add_group(Factor(["p2", "b_fixed"], lambda p, b: p * b[0], dim=3))
+    return problem
+
+
+@pytest.mark.parametrize("dense_limit", [solver._DENSE_LIMIT, 1])
+def test_normal_equations_match_sparse_assembly(rng, monkeypatch, dense_limit):
+    """The blockwise H and g against J^T J and J^T r of the CSR Jacobian,
+    with the reduced system dense and (below a lowered limit) sparse."""
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
+    problem = _oracle_problem(rng)
+    problem._layout()
+    assert problem.num_point_cols == 9
+    h_err, g_err, nnz, csr_nnz = oracle_errors(problem, problem.initial_state())
+    assert h_err <= 1e-12 and g_err <= 1e-12
+    assert nnz == csr_nnz
+
+
+def test_solve_linearizes_only_where_another_iteration_follows(monkeypatch):
+    """One linearization at the start and one after each accepted step
+    that another iteration follows: a solve that ends on an accepted step
+    makes as many linearizations as accepted steps, one that ends without
+    one makes one more.  The jumps are taken at the returned state without
+    a linearization, so a discontinuous end is still reported."""
+    calls = []
+    linearize = Problem.linearize
+
+    def counting(self, state):
+        calls.append(state)
+        return linearize(self, state)
+
+    monkeypatch.setattr(Problem, "linearize", counting)
+
+    def run(problem, opts=None):
+        calls.clear()
+        _, report = solve(problem, opts)
+        return report, len(calls), len(report.cost_history) - 1
+
+    rosenbrock = Problem()
+    rosenbrock.add_euclidean("x", np.array([-1.2, 1.0]))
+    rosenbrock.add_group(Factor(
+        ["x"], lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), dim=2))
+    report, made, accepted = run(rosenbrock, SolveOptions(max_iter=3))
+    assert report.termination == "max_iter" and accepted == 3 and made == 3
+
+    report, made, accepted = run(rosenbrock, SolveOptions(rel_tol=1.0))
+    assert report.termination == "converged" and accepted == 1 and made == 1
+
+    report, made, accepted = run(_log_target_problem(4.0))
+    assert report.termination == "discontinuous" and report.jump_rows == 1
+    assert made in (accepted, accepted + 1)
+
+    uphill = Problem()
+    uphill.add_euclidean("x", np.zeros(1))
+    uphill.add_group(Factor(["x"], lambda x: x - 3.0, dim=1,
+                            jac_fn=lambda x: [np.array([[-1.0]])]))
+    report, made, accepted = run(uphill)
+    assert report.termination == "stalled" and accepted == 0 and made == 1
