@@ -27,8 +27,8 @@ from .camera import project_many
 from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError)
-from .initialization import (R3FitGroup, fit_spline_to_poses, pnp_dlt,
-                             window_slots)
+from .initialization import (R3FitGroup, cut_windows, fit_spline_to_poses,
+                             pnp_dlt, window_slots)
 from .residuals import GRAVITY, CtState, DtState
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
@@ -92,11 +92,6 @@ class CtConfig(EstimatorConfig):
 @dataclass(frozen=True)
 class DtConfig(EstimatorConfig):
     """Discrete-time estimator settings: the shared ones, nothing of its own."""
-
-
-# Bias change (either bias, any axis) at which DT re-preintegrates a segment
-# at the current bias instead of correcting it to first order.
-REINTEGRATION_THRESHOLD = 0.1
 
 
 def shift_feature(z, v_feat, t_offset):
@@ -177,11 +172,9 @@ class _SplineGroup(FactorGroup):
     """
 
     def jumps(self, problem, state, seg):
-        """Factors whose window holds a control pair within ``fd_step`` of
-        angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_windows`)."""
-        ids = self.rot0 + np.arange(self.grid.count)
-        nodes = problem.gather(state, Slot(ids, ROTATION, 3))
-        return bs.so3_cut_windows(nodes, seg, self.grid.order, self.fd_step)
+        """Factors whose window is cut (:func:`cut_windows`)."""
+        return cut_windows(problem, state, self.grid, self.rot0, seg,
+                           self.fd_step)
 
     def _pose_slots(self, seg):
         k = self.grid.order
@@ -456,17 +449,20 @@ class DtReprojGroup(_ReprojGroup):
 class DtPreintGroup(FactorGroup):
     """Preintegration residuals between consecutive frames.
 
-    Re-integrates a segment whenever the current bias estimate deviates
-    from the linearization bias by more than ``REINTEGRATION_THRESHOLD``.
+    Each segment is preintegrated once, here, at the biases ``bias_accel[n]``
+    and ``bias_gyro[n]`` of its first frame, the build's initial state; the
+    residuals correct it to the current biases to first order
+    (:meth:`pre.PreintegratedImu.corrected`, exact in the accelerometer
+    bias), so the cost is a function of the state alone.  A run's final
+    build preintegrates again at the stage-1 biases.
     """
 
     name = "dt_preint"
     dim = 9
 
-    def __init__(self, ids, imu_t, gyro, accel, frame_times, gravity,
-                 gyro_sigma, accel_sigma):
+    def __init__(self, ids, imu_t, gyro, accel, frame_times, bias_accel,
+                 bias_gyro, gravity, gyro_sigma, accel_sigma):
         # ids: dict name -> array of block ids for p, R, v, ba, bg
-        self.ids = ids
         # hold-extrapolate the IMU at the edges so that pose stamps slightly
         # outside the sampled span (clock offsets) stay integrable
         if imu_t[0] > frame_times[0]:
@@ -477,14 +473,19 @@ class DtPreintGroup(FactorGroup):
             imu_t = np.concatenate([imu_t, [frame_times[-1]]])
             gyro = np.concatenate([gyro, gyro[-1:]])
             accel = np.concatenate([accel, accel[-1:]])
-        self.imu_t = imu_t
-        self.gyro = gyro
-        self.accel = accel
-        self.frame_times = frame_times
         self.gravity = gravity
-        self.gyro_sigma = gyro_sigma
-        self.accel_sigma = accel_sigma
-        self.pims = [None] * (len(frame_times) - 1)
+        pims = []
+        for n, (t0, t1) in enumerate(zip(frame_times[:-1], frame_times[1:])):
+            # the samples from the last one at or before the segment start to
+            # the first one after its end: the ones integrate reads
+            i0, i1 = np.searchsorted(imu_t, (t0, t1), side="right")
+            s = slice(max(i0 - 1, 0), i1 + 1)
+            pims.append(pre.integrate(
+                imu_t[s], gyro[s], accel[s],
+                bias_lin=(bias_accel[n], bias_gyro[n]), gyro_sigma=gyro_sigma,
+                accel_sigma=accel_sigma, t_start=t0, t_end=t1))
+        pim = pre.stack(pims)
+        self.ctx = (pim, pim.sqrt_info())
         self.slots = [
             Slot(ids["p"][:-1], EUCLIDEAN, 3),
             Slot(ids["R"][:-1], ROTATION, 3),
@@ -495,41 +496,6 @@ class DtPreintGroup(FactorGroup):
             Slot(ids["R"][1:], ROTATION, 3),
             Slot(ids["v"][1:], EUCLIDEAN, 3),
         ]
-        self._ctx = None
-
-    def _integrate(self, n, ba, bg):
-        # the samples from the last one at or before the segment start to
-        # the first one after its end: the ones integrate reads
-        t0, t1 = self.frame_times[n], self.frame_times[n + 1]
-        i0, i1 = np.searchsorted(self.imu_t, (t0, t1), side="right")
-        s = slice(max(i0 - 1, 0), i1 + 1)
-        self.pims[n] = pre.integrate(
-            self.imu_t[s], self.gyro[s], self.accel[s], bias_lin=(ba, bg),
-            gyro_sigma=self.gyro_sigma, accel_sigma=self.accel_sigma,
-            t_start=t0, t_end=t1,
-        )
-
-    def build(self, problem, state):
-        store = problem._store_array
-        ba = state.euc[
-            store[self.ids["ba"][:-1]][:, None] + np.arange(3)
-        ]
-        bg = state.euc[
-            store[self.ids["bg"][:-1]][:, None] + np.arange(3)
-        ]
-        dirty = self._ctx is None
-        for n in range(len(self.pims)):
-            pim = self.pims[n]
-            if pim is None or max(
-                np.abs(ba[n] - pim.bias_lin[0]).max(),
-                np.abs(bg[n] - pim.bias_lin[1]).max(),
-            ) > REINTEGRATION_THRESHOLD:
-                self._integrate(n, ba[n], bg[n])
-                dirty = True
-        if dirty:
-            pim = pre.stack(self.pims)
-            self._ctx = (pim, pim.sqrt_info())
-        return self._ctx, self.slots
 
     def kernel(self, ctx, gathered, jacobians=False):
         p_i, R_i, v_i, ba_i, bg_i, p_j, R_j, v_j = gathered
@@ -888,8 +854,8 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
     if cfg.use_imu:
         problem.add_group(
             DtPreintGroup(ids, imu_t, meas.gyro, meas.accel, pose_times,
-                          GRAVITY, _sigma(noise.gyro_sigma),
-                          _sigma(noise.accel_sigma))
+                          init.bias_accel, init.bias_gyro, GRAVITY,
+                          _sigma(noise.gyro_sigma), _sigma(noise.accel_sigma))
         )
         problem.add_group(
             DtBiasWalkGroup(ids, pose_times, noise.accel_bias_rw,

@@ -184,6 +184,15 @@ def window_slots(first_block, seg, order, kind):
     return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
 
 
+def cut_windows(problem, state, grid, first_block, seg, step):
+    """Mask of the windows starting at node ``seg`` of the rotation nodes
+    from block ``first_block`` that hold a control pair within ``step`` of
+    angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_windows`)."""
+    ids = first_block + np.arange(grid.count)
+    nodes = problem.gather(state, Slot(ids, ROTATION, 3))
+    return bs.so3_cut_windows(nodes, seg, grid.order, step)
+
+
 class R3FitGroup(FactorGroup):
     """Position-spline fitting residuals ``p^(d)(u(t_j)) - p_bar_j``, with
     ``d`` the time ``derivative`` of the position that is fitted."""
@@ -240,11 +249,9 @@ class SO3FitGroup(FactorGroup):
         return (r, {}) if jacobians else r
 
     def jumps(self, problem, state, ctx):
-        """Factors whose window holds a control pair within ``fd_step`` of
-        angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_windows`)."""
-        ids = self.first_block + np.arange(self.grid.count)
-        nodes = problem.gather(state, Slot(ids, ROTATION, 3))
-        return bs.so3_cut_windows(nodes, self.seg, self.grid.order, self.fd_step)
+        """Factors whose window is cut (:func:`cut_windows`)."""
+        return cut_windows(problem, state, self.grid, self.first_block,
+                           self.seg, self.fd_step)
 
 
 @dataclass

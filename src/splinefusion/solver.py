@@ -102,7 +102,10 @@ class FactorGroup:
     Subclasses implement :meth:`kernel` and give their slots: a family
     whose slots do not depend on the state sets ``slots`` (and ``ctx``, if
     its kernel reads one) and takes the default :meth:`build`; one whose
-    slots or context move with the state overrides :meth:`build`.  The
+    slots or context move with the state overrides :meth:`build`.  A
+    family's residuals are a function of the state alone: the discrete-time
+    preintegration, for one, is integrated once when the group is made, at
+    the initial biases of its problem, and sets a fixed ``ctx``.  The
     kernel is the one Jacobian protocol: ``kernel(ctx, gathered)``
     returns the whitened residuals, and ``kernel(ctx, gathered,
     jacobians=True)`` returns ``(r, jacs)`` with the same ``r`` and the
@@ -181,8 +184,9 @@ class FactorGroup:
 @dataclass
 class BlockJacobian:
     """The Jacobian of :meth:`Problem.linearize` as ``blocks``, one ``(M,
-    cols)`` per group in residual order: ``M`` (num, dim, w) holds its slot
-    Jacobians side by side, ``cols`` (num, w) their columns, -1 if fixed."""
+    cols)`` per group in residual order: ``M`` (num, dim, w) holds the
+    Jacobians of its slots with a free block side by side, ``cols`` (num, w)
+    their columns, -1 if fixed; a group with no free slot has w = 0."""
 
     blocks: list
     shape: tuple
@@ -360,8 +364,8 @@ class Problem:
 
     def linearize(self, state):
         """Full residual vector, its :class:`BlockJacobian` over the free
-        tangent columns, and the number of factors on a jump (see
-        :meth:`FactorGroup.linearize`).
+        tangent columns (a slot whose blocks are all fixed is left out), and
+        the number of factors on a jump (see :meth:`FactorGroup.linearize`).
 
         Raises :class:`InvalidArgumentError` when a factor's columns fall in
         two point blocks, through two slots or through one slot wider than a
@@ -377,21 +381,23 @@ class Problem:
             res.append(r.ravel())
             starts = [np.broadcast_to(self._col_array[s.block_ids], (num,))[:, None]
                       for s in slots]  # each slot's first column per factor, -1 if fixed
-            cols = np.hstack([np.where(c >= 0, c + np.arange(s.dim), -1)
-                              for c, s in zip(starts, slots)])
+            free = [si for si, c in enumerate(starts) if (c >= 0).any()]
+            cols = np.hstack([np.zeros((num, 0), int)] + [
+                np.where(starts[si] >= 0, starts[si] + np.arange(slots[si].dim), -1)
+                for si in free])
             if self.num_point_cols:
                 self._check_points(group, np.where(cols >= p0, (cols - p0) // 3, -1))
             if num:  # the normal equations take no empty group
-                blocks.append((np.concatenate(
-                    [np.broadcast_to(jacs[si], (num, dim, slot.dim))
-                     for si, slot in enumerate(slots)], axis=2), cols))
+                blocks.append((np.concatenate([np.zeros((num, dim, 0))] + [
+                    np.broadcast_to(jacs[si], (num, dim, slots[si].dim))
+                    for si in free], axis=2), cols))
         r_all = np.concatenate(res) if res else np.zeros(0)
         return r_all, BlockJacobian(blocks, (r_all.size, self.num_cols)), jump_rows
 
     def _check_points(self, group, points):
         """Raise unless each factor's columns fall in at most one point;
         ``points`` is (num, columns) of point indices, -1 for none."""
-        top = points.max(axis=1, keepdims=True)
+        top = points.max(axis=1, keepdims=True, initial=-1)
         bad = np.argwhere((points >= 0) & (points != top))
         if bad.size:
             i, j = bad[0]

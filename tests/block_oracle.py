@@ -26,6 +26,7 @@ def assemble_csr(J):
         cols.append(c[free])
         vals.append(M[free])
         row0 += num * dim
+    assert row0 == J.shape[0], "the blocks do not cover every residual row"
     if not vals:
         return sp.csr_matrix(J.shape)
     return sp.coo_matrix(

@@ -400,31 +400,36 @@ def test_dt_reprojection_linearize_makes_no_finite_differences(perturbed_dt):
 
 
 def test_dt_preint_segments_integrate_their_own_imu_slice():
-    """Each segment hands ``integrate`` only the samples around it and gets
-    exactly what integrating the whole (hold-extended) stream gives, with
-    frame stamps on, between and outside the sample stamps; the stacked
-    whitening equals the per-segment one."""
+    """Each segment hands ``integrate`` only the samples around it, at the
+    biases of its first frame, and gets exactly what integrating the whole
+    hold-extended stream gives, with frame stamps on, between and outside
+    the sample stamps; the stacked whitening equals the per-segment one."""
     rng = np.random.default_rng(8)
     imu_t = np.cumsum(rng.uniform(0.004, 0.006, size=200))
     gyro = rng.normal(size=(200, 3))
     accel = rng.normal(size=(200, 3)) + [0.0, 0.0, 9.81]
     frame_times = np.concatenate([[imu_t[0] - 0.002], imu_t[[20, 51]],
                                   [imu_t[90] + 0.003, imu_t[-1] + 0.001]])
-    ids = {k: np.arange(frame_times.size) for k in ("p", "R", "v", "ba", "bg")}
-    group = est.DtPreintGroup(ids, imu_t, gyro, accel, frame_times, GRAVITY,
-                              2e-3, 3e-2)
-    for n in range(frame_times.size - 1):
-        ba = rng.normal(scale=0.05, size=3)
-        bg = rng.normal(scale=0.01, size=3)
-        group._integrate(n, ba, bg)
-        whole = pre.integrate(group.imu_t, group.gyro, group.accel,
-                              bias_lin=(ba, bg), gyro_sigma=2e-3,
-                              accel_sigma=3e-2, t_start=frame_times[n],
-                              t_end=frame_times[n + 1])
-        for f in ("dR", "dv", "dp", "covariance", "J_bias"):
-            assert np.array_equal(getattr(group.pims[n], f), getattr(whole, f))
-    assert np.array_equal(pre.stack(group.pims).sqrt_info(),
-                          np.stack([p.sqrt_info() for p in group.pims]))
+    K = frame_times.size
+    ba = rng.normal(scale=0.05, size=(K, 3))
+    bg = rng.normal(scale=0.01, size=(K, 3))
+    ids = {k: np.arange(K) for k in ("p", "R", "v", "ba", "bg")}
+    group = est.DtPreintGroup(ids, imu_t, gyro, accel, frame_times, ba, bg,
+                              GRAVITY, 2e-3, 3e-2)
+    held_t = np.concatenate([frame_times[:1], imu_t, frame_times[-1:]])
+    held_gyro, held_accel = (np.concatenate([x[:1], x, x[-1:]])
+                             for x in (gyro, accel))
+    pim, W = group.ctx
+    wholes = [pre.integrate(held_t, held_gyro, held_accel,
+                            bias_lin=(ba[n], bg[n]), gyro_sigma=2e-3,
+                            accel_sigma=3e-2, t_start=frame_times[n],
+                            t_end=frame_times[n + 1]) for n in range(K - 1)]
+    for f in ("dR", "dv", "dp", "covariance", "J_bias"):
+        assert np.array_equal(getattr(pim, f),
+                              np.stack([getattr(w, f) for w in wholes])), f
+    assert np.array_equal(pim.bias_lin[0], ba[:-1])
+    assert np.array_equal(pim.bias_lin[1], bg[:-1])
+    assert np.array_equal(W, np.stack([w.sqrt_info() for w in wholes]))
 
 
 def test_dt_bias_walk_whitens_by_density_and_frame_gap():
@@ -454,6 +459,33 @@ def test_kernel_residuals_same_with_and_without_jacobians(which, request):
         gathered = [problem.gather(state, s) for s in slots]
         r, _ = group.kernel(ctx, gathered, jacobians=True)
         assert np.array_equal(r, group.kernel(ctx, gathered)), group.name
+
+
+def _moved(problem, state, moves):
+    """A copy of ``state`` with ``{(block name, entry): step}`` added."""
+    out = state.copy()
+    for (name, i), step in moves.items():
+        out.euc[problem.blocks[problem.block_id(name)].store + i] += step
+    return out
+
+
+@pytest.mark.parametrize("which, far, near", [
+    ("perturbed_ct", {("t_cam", 0): 0.02, ("t_gps", 0): -0.02},
+     {("t_cam", 0): 0.005, ("t_gps", 0): -0.005}),
+    ("perturbed_dt", {("bg3", 0): 0.15}, {("bg3", 0): 0.08}),
+], ids=["ct", "dt"])
+def test_residuals_do_not_depend_on_evaluation_history(which, far, near, request):
+    """The cost is a function of the state alone: after the residuals at
+    the initial state, those at a nearby state are bit-equal whether or not
+    a far trial (an LM step that is then rejected) was evaluated between.
+    For DT the trial moves one frame's gyroscope bias by 0.15 rad/s, the
+    nearby state by 0.08 rad/s."""
+    problem, state = request.getfixturevalue(which)
+    problem.residual_vector(state)
+    direct = problem.residual_vector(_moved(problem, state, near))
+    problem.residual_vector(_moved(problem, state, far))
+    assert np.array_equal(problem.residual_vector(_moved(problem, state, near)),
+                          direct)
 
 
 def test_dt_imu_gap_rejected(zero_offset_sim):

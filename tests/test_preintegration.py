@@ -168,6 +168,54 @@ def test_bias_correction_first_order():
     assert np.max(np.abs(dv - exact.dv)) < 0.05 * np.max(np.abs(pim.dv - exact.dv))
 
 
+def _varying_segment(T=0.1):
+    """A 200 Hz stream of varying rates and forces over [0, T], and its
+    preintegration at a nonzero bias."""
+    times = np.arange(0.0, T + 1e-9, 1.0 / 200.0)
+    gyro = (0.5 * np.sin(3 * times)[:, None] * np.array([1.0, -0.4, 0.2])
+            + [0.3, 0.1, -0.2])
+    accel = np.cos(2 * times)[:, None] * np.array([0.3, 1.0, -0.7]) + np.array(
+        [0.0, 0.0, 9.81])
+    bias = (np.array([0.02, -0.01, 0.03]), np.array([1e-3, -2e-3, 3e-3]))
+    pim = pre.integrate(times, gyro, accel, bias_lin=bias, t_start=0.0, t_end=T)
+
+    def at(b_accel, b_gyro):
+        return pre.integrate(times, gyro, accel, bias_lin=(b_accel, b_gyro),
+                             t_start=0.0, t_end=T)
+    return pim, bias, at
+
+
+def test_accel_bias_correction_is_exact():
+    """dv and dp are linear in the accelerometer bias, so the correction of
+    a 0.5 m/s^2 bias change equals re-integration at the new bias: DT can
+    keep a segment's preintegration through a whole solve."""
+    pim, (b_a, b_g), at = _varying_segment()
+    b_new = b_a + np.array([0.5, -0.5, 0.5])
+    exact = at(b_new, b_g)
+    for got, want in zip(pim.corrected(b_new, b_g), (exact.dR, exact.dv, exact.dp)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_gyro_bias_correction_is_first_order_only():
+    """A gyroscope-bias change is corrected to first order: the corrected
+    deltas differ from re-integration, the rotation by an error that
+    shrinks fourfold when the change halves, and every delta by far less
+    than without the correction."""
+    pim, (b_a, b_g), at = _varying_segment()
+    axis = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+    errors = []
+    for step in (0.1, 0.05):
+        exact = at(b_a, b_g + step * axis)
+        want = (exact.dR, exact.dv, exact.dp)
+        got = pim.corrected(b_a, b_g + step * axis)
+        err = [np.max(np.abs(x - y)) for x, y in zip(got, want)]
+        raw = [np.max(np.abs(x - y)) for x, y in zip((pim.dR, pim.dv, pim.dp), want)]
+        assert min(err) > 1e-9
+        assert all(e < 0.1 * r for e, r in zip(err, raw))
+        errors.append(err[0])
+    assert 3.5 < errors[0] / errors[1] < 4.5
+
+
 def test_covariance_properties():
     times, gyro, accel = constant_input(T=0.5, omega=(0.2, 0.1, -0.3),
                                         a=(0.5, -0.2, 9.8))

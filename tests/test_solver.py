@@ -540,7 +540,7 @@ class _PointGroup(FactorGroup):
 def _oracle_problem(rng):
     """A fixed block, a shared scalar slot, one block reached through two
     slots, free points each seen by several factors beside a fixed point,
-    and a factor that sees a point alone."""
+    a factor that sees a point alone and a group of fixed blocks only."""
     problem = Problem()
     xs = [problem.add_euclidean(f"x{i}", rng.normal(size=1)) for i in range(4)]
     shared = problem.add_euclidean("s", rng.normal(size=1))
@@ -552,6 +552,7 @@ def _oracle_problem(rng):
     pts.append(problem.add_euclidean("p_fixed", rng.normal(size=3), fixed=True,
                                      point=True))
     problem.add_group(_SharedGroup(np.array(xs), shared, rng.normal(size=4)))
+    problem.add_group(Factor(["p_fixed", "b_fixed"], lambda p, b: p * b[1], dim=3))
     problem.add_group(Factor(
         ["a", "a", "b_fixed", "s"],
         lambda a, a2, b, s: np.array([a @ a2, a[0] * b[1] * s[0], np.sin(a[2])]),
