@@ -31,7 +31,6 @@ from .errors import InvalidArgumentError, OutOfDomainError
 from .rotations import (
     hat,
     is_rotation,
-    quat_to_rotation,
     rotation_to_quat,
     so3_exp,
     so3_log,
@@ -406,27 +405,7 @@ def spline_pair_to_dict(pos: SplineR3 | None, rot: SplineSO3 | None):
     }
 
 
-def spline_pair_from_dict(data):
-    """Inverse of :func:`spline_pair_to_dict`; returns (SplineR3|None, SplineSO3|None)."""
-    positions = np.asarray(data["positions"], dtype=float)
-    rotations = np.asarray(data["rotations"], dtype=float)
-    count = len(positions) if positions.size else len(rotations)
-    grid = KnotGrid(
-        t0=data["t0_ns"] * 1e-9,
-        dt=data["dt_ns"] * 1e-9,
-        count=count,
-        order=data["order"],
-    )
-    pos = SplineR3(grid, positions) if positions.size else None
-    rot = SplineSO3(grid, quat_to_rotation(rotations)) if rotations.size else None
-    return pos, rot
-
-
 def save_spline_pair(path, pos, rot):
     with open(path, "w") as f:
         json.dump(spline_pair_to_dict(pos, rot), f)
 
-
-def load_spline_pair(path):
-    with open(path) as f:
-        return spline_pair_from_dict(json.load(f))

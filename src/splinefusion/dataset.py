@@ -12,6 +12,11 @@ Timestamps are integer nanoseconds in every file.  The estimators convert
 them to absolute float seconds, ``t_ns * 1e-9``, with no origin subtracted,
 so epoch-scale stamps keep only about 2.4e-7 s of resolution (the open
 time-origin defect F2 in ROADMAP.md).
+
+``MeasurementSet.observations()`` is the one flat table of the camera
+observations: frame index, landmark id and pixel, frame by frame.
+Validation, the ``features.csv`` reader and writer and the estimators
+derive every per-observation quantity from it with array code.
 """
 
 from __future__ import annotations
@@ -147,23 +152,31 @@ class MeasurementSet:
     frames: list  # list[Frame]
     landmarks_true: dict  # id -> (3,) m
 
+    def observations(self):
+        """The flat observation table, frame by frame in frame order:
+        (frame_index (N,) int, landmark_ids (N,) int, pixels (N, 2))."""
+        frames = self.frames
+        return (np.repeat(np.arange(len(frames)),
+                          [f.landmark_ids.size for f in frames]),
+                np.concatenate([np.zeros(0, int)]
+                               + [f.landmark_ids for f in frames]).astype(int),
+                np.concatenate([np.zeros((0, 2))] + [f.pixels for f in frames]))
+
     def validate(self):
         for name, ts in (("imu", self.imu_t_ns), ("gps", self.gps_t_ns)):
             if ts.size > 1 and np.any(np.diff(ts) <= 0):
                 raise DataError(f"{name} timestamps are not strictly increasing")
-        ft = np.array([f.t_ns for f in self.frames])
+        ft = self.frame_t_ns
         if ft.size > 1 and np.any(np.diff(ft) <= 0):
             raise DataError("frame timestamps are not strictly increasing")
-        counts = {}
-        for f in self.frames:
-            for lid in f.landmark_ids:
-                if int(lid) not in self.landmarks_true:
-                    raise DataError(f"observed landmark {lid} missing from scene")
-                counts[int(lid)] = counts.get(int(lid), 0) + 1
-        if any(c < 2 for c in counts.values()):
+        _, lids, pixels = self.observations()
+        missing = lids[~np.isin(lids, list(self.landmarks_true))]
+        if missing.size:
+            raise DataError(f"observed landmark {missing[0]} missing from scene")
+        if np.any(np.unique(lids, return_counts=True)[1] < 2):
             raise DataError("every retained landmark needs >= 2 observations")
-        arrays = [self.gyro, self.accel, self.gps] + [f.pixels for f in self.frames]
-        if any(not np.all(np.isfinite(a)) for a in arrays if a.size):
+        if not all(np.all(np.isfinite(a)) for a in (self.gyro, self.accel,
+                                                    self.gps, pixels)):
             raise DataError("non-finite measurement values")
         return self
 
@@ -258,14 +271,11 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
     _write_csv(os.path.join(out_dir, "gps.csv"), _HEADERS["gps.csv"],
                _stamped_rows(meas.gps_t_ns, meas.gps))
 
-    def feature_rows():
-        for k, fr in enumerate(meas.frames):
-            for lid, px in zip(fr.landmark_ids, fr.pixels):
-                yield [str(int(fr.t_ns)), str(k), str(int(lid)),
-                       f"{px[0]:.17g}", f"{px[1]:.17g}"]
-
-    _write_csv(os.path.join(out_dir, "features.csv"), _HEADERS["features.csv"],
-               feature_rows())
+    fidx, obs_ids, pixels = meas.observations()
+    _write_csv(os.path.join(out_dir, "features.csv"), _HEADERS["features.csv"], (
+        [str(t), str(k), str(i), f"{u:.17g}", f"{v:.17g}"]
+        for t, k, i, (u, v) in zip(meas.frame_t_ns[fidx].tolist(), fidx.tolist(),
+                                   obs_ids.tolist(), pixels)))
     if gt is not None:
         write_pose_csv(os.path.join(out_dir, "gt.csv"), *gt)
     lids = sorted(meas.landmarks_true)
@@ -279,7 +289,7 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
             "imu": int(meas.imu_t_ns.size),
             "gps": int(meas.gps_t_ns.size),
             "frames": len(meas.frames),
-            "observations": int(sum(f.landmark_ids.size for f in meas.frames)),
+            "observations": int(fidx.size),
         },
     }
     if extra_meta:
@@ -313,19 +323,18 @@ def read_dataset(data_dir, require_gps=True):
 
     frames = []
     if feats.size:
+        # one stable sort groups the rows by frame, each in its file order
         frame_ids = feats[:, 0].astype(int)
         order = np.argsort(frame_ids, kind="stable")
-        feats = feats[order]
-        feat_t_ns = feat_t_ns[order]
-        frame_ids = frame_ids[order]
-        for fid in np.unique(frame_ids):
-            rows = feats[frame_ids == fid]
-            stamps = feat_t_ns[frame_ids == fid]
-            if np.any(stamps != stamps[0]):
-                raise DataError(f"features.csv: frame {fid} has mixed timestamps")
-            frames.append(
-                Frame(int(stamps[0]), rows[:, 1].astype(int), rows[:, 2:4].copy())
-            )
+        frame_ids, feat_t_ns, feats = frame_ids[order], feat_t_ns[order], feats[order]
+        _, starts = np.unique(frame_ids, return_index=True)
+        stamps = feat_t_ns[starts]
+        mixed = feat_t_ns != np.repeat(stamps, np.diff(starts, append=len(feats)))
+        if mixed.any():
+            raise DataError(
+                f"features.csv: frame {frame_ids[mixed][0]} has mixed timestamps")
+        frames = [Frame(int(t), rows[:, 1].astype(int), rows[:, 2:4].copy())
+                  for t, rows in zip(stamps, np.split(feats, starts[1:]))]
     landmarks = {
         int(i): np.asarray(p, dtype=float)
         for i, p in zip(scene["landmark_ids"], scene["landmarks"])

@@ -10,6 +10,11 @@ camera frame with IMU preintegration between frames.
 Time-offset handling: CT samples the spline at the shifted measurement
 time; DT shifts image features along their track velocity (and shifts the
 GPS interpolation time).  Offset blocks are bounded box constraints.
+
+The set-up works on tables, not per observation: :func:`flatten_observations`
+adds stamps and track velocities to ``MeasurementSet.observations()``, and
+one id-sorted landmark table maps observations to landmark blocks and
+gathers each frame's points for PnP.
 """
 
 from __future__ import annotations
@@ -77,7 +82,6 @@ class CtConfig(EstimatorConfig):
     spline_order: int = 6
     node_hz: float = 10.0
     bias_node_hz: float = 1.0
-    margin: float = 0.06
 
     def __post_init__(self):
         super().__post_init__()
@@ -85,8 +89,6 @@ class CtConfig(EstimatorConfig):
             raise InvalidArgumentError(
                 "IMU factors need spline order >= 4 for C2 continuity"
             )
-        if self.margin < self.offset_bound:
-            raise InvalidArgumentError("domain margin must cover the offset bound")
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,13 @@ def _sigma(x):
     return x if x > 0 else 1.0
 
 
+def _edge_margin(cfg):
+    """The offset bound plus 10 ms, in whole nanoseconds like the stamps:
+    how far the CT spline domain reaches past the data, and how far the IMU
+    may fall short of the DT pose span."""
+    return round(cfg.offset_bound + 0.01, 9)
+
+
 # ---------------------------------------------------------------------------
 # observation flattening
 
@@ -117,36 +126,25 @@ class _Observations:
 
 
 def flatten_observations(meas: MeasurementSet):
-    """Per-observation arrays plus track velocities for feature shifting.
+    """The observation table of ``meas`` with stamps in seconds and track
+    velocities for feature shifting.
 
-    The velocity of a track's first observation uses the forward difference;
-    single-observation tracks get zero velocity (decoupled from the offset).
+    An observation's velocity is the backward difference to the one before
+    it on its track, in frame order; a track's first observation takes the
+    forward difference, and a single-observation track zero velocity
+    (decoupled from the offset).
     """
-    stamps, fidx, lids, pixels = [], [], [], []
-    for k, fr in enumerate(meas.frames):
-        t = fr.t_ns * 1e-9
-        for lid, px in zip(fr.landmark_ids, fr.pixels):
-            stamps.append(t)
-            fidx.append(k)
-            lids.append(int(lid))
-            pixels.append(px)
-    stamps = np.asarray(stamps)
-    fidx = np.asarray(fidx, dtype=int)
-    lids = np.asarray(lids, dtype=int)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    fidx, lids, pixels = meas.observations()
+    stamps = meas.frame_t_ns[fidx] * 1e-9
+    # rows of each track, in frame order, and the pairs of consecutive ones
+    order = np.argsort(lids, kind="stable")
+    track = lids[order]
+    pair = track[1:] == track[:-1]
+    a, b = order[:-1][pair], order[1:][pair]
     vel = np.zeros_like(pixels)
-    by_lm = {}
-    for n, lid in enumerate(lids):
-        by_lm.setdefault(lid, []).append(n)
-    for rows in by_lm.values():
-        if len(rows) < 2:
-            continue
-        ts = stamps[rows]
-        zs = pixels[rows]
-        dv = np.diff(zs, axis=0) / np.diff(ts)[:, None]
-        vel[rows[0]] = dv[0]
-        for i in range(1, len(rows)):
-            vel[rows[i]] = dv[i - 1]
+    vel[b] = (pixels[b] - pixels[a]) / (stamps[b] - stamps[a])[:, None]
+    first = np.r_[True, ~pair][:-1][pair]  # the pair starts its track
+    vel[a[first]] = vel[b[first]]
     return _Observations(stamps, fidx, lids, pixels, vel)
 
 
@@ -507,7 +505,8 @@ class DtPreintGroup(FactorGroup):
 
 
 class DtBiasWalkGroup(FactorGroup):
-    """Whitened bias random-walk residuals between consecutive frames."""
+    """Whitened bias random-walk residuals between consecutive frames.  The
+    residuals are linear in the biases, so the Jacobians are constants."""
 
     name = "dt_bias_walk"
     dim = 6
@@ -521,6 +520,14 @@ class DtBiasWalkGroup(FactorGroup):
             Slot(ids["ba"][1:], EUCLIDEAN, 3),
             Slot(ids["bg"][1:], EUCLIDEAN, 3),
         ]
+        self.jacobians = {}
+        for si, (w, sgn, rows) in enumerate(
+            [(self.w_a, -1.0, 0), (self.w_g, -1.0, 3),
+             (self.w_a, 1.0, 0), (self.w_g, 1.0, 3)]
+        ):
+            Jm = np.zeros((w.size, 6, 3))
+            Jm[:, rows : rows + 3, :] = sgn * w[:, None, None] * np.eye(3)
+            self.jacobians[si] = Jm
 
     def kernel(self, ctx, gathered, jacobians=False):
         ba_i, bg_i, ba_j, bg_j = gathered
@@ -528,19 +535,7 @@ class DtBiasWalkGroup(FactorGroup):
             [(ba_j - ba_i) * self.w_a[:, None], (bg_j - bg_i) * self.w_g[:, None]],
             axis=1,
         )
-        if not jacobians:
-            return r
-        n = self.w_a.size
-        eye = np.eye(3)
-        J = {}
-        for si, (w, sgn, rows) in enumerate(
-            [(self.w_a, -1.0, 0), (self.w_g, -1.0, 3),
-             (self.w_a, 1.0, 0), (self.w_g, 1.0, 3)]
-        ):
-            Jm = np.zeros((n, 6, 3))
-            Jm[:, rows : rows + 3, :] = sgn * w[:, None, None] * eye[None]
-            J[si] = Jm
-        return r, J
+        return (r, dict(self.jacobians)) if jacobians else r
 
 
 class DtGpsGroup(FactorGroup):
@@ -669,26 +664,26 @@ def _scalar(values):
 def _add_shared_blocks(problem, init, cfg, fix_landmarks):
     """Landmark, t_cam, p_ant and t_gps blocks of the enabled sensors.
 
-    Returns ``(lm_block, tcam_id, pant_id, tgps_id)``, None for a block the
-    sensors leave out, and registers each block with ``problem.meta`` for
-    :func:`extract_state`.  Landmarks are point blocks: each reprojection
-    factor sees one, so the solver eliminates them by Schur complement.
+    Returns ``(lm_blocks, tcam_id, pant_id, tgps_id)``, None for a block
+    the sensors leave out, and registers each block with ``problem.meta``
+    for :func:`extract_state`.  ``lm_blocks`` is ``(ids, blocks)``: the
+    landmark ids in increasing order and their block ids.  Landmarks are
+    point blocks: each reprojection factor sees one, so the solver
+    eliminates them by Schur complement.
     """
     bounds = (-cfg.offset_bound, cfg.offset_bound)
-    lm_block = {}
-    tcam_id = pant_id = tgps_id = None
+    lm_blocks = tcam_id = pant_id = tgps_id = None
     if cfg.use_cam:
-        for lid in sorted(init.landmarks):
-            lm_block[lid] = problem.add_euclidean(
-                f"lm{lid}", init.landmarks[lid], fixed=fix_landmarks, point=True
-            )
+        lids, points = _landmark_table(init.landmarks)
+        lm_blocks = (lids, np.array([
+            problem.add_euclidean(f"lm{i}", p, fixed=fix_landmarks, point=True)
+            for i, p in zip(lids.tolist(), points)], dtype=int))
         tcam_id = problem.add_euclidean(
             "t_cam", np.array([init.t_cam_imu]),
             fixed=not cfg.estimate_t_cam, bounds=bounds,
         )
-        lids = list(lm_block)
         problem.meta["landmarks"] = (
-            list(lm_block.values()), lambda v: dict(zip(lids, v)))
+            lm_blocks[1], lambda v: dict(zip(lids.tolist(), v)))
         problem.meta["t_cam_imu"] = ([tcam_id], _scalar)
     if cfg.use_gps:
         pant_id = problem.add_euclidean("p_ant", init.p_antenna_body)
@@ -698,11 +693,20 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
         )
         problem.meta["p_antenna_body"] = ([pant_id], _first)
         problem.meta["t_gps_imu"] = ([tgps_id], _scalar)
-    return lm_block, tcam_id, pant_id, tgps_id
+    return lm_blocks, tcam_id, pant_id, tgps_id
 
 
-def _landmark_ids(lm_block, obs):
-    return np.array([lm_block[int(l)] for l in obs.landmark_ids])
+def _landmark_table(landmarks):
+    """The ids (L,) of a landmark dict in increasing order, and their points
+    (L, 3)."""
+    ids = np.array(sorted(landmarks), dtype=int)
+    return ids, np.array([landmarks[i] for i in ids.tolist()]).reshape(-1, 3)
+
+
+def _landmark_ids(lm_blocks, obs):
+    """The landmark block of each observation."""
+    lids, blocks = lm_blocks
+    return blocks[np.searchsorted(lids, obs.landmark_ids)]
 
 
 def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
@@ -729,7 +733,7 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         hi_list.append(gps_t[-1])
     if not lo_list:
         raise InvalidArgumentError("no enabled measurement streams")
-    _check_domain(grid, min(lo_list), max(hi_list), cfg.offset_bound + 0.01,
+    _check_domain(grid, min(lo_list), max(hi_list), _edge_margin(cfg),
                   "trajectory spline")
 
     problem = Problem()
@@ -760,13 +764,13 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
             gravity=([grav_id], _first),
         )
 
-    lm_block, tcam_id, pant_id, tgps_id = _add_shared_blocks(
+    lm_blocks, tcam_id, pant_id, tgps_id = _add_shared_blocks(
         problem, init, cfg, fix_landmarks)
 
     if cfg.use_cam:
         obs = flatten_observations(meas)
         problem.add_group(
-            CtReprojGroup(grid, pos0, rot0, _landmark_ids(lm_block, obs),
+            CtReprojGroup(grid, pos0, rot0, _landmark_ids(lm_blocks, obs),
                           tcam_id, obs, rig, 1.0 / _sigma(noise.pixel_sigma))
         )
         counts["reprojection"] = obs.pixels.shape[0]
@@ -809,35 +813,27 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
     pose_times = init.times
     imu_t, gps_t = _stream_times(meas, cfg)
     if cfg.use_imu:
-        edge_slack = cfg.offset_bound + 0.01
-        if (imu_t[0] > pose_times[0] + edge_slack
-                or imu_t[-1] < pose_times[-1] - edge_slack):
+        slack = _edge_margin(cfg)
+        if imu_t[0] > pose_times[0] + slack or imu_t[-1] < pose_times[-1] - slack:
             raise DataError("IMU does not cover the pose span")
 
     problem = Problem()
     fix_gauge = not cfg.use_gps
-    ids = {"p": [], "R": [], "v": [], "ba": [], "bg": []}
-    for k in range(K):
-        ids["p"].append(problem.add_euclidean(
-            f"p{k}", init.positions[k], fixed=fix_gauge and k == 0))
-    for k in range(K):
-        ids["R"].append(problem.add_rotation(
-            f"R{k}", init.rotations[k], fixed=fix_gauge and k == 0))
+    # (block name prefix, state field, adder, first block fixed for gauge)
+    table = [("p", "positions", problem.add_euclidean, fix_gauge),
+             ("R", "rotations", problem.add_rotation, fix_gauge)]
     if cfg.use_imu:
-        for k in range(K):
-            ids["v"].append(problem.add_euclidean(f"v{k}", init.velocities[k]))
-        for k in range(K):
-            ids["ba"].append(problem.add_euclidean(f"ba{k}", init.bias_accel[k]))
-        for k in range(K):
-            ids["bg"].append(problem.add_euclidean(f"bg{k}", init.bias_gyro[k]))
-    ids = {k: np.array(v, dtype=int) for k, v in ids.items()}
-    for field_name, key in (("positions", "p"), ("rotations", "R"),
-                            ("velocities", "v"), ("bias_accel", "ba"),
-                            ("bias_gyro", "bg")):
-        if ids[key].size:
-            problem.meta[field_name] = (ids[key], np.asarray)
+        table += [("v", "velocities", problem.add_euclidean, False),
+                  ("ba", "bias_accel", problem.add_euclidean, False),
+                  ("bg", "bias_gyro", problem.add_euclidean, False)]
+    ids = {}
+    for key, field_name, add, gauge in table:
+        values = getattr(init, field_name)
+        ids[key] = np.array([add(f"{key}{k}", values[k], fixed=gauge and k == 0)
+                             for k in range(K)], dtype=int)
+        problem.meta[field_name] = (ids[key], np.asarray)
 
-    lm_block, tcam_id, pant_id, tgps_id = _add_shared_blocks(
+    lm_blocks, tcam_id, pant_id, tgps_id = _add_shared_blocks(
         problem, init, cfg, fix_landmarks)
 
     counts = {}
@@ -847,7 +843,7 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         obs = flatten_observations(meas)
         problem.add_group(
             DtReprojGroup(ids["p"][obs.frame_index], ids["R"][obs.frame_index],
-                          _landmark_ids(lm_block, obs), tcam_id, obs, rig,
+                          _landmark_ids(lm_blocks, obs), tcam_id, obs, rig,
                           1.0 / _sigma(noise.pixel_sigma))
         )
         counts["reprojection"] = obs.pixels.shape[0]
@@ -897,10 +893,12 @@ def extract_state(problem, state, init):
 
 
 def _perturbed_landmarks(meas, sigma, rng):
-    out = {}
-    for lid, p in meas.landmarks_true.items():
-        out[int(lid)] = p + rng.normal(scale=sigma, size=3)
-    return out
+    """The true landmarks plus N(0, sigma^2) noise, drawn in the dict's
+    order."""
+    true = meas.landmarks_true
+    noisy = np.reshape(list(true.values()), (-1, 3)) + rng.normal(
+        scale=sigma, size=(len(true), 3))
+    return dict(zip(map(int, true), noisy))
 
 
 def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
@@ -916,10 +914,11 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
     rotations = np.zeros((K, 3, 3))
     T_bc = rig.T_cam_imu
     got = np.zeros(K, dtype=bool)
+    lids, points = _landmark_table(landmarks)
     for k, fr in enumerate(meas.frames):
-        pts = np.array([landmarks[int(l)] for l in fr.landmark_ids])
-        if len(pts) < 6:
+        if fr.landmark_ids.size < 6:
             continue
+        pts = points[np.searchsorted(lids, fr.landmark_ids)]
         try:
             T_wc = pnp_dlt(rig.camera, pts, fr.pixels)
         except (DegenerateConfigurationError, NumericalFailureError,
@@ -931,14 +930,9 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
         got[k] = True
     if not np.any(got):
         raise DataError("PnP initialization failed on every frame")
-    good = np.nonzero(got)[0]
-    for k in range(K):
-        if got[k]:
-            continue
-        j = good[np.argmin(np.abs(good - k))]
-        positions[k] = positions[j]
-        rotations[k] = rotations[j]
-    return stamps, positions, rotations
+    good = np.flatnonzero(got)
+    nearest = good[np.argmin(np.abs(np.arange(K)[:, None] - good), axis=1)]
+    return stamps, positions[nearest], rotations[nearest]
 
 
 def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
@@ -948,8 +942,8 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma, rng)
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
     lo, hi = meas.time_span_ns()
-    t_lo = lo * 1e-9 - cfg.margin
-    t_hi = hi * 1e-9 + cfg.margin
+    t_lo = lo * 1e-9 - _edge_margin(cfg)
+    t_hi = hi * 1e-9 + _edge_margin(cfg)
     fit = fit_spline_to_poses(stamps, pos, rot, cfg.spline_order, cfg.node_hz,
                               t_start=t_lo, t_end=t_hi)
     position, rotation = fit.position, fit.rotation

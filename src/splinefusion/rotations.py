@@ -211,19 +211,6 @@ def slerp_many(Ra, Rb, u):
     return Ra @ so3_exp(np.asarray(u)[..., None] * d)
 
 
-def rotation_angle(R):
-    """Rotation angle(s) in radians, in [0, pi]."""
-    R = np.asarray(R, dtype=float)
-    c = (np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0
-    return np.arccos(np.clip(c, -1.0, 1.0))
-
-
-def random_rotation(rng):
-    """Uniform random rotation from a normalized Gaussian quaternion."""
-    q = rng.normal(size=4)
-    return quat_to_rotation(q / np.linalg.norm(q))
-
-
 class Pose:
     """Rigid transform (R, p): maps child-frame points via R @ x + p."""
 

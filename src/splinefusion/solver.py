@@ -256,9 +256,6 @@ class Problem:
         self._layout_dirty = True
         return bid
 
-    def block_id(self, name):
-        return self._by_name[name]
-
     def add_group(self, group):
         self.groups.append(group)
 

@@ -3,6 +3,7 @@ import pytest
 
 from splinefusion import simulate as sim
 from splinefusion.dataset import NoiseSpec
+from splinefusion.rotations import quat_to_rotation
 
 
 def noiseless_spec(cam_hz=10.0, imu_hz=100.0, gps_hz=5.0, seed=0):
@@ -11,6 +12,12 @@ def noiseless_spec(cam_hz=10.0, imu_hz=100.0, gps_hz=5.0, seed=0):
         accel_bias_rw=0.0, gyro_bias_rw=0.0, gps_sigma=0.0,
         cam_hz=cam_hz, imu_hz=imu_hz, gps_hz=gps_hz, seed=seed,
     )
+
+
+def random_rotation(rng):
+    """Uniform random rotation from a normalized Gaussian quaternion."""
+    q = rng.normal(size=4)
+    return quat_to_rotation(q / np.linalg.norm(q))
 
 
 def wobbly_ground_truth(duration=8.0, margin=0.6, rate=0.7):

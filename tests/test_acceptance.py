@@ -20,7 +20,9 @@ from splinefusion import simulate as sim
 from splinefusion.camera import CameraModel
 from splinefusion.dataset import NoiseSpec
 from splinefusion.residuals import GRAVITY, CtState, DtState
-from splinefusion.rotations import random_rotation, so3_exp, so3_log
+from splinefusion.rotations import so3_exp, so3_log
+
+from conftest import random_rotation
 
 
 def ate_p(gt, result):

@@ -9,6 +9,7 @@ import pytest
 from splinefusion import cli
 from splinefusion import estimators as est
 from splinefusion.dataset import read_pose_csv
+from splinefusion.rotations import rotation_to_quat
 from splinefusion.solver import SolveReport
 
 
@@ -102,6 +103,8 @@ def test_imu_gap_reported(small_dataset, tmp_path, capsys):
 
 
 def test_fit_command(small_dataset, tmp_path, capsys):
+    """``fit`` reports a converged fit and writes the fitted spline pair to
+    spline.json: grid, position nodes and rotation nodes as quaternions."""
     out = tmp_path / "fit"
     rc = cli.main(["fit", "--poses", str(small_dataset / "gt.csv"),
                    "--order", "5", "--node-hz", "10", "--out", str(out)])
@@ -112,7 +115,15 @@ def test_fit_command(small_dataset, tmp_path, capsys):
     assert report["termination"] == "converged"
     assert report["rms_position_m"] < 1e-3
     spline = json.loads((out / "spline.json").read_text())
-    assert spline["order"] == 5
+    t_ns, pos, rot = read_pose_csv(small_dataset / "gt.csv")
+    fit = cli.fit_spline_to_poses(t_ns * 1e-9, pos, rot, 5, 10.0)
+    grid = fit.position.grid
+    assert set(spline) == {"order", "t0_ns", "dt_ns", "positions", "rotations"}
+    assert spline["order"] == grid.order == 5
+    assert spline["t0_ns"] == round(grid.t0 * 1e9)
+    assert spline["dt_ns"] == round(grid.dt * 1e9) == 100_000_000
+    assert np.array_equal(spline["positions"], fit.position.nodes)
+    assert np.array_equal(spline["rotations"], rotation_to_quat(fit.rotation.nodes))
 
 
 def test_fit_reports_a_fit_stopped_at_max_iter(small_dataset, tmp_path,

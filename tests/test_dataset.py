@@ -15,7 +15,9 @@ from splinefusion.dataset import (
 )
 from splinefusion.camera import CameraModel
 from splinefusion.errors import DataError, InvalidArgumentError
-from splinefusion.rotations import Pose, random_rotation
+from splinefusion.rotations import Pose
+
+from conftest import random_rotation
 
 
 def make_meas():
@@ -151,7 +153,7 @@ def test_validate_monotone():
 def test_validate_unknown_landmark():
     meas = make_meas()
     del meas.landmarks_true[2]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^observed landmark 2 missing from scene$"):
         meas.validate()
 
 
@@ -159,8 +161,77 @@ def test_validate_track_length():
     meas = make_meas()
     meas.frames[1].landmark_ids = np.array([1])
     meas.frames[1].pixels = meas.frames[1].pixels[:1]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError,
+                       match="^every retained landmark needs >= 2 observations$"):
         meas.validate()
+
+
+def test_validate_names_the_first_unknown_landmark_before_short_tracks():
+    """An unknown landmark is reported before a short track, and of two
+    unknown ones the first observed, in frame order."""
+    meas = make_meas()
+    meas.frames[0].landmark_ids = np.array([9, 1])
+    meas.frames[1].landmark_ids = np.array([1, 8])
+    with pytest.raises(DataError, match="^observed landmark 9 missing"):
+        meas.validate()
+
+
+def test_observations_concatenate_the_frames():
+    meas = interleaved_meas()
+    fidx, lids, pixels = meas.observations()
+    assert fidx.tolist() == [0, 0, 0, 1, 1, 2, 2, 2]
+    assert lids.tolist() == [7, 3, 12, 3, 12, 12, 3, 7]
+    assert np.array_equal(pixels, np.vstack([f.pixels for f in meas.frames]))
+    empty = MeasurementSet(meas.imu_t_ns, meas.gyro, meas.accel, meas.gps_t_ns,
+                           meas.gps, [], {})
+    assert [a.shape for a in empty.observations()] == [(0,), (0,), (0, 2)]
+
+
+def interleaved_meas():
+    """Three frames of different sizes whose tracks interleave, with the
+    landmark ids unsorted within each frame."""
+    rng = np.random.default_rng(3)
+    ids = [[7, 3, 12], [3, 12], [12, 3, 7]]
+    frames = [Frame(t_ns=t, landmark_ids=np.array(i),
+                    pixels=rng.uniform(0.0, 640.0, size=(len(i), 2)))
+              for t, i in zip((0, 50_000_000, 150_000_000), ids)]
+    meas = make_meas()
+    meas.frames = frames
+    meas.landmarks_true = {i: rng.normal(size=3) for i in (12, 3, 7)}
+    return meas.validate()
+
+
+def test_roundtrip_frame_by_frame(tmp_path, rng):
+    """Frames come back one by one, rows in their file order, also when the
+    rows of the frames interleave in features.csv."""
+    meas = interleaved_meas()
+    write_dataset(tmp_path, meas, make_rig(rng), NoiseSpec())
+    path = tmp_path / "features.csv"
+    header, *rows = path.read_text().splitlines()
+    # rows 0-2 are frame 0, 3-4 frame 1, 5-7 frame 2: interleave them
+    order = [5, 0, 3, 6, 1, 4, 7, 2]
+    for shuffle in (False, True):
+        if shuffle:
+            path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        back = read_dataset(tmp_path)[0]
+        assert len(back.frames) == len(meas.frames)
+        for fa, fb in zip(meas.frames, back.frames):
+            assert fb.t_ns == fa.t_ns
+            assert np.array_equal(fb.landmark_ids, fa.landmark_ids)
+            assert np.array_equal(fb.pixels, fa.pixels)
+
+
+def test_mixed_frame_stamps_rejected(tmp_path, rng):
+    meas = interleaved_meas()
+    write_dataset(tmp_path, meas, make_rig(rng), NoiseSpec())
+    path = tmp_path / "features.csv"
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith("50000000,1,")
+    lines[5] = lines[5].replace("50000000,1,", "50000001,1,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError,
+                       match="^features.csv: frame 1 has mixed timestamps$"):
+        read_dataset(tmp_path)
 
 
 def test_time_span():

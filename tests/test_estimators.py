@@ -15,10 +15,12 @@ from splinefusion import estimators as est
 from splinefusion import initialization as ini
 from splinefusion import preintegration as pre
 from splinefusion import simulate as sim
+from splinefusion.dataset import Frame, MeasurementSet
 from splinefusion.errors import (
     DataError,
     DegenerateConfigurationError,
     InvalidArgumentError,
+    NumericalFailureError,
 )
 from splinefusion.residuals import GRAVITY, CtState, DtState
 from splinefusion.rotations import so3_exp
@@ -59,8 +61,6 @@ def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         est.CtConfig(spline_order=3)
     with pytest.raises(InvalidArgumentError):
-        est.CtConfig(margin=0.01, offset_bound=0.05)
-    with pytest.raises(InvalidArgumentError):
         est.DtConfig(use_imu=False, use_gps=False, use_cam=True)
 
 
@@ -80,6 +80,69 @@ def test_flatten_observations(tiny_noiseless):
         assert np.allclose(obs.velocities[b], dv, atol=1e-9)
         # first observation reuses the forward difference
         assert np.allclose(obs.velocities[a], dv, atol=1e-9)
+
+
+def reference_flatten_observations(meas):
+    """The per-observation loop ``flatten_observations`` replaced: one row
+    per observation, frame by frame, and each track's velocities from its
+    rows in a dict.  Returns (stamps, frame_index, landmark_ids, pixels,
+    velocities)."""
+    stamps, fidx, lids, pixels = [], [], [], []
+    for k, fr in enumerate(meas.frames):
+        t = fr.t_ns * 1e-9
+        for lid, px in zip(fr.landmark_ids, fr.pixels):
+            stamps.append(t)
+            fidx.append(k)
+            lids.append(int(lid))
+            pixels.append(px)
+    stamps = np.asarray(stamps)
+    fidx = np.asarray(fidx, dtype=int)
+    lids = np.asarray(lids, dtype=int)
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    vel = np.zeros_like(pixels)
+    by_lm = {}
+    for n, lid in enumerate(lids):
+        by_lm.setdefault(lid, []).append(n)
+    for rows in by_lm.values():
+        if len(rows) < 2:
+            continue
+        ts = stamps[rows]
+        zs = pixels[rows]
+        dv = np.diff(zs, axis=0) / np.diff(ts)[:, None]
+        vel[rows[0]] = dv[0]
+        for i in range(1, len(rows)):
+            vel[rows[i]] = dv[i - 1]
+    return stamps, fidx, lids, pixels, vel
+
+
+def _handcrafted_meas():
+    """Camera frames only, at uneven stamps, whose tracks interleave, with
+    unsorted ids in each frame and the single-observation tracks 9 and 4."""
+    rng = np.random.default_rng(5)
+    ids = [[7, 3, 12], [3, 5], [12, 9, 7], [5, 7, 3, 4]]
+    stamps = [1_000_000_000, 1_100_000_000, 1_250_000_000, 1_300_000_007]
+    frames = [Frame(t, np.array(i), rng.uniform(0.0, 640.0, (len(i), 2)))
+              for t, i in zip(stamps, ids)]
+    none = np.zeros(0, np.int64), np.zeros((0, 3))
+    return MeasurementSet(*none, none[1], *none, frames, {})
+
+
+@pytest.mark.parametrize("which", ["tiny", "handcrafted"])
+def test_flatten_observations_matches_per_observation_loop(which,
+                                                           tiny_noiseless):
+    """Every field equals, bit for bit and in dtype, the one of the
+    per-observation loop."""
+    meas = (tiny_noiseless[3].measurements if which == "tiny"
+            else _handcrafted_meas())
+    obs = est.flatten_observations(meas)
+    got = (obs.stamps, obs.frame_index, obs.landmark_ids, obs.pixels,
+           obs.velocities)
+    for name, x, y in zip(("stamps", "frame_index", "landmark_ids", "pixels",
+                           "velocities"), got, reference_flatten_observations(meas)):
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    if which == "handcrafted":
+        assert not obs.velocities[obs.landmark_ids == 9].any()
+        assert not obs.velocities[obs.landmark_ids == 4].any()
 
 
 def test_ct_residuals_vanish_at_truth(tiny_noiseless):
@@ -463,9 +526,10 @@ def test_kernel_residuals_same_with_and_without_jacobians(which, request):
 
 def _moved(problem, state, moves):
     """A copy of ``state`` with ``{(block name, entry): step}`` added."""
+    store = {b.name: b.store for b in problem.blocks}
     out = state.copy()
     for (name, i), step in moves.items():
-        out.euc[problem.blocks[problem.block_id(name)].store + i] += step
+        out.euc[store[name] + i] += step
     return out
 
 
@@ -555,6 +619,44 @@ def test_initial_frame_poses_skips_degenerate_frames(tiny_noiseless,
     assert len(calls) == 3
     assert np.array_equal(pos[0], pos[1]) and np.array_equal(rot[0], rot[1])
     assert not np.array_equal(pos[1], pos[2])
+
+
+def test_initial_frame_poses_ties_go_to_the_earlier_frame(tiny_noiseless,
+                                                          monkeypatch):
+    """Frames 1 and 3 of five fail PnP: frame 1 lies between the PnP poses
+    of frames 0 and 2 and takes frame 0's, frame 3 takes frame 2's; PnP
+    still runs once per frame."""
+    _, rig, _, result = tiny_noiseless
+    meas = _first_frames(result.measurements, 5)
+    landmarks = {int(k): v for k, v in result.measurements.landmarks_true.items()}
+    pnp = est.pnp_dlt
+    calls = []
+
+    def failing_odd(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise NumericalFailureError("PnP refinement failed")
+        return pnp(*args, **kwargs)
+
+    monkeypatch.setattr(est, "pnp_dlt", failing_odd)
+    _, pos, rot = est.initial_frame_poses(meas, rig, landmarks)
+    assert len(calls) == 5
+    for k, j in enumerate([0, 0, 2, 2, 4]):
+        assert np.array_equal(pos[k], pos[j]) and np.array_equal(rot[k], rot[j])
+    assert not np.array_equal(pos[0], pos[2])
+
+
+def test_perturbed_landmarks_draw_three_normals_per_landmark_in_dict_order():
+    """One draw of (L, 3) normals gives each landmark, in the dict's order,
+    the three numbers a draw per landmark gives it."""
+    true = {12: np.array([1.0, 2.0, 3.0]), 3: np.array([-1.0, 0.5, 4.0]),
+            7: np.array([0.0, 0.0, 1.0])}
+    meas = types.SimpleNamespace(landmarks_true=true)
+    got = est._perturbed_landmarks(meas, 0.1, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    want = {i: p + rng.normal(scale=0.1, size=3) for i, p in true.items()}
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[i], want[i]) for i in want)
 
 
 def test_initial_frame_poses_lets_other_errors_through(tiny_noiseless,

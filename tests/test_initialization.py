@@ -14,7 +14,7 @@ from splinefusion.errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from splinefusion.rotations import random_rotation, rotation_angle, slerp, so3_exp
+from splinefusion.rotations import slerp, so3_exp, so3_log
 from splinefusion.solver import (
     EUCLIDEAN,
     ROTATION,
@@ -24,6 +24,8 @@ from splinefusion.solver import (
     SolveOptions,
     solve,
 )
+
+from conftest import random_rotation
 
 
 def test_umeyama_exact(rng):
@@ -78,24 +80,21 @@ def test_pnp_recovers_pose(rng):
     cam, R_wc, p_wc, pts_world, px = _pnp_scene(rng)
     T = ini.pnp_dlt(cam, pts_world, px)
     assert np.linalg.norm(T.p - p_wc) < 1e-6
-    assert rotation_angle(T.R.T @ R_wc) < 1e-6
+    assert np.linalg.norm(so3_log(T.R.T @ R_wc)) < 1e-6
 
 
 class _PnPRefinement(FactorGroup):
     """The PnP residuals of one camera pose as a factor group over the
-    blocks "pnp_R" and "pnp_p": the general sparse refinement, kept as the
-    oracle of the dense one in :func:`ini.pnp_dlt`."""
+    rotation block ``rot`` and position block ``pos``: the general sparse
+    refinement, kept as the oracle of the dense one in :func:`ini.pnp_dlt`."""
 
     name = "pnp"
     dim = 2
 
-    def __init__(self, points, xy):
+    def __init__(self, points, xy, rot, pos):
         self.points = points
         self.xy = xy
-
-    def build(self, problem, state):
-        return None, [Slot(problem.block_id("pnp_R"), ROTATION, 3),
-                      Slot(problem.block_id("pnp_p"), EUCLIDEAN, 3)]
+        self.slots = [Slot(rot, ROTATION, 3), Slot(pos, EUCLIDEAN, 3)]
 
     def kernel(self, ctx, gathered, jacobians=False):
         out = ini._pnp_residuals(gathered[0][0], gathered[1][0], self.points,
@@ -109,9 +108,9 @@ class _PnPRefinement(FactorGroup):
 
 def _pnp_problem(R_wc, p_wc, points, xy):
     problem = Problem()
-    problem.add_rotation("pnp_R", R_wc)
-    problem.add_euclidean("pnp_p", p_wc)
-    problem.add_group(_PnPRefinement(points, xy))
+    rot = problem.add_rotation("pnp_R", R_wc)
+    pos = problem.add_euclidean("pnp_p", p_wc)
+    problem.add_group(_PnPRefinement(points, xy, rot, pos))
     return problem
 
 

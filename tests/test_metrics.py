@@ -7,7 +7,9 @@ import pytest
 from splinefusion import metrics as met
 from splinefusion.errors import InvalidArgumentError
 from splinefusion.initialization import Sim3Transform
-from splinefusion.rotations import random_rotation, so3_exp
+from splinefusion.rotations import so3_exp
+
+from conftest import random_rotation
 
 
 def test_associate_exact_and_tolerance():

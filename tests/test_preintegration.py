@@ -6,10 +6,11 @@ from splinefusion.errors import DataError, InvalidArgumentError
 from splinefusion.residuals import GRAVITY
 from splinefusion.rotations import (
     hat,
-    random_rotation,
     so3_exp,
     so3_right_jacobian,
 )
+
+from conftest import random_rotation
 
 
 def constant_input(T=0.5, hz=200.0, omega=(0.0, 0.0, 0.0), a=(0.0, 0.0, 0.0)):

@@ -5,8 +5,10 @@ from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import residuals as res
 from splinefusion.errors import InvalidArgumentError
-from splinefusion.rotations import Pose, random_rotation, slerp
+from splinefusion.rotations import Pose, slerp
 from splinefusion.solver import Problem
+
+from conftest import random_rotation
 
 
 def make_ct_state(gt, rig, landmarks):

@@ -7,7 +7,7 @@ from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import solver
 from splinefusion.errors import InvalidArgumentError, NumericalFailureError
-from splinefusion.rotations import hat, random_rotation, so3_exp, so3_log
+from splinefusion.rotations import hat, so3_exp, so3_log
 from splinefusion.solver import (
     EUCLIDEAN,
     ROTATION,
@@ -19,18 +19,19 @@ from splinefusion.solver import (
 )
 
 from block_oracle import assemble_csr, block_normal, dense_normal, oracle_errors
+from conftest import random_rotation
 
 
 class Factor(FactorGroup):
-    """A single residual over named blocks.
+    """A single residual over the blocks ``block_ids``.
 
     ``fn(*values)`` returns the raw residual; ``sqrt_info`` (optional)
     whitens it.  Jacobians are finite differences unless ``jac_fn`` returns
     a list of per-block ``(dim, tdim)`` matrices.
     """
 
-    def __init__(self, block_names, fn, dim, sqrt_info=None, jac_fn=None, name="factor"):
-        self.block_names = list(block_names)
+    def __init__(self, block_ids, fn, dim, sqrt_info=None, jac_fn=None, name="factor"):
+        self.block_ids = list(block_ids)
         self.fn = fn
         self.dim = dim
         self.sqrt_info = None if sqrt_info is None else np.asarray(sqrt_info, float)
@@ -39,8 +40,7 @@ class Factor(FactorGroup):
 
     def build(self, problem, state):
         slots = []
-        for bn in self.block_names:
-            bid = problem.block_id(bn)
+        for bid in self.block_ids:
             meta = problem.blocks[bid]
             slots.append(Slot(np.array([bid]), meta.kind, meta.dim))
         return None, slots
@@ -66,10 +66,10 @@ class Factor(FactorGroup):
 def test_linear_least_squares_exact():
     """A linear problem is solved to machine precision in one accepted step."""
     problem = Problem()
-    problem.add_euclidean("x", np.zeros(2))
+    x = problem.add_euclidean("x", np.zeros(2))
     A = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]])
     b = np.array([1.0, 2.0, 3.0])
-    problem.add_group(Factor(["x"], lambda x: A @ x - b, dim=3))
+    problem.add_group(Factor([x], lambda x: A @ x - b, dim=3))
     state, report = solve(problem, SolveOptions(lm_lambda0=1e-12))
     x_ref = np.linalg.lstsq(A, b, rcond=None)[0]
     assert np.allclose(problem.block_value(state, "x"), x_ref, atol=1e-8)
@@ -78,9 +78,9 @@ def test_linear_least_squares_exact():
 
 def test_rosenbrock_converges():
     problem = Problem()
-    problem.add_euclidean("x", np.array([-1.2, 1.0]))
+    x = problem.add_euclidean("x", np.array([-1.2, 1.0]))
     problem.add_group(Factor(
-        ["x"], lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+        [x], lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
         dim=2,
     ))
     state, report = solve(problem, SolveOptions(max_iter=100, rel_tol=1e-14))
@@ -90,9 +90,9 @@ def test_rosenbrock_converges():
 def test_rotation_block_manifold(rng):
     target = random_rotation(rng)
     problem = Problem()
-    problem.add_rotation("R", np.eye(3))
+    R = problem.add_rotation("R", np.eye(3))
     problem.add_group(Factor(
-        ["R"], lambda R: so3_log(R.T @ target, validate=False), dim=3,
+        [R], lambda R: so3_log(R.T @ target, validate=False), dim=3,
     ))
     state, report = solve(problem)
     assert np.allclose(problem.block_value(state, "R"), target, atol=1e-8)
@@ -100,9 +100,9 @@ def test_rotation_block_manifold(rng):
 
 def test_fixed_blocks_do_not_move():
     problem = Problem()
-    problem.add_euclidean("a", np.array([1.0]), fixed=True)
-    problem.add_euclidean("b", np.array([0.0]))
-    problem.add_group(Factor(["a", "b"], lambda a, b: a + b - 5.0, dim=1))
+    a = problem.add_euclidean("a", np.array([1.0]), fixed=True)
+    b = problem.add_euclidean("b", np.array([0.0]))
+    problem.add_group(Factor([a, b], lambda a, b: a + b - 5.0, dim=1))
     state, _ = solve(problem)
     assert problem.block_value(state, "a")[0] == 1.0
     assert np.isclose(problem.block_value(state, "b")[0], 4.0, atol=1e-8)
@@ -112,10 +112,10 @@ def test_bounds_clamped():
     """A factor pulls x past its upper bound: x ends on the bound and the
     report names it; y, bounded but with its minimum inside, is not named."""
     problem = Problem()
-    problem.add_euclidean("x", np.array([0.0]), bounds=(-0.5, 0.5))
-    problem.add_euclidean("y", np.array([0.0]), bounds=(-0.5, 0.5))
-    problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1))
-    problem.add_group(Factor(["y"], lambda y: y - 0.25, dim=1))
+    x = problem.add_euclidean("x", np.array([0.0]), bounds=(-0.5, 0.5))
+    y = problem.add_euclidean("y", np.array([0.0]), bounds=(-0.5, 0.5))
+    problem.add_group(Factor([x], lambda x: x - 3.0, dim=1))
+    problem.add_group(Factor([y], lambda y: y - 0.25, dim=1))
     state, report = solve(problem)
     assert problem.block_value(state, "x")[0] == 0.5
     assert report.at_bound == ["x"]
@@ -124,17 +124,17 @@ def test_bounds_clamped():
 
 def test_no_free_blocks_raises():
     problem = Problem()
-    problem.add_euclidean("x", np.zeros(1), fixed=True)
-    problem.add_group(Factor(["x"], lambda x: x, dim=1))
+    x = problem.add_euclidean("x", np.zeros(1), fixed=True)
+    problem.add_group(Factor([x], lambda x: x, dim=1))
     with pytest.raises(InvalidArgumentError):
         solve(problem)
 
 
 def test_cost_history_monotone():
     problem = Problem()
-    problem.add_euclidean("x", np.array([5.0, -3.0]))
+    x = problem.add_euclidean("x", np.array([5.0, -3.0]))
     problem.add_group(Factor(
-        ["x"], lambda x: np.array([np.sin(x[0]) + x[0], x[1] ** 3 - 1.0]),
+        [x], lambda x: np.array([np.sin(x[0]) + x[0], x[1] ** 3 - 1.0]),
         dim=2,
     ))
     _, report = solve(problem, SolveOptions(max_iter=60))
@@ -152,9 +152,9 @@ def test_analytic_jacobian_used():
         return [np.array([[2.0 * x[0]]])]
 
     problem = Problem()
-    problem.add_euclidean("x", np.array([3.0]))
+    x = problem.add_euclidean("x", np.array([3.0]))
     problem.add_group(Factor(
-        ["x"], lambda x: np.array([x[0] ** 2 - 4.0]), dim=1, jac_fn=jac,
+        [x], lambda x: np.array([x[0] ** 2 - 4.0]), dim=1, jac_fn=jac,
     ))
     state, _ = solve(problem)
     assert calls["jac"] > 0
@@ -258,11 +258,12 @@ def test_fd_rotation_slot_away_from_cut_is_plain_central():
 
 
 class _LogTargetGroup(Factor):
-    """Residual Log(R) - target; with ``declare`` it names itself on a jump
-    when R is within ``fd_step`` of angle pi, the branch cut of Log."""
+    """Residual Log(R) - target of rotation block ``R``; with ``declare`` it
+    names itself on a jump when R is within ``fd_step`` of angle pi, the
+    branch cut of Log."""
 
-    def __init__(self, target, declare):
-        super().__init__(["R"], lambda R: so3_log(R, validate=False) - target, dim=3)
+    def __init__(self, R, target, declare):
+        super().__init__([R], lambda R: so3_log(R, validate=False) - target, dim=3)
         self.declare = declare
 
     def jumps(self, problem, state, ctx):
@@ -275,8 +276,9 @@ def _log_target_problem(target_angle, declare=True):
     beyond pi the minimum sits on the branch cut of Log, where the residual
     jumps from about (pi - target) z to (-pi - target) z."""
     problem = Problem()
-    problem.add_rotation("R", so3_exp(np.array([0.0, 0.0, 3.0])))
-    problem.add_group(_LogTargetGroup(np.array([0.0, 0.0, target_angle]), declare))
+    R = problem.add_rotation("R", so3_exp(np.array([0.0, 0.0, 3.0])))
+    problem.add_group(_LogTargetGroup(R, np.array([0.0, 0.0, target_angle]),
+                                      declare))
     return problem
 
 
@@ -319,7 +321,7 @@ class _TrialBugGroup(FactorGroup):
     dim = 1
 
     def build(self, problem, state):
-        return None, [Slot(problem.block_id("x"), EUCLIDEAN, 1)]
+        return None, [Slot(0, EUCLIDEAN, 1)]  # the problem's only block
 
     def kernel(self, ctx, gathered, jacobians=False):
         x = gathered[0]
@@ -340,8 +342,8 @@ def test_nan_jacobian_raises_numerical_failure():
     """Every damped system of the iteration has NaN entries, so no finite
     step exists at any damping: a numerical failure, not a stall."""
     problem = Problem()
-    problem.add_euclidean("x", np.zeros(1))
-    problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1,
+    x = problem.add_euclidean("x", np.zeros(1))
+    problem.add_group(Factor([x], lambda x: x - 3.0, dim=1,
                              jac_fn=lambda x: [np.array([[np.nan]])]))
     with pytest.raises(NumericalFailureError):
         solve(problem)
@@ -351,8 +353,8 @@ def test_uphill_steps_stall():
     """A Jacobian with the wrong sign gives finite steps that all raise the
     cost: that is a stall."""
     problem = Problem()
-    problem.add_euclidean("x", np.zeros(1))
-    problem.add_group(Factor(["x"], lambda x: x - 3.0, dim=1,
+    x = problem.add_euclidean("x", np.zeros(1))
+    problem.add_group(Factor([x], lambda x: x - 3.0, dim=1,
                              jac_fn=lambda x: [np.array([[-1.0]])]))
     _, report = solve(problem)
     assert report.termination == "stalled"
@@ -462,13 +464,17 @@ def test_schur_solve_rejects_indefinite_point_block(rng):
 
 
 class _WideSlotGroup(FactorGroup):
-    """One 6-wide slot starting at point p0: its columns run into p1."""
+    """One 6-wide slot starting at point block ``p0``: its columns run into
+    the next point."""
 
     name = "wide"
     dim = 6
 
+    def __init__(self, p0):
+        self.p0 = p0
+
     def build(self, problem, state):
-        return None, [Slot(problem.block_id("p0"), EUCLIDEAN, 6)]
+        return None, [Slot(self.p0, EUCLIDEAN, 6)]
 
     def kernel(self, ctx, gathered, jacobians=False):
         r = gathered[0] - 1.0
@@ -478,14 +484,14 @@ class _WideSlotGroup(FactorGroup):
 @pytest.mark.parametrize("through", ["two slots", "one slot"])
 def test_factor_joining_two_points_raises(through):
     problem = Problem()
-    problem.add_euclidean("p0", np.zeros(3), point=True)
-    problem.add_euclidean("p1", np.ones(3), point=True)
-    problem.add_euclidean("c", np.zeros(1))
-    problem.add_group(Factor(["p0", "c"], lambda p, c: p - c, dim=3))
+    p0 = problem.add_euclidean("p0", np.zeros(3), point=True)
+    p1 = problem.add_euclidean("p1", np.ones(3), point=True)
+    c = problem.add_euclidean("c", np.zeros(1))
+    problem.add_group(Factor([p0, c], lambda p, c: p - c, dim=3))
     if through == "two slots":
-        problem.add_group(Factor(["p0", "p1"], lambda a, b: a - b, dim=3))
+        problem.add_group(Factor([p0, p1], lambda a, b: a - b, dim=3))
     else:
-        problem.add_group(_WideSlotGroup())
+        problem.add_group(_WideSlotGroup(p0))
     with pytest.raises(InvalidArgumentError, match="p0.*p1|p1.*p0"):
         solve(problem)
 
@@ -544,7 +550,7 @@ def _oracle_problem(rng):
     problem = Problem()
     xs = [problem.add_euclidean(f"x{i}", rng.normal(size=1)) for i in range(4)]
     shared = problem.add_euclidean("s", rng.normal(size=1))
-    problem.add_euclidean("b_fixed", rng.normal(size=2), fixed=True)
+    b_fixed = problem.add_euclidean("b_fixed", rng.normal(size=2), fixed=True)
     rot = problem.add_rotation("R", random_rotation(rng))
     vec = problem.add_euclidean("a", rng.normal(size=3))
     pts = [problem.add_euclidean(f"p{i}", rng.normal(size=3), point=True)
@@ -552,13 +558,13 @@ def _oracle_problem(rng):
     pts.append(problem.add_euclidean("p_fixed", rng.normal(size=3), fixed=True,
                                      point=True))
     problem.add_group(_SharedGroup(np.array(xs), shared, rng.normal(size=4)))
-    problem.add_group(Factor(["p_fixed", "b_fixed"], lambda p, b: p * b[1], dim=3))
+    problem.add_group(Factor([pts[3], b_fixed], lambda p, b: p * b[1], dim=3))
     problem.add_group(Factor(
-        ["a", "a", "b_fixed", "s"],
+        [vec, vec, b_fixed, shared],
         lambda a, a2, b, s: np.array([a @ a2, a[0] * b[1] * s[0], np.sin(a[2])]),
         dim=3))
     problem.add_group(_PointGroup(np.array(pts)[[0, 1, 0, 2, 3, 1]], rot, vec))
-    problem.add_group(Factor(["p2", "b_fixed"], lambda p, b: p * b[0], dim=3))
+    problem.add_group(Factor([pts[2], b_fixed], lambda p, b: p * b[0], dim=3))
     return problem
 
 
@@ -596,9 +602,9 @@ def test_solve_linearizes_only_where_another_iteration_follows(monkeypatch):
         return report, len(calls), len(report.cost_history) - 1
 
     rosenbrock = Problem()
-    rosenbrock.add_euclidean("x", np.array([-1.2, 1.0]))
+    x = rosenbrock.add_euclidean("x", np.array([-1.2, 1.0]))
     rosenbrock.add_group(Factor(
-        ["x"], lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), dim=2))
+        [x], lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), dim=2))
     report, made, accepted = run(rosenbrock, SolveOptions(max_iter=3))
     assert report.termination == "max_iter" and accepted == 3 and made == 3
 
@@ -610,8 +616,8 @@ def test_solve_linearizes_only_where_another_iteration_follows(monkeypatch):
     assert made in (accepted, accepted + 1)
 
     uphill = Problem()
-    uphill.add_euclidean("x", np.zeros(1))
-    uphill.add_group(Factor(["x"], lambda x: x - 3.0, dim=1,
+    x = uphill.add_euclidean("x", np.zeros(1))
+    uphill.add_group(Factor([x], lambda x: x - 3.0, dim=1,
                             jac_fn=lambda x: [np.array([[-1.0]])]))
     report, made, accepted = run(uphill)
     assert report.termination == "stalled" and accepted == 0 and made == 1
