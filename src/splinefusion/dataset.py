@@ -155,12 +155,10 @@ class MeasurementSet:
     def observations(self):
         """The flat observation table, frame by frame in frame order:
         (frame_index (N,) int, landmark_ids (N,) int, pixels (N, 2))."""
-        frames = self.frames
-        return (np.repeat(np.arange(len(frames)),
-                          [f.landmark_ids.size for f in frames]),
-                np.concatenate([np.zeros(0, int)]
-                               + [f.landmark_ids for f in frames]).astype(int),
-                np.concatenate([np.zeros((0, 2))] + [f.pixels for f in frames]))
+        fr = self.frames
+        return (np.repeat(np.arange(len(fr)), [f.landmark_ids.size for f in fr]),
+                np.concatenate([np.zeros(0, int)] + [f.landmark_ids for f in fr]),
+                np.concatenate([np.zeros((0, 2))] + [f.pixels for f in fr]))
 
     def validate(self):
         for name, ts in (("imu", self.imu_t_ns), ("gps", self.gps_t_ns)):
@@ -185,8 +183,7 @@ class MeasurementSet:
         return np.array([f.t_ns for f in self.frames], dtype=np.int64)
 
     def time_span_ns(self):
-        ts = [self.imu_t_ns, self.gps_t_ns, self.frame_t_ns]
-        ts = [t for t in ts if t.size]
+        ts = [t for t in (self.imu_t_ns, self.gps_t_ns, self.frame_t_ns) if t.size]
         return min(int(t[0]) for t in ts), max(int(t[-1]) for t in ts)
 
 
@@ -335,24 +332,13 @@ def read_dataset(data_dir, require_gps=True):
                 f"features.csv: frame {frame_ids[mixed][0]} has mixed timestamps")
         frames = [Frame(int(t), rows[:, 1].astype(int), rows[:, 2:4].copy())
                   for t, rows in zip(stamps, np.split(feats, starts[1:]))]
-    landmarks = {
-        int(i): np.asarray(p, dtype=float)
-        for i, p in zip(scene["landmark_ids"], scene["landmarks"])
-    }
+    landmarks = {int(i): np.asarray(p, dtype=float)
+                 for i, p in zip(scene["landmark_ids"], scene["landmarks"])}
     meas = MeasurementSet(
-        imu_t_ns=imu_t_ns,
-        gyro=imu[:, :3],
-        accel=imu[:, 3:6],
-        gps_t_ns=gps_t_ns,
-        gps=gps,
-        frames=frames,
-        landmarks_true=landmarks,
-    ).validate()
+        imu_t_ns=imu_t_ns, gyro=imu[:, :3], accel=imu[:, 3:6], gps_t_ns=gps_t_ns,
+        gps=gps, frames=frames, landmarks_true=landmarks).validate()
     counts = scene.get("counts", {})
-    checks = {
-        "imu": meas.imu_t_ns.size,
-        "frames": len(frames),
-    }
+    checks = {"imu": meas.imu_t_ns.size, "frames": len(frames)}
     if have_gps:
         checks["gps"] = meas.gps_t_ns.size
     for key, val in checks.items():

@@ -666,10 +666,10 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
 
     Returns ``(lm_blocks, tcam_id, pant_id, tgps_id)``, None for a block
     the sensors leave out, and registers each block with ``problem.meta``
-    for :func:`extract_state`.  ``lm_blocks`` is ``(ids, blocks)``: the
-    landmark ids in increasing order and their block ids.  Landmarks are
-    point blocks: each reprojection factor sees one, so the solver
-    eliminates them by Schur complement.
+    for :func:`extract_state`.  ``lm_blocks`` is ``(ids, blocks)``, the
+    sorted landmark ids and their blocks.  Landmarks are point blocks: each
+    reprojection factor sees one, so the solver eliminates them by Schur
+    complement.
     """
     bounds = (-cfg.offset_bound, cfg.offset_bound)
     lm_blocks = tcam_id = pant_id = tgps_id = None
@@ -697,8 +697,7 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
 
 
 def _landmark_table(landmarks):
-    """The ids (L,) of a landmark dict in increasing order, and their points
-    (L, 3)."""
+    """The sorted ids (L,) of a landmark dict and their points (L, 3)."""
     ids = np.array(sorted(landmarks), dtype=int)
     return ids, np.array([landmarks[i] for i in ids.tolist()]).reshape(-1, 3)
 
@@ -720,21 +719,13 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
     if init.rotation.grid != grid:
         raise InvalidArgumentError("position and rotation grids must match")
     imu_t, gps_t = _stream_times(meas, cfg)
-    stamps = meas.frame_t_ns * 1e-9
-    lo_list, hi_list = [], []
-    if cfg.use_cam and stamps.size:
-        lo_list.append(stamps[0])
-        hi_list.append(stamps[-1])
-    if cfg.use_imu:
-        lo_list.append(imu_t[0])
-        hi_list.append(imu_t[-1])
-    if cfg.use_gps and gps_t.size:
-        lo_list.append(gps_t[0])
-        hi_list.append(gps_t[-1])
-    if not lo_list:
+    streams = [t for t, used in ((meas.frame_t_ns * 1e-9, cfg.use_cam),
+                                 (imu_t, cfg.use_imu), (gps_t, cfg.use_gps))
+               if used and t.size]
+    if not streams:
         raise InvalidArgumentError("no enabled measurement streams")
-    _check_domain(grid, min(lo_list), max(hi_list), _edge_margin(cfg),
-                  "trajectory spline")
+    _check_domain(grid, min(t[0] for t in streams), max(t[-1] for t in streams),
+                  _edge_margin(cfg), "trajectory spline")
 
     problem = Problem()
     fix_gauge = not cfg.use_gps
@@ -938,19 +929,17 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
 def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
                   cfg: CtConfig, seed=0):
     """Build the initial CtState: PnP poses and a spline fit to them."""
-    rng = np.random.default_rng(seed)
-    landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma, rng)
+    landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
+                                     np.random.default_rng(seed))
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
     lo, hi = meas.time_span_ns()
-    t_lo = lo * 1e-9 - _edge_margin(cfg)
-    t_hi = hi * 1e-9 + _edge_margin(cfg)
+    t_lo, t_hi = lo * 1e-9 - _edge_margin(cfg), hi * 1e-9 + _edge_margin(cfg)
     fit = fit_spline_to_poses(stamps, pos, rot, cfg.spline_order, cfg.node_hz,
                               t_start=t_lo, t_end=t_hi)
-    position, rotation = fit.position, fit.rotation
     bias_grid = bs.grid_covering(t_lo, t_hi, 1.0 / cfg.bias_node_hz, 4)
     zeros = np.zeros((bias_grid.count, 3))
     return CtState(
-        position=position, rotation=rotation, landmarks=landmarks,
+        position=fit.position, rotation=fit.rotation, landmarks=landmarks,
         t_cam_imu=0.0, T_cam_imu=rig.T_cam_imu, t_gps_imu=0.0,
         p_antenna_body=np.zeros(3), gravity=GRAVITY.copy(),
         bias_accel=bs.SplineR3(bias_grid, zeros),
@@ -962,8 +951,8 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
 def initialize_dt(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
                   cfg: DtConfig, seed=0):
     """Build the initial DtState from per-frame PnP poses."""
-    rng = np.random.default_rng(seed)
-    landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma, rng)
+    landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
+                                     np.random.default_rng(seed))
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
     vel = np.gradient(pos, stamps, axis=0)
     K = len(stamps)
