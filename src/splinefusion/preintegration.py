@@ -131,15 +131,20 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     for n, E_n in enumerate(E):
         dRs[n] = dR
         dR = dR @ E_n
-    R_mid = dRs @ so3_exp(0.5 * phi)
+    half = so3_exp(0.5 * phi)
+    R_mid = dRs @ half
     Ra = (R_mid @ a[:, :, None])[:, :, 0]
     RH = R_mid @ hat(a)
+    # R_mid a moves by -RH Exp(phi/2)^T eps when dR <- dR Exp(eps), and by
+    # RH Jr(phi/2) dt/2 per unit of b_g through the half step Exp(phi/2)
+    RH_rot = RH @ np.swapaxes(half, 1, 2)
+    RH_bg = RH @ so3_right_jacobian(0.5 * phi) * (0.5 * dt3)
     eye = np.eye(3)
     A = np.zeros((len(E), 9, 9))
     A[:, 0:3, 0:3] = np.swapaxes(E, 1, 2)
-    A[:, 3:6, 0:3] = -RH * dt3
+    A[:, 3:6, 0:3] = -RH_rot * dt3
     A[:, 3:6, 3:6] = eye
-    A[:, 6:9, 0:3] = -0.5 * RH * dt3 * dt3
+    A[:, 6:9, 0:3] = -0.5 * RH_rot * dt3 * dt3
     A[:, 6:9, 3:6] = eye * dt3
     A[:, 6:9, 6:9] = eye
     # G_n: what step n adds to the bias Jacobian, columns (b_accel,
@@ -148,7 +153,9 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     G = np.zeros((len(E), 9, 6))
     G[:, 0:3, 3:6] = -so3_right_jacobian(phi) * dt3
     G[:, 3:6, 0:3] = -R_mid * dt3
+    G[:, 3:6, 3:6] = RH_bg * dt3
     G[:, 6:9, 0:3] = -0.5 * R_mid * dt3 * dt3
+    G[:, 6:9, 3:6] = 0.5 * RH_bg * dt3 * dt3
     q = np.repeat([accel_sigma**2, gyro_sigma**2], 3)
     C = (G * q) @ np.swapaxes(G, 1, 2)
     cov = np.zeros((9, 9))

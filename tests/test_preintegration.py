@@ -7,6 +7,7 @@ from splinefusion.residuals import GRAVITY
 from splinefusion.rotations import (
     hat,
     so3_exp,
+    so3_log,
     so3_right_jacobian,
 )
 
@@ -23,8 +24,10 @@ def constant_input(T=0.5, hz=200.0, omega=(0.0, 0.0, 0.0), a=(0.0, 0.0, 0.0)):
 def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
                         t_start, t_end):
     """The per-sample loop ``integrate`` replaced: one step at a time, each
-    building its own 9x9 transition.  Returns (dR, dv, dp, covariance,
-    J_bias)."""
+    building its own 9x9 transition.  The midpoint rotation R_mid = dR
+    Exp(phi/2) moves with the rotation error through Exp(phi/2)^T and with
+    the gyroscope bias through the half step Exp(phi/2) as well.  Returns
+    (dR, dv, dp, covariance, J_bias)."""
     b_a, b_g = bias_lin
     inner = (times > t_start) & (times < t_end)
     ts = np.concatenate([[t_start], times[inner], [t_end]])
@@ -47,18 +50,25 @@ def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
         phi = w * dt
         E = so3_exp(phi)
         Jr = so3_right_jacobian(phi)
-        R_mid = dR @ so3_exp(0.5 * phi)
+        half = so3_exp(0.5 * phi)
+        R_mid = dR @ half
         Ra = R_mid @ a
+        # d(R_mid a) / d(rotation error) and / d b_g through the half step
+        D_rot = -R_mid @ hat(a) @ half.T
+        D_bg = R_mid @ hat(a) @ so3_right_jacobian(0.5 * phi) * (0.5 * dt)
         A = np.zeros((9, 9))
         A[0:3, 0:3] = E.T
-        A[3:6, 0:3] = -R_mid @ hat(a) * dt
+        A[3:6, 0:3] = D_rot * dt
         A[3:6, 3:6] = eye
-        A[6:9, 0:3] = -0.5 * R_mid @ hat(a) * dt * dt
+        A[6:9, 0:3] = 0.5 * D_rot * dt * dt
         A[6:9, 3:6] = eye * dt
         A[6:9, 6:9] = eye
+        # gyroscope noise enters as a negative gyroscope-bias change
         B = np.zeros((9, 6))
         B[0:3, 0:3] = Jr * dt
+        B[3:6, 0:3] = -D_bg * dt
         B[3:6, 3:6] = R_mid * dt
+        B[6:9, 0:3] = -0.5 * D_bg * dt * dt
         B[6:9, 3:6] = 0.5 * R_mid * dt * dt
         Q = np.zeros((6, 6))
         Q[0:3, 0:3] = gyro_sigma**2 * eye
@@ -67,12 +77,12 @@ def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
         Jn = np.zeros((9, 6))
         Jn[0:3, 3:6] = E.T @ J[0:3, 3:6] - Jr * dt
         Jn[3:6, 0:3] = J[3:6, 0:3] - R_mid * dt
-        Jn[3:6, 3:6] = J[3:6, 3:6] - R_mid @ hat(a) @ J[0:3, 3:6] * dt
+        Jn[3:6, 3:6] = J[3:6, 3:6] + (D_rot @ J[0:3, 3:6] + D_bg) * dt
         Jn[6:9, 0:3] = J[6:9, 0:3] + J[3:6, 0:3] * dt - 0.5 * R_mid * dt * dt
         Jn[6:9, 3:6] = (
             J[6:9, 3:6]
             + J[3:6, 3:6] * dt
-            - 0.5 * R_mid @ hat(a) @ J[0:3, 3:6] * dt * dt
+            + 0.5 * (D_rot @ J[0:3, 3:6] + D_bg) * dt * dt
         )
         J = Jn
         dp = dp + dv * dt + 0.5 * Ra * dt * dt
@@ -195,6 +205,24 @@ def test_accel_bias_correction_is_exact():
     exact = at(b_new, b_g)
     for got, want in zip(pim.corrected(b_new, b_g), (exact.dR, exact.dv, exact.dp)):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_bias_jacobian_matches_central_differences():
+    """Each column of ``J_bias`` equals central differences of ``integrate``
+    in that bias to 1e-8: dR in its right perturbation, dv and dp as
+    vectors.  The gyroscope columns of dv and dp include the half step of
+    the midpoint rotation."""
+    pim, (b_a, b_g), at = _varying_segment()
+    h = 1e-6
+    fd = np.zeros((9, 6))
+    for j in range(6):
+        step = h * np.eye(6)[j]
+        plus, minus = (at(b_a + s * step[:3], b_g + s * step[3:]) for s in (1, -1))
+        fd[0:3, j] = so3_log(minus.dR.T @ plus.dR) / (2 * h)
+        fd[3:6, j] = (plus.dv - minus.dv) / (2 * h)
+        fd[6:9, j] = (plus.dp - minus.dp) / (2 * h)
+    assert np.max(np.abs(fd[3:6, 3:6])) > 0.01  # the gyroscope columns of dv
+    assert np.max(np.abs(pim.J_bias - fd)) < 1e-8
 
 
 def test_gyro_bias_correction_is_first_order_only():
