@@ -318,20 +318,18 @@ def read_dataset(data_dir, require_gps=True):
         gps_t_ns, gps = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
     feat_t_ns, feats = _read_csv(os.path.join(data_dir, "features.csv"), 5)
 
-    frames = []
-    if feats.size:
-        # one stable sort groups the rows by frame, each in its file order
-        frame_ids = feats[:, 0].astype(int)
-        order = np.argsort(frame_ids, kind="stable")
-        frame_ids, feat_t_ns, feats = frame_ids[order], feat_t_ns[order], feats[order]
-        _, starts = np.unique(frame_ids, return_index=True)
-        stamps = feat_t_ns[starts]
-        mixed = feat_t_ns != np.repeat(stamps, np.diff(starts, append=len(feats)))
-        if mixed.any():
-            raise DataError(
-                f"features.csv: frame {frame_ids[mixed][0]} has mixed timestamps")
-        frames = [Frame(int(t), rows[:, 1].astype(int), rows[:, 2:4].copy())
-                  for t, rows in zip(stamps, np.split(feats, starts[1:]))]
+    # one stable sort groups the rows by frame, each in its file order
+    frame_ids = feats[:, 0].astype(int)
+    order = np.argsort(frame_ids, kind="stable")
+    frame_ids, feat_t_ns, feats = frame_ids[order], feat_t_ns[order], feats[order]
+    _, starts = np.unique(frame_ids, return_index=True)
+    stamps = feat_t_ns[starts]
+    mixed = feat_t_ns != np.repeat(stamps, np.diff(starts, append=len(feats)))
+    if mixed.any():
+        raise DataError(
+            f"features.csv: frame {frame_ids[mixed][0]} has mixed timestamps")
+    frames = [Frame(int(t), rows[:, 1].astype(int), rows[:, 2:4].copy())
+              for t, rows in zip(stamps, np.split(feats, starts[1:]))]
     landmarks = {int(i): np.asarray(p, dtype=float)
                  for i, p in zip(scene["landmark_ids"], scene["landmarks"])}
     meas = MeasurementSet(

@@ -535,7 +535,7 @@ class DtBiasWalkGroup(FactorGroup):
             [(ba_j - ba_i) * self.w_a[:, None], (bg_j - bg_i) * self.w_g[:, None]],
             axis=1,
         )
-        return (r, dict(self.jacobians)) if jacobians else r
+        return (r, self.jacobians) if jacobians else r
 
 
 class DtGpsGroup(FactorGroup):
