@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
 from splinefusion import bsplines as bs
 from splinefusion.errors import InvalidArgumentError, OutOfDomainError
-from splinefusion.rotations import so3_exp, so3_log
+from splinefusion.rotations import quat_to_rotation, so3_exp, so3_log
 
 from conftest import random_rotation
 
@@ -199,6 +201,27 @@ def test_grid_covering():
     lo, hi = grid.domain
     assert lo <= 0.0 and hi > 10.0
     assert grid.num_segments == grid.count - grid.order + 1
+
+
+def test_serialization_roundtrip(rng, tmp_path):
+    """save_spline_pair writes a file from which the same splines rebuild:
+    grid in whole nanoseconds, position nodes, rotation nodes as quaternions."""
+    so3 = random_so3_spline(rng, 5, count=9)
+    grid = so3.grid
+    r3 = bs.SplineR3(grid, rng.normal(size=(grid.count, 3)))
+    path = tmp_path / "spline.json"
+    bs.save_spline_pair(path, r3, so3)
+    with open(path) as f:
+        data = json.load(f)
+    assert set(data) == {"order", "t0_ns", "dt_ns", "positions", "rotations"}
+    grid2 = bs.KnotGrid(t0=data["t0_ns"] * 1e-9, dt=data["dt_ns"] * 1e-9,
+                        count=len(data["positions"]), order=data["order"])
+    pos2 = bs.SplineR3(grid2, np.asarray(data["positions"]))
+    rot2 = bs.SplineSO3(grid2, quat_to_rotation(np.asarray(data["rotations"])))
+    lo, hi = grid.domain
+    ts = rng.uniform(lo, hi - 1e-9, size=20)
+    assert np.max(np.abs(pos2.sample_many(ts) - r3.sample_many(ts))) < 1e-9
+    assert np.max(np.abs(rot2.sample_many(ts) - so3.sample_many(ts))) < 1e-9
 
 
 def test_spline_validation():
