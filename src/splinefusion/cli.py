@@ -109,7 +109,9 @@ def cmd_simulate(args):
         gt=(result.gt_t_ns, result.gt_positions, result.gt_rotations),
         extra_meta={"profile": dataclasses.asdict(cfg.simulate)},
     )
-    save_config(os.path.join(args.out, "config.yaml"), cfg)
+    # how the data were made; no estimator field to outdate the dataset
+    save_config(os.path.join(args.out, "config.yaml"), cfg,
+                sections=("seed", "sensors", "simulate", "noise"))
     print(f"wrote dataset to {args.out}: "
           f"{len(result.measurements.frames)} frames, "
           f"{result.measurements.imu_t_ns.size} IMU samples, "

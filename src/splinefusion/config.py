@@ -196,6 +196,8 @@ def load_config(path=None):
     return RunConfig.from_dict(data)
 
 
-def save_config(path, config: RunConfig):
+def save_config(path, config: RunConfig, sections=None):
+    """Write ``config`` as YAML, only its top-level ``sections`` if given."""
+    data = config.to_dict()
     with open(path, "w") as f:
-        yaml.safe_dump(config.to_dict(), f, sort_keys=False)
+        yaml.safe_dump({k: data[k] for k in sections or data}, f, sort_keys=False)

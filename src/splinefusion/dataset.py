@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -214,29 +215,31 @@ def _stamped_rows(t_ns, values):
 def _read_csv(path, ncols):
     """(t_ns (N,) int64, the other columns (N, ncols - 1) float) of a CSV;
     a float64 would hold an epoch-scale t_ns only to within 128 ns."""
-    name = os.path.basename(path)
     if not os.path.exists(path):
         raise DataError(f"missing required file {path}")
     with open(path) as f:
-        header = f.readline().strip()
-        expect = _HEADERS.get(name)
-        if expect is not None and header != expect:
-            raise DataError(f"{path}: unexpected header {header!r} (want {expect!r})")
-        stamps, out = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != ncols:
-                raise DataError(f"{path}:{lineno}: expected {ncols} columns")
-            try:
-                stamps.append(int(parts[0]))
-                out.append([float(p) for p in parts[1:]])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-    return (np.asarray(stamps, dtype=np.int64),
-            np.asarray(out, dtype=float).reshape(-1, ncols - 1))
+        lines = f.read().splitlines()
+    header = lines[0].strip() if lines else ""
+    expect = _HEADERS.get(os.path.basename(path))
+    if expect is not None and header != expect:
+        raise DataError(f"{path}: unexpected header {header!r} (want {expect!r})")
+    dtype = np.dtype([("t_ns", np.int64), ("values", float, (ncols - 1,))])
+    with warnings.catch_warnings():
+        # a file with a header and no rows has no rows, nothing to warn of
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(lines[1:], dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError:
+            # numpy's row count is not the line number; find the line
+            for lineno, line in enumerate(lines[1:], start=2):
+                try:
+                    np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+                except ValueError as e:
+                    reason = str(e).split(" at row")[0]
+                    raise DataError(f"{path}:{lineno}: {reason}") from None
+            raise
+    return rows["t_ns"], rows["values"]
 
 
 def write_pose_csv(path, t_ns, positions, rotations):

@@ -164,9 +164,9 @@ class _SplineGroup(FactorGroup):
     right perturbation ``R <- R Exp(eps)`` of the sampled rotation.
     :meth:`_window_jacobians` chains them to the window nodes, after Sommer
     et al., "Efficient Derivative Computation for Cumulative B-Splines on
-    Lie Groups" (CVPR 2020).  Families sampled at a clock-shifted time
-    derive from :class:`_ShiftedGroup`, which also samples the pose and
-    maps the derivatives to the offset; the others set fixed ``slots``.
+    Lie Groups" (CVPR 2020).  A family sampled at a clock-shifted time is
+    also a :class:`_SampledPoseGroup` with the window as pose source
+    (:meth:`_locate`, :meth:`_sample`); the others set fixed ``slots``.
     """
 
     def jumps(self, problem, state, seg):
@@ -195,36 +195,50 @@ class _SplineGroup(FactorGroup):
         jacs.update({k + s: E_R @ JR[:, s] for s in range(k)})
         return jacs
 
+    def _locate(self, t):
+        seg, _ = self.grid.normalized_times(t)
+        return seg, self._pose_slots(seg)
 
-class _ShiftedGroup(_SplineGroup):
+    def _sample(self, ctx, pose, t, jacobians=False):
+        k, dt = self.grid.order, self.grid.dt
+        posw, rotw = self._windows(pose)
+        u = (t - self.grid.t0) / dt - ctx
+        p = bs.r3_window_eval(posw, u, k, dt)
+        if not jacobians:
+            return p, bs.so3_window_eval(rotw, u, k)
+        R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+        return (p, R, bs.r3_window_eval(posw, u, k, dt, 1), omega,
+                partial(self._window_jacobians, JR=JR,
+                        coeff=bs.window_node_coefficients(k, u)))
+
+
+class _SampledPoseGroup(FactorGroup):
     """A family sampling the pose at ``stamps + offset``, the offset being
-    the clock-offset block ``offset_id``.  Its slots are the pose window,
+    the clock-offset block ``offset_id``; its slots are the pose slots,
     the family's own slot ``own``, then the offset.  The family supplies
-    ``_error(p, R, own)``, the whitened residual at the sampled pose, and
-    with ``jacobians=True`` ``(e, E_p, E_R, E_own)``; the offset column is
-    ``E_R omega + E_p pdot``."""
+    ``_error(p, R, own)``, the whitened residual, and with ``jacobians=True``
+    ``(e, E_p, E_R, E_own)``.  The pose source supplies ``_locate(t)``, the
+    ``ctx`` and pose slots at times ``t``, and ``_sample(ctx, pose, t)``,
+    the pose ``(p, R)`` there, with ``jacobians=True`` also the rates
+    ``pdot``, ``omega`` and a map of ``(E_p, E_R)`` to the pose-slot
+    Jacobians.  The offset column is ``E_R omega + E_p pdot``."""
 
     def build(self, problem, state):
         offset = state.euc[problem.blocks[self.offset_id].store]
-        seg, _ = self.grid.normalized_times(self.stamps + offset)
-        return seg, (self._pose_slots(seg)
-                     + [self.own, Slot(self.offset_id, EUCLIDEAN, 1)])
+        ctx, pose = self._locate(self.stamps + offset)
+        return ctx, pose + [self.own, Slot(self.offset_id, EUCLIDEAN, 1)]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        k, dt = self.grid.order, self.grid.dt
-        posw, rotw = self._windows(gathered)
-        own = gathered[2 * k]
-        u = (self.stamps + gathered[2 * k + 1][..., 0] - self.grid.t0) / dt - ctx
-        p = bs.r3_window_eval(posw, u, k, dt)
+        n = len(gathered) - 2
+        pose, own = gathered[:n], gathered[n]
+        t = self.stamps + gathered[n + 1][..., 0]
         if not jacobians:
-            return self._error(p, bs.so3_window_eval(rotw, u, k), own)
-        R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+            return self._error(*self._sample(ctx, pose, t), own)
+        p, R, pdot, omega, chain = self._sample(ctx, pose, t, jacobians=True)
         e, E_p, E_R, E_own = self._error(p, R, own, jacobians=True)
-        jacs = self._window_jacobians(E_p, E_R, JR,
-                                      bs.window_node_coefficients(k, u))
-        pdot = bs.r3_window_eval(posw, u, k, dt, 1)
-        jacs[2 * k] = E_own
-        jacs[2 * k + 1] = E_R @ omega[..., None] + E_p @ pdot[..., None]
+        jacs = chain(E_p, E_R)
+        jacs[n] = E_own
+        jacs[n + 1] = E_R @ omega[..., None] + E_p @ pdot[..., None]
         return e, jacs
 
 
@@ -256,7 +270,7 @@ class _ReprojGroup(FactorGroup):
         return B * valid[:, None, None] * self.w
 
 
-class CtReprojGroup(_ReprojGroup, _ShiftedGroup):
+class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
     """Reprojection residuals sampling the spline at t_k + t_cam_imu."""
 
     name = "ct_reproj"
@@ -386,16 +400,13 @@ class CtBiasRateGroup(R3FitGroup):
         super().__init__(bias_grid, b0, seg, u, 0.0, weight, derivative=1)
 
 
-class CtGpsGroup(_ShiftedGroup):
-    """GPS residuals p_bar - (p + R p_ant) sampled at t_d + t_gps_imu."""
+class _GpsModel:
+    """The GPS residual p_bar - (p + R p_ant) in the sampled pose, for CT and
+    DT; ``own`` is the antenna lever arm p_ant, the offset t_gps_imu."""
 
-    name = "ct_gps"
     dim = 3
 
-    def __init__(self, grid, pos0, rot0, pant_id, tgps_id, stamps, gps, weight):
-        self.grid = grid
-        self.pos0 = pos0
-        self.rot0 = rot0
+    def __init__(self, pant_id, tgps_id, stamps, gps, weight):
         self.stamps = stamps
         self.gps = gps
         self.w = weight
@@ -409,6 +420,18 @@ class CtGpsGroup(_ShiftedGroup):
             return e
         # R <- R Exp(eps) moves R p_ant by -R hat(p_ant) eps
         return e, -self.w * np.eye(3), self.w * R @ hat(p_ant), -self.w * R
+
+
+class CtGpsGroup(_GpsModel, _SplineGroup, _SampledPoseGroup):
+    """GPS residuals on the pose spline."""
+
+    name = "ct_gps"
+
+    def __init__(self, grid, pos0, rot0, pant_id, tgps_id, stamps, gps, weight):
+        super().__init__(pant_id, tgps_id, stamps, gps, weight)
+        self.grid = grid
+        self.pos0 = pos0
+        self.rot0 = rot0
 
 
 # ---------------------------------------------------------------------------
@@ -538,77 +561,46 @@ class DtBiasWalkGroup(FactorGroup):
         return (r, self.jacobians) if jacobians else r
 
 
-class DtGpsGroup(FactorGroup):
-    """GPS residuals p_bar - (p_int + R_int p_ant) at t_d + t_gps_imu, with
-    p_int = p_k + alpha (p_{k+1} - p_k) and the slerp R_int = R_k Exp(alpha d),
-    d = Log(R_k^T R_{k+1}), between the frames k, k+1 around it."""
+class DtGpsGroup(_GpsModel, _SampledPoseGroup):
+    """GPS residuals on the frame states k, k+1 around t_d + t_gps_imu
+    (clamped to the first and last pair): p = p_k + alpha dp and the slerp
+    R = R_k Exp(alpha d), d = Log(R_k^T R_{k+1}), the order-2 cumulative
+    B-spline over knots at the frame times."""
 
     name = "dt_gps"
-    dim = 3
 
     def __init__(self, ids, pose_times, pant_id, tgps_id, stamps, gps, weight):
+        super().__init__(pant_id, tgps_id, stamps, gps, weight)
         self.ids = ids
         self.pose_times = pose_times
-        self.pant_id = pant_id
-        self.tgps_id = tgps_id
-        self.stamps = stamps
-        self.gps = gps
-        self.w = weight
 
-    def build(self, problem, state):
-        t_gps = state.euc[problem.blocks[self.tgps_id].store]
-        tau = self.stamps + t_gps
-        k = np.clip(
-            np.searchsorted(self.pose_times, tau, side="right") - 1,
-            0,
-            len(self.pose_times) - 2,
-        )
-        slots = [
-            Slot(self.ids["p"][k], EUCLIDEAN, 3),
-            Slot(self.ids["R"][k], ROTATION, 3),
-            Slot(self.ids["p"][k + 1], EUCLIDEAN, 3),
-            Slot(self.ids["R"][k + 1], ROTATION, 3),
-            Slot(self.pant_id, EUCLIDEAN, 3),
-            Slot(self.tgps_id, EUCLIDEAN, 1),
-        ]
-        ctx = (self.pose_times[k], self.pose_times[k + 1])
-        return ctx, slots
+    def _locate(self, t):
+        k = np.clip(np.searchsorted(self.pose_times, t, side="right") - 1,
+                    0, len(self.pose_times) - 2)
+        p, R = self.ids["p"], self.ids["R"]
+        return (self.pose_times[k], self.pose_times[k + 1]), [
+            Slot(p[k], EUCLIDEAN, 3), Slot(R[k], ROTATION, 3),
+            Slot(p[k + 1], EUCLIDEAN, 3), Slot(R[k + 1], ROTATION, 3)]
 
-    def kernel(self, ctx, gathered, jacobians=False):
-        t_k, t_k1 = ctx
-        p_k, R_k, p_k1, R_k1, p_ant, t_gps = gathered
-        p_ant = p_ant.reshape(-1, 3)[0]
-        span = t_k1 - t_k
-        alpha = (self.stamps + t_gps[..., 0] - t_k) / span
+    def _sample(self, ctx, pose, t, jacobians=False):
+        (t_k, t_k1), (p_k, R_k, p_k1, R_k1) = ctx, pose
+        span = (t_k1 - t_k)[:, None]
+        alpha = (t - t_k)[:, None] / span
         dp = p_k1 - p_k
-        p_int = p_k + alpha[:, None] * dp
         R_rel = np.swapaxes(R_k, -1, -2) @ R_k1
         d = so3_log(R_rel, validate=False)
-        E = so3_exp(alpha[:, None] * d)
-        R_int = R_k @ E
-        pred = p_int + np.einsum("nij,j->ni", R_int, p_ant)
-        r = (self.gps - pred) * self.w
+        E = so3_exp(alpha * d)
+        p, R = p_k + alpha * dp, R_k @ E
         if not jacobians:
-            return r
-        # R_{k+1} <- R_{k+1} Exp(eps) moves d by J_r(d)^-1 eps and R_int by
+            return p, R
+        # R_{k+1} <- R_{k+1} Exp(eps) moves d by J_r(d)^-1 eps and R by
         # Exp(G1 eps); R_k <- R_k Exp(eps) moves d by -J_r(d)^-1 R_rel^T eps,
-        # so R_int by Exp(G0 eps)
-        G1 = alpha[:, None, None] * so3_right_jacobian(alpha[:, None] * d) \
-            @ so3_right_jacobian_inv(d)
+        # so R by Exp(G0 eps)
+        a = alpha[..., None]
+        G1 = a * so3_right_jacobian(alpha * d) @ so3_right_jacobian_inv(d)
         G0 = np.swapaxes(E, -1, -2) - G1 @ np.swapaxes(R_rel, -1, -2)
-        # R_int <- R_int Exp(eps) moves R_int p_ant by -R_int hat(p_ant) eps
-        J_rot = self.w * R_int @ hat(p_ant)
-        # d R_int / d alpha = R_int hat(d), and d alpha / d t_gps = 1 / span
-        pred_rate = (dp + np.einsum("nij,nj->ni", R_int, np.cross(d, p_ant))
-                     ) / span[:, None]
-        return r, {
-            0: -self.w * (1.0 - alpha)[:, None, None] * np.eye(3),
-            1: J_rot @ G0,
-            2: -self.w * alpha[:, None, None] * np.eye(3),
-            3: J_rot @ G1,
-            4: -self.w * R_int,
-            5: -self.w * pred_rate[..., None],
-        }
+        return p, R, dp / span, d / span, lambda E_p, E_R: {
+            0: (1.0 - a) * E_p, 1: E_R @ G0, 2: a * E_p, 3: E_R @ G1}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+import yaml
 
 from splinefusion import cli
 from splinefusion import estimators as est
@@ -73,7 +74,8 @@ def test_malformed_config_is_data_error(tmp_path, capsys):
     for text in ("ct: 5\n", "sensors: abc\n", "seed: x\n",
                  "simulate: {duration: x}\n", "ct: {spline_order: x}\n",
                  "noise: {pixel_sigma: x}\n", 'sensors: {camera: "no"}\n',
-                 "ct: {node_hz: abc}\n"):
+                 "ct: {node_hz: abc}\n", "bogus: 1\n",
+                 "ct: {margin: 0.1}\n"):
         cfg.write_text(text)
         rc = cli.main(["simulate", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
@@ -168,6 +170,10 @@ def test_compare_rejects_bad_offsets(tmp_path, capsys):
 
 
 def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
+    # the dataset's config.yaml records how the data were made, with no
+    # estimator section, and an estimate reads it as its config
+    made = yaml.safe_load((small_dataset / "config.yaml").read_text())
+    assert set(made) == {"seed", "sensors", "simulate", "noise"}
     out = tmp_path / "est"
     rc = cli.main(["estimate-ct", "--config",
                    str(small_dataset / "config.yaml"),

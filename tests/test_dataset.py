@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from splinefusion.dataset import (
     MeasurementSet,
     NoiseSpec,
     SensorRig,
+    _read_csv,
     read_dataset,
     read_pose_csv,
     write_dataset,
@@ -121,6 +123,33 @@ def test_bad_header(tmp_path, rng):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(DataError):
         read_dataset(tmp_path)
+
+
+def test_malformed_row(tmp_path, rng):
+    """A row with too few columns, or with a field that is no number, is a
+    DataError naming the file and the line."""
+    write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec())
+    path = tmp_path / "imu.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")
+    for lineno, row in ((3, lines[2].rsplit(",", 1)[0]),
+                        (5, ",".join(fields[:2] + ["abc"] + fields[3:]))):
+        body = list(lines)
+        body[lineno - 1] = row
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(DataError, match=rf"imu\.csv:{lineno}: "):
+            read_dataset(tmp_path)
+
+
+def test_header_without_rows(tmp_path):
+    """A file with a header and no rows has zero rows, and says nothing."""
+    path = tmp_path / "gps.csv"
+    path.write_text("t_ns,x,y,z\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_ns, rows = _read_csv(str(path), 4)
+    assert t_ns.shape == (0,) and t_ns.dtype == np.int64
+    assert rows.shape == (0, 3)
 
 
 def test_count_mismatch(tmp_path, rng):

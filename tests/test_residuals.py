@@ -5,7 +5,7 @@ from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import residuals as res
 from splinefusion.errors import InvalidArgumentError
-from splinefusion.rotations import Pose, slerp
+from splinefusion.rotations import Pose, slerp, so3_exp
 from splinefusion.solver import Problem
 
 from conftest import random_rotation
@@ -26,14 +26,13 @@ def make_ct_state(gt, rig, landmarks):
     )
 
 
-def dt_gps_residuals(rng, stamps, antenna_at, K=5):
-    """DT GPS residuals of a ``DtGpsGroup`` over K random pose states 0.1 s
-    apart, for GPS fixes made by ``antenna_at(positions, rotations,
-    p_antenna_body)`` at ``stamps``."""
-    pose_times = 0.1 * np.arange(K)
-    positions = rng.normal(size=(K, 3))
-    rotations = np.stack([random_rotation(rng) for _ in range(K)])
-    p_ant = np.array([0.1, -0.05, 0.15])
+P_ANT = np.array([0.1, -0.05, 0.15])
+
+
+def frame_problem(positions, rotations, t_gps=0.0):
+    """A problem with one position and one rotation block per frame (ids
+    ``{"p": ..., "R": ...}``), then the ``p_ant`` and ``t_gps`` blocks."""
+    K = len(positions)
     problem = Problem()
     ids = {
         "p": np.array([problem.add_euclidean(f"p{k}", positions[k])
@@ -41,10 +40,21 @@ def dt_gps_residuals(rng, stamps, antenna_at, K=5):
         "R": np.array([problem.add_rotation(f"R{k}", rotations[k])
                        for k in range(K)]),
     }
-    pant_id = problem.add_euclidean("p_ant", p_ant)
-    tgps_id = problem.add_euclidean("t_gps", 0.0)
+    pant_id = problem.add_euclidean("p_ant", P_ANT)
+    tgps_id = problem.add_euclidean("t_gps", t_gps)
     problem._layout()
-    gps = antenna_at(positions, rotations, p_ant)
+    return problem, ids, pant_id, tgps_id
+
+
+def dt_gps_residuals(rng, stamps, antenna_at, K=5):
+    """DT GPS residuals of a ``DtGpsGroup`` over K random pose states 0.1 s
+    apart, for GPS fixes made by ``antenna_at(positions, rotations,
+    p_antenna_body)`` at ``stamps``."""
+    pose_times = 0.1 * np.arange(K)
+    positions = rng.normal(size=(K, 3))
+    rotations = np.stack([random_rotation(rng) for _ in range(K)])
+    problem, ids, pant_id, tgps_id = frame_problem(positions, rotations)
+    gps = antenna_at(positions, rotations, P_ANT)
     group = est.DtGpsGroup(ids, pose_times, pant_id, tgps_id,
                            np.asarray(stamps, dtype=float), gps, 1.0)
     return group.residuals(problem, problem.initial_state())
@@ -70,6 +80,37 @@ def test_gps_residual_dt_zero_at_node(rng):
         return (positions[k] + rotations[k] @ p_ant)[None]
     r = dt_gps_residuals(rng, [0.1 * k], antenna_at)
     assert np.max(np.abs(r)) < 1e-12
+
+
+def test_dt_gps_is_ct_gps_at_order_2(rng):
+    """DT GPS interpolation is the order-2 cumulative B-spline: a CtGpsGroup
+    on an order-2 grid over the frame states has DtGpsGroup's residuals and,
+    slot for slot, its Jacobians."""
+    K, n = 6, 20
+    positions = rng.normal(size=(K, 3))
+    steps = rng.normal(size=(K - 1, 3))
+    steps *= 0.8 / np.linalg.norm(steps, axis=1, keepdims=True)  # 0.8 rad
+    rotations = [random_rotation(rng)]
+    for w in steps:
+        rotations.append(rotations[-1] @ so3_exp(w))
+    problem, ids, pant_id, tgps_id = frame_problem(positions, rotations,
+                                                   t_gps=0.013)
+    stamps = rng.uniform(0.0, 0.1 * (K - 1) - 0.02, size=n)
+    gps = rng.normal(size=(n, 3))
+    grid = bs.KnotGrid(t0=0.0, dt=0.1, count=K, order=2)
+    ct = est.CtGpsGroup(grid, ids["p"][0], ids["R"][0], pant_id, tgps_id,
+                        stamps, gps, 1.0)
+    dt = est.DtGpsGroup(ids, 0.1 * np.arange(K), pant_id, tgps_id, stamps,
+                        gps, 1.0)
+    state = problem.initial_state()
+    r_ct, slots_ct, J_ct, _ = ct.linearize(problem, state)
+    r_dt, slots_dt, J_dt, _ = dt.linearize(problem, state)
+    assert np.max(np.abs(r_ct - r_dt)) < 1e-12
+    # CT (p_s, p_s+1, R_s, R_s+1) against DT (p_k, R_k, p_k+1, R_k+1), then
+    # p_ant and t_gps
+    for c, d in enumerate((0, 2, 1, 3, 4, 5)):
+        assert np.array_equal(slots_ct[c].block_ids, slots_dt[d].block_ids)
+        assert np.max(np.abs(J_ct[c] - J_dt[d])) < 1e-12
 
 
 def test_dt_state_validation(rng):
