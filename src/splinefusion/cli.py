@@ -156,6 +156,9 @@ def _cmd_estimate(args, mode):
     report = _report(result, wall, pairs)
     report["factor_counts"] = result.factor_counts
     report["stage_seconds"] = result.stage_seconds
+    report["stage_reports"] = {
+        stage: {"termination": rep.termination, "iterations": rep.iterations}
+        for stage, rep in result.stage_reports.items()}
     _write_json(os.path.join(args.out, "report.json"), report)
     ate_txt = (f" ate_p={report['ate_p_m']:.4f} m" if pairs is not None else "")
     print(f"{mode}: {result.report.iterations} iterations, "

@@ -167,6 +167,10 @@ class _SplineGroup(FactorGroup):
     Lie Groups" (CVPR 2020).  A family sampled at a clock-shifted time is
     also a :class:`_SampledPoseGroup` with the window as pose source
     (:meth:`_locate`, :meth:`_sample`); the others set fixed ``slots``.
+    :meth:`_sample` evaluates the window once per distinct sample time, on
+    the window of the first factor there, and repeats the rows for the
+    others: the features of one camera frame share a stamp, so CT
+    reprojection makes one evaluation per frame.
     """
 
     def jumps(self, problem, state, seg):
@@ -201,15 +205,17 @@ class _SplineGroup(FactorGroup):
 
     def _sample(self, ctx, pose, t, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
-        posw, rotw = self._windows(pose)
-        u = (t - self.grid.t0) / dt - ctx
-        p = bs.r3_window_eval(posw, u, k, dt)
+        t, first, each = np.unique(t, return_index=True, return_inverse=True)
+        posw, rotw = self._windows([x[first] for x in pose])
+        u = (t - self.grid.t0) / dt - ctx[first]
+        p = bs.r3_window_eval(posw, u, k, dt)[each]
         if not jacobians:
-            return p, bs.so3_window_eval(rotw, u, k)
+            return p, bs.so3_window_eval(rotw, u, k)[each]
         R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
-        return (p, R, bs.r3_window_eval(posw, u, k, dt, 1), omega,
-                partial(self._window_jacobians, JR=JR,
-                        coeff=bs.window_node_coefficients(k, u)))
+        return (p, R[each], bs.r3_window_eval(posw, u, k, dt, 1)[each],
+                omega[each],
+                partial(self._window_jacobians, JR=JR[each],
+                        coeff=bs.window_node_coefficients(k, u)[each]))
 
 
 class _SampledPoseGroup(FactorGroup):
@@ -221,7 +227,10 @@ class _SampledPoseGroup(FactorGroup):
     ``ctx`` and pose slots at times ``t``, and ``_sample(ctx, pose, t)``,
     the pose ``(p, R)`` there, with ``jacobians=True`` also the rates
     ``pdot``, ``omega`` and a map of ``(E_p, E_R)`` to the pose-slot
-    Jacobians.  The offset column is ``E_R omega + E_p pdot``."""
+    Jacobians.  The offset column is ``E_R omega + E_p pdot``.  A source
+    may sample once per distinct time and repeat the rows: factors at one
+    time have the same ``ctx`` and pose slots, also under the one-slot
+    steps of :meth:`FactorGroup._fd_slot`."""
 
     def build(self, problem, state):
         offset = state.euc[problem.blocks[self.offset_id].store]
@@ -920,7 +929,8 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
 
 def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
                   cfg: CtConfig, seed=0):
-    """Build the initial CtState: PnP poses and a spline fit to them."""
+    """The initial CtState, from PnP poses and a spline fit to them, and the
+    fit's SolveReport."""
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
                                      np.random.default_rng(seed))
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
@@ -937,12 +947,13 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
         camera=rig.camera,
-    )
+    ), fit.report
 
 
 def initialize_dt(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
                   cfg: DtConfig, seed=0):
-    """Build the initial DtState from per-frame PnP poses."""
+    """The initial DtState, from per-frame PnP poses, and None: DT fits
+    nothing to them."""
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
                                      np.random.default_rng(seed))
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
@@ -953,7 +964,7 @@ def initialize_dt(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
         bias_accel=np.zeros((K, 3)), bias_gyro=np.zeros((K, 3)),
         landmarks=landmarks, t_cam_imu=0.0, T_cam_imu=rig.T_cam_imu,
         t_gps_imu=0.0, p_antenna_body=np.zeros(3),
-    )
+    ), None
 
 
 @dataclass
@@ -968,6 +979,9 @@ class RunResult:
     t_gps_imu: float
     factor_counts: dict
     stage_seconds: dict = field(default_factory=dict)
+    # the SolveReport of each stage that solves, keyed as in stage_seconds:
+    # the CT spline fit ("initialize"), stage 1 and the final solve
+    stage_reports: dict = field(default_factory=dict)
 
 
 def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
@@ -982,14 +996,16 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     if cfg.use_imu:
         _check_imu_gaps(meas.imu_t_ns * 1e-9)
-    stages = {}
+    stages, reports = {}, {}
     initialize = initialize_ct if mode == "ct" else initialize_dt
     build = build_ct_problem if mode == "ct" else build_dt_problem
     opts = SolveOptions(max_iter=cfg.max_iter)
 
     t0 = time.perf_counter()
-    init = initialize(meas, rig, noise, cfg, seed=seed)
+    init, fit_report = initialize(meas, rig, noise, cfg, seed=seed)
     stages["initialize"] = time.perf_counter() - t0
+    if fit_report is not None:
+        reports["initialize"] = fit_report
 
     # Stage 1: offsets held at zero and landmarks held at their prior so the
     # trajectory and bias states settle without absorbing the time offsets
@@ -1003,7 +1019,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
                                      estimate_t_gps=False)
         problem1 = build(meas, init, frozen, noise, rig, fix_landmarks=True)
         opts1 = dataclasses.replace(opts, max_iter=min(opts.max_iter, 25))
-        state1, _ = solve(problem1, opts1)
+        state1, reports["solve_fixed_offsets"] = solve(problem1, opts1)
         init = extract_state(problem1, state1, init)
         stages["solve_fixed_offsets"] = time.perf_counter() - t1
 
@@ -1011,7 +1027,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     problem = build(meas, init, cfg, noise, rig)
     stages["build"] = time.perf_counter() - t2
     t3 = time.perf_counter()
-    state, report = solve(problem, opts)
+    state, reports["solve"] = solve(problem, opts)
     stages["solve"] = time.perf_counter() - t3
     final = extract_state(problem, state, init)
     if mode == "ct":
@@ -1024,7 +1040,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     return RunResult(
         mode=mode,
         state=final,
-        report=report,
+        report=reports["solve"],
         t_ns=meas.frame_t_ns,
         positions=positions,
         rotations=rotations,
@@ -1032,4 +1048,5 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
         t_gps_imu=final.t_gps_imu,
         factor_counts=problem.factor_counts,
         stage_seconds=stages,
+        stage_reports=reports,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -198,6 +199,36 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0] == "t_ns,x,y,z,qw,qx,qy,qz"
     assert len(lines) > 50
+
+
+def test_report_gives_every_solving_stage(small_dataset, tmp_path,
+                                          monkeypatch):
+    """report.json gives the termination and iterations of each stage that
+    solves: a CT spline fit that stops at its cap, stage 1 and the final
+    solve; DT fits nothing."""
+    fit_spline = est.fit_spline_to_poses
+
+    def capped_fit(*args, **kwargs):
+        fit = fit_spline(*args, **kwargs)
+        return dataclasses.replace(fit, report=dataclasses.replace(
+            fit.report, termination="max_iter", iterations=25))
+
+    monkeypatch.setattr(est, "fit_spline_to_poses", capped_fit)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("ct:\n  max_iter: 2\ndt:\n  max_iter: 2\n")
+    for mode in ("ct", "dt"):
+        out = tmp_path / mode
+        cli.main([f"estimate-{mode}", "--config", str(cfg),
+                  "--data", str(small_dataset), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        stages = report["stage_reports"]
+        assert stages.pop("initialize", None) == (
+            {"termination": "max_iter", "iterations": 25} if mode == "ct"
+            else None)
+        assert list(stages) == ["solve_fixed_offsets", "solve"]
+        assert stages["solve"] == {"termination": report["termination"],
+                                   "iterations": report["iterations"]}
+        assert all(0 < s["iterations"] <= 2 for s in stages.values())
 
 
 def _fake_run(small_dataset, **report_fields):

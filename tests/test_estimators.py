@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import types
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,55 @@ def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
     assert calls == {"fd": 0, "kernel": 6}
     assert jump_rows == 0
     assert all(np.all(np.isfinite(M)) for M, _ in J.blocks)
+
+
+def _per_observation_sample(group, ctx, pose, t, jacobians=False):
+    """The per-observation reference of ``_SplineGroup._sample``: the
+    window kernels run once per factor."""
+    k, dt = group.grid.order, group.grid.dt
+    posw, rotw = group._windows(pose)
+    u = (t - group.grid.t0) / dt - ctx
+    p = bs.r3_window_eval(posw, u, k, dt)
+    if not jacobians:
+        return p, bs.so3_window_eval(rotw, u, k)
+    R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+    return (p, R, bs.r3_window_eval(posw, u, k, dt, 1), omega,
+            partial(group._window_jacobians, JR=JR,
+                    coeff=bs.window_node_coefficients(k, u)))
+
+
+def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
+                                                     monkeypatch):
+    """The CT reprojection family passes the window kernels one row per
+    distinct frame stamp, in a linearization and in a trial residual, and
+    gives the same bits as sampling once per observation."""
+    problem, state = perturbed_ct
+    group, = [g for g in problem.groups if g.name == "ct_reproj"]
+    frames = np.unique(group.stamps).size
+    assert frames < group.stamps.size
+    rows = []
+    for name in ("r3_window_eval", "so3_window_eval",
+                 "so3_window_eval_jacobians"):
+        def counting(windows, u, *args, _kernel=getattr(bs, name), **kwargs):
+            rows.append(u.shape[0])
+            return _kernel(windows, u, *args, **kwargs)
+
+        monkeypatch.setattr(bs, name, counting)
+    r, slots, jacs, _ = group.linearize(problem, state)
+    assert rows == [frames] * 3  # p, then R with its Jacobians, then pdot
+    rows.clear()
+    trial = group.residuals(problem, state)
+    assert rows == [frames] * 2
+    assert np.array_equal(trial, r)
+
+    monkeypatch.setattr(group, "_sample", partial(_per_observation_sample,
+                                                  group))
+    r_ref, _, jacs_ref, _ = group.linearize(problem, state)
+    assert np.array_equal(r_ref, r)
+    assert np.array_equal(group.residuals(problem, state), trial)
+    assert sorted(jacs_ref) == sorted(jacs) == list(range(len(slots)))
+    for si in jacs:
+        assert np.array_equal(jacs_ref[si], jacs[si]), si
 
 
 def test_bias_rate_residual_is_weighted_bias_velocity():
@@ -679,7 +729,8 @@ def test_initialize_ct_contract(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements
     cfg = est.CtConfig()
-    init = est.initialize_ct(meas, rig, noise, cfg, seed=0)
+    init, fit_report = est.initialize_ct(meas, rig, noise, cfg, seed=0)
+    assert fit_report.termination in ("converged", "max_iter")
     assert init.t_cam_imu == 0.0
     assert init.t_gps_imu == 0.0
     assert np.allclose(init.p_antenna_body, 0.0)
@@ -699,7 +750,9 @@ def test_initialize_ct_contract(tiny_noiseless):
 def test_initialize_dt_contract(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements
-    init = est.initialize_dt(meas, rig, noise, est.DtConfig(), seed=0)
+    init, fit_report = est.initialize_dt(meas, rig, noise, est.DtConfig(),
+                                         seed=0)
+    assert fit_report is None
     assert init.t_ns.size == len(meas.frames)
     assert init.t_cam_imu == 0.0 and init.t_gps_imu == 0.0
     assert np.allclose(init.bias_accel, 0.0)
@@ -740,9 +793,10 @@ def test_run_rejects_unknown_mode(tiny_noiseless):
         est.run(result.measurements, rig, noise, est.CtConfig(), mode="ukf")
 
 
-# A small DT and CT estimate in a fresh interpreter: the printed poses,
-# offsets and final costs are exact (hex floats and hashes of the raw bytes).
-_REPRO_SCRIPT = """
+# A small DT and CT estimate in a fresh interpreter: the 5 s dataset, then
+# in _REPRO_SCRIPT the printed poses, offsets and final costs, exact (hex
+# floats and hashes of the raw bytes).
+_REPRO_DATA = """
 import hashlib, json
 import numpy as np
 from splinefusion import estimators as est, simulate as sim
@@ -755,6 +809,8 @@ rig = sim.default_rig(t_cam_imu=0.010)
 noise = NoiseSpec(cam_hz=10, imu_hz=200, gps_hz=7, seed=3, gps_sigma=0.1)
 data = sim.synthesize(gt, rig, noise, num_landmarks=80)
 result = {}
+"""
+_REPRO_SCRIPT = _REPRO_DATA + """
 for mode, cfg in (("dt", est.DtConfig()), ("ct", est.CtConfig())):
     out = est.run(data.measurements, rig, noise, cfg, mode=mode, seed=0)
     result[mode] = {
@@ -790,3 +846,49 @@ def test_estimates_are_bit_reproducible_at_one_blas_thread():
     assert [outputs[0][mode]["termination"] for mode in ("dt", "ct")] == [
         "converged", "converged"]
     assert time.perf_counter() - start < 15.0
+
+
+# The same estimates with their values in full and the iterations and
+# termination of every stage.
+_THREADS_SCRIPT = _REPRO_DATA + """
+for mode, cfg in (("dt", est.DtConfig()), ("ct", est.CtConfig())):
+    out = est.run(data.measurements, rig, noise, cfg, mode=mode, seed=0)
+    result[mode] = {
+        "positions": out.positions.tolist(),
+        "rotations": out.rotations.tolist(),
+        "t_cam_imu": out.t_cam_imu,
+        "t_gps_imu": out.t_gps_imu,
+        "stages": {stage: [rep.iterations, rep.termination]
+                   for stage, rep in out.stage_reports.items()},
+    }
+print(json.dumps(result))
+"""
+
+
+def test_estimates_at_two_blas_threads_stay_near_one_thread():
+    """BLAS sums in another order with two threads, so the estimates are
+    not bit-equal to one thread's, but they stay within 1e-8 m in every
+    position, 1e-8 in every rotation entry and 1e-9 s in each clock offset,
+    with the same iterations and termination in every stage."""
+    src = Path(est.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _THREADS_SCRIPT],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                 MKL_NUM_THREADS=n, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for n in ("1", "2")]
+    outputs = []
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        outputs.append(json.loads(stdout.splitlines()[-1]))
+    for mode in ("dt", "ct"):
+        a, b = (out[mode] for out in outputs)
+        assert a["stages"] == b["stages"], mode
+        assert a["stages"]["solve"][1] == "converged", mode
+        dp = np.abs(np.subtract(a["positions"], b["positions"])).max()
+        dR = np.abs(np.subtract(a["rotations"], b["rotations"])).max()
+        assert dp <= 1e-8 and dR <= 1e-8, mode
+        assert abs(a["t_cam_imu"] - b["t_cam_imu"]) <= 1e-9, mode
+        assert abs(a["t_gps_imu"] - b["t_gps_imu"]) <= 1e-9, mode
