@@ -26,16 +26,6 @@ class CameraModel:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidArgumentError("principal point must lie inside the image")
 
-    def to_dict(self):
-        return {
-            "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "width": self.width, "height": self.height,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"])
-
 
 def project_many(cam: CameraModel, p_cam):
     """Project camera-frame points to pixels.

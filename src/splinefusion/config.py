@@ -14,21 +14,13 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .dataset import NoiseSpec
+from .dataset import NoiseSpec, build_section
 from .errors import DataError, InvalidArgumentError
 from .estimators import CtConfig, DtConfig
 from .simulate import PROFILES
 
 # CtConfig/DtConfig fields that RunConfig takes from ``sensors`` instead
 _SENSOR_SWITCHES = ("use_cam", "use_imu", "use_gps")
-# the values a config field of each type accepts (YAML gives bool, int,
-# float or str; a bool is no number here)
-_ACCEPTS = {
-    "bool": lambda v: isinstance(v, bool),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-}
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,7 @@ class RunConfig:
             "align": self.align,
             "sensors": dataclasses.asdict(self.sensors),
             "simulate": dataclasses.asdict(self.simulate),
-            "noise": self.noise.to_dict(),
+            "noise": dataclasses.asdict(self.noise),
             "ct": _estimator_dict(self.ct),
             "dt": _estimator_dict(self.dt),
         }
@@ -134,28 +126,8 @@ class RunConfig:
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
 
-        def section(name):
-            values = data.get(name)
-            if values is None:
-                return {}
-            if not isinstance(values, dict):
-                raise DataError(
-                    f"config section {name!r} must be a mapping, got {values!r}")
-            return values
-
         def build(klass, name):
-            values = section(name)
-            types = {f.name: f.type for f in dataclasses.fields(klass)}
-            bad = set(values) - set(types)
-            if bad:
-                raise DataError(
-                    f"unknown keys in config section {name!r}: {sorted(bad)}")
-            for key, value in values.items():
-                if not _ACCEPTS[types[key]](value):
-                    raise DataError(
-                        f"config key {key!r} in section {name!r} must be "
-                        f"{types[key]}, got {value!r}")
-            return klass(**values)
+            return build_section(klass, data.get(name), "config", name)
 
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):

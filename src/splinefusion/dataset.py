@@ -15,22 +15,68 @@ time-origin defect F2 in ROADMAP.md).
 
 ``MeasurementSet.observations()`` is the one flat table of the camera
 observations: frame index, landmark id and pixel, frame by frame.
-Validation, the ``features.csv`` reader and writer and the estimators
-derive every per-observation quantity from it with array code.
+Validation, the ``features.csv`` writer and the estimators derive every
+per-observation quantity from it; ``frames_from_observations`` turns such
+a table back into frames for the reader and the simulator.
+``build_section`` reads one config or ``scene.json`` section, checked.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import CameraModel
 from .errors import DataError, InvalidArgumentError
 from .rotations import Pose, is_rotation, quat_to_rotation, rotation_to_quat
+
+# the values a field of each type accepts (YAML and JSON give bool, int,
+# float or str; a bool is no number here)
+_ACCEPTS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def build_section(klass, values, source, name):
+    """``klass(**values)`` for the section ``name`` of ``source`` (a config
+    or a file), or a DataError naming both when ``values`` is no mapping,
+    names a field ``klass`` lacks, misses one without a default or gives a
+    value not of its field's type.  ``None`` is an empty section."""
+    values = {} if values is None else values
+    if not isinstance(values, dict):
+        raise DataError(
+            f"{source} section {name!r} must be a mapping, got {values!r}")
+    fields = dataclasses.fields(klass)
+    types = {f.name: f.type for f in fields}
+    bad = set(values) - set(types)
+    if bad:
+        raise DataError(f"unknown keys in {source} section {name!r}: {sorted(bad)}")
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise DataError(f"missing keys in {source} section {name!r}: {missing}")
+    for key, value in values.items():
+        if not _ACCEPTS[types[key]](value):
+            raise DataError(
+                f"{source} key {key!r} in section {name!r} must be "
+                f"{types[key]}, got {value!r}")
+    return klass(**values)
+
+
+def _require(d, keys, where):
+    """A DataError naming ``where`` unless the mapping ``d`` has ``keys``."""
+    missing = [k for k in keys if k not in d] if isinstance(d, dict) else keys
+    if missing:
+        raise DataError(f"{where}: missing keys {list(missing)}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +110,14 @@ class SensorRig:
             "p_antenna_body": self.p_antenna_body.tolist(),
             "t_cam_imu": self.t_cam_imu,
             "t_gps_imu": self.t_gps_imu,
-            "camera": self.camera.to_dict(),
+            "camera": dataclasses.asdict(self.camera),
         }
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, source):
+        """The rig of ``to_dict``'s mapping ``d``, read from ``source``."""
+        _require(d, ("q_cam_imu_wxyz", "p_cam_imu", "p_antenna_body",
+                     "t_cam_imu", "t_gps_imu", "camera"), f"{source} section 'rig'")
         return cls(
             T_cam_imu=Pose(
                 quat_to_rotation(np.asarray(d["q_cam_imu_wxyz"])),
@@ -77,7 +126,7 @@ class SensorRig:
             p_antenna_body=np.asarray(d["p_antenna_body"]),
             t_cam_imu=float(d["t_cam_imu"]),
             t_gps_imu=float(d["t_gps_imu"]),
-            camera=CameraModel.from_dict(d["camera"]),
+            camera=build_section(CameraModel, d["camera"], source, "rig.camera"),
         )
 
 
@@ -112,24 +161,6 @@ class NoiseSpec:
             raise InvalidArgumentError("sensor rates must be > 0")
         if self.imu_hz < self.cam_hz:
             raise InvalidArgumentError("imu rate must be >= camera rate")
-
-    def to_dict(self):
-        return {
-            "pixel_sigma": self.pixel_sigma,
-            "accel_sigma": self.accel_sigma,
-            "gyro_sigma": self.gyro_sigma,
-            "accel_bias_rw": self.accel_bias_rw,
-            "gyro_bias_rw": self.gyro_bias_rw,
-            "gps_sigma": self.gps_sigma,
-            "cam_hz": self.cam_hz,
-            "imu_hz": self.imu_hz,
-            "gps_hz": self.gps_hz,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -186,6 +217,16 @@ class MeasurementSet:
     def time_span_ns(self):
         ts = [t for t in (self.imu_t_ns, self.gps_t_ns, self.frame_t_ns) if t.size]
         return min(int(t[0]) for t in ts), max(int(t[-1]) for t in ts)
+
+
+def frames_from_observations(t_ns, frame_index, landmark_ids, pixels):
+    """The frames of an observation table grouped by frame: frame ``k`` is
+    stamped ``t_ns[k]`` and holds, in table order, the rows whose
+    ``frame_index`` is ``k``.  ``frame_index`` is non-decreasing; the
+    inverse of :meth:`MeasurementSet.observations` with ``frame_t_ns``."""
+    cuts = np.searchsorted(frame_index, np.arange(1, len(t_ns)))
+    return [Frame(int(t), ids, pix) for t, ids, pix in
+            zip(t_ns, np.split(landmark_ids, cuts), np.split(pixels, cuts))]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +322,7 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
     lids = sorted(meas.landmarks_true)
     scene = {
         "seed": noise.seed,
-        "noise": noise.to_dict(),
+        "noise": dataclasses.asdict(noise),
         "rig": rig.to_dict(),
         "landmark_ids": lids,
         "landmarks": [meas.landmarks_true[i].tolist() for i in lids],
@@ -308,9 +349,17 @@ def read_dataset(data_dir, require_gps=True):
     if not os.path.exists(scene_path):
         raise DataError(f"missing required file {scene_path}")
     with open(scene_path) as f:
-        scene = json.load(f)
-    rig = SensorRig.from_dict(scene["rig"])
-    noise = NoiseSpec.from_dict(scene["noise"])
+        try:
+            scene = json.load(f)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{scene_path}: invalid JSON ({e})") from None
+    _require(scene, ("rig", "noise", "landmark_ids", "landmarks"), scene_path)
+    rig = SensorRig.from_dict(scene["rig"], scene_path)
+    noise = build_section(NoiseSpec, scene["noise"], scene_path, "noise")
+    lids, points = scene["landmark_ids"], scene["landmarks"]
+    if len(lids) != len(points):
+        raise DataError(f"{scene_path}: 'landmark_ids' has {len(lids)} "
+                        f"entries but 'landmarks' has {len(points)}")
 
     imu_t_ns, imu = _read_csv(os.path.join(data_dir, "imu.csv"), 7)
     gps_path = os.path.join(data_dir, "gps.csv")
@@ -325,16 +374,17 @@ def read_dataset(data_dir, require_gps=True):
     frame_ids = feats[:, 0].astype(int)
     order = np.argsort(frame_ids, kind="stable")
     frame_ids, feat_t_ns, feats = frame_ids[order], feat_t_ns[order], feats[order]
-    _, starts = np.unique(frame_ids, return_index=True)
+    _, starts, frame_index = np.unique(frame_ids, return_index=True,
+                                       return_inverse=True)
     stamps = feat_t_ns[starts]
-    mixed = feat_t_ns != np.repeat(stamps, np.diff(starts, append=len(feats)))
+    mixed = feat_t_ns != stamps[frame_index]
     if mixed.any():
         raise DataError(
             f"features.csv: frame {frame_ids[mixed][0]} has mixed timestamps")
-    frames = [Frame(int(t), rows[:, 1].astype(int), rows[:, 2:4].copy())
-              for t, rows in zip(stamps, np.split(feats, starts[1:]))]
-    landmarks = {int(i): np.asarray(p, dtype=float)
-                 for i, p in zip(scene["landmark_ids"], scene["landmarks"])}
+    frames = frames_from_observations(stamps, frame_index,
+                                      feats[:, 1].astype(int),
+                                      feats[:, 2:4].copy())
+    landmarks = {int(i): np.asarray(p, dtype=float) for i, p in zip(lids, points)}
     meas = MeasurementSet(
         imu_t_ns=imu_t_ns, gyro=imu[:, :3], accel=imu[:, 3:6], gps_t_ns=gps_t_ns,
         gps=gps, frames=frames, landmarks_true=landmarks).validate()

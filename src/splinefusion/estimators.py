@@ -491,7 +491,7 @@ class DtPreintGroup(FactorGroup):
     dim = 9
 
     def __init__(self, ids, imu_t, gyro, accel, frame_times, bias_accel,
-                 bias_gyro, gravity, gyro_sigma, accel_sigma):
+                 bias_gyro, gyro_sigma, accel_sigma):
         # ids: dict name -> array of block ids for p, R, v, ba, bg
         # hold-extrapolate the IMU at the edges so that pose stamps slightly
         # outside the sampled span (clock offsets) stay integrable
@@ -503,7 +503,6 @@ class DtPreintGroup(FactorGroup):
             imu_t = np.concatenate([imu_t, [frame_times[-1]]])
             gyro = np.concatenate([gyro, gyro[-1:]])
             accel = np.concatenate([accel, accel[-1:]])
-        self.gravity = gravity
         pims = []
         for n, (t0, t1) in enumerate(zip(frame_times[:-1], frame_times[1:])):
             # the samples from the last one at or before the segment start to
@@ -531,7 +530,7 @@ class DtPreintGroup(FactorGroup):
         p_i, R_i, v_i, ba_i, bg_i, p_j, R_j, v_j = gathered
         pim, W = ctx
         e = pre.preint_residual(R_i, p_i, v_i, ba_i, bg_i, R_j, p_j, v_j,
-                                self.gravity, pim)
+                                GRAVITY, pim)
         r = np.einsum("nij,nj->ni", W, e)
         return (r, {}) if jacobians else r
 
@@ -842,7 +841,7 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
     if cfg.use_imu:
         problem.add_group(
             DtPreintGroup(ids, imu_t, meas.gyro, meas.accel, pose_times,
-                          init.bias_accel, init.bias_gyro, GRAVITY,
+                          init.bias_accel, init.bias_gyro,
                           _sigma(noise.gyro_sigma), _sigma(noise.accel_sigma))
         )
         problem.add_group(
@@ -927,8 +926,7 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
     return stamps, positions[nearest], rotations[nearest]
 
 
-def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
-                  cfg: CtConfig, seed=0):
+def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
     """The initial CtState, from PnP poses and a spline fit to them, and the
     fit's SolveReport."""
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
@@ -950,8 +948,7 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
     ), fit.report
 
 
-def initialize_dt(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
-                  cfg: DtConfig, seed=0):
+def initialize_dt(meas: MeasurementSet, rig: SensorRig, cfg: DtConfig, seed=0):
     """The initial DtState, from per-frame PnP poses, and None: DT fits
     nothing to them."""
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
@@ -1002,7 +999,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     opts = SolveOptions(max_iter=cfg.max_iter)
 
     t0 = time.perf_counter()
-    init, fit_report = initialize(meas, rig, noise, cfg, seed=seed)
+    init, fit_report = initialize(meas, rig, cfg, seed=seed)
     stages["initialize"] = time.perf_counter() - t0
     if fit_report is not None:
         reports["initialize"] = fit_report

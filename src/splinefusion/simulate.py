@@ -9,23 +9,34 @@ exactly consistent with one continuous-time trajectory.
 Clock convention: the spline lives on the IMU clock.  Camera frames are
 captured at IMU times ``tau`` but stamped ``tau - t_cam_imu``; GPS fixes
 captured at ``tau`` are stamped ``tau - t_gps_imu``.
+
+The camera stream is one (frame, landmark) table: one projection, one
+pixel-noise draw in frame-major order, and ``frames_from_observations``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bsplines as bs
 from .camera import CameraModel, in_image, project_many
-from .dataset import Frame, MeasurementSet, NoiseSpec, SensorRig
+from .dataset import (MeasurementSet, NoiseSpec, SensorRig,
+                      frames_from_observations)
 from .errors import InvalidArgumentError
 from .initialization import fit_spline_to_poses
 from .residuals import GRAVITY
 from .rotations import Pose, so3_exp
 
 PROFILES = ("line", "circle", "lemniscate")
+# the ground truth: order 6, 20 Hz nodes, fitted to 100 Hz profile samples
+GT_ORDER = 6
+GT_NODE_HZ = 20.0
+SAMPLE_HZ = 100.0  # also the scan rate of peak_angular_rate
+RAMP = 1.0  # s, the smoothstep blend out of a static prefix
+LANDMARK_CLEARANCE = 0.3  # m, the least distance of a landmark to the path
+MIN_TRACK_LENGTH = 2  # observations a landmark needs to be kept
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,7 @@ class ProfileParams:
     ``rate`` is the angular rate of the profile phase in rad/s; the wobble
     terms add sinusoidal roll and pitch on top of the velocity-following
     yaw.  ``static_prefix`` seconds at the start are exactly stationary,
-    blended in over ``ramp`` seconds with a smoothstep time warp.
+    blended in over ``RAMP`` seconds with a smoothstep time warp.
     """
 
     kind: str = "circle"
@@ -47,15 +58,14 @@ class ProfileParams:
     wobble_pitch: float = 0.0
     wobble_rate: float = 1.0
     static_prefix: float = 0.0
-    ramp: float = 1.0
 
     def __post_init__(self):
         if self.kind not in PROFILES:
             raise InvalidArgumentError(
                 f"unknown profile {self.kind!r}, expected one of {PROFILES}"
             )
-        if self.radius <= 0 or self.rate <= 0 or self.ramp <= 0:
-            raise InvalidArgumentError("radius, rate and ramp must be positive")
+        if self.radius <= 0 or self.rate <= 0:
+            raise InvalidArgumentError("radius and rate must be positive")
         if self.static_prefix < 0:
             raise InvalidArgumentError("static_prefix must be non-negative")
 
@@ -64,12 +74,12 @@ def _warp(t, params):
     """Time warp: zero on the static prefix, then smoothly reaches unit slope."""
     if params.static_prefix <= 0:
         return np.asarray(t, dtype=float)
-    x = np.clip((np.asarray(t, dtype=float) - params.static_prefix) / params.ramp,
+    x = np.clip((np.asarray(t, dtype=float) - params.static_prefix) / RAMP,
                 0.0, None)
     xc = np.minimum(x, 1.0)
     # integral of smoothstep(x) = x^3 - x^4/2 on [0,1], then slope one
     core = xc**3 - 0.5 * xc**4
-    return params.ramp * (core + np.maximum(x - 1.0, 0.0))
+    return RAMP * (core + np.maximum(x - 1.0, 0.0))
 
 
 def _positions(s, params):
@@ -129,8 +139,7 @@ class GroundTruth:
     fit_rms: float
 
 
-def make_ground_truth(profile, duration, order=6, node_hz=20.0,
-                      margin=0.5, sample_hz=100.0, **profile_kwargs):
+def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
     """Fit a spline pair to an analytic profile over ``[0, duration]``.
 
     ``profile`` is either a profile name ("line", "circle", "lemniscate",
@@ -149,15 +158,13 @@ def make_ground_truth(profile, duration, order=6, node_hz=20.0,
         params = ProfileParams(kind=profile, **profile_kwargs)
     if duration < 5.0:
         raise InvalidArgumentError("duration must be at least 5 s")
-    if node_hz * duration < order:
-        raise InvalidArgumentError("node_hz too low for the requested order")
-    ts = np.arange(-margin, duration + margin + 1.0 / sample_hz, 1.0 / sample_hz)
+    ts = np.arange(-margin, duration + margin + 1.0 / SAMPLE_HZ, 1.0 / SAMPLE_HZ)
     p, R = profile_poses(ts, params)
-    fit = fit_spline_to_poses(ts, p, R, order=order, node_hz=node_hz)
+    fit = fit_spline_to_poses(ts, p, R, order=GT_ORDER, node_hz=GT_NODE_HZ)
     if fit.rms_position > 1e-4:
         raise InvalidArgumentError(
             f"ground-truth fit too loose: rms {fit.rms_position:.2e} m; "
-            "increase node_hz or lower the profile rate"
+            "lower the profile rate"
         )
     return GroundTruth(
         position=fit.position,
@@ -169,14 +176,15 @@ def make_ground_truth(profile, duration, order=6, node_hz=20.0,
     )
 
 
-def peak_angular_rate(gt: GroundTruth, hz=100.0):
-    ts = np.arange(gt.t_start, gt.t_end, 1.0 / hz)
+def peak_angular_rate(gt: GroundTruth):
+    ts = np.arange(gt.t_start, gt.t_end, 1.0 / SAMPLE_HZ)
     w = gt.rotation.angular_velocity_many(ts)
     return float(np.linalg.norm(w, axis=1).max())
 
 
-def make_landmarks(gt: GroundTruth, count, rng, spread=3.0, min_dist=0.3):
-    """Scatter landmarks in a box around the trajectory."""
+def make_landmarks(gt: GroundTruth, count, rng, spread=3.0):
+    """Scatter ``count`` landmarks, (count, 3), in a box around the
+    trajectory; landmark ``i`` has id ``i``."""
     ts = np.linspace(gt.t_start, gt.t_end, 200)
     p = gt.position.sample_many(ts)
     lo = p.min(axis=0) - spread
@@ -184,12 +192,12 @@ def make_landmarks(gt: GroundTruth, count, rng, spread=3.0, min_dist=0.3):
     pts = rng.uniform(lo, hi, size=(count, 3))
     # keep landmarks off the trajectory itself
     d = np.linalg.norm(pts[:, None, :] - p[None, ::10, :], axis=2).min(axis=1)
-    bad = d < min_dist
+    bad = d < LANDMARK_CLEARANCE
     while np.any(bad):
         pts[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), 3))
         d = np.linalg.norm(pts[:, None, :] - p[None, ::10, :], axis=2).min(axis=1)
-        bad = d < min_dist
-    return {i: pts[i] for i in range(count)}
+        bad = d < LANDMARK_CLEARANCE
+    return pts
 
 
 @dataclass
@@ -203,12 +211,12 @@ class SimulationResult:
     gt_rotations: np.ndarray
     accel_bias: np.ndarray  # (n_imu, 3) true bias trajectory
     gyro_bias: np.ndarray
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
 
-def _bias_walk(rng, n, dt, sigma_rw, b0=None):
+def _bias_walk(rng, n, dt, sigma_rw):
     steps = rng.normal(scale=sigma_rw * np.sqrt(dt), size=(n, 3))
-    steps[0] = 0.0 if b0 is None else b0
+    steps[0] = 0.0
     return np.cumsum(steps, axis=0)
 
 
@@ -228,7 +236,7 @@ def default_rig(t_cam_imu=0.0, t_gps_imu=0.0):
 
 
 def synthesize(gt: GroundTruth, rig: SensorRig, noise: NoiseSpec,
-               num_landmarks=300, min_track_length=2, landmark_spread=3.0):
+               num_landmarks=300, landmark_spread=3.0):
     """Generate IMU, GPS and camera measurements from a ground truth.
 
     All sensors are driven by one RNG seeded from ``noise.seed``, so a given
@@ -265,52 +273,26 @@ def synthesize(gt: GroundTruth, rig: SensorRig, noise: NoiseSpec,
     )
     gps_t = gps_tau - rig.t_gps_imu
 
-    # camera frames
-    landmarks = make_landmarks(gt, num_landmarks, rng, spread=landmark_spread)
-    lm_ids = np.array(sorted(landmarks))
-    lm_pts = np.stack([landmarks[i] for i in lm_ids])
-    cam_dt = 1.0 / noise.cam_hz
-    cam_tau = np.arange(t0, t1, cam_dt)
+    # camera frames: every (frame, landmark) pair at once, (K, L) tables
+    lm_pts = make_landmarks(gt, num_landmarks, rng, spread=landmark_spread)
+    cam_tau = np.arange(t0, t1, 1.0 / noise.cam_hz)
     cam_R = gt.rotation.sample_many(cam_tau)
-    cam_p = gt.position.sample_many(cam_tau)
+    rel = lm_pts[None] - gt.position.sample_many(cam_tau)[:, None]
     T_ci = rig.T_cam_imu.inverse()  # imu-in-camera
-    frames = []
-    obs_count = np.zeros(len(lm_ids), dtype=int)
-    kept = []
-    for R, p in zip(cam_R, cam_p):
-        p_body = (R.T @ (lm_pts - p).T).T
-        p_cam = (T_ci.R @ p_body.T).T + T_ci.p
-        px, valid = project_many(rig.camera, p_cam)
-        valid &= in_image(rig.camera, px, margin=1.0)
-        valid &= p_cam[:, 2] < 40.0
-        idx = np.nonzero(valid)[0]
-        if idx.size == 0:
-            kept.append(None)
-            continue
-        pix = px[idx] + rng.normal(scale=noise.pixel_sigma, size=(idx.size, 2))
-        inside = in_image(rig.camera, pix)
-        idx = idx[inside]
-        pix = pix[inside]
-        obs_count[idx] += 1
-        kept.append((idx, pix))
-    for tau, item in zip(cam_tau, kept):
-        if item is None:
-            continue
-        idx, pix = item
-        enough = obs_count[idx] >= min_track_length
-        if not np.any(enough):
-            continue
-        frames.append(
-            Frame(
-                t_ns=int(round((tau - rig.t_cam_imu) * 1e9)),
-                landmark_ids=lm_ids[idx[enough]].copy(),
-                pixels=pix[enough].copy(),
-            )
-        )
-    seen = obs_count >= min_track_length
-    landmarks = {int(i): landmarks[int(i)] for i in lm_ids[seen]}
+    p_body_t = np.swapaxes(cam_R, 1, 2) @ np.swapaxes(rel, 1, 2)  # (K, 3, L)
+    p_cam = np.swapaxes(T_ci.R @ p_body_t, 1, 2) + T_ci.p
+    px, valid = project_many(rig.camera, p_cam)
+    valid &= in_image(rig.camera, px, margin=1.0) & (p_cam[..., 2] < 40.0)
+    # frame-major order: one draw gives the numbers of one draw per frame
+    k, lm = np.nonzero(valid)
+    pix = px[k, lm] + rng.normal(scale=noise.pixel_sigma, size=(k.size, 2))
+    inside = in_image(rig.camera, pix)
+    seen = np.bincount(lm[inside], minlength=len(lm_pts)) >= MIN_TRACK_LENGTH
+    keep = inside & seen[lm]
+    used, frame_index = np.unique(k[keep], return_inverse=True)
+    stamps = np.round((cam_tau[used] - rig.t_cam_imu) * 1e9).astype(np.int64)
+    frames = frames_from_observations(stamps, frame_index, lm[keep], pix[keep])
 
-    gt_t = imu_t
     meas = MeasurementSet(
         imu_t_ns=np.round(imu_t * 1e9).astype(np.int64),
         gyro=gyro,
@@ -318,24 +300,23 @@ def synthesize(gt: GroundTruth, rig: SensorRig, noise: NoiseSpec,
         gps_t_ns=np.round(gps_t * 1e9).astype(np.int64),
         gps=gps_p,
         frames=frames,
-        landmarks_true=landmarks,
+        landmarks_true={int(i): lm_pts[i] for i in np.flatnonzero(seen)},
     )
     meas.validate()
-    n_obs = sum(len(f.landmark_ids) for f in frames)
     return SimulationResult(
         measurements=meas,
         rig=rig,
         noise=noise,
         ground_truth=gt,
-        gt_t_ns=np.round(gt_t * 1e9).astype(np.int64),
-        gt_positions=gt.position.sample_many(gt_t),
-        gt_rotations=gt.rotation.sample_many(gt_t),
+        gt_t_ns=meas.imu_t_ns,
+        gt_positions=gt.position.sample_many(imu_t),
+        gt_rotations=R_wb,
         accel_bias=accel_bias,
         gyro_bias=gyro_bias,
         stats={
             "num_frames": len(frames),
-            "num_landmarks": len(landmarks),
-            "num_observations": int(n_obs),
+            "num_landmarks": len(meas.landmarks_true),
+            "num_observations": frame_index.size,
             "num_imu": len(imu_t),
             "num_gps": len(gps_t),
             "peak_angular_rate": peak_angular_rate(gt),

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from splinefusion.camera import CameraModel, in_image, project_many
+from splinefusion.dataset import build_section
 from splinefusion.errors import InvalidArgumentError
 
 CAM = CameraModel(fx=400.0, fy=420.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -50,4 +53,5 @@ def test_camera_validation():
 
 
 def test_dict_roundtrip():
-    assert CameraModel.from_dict(CAM.to_dict()) == CAM
+    assert build_section(CameraModel, dataclasses.asdict(CAM), "scene.json",
+                         "rig.camera") == CAM

@@ -105,6 +105,18 @@ def test_imu_gap_reported(small_dataset, tmp_path, capsys):
     assert "IMU gap" in err and "median spacing" in err
 
 
+def test_malformed_scene_is_data_error(small_dataset, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    shutil.copytree(small_dataset, bad)
+    scene = json.loads((bad / "scene.json").read_text())
+    del scene["rig"]
+    (bad / "scene.json").write_text(json.dumps(scene))
+    rc = cli.main(["estimate-dt", "--data", str(bad),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "missing keys ['rig']" in capsys.readouterr().err
+
+
 def test_fit_command(small_dataset, tmp_path, capsys):
     """``fit`` reports a converged fit and writes the fitted spline pair to
     spline.json: grid, position nodes and rotation nodes as quaternions."""

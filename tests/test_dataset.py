@@ -1,3 +1,4 @@
+import json
 import os
 import warnings
 
@@ -10,6 +11,7 @@ from splinefusion.dataset import (
     NoiseSpec,
     SensorRig,
     _read_csv,
+    frames_from_observations,
     read_dataset,
     read_pose_csv,
     write_dataset,
@@ -230,6 +232,19 @@ def interleaved_meas():
     return meas.validate()
 
 
+def test_frames_from_observations_inverts_the_table():
+    """The observation table with the frame stamps gives back the frames,
+    a frame without observations included."""
+    meas = interleaved_meas()
+    meas.frames.insert(1, Frame(20_000_000, np.zeros(0, int), np.zeros((0, 2))))
+    back = frames_from_observations(meas.frame_t_ns, *meas.observations())
+    assert len(back) == len(meas.frames)
+    for fa, fb in zip(meas.frames, back):
+        assert type(fb.t_ns) is int and fb.t_ns == fa.t_ns
+        assert np.array_equal(fb.landmark_ids, fa.landmark_ids)
+        assert np.array_equal(fb.pixels, fa.pixels)
+
+
 def test_roundtrip_frame_by_frame(tmp_path, rng):
     """Frames come back one by one, rows in their file order, also when the
     rows of the frames interleave in features.csv."""
@@ -289,3 +304,33 @@ def test_rig_validation(rng):
         SensorRig(T_cam_imu=Pose(np.eye(3), np.zeros(3)),
                   p_antenna_body=np.zeros(3), t_cam_imu=1.5, t_gps_imu=0.0,
                   camera=cam)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda s: s.pop("rig"), r"scene\.json: missing keys \['rig'\]$"),
+    (lambda s: s["noise"].update(bogus=1.0),
+     r"unknown keys in \S+scene\.json section 'noise': \['bogus'\]$"),
+    (lambda s: s["noise"].update(gps_sigma="x"),
+     r"scene\.json key 'gps_sigma' in section 'noise' must be float, got 'x'$"),
+    (lambda s: s["rig"]["camera"].pop("fx"),
+     r"missing keys in \S+scene\.json section 'rig.camera': \['fx'\]$"),
+    (lambda s: s["landmarks"].pop(),
+     r"scene\.json: 'landmark_ids' has 2 entries but 'landmarks' has 1$"),
+], ids=["no_rig", "extra_noise_key", "noise_type", "no_camera_fx",
+        "landmark_count"])
+def test_malformed_scene_rejected(tmp_path, rng, edit, match):
+    write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec())
+    path = tmp_path / "scene.json"
+    scene = json.loads(path.read_text())
+    edit(scene)
+    path.write_text(json.dumps(scene))
+    with pytest.raises(DataError, match=match):
+        read_dataset(tmp_path)
+
+
+def test_invalid_scene_json_rejected(tmp_path, rng):
+    write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec())
+    path = tmp_path / "scene.json"
+    path.write_text(path.read_text()[:-2])
+    with pytest.raises(DataError, match=r"scene\.json: invalid JSON"):
+        read_dataset(tmp_path)

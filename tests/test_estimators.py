@@ -528,7 +528,7 @@ def test_dt_preint_segments_integrate_their_own_imu_slice():
     bg = rng.normal(scale=0.01, size=(K, 3))
     ids = {k: np.arange(K) for k in ("p", "R", "v", "ba", "bg")}
     group = est.DtPreintGroup(ids, imu_t, gyro, accel, frame_times, ba, bg,
-                              GRAVITY, 2e-3, 3e-2)
+                              2e-3, 3e-2)
     held_t = np.concatenate([frame_times[:1], imu_t, frame_times[-1:]])
     held_gyro, held_accel = (np.concatenate([x[:1], x, x[-1:]])
                              for x in (gyro, accel))
@@ -729,7 +729,7 @@ def test_initialize_ct_contract(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements
     cfg = est.CtConfig()
-    init, fit_report = est.initialize_ct(meas, rig, noise, cfg, seed=0)
+    init, fit_report = est.initialize_ct(meas, rig, cfg, seed=0)
     assert fit_report.termination in ("converged", "max_iter")
     assert init.t_cam_imu == 0.0
     assert init.t_gps_imu == 0.0
@@ -750,8 +750,7 @@ def test_initialize_ct_contract(tiny_noiseless):
 def test_initialize_dt_contract(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements
-    init, fit_report = est.initialize_dt(meas, rig, noise, est.DtConfig(),
-                                         seed=0)
+    init, fit_report = est.initialize_dt(meas, rig, est.DtConfig(), seed=0)
     assert fit_report is None
     assert init.t_ns.size == len(meas.frames)
     assert init.t_cam_imu == 0.0 and init.t_gps_imu == 0.0

@@ -2,11 +2,91 @@ import numpy as np
 import pytest
 
 from splinefusion import simulate as sim
+from splinefusion.camera import in_image, project_many
 from splinefusion.dataset import NoiseSpec
 from splinefusion.errors import InvalidArgumentError
 from splinefusion.residuals import GRAVITY
 
 from conftest import noiseless_spec, wobbly_ground_truth
+
+
+def per_frame_camera(gt, rig, noise, num_landmarks, landmark_spread=3.0):
+    """The camera stream of ``synthesize`` made frame by frame, as the
+    simulator once made it: (frames as (t_ns, ids, pixels), landmarks,
+    observation count)."""
+    rng = np.random.default_rng(noise.seed)
+    n_imu = np.arange(gt.t_start, gt.t_end + 0.5 / noise.imu_hz,
+                      1.0 / noise.imu_hz).size
+    n_gps = np.arange(gt.t_start + 0.5 / noise.gps_hz, gt.t_end,
+                      1.0 / noise.gps_hz).size
+    # the two bias walks, gyro and accel noise, then GPS noise come first
+    rng.normal(size=(4 * n_imu + n_gps, 3))
+    lm_pts = sim.make_landmarks(gt, num_landmarks, rng, spread=landmark_spread)
+    lm_ids = np.arange(num_landmarks)
+    cam_tau = np.arange(gt.t_start, gt.t_end, 1.0 / noise.cam_hz)
+    cam_R = gt.rotation.sample_many(cam_tau)
+    cam_p = gt.position.sample_many(cam_tau)
+    T_ci = rig.T_cam_imu.inverse()
+    obs_count = np.zeros(num_landmarks, dtype=int)
+    kept = []
+    for R, p in zip(cam_R, cam_p):
+        p_body = (R.T @ (lm_pts - p).T).T
+        p_cam = (T_ci.R @ p_body.T).T + T_ci.p
+        px, valid = project_many(rig.camera, p_cam)
+        valid &= in_image(rig.camera, px, margin=1.0)
+        valid &= p_cam[:, 2] < 40.0
+        idx = np.nonzero(valid)[0]
+        if idx.size == 0:
+            kept.append(None)
+            continue
+        pix = px[idx] + rng.normal(scale=noise.pixel_sigma, size=(idx.size, 2))
+        inside = in_image(rig.camera, pix)
+        obs_count[idx[inside]] += 1
+        kept.append((idx[inside], pix[inside]))
+    frames = []
+    for tau, item in zip(cam_tau, kept):
+        if item is None:
+            continue
+        idx, pix = item
+        enough = obs_count[idx] >= 2
+        if np.any(enough):
+            frames.append((int(round((tau - rig.t_cam_imu) * 1e9)),
+                           lm_ids[idx[enough]], pix[enough]))
+    seen = obs_count >= 2
+    landmarks = {int(i): lm_pts[i] for i in lm_ids[seen]}
+    return frames, landmarks, sum(f[1].size for f in frames)
+
+
+@pytest.mark.parametrize("params", [
+    sim.ProfileParams(kind="circle", radius=2.0, rate=0.5, static_prefix=1.5),
+    sim.ProfileParams(kind="lemniscate", radius=2.5, rate=0.7,
+                      wobble_roll=0.25, wobble_pitch=0.2, wobble_rate=1.3),
+], ids=["circle_static_prefix", "wobbly_lemniscate"])
+def test_camera_table_matches_per_frame_loop(params):
+    """``synthesize`` projects every (frame, landmark) pair at once and draws
+    the pixel noise in one call, and gives the frames, landmarks and counts
+    of a frame-by-frame loop bit for bit."""
+    gt = sim.make_ground_truth(params, duration=5.0)
+    rig = sim.default_rig(t_cam_imu=0.010)
+    for seed in (4, 5):
+        noise = NoiseSpec(cam_hz=10, imu_hz=100, gps_hz=5, seed=seed)
+        result = sim.synthesize(gt, rig, noise, num_landmarks=120)
+        meas = result.measurements
+        frames, landmarks, n_obs = per_frame_camera(gt, rig, noise, 120)
+        assert len(meas.frames) == len(frames)
+        for fr, (t_ns, ids, pix) in zip(meas.frames, frames):
+            assert fr.t_ns == t_ns
+            assert np.array_equal(fr.landmark_ids, ids)
+            assert np.array_equal(fr.pixels, pix)
+        assert list(meas.landmarks_true) == list(landmarks)
+        assert all(np.array_equal(meas.landmarks_true[i], landmarks[i])
+                   for i in landmarks)
+        assert result.stats == {
+            "num_frames": len(frames), "num_landmarks": len(landmarks),
+            "num_observations": n_obs, "num_imu": meas.imu_t_ns.size,
+            "num_gps": meas.gps_t_ns.size,
+            "peak_angular_rate": sim.peak_angular_rate(gt),
+        }
 
 
 def test_profile_validation():
