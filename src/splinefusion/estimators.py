@@ -483,8 +483,9 @@ class DtPreintGroup(FactorGroup):
     and ``bias_gyro[n]`` of its first frame, the build's initial state; the
     residuals correct it to the current biases to first order
     (:meth:`pre.PreintegratedImu.corrected`, exact in the accelerometer
-    bias), so the cost is a function of the state alone.  A run's final
-    build preintegrates again at the stage-1 biases.
+    bias), so the cost is a function of the state alone.  A run with the
+    camera preintegrates again in its final build, at the stage-1 biases; a
+    camera-free run builds once.
     """
 
     name = "dt_preint"
@@ -977,7 +978,8 @@ class RunResult:
     factor_counts: dict
     stage_seconds: dict = field(default_factory=dict)
     # the SolveReport of each stage that solves, keyed as in stage_seconds:
-    # the CT spline fit ("initialize"), stage 1 and the final solve
+    # the CT spline fit ("initialize"), stage 1 ("solve_fixed_offsets", run
+    # with the camera only) and the final solve
     stage_reports: dict = field(default_factory=dict)
 
 
@@ -1004,12 +1006,13 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     if fit_report is not None:
         reports["initialize"] = fit_report
 
-    # Stage 1: offsets held at zero and landmarks held at their prior so the
-    # trajectory and bias states settle without absorbing the time offsets
-    # into a deformed trajectory/landmark geometry.
-    staged = (cfg.use_cam and cfg.estimate_t_cam) or (
-        cfg.use_gps and cfg.estimate_t_gps
-    )
+    # Stage 1, with the camera only: offsets held at zero and landmarks held
+    # at their prior so the trajectory and bias states settle without
+    # absorbing the time offsets into a deformed trajectory/landmark
+    # geometry.  A camera-free run has neither landmarks nor a camera
+    # offset to hold; it builds one problem and solves it once.
+    staged = cfg.use_cam and (
+        cfg.estimate_t_cam or (cfg.use_gps and cfg.estimate_t_gps))
     if staged:
         t1 = time.perf_counter()
         frozen = dataclasses.replace(cfg, estimate_t_cam=False,

@@ -18,9 +18,14 @@ Jacobians, as block-sparse bundle adjusters do.  Blocks declared as
 bundle-adjustment landmarks) take the last columns; each damped system
 eliminates them by Schur complement, with one batched Cholesky
 factorization of their 3x3 diagonal blocks, and solves the reduced system
-over the other columns by dense Cholesky below ``_DENSE_LIMIT`` columns and
-by sparse LU (SuperLU) at or above it, with nothing to eliminate if there
-are no points.
+over the other columns by dense Cholesky below ``_DENSE_LIMIT`` columns,
+with nothing to eliminate if there are no points.  At or above the limit
+the reduced system is a band plus an arrow (:class:`_BandArrow`): its
+columns in reverse Cuthill-McKee order over the reduced pattern, the point
+fill included, with the few dense columns taken out of the band and
+eliminated last by a small dense Schur complement, after Triggs et al.,
+"Bundle Adjustment - A Modern Synthesis" (2000), on banded and arrowhead
+structure.
 
 One LM loop, :func:`_levenberg_marquardt`, holds the damping, acceptance
 and termination rules: :func:`solve` runs it on a :class:`Problem`, the PnP
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import InvalidArgumentError, NumericalFailureError, OutOfDomainError
 from .rotations import so3_exp
@@ -47,11 +52,12 @@ MAX_ITER = "max_iter"
 STALLED = "stalled"
 DISCONTINUOUS = "discontinuous"
 
-# Reduced systems with this many columns or more are kept sparse (sparse LU).
-# The banded 4,504-column IMU+GPS DT system of the benchmark takes 0.008 s
-# per solve by `splu` and 0.55 s by dense Cholesky (2-core Xeon, one BLAS
-# thread).  The reduced systems of the camera workloads (about 600 and 1,100
-# columns once the landmarks are eliminated) stay below the limit.
+# Reduced systems with this many columns or more are factored as a band plus
+# an arrow.  The 4,504-column IMU+GPS DT system of the benchmark, a band of
+# half-width 29 and an arrow of 4 columns, takes 3.4 ms per damped solve
+# that way and 0.55 s by dense Cholesky (2-core Xeon, one BLAS thread).  The
+# reduced systems of the camera workloads (about 600 and 1,100 columns once
+# the landmarks are eliminated) stay below the limit.
 _DENSE_LIMIT = 2000
 # The LM loop stops as converged when the gradient's largest entry is below
 # _ABS_TOL, and raises after _MAX_REJECTS damped systems of one iteration
@@ -451,9 +457,10 @@ class SolveReport:
 
 @dataclass
 class _Normal:
-    """J^T J in blocks: ``cc`` over the non-point columns (dense below
-    ``_DENSE_LIMIT`` of them, else sparse), ``ll`` the (m, 3, 3) point blocks,
-    ``cl`` (K, 3) the coupling of row ``rows[k]`` (ascending) to point ``pts[k]``."""
+    """J^T J in blocks: ``cc`` over the non-point columns (a dense array
+    below ``_DENSE_LIMIT`` of them, else a :class:`_BandArrow`), ``ll`` the
+    (m, 3, 3) point blocks, ``cl`` (K, 3) the coupling of row ``rows[k]``
+    (ascending) to point ``pts[k]``."""
 
     cc: object
     ll: np.ndarray
@@ -465,11 +472,83 @@ class _Normal:
         return np.concatenate([self.cc.diagonal(), np.einsum("nii->ni", self.ll).ravel()])
 
 
-def _normal_equations(r, J, n_points):
+@dataclass
+class _BandArrow:
+    """A symmetric matrix over ``nc`` columns, taken in the permuted order
+    ``order``: its first ``nb`` as the lower band ``band`` (w + 1, nb) that
+    ``scipy.linalg.cholesky_banded`` takes, ``band[i - j, j]`` holding entry
+    (i, j), and its last ``nc - nb``, the arrow, as the panel ``arrow``
+    (nc, nc - nb) of their columns, whose rows are in ``order`` too."""
+
+    order: np.ndarray
+    band: np.ndarray
+    arrow: np.ndarray
+
+    @property
+    def shape(self):
+        return self.order.size, self.order.size
+
+    def diagonal(self):
+        d = np.empty(self.order.size)
+        d[self.order] = np.concatenate(
+            [self.band[0], np.diagonal(self.arrow[self.band.shape[1]:])])
+        return d
+
+    def where(self, i, j):
+        """Where the entries at (``i``, ``j``) go, given both triangles and
+        each in the band or the arrow: the entries on or below the band's
+        diagonal and their flat index in ``band``, then those in an arrow
+        column and their flat index in ``arrow``."""
+        nb, k = self.band.shape[1], self.arrow.shape[1]
+        pos = np.empty_like(self.order)
+        pos[self.order] = np.arange(self.order.size)
+        pi, pj = pos[i], pos[j]
+        lo = np.flatnonzero((pi >= pj) & (pi < nb))
+        ar = np.flatnonzero(pj >= nb)
+        return lo, ((pi - pj) * nb + pj)[lo], ar, (pi * k + pj - nb)[ar]
+
+    def add(self, where, v):
+        """This matrix plus the entries ``v`` at ``where`` (see :meth:`where`)."""
+        lo, at_lo, ar, at_ar = where
+        return _BandArrow(
+            self.order,
+            self.band + np.bincount(at_lo, v[lo], self.band.size).reshape(self.band.shape),
+            self.arrow + np.bincount(at_ar, v[ar], self.arrow.size).reshape(self.arrow.shape))
+
+
+def _band_layout(at, nc, rows, pts):
+    """A :class:`_BandArrow` of zeros for the pattern of the entries ``at``
+    (row * nc + column) and of the fill Y Y^T of the point elimination,
+    which joins the rows coupled to one point (``rows``, ``pts``)."""
+    P = sp.csr_matrix((np.ones(at.size), np.divmod(at, nc)), shape=(nc, nc))
+    if rows.size:
+        B = sp.csr_matrix((np.ones(rows.size), (rows, pts)), shape=(nc, pts.max() + 1))
+        P = (P + B @ B.T).tocsr()
+    # A column with n entries puts one at least n // 2 places off the
+    # diagonal in any order.  The k densest columns go to the arrow, for the
+    # k that makes k plus that bound over the other columns least.
+    n = np.diff(P.indptr)
+    by_n = np.argsort(-n, kind="stable")
+    k = int(np.argmin(np.arange(nc) + n[by_n] // 2))
+    band = np.sort(by_n[k:])
+    band = band[reverse_cuthill_mckee(P[band][:, band], symmetric_mode=True)]
+    order = np.concatenate([band, np.sort(by_n[:k])])
+    pos = np.empty(nc, int)
+    pos[order] = np.arange(nc)
+    P = P.tocoo()
+    pi, pj = pos[P.row], pos[P.col]
+    w = int(np.max(pi - pj, where=np.maximum(pi, pj) < nc - k, initial=0))
+    return _BandArrow(order, np.zeros((w + 1, nc - k)), np.zeros((nc, k)))
+
+
+def _normal_equations(r, J, n_points, memo=None):
     """``(r, H, g)``: ``r``, J^T J as a :class:`_Normal` and J^T r from the
     :class:`BlockJacobian` J whose last ``n_points`` columns are points.  The
     factors of a group that share their other columns stack their rows into
-    one M^T M per set; each factor adds its point's rows, M^T M_point."""
+    one M^T M per set; each factor adds its point's rows, M^T M_point.  A
+    reduced system of ``_DENSE_LIMIT`` columns or more takes the layout of
+    :func:`_band_layout`, which the dict ``memo``, if given, keeps for the
+    next call with the same pattern."""
     n, m = J.shape[1], n_points // 3
     nc, g, row0 = n - n_points, np.zeros(n), 0
     cc_at, cc_val, pt_at, pt_val = [[np.zeros(0, int)], [np.zeros(0)],
@@ -502,18 +581,24 @@ def _normal_equations(r, J, n_points):
             on = (cols >= 0) & (pt >= 0)[:, None]
             pt_at.append((cols * m + pt[:, None])[on])
             pt_val.append((np.swapaxes(M, 1, 2) @ Mp).reshape(-1, 3)[np.flatnonzero(on)])
-    at, val = np.concatenate(cc_at), np.concatenate(cc_val)
-    if nc < _DENSE_LIMIT:
-        cc = np.bincount(at, val, nc * nc).reshape(nc, nc)
-    else:
-        cc = sp.csc_matrix((val, np.divmod(at, nc)), shape=(nc, nc))
     keys, inv = np.unique(np.concatenate(pt_at), return_inverse=True)
     val = np.concatenate(pt_val)
     val = np.stack([np.bincount(inv, val[:, a], keys.size) for a in range(3)], axis=-1)
     rows, pts = np.divmod(keys, max(m, 1))
     ll, own = np.zeros((m, 3, 3)), rows >= nc  # a point's own rows
     ll[pts[own], (rows[own] - nc) % 3] = val[own]
-    return r, _Normal(cc, ll, val[~own], rows[~own], pts[~own]), g
+    rows, pts, cl = rows[~own], pts[~own], val[~own]
+    at, val = np.concatenate(cc_at), np.concatenate(cc_val)
+    if nc < _DENSE_LIMIT:
+        cc = np.bincount(at, val, nc * nc).reshape(nc, nc)
+    else:
+        memo = {} if memo is None else memo
+        key = (at, rows, pts)
+        if not ("key" in memo and all(map(np.array_equal, memo["key"], key))):
+            zero = _band_layout(at, nc, rows, pts)
+            memo.update(key=key, zero=zero, where=zero.where(*np.divmod(at, nc)))
+        cc = memo["zero"].add(memo["where"], val)
+    return r, _Normal(cc, ll, cl, rows, pts), g
 
 
 def _solve_normal(H, d, g):
@@ -521,27 +606,54 @@ def _solve_normal(H, d, g):
     points' damped 3x3 blocks are factored as L L^T in one batch and
     eliminated: with Y = H_cl L^-T, S = H_cc + diag(d_c) - Y Y^T gives x_c,
     and x_l = L^-T (L^-1 b_l - Y^T x_c), b = -g.  S takes dense Cholesky when
-    H_cc is dense, else sparse LU; one not positive definite raises
-    ``np.linalg.LinAlgError`` (or ``RuntimeError`` from a singular sparse LU)."""
+    H_cc is dense; as a :class:`_BandArrow`, banded Cholesky of its band,
+    then the dense Cholesky of the arrow's Schur complement.  An S or a
+    point block that is not positive definite raises
+    ``np.linalg.LinAlgError``."""
     nc, m = H.cc.shape[0], len(H.ll)
-    dense = isinstance(H.cc, np.ndarray)
-    S = np.diag(d[:nc]) if dense else sp.diags(d[:nc])
-    S += H.cc
     Linv = np.linalg.inv(np.linalg.cholesky(H.ll + d[nc:].reshape(m, 3, 1) * np.eye(3)))
     Y = sp.csr_matrix((np.einsum("ka,kba->kb", H.cl, Linv[H.pts]).ravel(),
                        (3 * H.pts[:, None] + np.arange(3)).ravel(),
                        3 * np.searchsorted(H.rows, np.arange(nc + 1))), shape=(nc, 3 * m))
     y = np.einsum("nij,nj->ni", Linv, -g[nc:].reshape(m, 3)).ravel()
-    if dense:
+    if isinstance(H.cc, np.ndarray):
+        S = np.diag(d[:nc])
+        S += H.cc
         on = np.flatnonzero(np.diff(Y.indptr))
         Y_on = Y[on].toarray()
         S[np.ix_(on, on)] -= Y_on @ Y_on.T
         x = sla.cho_solve(sla.cho_factor(S.T, overwrite_a=True, check_finite=False),
                           -g[:nc] - Y @ y, check_finite=False)  # S.T: factored in place
     else:
-        x = spla.splu((S - Y @ Y.T).tocsc()).solve(-g[:nc] - Y @ y)
+        x = _solve_band_arrow(H.cc, d[:nc], Y, -g[:nc] - Y @ y)
     return np.concatenate(
         [x, np.einsum("nji,nj->ni", Linv, (y - Y.T @ x).reshape(m, 3)).ravel()])
+
+
+def _solve_band_arrow(A, d, Y, b):
+    """The x of ``(A + diag(d) - Y Y^T) x = b`` for a :class:`_BandArrow` A:
+    the band [B C; C^T E] factored by ``cholesky_banded``, the arrow by
+    the dense Cholesky of E - C^T B^-1 C."""
+    nc, nb, k = A.order.size, A.band.shape[1], A.arrow.shape[1]
+    fill = (Y @ Y.T).tocoo()
+    i, j = np.r_[np.arange(nc), fill.row], np.r_[np.arange(nc), fill.col]
+    S = A.add(A.where(i, j), np.r_[d, -fill.data])
+    C, b = S.arrow[:nb], b[S.order]
+    X = sla.cho_solve_banded(
+        (sla.cholesky_banded(S.band, lower=True, check_finite=False), True),
+        np.column_stack([C, b[:nb]]), check_finite=False)
+    x2 = sla.cho_solve(sla.cho_factor(S.arrow[nb:] - C.T @ X[:, :k], check_finite=False),
+                       b[nb:] - C.T @ X[:, k], check_finite=False)
+    x = np.empty(nc)
+    x[S.order] = np.concatenate([X[:, k] - X[:, :k] @ x2, x2])
+    return x
+
+
+def _same_state(a, b):
+    """True when the states ``a`` and ``b``, each a :class:`State` or a tuple
+    of arrays, hold equal values."""
+    pairs = ((a.euc, b.euc), (a.rot, b.rot)) if isinstance(a, State) else zip(a, b)
+    return all(np.array_equal(x, y) for x, y in pairs)
 
 
 def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opts):
@@ -550,11 +662,14 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
     vector r, J^T J (with a ``diagonal()``) and J^T r, at the start and after
     each accepted step another iteration follows; ``residuals(state)`` the
     residual vector; ``solve_damped(H, d, g)`` the step x of ``(H + diag(d))
-    x = -g``, or raises ``np.linalg.LinAlgError`` (or ``RuntimeError``);
-    ``retract(state, x)`` the stepped state.  Damping is multiplicative on
-    ``clip(diag(H), 1e-12)``: divided by 10 on an accepted step, multiplied
-    by 10 on a rejected one.  Raises :class:`NumericalFailureError` when none
-    of the ``_MAX_REJECTS`` damped systems of an iteration gives a finite step.
+    x = -g``, or raises ``np.linalg.LinAlgError``; ``retract(state, x)`` the
+    stepped state, a :class:`State` or a tuple of arrays.  Damping is
+    multiplicative on ``clip(diag(H), 1e-12)``: divided by 10 on an accepted
+    step, multiplied by 10 on a rejected one.  An iteration ends with no
+    step once a damped step leaves the state unchanged, since a larger
+    damping only shortens the step.  Raises :class:`NumericalFailureError`
+    when none of the ``_MAX_REJECTS`` damped systems of an iteration gives a
+    finite step.
     """
     r, H, g = linearize(state)
     cost = float(r @ r)
@@ -577,13 +692,15 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
         for _ in range(_MAX_REJECTS):
             try:
                 delta = solve_damped(H, lam * D, g)
-            except (np.linalg.LinAlgError, RuntimeError):  # not positive definite
+            except np.linalg.LinAlgError:  # not positive definite
                 delta = None
             if delta is None or not np.all(np.isfinite(delta)):
                 failed += 1
                 lam *= 10.0
                 continue
             trial = retract(state, delta)
+            if _same_state(trial, state):
+                break
             try:
                 r_new = residuals(trial)
             except OutOfDomainError:
@@ -628,9 +745,11 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
     opts = opts or SolveOptions()
     if problem.free_cols == 0:
         raise InvalidArgumentError("problem has no free parameter blocks")
+    memo = {}
     state, report = _levenberg_marquardt(
         problem.initial_state(),
-        lambda s: _normal_equations(*problem.linearize(s)[:2], problem.num_point_cols),
+        lambda s: _normal_equations(*problem.linearize(s)[:2], problem.num_point_cols,
+                                    memo),
         problem.residual_vector, _solve_normal, problem.retract, opts)
     report.jump_rows = sum(int(np.count_nonzero(g.jumps(problem, state, g.build(
         problem, state)[0]))) for g in problem.groups)

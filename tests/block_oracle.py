@@ -3,7 +3,8 @@
 ``solver.solve`` accumulates the Gauss-Newton system straight from the
 dense per-group blocks of a ``BlockJacobian``.  The helpers here build the
 same matrices the general way, triplet by triplet into a CSR Jacobian, and
-convert a ``solver._Normal`` to and from a full matrix.
+convert a ``solver._Normal``, its reduced block dense or a
+``solver._BandArrow``, to and from a full matrix.
 """
 
 import numpy as np
@@ -34,11 +35,25 @@ def assemble_csr(J):
         shape=J.shape).tocsr()
 
 
+def dense_band_arrow(S):
+    """The full symmetric matrix of a ``solver._BandArrow``."""
+    nc, (w1, nb) = S.order.size, S.band.shape
+    A = np.zeros((nc, nc))  # in the permuted order first
+    for off in range(w1):
+        j = np.arange(nb - off)
+        A[j + off, j] = A[j, j + off] = S.band[off, : nb - off]
+    A[:, nb:] = S.arrow
+    A[nb:, :] = S.arrow.T
+    out = np.empty_like(A)
+    out[np.ix_(S.order, S.order)] = A
+    return out
+
+
 def dense_normal(H):
     """The full symmetric matrix of a ``solver._Normal``."""
     nc, m = H.cc.shape[0], len(H.ll)
     A = np.zeros((nc + 3 * m, nc + 3 * m))
-    A[:nc, :nc] = H.cc.toarray() if sp.issparse(H.cc) else H.cc
+    A[:nc, :nc] = H.cc if isinstance(H.cc, np.ndarray) else dense_band_arrow(H.cc)
     for j in range(m):
         A[nc + 3 * j : nc + 3 * j + 3, nc + 3 * j : nc + 3 * j + 3] = H.ll[j]
     for row, pt, val in zip(H.rows, H.pts, H.cl):
@@ -50,17 +65,20 @@ def dense_normal(H):
 def block_normal(A, n_points):
     """A symmetric matrix whose last ``n_points`` columns are points, as a
     ``solver._Normal``: the other columns' block dense below
-    ``solver._DENSE_LIMIT`` of them and sparse at or above it, as
+    ``solver._DENSE_LIMIT`` of them and at or above it a
+    ``solver._BandArrow`` over the pattern of its nonzero entries, as
     ``solver._normal_equations`` stores it."""
     A = A.toarray() if sp.issparse(A) else np.asarray(A)
     nc, m = A.shape[0] - n_points, n_points // 3
-    cc = A[:nc, :nc]
-    if nc >= solver._DENSE_LIMIT:
-        cc = sp.csc_matrix(cc)
     ll = np.array([A[nc + 3 * j : nc + 3 * j + 3, nc + 3 * j : nc + 3 * j + 3]
                    for j in range(m)]).reshape(m, 3, 3)
     rows, pts = np.nonzero(A[:nc, nc:].reshape(nc, m, 3).any(axis=2))
     cl = A[:nc, nc:].reshape(nc, m, 3)[rows, pts].reshape(-1, 3)
+    cc = A[:nc, :nc]
+    if nc >= solver._DENSE_LIMIT:
+        at = np.flatnonzero(cc)
+        zero = solver._band_layout(at, nc, rows, pts)
+        cc = zero.add(zero.where(*np.divmod(at, nc)), cc.ravel()[at])
     return solver._Normal(cc, ll, cl, rows, pts)
 
 

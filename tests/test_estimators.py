@@ -16,7 +16,7 @@ from splinefusion import estimators as est
 from splinefusion import initialization as ini
 from splinefusion import preintegration as pre
 from splinefusion import simulate as sim
-from splinefusion.dataset import Frame, MeasurementSet
+from splinefusion.dataset import Frame, MeasurementSet, NoiseSpec
 from splinefusion.errors import (
     DataError,
     DegenerateConfigurationError,
@@ -790,6 +790,43 @@ def test_run_rejects_unknown_mode(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     with pytest.raises(InvalidArgumentError):
         est.run(result.measurements, rig, noise, est.CtConfig(), mode="ukf")
+
+
+@pytest.fixture(scope="module")
+def imu_gps_sim():
+    """15 s of the wobbling lemniscate with 0.1 m GPS noise; the camera
+    frames feed only the PnP initialization of a camera-free run.  On 5 to
+    10 s of it a camera-free CT solve still ends at its iteration cap."""
+    gt = wobbly_ground_truth(duration=15.0)
+    rig = sim.default_rig(t_cam_imu=0.010)
+    noise = NoiseSpec(cam_hz=10, imu_hz=200, gps_hz=7, seed=3, gps_sigma=0.1)
+    return gt, rig, noise, sim.synthesize(gt, rig, noise, num_landmarks=500).measurements
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_camera_free_run_solves_once(mode, imu_gps_sim, monkeypatch):
+    """An IMU+GPS run has no landmarks and no camera offset to hold, so it
+    builds one problem and solves it once: no fixed-offset stage, and DT
+    preintegrates each frame gap once.  The estimate converges with ATE-P
+    below the GPS noise."""
+    gt, rig, noise, meas = imu_gps_sim
+    integrate, segments = pre.integrate, []
+
+    def counting(*args, **kwargs):
+        segments.append(kwargs["t_start"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(pre, "integrate", counting)
+    cfg = (est.CtConfig if mode == "ct" else est.DtConfig)(use_cam=False)
+    out = est.run(meas, rig, noise, cfg, mode=mode, seed=0)
+    assert list(out.stage_reports) == (["initialize", "solve"] if mode == "ct"
+                                       else ["solve"])
+    assert "solve_fixed_offsets" not in out.stage_seconds
+    if mode == "dt":
+        assert len(segments) == len(set(segments)) == len(meas.frames) - 1
+    assert out.report.termination == "converged"
+    err = out.positions - gt.position.sample_many(out.t_ns * 1e-9)
+    assert np.sqrt(np.mean(np.sum(err**2, axis=1))) < noise.gps_sigma
 
 
 # A small DT and CT estimate in a fresh interpreter: the 5 s dataset, then

@@ -61,13 +61,13 @@ def test_sim3_algebra():
         ini.Sim3Transform(-1.0, np.eye(3), np.zeros(3))
 
 
-def _pnp_scene(rng):
-    """A camera, its pose and 30 points in front of it with exact pixels."""
+def _pnp_scene(rng, n=30):
+    """A camera, its pose and ``n`` points in front of it with exact pixels."""
     cam = CameraModel(fx=400.0, fy=400.0, cx=320.0, cy=240.0,
                       width=640, height=480)
     R_wc = random_rotation(rng)
     p_wc = rng.normal(size=3)
-    pts_cam = rng.uniform([-1.5, -1.0, 2.0], [1.5, 1.0, 8.0], size=(30, 3))
+    pts_cam = rng.uniform([-1.5, -1.0, 2.0], [1.5, 1.0, 8.0], size=(n, 3))
     pts_world = (R_wc @ pts_cam.T).T + p_wc
     px = np.stack([
         cam.fx * pts_cam[:, 0] / pts_cam[:, 2] + cam.cx,
@@ -169,6 +169,35 @@ def test_pnp_dense_refinement_matches_sparse_problem(rng, monkeypatch):
         assert np.max(np.abs(T.R - problem.block_value(state, "pnp_R"))) <= tol
         assert np.max(np.abs(T.p - problem.block_value(state, "pnp_p"))) <= tol
     assert len(starts) == 3
+
+
+def test_pnp_evaluates_no_trial_at_an_unchanged_pose(monkeypatch):
+    """Once no damped step lowers the cost, the steps shrink with the
+    damping until the retraction leaves the pose unchanged; the refinement
+    stops there and evaluates no trial at the pose it linearized at.  On
+    200 noisy frames, no frame spends as many trials as ``_MAX_REJECTS``."""
+    residuals = ini._pnp_residuals
+    seen = {"at": None, "trials": 0, "unchanged": 0}
+
+    def counting(R_wc, p_wc, *args, jacobians=False):
+        if jacobians:  # a linearization: the pose the trials step from
+            seen["at"] = (R_wc, p_wc)
+        else:
+            seen["trials"] += 1
+            seen["unchanged"] += (np.array_equal(R_wc, seen["at"][0])
+                                  and np.array_equal(p_wc, seen["at"][1]))
+        return residuals(R_wc, p_wc, *args, jacobians=jacobians)
+
+    monkeypatch.setattr(ini, "_pnp_residuals", counting)
+    rng = np.random.default_rng(7)
+    most = 0
+    for _ in range(200):
+        cam, R_wc, p_wc, pts_world, px = _pnp_scene(rng, 60)
+        before = seen["trials"]
+        ini.pnp_dlt(cam, pts_world, px + rng.normal(scale=1.0, size=px.shape))
+        most = max(most, seen["trials"] - before)
+    assert seen["unchanged"] == 0
+    assert most < solver._MAX_REJECTS
 
 
 def test_pnp_builds_no_problem(rng, monkeypatch):

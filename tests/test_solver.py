@@ -441,8 +441,9 @@ def _arrow_system(problem, rng, damping=1e-4):
 @pytest.mark.parametrize("dense_limit", [solver._DENSE_LIMIT, 1])
 def test_schur_solve_matches_dense_solve(rng, monkeypatch, dense_limit):
     """Points eliminated by Schur complement, the reduced system by dense
-    Cholesky (or, below a lowered limit, sparse LU), against a dense LU of
-    the whole system; the unobserved point's block is its damping alone."""
+    Cholesky (or, below a lowered limit, as a band plus an arrow), against
+    a dense LU of the whole system; the unobserved point's block is its
+    damping alone."""
     monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
     problem = _mixed_problem(rng)
     A, g = _arrow_system(problem, rng)
@@ -461,6 +462,63 @@ def test_schur_solve_rejects_indefinite_point_block(rng):
     with pytest.raises(np.linalg.LinAlgError):
         solver._solve_normal(block_normal(A, problem.num_point_cols),
                              np.zeros(problem.num_cols), g)
+
+
+def _chain_system(rng, n_blocks=40, n_global=2, n_points=12):
+    """Damped normal equations of a chain: each row sees two neighbouring
+    3-column blocks, or one block and a point that three neighbouring
+    blocks see, and every row sees the ``n_global`` last non-point
+    columns; then the right-hand side and the number of point columns."""
+    nc = 3 * n_blocks + n_global
+    n = nc + 3 * n_points
+    rows = []
+    for b in range(n_blocks - 1):
+        row = np.zeros((6, n))
+        row[:, 3 * b : 3 * b + 6] = rng.normal(size=(6, 6))
+        rows.append(row)
+    for p in range(n_points):
+        for b in 3 * p + np.arange(3):
+            row = np.zeros((2, n))
+            row[:, 3 * b : 3 * b + 3] = rng.normal(size=(2, 3))
+            row[:, nc + 3 * p : nc + 3 * p + 3] = rng.normal(size=(2, 3))
+            rows.append(row)
+    J = np.vstack(rows)
+    J[:, 3 * n_blocks : nc] = rng.normal(size=(len(J), n_global))
+    A = J.T @ J
+    return A + 1e-4 * np.diag(np.diag(A)), rng.normal(size=n), 3 * n_points
+
+
+@pytest.mark.parametrize("n_global", [2, 0])
+def test_band_arrow_solve_matches_dense_solve(rng, monkeypatch, n_global):
+    """Above the dense limit the reduced system is a band in reverse
+    Cuthill-McKee order plus the dense columns as an arrow: the global
+    columns that touch every block form the arrow, the point fill stays in
+    the band, and the step matches a dense LU of the whole system."""
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", 1)
+    A, g, n_points = _chain_system(rng, n_global=n_global)
+    H = block_normal(A, n_points)
+    assert isinstance(H.cc, solver._BandArrow)
+    nc = H.cc.shape[0]
+    assert sorted(H.cc.order[nc - n_global:]) == list(range(nc - n_global, nc))
+    assert H.cc.arrow.shape == (nc, n_global)
+    assert H.cc.band.shape[0] - 1 < 20  # the chain and its point fill
+    assert np.array_equal(dense_normal(H), A)
+    x = solver._solve_normal(H, np.zeros(len(g)), g)
+    ref = np.linalg.solve(A, -g)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("where", ["band", "arrow"])
+def test_band_arrow_solve_rejects_indefinite_system(rng, monkeypatch, where):
+    """A reduced system that is not positive definite raises LinAlgError,
+    whether its band or its arrow's Schur complement fails to factor."""
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", 1)
+    A, g, n_points = _chain_system(rng)
+    nc = len(A) - n_points
+    c = 0 if where == "band" else nc - 1
+    A[c, c] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._solve_normal(block_normal(A, n_points), np.zeros(len(g)), g)
 
 
 class _WideSlotGroup(FactorGroup):
@@ -571,7 +629,8 @@ def _oracle_problem(rng):
 @pytest.mark.parametrize("dense_limit", [solver._DENSE_LIMIT, 1])
 def test_normal_equations_match_sparse_assembly(rng, monkeypatch, dense_limit):
     """The blockwise H and g against J^T J and J^T r of the CSR Jacobian,
-    with the reduced system dense and (below a lowered limit) sparse."""
+    with the reduced system dense and (below a lowered limit) a band plus
+    an arrow."""
     monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
     problem = _oracle_problem(rng)
     problem._layout()
