@@ -3,9 +3,10 @@
 Both estimators consume a MeasurementSet plus rig/noise metadata, build a
 sparse least-squares problem over their respective state vectors, and run
 the Levenberg-Marquardt solver.  The continuous-time state is a spline
-pair with cubic bias splines, a free gravity vector and the calibration
-unknowns; the discrete-time state is one pose/velocity/bias tuple per
-camera frame with IMU preintegration between frames.
+pair with cubic bias splines, a free gravity vector and the clock offsets;
+the discrete-time state is one pose/velocity/bias tuple per camera frame,
+under the fixed ``GRAVITY``.  Both hold the camera extrinsic and the GPS
+lever arm at the rig's values (``scene.json``): they are not estimated.
 
 Time-offset handling: CT samples the spline at the shifted measurement
 time; DT shifts image features along their track velocity (and shifts the
@@ -220,34 +221,34 @@ class _SplineGroup(FactorGroup):
 
 class _SampledPoseGroup(FactorGroup):
     """A family sampling the pose at ``stamps + offset``, the offset being
-    the clock-offset block ``offset_id``; its slots are the pose slots,
-    the family's own slot ``own``, then the offset.  The family supplies
-    ``_error(p, R, own)``, the whitened residual, and with ``jacobians=True``
-    ``(e, E_p, E_R, E_own)``.  The pose source supplies ``_locate(t)``, the
-    ``ctx`` and pose slots at times ``t``, and ``_sample(ctx, pose, t)``,
-    the pose ``(p, R)`` there, with ``jacobians=True`` also the rates
-    ``pdot``, ``omega`` and a map of ``(E_p, E_R)`` to the pose-slot
-    Jacobians.  The offset column is ``E_R omega + E_p pdot``.  A source
-    may sample once per distinct time and repeat the rows: factors at one
-    time have the same ``ctx`` and pose slots, also under the one-slot
-    steps of :meth:`FactorGroup._fd_slot`."""
+    the clock-offset block ``offset_id``; its slots are the pose slots, the
+    family's own slots ``own`` (a tuple, maybe empty), then the offset.  The
+    family supplies ``_error(p, R, *own)``, the whitened residual, and with
+    ``jacobians=True`` ``(e, E_p, E_R, *E_own)``.  The pose source supplies
+    ``_locate(t)``, the ``ctx`` and pose slots at times ``t``, and
+    ``_sample(ctx, pose, t)``, the pose ``(p, R)`` there, with
+    ``jacobians=True`` also the rates ``pdot``, ``omega`` and a map of
+    ``(E_p, E_R)`` to the pose-slot Jacobians.  The offset column is
+    ``E_R omega + E_p pdot``.  A source may sample once per distinct time
+    and repeat the rows: factors at one time have the same ``ctx`` and pose
+    slots, also under the one-slot steps of :meth:`FactorGroup._fd_slot`."""
 
     def build(self, problem, state):
         offset = state.euc[problem.blocks[self.offset_id].store]
         ctx, pose = self._locate(self.stamps + offset)
-        return ctx, pose + [self.own, Slot(self.offset_id, EUCLIDEAN, 1)]
+        return ctx, [*pose, *self.own, Slot(self.offset_id, EUCLIDEAN, 1)]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        n = len(gathered) - 2
-        pose, own = gathered[:n], gathered[n]
-        t = self.stamps + gathered[n + 1][..., 0]
+        n = len(gathered) - 1 - len(self.own)
+        pose, own = gathered[:n], gathered[n:-1]
+        t = self.stamps + gathered[-1][..., 0]
         if not jacobians:
-            return self._error(*self._sample(ctx, pose, t), own)
+            return self._error(*self._sample(ctx, pose, t), *own)
         p, R, pdot, omega, chain = self._sample(ctx, pose, t, jacobians=True)
-        e, E_p, E_R, E_own = self._error(p, R, own, jacobians=True)
+        e, E_p, E_R, *E_own = self._error(p, R, *own, jacobians=True)
         jacs = chain(E_p, E_R)
-        jacs[n] = E_own
-        jacs[n + 1] = E_R @ omega[..., None] + E_p @ pdot[..., None]
+        jacs.update(enumerate(E_own, start=n))
+        jacs[len(gathered) - 1] = E_R @ omega[..., None] + E_p @ pdot[..., None]
         return e, jacs
 
 
@@ -291,7 +292,7 @@ class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
         self.rot0 = rot0
         self.stamps = obs.stamps
         self.offset_id = tcam_id
-        self.own = Slot(lm_ids, EUCLIDEAN, 3)
+        self.own = (Slot(lm_ids, EUCLIDEAN, 3),)
 
     def _error(self, p, R, lm, jacobians=False):
         p_body, p_cam, px, valid = self._project(R, p, lm)
@@ -410,25 +411,27 @@ class CtBiasRateGroup(R3FitGroup):
 
 
 class _GpsModel:
-    """The GPS residual p_bar - (p + R p_ant) in the sampled pose, for CT and
-    DT; ``own`` is the antenna lever arm p_ant, the offset t_gps_imu."""
+    """The GPS residual p_bar - (p + R l) in the sampled pose, for CT and DT,
+    with offset t_gps_imu.  The lever arm l, the antenna in the body frame,
+    is the rig's (``scene.json``), held like the camera extrinsic and unlike
+    CT's free gravity block, so the family has no slots of its own."""
 
     dim = 3
+    own = ()
 
-    def __init__(self, pant_id, tgps_id, stamps, gps, weight):
+    def __init__(self, rig, tgps_id, stamps, gps, weight):
+        self.lever = rig.p_antenna_body
         self.stamps = stamps
         self.gps = gps
         self.w = weight
         self.offset_id = tgps_id
-        self.own = Slot(pant_id, EUCLIDEAN, 3)
 
-    def _error(self, p, R, p_ant, jacobians=False):
-        p_ant = p_ant.reshape(-1, 3)[0]
-        e = (self.gps - (p + np.einsum("nij,j->ni", R, p_ant))) * self.w
+    def _error(self, p, R, jacobians=False):
+        e = (self.gps - (p + np.einsum("nij,j->ni", R, self.lever))) * self.w
         if not jacobians:
             return e
-        # R <- R Exp(eps) moves R p_ant by -R hat(p_ant) eps
-        return e, -self.w * np.eye(3), self.w * R @ hat(p_ant), -self.w * R
+        # R <- R Exp(eps) moves R l by -R hat(l) eps
+        return e, -self.w * np.eye(3), self.w * R @ hat(self.lever)
 
 
 class CtGpsGroup(_GpsModel, _SplineGroup, _SampledPoseGroup):
@@ -436,8 +439,8 @@ class CtGpsGroup(_GpsModel, _SplineGroup, _SampledPoseGroup):
 
     name = "ct_gps"
 
-    def __init__(self, grid, pos0, rot0, pant_id, tgps_id, stamps, gps, weight):
-        super().__init__(pant_id, tgps_id, stamps, gps, weight)
+    def __init__(self, grid, pos0, rot0, rig, tgps_id, stamps, gps, weight):
+        super().__init__(rig, tgps_id, stamps, gps, weight)
         self.grid = grid
         self.pos0 = pos0
         self.rot0 = rot0
@@ -578,8 +581,8 @@ class DtGpsGroup(_GpsModel, _SampledPoseGroup):
 
     name = "dt_gps"
 
-    def __init__(self, ids, pose_times, pant_id, tgps_id, stamps, gps, weight):
-        super().__init__(pant_id, tgps_id, stamps, gps, weight)
+    def __init__(self, ids, pose_times, rig, tgps_id, stamps, gps, weight):
+        super().__init__(rig, tgps_id, stamps, gps, weight)
         self.ids = ids
         self.pose_times = pose_times
 
@@ -654,26 +657,22 @@ def _stream_times(meas: MeasurementSet, cfg: EstimatorConfig):
     return imu_t, meas.gps_t_ns * 1e-9
 
 
-def _first(values):
-    return values[0]
-
-
 def _scalar(values):
     return float(values[0, 0])
 
 
 def _add_shared_blocks(problem, init, cfg, fix_landmarks):
-    """Landmark, t_cam, p_ant and t_gps blocks of the enabled sensors.
+    """Landmark, t_cam and t_gps blocks of the enabled sensors.
 
-    Returns ``(lm_blocks, tcam_id, pant_id, tgps_id)``, None for a block
-    the sensors leave out, and registers each block with ``problem.meta``
-    for :func:`extract_state`.  ``lm_blocks`` is ``(ids, blocks)``, the
-    sorted landmark ids and their blocks.  Landmarks are point blocks: each
+    Returns ``(lm_blocks, tcam_id, tgps_id)``, None for a block the
+    sensors leave out, and registers each block with ``problem.meta`` for
+    :func:`extract_state`.  ``lm_blocks`` is ``(ids, blocks)``, the sorted
+    landmark ids and their blocks.  Landmarks are point blocks: each
     reprojection factor sees one, so the solver eliminates them by Schur
     complement.
     """
     bounds = (-cfg.offset_bound, cfg.offset_bound)
-    lm_blocks = tcam_id = pant_id = tgps_id = None
+    lm_blocks = tcam_id = tgps_id = None
     if cfg.use_cam:
         lids, points = _landmark_table(init.landmarks)
         lm_blocks = (lids, np.array([
@@ -687,14 +686,12 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
             lm_blocks[1], lambda v: dict(zip(lids.tolist(), v)))
         problem.meta["t_cam_imu"] = ([tcam_id], _scalar)
     if cfg.use_gps:
-        pant_id = problem.add_euclidean("p_ant", init.p_antenna_body)
         tgps_id = problem.add_euclidean(
             "t_gps", np.array([init.t_gps_imu]),
             fixed=not cfg.estimate_t_gps, bounds=bounds,
         )
-        problem.meta["p_antenna_body"] = ([pant_id], _first)
         problem.meta["t_gps_imu"] = ([tgps_id], _scalar)
-    return lm_blocks, tcam_id, pant_id, tgps_id
+    return lm_blocks, tcam_id, tgps_id
 
 
 def _landmark_table(landmarks):
@@ -753,10 +750,10 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         problem.meta.update(
             bias_accel=(ba_ids, partial(bs.SplineR3, bias_grid)),
             bias_gyro=(bg_ids, partial(bs.SplineR3, bias_grid)),
-            gravity=([grav_id], _first),
+            gravity=([grav_id], lambda v: v[0]),
         )
 
-    lm_blocks, tcam_id, pant_id, tgps_id = _add_shared_blocks(
+    lm_blocks, tcam_id, tgps_id = _add_shared_blocks(
         problem, init, cfg, fix_landmarks)
 
     if cfg.use_cam:
@@ -787,7 +784,7 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         counts["bias_rate"] = 2 * F
     if cfg.use_gps:
         problem.add_group(
-            CtGpsGroup(grid, pos0, rot0, pant_id, tgps_id, gps_t, meas.gps,
+            CtGpsGroup(grid, pos0, rot0, rig, tgps_id, gps_t, meas.gps,
                        1.0 / _sigma(noise.gps_sigma))
         )
         counts["gps"] = gps_t.size
@@ -825,7 +822,7 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
                              for k in range(K)], dtype=int)
         problem.meta[field_name] = (ids[key], np.asarray)
 
-    lm_blocks, tcam_id, pant_id, tgps_id = _add_shared_blocks(
+    lm_blocks, tcam_id, tgps_id = _add_shared_blocks(
         problem, init, cfg, fix_landmarks)
 
     counts = {}
@@ -857,7 +854,7 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
             gps_t - margin + 1e-12 <= pose_times[-1]
         )
         problem.add_group(
-            DtGpsGroup(ids, pose_times, pant_id, tgps_id, gps_t[keep],
+            DtGpsGroup(ids, pose_times, rig, tgps_id, gps_t[keep],
                        meas.gps[keep], 1.0 / _sigma(noise.gps_sigma))
         )
         counts["gps"] = int(keep.sum())
@@ -941,11 +938,9 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
     zeros = np.zeros((bias_grid.count, 3))
     return CtState(
         position=fit.position, rotation=fit.rotation, landmarks=landmarks,
-        t_cam_imu=0.0, T_cam_imu=rig.T_cam_imu, t_gps_imu=0.0,
-        p_antenna_body=np.zeros(3), gravity=GRAVITY.copy(),
+        t_cam_imu=0.0, t_gps_imu=0.0, gravity=GRAVITY.copy(),
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
-        camera=rig.camera,
     ), fit.report
 
 
@@ -960,8 +955,7 @@ def initialize_dt(meas: MeasurementSet, rig: SensorRig, cfg: DtConfig, seed=0):
     return DtState(
         t_ns=meas.frame_t_ns, positions=pos, rotations=rot, velocities=vel,
         bias_accel=np.zeros((K, 3)), bias_gyro=np.zeros((K, 3)),
-        landmarks=landmarks, t_cam_imu=0.0, T_cam_imu=rig.T_cam_imu,
-        t_gps_imu=0.0, p_antenna_body=np.zeros(3),
+        landmarks=landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
     ), None
 
 

@@ -270,7 +270,9 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     Control nodes are initialized by linear interpolation (SLERP for
     rotations) at the knot times and refined by minimizing the summed
     position and Log-rotation errors at the input pose times, with at most
-    25 LM iterations.
+    25 LM iterations.  Where ``t_start`` or ``t_end`` lies past the poses,
+    the first or last pose is repeated out to it at the median pose
+    spacing, so that the nodes there have targets too.
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -282,12 +284,16 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     dt = 1.0 / node_hz
     if times[-1] - times[0] < order * dt * 0.5:
         raise InvalidArgumentError("pose span too short for the requested grid")
-    grid = bs.grid_covering(
-        times[0] if t_start is None else t_start,
-        times[-1] if t_end is None else t_end,
-        dt,
-        order,
-    )
+    lo = times[0] if t_start is None else t_start
+    hi = times[-1] if t_end is None else t_end
+    grid = bs.grid_covering(lo, hi, dt, order)
+    h = float(np.median(np.diff(times)))
+    a, b = np.ceil(np.maximum([(times[0] - lo) / h, (hi - times[-1]) / h],
+                              0.0)).astype(int)
+    times = np.r_[times[0] - h * np.arange(a, 0, -1), times,
+                  times[-1] + h * np.arange(1, b + 1)]
+    positions = np.pad(positions, ((a, b), (0, 0)), mode="edge")
+    rotations = np.pad(rotations, ((a, b), (0, 0), (0, 0)), mode="edge")
 
     node_times = grid.t0 + np.arange(grid.count) * grid.dt
     clamped = np.clip(node_times, times[0], times[-1])

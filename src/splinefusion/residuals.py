@@ -3,10 +3,14 @@
 Each residual model has one implementation: the factor kernel in
 :mod:`splinefusion.estimators` that the solver runs.
 
+The states hold what is estimated.  The camera extrinsic and the GPS lever
+arm are not: the factor groups read them from the rig (``scene.json``).
+
 Conventions: body spline poses map body to world, ``t_imu = t_cam +
 t_cam_imu``, ``t_imu = t_gps + t_gps_imu``, and the accelerometer model is
 ``a_bar = R^T (pddot + g) + b_a`` with gravity ``g`` a world vector
-(nominally (0, 0, -9.81)).
+(nominally (0, 0, -9.81)); CT estimates ``g`` as a free block, DT holds
+``GRAVITY``.
 """
 
 from __future__ import annotations
@@ -17,29 +21,24 @@ import numpy as np
 
 from .bsplines import SplineR3, SplineSO3
 from .errors import InvalidArgumentError
-from .rotations import Pose
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
 @dataclass
 class CtState:
-    """Continuous-time state: spline trajectory plus calibration unknowns."""
+    """Continuous-time state: the spline trajectory and the other unknowns."""
 
     position: SplineR3  # body position in world
     rotation: SplineSO3  # body orientation in world
     landmarks: dict  # id -> (3,) world
     t_cam_imu: float
-    T_cam_imu: Pose  # camera pose in the body frame
     t_gps_imu: float
-    p_antenna_body: np.ndarray
     gravity: np.ndarray  # free in the CT problem
     bias_accel: SplineR3  # cubic (order 4)
     bias_gyro: SplineR3
-    camera: object = None  # CameraModel, needed for reprojection terms
 
     def __post_init__(self):
-        self.p_antenna_body = np.asarray(self.p_antenna_body, dtype=float)
         self.gravity = np.asarray(self.gravity, dtype=float)
         for b in (self.bias_accel, self.bias_gyro):
             if b.grid.order != 4:
@@ -58,9 +57,7 @@ class DtState:
     bias_gyro: np.ndarray  # (K, 3)
     landmarks: dict
     t_cam_imu: float
-    T_cam_imu: Pose
     t_gps_imu: float
-    p_antenna_body: np.ndarray
 
     def __post_init__(self):
         self.t_ns = np.asarray(self.t_ns, dtype=np.int64)
@@ -73,7 +70,6 @@ class DtState:
                 raise InvalidArgumentError(f"{name} length != number of poses")
         if k > 1 and np.any(np.diff(self.t_ns) <= 0):
             raise InvalidArgumentError("pose timestamps must strictly increase")
-        self.p_antenna_body = np.asarray(self.p_antenna_body, dtype=float)
 
     @property
     def times(self):

@@ -10,7 +10,8 @@ import yaml
 
 from splinefusion import cli
 from splinefusion import estimators as est
-from splinefusion.dataset import read_pose_csv
+from splinefusion.config import load_config
+from splinefusion.dataset import read_dataset, read_pose_csv
 from splinefusion.rotations import rotation_to_quat
 from splinefusion.solver import SolveReport
 
@@ -211,6 +212,22 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0] == "t_ns,x,y,z,qw,qx,qy,qz"
     assert len(lines) > 50
+
+
+def test_ct_initial_spline_follows_the_data_span(small_dataset):
+    """The CT start fitted to the PnP track stays near the truth over the
+    whole data span, also past the last camera frame, where the spline's
+    margin nodes have no frame of their own."""
+    cfg = load_config(small_dataset / "config.yaml")
+    meas, rig, _, (gt_t, gt_p, _) = read_dataset(small_dataset)
+    init, _ = est.initialize_ct(meas, rig, cfg.estimator_config("ct"),
+                                seed=cfg.seed)
+    lo, hi = meas.time_span_ns()
+    span = (gt_t >= lo) & (gt_t <= hi)
+    assert gt_t[span][-1] > meas.frame_t_ns[-1]
+    err = np.linalg.norm(init.position.sample_many(gt_t[span] * 1e-9)
+                         - gt_p[span], axis=1)
+    assert err.max() < 1.0
 
 
 def test_report_gives_every_solving_stage(small_dataset, tmp_path,

@@ -40,12 +40,10 @@ def true_ct_state(gt, rig, landmarks):
         position=bs.SplineR3(gt.position.grid, gt.position.nodes.copy()),
         rotation=bs.SplineSO3(gt.rotation.grid, gt.rotation.nodes.copy()),
         landmarks={int(k): v.copy() for k, v in landmarks.items()},
-        t_cam_imu=rig.t_cam_imu, T_cam_imu=rig.T_cam_imu,
-        t_gps_imu=rig.t_gps_imu, p_antenna_body=rig.p_antenna_body.copy(),
+        t_cam_imu=rig.t_cam_imu, t_gps_imu=rig.t_gps_imu,
         gravity=GRAVITY.copy(),
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
-        camera=rig.camera,
     )
 
 
@@ -184,10 +182,9 @@ def test_ct_domain_check(tiny_noiseless):
         rotation=bs.SplineSO3(
             short_grid, np.stack([np.eye(3)] * short_grid.count)
         ),
-        landmarks=state0.landmarks, t_cam_imu=0.0, T_cam_imu=rig.T_cam_imu,
-        t_gps_imu=0.0, p_antenna_body=np.zeros(3), gravity=GRAVITY,
-        bias_accel=state0.bias_accel, bias_gyro=state0.bias_gyro,
-        camera=rig.camera,
+        landmarks=state0.landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
+        gravity=GRAVITY, bias_accel=state0.bias_accel,
+        bias_gyro=state0.bias_gyro,
     )
     with pytest.raises(InvalidArgumentError, match="does not cover"):
         est.build_ct_problem(meas, bad, est.CtConfig(), noise, rig)
@@ -211,8 +208,8 @@ def _jacobian_check(problem, state, rtol=5e-4):
 @pytest.fixture(scope="module")
 def perturbed_ct(tiny_noiseless):
     """CT problem linearized away from the optimum, where every Jacobian
-    term is nontrivial: positions, rotations, landmarks, biases, both clock
-    offsets and the antenna lever arm are all off the truth."""
+    term is nontrivial: positions, rotations, landmarks, biases and both
+    clock offsets are all off the truth."""
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements
     rng = np.random.default_rng(5)
@@ -224,8 +221,7 @@ def perturbed_ct(tiny_noiseless):
         state0.landmarks[lid] += rng.normal(scale=0.02, size=3)
     state0.bias_accel.nodes += rng.normal(scale=1e-3, size=state0.bias_accel.nodes.shape)
     state0 = dataclasses.replace(
-        state0, t_cam_imu=rig.t_cam_imu + 0.004, t_gps_imu=rig.t_gps_imu - 0.003,
-        p_antenna_body=rig.p_antenna_body + np.array([0.05, -0.03, 0.02]))
+        state0, t_cam_imu=rig.t_cam_imu + 0.004, t_gps_imu=rig.t_gps_imu - 0.003)
     problem = est.build_ct_problem(meas, state0, est.CtConfig(), noise, rig)
     problem._layout()
     return problem, problem.initial_state()
@@ -399,8 +395,7 @@ def true_dt_state(gt, rig, meas):
         bias_accel=np.zeros((stamps.size, 3)),
         bias_gyro=np.zeros((stamps.size, 3)),
         landmarks={int(k): v.copy() for k, v in meas.landmarks_true.items()},
-        t_cam_imu=rig.t_cam_imu, T_cam_imu=rig.T_cam_imu,
-        t_gps_imu=rig.t_gps_imu, p_antenna_body=rig.p_antenna_body.copy(),
+        t_cam_imu=rig.t_cam_imu, t_gps_imu=rig.t_gps_imu,
     )
 
 
@@ -438,8 +433,8 @@ def test_dt_factor_counts(zero_offset_sim):
 @pytest.fixture(scope="module")
 def perturbed_dt(zero_offset_sim):
     """DT problem linearized away from the optimum: positions, rotations,
-    landmarks, the GPS clock offset and the antenna lever arm are all off
-    the truth, so that every GPS Jacobian column is nontrivial."""
+    landmarks and the GPS clock offset are all off the truth, so that every
+    GPS Jacobian column is nontrivial."""
     gt, rig, noise, result = zero_offset_sim
     meas = result.measurements
     rng = np.random.default_rng(6)
@@ -449,9 +444,7 @@ def perturbed_dt(zero_offset_sim):
         rng.normal(scale=0.02, size=(state0.rotations.shape[0], 3)))
     for lid in state0.landmarks:
         state0.landmarks[lid] += rng.normal(scale=0.02, size=3)
-    state0 = dataclasses.replace(
-        state0, t_gps_imu=rig.t_gps_imu - 0.003,
-        p_antenna_body=rig.p_antenna_body + np.array([0.05, -0.03, 0.02]))
+    state0 = dataclasses.replace(state0, t_gps_imu=rig.t_gps_imu - 0.003)
     problem = est.build_dt_problem(meas, state0, est.DtConfig(), noise, rig)
     problem._layout()
     return problem, problem.initial_state()
@@ -733,7 +726,6 @@ def test_initialize_ct_contract(tiny_noiseless):
     assert fit_report.termination in ("converged", "max_iter")
     assert init.t_cam_imu == 0.0
     assert init.t_gps_imu == 0.0
-    assert np.allclose(init.p_antenna_body, 0.0)
     assert np.allclose(init.gravity, GRAVITY)
     assert init.bias_accel.grid.order == 4
     # PnP + spline fit lands close to the true trajectory at frame times

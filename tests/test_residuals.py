@@ -4,8 +4,9 @@ import pytest
 from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import residuals as res
+from splinefusion import simulate as sim
 from splinefusion.errors import InvalidArgumentError
-from splinefusion.rotations import Pose, slerp, so3_exp
+from splinefusion.rotations import slerp, so3_exp
 from splinefusion.solver import Problem
 
 from conftest import random_rotation
@@ -17,21 +18,19 @@ def make_ct_state(gt, rig, landmarks):
     return res.CtState(
         position=gt.position, rotation=gt.rotation,
         landmarks={int(k): v for k, v in landmarks.items()},
-        t_cam_imu=rig.t_cam_imu, T_cam_imu=rig.T_cam_imu,
-        t_gps_imu=rig.t_gps_imu, p_antenna_body=rig.p_antenna_body,
+        t_cam_imu=rig.t_cam_imu, t_gps_imu=rig.t_gps_imu,
         gravity=res.GRAVITY.copy(),
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
-        camera=rig.camera,
     )
 
 
-P_ANT = np.array([0.1, -0.05, 0.15])
+RIG = sim.default_rig()  # the GPS groups read its lever arm
 
 
 def frame_problem(positions, rotations, t_gps=0.0):
     """A problem with one position and one rotation block per frame (ids
-    ``{"p": ..., "R": ...}``), then the ``p_ant`` and ``t_gps`` blocks."""
+    ``{"p": ..., "R": ...}``), then the ``t_gps`` block."""
     K = len(positions)
     problem = Problem()
     ids = {
@@ -40,22 +39,21 @@ def frame_problem(positions, rotations, t_gps=0.0):
         "R": np.array([problem.add_rotation(f"R{k}", rotations[k])
                        for k in range(K)]),
     }
-    pant_id = problem.add_euclidean("p_ant", P_ANT)
     tgps_id = problem.add_euclidean("t_gps", t_gps)
     problem._layout()
-    return problem, ids, pant_id, tgps_id
+    return problem, ids, tgps_id
 
 
 def dt_gps_residuals(rng, stamps, antenna_at, K=5):
     """DT GPS residuals of a ``DtGpsGroup`` over K random pose states 0.1 s
-    apart, for GPS fixes made by ``antenna_at(positions, rotations,
-    p_antenna_body)`` at ``stamps``."""
+    apart, for GPS fixes made by ``antenna_at(positions, rotations, lever)``
+    at ``stamps``, with the rig's lever arm."""
     pose_times = 0.1 * np.arange(K)
     positions = rng.normal(size=(K, 3))
     rotations = np.stack([random_rotation(rng) for _ in range(K)])
-    problem, ids, pant_id, tgps_id = frame_problem(positions, rotations)
-    gps = antenna_at(positions, rotations, P_ANT)
-    group = est.DtGpsGroup(ids, pose_times, pant_id, tgps_id,
+    problem, ids, tgps_id = frame_problem(positions, rotations)
+    gps = antenna_at(positions, rotations, RIG.p_antenna_body)
+    group = est.DtGpsGroup(ids, pose_times, RIG, tgps_id,
                            np.asarray(stamps, dtype=float), gps, 1.0)
     return group.residuals(problem, problem.initial_state())
 
@@ -63,11 +61,11 @@ def dt_gps_residuals(rng, stamps, antenna_at, K=5):
 def test_interpolate_pose_dt(rng):
     """At a node the DT pose is the pose state; halfway between nodes it is
     the mean position and the SLERP rotation."""
-    def antenna_at(positions, rotations, p_ant):
+    def antenna_at(positions, rotations, lever):
         mid_R = slerp(rotations[0], rotations[1], 0.5)
         return np.stack([
-            positions[0] + rotations[0] @ p_ant,
-            0.5 * (positions[0] + positions[1]) + mid_R @ p_ant,
+            positions[0] + rotations[0] @ lever,
+            0.5 * (positions[0] + positions[1]) + mid_R @ lever,
         ])
     r = dt_gps_residuals(rng, [0.0, 0.05], antenna_at)
     assert np.max(np.abs(r)) < 1e-12
@@ -76,8 +74,8 @@ def test_interpolate_pose_dt(rng):
 def test_gps_residual_dt_zero_at_node(rng):
     k = 2
 
-    def antenna_at(positions, rotations, p_ant):
-        return (positions[k] + rotations[k] @ p_ant)[None]
+    def antenna_at(positions, rotations, lever):
+        return (positions[k] + rotations[k] @ lever)[None]
     r = dt_gps_residuals(rng, [0.1 * k], antenna_at)
     assert np.max(np.abs(r)) < 1e-12
 
@@ -93,22 +91,22 @@ def test_dt_gps_is_ct_gps_at_order_2(rng):
     rotations = [random_rotation(rng)]
     for w in steps:
         rotations.append(rotations[-1] @ so3_exp(w))
-    problem, ids, pant_id, tgps_id = frame_problem(positions, rotations,
-                                                   t_gps=0.013)
+    problem, ids, tgps_id = frame_problem(positions, rotations, t_gps=0.013)
     stamps = rng.uniform(0.0, 0.1 * (K - 1) - 0.02, size=n)
     gps = rng.normal(size=(n, 3))
     grid = bs.KnotGrid(t0=0.0, dt=0.1, count=K, order=2)
-    ct = est.CtGpsGroup(grid, ids["p"][0], ids["R"][0], pant_id, tgps_id,
-                        stamps, gps, 1.0)
-    dt = est.DtGpsGroup(ids, 0.1 * np.arange(K), pant_id, tgps_id, stamps,
+    ct = est.CtGpsGroup(grid, ids["p"][0], ids["R"][0], RIG, tgps_id, stamps,
                         gps, 1.0)
+    dt = est.DtGpsGroup(ids, 0.1 * np.arange(K), RIG, tgps_id, stamps, gps,
+                        1.0)
     state = problem.initial_state()
     r_ct, slots_ct, J_ct, _ = ct.linearize(problem, state)
     r_dt, slots_dt, J_dt, _ = dt.linearize(problem, state)
     assert np.max(np.abs(r_ct - r_dt)) < 1e-12
     # CT (p_s, p_s+1, R_s, R_s+1) against DT (p_k, R_k, p_k+1, R_k+1), then
-    # p_ant and t_gps
-    for c, d in enumerate((0, 2, 1, 3, 4, 5)):
+    # t_gps
+    assert len(slots_ct) == len(slots_dt) == 5
+    for c, d in enumerate((0, 2, 1, 3, 4)):
         assert np.array_equal(slots_ct[c].block_ids, slots_dt[d].block_ids)
         assert np.max(np.abs(J_ct[c] - J_dt[d])) < 1e-12
 
@@ -119,9 +117,7 @@ def test_dt_state_validation(rng):
             t_ns=np.array([0, 0]), positions=np.zeros((2, 3)),
             rotations=np.stack([np.eye(3)] * 2), velocities=np.zeros((2, 3)),
             bias_accel=np.zeros((2, 3)), bias_gyro=np.zeros((2, 3)),
-            landmarks={}, t_cam_imu=0.0,
-            T_cam_imu=Pose(np.eye(3), np.zeros(3)), t_gps_imu=0.0,
-            p_antenna_body=np.zeros(3),
+            landmarks={}, t_cam_imu=0.0, t_gps_imu=0.0,
         )
 
 
@@ -132,9 +128,8 @@ def test_ct_state_requires_cubic_bias(tiny_noiseless):
     with pytest.raises(InvalidArgumentError):
         res.CtState(
             position=state.position, rotation=state.rotation,
-            landmarks=state.landmarks, t_cam_imu=0.0,
-            T_cam_imu=state.T_cam_imu, t_gps_imu=0.0,
-            p_antenna_body=np.zeros(3), gravity=res.GRAVITY,
+            landmarks=state.landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
+            gravity=res.GRAVITY,
             bias_accel=bs.SplineR3(bad_grid, np.zeros((bad_grid.count, 3))),
-            bias_gyro=state.bias_gyro, camera=state.camera,
+            bias_gyro=state.bias_gyro,
         )
