@@ -13,19 +13,18 @@ of DT preintegration and of the rotation-spline fit.  Each family declares
 the factors on a jump of its residuals through ``FactorGroup.jumps``.
 
 The normal equations are accumulated from each group's dense per-factor
-Jacobians, as block-sparse bundle adjusters do.  Blocks declared as
+Jacobians, as block-sparse bundle adjusters do, after a plan made once per
+Jacobian structure (the symbolic/numeric split of sparse Cholesky, Davis,
+"Direct Methods for Sparse Linear Systems", 2006).  Blocks declared as
 *points* (free 3-vectors that no factor joins to another point, such as
 bundle-adjustment landmarks) take the last columns; each damped system
 eliminates them by Schur complement, with one batched Cholesky
-factorization of their 3x3 diagonal blocks, and solves the reduced system
-over the other columns by dense Cholesky below ``_DENSE_LIMIT`` columns,
-with nothing to eliminate if there are no points.  At or above the limit
-the reduced system is a band plus an arrow (:class:`_BandArrow`): its
-columns in reverse Cuthill-McKee order over the reduced pattern, the point
-fill included, with the few dense columns taken out of the band and
-eliminated last by a small dense Schur complement, after Triggs et al.,
-"Bundle Adjustment - A Modern Synthesis" (2000), on banded and arrowhead
-structure.
+factorization of their 3x3 diagonal blocks.  The reduced system over the
+other columns is a band plus an arrow (:class:`_BandArrow`), after Triggs
+et al., "Bundle Adjustment - A Modern Synthesis" (2000): the columns
+coupled to a point and the densest others form the arrow, which takes the
+point fill and is eliminated last by a dense Schur complement; the rest
+form a band in reverse Cuthill-McKee order.
 
 One LM loop, :func:`_levenberg_marquardt`, holds the damping, acceptance
 and termination rules: :func:`solve` runs it on a :class:`Problem`, the PnP
@@ -38,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -52,13 +52,6 @@ MAX_ITER = "max_iter"
 STALLED = "stalled"
 DISCONTINUOUS = "discontinuous"
 
-# Reduced systems with this many columns or more are factored as a band plus
-# an arrow.  The 4,504-column IMU+GPS DT system of the benchmark, a band of
-# half-width 29 and an arrow of 4 columns, takes 3.4 ms per damped solve
-# that way and 0.55 s by dense Cholesky (2-core Xeon, one BLAS thread).  The
-# reduced systems of the camera workloads (about 600 and 1,100 columns once
-# the landmarks are eliminated) stay below the limit.
-_DENSE_LIMIT = 2000
 # The LM loop stops as converged when the gradient's largest entry is below
 # _ABS_TOL, and raises after _MAX_REJECTS damped systems of one iteration
 # all fail to factor into a finite step.
@@ -309,6 +302,7 @@ class Problem:
             meta.col = col
             col += meta.dim
         self.num_cols = col
+        self._columns_memo = {}
         self._point_names = [m.name for m in free if m.point]
         self.num_point_cols = 3 * len(self._point_names)
         self._store_array = np.array([m.store for m in self.blocks], dtype=int)
@@ -376,20 +370,18 @@ class Problem:
         """
         self._layout()
         res, blocks, jump_rows = [], [], 0
-        p0 = self.num_cols - self.num_point_cols  # first point column
-        for group in self.groups:
+        for gi, group in enumerate(self.groups):
             r, slots, jacs, jumps = group.linearize(self, state)
             jump_rows += int(np.count_nonzero(jumps))
             num, dim = r.shape
             res.append(r.ravel())
-            starts = [np.broadcast_to(self._col_array[s.block_ids], (num,))[:, None]
-                      for s in slots]  # each slot's first column per factor, -1 if fixed
-            free = [si for si, c in enumerate(starts) if (c >= 0).any()]
-            cols = np.hstack([np.zeros((num, 0), int)] + [
-                np.where(starts[si] >= 0, starts[si] + np.arange(slots[si].dim), -1)
-                for si in free])
-            if self.num_point_cols:
-                self._check_points(group, np.where(cols >= p0, (cols - p0) // 3, -1))
+            # the columns of the block, built and checked once per slot structure
+            key = (num, [s.dim for s in slots], [s.block_ids.copy() for s in slots])
+            kept = self._columns_memo.get(gi)
+            if not (kept and kept[0][:2] == key[:2]
+                    and all(map(np.array_equal, kept[0][2], key[2]))):
+                kept = self._columns_memo[gi] = (key, *self._columns(group, slots, num))
+            free, cols = kept[1:]
             if num:  # the normal equations take no empty group
                 blocks.append((np.concatenate([np.zeros((num, dim, 0))] + [
                     np.broadcast_to(jacs[si], (num, dim, slots[si].dim))
@@ -397,9 +389,18 @@ class Problem:
         r_all = np.concatenate(res) if res else np.zeros(0)
         return r_all, BlockJacobian(blocks, (r_all.size, self.num_cols)), jump_rows
 
-    def _check_points(self, group, points):
-        """Raise unless each factor's columns fall in at most one point;
-        ``points`` is (num, columns) of point indices, -1 for none."""
+    def _columns(self, group, slots, num):
+        """The slots with a free block and the (num, w) columns of their
+        blocks; raises unless each factor's columns fall in at most one
+        point."""
+        starts = [np.broadcast_to(self._col_array[s.block_ids], (num,))[:, None]
+                  for s in slots]  # each slot's first column per factor, -1 if fixed
+        free = [si for si, c in enumerate(starts) if (c >= 0).any()]
+        cols = np.hstack([np.zeros((num, 0), int)] + [
+            np.where(starts[si] >= 0, starts[si] + np.arange(slots[si].dim), -1)
+            for si in free])
+        p0 = self.num_cols - self.num_point_cols  # first point column
+        points = np.where(cols >= p0, (cols - p0) // 3, -1)
         top = points.max(axis=1, keepdims=True, initial=-1)
         bad = np.argwhere((points >= 0) & (points != top))
         if bad.size:
@@ -407,6 +408,7 @@ class Problem:
             raise InvalidArgumentError(
                 f"a factor of group {group.name} joins the point blocks "
                 f"{self._point_names[points[i, j]]} and {self._point_names[top[i, 0]]}")
+        return free, cols
 
 
 @dataclass
@@ -457,10 +459,10 @@ class SolveReport:
 
 @dataclass
 class _Normal:
-    """J^T J in blocks: ``cc`` over the non-point columns (a dense array
-    below ``_DENSE_LIMIT`` of them, else a :class:`_BandArrow`), ``ll`` the
-    (m, 3, 3) point blocks, ``cl`` (K, 3) the coupling of row ``rows[k]``
-    (ascending) to point ``pts[k]``."""
+    """J^T J in blocks: ``cc`` the :class:`_BandArrow` over the non-point
+    columns, ``ll`` the (m, 3, 3) point blocks, ``cl`` (K, 3) the coupling
+    of row ``rows[k]`` (ascending), an arrow column of ``cc``, to point
+    ``pts[k]``."""
 
     cc: object
     ll: np.ndarray
@@ -474,19 +476,15 @@ class _Normal:
 
 @dataclass
 class _BandArrow:
-    """A symmetric matrix over ``nc`` columns, taken in the permuted order
-    ``order``: its first ``nb`` as the lower band ``band`` (w + 1, nb) that
+    """A symmetric matrix over nc columns, taken in the permuted order
+    ``order``: its first nb as the lower band ``band`` (w + 1, nb) that
     ``scipy.linalg.cholesky_banded`` takes, ``band[i - j, j]`` holding entry
-    (i, j), and its last ``nc - nb``, the arrow, as the panel ``arrow``
-    (nc, nc - nb) of their columns, whose rows are in ``order`` too."""
+    (i, j), and the rest, the arrow, as the panel ``arrow`` (nc, nc - nb)
+    of their columns, whose rows are in ``order`` too."""
 
     order: np.ndarray
     band: np.ndarray
     arrow: np.ndarray
-
-    @property
-    def shape(self):
-        return self.order.size, self.order.size
 
     def diagonal(self):
         d = np.empty(self.order.size)
@@ -494,159 +492,195 @@ class _BandArrow:
             [self.band[0], np.diagonal(self.arrow[self.band.shape[1]:])])
         return d
 
-    def where(self, i, j):
-        """Where the entries at (``i``, ``j``) go, given both triangles and
-        each in the band or the arrow: the entries on or below the band's
-        diagonal and their flat index in ``band``, then those in an arrow
-        column and their flat index in ``arrow``."""
-        nb, k = self.band.shape[1], self.arrow.shape[1]
-        pos = np.empty_like(self.order)
-        pos[self.order] = np.arange(self.order.size)
-        pi, pj = pos[i], pos[j]
-        lo = np.flatnonzero((pi >= pj) & (pi < nb))
-        ar = np.flatnonzero(pj >= nb)
-        return lo, ((pi - pj) * nb + pj)[lo], ar, (pi * k + pj - nb)[ar]
+    def scatter(self, sets):
+        """``(tgt, inv)`` for the entries of the products of ``sets``: the
+        distinct places ``tgt`` in the band, then the arrow, that take one,
+        and each entry's int32 index in ``tgt``, ``tgt.size`` if held as its
+        transpose or fixed; None if one falls outside the band."""
+        (w, nb), k = self.band.shape, self.arrow.shape[1]
+        on = (sets[:, :, None] >= 0) & (sets[:, None, :] >= 0)
+        pos = np.argsort(self.order)
+        pi, pj = np.where(on, pos[sets][:, :, None], -1).ravel(), np.broadcast_to(
+            pos[sets][:, None, :], on.shape).ravel()
+        if np.any((pi - pj >= w) & (pi < nb)):
+            return None
+        idx = np.where(pi < 0, -1, np.where(pj >= nb, w * nb + pi * k + pj - nb, np.where(
+            (pi >= pj) & (pi < nb), (pi - pj) * nb + pj, -1)))
+        seen = np.zeros(self.band.size + self.arrow.size + 1, bool)
+        seen[idx] = True  # -1 marks the last
+        rank, tgt = np.cumsum(seen, dtype=np.int32) - 1, np.flatnonzero(seen[:-1])
+        rank[-1] = tgt.size
+        return tgt.astype(np.int32), rank[idx]
 
-    def add(self, where, v):
-        """This matrix plus the entries ``v`` at ``where`` (see :meth:`where`)."""
-        lo, at_lo, ar, at_ar = where
-        return _BandArrow(
-            self.order,
-            self.band + np.bincount(at_lo, v[lo], self.band.size).reshape(self.band.shape),
-            self.arrow + np.bincount(at_ar, v[ar], self.arrow.size).reshape(self.arrow.shape))
 
-
-def _band_layout(at, nc, rows, pts):
-    """A :class:`_BandArrow` of zeros for the pattern of the entries ``at``
-    (row * nc + column) and of the fill Y Y^T of the point elimination,
-    which joins the rows coupled to one point (``rows``, ``pts``)."""
-    P = sp.csr_matrix((np.ones(at.size), np.divmod(at, nc)), shape=(nc, nc))
-    if rows.size:
-        B = sp.csr_matrix((np.ones(rows.size), (rows, pts)), shape=(nc, pts.max() + 1))
-        P = (P + B @ B.T).tocsr()
+def _band_layout(sets, nc, coupled):
+    """A :class:`_BandArrow` of read-only zeros for the products of the
+    groups' ``sets``, the columns ``coupled`` to a point in the arrow, so
+    that the point fill lands in the arrow alone."""
+    on = [(s[:, :, None] >= 0) & (s[:, None, :] >= 0) for s in sets]
+    i, j = (np.concatenate([np.zeros(0, int)] + [
+        np.broadcast_to(s[:, :, None] if a else s[:, None, :], o.shape)[o]
+        for s, o in zip(sets, on)]) for a in (1, 0))
+    rest = np.setdiff1d(np.arange(nc), coupled)
+    P = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(nc, nc))[rest][:, rest]
     # A column with n entries puts one at least n // 2 places off the
     # diagonal in any order.  The k densest columns go to the arrow, for the
     # k that makes k plus that bound over the other columns least.
     n = np.diff(P.indptr)
     by_n = np.argsort(-n, kind="stable")
-    k = int(np.argmin(np.arange(nc) + n[by_n] // 2))
+    k = int(np.argmin(np.r_[np.arange(rest.size) + n[by_n] // 2, rest.size]))
     band = np.sort(by_n[k:])
-    band = band[reverse_cuthill_mckee(P[band][:, band], symmetric_mode=True)]
-    order = np.concatenate([band, np.sort(by_n[:k])])
-    pos = np.empty(nc, int)
-    pos[order] = np.arange(nc)
-    P = P.tocoo()
-    pi, pj = pos[P.row], pos[P.col]
-    w = int(np.max(pi - pj, where=np.maximum(pi, pj) < nc - k, initial=0))
-    return _BandArrow(order, np.zeros((w + 1, nc - k)), np.zeros((nc, k)))
+    P = P[band][:, band]
+    if band.size:
+        rcm = reverse_cuthill_mckee(P, symmetric_mode=True)
+        band, P = band[rcm], P[rcm][:, rcm].tocoo()
+    w = int(np.max(P.row - P.col, initial=0))
+    order = np.r_[rest[band], np.sort(np.r_[coupled, rest[by_n[:k]]])].astype(int)
+    return _BandArrow(order, np.broadcast_to(0.0, (w + 1, band.size)),
+                      np.broadcast_to(0.0, (nc, nc - band.size)))
+
+
+def _set_plan(cols, nc):
+    """One group's sets: its factors that share their non-point columns
+    (stably sorted on a key of those columns, then runs of equal rows),
+    those columns ``sets``, and the place ``dst`` of each factor's rows in
+    the (sets, largest set) stack."""
+    num = cols.shape[0]
+    cam = np.where(cols < nc, cols, -1)
+    used = np.flatnonzero((cam >= 0).any(axis=0))
+    order = np.argsort(cam[:, used] @ (np.arange(used.size) + 1), kind="stable")
+    sets = cam[order][:, used]
+    start = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
+    size = np.diff(np.append(start, num))
+    dst = np.empty(num, np.intp)
+    dst[order] = np.repeat(np.arange(start.size) * size.max() - start, size) + np.arange(num)
+    return dict(used=slice(None) if used.size == cols.shape[1] else used, dst=dst,
+                stack=(start.size, size.max()), sets=sets[start])
+
+
+def _point_plan(cols, nc, m):
+    """Per group with a point, its columns holding one, each factor's pick
+    of its point's three columns and the flat index of each free (factor,
+    column) entry; ``inv`` places those entries in the distinct (row,
+    point) keys, split into the points' own rows and the coupling rows."""
+    groups, keys = [], []
+    for c in cols:
+        pc = np.flatnonzero((c >= nc).any(axis=0))
+        pcol = c[:, pc, None] - nc
+        pt = np.where(pcol >= 0, pcol // 3, -1).max(axis=(1, 2), initial=-1)
+        on = np.flatnonzero((c >= 0) & (pt >= 0)[:, None]).astype(np.int32)
+        keys.append((c * m + pt[:, None]).ravel()[on])
+        groups.append((pc, (pcol >= 0) & (pcol % 3 == np.arange(3)), on) if pc.size else None)
+    keys, inv = np.unique(np.concatenate([np.zeros(0, int)] + keys), return_inverse=True)
+    rows, pts = np.divmod(keys, max(m, 1))
+    own = rows >= nc
+    return dict(groups=groups, inv=inv.astype(np.int32), n=keys.size, own=own,
+                ll=(pts[own], (rows[own] - nc) % 3), rows=rows[~own], pts=pts[~own])
+
+
+def _plan(J, n_points, memo):
+    """The pattern work of :func:`_normal_equations`, kept in ``memo`` and
+    redone for the groups whose ``cols`` changed: their sets, the point
+    couplings if they hold a point, and their places in the layout, itself
+    redone for an entry outside the band or a new row coupled to a point."""
+    nc, cols, old = J.shape[1] - n_points, [c for _, c in J.blocks], memo.get("cols")
+    if old is None or len(old) != len(cols):
+        memo.clear()
+        old = [np.zeros((0, 0), int)] * len(cols)
+    changed = [gi for gi, c in enumerate(cols) if not (old[gi] is c or (
+        old[gi].shape == c.shape and np.array_equal(old[gi], c)))]
+    if not changed and memo:
+        return memo
+    sets = memo.setdefault("sets", [None] * len(cols))
+    for gi in changed:
+        sets[gi] = _set_plan(cols[gi], nc)
+    if not memo.get("points") or any((c >= nc).any() for gi in changed for c in (cols[gi], old[gi])):
+        memo["points"] = _point_plan(cols, nc, n_points // 3)
+    coupled, zero = np.unique(memo["points"]["rows"]), memo.get("zero")
+    at = [] if zero is None else [zero.scatter(sets[gi]["sets"]) for gi in changed]
+    if zero is None or np.isin(coupled, zero.order[: zero.band.shape[1]]).any() or any(
+            x is None for x in at):
+        zero = memo["zero"] = _band_layout([s["sets"] for s in sets], nc, coupled)
+        changed, at = range(len(cols)), [zero.scatter(s["sets"]) for s in sets]
+    for gi, x in zip(changed, at):
+        sets[gi]["at"] = x
+    memo["cols"] = cols
+    return memo
 
 
 def _normal_equations(r, J, n_points, memo=None):
     """``(r, H, g)``: ``r``, J^T J as a :class:`_Normal` and J^T r from the
-    :class:`BlockJacobian` J whose last ``n_points`` columns are points.  The
-    factors of a group that share their other columns stack their rows into
-    one M^T M per set; each factor adds its point's rows, M^T M_point.  A
-    reduced system of ``_DENSE_LIMIT`` columns or more takes the layout of
-    :func:`_band_layout`, which the dict ``memo``, if given, keeps for the
-    next call with the same pattern."""
-    n, m = J.shape[1], n_points // 3
-    nc, g, row0 = n - n_points, np.zeros(n), 0
-    cc_at, cc_val, pt_at, pt_val = [[np.zeros(0, int)], [np.zeros(0)],
-                                    [np.zeros(0, int)], [np.zeros((0, 3))]]
-    for M, cols in J.blocks:
+    :class:`BlockJacobian` J whose last ``n_points`` columns are points.
+    The pattern work is :func:`_plan`'s, kept in the dict ``memo`` if one is
+    given.  Per group one gather stacks the factors of each set, one batched
+    M^T M per set goes onto the reduced system by one ``bincount``, and
+    each factor's M^T M_point onto its point's rows."""
+    plan = _plan(J, n_points, {} if memo is None else memo)
+    n, points, zero = J.shape[1], plan["points"], plan["zero"]
+    g, row0, pv = np.zeros(n), 0, [np.zeros((0, 3))]
+    flat = np.zeros(zero.band.size + zero.arrow.size)
+    for (M, cols), s, p in zip(J.blocks, plan["sets"], points["groups"]):
         num, dim, _ = M.shape
         rows = r[row0 : row0 + num * dim].reshape(num, dim)
         row0 += num * dim
         g += np.bincount(cols.ravel() + 1, np.einsum("ndw,nd->nw", M, rows).ravel(),
                          n + 1)[1:]  # fixed columns (-1) fall in bin 0
-        cam = np.where(cols < nc, cols, -1)
-        used = np.flatnonzero((cam >= 0).any(axis=0))
-        order = np.argsort(cam[:, used] @ (np.arange(used.size) + 1), kind="stable")
-        sets = cam[order][:, used]  # equal rows together: each run is a set
-        start = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
-        size = np.diff(np.append(start, num))
-        P = np.zeros((start.size, size.max(), dim, used.size))
-        P[np.repeat(np.arange(start.size), size),
-          np.arange(num) - np.repeat(start, size)] = M[order][:, :, used]
-        P = P.reshape(start.size, size.max() * dim, used.size)
-        G, sets = np.swapaxes(P, 1, 2) @ P, sets[start]
-        on = (sets[:, :, None] >= 0) & (sets[:, None, :] >= 0) & (G != 0)
-        cc_at.append((sets[:, :, None] * nc + sets[:, None, :])[on])
-        cc_val.append(G[on])
-        pc = np.flatnonzero((cols >= nc).any(axis=0))  # columns holding a point
-        if pc.size:
-            pcol = cols[:, pc, None] - nc
-            pt = np.where(pcol >= 0, pcol // 3, -1).max(axis=(1, 2))  # its point
-            Mp = M[:, :, pc] @ ((pcol >= 0) & (pcol % 3 == np.arange(3)))
-            on = (cols >= 0) & (pt >= 0)[:, None]
-            pt_at.append((cols * m + pt[:, None])[on])
-            pt_val.append((np.swapaxes(M, 1, 2) @ Mp).reshape(-1, 3)[np.flatnonzero(on)])
-    keys, inv = np.unique(np.concatenate(pt_at), return_inverse=True)
-    val = np.concatenate(pt_val)
-    val = np.stack([np.bincount(inv, val[:, a], keys.size) for a in range(3)], axis=-1)
-    rows, pts = np.divmod(keys, max(m, 1))
-    ll, own = np.zeros((m, 3, 3)), rows >= nc  # a point's own rows
-    ll[pts[own], (rows[own] - nc) % 3] = val[own]
-    rows, pts, cl = rows[~own], pts[~own], val[~own]
-    at, val = np.concatenate(cc_at), np.concatenate(cc_val)
-    if nc < _DENSE_LIMIT:
-        cc = np.bincount(at, val, nc * nc).reshape(nc, nc)
-    else:
-        memo = {} if memo is None else memo
-        key = (at, rows, pts)
-        if not ("key" in memo and all(map(np.array_equal, memo["key"], key))):
-            zero = _band_layout(at, nc, rows, pts)
-            memo.update(key=key, zero=zero, where=zero.where(*np.divmod(at, nc)))
-        cc = memo["zero"].add(memo["where"], val)
-    return r, _Normal(cc, ll, cl, rows, pts), g
+        (sets, most), u = s["stack"], s["sets"].shape[1]
+        P = np.zeros((sets * most, dim, u))
+        P[s["dst"]] = M[:, :, s["used"]]
+        P = P.reshape(sets, most * dim, u)
+        tgt, inv = s["at"]
+        flat[tgt] += np.bincount(inv, (np.swapaxes(P, 1, 2) @ P).ravel(), tgt.size + 1)[:-1]
+        if p is not None:
+            pv.append((np.swapaxes(M, 1, 2) @ (M[:, :, p[0]] @ p[1])).reshape(-1, 3)[p[2]])
+    pv, own = np.concatenate(pv), points["own"]
+    pv = np.stack([np.bincount(points["inv"], pv[:, a], points["n"]) for a in range(3)], -1)
+    ll = np.zeros((n_points // 3, 3, 3))
+    ll[points["ll"]] = pv[own]
+    cc = _BandArrow(zero.order, flat[: zero.band.size].reshape(zero.band.shape),
+                    flat[zero.band.size :].reshape(zero.arrow.shape))
+    return r, _Normal(cc, ll, pv[~own], points["rows"], points["pts"]), g
 
 
 def _solve_normal(H, d, g):
     """The step x of ``(H + diag(d)) x = -g`` for a :class:`_Normal` H.  The
     points' damped 3x3 blocks are factored as L L^T in one batch and
     eliminated: with Y = H_cl L^-T, S = H_cc + diag(d_c) - Y Y^T gives x_c,
-    and x_l = L^-T (L^-1 b_l - Y^T x_c), b = -g.  S takes dense Cholesky when
-    H_cc is dense; as a :class:`_BandArrow`, banded Cholesky of its band,
-    then the dense Cholesky of the arrow's Schur complement.  An S or a
-    point block that is not positive definite raises
-    ``np.linalg.LinAlgError``."""
-    nc, m = H.cc.shape[0], len(H.ll)
+    and x_l = L^-T (L^-1 b_l - Y^T x_c), b = -g.  Y has rows in the arrow
+    alone, so Y Y^T is one dense product there.  S = [B C; C^T E] is
+    factored blockwise: B = L_B L_B^T by banded Cholesky, then E - Z^T Z,
+    Z = L_B^-1 C, by dense Cholesky.  An S or a point block that is not
+    positive definite raises ``np.linalg.LinAlgError``."""
+    A, m = H.cc, len(H.ll)
+    nc, nb = A.order.size, A.band.shape[1]
     Linv = np.linalg.inv(np.linalg.cholesky(H.ll + d[nc:].reshape(m, 3, 1) * np.eye(3)))
-    Y = sp.csr_matrix((np.einsum("ka,kba->kb", H.cl, Linv[H.pts]).ravel(),
-                       (3 * H.pts[:, None] + np.arange(3)).ravel(),
-                       3 * np.searchsorted(H.rows, np.arange(nc + 1))), shape=(nc, 3 * m))
+    pos = np.argsort(A.order)
+    Y = np.zeros((nc - nb, 3 * m))  # the arrow rows of Y
+    Y[pos[H.rows, None] - nb, 3 * H.pts[:, None] + np.arange(3)] = np.einsum(
+        "ka,kba->kb", H.cl, Linv[H.pts])
     y = np.einsum("nij,nj->ni", Linv, -g[nc:].reshape(m, 3)).ravel()
-    if isinstance(H.cc, np.ndarray):
-        S = np.diag(d[:nc])
-        S += H.cc
-        on = np.flatnonzero(np.diff(Y.indptr))
-        Y_on = Y[on].toarray()
-        S[np.ix_(on, on)] -= Y_on @ Y_on.T
-        x = sla.cho_solve(sla.cho_factor(S.T, overwrite_a=True, check_finite=False),
-                          -g[:nc] - Y @ y, check_finite=False)  # S.T: factored in place
-    else:
-        x = _solve_band_arrow(H.cc, d[:nc], Y, -g[:nc] - Y @ y)
-    return np.concatenate(
-        [x, np.einsum("nji,nj->ni", Linv, (y - Y.T @ x).reshape(m, 3)).ravel()])
-
-
-def _solve_band_arrow(A, d, Y, b):
-    """The x of ``(A + diag(d) - Y Y^T) x = b`` for a :class:`_BandArrow` A:
-    the band [B C; C^T E] factored by ``cholesky_banded``, the arrow by
-    the dense Cholesky of E - C^T B^-1 C."""
-    nc, nb, k = A.order.size, A.band.shape[1], A.arrow.shape[1]
-    fill = (Y @ Y.T).tocoo()
-    i, j = np.r_[np.arange(nc), fill.row], np.r_[np.arange(nc), fill.col]
-    S = A.add(A.where(i, j), np.r_[d, -fill.data])
-    C, b = S.arrow[:nb], b[S.order]
-    X = sla.cho_solve_banded(
-        (sla.cholesky_banded(S.band, lower=True, check_finite=False), True),
-        np.column_stack([C, b[:nb]]), check_finite=False)
-    x2 = sla.cho_solve(sla.cho_factor(S.arrow[nb:] - C.T @ X[:, :k], check_finite=False),
-                       b[nb:] - C.T @ X[:, k], check_finite=False)
+    dc, b = d[:nc][A.order], -g[:nc][A.order]
+    b[nb:] -= Y @ y
+    L = sla.cholesky_banded(np.r_[A.band[:1] + dc[:nb], A.band[1:]], lower=True,
+                            check_finite=False)
+    Z = _band_solve(L, np.column_stack([A.arrow[:nb], b[:nb]]), "N")  # L_B^-1 [C b]
+    Zc, z = Z[:, :-1], Z[:, -1]
+    E = A.arrow[nb:] + np.diag(dc[nb:]) - Y @ Y.T - Zc.T @ Zc
+    x2 = sla.cho_solve(sla.cho_factor(E, overwrite_a=True, check_finite=False),
+                       b[nb:] - Zc.T @ z, check_finite=False)
     x = np.empty(nc)
-    x[S.order] = np.concatenate([X[:, k] - X[:, :k] @ x2, x2])
-    return x
+    x[A.order] = np.r_[_band_solve(L, (z - Zc @ x2)[:, None], "T")[:, 0], x2]
+    return np.concatenate(
+        [x, np.einsum("nji,nj->ni", Linv, (y - Y.T @ x2).reshape(m, 3)).ravel()])
+
+
+def _band_solve(L, B, trans):
+    """L^-1 B (``trans`` "N") or L^-T B ("T") for the lower banded factor
+    L of ``scipy.linalg.cholesky_banded``."""
+    X, info = lapack.dtbtrs(L, B, uplo="L", trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")
+    return X
 
 
 def _same_state(a, b):

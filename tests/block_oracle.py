@@ -3,7 +3,7 @@
 ``solver.solve`` accumulates the Gauss-Newton system straight from the
 dense per-group blocks of a ``BlockJacobian``.  The helpers here build the
 same matrices the general way, triplet by triplet into a CSR Jacobian, and
-convert a ``solver._Normal``, its reduced block dense or a
+convert a ``solver._Normal`` and its reduced block, a
 ``solver._BandArrow``, to and from a full matrix.
 """
 
@@ -51,9 +51,9 @@ def dense_band_arrow(S):
 
 def dense_normal(H):
     """The full symmetric matrix of a ``solver._Normal``."""
-    nc, m = H.cc.shape[0], len(H.ll)
+    nc, m = H.cc.order.size, len(H.ll)
     A = np.zeros((nc + 3 * m, nc + 3 * m))
-    A[:nc, :nc] = H.cc if isinstance(H.cc, np.ndarray) else dense_band_arrow(H.cc)
+    A[:nc, :nc] = dense_band_arrow(H.cc)
     for j in range(m):
         A[nc + 3 * j : nc + 3 * j + 3, nc + 3 * j : nc + 3 * j + 3] = H.ll[j]
     for row, pt, val in zip(H.rows, H.pts, H.cl):
@@ -64,21 +64,22 @@ def dense_normal(H):
 
 def block_normal(A, n_points):
     """A symmetric matrix whose last ``n_points`` columns are points, as a
-    ``solver._Normal``: the other columns' block dense below
-    ``solver._DENSE_LIMIT`` of them and at or above it a
-    ``solver._BandArrow`` over the pattern of its nonzero entries, as
-    ``solver._normal_equations`` stores it."""
+    ``solver._Normal``: the other columns' block a ``solver._BandArrow``
+    over the pattern of its nonzero entries, the rows coupled to a point
+    in the arrow, as ``solver._normal_equations`` stores it."""
     A = A.toarray() if sp.issparse(A) else np.asarray(A)
     nc, m = A.shape[0] - n_points, n_points // 3
     ll = np.array([A[nc + 3 * j : nc + 3 * j + 3, nc + 3 * j : nc + 3 * j + 3]
                    for j in range(m)]).reshape(m, 3, 3)
     rows, pts = np.nonzero(A[:nc, nc:].reshape(nc, m, 3).any(axis=2))
     cl = A[:nc, nc:].reshape(nc, m, 3)[rows, pts].reshape(-1, 3)
-    cc = A[:nc, :nc]
-    if nc >= solver._DENSE_LIMIT:
-        at = np.flatnonzero(cc)
-        zero = solver._band_layout(at, nc, rows, pts)
-        cc = zero.add(zero.where(*np.divmod(at, nc)), cc.ravel()[at])
+    pairs = np.argwhere(A[:nc, :nc])  # each entry as the set of its two columns
+    cc = solver._band_layout([pairs], nc, np.unique(rows))
+    tgt, inv = cc.scatter(pairs)
+    flat = np.zeros(cc.band.size + cc.arrow.size + 1)
+    flat[np.r_[tgt, -1][inv]] = A[pairs[:, :, None], pairs[:, None, :]].ravel()
+    cc = solver._BandArrow(cc.order, flat[: cc.band.size].reshape(cc.band.shape),
+                           flat[cc.band.size : -1].reshape(cc.arrow.shape))
     return solver._Normal(cc, ll, cl, rows, pts)
 
 

@@ -438,13 +438,10 @@ def _arrow_system(problem, rng, damping=1e-4):
     return (H + sp.diags(damping * D)).tocsr(), rng.normal(size=problem.num_cols)
 
 
-@pytest.mark.parametrize("dense_limit", [solver._DENSE_LIMIT, 1])
-def test_schur_solve_matches_dense_solve(rng, monkeypatch, dense_limit):
-    """Points eliminated by Schur complement, the reduced system by dense
-    Cholesky (or, below a lowered limit, as a band plus an arrow), against
-    a dense LU of the whole system; the unobserved point's block is its
-    damping alone."""
-    monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
+def test_schur_solve_matches_dense_solve(rng):
+    """Points eliminated by Schur complement, the reduced system factored
+    as a band plus an arrow, against a dense LU of the whole system; the
+    unobserved point's block is its damping alone."""
     problem = _mixed_problem(rng)
     A, g = _arrow_system(problem, rng)
     x = solver._solve_normal(block_normal(A, problem.num_point_cols),
@@ -489,19 +486,19 @@ def _chain_system(rng, n_blocks=40, n_global=2, n_points=12):
 
 
 @pytest.mark.parametrize("n_global", [2, 0])
-def test_band_arrow_solve_matches_dense_solve(rng, monkeypatch, n_global):
-    """Above the dense limit the reduced system is a band in reverse
-    Cuthill-McKee order plus the dense columns as an arrow: the global
-    columns that touch every block form the arrow, the point fill stays in
-    the band, and the step matches a dense LU of the whole system."""
-    monkeypatch.setattr(solver, "_DENSE_LIMIT", 1)
+def test_band_arrow_solve_matches_dense_solve(rng, n_global):
+    """The reduced system is a band in reverse Cuthill-McKee order plus an
+    arrow: the columns coupled to a point and the global columns that
+    touch every block form the arrow, so the point fill stays in it, the
+    uncoupled rest of the chain is a narrow band, and the step matches a
+    dense LU of the whole system."""
     A, g, n_points = _chain_system(rng, n_global=n_global)
     H = block_normal(A, n_points)
-    assert isinstance(H.cc, solver._BandArrow)
-    nc = H.cc.shape[0]
-    assert sorted(H.cc.order[nc - n_global:]) == list(range(nc - n_global, nc))
-    assert H.cc.arrow.shape == (nc, n_global)
-    assert H.cc.band.shape[0] - 1 < 20  # the chain and its point fill
+    nc, nb = H.cc.order.size, H.cc.band.shape[1]
+    arrow = set(np.unique(H.rows)) | set(range(nc - n_global, nc))
+    assert sorted(H.cc.order[nb:]) == sorted(arrow)
+    assert H.cc.arrow.shape == (nc, len(arrow)) and nb == nc - len(arrow) > 0
+    assert H.cc.band.shape[0] - 1 < 20  # the uncoupled chain
     assert np.array_equal(dense_normal(H), A)
     x = solver._solve_normal(H, np.zeros(len(g)), g)
     ref = np.linalg.solve(A, -g)
@@ -509,13 +506,12 @@ def test_band_arrow_solve_matches_dense_solve(rng, monkeypatch, n_global):
 
 
 @pytest.mark.parametrize("where", ["band", "arrow"])
-def test_band_arrow_solve_rejects_indefinite_system(rng, monkeypatch, where):
+def test_band_arrow_solve_rejects_indefinite_system(rng, where):
     """A reduced system that is not positive definite raises LinAlgError,
     whether its band or its arrow's Schur complement fails to factor."""
-    monkeypatch.setattr(solver, "_DENSE_LIMIT", 1)
     A, g, n_points = _chain_system(rng)
-    nc = len(A) - n_points
-    c = 0 if where == "band" else nc - 1
+    order = block_normal(A, n_points).cc.order
+    c = order[0] if where == "band" else order[-1]
     A[c, c] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
         solver._solve_normal(block_normal(A, n_points), np.zeros(len(g)), g)
@@ -626,18 +622,100 @@ def _oracle_problem(rng):
     return problem
 
 
-@pytest.mark.parametrize("dense_limit", [solver._DENSE_LIMIT, 1])
-def test_normal_equations_match_sparse_assembly(rng, monkeypatch, dense_limit):
-    """The blockwise H and g against J^T J and J^T r of the CSR Jacobian,
-    with the reduced system dense and (below a lowered limit) a band plus
-    an arrow."""
-    monkeypatch.setattr(solver, "_DENSE_LIMIT", dense_limit)
+def test_normal_equations_match_sparse_assembly(rng):
+    """The blockwise H and g, the reduced system a band plus an arrow,
+    against J^T J and J^T r of the CSR Jacobian."""
     problem = _oracle_problem(rng)
     problem._layout()
     assert problem.num_point_cols == 9
     h_err, g_err, nnz, csr_nnz = oracle_errors(problem, problem.initial_state())
     assert h_err <= 1e-12 and g_err <= 1e-12
     assert nnz == csr_nnz
+
+
+def _chain_jacobian(rng, chain, seen, n_blocks=30, n_points=8):
+    """A BlockJacobian of random values over ``n_blocks`` 3-column blocks,
+    one global column and ``n_points`` points: a group whose factor i
+    joins the blocks ``chain[i]``, and a group whose factor i joins block
+    ``seen[i][0]``, the global column and point ``seen[i][1]``."""
+    nc = 3 * n_blocks + 1
+    c3 = np.arange(3)
+    joins = np.array([np.r_[3 * a + c3, 3 * b + c3] for a, b in chain])
+    sees = np.array([np.r_[3 * b + c3, nc - 1, nc + 3 * p + c3] for b, p in seen])
+    blocks = [(rng.normal(size=(len(joins), 6, 6)), joins),
+              (rng.normal(size=(len(sees), 2, 7)), sees)]
+    J = solver.BlockJacobian(blocks, (8 * len(joins) + 2 * len(sees), nc + 3 * n_points))
+    return rng.normal(size=J.shape[0]), J
+
+
+def test_normal_equations_plan_is_reused_bit_for_bit(rng):
+    """Calls that share a memo give the numbers of memo-free calls, bit for
+    bit, while a group's columns change between them, as when a clock
+    offset moves a sample across a knot.  The layout is kept while the new
+    columns fit in it and redone for an entry outside the band."""
+    chain = [(b, b + 1) for b in range(29)]
+    seen = [(2 * p + q, p) for p in range(8) for q in range(3)]
+    moved = list(seen)
+    moved[4] = (seen[4][0] + 1, seen[4][1])  # still a block coupled to a point
+    far = chain[:20] + [(20, 28)] + chain[21:]
+
+    def same(a, b):
+        (_, Ha, ga), (_, Hb, gb) = a, b
+        return (np.array_equal(dense_normal(Ha), dense_normal(Hb)) and np.array_equal(ga, gb)
+                and all(np.array_equal(getattr(Ha, f), getattr(Hb, f))
+                        for f in ("ll", "cl", "rows", "pts")))
+
+    memo, layouts = {}, []
+    for c, v in [(chain, seen), (chain, moved), (chain, seen), (far, seen)]:
+        r, J = _chain_jacobian(rng, c, v)
+        assert same(solver._normal_equations(r, J, 24, memo),
+                    solver._normal_equations(r, J, 24))
+        layouts.append(memo["zero"])
+    assert layouts[0] is layouts[1] is layouts[2]
+    assert layouts[3] is not layouts[2]
+    assert layouts[3].band.shape[0] > layouts[2].band.shape[0]
+
+
+def test_band_solve_checks_lapack_info():
+    """A banded factor with a zero on its diagonal is reported, not solved."""
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._band_solve(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((2, 1)), "N")
+
+
+class _SwitchGroup(FactorGroup):
+    """p - x for the point p and the block x: the 3-vector c, or the point
+    q once c[0] passes 1."""
+
+    name = "switch"
+    dim = 3
+
+    def __init__(self, p, q, c):
+        self.p, self.q, self.c = p, q, c
+
+    def build(self, problem, state):
+        x = self.q if problem.block_value(state, self.c)[0] > 1.0 else self.c
+        return None, [Slot(self.p, EUCLIDEAN, 3), Slot(x, EUCLIDEAN, 3)]
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        r = gathered[0] - gathered[1]
+        return (r, {0: np.eye(3)[None], 1: -np.eye(3)[None]}) if jacobians else r
+
+
+def test_linearize_keeps_columns_and_checks_each_new_structure():
+    """A group's block columns are built once while its slots keep their
+    block ids; slots that join two points raise when they first appear."""
+    problem = Problem()
+    p = problem.add_euclidean("p", np.zeros(3), point=True)
+    q = problem.add_euclidean("q", np.ones(3), point=True)
+    c = problem.add_euclidean("c", np.zeros(3))
+    problem.add_group(_SwitchGroup(p, q, c))
+    state = problem.initial_state()
+    cols = problem.linearize(state)[1].blocks[0][1]
+    stepped = problem.retract(state, np.full(problem.free_cols, 0.1))
+    assert problem.linearize(stepped)[1].blocks[0][1] is cols
+    stepped.euc[problem.blocks[c].store] = 2.0
+    with pytest.raises(InvalidArgumentError, match="p.*q|q.*p"):
+        problem.linearize(stepped)
 
 
 def test_solve_linearizes_only_where_another_iteration_follows(monkeypatch):
