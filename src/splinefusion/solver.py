@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import InvalidArgumentError, NumericalFailureError, OutOfDomainError
-from .rotations import so3_exp
+from .rotations import so3_exp, so3_orthonormalize
 
 EUCLIDEAN = "euclidean"
 ROTATION = "rotation"
@@ -331,11 +331,13 @@ class Problem:
         return self.num_cols
 
     def retract(self, state, delta):
-        """Apply a tangent step; clamps bounded euclidean blocks."""
+        """Apply a tangent step; clamps bounded euclidean blocks and
+        re-orthonormalizes rotation blocks, which would otherwise drift off
+        SO(3) by rounding over the iterations."""
         self._layout()
         new = state.copy()
         if self._rot_stores.size:
-            new.rot[self._rot_stores] = (
+            new.rot[self._rot_stores] = so3_orthonormalize(
                 state.rot[self._rot_stores] @ so3_exp(delta[self._rot_cols]))
         new.euc[self._euc_stores] += delta[self._euc_cols]
         b = self._bounded_stores

@@ -7,7 +7,7 @@ from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import solver
 from splinefusion.errors import InvalidArgumentError, NumericalFailureError
-from splinefusion.rotations import hat, so3_exp, so3_log
+from splinefusion.rotations import hat, so3_exp, so3_log, so3_orthonormalize
 from splinefusion.solver import (
     EUCLIDEAN,
     ROTATION,
@@ -368,7 +368,7 @@ def _reference_retract(problem, state, delta):
             continue
         d = delta[meta.col : meta.col + meta.dim]
         if meta.kind == ROTATION:
-            new.rot[meta.store] = new.rot[meta.store] @ so3_exp(d)
+            new.rot[meta.store] = so3_orthonormalize(new.rot[meta.store] @ so3_exp(d))
         else:
             seg = slice(meta.store, meta.store + meta.dim)
             new.euc[seg] = new.euc[seg] + d
@@ -409,6 +409,17 @@ def test_retract_matches_block_by_block_reference(rng):
                           ref.euc[problem._bounded_stores])
 
 
+def test_retract_keeps_rotations_orthonormal(rng):
+    """A thousand steps leave every rotation block within a few ulps of
+    orthonormal; R Exp(delta) alone drifts by about 1e-14 over as many."""
+    problem = _mixed_problem(rng)
+    state = problem.initial_state()
+    for _ in range(1000):
+        state = problem.retract(state, rng.normal(scale=0.3, size=problem.num_cols))
+    dev = np.abs(np.swapaxes(state.rot, -1, -2) @ state.rot - np.eye(3)).max()
+    assert dev <= 4 * np.finfo(float).eps
+
+
 def test_free_points_take_the_last_columns(rng):
     problem = _mixed_problem(rng)
     assert problem.num_point_cols == 9  # p0, p1, p_unobserved; p_fixed has none
@@ -438,15 +449,17 @@ def _arrow_system(problem, rng, damping=1e-4):
     return (H + sp.diags(damping * D)).tocsr(), rng.normal(size=problem.num_cols)
 
 
-def test_schur_solve_matches_dense_solve(rng):
+@pytest.mark.parametrize("lam", [0, 1, 2000])
+def test_schur_solve_matches_dense_solve(rng, lam):
     """Points eliminated by Schur complement, the reduced system factored
     as a band plus an arrow, against a dense LU of the whole system; the
-    unobserved point's block is its damping alone."""
+    unobserved point's block is its damping alone.  ``_solve_normal`` adds
+    ``lam`` times the diagonal, as a damped LM trial does."""
     problem = _mixed_problem(rng)
     A, g = _arrow_system(problem, rng)
-    x = solver._solve_normal(block_normal(A, problem.num_point_cols),
-                             np.zeros(problem.num_cols), g)
-    ref = np.linalg.solve(A.toarray(), -g)
+    d = lam * A.diagonal()
+    x = solver._solve_normal(block_normal(A, problem.num_point_cols), d, g)
+    ref = np.linalg.solve(A.toarray() + np.diag(d), -g)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -622,15 +635,26 @@ def _oracle_problem(rng):
     return problem
 
 
-def test_normal_equations_match_sparse_assembly(rng):
+@pytest.mark.parametrize("lam", [1, 2000])
+def test_normal_equations_match_sparse_assembly(rng, lam):
     """The blockwise H and g, the reduced system a band plus an arrow,
-    against J^T J and J^T r of the CSR Jacobian."""
+    against J^T J and J^T r of the CSR Jacobian; and the step damped by
+    ``lam`` times the diagonal against a dense solve of the CSR system."""
     problem = _oracle_problem(rng)
     problem._layout()
     assert problem.num_point_cols == 9
-    h_err, g_err, nnz, csr_nnz = oracle_errors(problem, problem.initial_state())
+    state = problem.initial_state()
+    h_err, g_err, nnz, csr_nnz = oracle_errors(problem, state)
     assert h_err <= 1e-12 and g_err <= 1e-12
     assert nnz == csr_nnz
+    r, J, _ = problem.linearize(state)
+    _, H, g = solver._normal_equations(r, J, problem.num_point_cols)
+    Jc = assemble_csr(J)
+    H_ref = (Jc.T @ Jc).toarray()
+    d = lam * np.clip(H_ref.diagonal(), 1e-12, None)
+    ref = np.linalg.solve(H_ref + np.diag(d), -(Jc.T @ r))
+    x = solver._solve_normal(H, d, g)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def _chain_jacobian(rng, chain, seen, n_blocks=30, n_points=8):
