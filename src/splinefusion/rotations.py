@@ -169,13 +169,9 @@ def is_rotation(R, tol=1e-6):
 
 
 def so3_orthonormalize(R):
-    """One Newton step of the polar decomposition, ``R (3 I - R^T R) / 2``.
-
-    For matrices within rounding of a rotation this is the nearest rotation
-    to rounding again, so that rotations updated step after step (``R
-    Exp(delta)``) do not drift off SO(3): without it the departure grows
-    with the number of steps.
-    """
+    """The nearest rotation to each of ``R``, to rounding, for matrices
+    within rounding of one: one Newton step of the polar decomposition,
+    ``R (3 I - R^T R) / 2``."""
     R = np.asarray(R, dtype=float)
     return 1.5 * R - 0.5 * R @ (np.swapaxes(R, -1, -2) @ R)
 

@@ -27,7 +27,7 @@ from .dataset import (MeasurementSet, NoiseSpec, SensorRig,
 from .errors import InvalidArgumentError
 from .initialization import fit_spline_to_poses
 from .residuals import GRAVITY
-from .rotations import Pose, so3_exp
+from .rotations import Pose, so3_exp, so3_orthonormalize
 
 PROFILES = ("line", "circle", "lemniscate")
 # the ground truth: order 6, 20 Hz nodes, fitted to 100 Hz profile samples
@@ -145,8 +145,11 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
     ``profile`` is either a profile name ("line", "circle", "lemniscate",
     refined by keyword shape arguments) or a ready :class:`ProfileParams`.
     The grid extends ``margin`` seconds past both ends so that time-offset
-    perturbed sampling stays inside the domain.  Raises if the fit does not
-    reproduce the profile to 1e-4 m RMS.
+    perturbed sampling stays inside the domain.  The fitted rotation nodes,
+    which the LM steps leave a few ulps off SO(3), are projected back onto
+    it, so that the ground truth's own rotations are orthonormal to
+    rounding.  Raises if the fit does not reproduce the profile to 1e-4 m
+    RMS.
     """
     if isinstance(profile, ProfileParams):
         if profile_kwargs:
@@ -168,7 +171,7 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
         )
     return GroundTruth(
         position=fit.position,
-        rotation=fit.rotation,
+        rotation=bs.SplineSO3(fit.rotation.grid, so3_orthonormalize(fit.rotation.nodes)),
         t_start=0.0,
         t_end=float(duration),
         params=params,

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import InvalidArgumentError, NumericalFailureError, OutOfDomainError
-from .rotations import so3_exp, so3_orthonormalize
+from .rotations import so3_exp
 
 EUCLIDEAN = "euclidean"
 ROTATION = "rotation"
@@ -331,13 +331,11 @@ class Problem:
         return self.num_cols
 
     def retract(self, state, delta):
-        """Apply a tangent step; clamps bounded euclidean blocks and
-        re-orthonormalizes rotation blocks, which would otherwise drift off
-        SO(3) by rounding over the iterations."""
+        """Apply a tangent step; clamps bounded euclidean blocks."""
         self._layout()
         new = state.copy()
         if self._rot_stores.size:
-            new.rot[self._rot_stores] = so3_orthonormalize(
+            new.rot[self._rot_stores] = (
                 state.rot[self._rot_stores] @ so3_exp(delta[self._rot_cols]))
         new.euc[self._euc_stores] += delta[self._euc_cols]
         b = self._bounded_stores
@@ -378,12 +376,10 @@ class Problem:
             num, dim = r.shape
             res.append(r.ravel())
             # the columns of the block, built and checked once per slot structure
-            key = (num, [s.dim for s in slots], [s.block_ids.copy() for s in slots])
-            kept = self._columns_memo.get(gi)
-            if not (kept and kept[0][:2] == key[:2]
-                    and all(map(np.array_equal, kept[0][2], key[2]))):
-                kept = self._columns_memo[gi] = (key, *self._columns(group, slots, num))
-            free, cols = kept[1:]
+            key = (num, [(s.dim, s.block_ids.tobytes()) for s in slots])
+            if self._columns_memo.get(gi, (None,))[0] != key:
+                self._columns_memo[gi] = (key, *self._columns(group, slots, num))
+            free, cols = self._columns_memo[gi][1:]
             if num:  # the normal equations take no empty group
                 blocks.append((np.concatenate([np.zeros((num, dim, 0))] + [
                     np.broadcast_to(jacs[si], (num, dim, slots[si].dim))
@@ -489,36 +485,15 @@ class _BandArrow:
     arrow: np.ndarray
 
     def diagonal(self):
-        d = np.empty(self.order.size)
-        d[self.order] = np.concatenate(
-            [self.band[0], np.diagonal(self.arrow[self.band.shape[1]:])])
-        return d
-
-    def scatter(self, sets):
-        """``(tgt, inv)`` for the entries of the products of ``sets``: the
-        distinct places ``tgt`` in the band, then the arrow, that take one,
-        and each entry's int32 index in ``tgt``, ``tgt.size`` if held as its
-        transpose or fixed; None if one falls outside the band."""
-        (w, nb), k = self.band.shape, self.arrow.shape[1]
-        on = (sets[:, :, None] >= 0) & (sets[:, None, :] >= 0)
-        pos = np.argsort(self.order)
-        pi, pj = np.where(on, pos[sets][:, :, None], -1).ravel(), np.broadcast_to(
-            pos[sets][:, None, :], on.shape).ravel()
-        if np.any((pi - pj >= w) & (pi < nb)):
-            return None
-        idx = np.where(pi < 0, -1, np.where(pj >= nb, w * nb + pi * k + pj - nb, np.where(
-            (pi >= pj) & (pi < nb), (pi - pj) * nb + pj, -1)))
-        seen = np.zeros(self.band.size + self.arrow.size + 1, bool)
-        seen[idx] = True  # -1 marks the last
-        rank, tgt = np.cumsum(seen, dtype=np.int32) - 1, np.flatnonzero(seen[:-1])
-        rank[-1] = tgt.size
-        return tgt.astype(np.int32), rank[idx]
+        d = np.r_[self.band[0], np.diagonal(self.arrow[self.band.shape[1]:])]
+        return d[np.argsort(self.order)]
 
 
 def _band_layout(sets, nc, coupled):
     """A :class:`_BandArrow` of read-only zeros for the products of the
-    groups' ``sets``, the columns ``coupled`` to a point in the arrow, so
-    that the point fill lands in the arrow alone."""
+    groups' ``sets``, the columns ``coupled`` to a point in the arrow, where
+    the point fill lands; and per group the distinct places ``tgt`` of its
+    product entries and each entry's int32 index ``inv`` in ``tgt``."""
     on = [(s[:, :, None] >= 0) & (s[:, None, :] >= 0) for s in sets]
     i, j = (np.concatenate([np.zeros(0, int)] + [
         np.broadcast_to(s[:, :, None] if a else s[:, None, :], o.shape)[o]
@@ -535,20 +510,30 @@ def _band_layout(sets, nc, coupled):
     P = P[band][:, band]
     if band.size:
         rcm = reverse_cuthill_mckee(P, symmetric_mode=True)
-        band, P = band[rcm], P[rcm][:, rcm].tocoo()
+        band, P = band[rcm], P[rcm][:, rcm]
+    P = P.tocoo()
     w = int(np.max(P.row - P.col, initial=0))
     order = np.r_[rest[band], np.sort(np.r_[coupled, rest[by_n[:k]]])].astype(int)
-    return _BandArrow(order, np.broadcast_to(0.0, (w + 1, band.size)),
+    zero = _BandArrow(order, np.broadcast_to(0.0, (w + 1, band.size)),
                       np.broadcast_to(0.0, (nc, nc - band.size)))
+    nb, pos, at = band.size, np.argsort(order), []
+    for s, o in zip(sets, on):
+        pi, pj = np.where(o, pos[s][:, :, None], -1), pos[s][:, None, :]
+        idx = np.where(pi < 0, -1, np.where(pj >= nb, zero.band.size + pi * (nc - nb) + pj - nb,
+                                            np.where((pi >= pj) & (pi < nb), (pi - pj) * nb + pj,
+                                                     -1))).ravel()
+        seen = np.zeros(zero.band.size + zero.arrow.size + 1, bool)
+        seen[idx] = True  # -1 marks the last
+        tgt = np.flatnonzero(seen[:-1]).astype(np.int32)  # -1 ranks tgt.size
+        at.append((tgt, (np.cumsum(seen, dtype=np.int32) - 1)[idx]))
+    return zero, at
 
 
 def _set_plan(cols, nc):
-    """One group's sets: its factors that share their non-point columns
-    (stably sorted on a key of those columns, then runs of equal rows),
-    those columns ``sets``, and the place ``dst`` of each factor's rows in
-    the (sets, largest set) stack."""
-    num = cols.shape[0]
-    cam = np.where(cols < nc, cols, -1)
+    """One group's sets, the runs of its factors that share their non-point
+    columns once stably sorted on them: those columns ``sets`` and the place
+    ``dst`` of each factor's rows in the (sets, largest set) stack."""
+    num, cam = len(cols), np.where(cols < nc, cols, -1)
     used = np.flatnonzero((cam >= 0).any(axis=0))
     order = np.argsort(cam[:, used] @ (np.arange(used.size) + 1), kind="stable")
     sets = cam[order][:, used]
@@ -562,9 +547,9 @@ def _set_plan(cols, nc):
 
 def _point_plan(cols, nc, m):
     """Per group with a point, its columns holding one, each factor's pick
-    of its point's three columns and the flat index of each free (factor,
-    column) entry; ``inv`` places those entries in the distinct (row,
-    point) keys, split into the points' own rows and the coupling rows."""
+    of its point's columns and the flat index of each free (factor, column)
+    entry; ``inv`` places those entries in the distinct (row, point) keys:
+    the points' own rows and the coupling rows."""
     groups, keys = [], []
     for c in cols:
         pc = np.flatnonzero((c >= nc).any(axis=0))
@@ -581,62 +566,40 @@ def _point_plan(cols, nc, m):
 
 
 def _plan(J, n_points, memo):
-    """The pattern work of :func:`_normal_equations`, kept in ``memo`` and
-    redone for the groups whose ``cols`` changed: their sets, the point
-    couplings if they hold a point, and their places in the layout, itself
-    redone for an entry outside the band or a new row coupled to a point."""
+    """The pattern work of :func:`_normal_equations`, kept in ``memo`` until
+    a group's ``cols`` change: the groups' sets, point couplings and layout."""
     nc, cols, old = J.shape[1] - n_points, [c for _, c in J.blocks], memo.get("cols")
-    if old is None or len(old) != len(cols):
-        memo.clear()
-        old = [np.zeros((0, 0), int)] * len(cols)
-    changed = [gi for gi, c in enumerate(cols) if not (old[gi] is c or (
-        old[gi].shape == c.shape and np.array_equal(old[gi], c)))]
-    if not changed and memo:
-        return memo
-    sets = memo.setdefault("sets", [None] * len(cols))
-    for gi in changed:
-        sets[gi] = _set_plan(cols[gi], nc)
-    if not memo.get("points") or any((c >= nc).any() for gi in changed for c in (cols[gi], old[gi])):
-        memo["points"] = _point_plan(cols, nc, n_points // 3)
-    coupled, zero = np.unique(memo["points"]["rows"]), memo.get("zero")
-    at = [] if zero is None else [zero.scatter(sets[gi]["sets"]) for gi in changed]
-    if zero is None or np.isin(coupled, zero.order[: zero.band.shape[1]]).any() or any(
-            x is None for x in at):
-        zero = memo["zero"] = _band_layout([s["sets"] for s in sets], nc, coupled)
-        changed, at = range(len(cols)), [zero.scatter(s["sets"]) for s in sets]
-    for gi, x in zip(changed, at):
-        sets[gi]["at"] = x
-    memo["cols"] = cols
+    if old is None or len(old) != len(cols) or not all(map(np.array_equal, old, cols)):
+        memo.clear()  # the old plan goes before the new one is made
+        sets, points = [_set_plan(c, nc) for c in cols], _point_plan(cols, nc, n_points // 3)
+        zero, at = _band_layout([s["sets"] for s in sets], nc, np.unique(points["rows"]))
+        memo.update(cols=cols, sets=sets, points=points, zero=zero, at=at)
     return memo
 
 
 def _normal_equations(r, J, n_points, memo=None):
     """``(r, H, g)``: ``r``, J^T J as a :class:`_Normal` and J^T r from the
-    :class:`BlockJacobian` J whose last ``n_points`` columns are points.
-    The pattern work is :func:`_plan`'s, kept in the dict ``memo`` if one is
-    given.  Per group one gather stacks the factors of each set, one batched
-    M^T M per set goes onto the reduced system by one ``bincount``, and
-    each factor's M^T M_point onto its point's rows."""
+    :class:`BlockJacobian` J whose last ``n_points`` columns are points,
+    after the :func:`_plan` kept in the dict ``memo``, if given.  Per group
+    one gather stacks each set's factors, one batched M^T M per set goes on
+    by one ``bincount``, and each factor's M^T M_point on its point's rows."""
     plan = _plan(J, n_points, {} if memo is None else memo)
-    n, points, zero = J.shape[1], plan["points"], plan["zero"]
-    g, row0, pv = np.zeros(n), 0, [np.zeros((0, 3))]
-    flat = np.zeros(zero.band.size + zero.arrow.size)
-    for (M, cols), s, p in zip(J.blocks, plan["sets"], points["groups"]):
+    n, points, zero, row0, pv = J.shape[1], plan["points"], plan["zero"], 0, [np.zeros((0, 3))]
+    g, flat = np.zeros(n), np.zeros(zero.band.size + zero.arrow.size)
+    for (M, cols), s, (tgt, inv), p in zip(J.blocks, plan["sets"], plan["at"], points["groups"]):
         num, dim, _ = M.shape
         rows = r[row0 : row0 + num * dim].reshape(num, dim)
         row0 += num * dim
         g += np.bincount(cols.ravel() + 1, np.einsum("ndw,nd->nw", M, rows).ravel(),
                          n + 1)[1:]  # fixed columns (-1) fall in bin 0
         (sets, most), u = s["stack"], s["sets"].shape[1]
-        P = np.zeros((sets * most, dim, u))
-        P[s["dst"]] = M[:, :, s["used"]]
-        P = P.reshape(sets, most * dim, u)
-        tgt, inv = s["at"]
+        P = np.zeros((sets, most * dim, u))
+        P.reshape(sets * most, dim, u)[s["dst"]] = M[:, :, s["used"]]
         flat[tgt] += np.bincount(inv, (np.swapaxes(P, 1, 2) @ P).ravel(), tgt.size + 1)[:-1]
         if p is not None:
             pv.append((np.swapaxes(M, 1, 2) @ (M[:, :, p[0]] @ p[1])).reshape(-1, 3)[p[2]])
-    pv, own = np.concatenate(pv), points["own"]
-    pv = np.stack([np.bincount(points["inv"], pv[:, a], points["n"]) for a in range(3)], -1)
+    pv, own = np.concatenate(pv).T, points["own"]
+    pv = np.stack([np.bincount(points["inv"], v, points["n"]) for v in pv], -1)
     ll = np.zeros((n_points // 3, 3, 3))
     ll[points["ll"]] = pv[own]
     cc = _BandArrow(zero.order, flat[: zero.band.size].reshape(zero.band.shape),
@@ -653,8 +616,7 @@ def _solve_normal(H, d, g):
     factored blockwise: B = L_B L_B^T by banded Cholesky, then E - Z^T Z,
     Z = L_B^-1 C, by dense Cholesky.  An S or a point block that is not
     positive definite raises ``np.linalg.LinAlgError``."""
-    A, m = H.cc, len(H.ll)
-    nc, nb = A.order.size, A.band.shape[1]
+    A, m, nc, nb = H.cc, len(H.ll), H.cc.order.size, H.cc.band.shape[1]
     Linv = np.linalg.inv(np.linalg.cholesky(H.ll + d[nc:].reshape(m, 3, 1) * np.eye(3)))
     pos = np.argsort(A.order)
     Y = np.zeros((nc - nb, 3 * m))  # the arrow rows of Y
@@ -670,15 +632,17 @@ def _solve_normal(H, d, g):
     E = A.arrow[nb:] + np.diag(dc[nb:]) - Y @ Y.T - Zc.T @ Zc
     x2 = sla.cho_solve(sla.cho_factor(E, overwrite_a=True, check_finite=False),
                        b[nb:] - Zc.T @ z, check_finite=False)
-    x = np.empty(nc)
-    x[A.order] = np.r_[_band_solve(L, (z - Zc @ x2)[:, None], "T")[:, 0], x2]
+    x = np.r_[_band_solve(L, (z - Zc @ x2)[:, None], "T")[:, 0], x2][pos]
     return np.concatenate(
         [x, np.einsum("nji,nj->ni", Linv, (y - Y.T @ x2).reshape(m, 3)).ravel()])
 
 
 def _band_solve(L, B, trans):
     """L^-1 B (``trans`` "N") or L^-T B ("T") for the lower banded factor
-    L of ``scipy.linalg.cholesky_banded``."""
+    L of ``scipy.linalg.cholesky_banded``; B itself for an empty band, on
+    which ``dtbtrs`` writes out of bounds."""
+    if not L.shape[1]:
+        return B
     X, info = lapack.dtbtrs(L, B, uplo="L", trans=trans)
     if info:
         raise np.linalg.LinAlgError(f"banded triangular solve failed (info {info})")

@@ -74,8 +74,7 @@ def block_normal(A, n_points):
     rows, pts = np.nonzero(A[:nc, nc:].reshape(nc, m, 3).any(axis=2))
     cl = A[:nc, nc:].reshape(nc, m, 3)[rows, pts].reshape(-1, 3)
     pairs = np.argwhere(A[:nc, :nc])  # each entry as the set of its two columns
-    cc = solver._band_layout([pairs], nc, np.unique(rows))
-    tgt, inv = cc.scatter(pairs)
+    cc, [(tgt, inv)] = solver._band_layout([pairs], nc, np.unique(rows))
     flat = np.zeros(cc.band.size + cc.arrow.size + 1)
     flat[np.r_[tgt, -1][inv]] = A[pairs[:, :, None], pairs[:, None, :]].ravel()
     cc = solver._BandArrow(cc.order, flat[: cc.band.size].reshape(cc.band.shape),
