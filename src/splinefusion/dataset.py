@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import reprlib
 import warnings
 from dataclasses import dataclass
 
@@ -72,6 +73,23 @@ def build_section(klass, values, source, name):
     return klass(**values)
 
 
+def _array(value, shape, source, key, kind="float"):
+    """``value`` as a finite array of ``shape`` (``None`` for any length)
+    whose entries are all of ``kind`` (a key of ``_ACCEPTS``), or a DataError
+    naming ``source`` and ``key``.  ``shape`` ``()`` is one value."""
+    arr = np.asarray(value, dtype=object)
+    if (arr.ndim == len(shape)
+            and all(n in (None, m) for n, m in zip(shape, arr.shape))
+            and all(map(_ACCEPTS[kind], arr.flat))):
+        arr = arr.astype(float if kind == "float" else np.int64)
+        if np.all(np.isfinite(arr)):
+            return arr
+    want = " x ".join("n" if n is None else str(n) for n in shape)
+    want = f"{want} finite {kind}s" if shape else f"a finite {kind}"
+    raise DataError(f"{source} key {key!r} must be {want}, got "
+                    f"{reprlib.repr(value)}")
+
+
 def _require(d, keys, where):
     """A DataError naming ``where`` unless the mapping ``d`` has ``keys``."""
     missing = [k for k in keys if k not in d] if isinstance(d, dict) else keys
@@ -115,19 +133,22 @@ class SensorRig:
 
     @classmethod
     def from_dict(cls, d, source):
-        """The rig of ``to_dict``'s mapping ``d``, read from ``source``."""
+        """The rig of ``to_dict``'s mapping ``d``, read from ``source``; a
+        DataError naming ``source`` and the key for a malformed value."""
         _require(d, ("q_cam_imu_wxyz", "p_cam_imu", "p_antenna_body",
                      "t_cam_imu", "t_gps_imu", "camera"), f"{source} section 'rig'")
-        return cls(
-            T_cam_imu=Pose(
-                quat_to_rotation(np.asarray(d["q_cam_imu_wxyz"])),
-                np.asarray(d["p_cam_imu"]),
-            ),
-            p_antenna_body=np.asarray(d["p_antenna_body"]),
-            t_cam_imu=float(d["t_cam_imu"]),
-            t_gps_imu=float(d["t_gps_imu"]),
-            camera=build_section(CameraModel, d["camera"], source, "rig.camera"),
-        )
+        q, p_cam, p_ant, t_cam, t_gps = (
+            _array(d[key], shape, source, f"rig.{key}") for key, shape in (
+                ("q_cam_imu_wxyz", (4,)), ("p_cam_imu", (3,)),
+                ("p_antenna_body", (3,)), ("t_cam_imu", ()),
+                ("t_gps_imu", ())))
+        camera = build_section(CameraModel, d["camera"], source, "rig.camera")
+        try:
+            return cls(T_cam_imu=Pose(quat_to_rotation(q), p_cam),
+                       p_antenna_body=p_ant, t_cam_imu=float(t_cam),
+                       t_gps_imu=float(t_gps), camera=camera)
+        except InvalidArgumentError as e:
+            raise DataError(f"{source} section 'rig': {e}") from None
 
 
 @dataclass(frozen=True)
@@ -356,7 +377,12 @@ def read_dataset(data_dir, require_gps=True):
     _require(scene, ("rig", "noise", "landmark_ids", "landmarks"), scene_path)
     rig = SensorRig.from_dict(scene["rig"], scene_path)
     noise = build_section(NoiseSpec, scene["noise"], scene_path, "noise")
-    lids, points = scene["landmark_ids"], scene["landmarks"]
+    lids = _array(scene["landmark_ids"], (None,), scene_path, "landmark_ids",
+                  "int")
+    points = scene["landmarks"]
+    if not isinstance(points, list):
+        raise DataError(f"{scene_path} key 'landmarks' must be a list, got "
+                        f"{reprlib.repr(points)}")
     if len(lids) != len(points):
         raise DataError(f"{scene_path}: 'landmark_ids' has {len(lids)} "
                         f"entries but 'landmarks' has {len(points)}")
@@ -384,7 +410,8 @@ def read_dataset(data_dir, require_gps=True):
     frames = frames_from_observations(stamps, frame_index,
                                       feats[:, 1].astype(int),
                                       feats[:, 2:4].copy())
-    landmarks = {int(i): np.asarray(p, dtype=float) for i, p in zip(lids, points)}
+    landmarks = {int(i): _array(p, (3,), scene_path, f"landmarks[{n}]")
+                 for n, (i, p) in enumerate(zip(lids, points))}
     meas = MeasurementSet(
         imu_t_ns=imu_t_ns, gyro=imu[:, :3], accel=imu[:, 3:6], gps_t_ns=gps_t_ns,
         gps=gps, frames=frames, landmarks_true=landmarks).validate()

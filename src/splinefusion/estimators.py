@@ -3,10 +3,11 @@
 Both estimators consume a MeasurementSet plus rig/noise metadata, build a
 sparse least-squares problem over their respective state vectors, and run
 the Levenberg-Marquardt solver.  The continuous-time state is a spline
-pair with cubic bias splines, a free gravity vector and the clock offsets;
-the discrete-time state is one pose/velocity/bias tuple per camera frame,
-under the fixed ``GRAVITY``.  Both hold the camera extrinsic and the GPS
-lever arm at the rig's values (``scene.json``): they are not estimated.
+pair with cubic bias splines; the discrete-time state is one
+pose/velocity/bias tuple per camera frame.  Both add the landmarks and the
+clock offsets, so both estimate the same unknowns.  Both hold gravity at
+``GRAVITY``, and the camera extrinsic and the GPS lever arm at the rig's
+values (``scene.json``): they are not estimated.
 
 Time-offset handling: CT samples the spline at the shifted measurement
 time; DT shifts image features along their track velocity (and shifts the
@@ -316,13 +317,14 @@ def _projection_jacobian(camera, p_cam, valid):
 
 
 class CtAccelGroup(_SplineGroup):
-    """Accelerometer residuals R^T (pddot + g) + b_a - a_bar."""
+    """Accelerometer residuals R^T (pddot + g) + b_a - a_bar, with
+    g = ``GRAVITY`` held as in DT's preintegration."""
 
     name = "ct_accel"
     dim = 3
 
-    def __init__(self, grid, bias_grid, pos0, rot0, ba0, grav_id, times,
-                 accel, weight):
+    def __init__(self, grid, bias_grid, pos0, rot0, ba0, times, accel,
+                 weight):
         self.grid = grid
         self.bias_grid = bias_grid
         self.pos0 = pos0
@@ -332,8 +334,7 @@ class CtAccelGroup(_SplineGroup):
         self.ctx, self.u = grid.normalized_times(times)
         bseg, self.bu = bias_grid.normalized_times(times)
         self.slots = (self._pose_slots(self.ctx)
-                      + window_slots(ba0, bseg, 4, EUCLIDEAN)
-                      + [Slot(grav_id, EUCLIDEAN, 3)])
+                      + window_slots(ba0, bseg, 4, EUCLIDEAN))
         self._c2 = bs.window_node_coefficients(grid.order, self.u, 2) * (
             1.0 / grid.dt**2)
         self._cb = bs.window_node_coefficients(4, self.bu, 0)
@@ -342,14 +343,13 @@ class CtAccelGroup(_SplineGroup):
         k, dt = self.grid.order, self.grid.dt
         posw, rotw = self._windows(gathered)
         baw = np.stack(gathered[2 * k : 2 * k + 4], axis=-2)
-        g = gathered[2 * k + 4]
         acc = bs.r3_window_eval(posw, self.u, k, dt, 2)
         if jacobians:
             R, _, JR = bs.so3_window_eval_jacobians(rotw, self.u, k, dt)
         else:
             R = bs.so3_window_eval(rotw, self.u, k)
         ba = bs.r3_window_eval(baw, self.bu, 4, self.bias_grid.dt)
-        f_body = np.einsum("nji,nj->ni", R, acc + g)
+        f_body = np.einsum("nji,nj->ni", R, acc + GRAVITY)
         e = (f_body + ba - self.accel) * self.w
         if not jacobians:
             return e
@@ -359,7 +359,6 @@ class CtAccelGroup(_SplineGroup):
         eye = np.eye(3)
         for s in range(4):
             jacs[2 * k + s] = self.w * self._cb[:, s, None, None] * eye[None]
-        jacs[2 * k + 4] = Rt
         return e, jacs
 
 
@@ -413,8 +412,8 @@ class CtBiasRateGroup(R3FitGroup):
 class _GpsModel:
     """The GPS residual p_bar - (p + R l) in the sampled pose, for CT and DT,
     with offset t_gps_imu.  The lever arm l, the antenna in the body frame,
-    is the rig's (``scene.json``), held like the camera extrinsic and unlike
-    CT's free gravity block, so the family has no slots of its own."""
+    is the rig's (``scene.json``), held like the camera extrinsic, so the
+    family has no slots of its own."""
 
     dim = 3
     own = ()
@@ -746,12 +745,9 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         bg_ids = [problem.add_euclidean(f"bg{i}", init.bias_gyro.nodes[i])
                   for i in range(bias_grid.count)]
         ba0, bg0 = ba_ids[0], bg_ids[0]
-        grav_id = problem.add_euclidean("grav", init.gravity)
         problem.meta.update(
             bias_accel=(ba_ids, partial(bs.SplineR3, bias_grid)),
-            bias_gyro=(bg_ids, partial(bs.SplineR3, bias_grid)),
-            gravity=([grav_id], lambda v: v[0]),
-        )
+            bias_gyro=(bg_ids, partial(bs.SplineR3, bias_grid)))
 
     lm_blocks, tcam_id, tgps_id = _add_shared_blocks(
         problem, init, cfg, fix_landmarks)
@@ -765,8 +761,8 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         counts["reprojection"] = obs.pixels.shape[0]
     if cfg.use_imu:
         problem.add_group(
-            CtAccelGroup(grid, bias_grid, pos0, rot0, ba0, grav_id, imu_t,
-                         meas.accel, 1.0 / _sigma(noise.accel_sigma))
+            CtAccelGroup(grid, bias_grid, pos0, rot0, ba0, imu_t, meas.accel,
+                         1.0 / _sigma(noise.accel_sigma))
         )
         problem.add_group(
             CtGyroGroup(grid, bias_grid, rot0, bg0, imu_t, meas.gyro,
@@ -938,7 +934,7 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
     zeros = np.zeros((bias_grid.count, 3))
     return CtState(
         position=fit.position, rotation=fit.rotation, landmarks=landmarks,
-        t_cam_imu=0.0, t_gps_imu=0.0, gravity=GRAVITY.copy(),
+        t_cam_imu=0.0, t_gps_imu=0.0,
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
     ), fit.report

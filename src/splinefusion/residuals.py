@@ -3,14 +3,16 @@
 Each residual model has one implementation: the factor kernel in
 :mod:`splinefusion.estimators` that the solver runs.
 
-The states hold what is estimated.  The camera extrinsic and the GPS lever
-arm are not: the factor groups read them from the rig (``scene.json``).
+The states hold what is estimated, the same unknowns in CT and DT: the
+trajectory, the IMU biases, the landmarks and the two clock offsets.  The
+camera extrinsic and the GPS lever arm are not estimated: the factor groups
+read them from the rig (``scene.json``).  Nor is gravity: both hold it at
+``GRAVITY``, since with GPS the world frame is the GPS frame, in which
+gravity is known.
 
 Conventions: body spline poses map body to world, ``t_imu = t_cam +
 t_cam_imu``, ``t_imu = t_gps + t_gps_imu``, and the accelerometer model is
-``a_bar = R^T (pddot + g) + b_a`` with gravity ``g`` a world vector
-(nominally (0, 0, -9.81)); CT estimates ``g`` as a free block, DT holds
-``GRAVITY``.
+``a_bar = R^T (pddot + g) + b_a`` with ``g = GRAVITY`` a world vector.
 """
 
 from __future__ import annotations
@@ -27,19 +29,18 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 @dataclass
 class CtState:
-    """Continuous-time state: the spline trajectory and the other unknowns."""
+    """Continuous-time state: the spline trajectory, cubic bias splines, the
+    landmarks and the clock offsets.  Gravity is ``GRAVITY``, as in DT."""
 
     position: SplineR3  # body position in world
     rotation: SplineSO3  # body orientation in world
     landmarks: dict  # id -> (3,) world
     t_cam_imu: float
     t_gps_imu: float
-    gravity: np.ndarray  # free in the CT problem
     bias_accel: SplineR3  # cubic (order 4)
     bias_gyro: SplineR3
 
     def __post_init__(self):
-        self.gravity = np.asarray(self.gravity, dtype=float)
         for b in (self.bias_accel, self.bias_gyro):
             if b.grid.order != 4:
                 raise InvalidArgumentError("bias splines must be cubic (order 4)")

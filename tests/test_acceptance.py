@@ -30,6 +30,14 @@ def ate_p(gt, result):
     return float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
 
 
+def ate_r(gt, result):
+    """RMS rotation error angle (deg) at the estimate's stamps."""
+    R_gt = gt.rotation.sample_many(result.t_ns * 1e-9)
+    rel = np.swapaxes(R_gt, -1, -2) @ result.rotations
+    angles = np.linalg.norm(so3_log(rel, validate=False), axis=-1)
+    return float(np.degrees(np.sqrt(np.mean(angles**2))))
+
+
 # ---------------------------------------------------------------------------
 # shared estimator scenarios
 
@@ -186,7 +194,7 @@ def test_generative_consistency_all_residual_families():
     zeros = np.zeros((bias_grid.count, 3))
     ct = CtState(position=gt.position, rotation=gt.rotation,
                  landmarks={int(k): v for k, v in meas.landmarks_true.items()},
-                 t_cam_imu=0.0, t_gps_imu=0.0, gravity=GRAVITY.copy(),
+                 t_cam_imu=0.0, t_gps_imu=0.0,
                  bias_accel=bs.SplineR3(bias_grid, zeros),
                  bias_gyro=bs.SplineR3(bias_grid, zeros.copy()))
     problem = est.build_ct_problem(meas, ct, est.CtConfig(), noise, rig)
@@ -279,11 +287,14 @@ def test_ct_beats_dt_on_aggressive_unsynchronized_data(offset_grid_runs,
     dt_err = abs(dt.t_cam_imu * 1e3 - 10.0)
     ct_ate = ate_p(gt_ct, ct)
     dt_ate = ate_p(gt_dt, dt)
+    ct_rot, dt_rot = ate_r(gt_ct, ct), ate_r(gt_dt, dt)
     assert dt_err > ct_err
     assert dt_ate > ct_ate
+    assert dt_rot > ct_rot
     print(f"\nCT vs DT ordering: PASS — offset error CT {ct_err:.3f} ms < "
           f"DT {dt_err:.3f} ms; ATE CT {ct_ate * 1e3:.1f} mm < "
-          f"DT {dt_ate * 1e3:.1f} mm")
+          f"DT {dt_ate * 1e3:.1f} mm; ATE-R CT {ct_rot:.3f} deg < "
+          f"DT {dt_rot:.3f} deg")
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +306,21 @@ def test_ct_beats_dt_at_other_scene_seeds(scene_seed):
     """CT and DT on the 7.5 s aggressive motion with every stream (map,
     pixel, IMU and GPS noise) drawn from the scene seed: both converge with
     ATE-P below the 0.1 m GPS noise and no clock offset on its bound, and
-    CT is the more accurate."""
+    CT is the more accurate in position and in rotation."""
     gt, rig, noise, meas = aggressive_dataset(10.0, duration=7.5,
                                               seed=scene_seed)
-    ates = {}
+    ates, rots = {}, {}
     for mode, cfg in (("ct", est.CtConfig()), ("dt", est.DtConfig())):
         out = est.run(meas, rig, noise, cfg, mode=mode, seed=0)
-        ates[mode] = ate_p(gt, out)
+        ates[mode], rots[mode] = ate_p(gt, out), ate_r(gt, out)
         assert out.report.termination == "converged", mode
         assert out.report.at_bound == [], mode
         assert ates[mode] < noise.gps_sigma, mode
     assert ates["ct"] < ates["dt"]
+    assert rots["ct"] < rots["dt"]
     print(f"\nscene seed {scene_seed}: PASS — ATE CT {ates['ct'] * 1e3:.1f} mm "
           f"< DT {ates['dt'] * 1e3:.1f} mm < {noise.gps_sigma * 1e3:.0f} mm, "
+          f"ATE-R CT {rots['ct']:.3f} deg < DT {rots['dt']:.3f} deg, "
           f"both converged, no offset on its bound")
 
 

@@ -316,8 +316,28 @@ def test_rig_validation(rng):
      r"missing keys in \S+scene\.json section 'rig.camera': \['fx'\]$"),
     (lambda s: s["landmarks"].pop(),
      r"scene\.json: 'landmark_ids' has 2 entries but 'landmarks' has 1$"),
+    (lambda s: s["rig"].update(p_antenna_body=[0.1, 0.2]),
+     r"scene\.json key 'rig\.p_antenna_body' must be 3 finite floats, "
+     r"got \[0\.1, 0\.2\]$"),
+    (lambda s: s["rig"].update(t_cam_imu="abc"),
+     r"scene\.json key 'rig\.t_cam_imu' must be a finite float, got 'abc'$"),
+    (lambda s: s["rig"]["q_cam_imu_wxyz"].pop(),
+     r"scene\.json key 'rig\.q_cam_imu_wxyz' must be 4 finite floats, got "),
+    (lambda s: s["rig"].update(p_cam_imu="x"),
+     r"scene\.json key 'rig\.p_cam_imu' must be 3 finite floats, got 'x'$"),
+    (lambda s: s["rig"].update(t_gps_imu=1.5),
+     r"scene\.json section 'rig': time offsets must be below 1 s$"),
+    (lambda s: s["landmarks"][0].pop(),
+     r"scene\.json key 'landmarks\[0\]' must be 3 finite floats, "
+     r"got \[1\.0, 2\.0\]$"),
+    (lambda s: s["landmark_ids"].__setitem__(0, "a"),
+     r"scene\.json key 'landmark_ids' must be n finite ints, got \['a', 2\]$"),
+    (lambda s: s.update(landmarks=5),
+     r"scene\.json key 'landmarks' must be a list, got 5$"),
 ], ids=["no_rig", "extra_noise_key", "noise_type", "no_camera_fx",
-        "landmark_count"])
+        "landmark_count", "lever_arm_length", "t_cam_type", "quat_length",
+        "p_cam_type", "offset_range", "landmark_length", "landmark_id_type",
+        "landmarks_type"])
 def test_malformed_scene_rejected(tmp_path, rng, edit, match):
     write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec())
     path = tmp_path / "scene.json"

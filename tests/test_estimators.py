@@ -23,7 +23,7 @@ from splinefusion.errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from splinefusion.residuals import GRAVITY, CtState, DtState
+from splinefusion.residuals import CtState, DtState
 from splinefusion.rotations import so3_exp
 from splinefusion.solver import FactorGroup, Problem
 
@@ -41,7 +41,6 @@ def true_ct_state(gt, rig, landmarks):
         rotation=bs.SplineSO3(gt.rotation.grid, gt.rotation.nodes.copy()),
         landmarks={int(k): v.copy() for k, v in landmarks.items()},
         t_cam_imu=rig.t_cam_imu, t_gps_imu=rig.t_gps_imu,
-        gravity=GRAVITY.copy(),
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
     )
@@ -183,8 +182,7 @@ def test_ct_domain_check(tiny_noiseless):
             short_grid, np.stack([np.eye(3)] * short_grid.count)
         ),
         landmarks=state0.landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
-        gravity=GRAVITY, bias_accel=state0.bias_accel,
-        bias_gyro=state0.bias_gyro,
+        bias_accel=state0.bias_accel, bias_gyro=state0.bias_gyro,
     )
     with pytest.raises(InvalidArgumentError, match="does not cover"):
         est.build_ct_problem(meas, bad, est.CtConfig(), noise, rig)
@@ -726,7 +724,6 @@ def test_initialize_ct_contract(tiny_noiseless):
     assert fit_report.termination in ("converged", "max_iter")
     assert init.t_cam_imu == 0.0
     assert init.t_gps_imu == 0.0
-    assert np.allclose(init.gravity, GRAVITY)
     assert init.bias_accel.grid.order == 4
     # PnP + spline fit lands close to the true trajectory at frame times
     stamps = meas.frame_t_ns * 1e-9
@@ -747,6 +744,32 @@ def test_initialize_dt_contract(tiny_noiseless):
     assert init.t_ns.size == len(meas.frames)
     assert init.t_cam_imu == 0.0 and init.t_gps_imu == 0.0
     assert np.allclose(init.bias_accel, 0.0)
+
+
+def test_ct_and_dt_estimate_the_same_unknowns(tiny_noiseless):
+    """Beside their trajectory and bias fields, CT and DT estimate the same
+    blocks, the landmarks and the two clock offsets; both hold gravity."""
+    gt, rig, noise, result = tiny_noiseless
+    meas = result.measurements
+    motion = {"position", "rotation", "positions", "rotations", "velocities",
+              "bias_accel", "bias_gyro"}
+    others, names = [], []
+    for initialize, build, cfg in (
+            (est.initialize_ct, est.build_ct_problem, est.CtConfig()),
+            (est.initialize_dt, est.build_dt_problem, est.DtConfig())):
+        init, _ = initialize(meas, rig, cfg, seed=0)
+        problem = build(meas, init, cfg, noise, rig)
+        # every block is read back into a state field
+        assert sorted(b for ids, _ in problem.meta.values() for b in ids) == \
+            list(range(len(problem.blocks)))
+        fields = problem.meta.keys() - motion
+        others.append({problem.blocks[b].name
+                       for f in fields for b in problem.meta[f][0]})
+        names.append({blk.name for blk in problem.blocks})
+    assert others[0] == others[1]
+    assert {"t_cam", "t_gps"} < others[0]
+    assert len(others[0]) == 2 + len(meas.landmarks_true)
+    assert "grav" not in names[0]
 
 
 def test_extract_roundtrip_ct(tiny_noiseless):

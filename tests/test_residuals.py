@@ -19,7 +19,6 @@ def make_ct_state(gt, rig, landmarks):
         position=gt.position, rotation=gt.rotation,
         landmarks={int(k): v for k, v in landmarks.items()},
         t_cam_imu=rig.t_cam_imu, t_gps_imu=rig.t_gps_imu,
-        gravity=res.GRAVITY.copy(),
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
     )
@@ -129,7 +128,6 @@ def test_ct_state_requires_cubic_bias(tiny_noiseless):
         res.CtState(
             position=state.position, rotation=state.rotation,
             landmarks=state.landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
-            gravity=res.GRAVITY,
             bias_accel=bs.SplineR3(bad_grid, np.zeros((bad_grid.count, 3))),
             bias_gyro=state.bias_gyro,
         )
