@@ -27,7 +27,7 @@ print(f"{len(meas.frames)} frames, {meas.imu_t_ns.size} IMU samples, "
 
 out = est.run(meas, rig, noise, est.CtConfig(), mode="ct")
 
-stamps = out.t_ns * 1e-9
+stamps = meas.seconds(out.t_ns)
 err = out.positions - gt.position.sample_many(stamps)
 ate = np.sqrt(np.mean(np.sum(err**2, axis=1)))
 print(f"converged in {out.report.iterations} iterations")

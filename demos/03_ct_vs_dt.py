@@ -25,7 +25,7 @@ meas = sim.synthesize(gt, rig, noise, num_landmarks=500).measurements
 
 for mode, cfg in (("ct", est.CtConfig()), ("dt", est.DtConfig())):
     out = est.run(meas, rig, noise, cfg, mode=mode)
-    err = out.positions - gt.position.sample_many(out.t_ns * 1e-9)
+    err = out.positions - gt.position.sample_many(meas.seconds(out.t_ns))
     ate = np.sqrt(np.mean(np.sum(err**2, axis=1)))
     print(f"{mode}: offset {out.t_cam_imu * 1e3:6.3f} ms (true 10), "
           f"ATE {ate * 1e3:6.1f} mm, {out.report.iterations} iterations")

@@ -24,7 +24,8 @@ import numpy as np
 from . import estimators as est
 from . import metrics as met
 from .config import RunConfig, load_config, save_config
-from .dataset import read_dataset, read_pose_csv, write_dataset, write_pose_csv
+from .dataset import (read_dataset, read_pose_csv, seconds_since,
+                      write_dataset, write_pose_csv)
 from .errors import DataError, NumericalFailureError, SplineFusionError
 from .initialization import fit_spline_to_poses
 from .simulate import ProfileParams, default_rig, make_ground_truth, synthesize
@@ -121,11 +122,11 @@ def cmd_simulate(args):
 
 def cmd_fit(args):
     t_ns, pos, rot = read_pose_csv(args.poses)
-    times = t_ns * 1e-9
-    fit = fit_spline_to_poses(times, pos, rot, args.order, args.node_hz)
+    fit = fit_spline_to_poses(seconds_since(t_ns, t_ns[0]), pos, rot,
+                              args.order, args.node_hz)
     os.makedirs(args.out, exist_ok=True)
     save_spline_pair(os.path.join(args.out, "spline.json"),
-                     fit.position, fit.rotation)
+                     fit.position, fit.rotation, t_ns[0])
     _write_json(os.path.join(args.out, "fit_report.json"), {
         "iterations": fit.report.iterations,
         "converged": bool(fit.report.converged),

@@ -8,10 +8,10 @@ Directory layout written by the simulator and consumed by the estimators:
     gt.csv        t_ns,x,y,z,qw,qx,qy,qz        (IMU clock, body pose in world)
     scene.json    landmarks, rig, noise, seed, profile metadata
 
-Timestamps are integer nanoseconds in every file.  The estimators convert
-them to absolute float seconds, ``t_ns * 1e-9``, with no origin subtracted,
-so epoch-scale stamps keep only about 2.4e-7 s of resolution (the open
-time-origin defect F2 in ROADMAP.md).
+Timestamps are integer nanoseconds in every file; only this module turns
+them into float seconds, since an integer origin subtracted exactly in int64
+(:func:`seconds_since`).  The estimators' origin is the first IMU stamp, else
+the first frame's or GPS fix's (:meth:`MeasurementSet.seconds`).
 
 ``MeasurementSet.observations()`` is the one flat table of the camera
 observations: frame index, landmark id and pixel, frame by frame.
@@ -235,9 +235,19 @@ class MeasurementSet:
     def frame_t_ns(self):
         return np.array([f.t_ns for f in self.frames], dtype=np.int64)
 
+    def seconds(self, t_ns):
+        """``t_ns`` in seconds since the first IMU (else frame, else GPS) stamp."""
+        return seconds_since(t_ns, next(t[0] for t in (
+            self.imu_t_ns, self.frame_t_ns, self.gps_t_ns, [0]) if len(t)))
+
     def time_span_ns(self):
         ts = [t for t in (self.imu_t_ns, self.gps_t_ns, self.frame_t_ns) if t.size]
         return min(int(t[0]) for t in ts), max(int(t[-1]) for t in ts)
+
+
+def seconds_since(t_ns, origin_ns):
+    """Seconds from ``origin_ns`` to ``t_ns``, differenced in int64: exact."""
+    return (np.asarray(t_ns, dtype=np.int64) - np.int64(origin_ns)) * 1e-9
 
 
 def frames_from_observations(t_ns, frame_index, landmark_ids, pixels):
@@ -313,10 +323,16 @@ def write_pose_csv(path, t_ns, positions, rotations):
 
 def read_pose_csv(path):
     """Read ``t_ns,x,y,z,qw,qx,qy,qz`` rows; returns (t_ns (N,) int64,
-    positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows."""
+    positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows
+    or with stamps that do not strictly increase."""
     t_ns, rows = _read_csv(path, 8)
     if t_ns.size == 0:
         raise DataError(f"{path}: no pose rows")
+    back = np.flatnonzero(np.diff(t_ns) <= 0)
+    if back.size:
+        i = back[0] + 1  # the first row out of order; rows start on line 2
+        raise DataError(f"{path}:{i + 2}: stamp {t_ns[i]} is not after the "
+                        f"previous row's {t_ns[i - 1]}")
     return t_ns, rows[:, :3], quat_to_rotation(rows[:, 3:7])
 
 

@@ -50,6 +50,16 @@ from .solver import (
 )
 
 
+def _require_finite(cfg, name, positive):
+    """An InvalidArgumentError naming ``name`` unless that field of ``cfg``
+    is finite and > 0 (``positive``) or >= 0."""
+    value = getattr(cfg, name)
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise InvalidArgumentError(
+            f"{name} must be finite and {'>' if positive else '>='} 0, "
+            f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Settings shared by the continuous- and discrete-time estimators."""
@@ -66,6 +76,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if sum((self.use_cam, self.use_imu, self.use_gps)) < 2:
             raise InvalidArgumentError("need at least two sensor modalities")
+        if self.max_iter < 1:
+            raise InvalidArgumentError(
+                f"max_iter must be >= 1, got {self.max_iter!r}")
+        _require_finite(self, "offset_bound", positive=True)
+        _require_finite(self, "landmark_sigma", positive=False)
 
 
 @dataclass(frozen=True)
@@ -87,6 +102,8 @@ class CtConfig(EstimatorConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _require_finite(self, "node_hz", positive=True)
+        _require_finite(self, "bias_node_hz", positive=True)
         if self.use_imu and self.spline_order < 4:
             raise InvalidArgumentError(
                 "IMU factors need spline order >= 4 for C2 continuity"
@@ -137,7 +154,7 @@ def flatten_observations(meas: MeasurementSet):
     (decoupled from the offset).
     """
     fidx, lids, pixels = meas.observations()
-    stamps = meas.frame_t_ns[fidx] * 1e-9
+    stamps = meas.seconds(meas.frame_t_ns[fidx])
     # rows of each track, in frame order, and the pairs of consecutive ones
     order = np.argsort(lids, kind="stable")
     track = lids[order]
@@ -633,27 +650,27 @@ def _check_domain(grid, lo, hi, margin, what):
         )
 
 
-def _check_imu_gaps(imu_t):
-    """Reject an IMU stream (seconds) with fewer than two samples or with a
-    spacing above 10x its median spacing."""
-    if imu_t.size < 2:
+def _check_imu_gaps(meas: MeasurementSet):
+    """Reject an IMU stream with fewer than two samples or with a spacing
+    above 10x its median spacing; the gap is named by its stamps in ns."""
+    t_ns = meas.imu_t_ns
+    if t_ns.size < 2:
         raise DataError("IMU stream has fewer than two samples")
-    d = np.diff(imu_t)
+    d = np.diff(meas.seconds(t_ns))
     med = float(np.median(d))
     worst = int(np.argmax(d))
     if d[worst] > 10.0 * med:
         raise DataError(
-            f"IMU gap of {d[worst]:.4f} s between t={imu_t[worst]:.4f} s and "
-            f"t={imu_t[worst + 1]:.4f} s (median spacing {med:.4f} s)"
+            f"IMU gap of {d[worst]:.4f} s between t_ns={t_ns[worst]} and "
+            f"t_ns={t_ns[worst + 1]} (median spacing {med:.4f} s)"
         )
 
 
 def _stream_times(meas: MeasurementSet, cfg: EstimatorConfig):
     """IMU and GPS stamps in seconds; the IMU is checked for gaps if used."""
-    imu_t = meas.imu_t_ns * 1e-9
     if cfg.use_imu:
-        _check_imu_gaps(imu_t)
-    return imu_t, meas.gps_t_ns * 1e-9
+        _check_imu_gaps(meas)
+    return meas.seconds(meas.imu_t_ns), meas.seconds(meas.gps_t_ns)
 
 
 def _scalar(values):
@@ -716,7 +733,7 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
     if init.rotation.grid != grid:
         raise InvalidArgumentError("position and rotation grids must match")
     imu_t, gps_t = _stream_times(meas, cfg)
-    streams = [t for t, used in ((meas.frame_t_ns * 1e-9, cfg.use_cam),
+    streams = [t for t, used in ((meas.seconds(meas.frame_t_ns), cfg.use_cam),
                                  (imu_t, cfg.use_imu), (gps_t, cfg.use_gps))
                if used and t.size]
     if not streams:
@@ -795,7 +812,7 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
     K = init.t_ns.size
     if K < 2:
         raise InvalidArgumentError("need at least two pose states")
-    pose_times = init.times
+    pose_times = meas.seconds(init.t_ns)
     imu_t, gps_t = _stream_times(meas, cfg)
     if cfg.use_imu:
         slack = _edge_margin(cfg)
@@ -893,7 +910,7 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
     fails numerically, takes the pose of the nearest frame with a PnP pose;
     of two equally near frames, the earlier one.
     """
-    stamps = meas.frame_t_ns * 1e-9
+    stamps = meas.seconds(meas.frame_t_ns)
     K = len(meas.frames)
     positions = np.full((K, 3), np.nan)
     rotations = np.zeros((K, 3, 3))
@@ -926,8 +943,8 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
                                      np.random.default_rng(seed))
     stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
-    lo, hi = meas.time_span_ns()
-    t_lo, t_hi = lo * 1e-9 - _edge_margin(cfg), hi * 1e-9 + _edge_margin(cfg)
+    lo, hi = meas.seconds(meas.time_span_ns())
+    t_lo, t_hi = lo - _edge_margin(cfg), hi + _edge_margin(cfg)
     fit = fit_spline_to_poses(stamps, pos, rot, cfg.spline_order, cfg.node_hz,
                               t_start=t_lo, t_end=t_hi)
     bias_grid = bs.grid_covering(t_lo, t_hi, 1.0 / cfg.bias_node_hz, 4)
@@ -957,6 +974,9 @@ def initialize_dt(meas: MeasurementSet, rig: SensorRig, cfg: DtConfig, seed=0):
 
 @dataclass
 class RunResult:
+    """A run's estimate.  A CT ``state``'s splines run on seconds since
+    ``meas``'s origin: sample them at ``meas.seconds(t_ns)``."""
+
     mode: str
     state: object  # final CtState or DtState
     report: object  # SolveReport
@@ -984,7 +1004,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     if mode not in ("ct", "dt"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     if cfg.use_imu:
-        _check_imu_gaps(meas.imu_t_ns * 1e-9)
+        _check_imu_gaps(meas)
     stages, reports = {}, {}
     initialize = initialize_ct if mode == "ct" else initialize_dt
     build = build_ct_problem if mode == "ct" else build_dt_problem
@@ -1021,7 +1041,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     stages["solve"] = time.perf_counter() - t3
     final = extract_state(problem, state, init)
     if mode == "ct":
-        stamps = meas.frame_t_ns * 1e-9
+        stamps = meas.seconds(meas.frame_t_ns)
         positions = final.position.sample_many(stamps)
         rotations = final.rotation.sample_many(stamps)
     else:

@@ -281,6 +281,9 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
         raise InvalidArgumentError(
             f"need at least order={order} poses, got {len(times)}"
         )
+    if not (np.isfinite(node_hz) and node_hz > 0):
+        raise InvalidArgumentError(
+            f"node rate must be finite and > 0 Hz, got {node_hz!r}")
     dt = 1.0 / node_hz
     if times[-1] - times[0] < order * dt * 0.5:
         raise InvalidArgumentError("pose span too short for the requested grid")

@@ -146,6 +146,13 @@ def write_metrics_json(path, pairs: AlignedPairs):
         f.write("\n")
 
 
+def _seconds_text(t_ns):
+    """The stamp ``t_ns`` as exact decimal seconds, ``-0.010000000`` for
+    -10 ms: its integer seconds and nanoseconds, no float between."""
+    whole, frac = divmod(abs(t_ns), 1_000_000_000)
+    return f"{'-' if t_ns < 0 else ''}{whole}.{frac:09d}"
+
+
 def write_traj_xy_csv(path, pairs: AlignedPairs):
     """Plot-ready XY view: one row (t, est_x, est_y, gt_x, gt_y) per pair."""
     with open(path, "w", newline="") as f:
@@ -153,7 +160,7 @@ def write_traj_xy_csv(path, pairs: AlignedPairs):
         w.writerow(["t", "est_x", "est_y", "gt_x", "gt_y"])
         for k in range(len(pairs)):
             w.writerow([
-                f"{pairs.t_ns[k] * 1e-9:.9f}",
+                _seconds_text(int(pairs.t_ns[k])),
                 f"{pairs.est_p[k, 0]:.9f}", f"{pairs.est_p[k, 1]:.9f}",
                 f"{pairs.gt_p[k, 0]:.9f}", f"{pairs.gt_p[k, 1]:.9f}",
             ])

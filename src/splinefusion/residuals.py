@@ -30,7 +30,9 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 @dataclass
 class CtState:
     """Continuous-time state: the spline trajectory, cubic bias splines, the
-    landmarks and the clock offsets.  Gravity is ``GRAVITY``, as in DT."""
+    landmarks and the clock offsets.  Gravity is ``GRAVITY``, as in DT.  The
+    splines run on seconds since the origin of the measurements ``meas``:
+    sample them at stamps ``t_ns`` with ``sample_many(meas.seconds(t_ns))``."""
 
     position: SplineR3  # body position in world
     rotation: SplineSO3  # body orientation in world
@@ -50,7 +52,7 @@ class CtState:
 class DtState:
     """Discrete-time state: one pose/velocity/bias per camera frame."""
 
-    t_ns: np.ndarray  # (K,) pose timestamps, IMU clock
+    t_ns: np.ndarray  # (K,) pose stamps, IMU clock; seconds: meas.seconds(t_ns)
     positions: np.ndarray  # (K, 3)
     rotations: np.ndarray  # (K, 3, 3)
     velocities: np.ndarray  # (K, 3)
@@ -71,7 +73,3 @@ class DtState:
                 raise InvalidArgumentError(f"{name} length != number of poses")
         if k > 1 and np.any(np.diff(self.t_ns) <= 0):
             raise InvalidArgumentError("pose timestamps must strictly increase")
-
-    @property
-    def times(self):
-        return self.t_ns * 1e-9

@@ -314,3 +314,81 @@ def test_estimate_warns_for_each_block_on_its_bound(small_dataset, tmp_path,
                 if line.startswith("warning:")]
     assert len(warnings) == 2
     assert "t_cam" in warnings[0] and "t_gps" in warnings[1]
+
+
+def test_out_of_range_settings_are_errors(small_dataset, tmp_path, capsys):
+    """An out-of-range estimator setting in a config, or a node rate of
+    ``fit`` that is not finite and positive, exits 2 naming the setting
+    instead of a traceback, a misleading message or a run of 0 steps."""
+    cfg = tmp_path / "bad.yaml"
+    for text, key in (("ct: {node_hz: 0.0}", "node_hz"),
+                      ("ct: {bias_node_hz: 0.0}", "bias_node_hz"),
+                      ("ct: {node_hz: .nan}", "node_hz"),
+                      ("ct: {landmark_sigma: -1.0}", "landmark_sigma"),
+                      ("ct: {offset_bound: -0.05}", "offset_bound"),
+                      ("ct: {max_iter: 0}", "max_iter")):
+        cfg.write_text(text + "\n")
+        rc = cli.main(["estimate-ct", "--config", str(cfg),
+                       "--data", str(small_dataset),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2, text
+        assert key in capsys.readouterr().err, text
+    for rate in ("0", "nan", "inf"):
+        rc = cli.main(["fit", "--poses", str(small_dataset / "gt.csv"),
+                       "--node-hz", rate, "--out", str(tmp_path / "fit")])
+        assert rc == 2, rate
+        assert "node rate" in capsys.readouterr().err, rate
+
+
+def test_out_of_order_poses_are_data_errors(small_dataset, tmp_path, capsys):
+    """A pose file with two rows swapped or a stamp repeated is a data error
+    (exit 2) naming the file and line, for ``fit`` and for ``evaluate``."""
+    gt = small_dataset / "gt.csv"
+    lines = gt.read_text().splitlines()
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
+    repeated = lines[:4] + [lines[3]] + lines[5:]
+    for name, body in (("swapped.csv", swapped), ("repeated.csv", repeated)):
+        path = tmp_path / name
+        path.write_text("\n".join(body) + "\n")
+        for argv in (["fit", "--poses", str(path)],
+                     ["evaluate", "--est", str(path), "--gt", str(gt)]):
+            rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+            assert rc == 2, (name, argv[0])
+            assert f"{name}:5: stamp" in capsys.readouterr().err
+
+
+SHIFT_NS = 1_700_000_000 * 1_000_000_000
+
+
+def test_outputs_do_not_depend_on_the_epoch(small_dataset, tmp_path):
+    """With every stamp of the dataset moved by 1.7e18 ns, a whole number of
+    seconds, ``estimate-dt`` writes the same poses, offsets and ATE, and
+    ``fit`` the same nodes; only the stamps move, by exactly the shift."""
+    shifted = tmp_path / "shifted"
+    shutil.copytree(small_dataset, shifted)
+    for name in ("imu.csv", "gps.csv", "features.csv", "gt.csv"):
+        header, *rows = (shifted / name).read_text().splitlines()
+        rows = [f"{int(t) + SHIFT_NS},{rest}"
+                for t, rest in (row.split(",", 1) for row in rows)]
+        (shifted / name).write_text("\n".join([header] + rows) + "\n")
+    outs = []
+    for k, data in enumerate((small_dataset, shifted)):
+        out = tmp_path / f"out{k}"
+        assert cli.main(["estimate-dt", "--data", str(data),
+                         "--out", str(out)]) == 0
+        assert cli.main(["fit", "--poses", str(data / "gt.csv"), "--order",
+                         "5", "--out", str(out)]) == 0
+        outs.append(out)
+    rows0, rows1 = ([row.split(",", 1) for row in
+                     (out / "estimate.csv").read_text().splitlines()[1:]]
+                    for out in outs)
+    assert [pose for _, pose in rows1] == [pose for _, pose in rows0]
+    assert [int(t) for t, _ in rows1] == [int(t) + SHIFT_NS for t, _ in rows0]
+    report0, report1 = (json.loads((out / "report.json").read_text())
+                        for out in outs)
+    for key in ("t_cam_imu_ms", "t_gps_imu_ms", "ate_p_m", "ate_r_deg"):
+        assert report1[key] == report0[key], key
+    spline0, spline1 = (json.loads((out / "spline.json").read_text())
+                        for out in outs)
+    assert spline1.pop("t0_ns") == spline0.pop("t0_ns") + SHIFT_NS
+    assert spline1 == spline0

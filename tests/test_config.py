@@ -79,6 +79,19 @@ def test_validation_errors():
         SimulateConfig(duration=2.0)
     with pytest.raises(InvalidArgumentError):
         SensorFlags(camera=True, imu=False, gps=False)
+    # out-of-range estimator settings are named, not left to fail later
+    nan, inf = float("nan"), float("inf")
+    for klass, key, value in (
+            (CtConfig, "node_hz", 0.0), (CtConfig, "node_hz", nan),
+            (CtConfig, "node_hz", inf), (CtConfig, "node_hz", -10.0),
+            (CtConfig, "bias_node_hz", 0.0), (CtConfig, "bias_node_hz", nan),
+            (CtConfig, "landmark_sigma", -1.0), (DtConfig, "landmark_sigma", nan),
+            (CtConfig, "offset_bound", -0.05), (DtConfig, "offset_bound", 0.0),
+            (DtConfig, "offset_bound", inf), (CtConfig, "max_iter", 0),
+            (DtConfig, "max_iter", -1)):
+        with pytest.raises(InvalidArgumentError, match=key):
+            klass(**{key: value})
+    assert CtConfig(landmark_sigma=0.0).landmark_sigma == 0.0
 
 
 def test_yaml_roundtrip(tmp_path):

@@ -111,6 +111,24 @@ def test_epoch_stamps_round_trip_exactly(tmp_path, rng):
     assert np.array_equal(pos, gt[1])
 
 
+def test_pose_stamps_must_strictly_increase(tmp_path, rng):
+    """A pose CSV with two rows swapped or a stamp repeated is a DataError
+    naming the file and the line of the first row out of order; a dataset's
+    gt.csv is read the same way."""
+    t = np.arange(5, dtype=np.int64) * 100_000_000
+    pos = rng.normal(size=(5, 3))
+    R = np.stack([random_rotation(rng) for _ in range(5)])
+    path = tmp_path / "poses.csv"
+    for order, line in (([0, 1, 3, 2, 4], 5), ([0, 1, 1, 3, 4], 4)):
+        write_pose_csv(path, t[order], pos, R)
+        with pytest.raises(DataError, match=rf"poses\.csv:{line}: stamp"):
+            read_pose_csv(path)
+    write_dataset(tmp_path / "data", make_meas(), make_rig(rng), NoiseSpec(),
+                  gt=(t[[0, 1, 1, 3, 4]], pos, R))
+    with pytest.raises(DataError, match=r"gt\.csv:4: stamp"):
+        read_dataset(tmp_path / "data")
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError):
         read_dataset(tmp_path)

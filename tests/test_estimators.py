@@ -80,14 +80,14 @@ def test_flatten_observations(tiny_noiseless):
         assert np.allclose(obs.velocities[a], dv, atol=1e-9)
 
 
-def reference_flatten_observations(meas):
+def reference_flatten_observations(meas, origin_ns):
     """The per-observation loop ``flatten_observations`` replaced: one row
-    per observation, frame by frame, and each track's velocities from its
-    rows in a dict.  Returns (stamps, frame_index, landmark_ids, pixels,
-    velocities)."""
+    per observation, frame by frame, with stamps in seconds since
+    ``origin_ns``, and each track's velocities from its rows in a dict.
+    Returns (stamps, frame_index, landmark_ids, pixels, velocities)."""
     stamps, fidx, lids, pixels = [], [], [], []
     for k, fr in enumerate(meas.frames):
-        t = fr.t_ns * 1e-9
+        t = (fr.t_ns - origin_ns) * 1e-9
         for lid, px in zip(fr.landmark_ids, fr.pixels):
             stamps.append(t)
             fidx.append(k)
@@ -129,14 +129,18 @@ def _handcrafted_meas():
 def test_flatten_observations_matches_per_observation_loop(which,
                                                            tiny_noiseless):
     """Every field equals, bit for bit and in dtype, the one of the
-    per-observation loop."""
+    per-observation loop.  The stamps count from the first IMU stamp, 0 in
+    the simulator, or else from the first frame, the handcrafted data's at
+    1 s."""
     meas = (tiny_noiseless[3].measurements if which == "tiny"
             else _handcrafted_meas())
+    origin = 0 if which == "tiny" else 1_000_000_000
     obs = est.flatten_observations(meas)
     got = (obs.stamps, obs.frame_index, obs.landmark_ids, obs.pixels,
            obs.velocities)
     for name, x, y in zip(("stamps", "frame_index", "landmark_ids", "pixels",
-                           "velocities"), got, reference_flatten_observations(meas)):
+                           "velocities"), got,
+                          reference_flatten_observations(meas, origin)):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     if which == "handcrafted":
         assert not obs.velocities[obs.landmark_ids == 9].any()
@@ -636,8 +640,7 @@ def test_run_rejects_imu_gap_before_initialization(zero_offset_sim, monkeypatch)
 
 
 def _first_frames(meas, n):
-    return types.SimpleNamespace(frames=meas.frames[:n],
-                                 frame_t_ns=meas.frame_t_ns[:n])
+    return dataclasses.replace(meas, frames=meas.frames[:n])
 
 
 def test_initial_frame_poses_skips_degenerate_frames(tiny_noiseless,
@@ -842,6 +845,42 @@ def test_camera_free_run_solves_once(mode, imu_gps_sim, monkeypatch):
     assert out.report.termination == "converged"
     err = out.positions - gt.position.sample_many(out.t_ns * 1e-9)
     assert np.sqrt(np.mean(np.sum(err**2, axis=1))) < noise.gps_sigma
+
+
+EPOCH_NS = 1_700_000_000 * 1_000_000_000  # a whole number of seconds
+
+
+@pytest.fixture(scope="module")
+def short_sim():
+    """The 5 s dataset of ``_REPRO_DATA`` below: rig, noise, measurements."""
+    gt = wobbly_ground_truth(duration=5.0)
+    rig = sim.default_rig(t_cam_imu=0.010)
+    noise = NoiseSpec(cam_hz=10, imu_hz=200, gps_hz=7, seed=3, gps_sigma=0.1)
+    return rig, noise, sim.synthesize(gt, rig, noise,
+                                      num_landmarks=80).measurements
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_estimates_do_not_depend_on_the_epoch(mode, short_sim):
+    """Every IMU, GPS and frame stamp moved by 1.7e18 ns leaves the estimate
+    bit for bit as it was: the estimators count seconds from the first IMU
+    stamp, subtracted exactly.  Positions, rotations, both offsets, the cost
+    history and the termination are the unshifted run's."""
+    rig, noise, meas = short_sim
+    shifted = dataclasses.replace(
+        meas, imu_t_ns=meas.imu_t_ns + EPOCH_NS,
+        gps_t_ns=meas.gps_t_ns + EPOCH_NS,
+        frames=[dataclasses.replace(f, t_ns=f.t_ns + EPOCH_NS)
+                for f in meas.frames])
+    cfg = est.CtConfig() if mode == "ct" else est.DtConfig()
+    a, b = (est.run(m, rig, noise, cfg, mode=mode, seed=0)
+            for m in (meas, shifted))
+    assert np.array_equal(b.t_ns, a.t_ns + EPOCH_NS)
+    assert np.array_equal(b.positions, a.positions)
+    assert np.array_equal(b.rotations, a.rotations)
+    assert (b.t_cam_imu, b.t_gps_imu) == (a.t_cam_imu, a.t_gps_imu)
+    assert b.report.cost_history == a.report.cost_history
+    assert b.report.termination == a.report.termination
 
 
 # A small DT and CT estimate in a fresh interpreter: the 5 s dataset, then

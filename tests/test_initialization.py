@@ -1,4 +1,4 @@
-import types
+import dataclasses
 
 import numpy as np
 import pytest
@@ -235,8 +235,8 @@ def test_pnp_without_a_finite_step_is_a_numerical_failure(rng, monkeypatch,
         ini.pnp_dlt(cam, pts_world, px + rng.normal(scale=0.5, size=px.shape))
 
     _, rig, _, result = tiny_noiseless
-    meas = types.SimpleNamespace(frames=result.measurements.frames[:3],
-                                 frame_t_ns=result.measurements.frame_t_ns[:3])
+    meas = dataclasses.replace(result.measurements,
+                               frames=result.measurements.frames[:3])
     landmarks = {int(k): v for k, v in result.measurements.landmarks_true.items()}
     calls = []
 

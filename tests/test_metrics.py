@@ -127,6 +127,8 @@ def test_empty_pairs_raise():
 
 def test_metric_files(tmp_path, rng):
     t, p, R = make_pairs(rng, 5)
+    # an epoch-scale stamp and the simulator's first frame, at -10 ms
+    t[:2] = 1_700_000_000_123_456_789, -10_000_000
     pairs = met.AlignedPairs(t, p + 0.1, R, p, R)
     met.write_metrics_json(tmp_path / "metrics.json", pairs)
     with open(tmp_path / "metrics.json") as f:
@@ -140,5 +142,7 @@ def test_metric_files(tmp_path, rng):
         rows = list(csv.reader(f))
     assert rows[0] == ["t", "est_x", "est_y", "gt_x", "gt_y"]
     assert len(rows) == 6
+    assert [r[0] for r in rows[1:4]] == [
+        "1700000000.123456789", "-0.010000000", "0.200000000"]
     assert np.isclose(float(rows[1][1]), p[0, 0] + 0.1)
     assert np.isclose(float(rows[1][3]), p[0, 0])
