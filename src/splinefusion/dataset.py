@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .errors import DataError, InvalidArgumentError
+from .errors import DataError, InvalidArgumentError, require_finite
 from .rotations import Pose, is_rotation, quat_to_rotation, rotation_to_quat
 
 # the values a field of each type accepts (YAML and JSON give bool, int,
@@ -49,8 +49,9 @@ _ACCEPTS = {
 def build_section(klass, values, source, name):
     """``klass(**values)`` for the section ``name`` of ``source`` (a config
     or a file), or a DataError naming both when ``values`` is no mapping,
-    names a field ``klass`` lacks, misses one without a default or gives a
-    value not of its field's type.  ``None`` is an empty section."""
+    names a field ``klass`` lacks, misses one without a default, gives a
+    value not of its field's type or one ``klass`` rejects.  ``None`` is an
+    empty section."""
     values = {} if values is None else values
     if not isinstance(values, dict):
         raise DataError(
@@ -70,7 +71,10 @@ def build_section(klass, values, source, name):
             raise DataError(
                 f"{source} key {key!r} in section {name!r} must be "
                 f"{types[key]}, got {value!r}")
-    return klass(**values)
+    try:
+        return klass(**values)
+    except InvalidArgumentError as e:
+        raise DataError(f"{source} section {name!r}: {e}") from None
 
 
 def _array(value, shape, source, key, kind="float"):
@@ -172,14 +176,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sigmas = (
-            self.pixel_sigma, self.accel_sigma, self.gyro_sigma,
-            self.accel_bias_rw, self.gyro_bias_rw, self.gps_sigma,
-        )
-        if any(s < 0 for s in sigmas):
-            raise InvalidArgumentError("noise sigmas must be >= 0")
-        if min(self.cam_hz, self.imu_hz, self.gps_hz) <= 0:
-            raise InvalidArgumentError("sensor rates must be > 0")
+        for name in ("pixel_sigma", "accel_sigma", "gyro_sigma",
+                     "accel_bias_rw", "gyro_bias_rw", "gps_sigma"):
+            require_finite(name, getattr(self, name), positive=False)
+        for name in ("cam_hz", "imu_hz", "gps_hz"):
+            require_finite(name, getattr(self, name), positive=True)
         if self.imu_hz < self.cam_hz:
             raise InvalidArgumentError("imu rate must be >= camera rate")
 

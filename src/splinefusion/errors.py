@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import math
+
 
 class SplineFusionError(Exception):
     """Base class for all toolkit errors."""
@@ -34,3 +36,12 @@ class DegenerateConfigurationError(SplineFusionError):
 
 class NumericalFailureError(SplineFusionError):
     """The solver could not make progress at any damping level."""
+
+
+def require_finite(name, value, positive=None):
+    """An InvalidArgumentError naming ``name`` unless ``value`` is finite
+    and, with ``positive`` True, > 0 (False: >= 0)."""
+    if not math.isfinite(value) or (
+            positive is not None and not (value > 0 if positive else value >= 0)):
+        bound = "" if positive is None else f" and {'>' if positive else '>='} 0"
+        raise InvalidArgumentError(f"{name} must be finite{bound}, got {value!r}")

@@ -33,7 +33,8 @@ from . import preintegration as pre
 from .camera import project_many
 from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import (DataError, DegenerateConfigurationError,
-                     InvalidArgumentError, NumericalFailureError)
+                     InvalidArgumentError, NumericalFailureError,
+                     require_finite)
 from .initialization import (R3FitGroup, cut_windows, fit_spline_to_poses,
                              pnp_dlt, window_slots)
 from .residuals import GRAVITY, CtState, DtState
@@ -48,16 +49,6 @@ from .solver import (
     SolveOptions,
     solve,
 )
-
-
-def _require_finite(cfg, name, positive):
-    """An InvalidArgumentError naming ``name`` unless that field of ``cfg``
-    is finite and > 0 (``positive``) or >= 0."""
-    value = getattr(cfg, name)
-    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise InvalidArgumentError(
-            f"{name} must be finite and {'>' if positive else '>='} 0, "
-            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +70,8 @@ class EstimatorConfig:
         if self.max_iter < 1:
             raise InvalidArgumentError(
                 f"max_iter must be >= 1, got {self.max_iter!r}")
-        _require_finite(self, "offset_bound", positive=True)
-        _require_finite(self, "landmark_sigma", positive=False)
+        require_finite("offset_bound", self.offset_bound, positive=True)
+        require_finite("landmark_sigma", self.landmark_sigma, positive=False)
 
 
 @dataclass(frozen=True)
@@ -102,8 +93,8 @@ class CtConfig(EstimatorConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _require_finite(self, "node_hz", positive=True)
-        _require_finite(self, "bias_node_hz", positive=True)
+        require_finite("node_hz", self.node_hz, positive=True)
+        require_finite("bias_node_hz", self.bias_node_hz, positive=True)
         if self.use_imu and self.spline_order < 4:
             raise InvalidArgumentError(
                 "IMU factors need spline order >= 4 for C2 continuity"

@@ -9,7 +9,8 @@ import scipy.linalg as sla
 
 from . import bsplines as bs
 from .errors import DegenerateConfigurationError, InvalidArgumentError
-from .rotations import Pose, hat, so3_exp, so3_log, slerp_many
+from .rotations import (Pose, hat, slerp_many, so3_exp, so3_log,
+                        so3_right_jacobian_inv)
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -226,7 +227,11 @@ class R3FitGroup(FactorGroup):
 
 
 class SO3FitGroup(FactorGroup):
-    """Rotation-spline fitting residuals ``Log(R(u)^T R_bar)``."""
+    """Rotation-spline fitting residuals ``w e`` with ``e = Log(R(u)^T
+    R_bar)``.  Its Jacobians are exact: R(u) <- R(u) Exp(JR_s delta_s)
+    under node s's right perturbation (:func:`bs.so3_window_eval_jacobians`)
+    moves ``e`` by ``-J_r^-1(-e) JR_s delta_s``, so slot s gets
+    ``-w J_r^-1(-e) JR_s``."""
 
     name = "so3_fit"
     dim = 3
@@ -242,11 +247,15 @@ class SO3FitGroup(FactorGroup):
 
     def kernel(self, ctx, gathered, jacobians=False):
         windows = np.stack(gathered, axis=-3)
-        R = bs.so3_window_eval(windows, self.u, self.grid.order)
-        r = self.weight * so3_log(
-            np.swapaxes(R, -1, -2) @ self.targets, validate=False
-        )
-        return (r, {}) if jacobians else r
+        if not jacobians:
+            R = bs.so3_window_eval(windows, self.u, self.grid.order)
+            return self.weight * so3_log(
+                np.swapaxes(R, -1, -2) @ self.targets, validate=False)
+        R, _, JR = bs.so3_window_eval_jacobians(windows, self.u, self.grid.order,
+                                                self.grid.dt)
+        e = so3_log(np.swapaxes(R, -1, -2) @ self.targets, validate=False)
+        E = -self.weight * so3_right_jacobian_inv(-e)
+        return self.weight * e, {s: E @ JR[:, s] for s in range(self.grid.order)}
 
     def jumps(self, problem, state, ctx):
         """Factors whose window is cut (:func:`cut_windows`)."""

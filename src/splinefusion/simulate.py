@@ -24,7 +24,7 @@ from . import bsplines as bs
 from .camera import CameraModel, in_image, project_many
 from .dataset import (MeasurementSet, NoiseSpec, SensorRig,
                       frames_from_observations)
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_finite
 from .initialization import fit_spline_to_poses
 from .residuals import GRAVITY
 from .rotations import Pose, so3_exp, so3_orthonormalize
@@ -64,10 +64,12 @@ class ProfileParams:
             raise InvalidArgumentError(
                 f"unknown profile {self.kind!r}, expected one of {PROFILES}"
             )
-        if self.radius <= 0 or self.rate <= 0:
-            raise InvalidArgumentError("radius and rate must be positive")
-        if self.static_prefix < 0:
-            raise InvalidArgumentError("static_prefix must be non-negative")
+        for name in ("radius", "rate"):
+            require_finite(name, getattr(self, name), positive=True)
+        for name in ("height", "height_rate", "wobble_roll", "wobble_pitch",
+                     "wobble_rate"):
+            require_finite(name, getattr(self, name))
+        require_finite("static_prefix", self.static_prefix, positive=False)
 
 
 def _warp(t, params):
@@ -144,8 +146,8 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
 
     ``profile`` is either a profile name ("line", "circle", "lemniscate",
     refined by keyword shape arguments) or a ready :class:`ProfileParams`.
-    The grid extends ``margin`` seconds past both ends so that time-offset
-    perturbed sampling stays inside the domain.  The fitted rotation nodes,
+    The grid extends ``margin`` (finite, >= 0) seconds past both ends so
+    that time-offset perturbed sampling stays inside the domain.  The fitted rotation nodes,
     which the LM steps leave a few ulps off SO(3), are projected back onto
     it, so that the ground truth's own rotations are orthonormal to
     rounding.  Raises if the fit does not reproduce the profile to 1e-4 m
@@ -159,6 +161,8 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
         params = profile
     else:
         params = ProfileParams(kind=profile, **profile_kwargs)
+    require_finite("duration", duration)
+    require_finite("margin", margin, positive=False)
     if duration < 5.0:
         raise InvalidArgumentError("duration must be at least 5 s")
     ts = np.arange(-margin, duration + margin + 1.0 / SAMPLE_HZ, 1.0 / SAMPLE_HZ)

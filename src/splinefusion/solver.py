@@ -111,12 +111,12 @@ class FactorGroup:
     exact Jacobians it has, slot index -> (num, dim, tdim).  A slot missing
     from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
     are also the test oracle of the exact ones.  Every family is exact in
-    every slot except the discrete-time preintegration group and the
-    rotation-spline fit; the continuous-time families that sample the pose
-    state their derivatives in the sampled pose and get the ones in the
-    spline nodes from ``estimators._SplineGroup``.  A family whose residuals jump (the SO(3) spline
-    families, at a control pair near angle pi) names the factors on a jump
-    through :meth:`jumps`; nothing else looks for them.
+    every slot except the discrete-time preintegration group; the
+    continuous-time families that sample the pose state their derivatives
+    in the sampled pose and get the ones in the spline nodes from
+    ``estimators._SplineGroup``.  A family whose residuals jump (the SO(3)
+    spline families, at a control pair near angle pi) names the factors on
+    a jump through :meth:`jumps`; nothing else looks for them.
     """
 
     name = "group"

@@ -77,12 +77,22 @@ def test_malformed_config_is_data_error(tmp_path, capsys):
                  "simulate: {duration: x}\n", "ct: {spline_order: x}\n",
                  "noise: {pixel_sigma: x}\n", 'sensors: {camera: "no"}\n',
                  "ct: {node_hz: abc}\n", "bogus: 1\n",
-                 "ct: {margin: 0.1}\n"):
+                 "ct: {margin: 0.1}\n", "noise: {cam_hz: .nan}\n",
+                 "noise: {gps_sigma: .inf}\n"):
         cfg.write_text(text)
         rc = cli.main(["simulate", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 2, text
         assert "data error" in capsys.readouterr().err
+
+
+def test_non_finite_profile_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("simulate: {radius: .nan}\n")
+    rc = cli.main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "radius must be finite" in capsys.readouterr().err
 
 
 def test_imu_gap_reported(small_dataset, tmp_path, capsys):

@@ -309,6 +309,12 @@ def test_noise_spec_validation():
         NoiseSpec(imu_hz=0.0)
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(cam_hz=300.0, imu_hz=200.0)
+    # non-finite sigmas and rates are named, not left to fail later
+    for key in ("pixel_sigma", "accel_sigma", "gyro_sigma", "accel_bias_rw",
+                "gyro_bias_rw", "gps_sigma", "cam_hz", "imu_hz", "gps_hz"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError, match=key):
+                NoiseSpec(**{key: value})
 
 
 def test_rig_validation(rng):
@@ -328,6 +334,8 @@ def test_rig_validation(rng):
     (lambda s: s.pop("rig"), r"scene\.json: missing keys \['rig'\]$"),
     (lambda s: s["noise"].update(bogus=1.0),
      r"unknown keys in \S+scene\.json section 'noise': \['bogus'\]$"),
+    (lambda s: s["noise"].update(cam_hz=float("nan")),
+     r"scene\.json section 'noise': cam_hz must be finite and > 0, got nan$"),
     (lambda s: s["noise"].update(gps_sigma="x"),
      r"scene\.json key 'gps_sigma' in section 'noise' must be float, got 'x'$"),
     (lambda s: s["rig"]["camera"].pop("fx"),
@@ -352,7 +360,7 @@ def test_rig_validation(rng):
      r"scene\.json key 'landmark_ids' must be n finite ints, got \['a', 2\]$"),
     (lambda s: s.update(landmarks=5),
      r"scene\.json key 'landmarks' must be a list, got 5$"),
-], ids=["no_rig", "extra_noise_key", "noise_type", "no_camera_fx",
+], ids=["no_rig", "extra_noise_key", "noise_nan", "noise_type", "no_camera_fx",
         "landmark_count", "lever_arm_length", "t_cam_type", "quat_length",
         "p_cam_type", "offset_range", "landmark_length", "landmark_id_type",
         "landmarks_type"])

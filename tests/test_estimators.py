@@ -192,14 +192,17 @@ def test_ct_domain_check(tiny_noiseless):
         est.build_ct_problem(meas, bad, est.CtConfig(), noise, rig)
 
 
-def _jacobian_check(problem, state, rtol=5e-4):
+def _jacobian_check(problem, state, rtol=5e-4, every_slot=False):
     """The exact Jacobians a kernel returns agree with finite differences
-    slot by slot."""
+    slot by slot; with ``every_slot`` each kernel must return all of its
+    slots."""
     problem._layout()
     for group in problem.groups:
         ctx, slots = group.build(problem, state)
         gathered = [problem.gather(state, s) for s in slots]
         r, exact = group.kernel(ctx, gathered, jacobians=True)
+        if every_slot:
+            assert sorted(exact) == list(range(len(slots))), group.name
         for si, J in exact.items():
             fd = group._fd_slot(ctx, gathered, si, slots[si])
             scale = max(np.abs(fd).max(), 1.0)
@@ -261,7 +264,7 @@ def spline_fit_problem():
 def test_spline_fit_exact_jacobians_match_fd(spline_fit_problem):
     problem, state = spline_fit_problem
     assert {g.name for g in problem.groups} == {"r3_fit", "so3_fit"}
-    _jacobian_check(problem, state)
+    _jacobian_check(problem, state, every_slot=True)
 
 
 @pytest.mark.parametrize("fixture", ["perturbed_ct", "perturbed_dt",

@@ -215,6 +215,29 @@ def test_pnp_builds_no_problem(rng, monkeypatch):
     assert np.linalg.norm(T.p - p_wc) < 0.1
 
 
+def test_spline_fits_make_no_finite_differences(tiny_noiseless, monkeypatch):
+    """The ground truth's fit and the CT start's fit linearize with exact
+    Jacobians only: no finite-difference slot, and both fits do solve."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences in a spline fit")
+
+    fits = []
+    fit = ini.fit_spline_to_poses
+
+    def counting_fit(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(FactorGroup, "_fd_slot", forbidden)
+    monkeypatch.setattr(sim, "fit_spline_to_poses", counting_fit)
+    monkeypatch.setattr(est, "fit_spline_to_poses", counting_fit)
+    _, rig, _, result = tiny_noiseless
+    sim.make_ground_truth("circle", duration=5.0)
+    est.initialize_ct(result.measurements, rig, est.CtConfig())
+    assert len(fits) == 2
+    assert all(f.report.iterations > 0 for f in fits)
+
+
 def test_pnp_without_a_finite_step_is_a_numerical_failure(rng, monkeypatch,
                                                           tiny_noiseless):
     """No damped system of the refinement gives a finite step (its

@@ -98,6 +98,21 @@ def test_profile_validation():
         sim.make_ground_truth("circle", duration=2.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_shape_rejected(value):
+    """Every shape value, the duration and the margin must be finite; the
+    error names the field."""
+    for key in ("radius", "rate", "height", "height_rate", "wobble_roll",
+                "wobble_pitch", "wobble_rate", "static_prefix"):
+        with pytest.raises(InvalidArgumentError, match=key):
+            sim.ProfileParams(**{key: value})
+        with pytest.raises(InvalidArgumentError, match=key):
+            sim.make_ground_truth("circle", duration=5.0, **{key: value})
+    for key in ("duration", "margin"):
+        with pytest.raises(InvalidArgumentError, match=key):
+            sim.make_ground_truth("circle", **{"duration": 5.0, key: value})
+
+
 def test_determinism():
     gt = sim.make_ground_truth("circle", duration=5.0)
     rig = sim.default_rig()
