@@ -28,7 +28,7 @@ from .dataset import (read_dataset, read_pose_csv, seconds_since,
                       write_dataset, write_pose_csv)
 from .errors import DataError, NumericalFailureError, SplineFusionError
 from .initialization import fit_spline_to_poses
-from .simulate import ProfileParams, default_rig, make_ground_truth, synthesize
+from .simulate import default_rig, make_ground_truth, synthesize
 from .solver import DISCONTINUOUS, STALLED
 from .bsplines import save_spline_pair
 
@@ -48,13 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _simulate_dataset(cfg: RunConfig):
     sim = cfg.simulate
-    params = ProfileParams(
-        kind=sim.profile, radius=sim.radius, rate=sim.rate, height=sim.height,
-        height_rate=sim.height_rate, wobble_roll=sim.wobble_roll,
-        wobble_pitch=sim.wobble_pitch, wobble_rate=sim.wobble_rate,
-        static_prefix=sim.static_prefix,
-    )
-    gt = make_ground_truth(params, duration=sim.duration)
+    gt = make_ground_truth(sim.profile_params(), duration=sim.duration)
     rig = default_rig(t_cam_imu=sim.t_cam_imu_ms * 1e-3,
                       t_gps_imu=sim.t_gps_imu_ms * 1e-3)
     noise = dataclasses.replace(cfg.noise, seed=cfg.seed)
@@ -277,7 +271,7 @@ def build_parser():
     sp = sub.add_parser("evaluate", help="ATE metrics for an estimate CSV")
     sp.add_argument("--est", required=True, help="estimate.csv path")
     sp.add_argument("--gt", required=True, help="ground-truth CSV path")
-    sp.add_argument("--align", default="none", choices=("none", "se3", "sim3"))
+    sp.add_argument("--align", default="none", choices=met.ALIGN_MODES)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_evaluate)
 

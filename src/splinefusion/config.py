@@ -17,7 +17,8 @@ import yaml
 from .dataset import NoiseSpec, build_section
 from .errors import DataError, InvalidArgumentError
 from .estimators import CtConfig, DtConfig
-from .simulate import PROFILES
+from .metrics import ALIGN_MODES
+from .simulate import ProfileParams
 
 # CtConfig/DtConfig fields that RunConfig takes from ``sensors`` instead
 _SENSOR_SWITCHES = ("use_cam", "use_imu", "use_gps")
@@ -43,12 +44,15 @@ class SimulateConfig:
     t_gps_imu_ms: float = 0.0  # injected true GPS-IMU offset
 
     def __post_init__(self):
-        if self.profile not in PROFILES:
-            raise InvalidArgumentError(
-                f"unknown profile {self.profile!r}; choose from {PROFILES}"
-            )
-        if self.duration < 5.0:
-            raise InvalidArgumentError("duration must be >= 5 s")
+        self.profile_params()
+        if not self.duration >= 5.0:
+            raise InvalidArgumentError(f"duration must be >= 5 s, got {self.duration}")
+
+    def profile_params(self):
+        """The trajectory shape as :class:`ProfileParams`, which checks it."""
+        return ProfileParams(kind=self.profile, **{
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(ProfileParams) if f.name != "kind"})
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class RunConfig:
     estimator (CT or DT)."""
 
     seed: int = 0
-    align: str = "none"  # evaluation alignment: none | se3 | sim3
+    align: str = "none"  # evaluation alignment: none | pos_yaw | sim3
     sensors: SensorFlags = field(default_factory=SensorFlags)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -76,7 +80,7 @@ class RunConfig:
     dt: DtConfig = field(default_factory=DtConfig)
 
     def __post_init__(self):
-        if self.align not in ("none", "se3", "sim3"):
+        if self.align not in ALIGN_MODES:
             raise InvalidArgumentError(f"unknown align mode {self.align!r}")
         # estimator_config takes the switches from ``sensors``, so a switch
         # set in ``ct``/``dt`` would be ignored

@@ -7,7 +7,8 @@ pair with cubic bias splines; the discrete-time state is one
 pose/velocity/bias tuple per camera frame.  Both add the landmarks and the
 clock offsets, so both estimate the same unknowns.  Both hold gravity at
 ``GRAVITY``, and the camera extrinsic and the GPS lever arm at the rig's
-values (``scene.json``): they are not estimated.
+values (``scene.json``): they are not estimated.  No trajectory block is
+held, so without GPS yaw and translation are a free gauge.
 
 Time-offset handling: CT samples the spline at the shifted measurement
 time; DT shifts image features along their track velocity (and shifts the
@@ -733,12 +734,9 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
                   _edge_margin(cfg), "trajectory spline")
 
     problem = Problem()
-    fix_gauge = not cfg.use_gps
-    pos_ids = [problem.add_euclidean(f"pos{i}", init.position.nodes[i],
-                                     fixed=fix_gauge and i == 0)
+    pos_ids = [problem.add_euclidean(f"pos{i}", init.position.nodes[i])
                for i in range(grid.count)]
-    rot_ids = [problem.add_rotation(f"rot{i}", init.rotation.nodes[i],
-                                    fixed=fix_gauge and i == 0)
+    rot_ids = [problem.add_rotation(f"rot{i}", init.rotation.nodes[i])
                for i in range(grid.count)]
     pos0, rot0 = pos_ids[0], rot_ids[0]
     problem.meta.update(position=(pos_ids, partial(bs.SplineR3, grid)),
@@ -811,19 +809,18 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
             raise DataError("IMU does not cover the pose span")
 
     problem = Problem()
-    fix_gauge = not cfg.use_gps
-    # (block name prefix, state field, adder, first block fixed for gauge)
-    table = [("p", "positions", problem.add_euclidean, fix_gauge),
-             ("R", "rotations", problem.add_rotation, fix_gauge)]
+    # (block name prefix, state field, adder); no block is held, as in CT
+    table = [("p", "positions", problem.add_euclidean),
+             ("R", "rotations", problem.add_rotation)]
     if cfg.use_imu:
-        table += [("v", "velocities", problem.add_euclidean, False),
-                  ("ba", "bias_accel", problem.add_euclidean, False),
-                  ("bg", "bias_gyro", problem.add_euclidean, False)]
+        table += [("v", "velocities", problem.add_euclidean),
+                  ("ba", "bias_accel", problem.add_euclidean),
+                  ("bg", "bias_gyro", problem.add_euclidean)]
     ids = {}
-    for key, field_name, add, gauge in table:
+    for key, field_name, add in table:
         values = getattr(init, field_name)
-        ids[key] = np.array([add(f"{key}{k}", values[k], fixed=gauge and k == 0)
-                             for k in range(K)], dtype=int)
+        ids[key] = np.array([add(f"{key}{k}", values[k]) for k in range(K)],
+                            dtype=int)
         problem.meta[field_name] = (ids[key], np.asarray)
 
     lm_blocks, tcam_id, tgps_id = _add_shared_blocks(

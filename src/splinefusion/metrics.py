@@ -2,8 +2,8 @@
 
 Estimates and ground truth are associated by nearest timestamp (one-to-one,
 within 1 ms); metrics are computed in the shared world frame by default,
-with optional SE(3)/Sim(3) pre-alignment for runs whose gauge is not
-anchored by GPS.
+with optional pre-alignment: ``pos_yaw`` for GPS-free runs, whose gauge is
+free in yaw and translation (gravity is held), or ``sim3``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .initialization import umeyama
-from .rotations import so3_log
+from .rotations import so3_exp, so3_log
 
 ASSOCIATION_TOL_NS = 1_000_000  # 1 ms
+ALIGN_MODES = ("none", "pos_yaw", "sim3")
 
 
 @dataclass
@@ -95,24 +96,27 @@ def make_pairs(est_t_ns, est_p, est_R, gt_t_ns, gt_p, gt_R,
 def align_pairs(pairs: AlignedPairs, mode="none"):
     """Optionally pre-align the estimate to ground truth.
 
-    ``se3`` uses the similarity fit with the scale forced to 1; ``sim3``
-    applies the full similarity.  The rotation part of the alignment is
-    applied to the estimated orientations as well.
+    ``pos_yaw`` fits a translation and a rotation about gravity (z) to the
+    positions in closed form, the 4-DoF gauge of a visual-inertial estimate;
+    ``sim3`` fits the full similarity (Umeyama).  The rotation part of the
+    alignment is applied to the estimated orientations as well.
     """
     if mode == "none":
         return pairs
-    if mode not in ("se3", "sim3"):
-        raise InvalidArgumentError(f"unknown alignment mode {mode!r}")
-    sim3 = umeyama(pairs.est_p, pairs.gt_p)
-    s = sim3.s if mode == "sim3" else 1.0
-    if mode == "se3":
-        # re-fit the translation with unit scale
-        t = pairs.gt_p.mean(axis=0) - (sim3.R @ pairs.est_p.mean(axis=0))
+    if mode == "pos_yaw":
+        a = pairs.est_p - pairs.est_p.mean(axis=0)
+        b = pairs.gt_p - pairs.gt_p.mean(axis=0)
+        c = a[:, :2].T @ b[:, :2]  # the yaw maximizes sum_i b_i . Rz a_i
+        yaw = np.arctan2(c[0, 1] - c[1, 0], c[0, 0] + c[1, 1])
+        s, R = 1.0, so3_exp(np.array([0.0, 0.0, yaw]))
+        t = pairs.gt_p.mean(axis=0) - R @ pairs.est_p.mean(axis=0)
+    elif mode == "sim3":
+        fit = umeyama(pairs.est_p, pairs.gt_p)
+        s, R, t = fit.s, fit.R, fit.t
     else:
-        t = sim3.t
-    new_p = s * (pairs.est_p @ sim3.R.T) + t
-    new_R = sim3.R @ pairs.est_R
-    return AlignedPairs(pairs.t_ns, new_p, new_R, pairs.gt_p, pairs.gt_R)
+        raise InvalidArgumentError(f"unknown alignment mode {mode!r}")
+    return AlignedPairs(pairs.t_ns, s * (pairs.est_p @ R.T) + t,
+                        R @ pairs.est_R, pairs.gt_p, pairs.gt_R)
 
 
 def ate_p(pairs: AlignedPairs):

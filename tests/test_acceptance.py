@@ -15,6 +15,7 @@ import scipy.interpolate
 from splinefusion import bsplines as bs
 from splinefusion import estimators as est
 from splinefusion import initialization as ini
+from splinefusion import metrics as met
 from splinefusion import preintegration as pre
 from splinefusion import simulate as sim
 from splinefusion.camera import CameraModel
@@ -322,6 +323,44 @@ def test_ct_beats_dt_at_other_scene_seeds(scene_seed):
           f"< DT {ates['dt'] * 1e3:.1f} mm < {noise.gps_sigma * 1e3:.0f} mm, "
           f"ATE-R CT {rots['ct']:.3f} deg < DT {rots['dt']:.3f} deg, "
           f"both converged, no offset on its bound")
+
+
+# ---------------------------------------------------------------------------
+# 4c. camera + IMU without GPS: a free yaw-and-translation gauge
+
+
+def pos_yaw_ate_p(gt, result):
+    """ATE-P after the 4-DoF (position and yaw) alignment of a GPS-free run."""
+    t = result.t_ns * 1e-9
+    pairs = met.AlignedPairs(result.t_ns, result.positions, result.rotations,
+                             gt.position.sample_many(t), gt.rotation.sample_many(t))
+    return met.ate_p(met.align_pairs(pairs, "pos_yaw"))
+
+
+@pytest.mark.parametrize("scene_seed", [1, 2, 3])
+def test_ct_beats_dt_on_camera_imu_without_gps(scene_seed):
+    """Camera + IMU on the 7.5 s aggressive motion with a 10 ms camera
+    offset and no GPS, so no sensor fixes yaw or translation: both converge
+    with no offset on its bound, CT recovers t_cam within 2 ms and closer
+    than DT, and CT is the more accurate after a position-and-yaw
+    alignment."""
+    gt, rig, noise, meas = aggressive_dataset(10.0, duration=7.5,
+                                              seed=scene_seed)
+    errs, ates = {}, {}
+    for mode, cfg in (("ct", est.CtConfig(use_gps=False)),
+                      ("dt", est.DtConfig(use_gps=False))):
+        out = est.run(meas, rig, noise, cfg, mode=mode, seed=0)
+        assert out.report.termination == "converged", mode
+        assert out.report.at_bound == [], mode
+        errs[mode] = abs(out.t_cam_imu * 1e3 - 10.0)
+        ates[mode] = pos_yaw_ate_p(gt, out)
+    assert errs["ct"] < 2.0
+    assert errs["ct"] < errs["dt"]
+    assert ates["ct"] < ates["dt"]
+    print(f"\ncamera + IMU, scene seed {scene_seed}: PASS — offset error CT "
+          f"{errs['ct']:.3f} ms < DT {errs['dt']:.3f} ms, pos_yaw ATE CT "
+          f"{ates['ct'] * 1e3:.1f} mm < DT {ates['dt'] * 1e3:.1f} mm, both "
+          f"converged, no offset on its bound")
 
 
 # ---------------------------------------------------------------------------

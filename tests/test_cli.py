@@ -86,13 +86,15 @@ def test_malformed_config_is_data_error(tmp_path, capsys):
         assert "data error" in capsys.readouterr().err
 
 
-def test_non_finite_profile_value_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["radius", "duration"])
+def test_non_finite_profile_value_exits_2(key, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("simulate: {radius: .nan}\n")
+    cfg.write_text(f"simulate: {{{key}: .nan}}\n")
     rc = cli.main(["simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "radius must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config section 'simulate'" in err and key in err
 
 
 def test_imu_gap_reported(small_dataset, tmp_path, capsys):
@@ -185,6 +187,12 @@ def test_evaluate_command(small_dataset, tmp_path, capsys):
     m = json.loads((out / "metrics.json").read_text())
     assert m["ate_p_m"] == 0.0 and m["ate_r_deg"] == 0.0
     assert (out / "traj_xy.csv").exists()
+    rc = cli.main(["evaluate", "--est", str(small_dataset / "gt.csv"),
+                   "--gt", str(small_dataset / "gt.csv"), "--out", str(out),
+                   "--align", "pos_yaw"])
+    assert rc == 0
+    m = json.loads((out / "metrics.json").read_text())
+    assert m["ate_p_m"] < 1e-9 and m["ate_r_deg"] < 1e-7
 
 
 def test_compare_rejects_bad_offsets(tmp_path, capsys):

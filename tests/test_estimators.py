@@ -778,6 +778,22 @@ def test_ct_and_dt_estimate_the_same_unknowns(tiny_noiseless):
     assert "grav" not in names[0]
 
 
+def test_no_trajectory_block_held_without_gps(tiny_noiseless):
+    """Camera + IMU leaves a free yaw-and-translation gauge: no position or
+    rotation block is held in either estimator."""
+    gt, rig, noise, result = tiny_noiseless
+    meas = result.measurements
+    for initialize, build, cfg in (
+            (est.initialize_ct, est.build_ct_problem, est.CtConfig(use_gps=False)),
+            (est.initialize_dt, est.build_dt_problem, est.DtConfig(use_gps=False))):
+        init, _ = initialize(meas, rig, cfg, seed=0)
+        problem = build(meas, init, cfg, noise, rig)
+        motion = [b for b in problem.blocks
+                  if b.name.rstrip("0123456789") in ("pos", "rot", "p", "R")]
+        assert len(motion) > 10
+        assert not any(b.fixed for b in motion)
+
+
 def test_extract_roundtrip_ct(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements

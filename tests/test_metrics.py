@@ -82,27 +82,34 @@ def test_ate_permutation_invariant(rng):
     assert np.isclose(met.ate_r(shuffled), met.ate_r(pairs), atol=1e-12)
 
 
-def test_align_se3_removes_rigid_offset(rng):
+def test_align_pos_yaw_removes_yaw_and_translation(rng):
     t, p, R = make_pairs(rng)
-    Q = random_rotation(rng)
+    Q = so3_exp(np.array([0.0, 0.0, 2.3]))
     d = rng.normal(size=3)
-    est_p = (Q @ p.T).T + d
-    pairs = met.AlignedPairs(t, est_p, Q @ R, p, R)
-    aligned = met.align_pairs(pairs, "se3")
+    pairs = met.AlignedPairs(t, (Q @ p.T).T + d, Q @ R, p, R)
+    aligned = met.align_pairs(pairs, "pos_yaw")
     assert met.ate_p(aligned) < 1e-9
     assert met.ate_r(aligned) < 1e-7
+    # a roll of the whole trajectory is observable (gravity), not a gauge
+    # freedom: the yaw fit leaves at least the roll angle in ATE-R
+    roll = 0.05
+    Q = Q @ so3_exp(np.array([roll, 0.0, 0.0]))
+    tilted = met.AlignedPairs(t, (Q @ p.T).T + d, Q @ R, p, R)
+    assert met.ate_r(met.align_pairs(tilted, "pos_yaw")) >= \
+        np.degrees(roll) * (1 - 1e-9)
 
 
 def test_align_sim3_removes_scale(rng):
     t, p, R = make_pairs(rng)
     sim3 = Sim3Transform(2.0, random_rotation(rng), rng.normal(size=3))
     pairs = met.AlignedPairs(t, sim3.apply(p), sim3.R @ R, p, R)
-    # se3 cannot undo the scale, sim3 can
+    # pos_yaw cannot undo the scale, sim3 can
     assert met.ate_p(met.align_pairs(pairs, "sim3")) < 1e-9
-    assert met.ate_p(met.align_pairs(pairs, "se3")) > 0.1
+    assert met.ate_p(met.align_pairs(pairs, "pos_yaw")) > 0.1
     assert met.align_pairs(pairs, "none") is pairs
-    with pytest.raises(InvalidArgumentError):
-        met.align_pairs(pairs, "so3")
+    for mode in ("so3", "se3"):
+        with pytest.raises(InvalidArgumentError):
+            met.align_pairs(pairs, mode)
 
 
 def test_make_pairs(rng):
