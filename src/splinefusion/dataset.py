@@ -221,7 +221,12 @@ class MeasurementSet:
         ft = self.frame_t_ns
         if ft.size > 1 and np.any(np.diff(ft) <= 0):
             raise DataError("frame timestamps are not strictly increasing")
-        _, lids, pixels = self.observations()
+        fidx, lids, pixels = self.observations()
+        o = np.lexsort((lids, fidx))
+        twice = o[1:][(np.diff(fidx[o]) == 0) & (np.diff(lids[o]) == 0)]
+        if twice.size:
+            raise DataError(f"frame t_ns={ft[fidx[twice[0]]]} observes landmark "
+                            f"{lids[twice[0]]} twice")
         missing = lids[~np.isin(lids, list(self.landmarks_true))]
         if missing.size:
             raise DataError(f"observed landmark {missing[0]} missing from scene")

@@ -36,8 +36,8 @@ from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError,
                      require_finite)
-from .initialization import (R3FitGroup, cut_windows, fit_spline_to_poses,
-                             pnp_dlt, window_slots)
+from .initialization import (R3FitGroup, add_field_blocks, cut_windows,
+                             fit_spline_to_poses, pnp_dlt, window_slots)
 from .residuals import GRAVITY, CtState, DtState
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
@@ -56,8 +56,6 @@ from .solver import (
 class EstimatorConfig:
     """Settings shared by the continuous- and discrete-time estimators."""
 
-    estimate_t_cam: bool = True
-    estimate_t_gps: bool = True
     use_cam: bool = True
     use_imu: bool = True
     use_gps: bool = True
@@ -669,8 +667,9 @@ def _scalar(values):
     return float(values[0, 0])
 
 
-def _add_shared_blocks(problem, init, cfg, fix_landmarks):
-    """Landmark, t_cam and t_gps blocks of the enabled sensors.
+def _add_shared_blocks(problem, init, cfg, hold_shared):
+    """Landmark, t_cam and t_gps blocks of the enabled sensors, all held at
+    their initial values if ``hold_shared``.
 
     Returns ``(lm_blocks, tcam_id, tgps_id)``, None for a block the
     sensors leave out, and registers each block with ``problem.meta`` for
@@ -684,20 +683,18 @@ def _add_shared_blocks(problem, init, cfg, fix_landmarks):
     if cfg.use_cam:
         lids, points = _landmark_table(init.landmarks)
         lm_blocks = (lids, np.array([
-            problem.add_euclidean(f"lm{i}", p, fixed=fix_landmarks, point=True)
+            problem.add_euclidean(f"lm{i}", p, fixed=hold_shared, point=True)
             for i, p in zip(lids.tolist(), points)], dtype=int))
         tcam_id = problem.add_euclidean(
-            "t_cam", np.array([init.t_cam_imu]),
-            fixed=not cfg.estimate_t_cam, bounds=bounds,
-        )
+            "t_cam", np.array([init.t_cam_imu]), fixed=hold_shared,
+            bounds=bounds)
         problem.meta["landmarks"] = (
             lm_blocks[1], lambda v: dict(zip(lids.tolist(), v)))
         problem.meta["t_cam_imu"] = ([tcam_id], _scalar)
     if cfg.use_gps:
         tgps_id = problem.add_euclidean(
-            "t_gps", np.array([init.t_gps_imu]),
-            fixed=not cfg.estimate_t_gps, bounds=bounds,
-        )
+            "t_gps", np.array([init.t_gps_imu]), fixed=hold_shared,
+            bounds=bounds)
         problem.meta["t_gps_imu"] = ([tgps_id], _scalar)
     return lm_blocks, tcam_id, tgps_id
 
@@ -715,8 +712,10 @@ def _landmark_ids(lm_blocks, obs):
 
 
 def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
-                     noise: NoiseSpec, rig: SensorRig, fix_landmarks=False):
-    """Assemble the continuous-time batch problem at the given initial state.
+                     noise: NoiseSpec, rig: SensorRig, hold_shared=False):
+    """Assemble the continuous-time batch problem at the given initial state;
+    ``hold_shared`` holds the landmarks and both clock offsets (stage 1 of
+    :func:`run`).
 
     Returns the Problem; factor counts are attached as
     ``problem.factor_counts``.
@@ -734,29 +733,23 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
                   _edge_margin(cfg), "trajectory spline")
 
     problem = Problem()
-    pos_ids = [problem.add_euclidean(f"pos{i}", init.position.nodes[i])
-               for i in range(grid.count)]
-    rot_ids = [problem.add_rotation(f"rot{i}", init.rotation.nodes[i])
-               for i in range(grid.count)]
-    pos0, rot0 = pos_ids[0], rot_ids[0]
-    problem.meta.update(position=(pos_ids, partial(bs.SplineR3, grid)),
-                        rotation=(rot_ids, partial(bs.SplineSO3, grid)))
+    pos0 = add_field_blocks(problem, "position", "pos", init.position.nodes,
+                            problem.add_euclidean, partial(bs.SplineR3, grid))[0]
+    rot0 = add_field_blocks(problem, "rotation", "rot", init.rotation.nodes,
+                            problem.add_rotation, partial(bs.SplineSO3, grid))[0]
 
     counts = {}
     if cfg.use_imu:
         bias_grid = init.bias_accel.grid
         _check_domain(bias_grid, imu_t[0], imu_t[-1], 0.0, "bias spline")
-        ba_ids = [problem.add_euclidean(f"ba{i}", init.bias_accel.nodes[i])
-                  for i in range(bias_grid.count)]
-        bg_ids = [problem.add_euclidean(f"bg{i}", init.bias_gyro.nodes[i])
-                  for i in range(bias_grid.count)]
-        ba0, bg0 = ba_ids[0], bg_ids[0]
-        problem.meta.update(
-            bias_accel=(ba_ids, partial(bs.SplineR3, bias_grid)),
-            bias_gyro=(bg_ids, partial(bs.SplineR3, bias_grid)))
+        to_bias = partial(bs.SplineR3, bias_grid)
+        ba0 = add_field_blocks(problem, "bias_accel", "ba", init.bias_accel.nodes,
+                               problem.add_euclidean, to_bias)[0]
+        bg0 = add_field_blocks(problem, "bias_gyro", "bg", init.bias_gyro.nodes,
+                               problem.add_euclidean, to_bias)[0]
 
     lm_blocks, tcam_id, tgps_id = _add_shared_blocks(
-        problem, init, cfg, fix_landmarks)
+        problem, init, cfg, hold_shared)
 
     if cfg.use_cam:
         obs = flatten_observations(meas)
@@ -796,8 +789,9 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
 
 
 def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
-                     noise: NoiseSpec, rig: SensorRig, fix_landmarks=False):
-    """Assemble the discrete-time batch problem at the given initial state."""
+                     noise: NoiseSpec, rig: SensorRig, hold_shared=False):
+    """Assemble the discrete-time batch problem at the given initial state;
+    ``hold_shared`` as in :func:`build_ct_problem`."""
     K = init.t_ns.size
     if K < 2:
         raise InvalidArgumentError("need at least two pose states")
@@ -816,15 +810,12 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         table += [("v", "velocities", problem.add_euclidean),
                   ("ba", "bias_accel", problem.add_euclidean),
                   ("bg", "bias_gyro", problem.add_euclidean)]
-    ids = {}
-    for key, field_name, add in table:
-        values = getattr(init, field_name)
-        ids[key] = np.array([add(f"{key}{k}", values[k]) for k in range(K)],
-                            dtype=int)
-        problem.meta[field_name] = (ids[key], np.asarray)
+    ids = {key: add_field_blocks(problem, name, key, getattr(init, name), add,
+                                 np.asarray)
+           for key, name, add in table}
 
     lm_blocks, tcam_id, tgps_id = _add_shared_blocks(
-        problem, init, cfg, fix_landmarks)
+        problem, init, cfg, hold_shared)
 
     counts = {}
     if cfg.use_cam:
@@ -1009,13 +1000,9 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     # absorbing the time offsets into a deformed trajectory/landmark
     # geometry.  A camera-free run has neither landmarks nor a camera
     # offset to hold; it builds one problem and solves it once.
-    staged = cfg.use_cam and (
-        cfg.estimate_t_cam or (cfg.use_gps and cfg.estimate_t_gps))
-    if staged:
+    if cfg.use_cam:
         t1 = time.perf_counter()
-        frozen = dataclasses.replace(cfg, estimate_t_cam=False,
-                                     estimate_t_gps=False)
-        problem1 = build(meas, init, frozen, noise, rig, fix_landmarks=True)
+        problem1 = build(meas, init, cfg, noise, rig, hold_shared=True)
         opts1 = dataclasses.replace(opts, max_iter=min(opts.max_iter, 25))
         state1, reports["solve_fixed_offsets"] = solve(problem1, opts1)
         init = extract_state(problem1, state1, init)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -185,6 +186,19 @@ def window_slots(first_block, seg, order, kind):
     return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
 
 
+def add_field_blocks(problem, field, prefix, rows, add, to_value):
+    """Add the rows of the state field ``field`` (a spline's nodes or a
+    per-frame array) with ``add`` (``problem.add_euclidean`` or
+    ``problem.add_rotation``) as consecutive blocks ``prefix0, prefix1,
+    ...``, register ``problem.meta[field] = (ids, to_value)``, ``to_value``
+    turning the stacked block values back into the field, and return the
+    ids."""
+    ids = np.array([add(f"{prefix}{i}", row) for i, row in enumerate(rows)],
+                   dtype=int)
+    problem.meta[field] = (ids, to_value)
+    return ids
+
+
 def cut_windows(problem, state, grid, first_block, seg, step):
     """Mask of the windows starting at node ``seg`` of the rotation nodes
     from block ``first_block`` that hold a control pair within ``step`` of
@@ -317,30 +331,19 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     tgt_rot = _interp_rotations(times, rotations, query)
 
     problem = Problem()
-    first_pos = None
-    for i in range(grid.count):
-        bid = problem.add_euclidean(f"pos{i}", pos_nodes[i])
-        if first_pos is None:
-            first_pos = bid
-    first_rot = None
-    for i in range(grid.count):
-        bid = problem.add_rotation(f"rot{i}", rot_nodes[i])
-        if first_rot is None:
-            first_rot = bid
+    pos_ids = add_field_blocks(problem, "position", "pos", pos_nodes,
+                               problem.add_euclidean, partial(bs.SplineR3, grid))
+    rot_ids = add_field_blocks(problem, "rotation", "rot", rot_nodes,
+                               problem.add_rotation, partial(bs.SplineSO3, grid))
 
     seg, u = grid.normalized_times(query)
-    problem.add_group(R3FitGroup(grid, first_pos, seg, u, tgt_pos))
-    problem.add_group(SO3FitGroup(grid, first_rot, seg, u, tgt_rot))
+    problem.add_group(R3FitGroup(grid, pos_ids[0], seg, u, tgt_pos))
+    problem.add_group(SO3FitGroup(grid, rot_ids[0], seg, u, tgt_rot))
 
     state, report = solve(problem, SolveOptions(max_iter=25, rel_tol=1e-12))
-    fitted_pos = np.stack(
-        [problem.block_value(state, f"pos{i}") for i in range(grid.count)]
-    )
-    fitted_rot = np.stack(
-        [problem.block_value(state, f"rot{i}") for i in range(grid.count)]
-    )
-    pos_spline = bs.SplineR3(grid, fitted_pos)
-    rot_spline = bs.SplineSO3(grid, fitted_rot)
+    pos_spline, rot_spline = (
+        to_value(np.stack([problem.block_value(state, b) for b in ids]))
+        for ids, to_value in (problem.meta["position"], problem.meta["rotation"]))
     ep = pos_spline.sample_many(query) - tgt_pos
     er = so3_log(
         np.swapaxes(rot_spline.sample_many(query), -1, -2) @ tgt_rot, validate=False

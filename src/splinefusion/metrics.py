@@ -45,8 +45,8 @@ class AlignedPairs:
         return self.t_ns.size
 
 
-def associate(est_t_ns, gt_t_ns, tol_ns=ASSOCIATION_TOL_NS):
-    """One-to-one nearest-timestamp matching within ``tol_ns``.
+def associate(est_t_ns, gt_t_ns):
+    """One-to-one nearest-timestamp matching within ``ASSOCIATION_TOL_NS``.
 
     Returns (est_indices, gt_indices); candidate pairs are taken greedily in
     order of increasing time difference so no index is used twice.
@@ -61,7 +61,7 @@ def associate(est_t_ns, gt_t_ns, tol_ns=ASSOCIATION_TOL_NS):
         for j in (p - 1, p):
             if 0 <= j < gt_t.size:
                 d = abs(int(est_t[i]) - int(gt_t[j]))
-                if d <= tol_ns:
+                if d <= ASSOCIATION_TOL_NS:
                     cand.append((d, i, j))
     cand.sort()
     used_e, used_g = set(), set()
@@ -79,10 +79,9 @@ def associate(est_t_ns, gt_t_ns, tol_ns=ASSOCIATION_TOL_NS):
     return ei, gi
 
 
-def make_pairs(est_t_ns, est_p, est_R, gt_t_ns, gt_p, gt_R,
-               tol_ns=ASSOCIATION_TOL_NS):
+def make_pairs(est_t_ns, est_p, est_R, gt_t_ns, gt_p, gt_R):
     """Associate two timestamped trajectories into AlignedPairs."""
-    ei, gi = associate(est_t_ns, gt_t_ns, tol_ns)
+    ei, gi = associate(est_t_ns, gt_t_ns)
     est_t_ns = np.asarray(est_t_ns, dtype=np.int64)
     return AlignedPairs(
         t_ns=est_t_ns[ei],

@@ -237,11 +237,11 @@ class Problem:
         self._euc_init.append(value)
         return self._register(meta)
 
-    def add_rotation(self, name, value, fixed=False):
+    def add_rotation(self, name, value):
         value = np.asarray(value, dtype=float)
         if value.shape != (3, 3):
             raise InvalidArgumentError("rotation block must be a 3x3 matrix")
-        meta = _BlockMeta(name, ROTATION, 3, self._rot_count, fixed, None)
+        meta = _BlockMeta(name, ROTATION, 3, self._rot_count, False, None)
         self._rot_count += 1
         self._rot_init.append(value)
         return self._register(meta)
@@ -437,6 +437,9 @@ class SolveReport:
     ``converged`` is True only for ``"converged"``.  ``at_bound`` names the
     bounded blocks whose returned value lies on a bound (see
     :meth:`Problem.at_bound`); it does not change ``termination``.
+    ``grad_norm`` is the gradient's inf-norm at the start of the last
+    iteration, not at the returned state, and ``lm_lambda`` the damping
+    after the last trial.
     """
 
     iterations: int

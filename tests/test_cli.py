@@ -130,6 +130,20 @@ def test_malformed_scene_is_data_error(small_dataset, tmp_path, capsys):
     assert "missing keys ['rig']" in capsys.readouterr().err
 
 
+def test_repeated_observation_is_data_error(small_dataset, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    shutil.copytree(small_dataset, bad)
+    path = bad / "features.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    rc = cli.main(["estimate-dt", "--data", str(bad),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    t_ns, _, lid = lines[1].split(",")[:3]
+    assert f"frame t_ns={t_ns} observes landmark {lid} twice" in \
+        capsys.readouterr().err
+
+
 def test_fit_command(small_dataset, tmp_path, capsys):
     """``fit`` reports a converged fit and writes the fitted spline pair to
     spline.json: grid, position nodes and rotation nodes as quaternions."""

@@ -1,5 +1,9 @@
-import pytest
+from pathlib import Path
 
+import pytest
+import yaml
+
+from splinefusion import cli
 from splinefusion.config import (
     RunConfig,
     SensorFlags,
@@ -44,13 +48,36 @@ def test_unknown_keys_rejected():
                              ("ct", "spline_order", "x"),
                              ("ct", "spline_order", 6.5),
                              ("ct", "node_hz", "abc"),
-                             ("ct", "estimate_t_cam", 1),
                              ("dt", "max_iter", True),
                              ("noise", "pixel_sigma", "x"),
                              ("sensors", "camera", "no"),
                              ("simulate", "profile", 3)]:
         with pytest.raises(DataError, match=f"'{key}' in section '{name}'"):
             RunConfig.from_dict({name: {key: value}})
+
+
+def test_offset_switches_rejected(tmp_path, capsys):
+    """Both clock offsets are unknowns of every run: a switch to hold one
+    is an unknown key, in Python and on the command line."""
+    for name, key, value in (("ct", "estimate_t_cam", True),
+                             ("dt", "estimate_t_gps", False)):
+        with pytest.raises(DataError, match=f"section '{name}': \\['{key}'\\]"):
+            RunConfig.from_dict({name: {key: value}})
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("ct: {estimate_t_cam: true}\n")
+    rc = cli.main(["estimate-ct", "--config", str(cfg),
+                   "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "estimate_t_cam" in capsys.readouterr().err
+
+
+def test_readme_schema_is_the_default_config():
+    """The YAML block after "The full schema (defaults shown) is:" in the
+    README is ``RunConfig.default_dict()``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text.split("The full schema (defaults shown) is:", 1)[1]
+    block = after.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == RunConfig.default_dict()
 
 
 def test_partial_overrides():

@@ -296,6 +296,21 @@ def test_mixed_frame_stamps_rejected(tmp_path, rng):
         read_dataset(tmp_path)
 
 
+def test_repeated_observation_rejected(tmp_path, rng):
+    """A frame that observes one landmark twice is a data error naming the
+    frame's stamp and the landmark: its track velocity would divide by a
+    zero stamp difference."""
+    meas = interleaved_meas()
+    write_dataset(tmp_path, meas, make_rig(rng), NoiseSpec())
+    path = tmp_path / "features.csv"
+    lines = path.read_text().splitlines()
+    assert lines[4].startswith("50000000,1,3,")
+    path.write_text("\n".join(lines + [lines[4]]) + "\n")
+    with pytest.raises(DataError,
+                       match="^frame t_ns=50000000 observes landmark 3 twice$"):
+        read_dataset(tmp_path)
+
+
 def test_time_span():
     meas = make_meas()
     lo, hi = meas.time_span_ns()

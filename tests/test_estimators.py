@@ -794,6 +794,29 @@ def test_no_trajectory_block_held_without_gps(tiny_noiseless):
         assert not any(b.fixed for b in motion)
 
 
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_stage_one_holds_the_landmarks_and_both_offsets(tiny_noiseless,
+                                                         monkeypatch, mode):
+    """A camera run builds two problems: stage 1 holds every landmark,
+    ``t_cam`` and ``t_gps`` and nothing else, the final problem no block."""
+    gt, rig, noise, result = tiny_noiseless
+    meas = result.measurements
+    name = f"build_{mode}_problem"
+    build, problems = getattr(est, name), []
+
+    def capturing_build(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(est, name, capturing_build)
+    cfg = (est.CtConfig if mode == "ct" else est.DtConfig)(max_iter=1)
+    est.run(meas, rig, noise, cfg, mode=mode)
+    stage1, final = problems
+    assert {b.name for b in stage1.blocks if b.fixed} == (
+        {"t_cam", "t_gps"} | {f"lm{i}" for i in meas.landmarks_true})
+    assert not any(b.fixed for b in final.blocks)
+
+
 def test_extract_roundtrip_ct(tiny_noiseless):
     gt, rig, noise, result = tiny_noiseless
     meas = result.measurements

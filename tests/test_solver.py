@@ -385,7 +385,6 @@ def _mixed_problem(rng):
     problem.add_rotation("R0", random_rotation(rng))
     problem.add_euclidean("t", np.array([0.01]), bounds=(-0.05, 0.05))
     problem.add_euclidean("p_fixed", rng.normal(size=3), fixed=True, point=True)
-    problem.add_rotation("R_fixed", random_rotation(rng), fixed=True)
     problem.add_euclidean("p1", rng.normal(size=3), point=True)
     problem.add_euclidean("v", rng.normal(size=3),
                           bounds=(np.array([-1.0, -2.0, -3.0]), 1.0))
