@@ -37,7 +37,8 @@ from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError,
                      require_finite)
 from .initialization import (R3FitGroup, add_field_blocks, cut_windows,
-                             fit_spline_to_poses, pnp_dlt, window_slots)
+                             fit_spline_to_poses, gps_gyro_poses, pnp_dlt,
+                             window_slots)
 from .residuals import GRAVITY, CtState, DtState
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
@@ -916,12 +917,25 @@ def initial_frame_poses(meas: MeasurementSet, rig: SensorRig, landmarks):
     return stamps, positions[nearest], rotations[nearest]
 
 
-def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
-    """The initial CtState, from PnP poses and a spline fit to them, and the
-    fit's SolveReport."""
+def _start_poses(meas: MeasurementSet, rig: SensorRig, cfg, seed, stamps):
+    """``(landmarks, stamps, positions, rotations)`` of a start: with the
+    camera, the landmark prior drawn from ``seed`` and the PnP poses at the
+    frame stamps; without it, no landmarks and :func:`gps_gyro_poses` at
+    ``stamps``."""
+    if not cfg.use_cam:
+        return ({}, stamps, *gps_gyro_poses(
+            meas.seconds(meas.imu_t_ns), meas.gyro, meas.accel,
+            meas.seconds(meas.gps_t_ns), meas.gps, rig.p_antenna_body, stamps))
     landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
                                      np.random.default_rng(seed))
-    stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
+    return (landmarks, *initial_frame_poses(meas, rig, landmarks))
+
+
+def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
+    """The initial CtState, from a spline fit to the :func:`_start_poses`
+    (without the camera at the IMU stamps), and the fit's SolveReport."""
+    landmarks, stamps, pos, rot = _start_poses(meas, rig, cfg, seed,
+                                               meas.seconds(meas.imu_t_ns))
     lo, hi = meas.seconds(meas.time_span_ns())
     t_lo, t_hi = lo - _edge_margin(cfg), hi + _edge_margin(cfg)
     fit = fit_spline_to_poses(stamps, pos, rot, cfg.spline_order, cfg.node_hz,
@@ -937,11 +951,13 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
 
 
 def initialize_dt(meas: MeasurementSet, rig: SensorRig, cfg: DtConfig, seed=0):
-    """The initial DtState, from per-frame PnP poses, and None: DT fits
-    nothing to them."""
-    landmarks = _perturbed_landmarks(meas, cfg.landmark_sigma,
-                                     np.random.default_rng(seed))
-    stamps, pos, rot = initial_frame_poses(meas, rig, landmarks)
+    """The initial DtState, from the :func:`_start_poses` at the frame
+    stamps, and None: DT fits nothing to them."""
+    if not meas.frames:
+        raise DataError("DT places one state per camera frame, and the data "
+                        "has no camera frames")
+    landmarks, stamps, pos, rot = _start_poses(meas, rig, cfg, seed,
+                                               meas.seconds(meas.frame_t_ns))
     vel = np.gradient(pos, stamps, axis=0)
     K = len(stamps)
     return DtState(

@@ -1,4 +1,5 @@
-"""Initialization pipeline: PnP poses, spline fitting and similarity alignment."""
+"""Initialization pipeline: PnP poses, GPS and gyro poses, spline fitting
+and similarity alignment."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import bsplines as bs
-from .errors import DegenerateConfigurationError, InvalidArgumentError
+from .errors import DataError, DegenerateConfigurationError, InvalidArgumentError
+from .residuals import GRAVITY
 from .rotations import (Pose, hat, slerp_many, so3_exp, so3_log,
                         so3_right_jacobian_inv)
 from .solver import (
@@ -159,6 +161,54 @@ def pnp_dlt(camera, points_world, pixels):
         lambda pose, x: (pose[0] @ so3_exp(x[:3]), pose[1] + x[3:]),
         SolveOptions(max_iter=15, rel_tol=1e-10))
     return Pose(R_wc, p_wc)
+
+
+_HEADING_MIN_RATIO = 1e-6  # least s2 / s1 of the gps_gyro_poses alignment
+
+
+def gps_gyro_poses(imu_t, gyro, accel, gps_t, gps, lever, query):
+    """Body positions (n, 3) and rotations (n, 3, 3) at the times ``query``
+    from the IMU and GPS alone (stamps in seconds on one clock).
+
+    The gyro, chained by the midpoint rule, gives R(t) = R0 dR(t).  With
+    a = R^T (pddot + g), v(t) = v0 + R0 U(t) - g t, U the integral of dR a.
+    Over each GPS interval the fixes' mean velocity plus g times its
+    midpoint is then R0 A + v0, A the interval mean of U plus the lever
+    arm's turn dR l over it; R0 is the Kabsch fit (one SVD) of these
+    centred tracks, after Cao, Lu and Shen, "GVINS" (T-RO 2022).  The
+    positions are the fixes, interpolated, less R l.  Raises
+    :class:`DataError` for fewer than four fixes in the IMU span, or when
+    the fit's second singular value is below ``_HEADING_MIN_RATIO`` of its
+    first: a track with no acceleration across gravity, such as a straight
+    line at constant speed, whose heading the accelerometer cannot see.
+    """
+    dt = np.diff(imu_t)[:, None]
+    step = so3_exp(0.5 * (gyro[1:] + gyro[:-1]) * dt)
+    dR = np.empty((imu_t.size, 3, 3))
+    dR[0] = np.eye(3)
+    for n, E in enumerate(step):
+        dR[n + 1] = dR[n] @ E
+    f = np.einsum("nij,nj->ni", dR, accel)
+    U = np.vstack([np.zeros(3), np.cumsum(0.5 * (f[1:] + f[:-1]) * dt, axis=0)])
+    W = np.vstack([np.zeros(3), np.cumsum(0.5 * (U[1:] + U[:-1]) * dt, axis=0)])
+    inside = (gps_t >= imu_t[0]) & (gps_t <= imu_t[-1])
+    t, p = gps_t[inside], gps[inside]
+    if t.size < 4:
+        raise DataError(f"{t.size} GPS fixes inside the IMU span: the GPS and "
+                        "gyro start needs at least 4")
+    h = np.diff(t)[:, None]
+    A = np.diff(_interp_positions(imu_t, W + dR @ lever, t), axis=0) / h
+    B = np.diff(p, axis=0) / h + GRAVITY * (t[1:, None] + t[:-1, None]) / 2
+    Uc, s, Vt = np.linalg.svd((B - B.mean(axis=0)).T @ (A - A.mean(axis=0)))
+    if not s[1] >= _HEADING_MIN_RATIO * s[0]:
+        raise DataError(
+            f"heading not determined by GPS and IMU: the alignment's second "
+            f"singular value is {s[1] / s[0]:.2e} of its first (need "
+            f">= {_HEADING_MIN_RATIO:g}); the track has no acceleration across "
+            "gravity")
+    R0 = Uc @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Uc @ Vt))]) @ Vt
+    R = R0 @ _interp_rotations(imu_t, dR, query)
+    return _interp_positions(t, p, query) - R @ lever, R
 
 
 # ---------------------------------------------------------------------------

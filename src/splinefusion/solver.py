@@ -495,8 +495,8 @@ class _BandArrow:
 def _band_layout(sets, nc, coupled):
     """A :class:`_BandArrow` of read-only zeros for the products of the
     groups' ``sets``, the columns ``coupled`` to a point in the arrow, where
-    the point fill lands; and per group the distinct places ``tgt`` of its
-    product entries and each entry's int32 index ``inv`` in ``tgt``."""
+    the point fill lands; and per group the :func:`_band_places` of its
+    products."""
     on = [(s[:, :, None] >= 0) & (s[:, None, :] >= 0) for s in sets]
     i, j = (np.concatenate([np.zeros(0, int)] + [
         np.broadcast_to(s[:, :, None] if a else s[:, None, :], o.shape)[o]
@@ -519,17 +519,27 @@ def _band_layout(sets, nc, coupled):
     order = np.r_[rest[band], np.sort(np.r_[coupled, rest[by_n[:k]]])].astype(int)
     zero = _BandArrow(order, np.broadcast_to(0.0, (w + 1, band.size)),
                       np.broadcast_to(0.0, (nc, nc - band.size)))
-    nb, pos, at = band.size, np.argsort(order), []
-    for s, o in zip(sets, on):
-        pi, pj = np.where(o, pos[s][:, :, None], -1), pos[s][:, None, :]
-        idx = np.where(pi < 0, -1, np.where(pj >= nb, zero.band.size + pi * (nc - nb) + pj - nb,
-                                            np.where((pi >= pj) & (pi < nb), (pi - pj) * nb + pj,
-                                                     -1))).ravel()
-        seen = np.zeros(zero.band.size + zero.arrow.size + 1, bool)
-        seen[idx] = True  # -1 marks the last
-        tgt = np.flatnonzero(seen[:-1]).astype(np.int32)  # -1 ranks tgt.size
-        at.append((tgt, (np.cumsum(seen, dtype=np.int32) - 1)[idx]))
-    return zero, at
+    return zero, [_band_places(zero, s) for s in sets]
+
+
+def _band_places(zero, sets):
+    """The distinct places ``tgt`` in the flat band and arrow of the
+    :class:`_BandArrow` ``zero`` of the products of one group's ``sets``,
+    and each product's int32 index ``inv`` in ``tgt``; None when a product
+    falls outside the band."""
+    nc, (w1, nb) = zero.order.size, zero.band.shape
+    at = np.argsort(zero.order)[sets]
+    pi = np.where((sets[:, :, None] >= 0) & (sets[:, None, :] >= 0), at[:, :, None], -1)
+    pj = at[:, None, :]
+    band = (pi >= pj) & (pi < nb)
+    if np.any(band & (pi - pj >= w1)):
+        return None
+    idx = np.where(pi < 0, -1, np.where(pj >= nb, zero.band.size + pi * (nc - nb) + pj - nb,
+                                        np.where(band, (pi - pj) * nb + pj, -1))).ravel()
+    seen = np.zeros(zero.band.size + zero.arrow.size + 1, bool)
+    seen[idx] = True  # -1 marks the last
+    tgt = np.flatnonzero(seen[:-1]).astype(np.int32)  # -1 ranks tgt.size
+    return tgt, (np.cumsum(seen, dtype=np.int32) - 1)[idx]
 
 
 def _set_plan(cols, nc):
@@ -570,13 +580,25 @@ def _point_plan(cols, nc, m):
 
 def _plan(J, n_points, memo):
     """The pattern work of :func:`_normal_equations`, kept in ``memo`` until
-    a group's ``cols`` change: the groups' sets, point couplings and layout."""
+    a group's ``cols`` change: the groups' sets, point couplings and layout.
+    Changed groups without points are planned again and placed in the kept
+    layout; a changed group with points, or a product outside the band,
+    plans all anew."""
     nc, cols, old = J.shape[1] - n_points, [c for _, c in J.blocks], memo.get("cols")
-    if old is None or len(old) != len(cols) or not all(map(np.array_equal, old, cols)):
-        memo.clear()  # the old plan goes before the new one is made
-        sets, points = [_set_plan(c, nc) for c in cols], _point_plan(cols, nc, n_points // 3)
-        zero, at = _band_layout([s["sets"] for s in sets], nc, np.unique(points["rows"]))
-        memo.update(cols=cols, sets=sets, points=points, zero=zero, at=at)
+    if old is not None and len(old) == len(cols):
+        moved = [gi for gi, (a, c) in enumerate(zip(old, cols)) if not np.array_equal(a, c)]
+        sets = {gi: _set_plan(cols[gi], nc) for gi in moved
+                if memo["points"]["groups"][gi] is None and not np.any(cols[gi] >= nc)}
+        at = {gi: _band_places(memo["zero"], s["sets"]) for gi, s in sets.items()}
+        if len(sets) == len(moved) and None not in at.values():
+            for gi in moved:
+                memo["sets"][gi], memo["at"][gi] = sets[gi], at[gi]
+            memo["cols"] = cols
+            return memo
+    memo.clear()  # the old plan goes before the new one is made
+    sets, points = [_set_plan(c, nc) for c in cols], _point_plan(cols, nc, n_points // 3)
+    zero, at = _band_layout([s["sets"] for s in sets], nc, np.unique(points["rows"]))
+    memo.update(cols=cols, sets=sets, points=points, zero=zero, at=at)
     return memo
 
 

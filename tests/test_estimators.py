@@ -25,7 +25,7 @@ from splinefusion.errors import (
 )
 from splinefusion.residuals import CtState, DtState
 from splinefusion.rotations import so3_exp
-from splinefusion.solver import FactorGroup, Problem
+from splinefusion.solver import FactorGroup, Problem, SolveOptions, solve
 
 from block_oracle import oracle_errors
 from conftest import noiseless_spec, wobbly_ground_truth
@@ -855,8 +855,8 @@ def test_run_rejects_unknown_mode(tiny_noiseless):
 @pytest.fixture(scope="module")
 def imu_gps_sim():
     """15 s of the wobbling lemniscate with 0.1 m GPS noise; the camera
-    frames feed only the PnP initialization of a camera-free run.  On 5 to
-    10 s of it a camera-free CT solve still ends at its iteration cap."""
+    frames only set the stamps of a camera-free DT run's states.  On 5 s of
+    it a camera-free solve still ends at its iteration cap."""
     gt = wobbly_ground_truth(duration=15.0)
     rig = sim.default_rig(t_cam_imu=0.010)
     noise = NoiseSpec(cam_hz=10, imu_hz=200, gps_hz=7, seed=3, gps_sigma=0.1)
@@ -867,8 +867,8 @@ def imu_gps_sim():
 def test_camera_free_run_solves_once(mode, imu_gps_sim, monkeypatch):
     """An IMU+GPS run has no landmarks and no camera offset to hold, so it
     builds one problem and solves it once: no fixed-offset stage, and DT
-    preintegrates each frame gap once.  The estimate converges with ATE-P
-    below the GPS noise."""
+    preintegrates each frame gap once.  It starts from GPS and the gyro and
+    runs no PnP.  The estimate converges with ATE-P below the GPS noise."""
     gt, rig, noise, meas = imu_gps_sim
     integrate, segments = pre.integrate, []
 
@@ -876,7 +876,11 @@ def test_camera_free_run_solves_once(mode, imu_gps_sim, monkeypatch):
         segments.append(kwargs["t_start"])
         return integrate(*args, **kwargs)
 
+    def no_pnp(*args, **kwargs):
+        raise AssertionError("a camera-free run ran PnP")
+
     monkeypatch.setattr(pre, "integrate", counting)
+    monkeypatch.setattr(est, "pnp_dlt", no_pnp)
     cfg = (est.CtConfig if mode == "ct" else est.DtConfig)(use_cam=False)
     out = est.run(meas, rig, noise, cfg, mode=mode, seed=0)
     assert list(out.stage_reports) == (["initialize", "solve"] if mode == "ct"
@@ -887,6 +891,61 @@ def test_camera_free_run_solves_once(mode, imu_gps_sim, monkeypatch):
     assert out.report.termination == "converged"
     err = out.positions - gt.position.sample_many(out.t_ns * 1e-9)
     assert np.sqrt(np.mean(np.sum(err**2, axis=1))) < noise.gps_sigma
+
+
+def test_camera_free_dt_start_reaches_the_pnp_start_minimum(imu_gps_sim):
+    """A camera-free DT run, started from GPS and gyro poses, ends within
+    1e-6 relative of the final cost of a solve started from the PnP poses
+    of the frames."""
+    gt, rig, noise, meas = imu_gps_sim
+    cfg = est.DtConfig(use_cam=False)
+    out = est.run(meas, rig, noise, cfg, mode="dt", seed=0)
+    landmarks = est._perturbed_landmarks(meas, cfg.landmark_sigma,
+                                         np.random.default_rng(0))
+    stamps, pos, rot = est.initial_frame_poses(meas, rig, landmarks)
+    zeros = np.zeros((len(stamps), 3))
+    pnp_start = DtState(
+        t_ns=meas.frame_t_ns, positions=pos, rotations=rot,
+        velocities=np.gradient(pos, stamps, axis=0), bias_accel=zeros,
+        bias_gyro=zeros, landmarks={}, t_cam_imu=0.0, t_gps_imu=0.0)
+    _, report = solve(est.build_dt_problem(meas, pnp_start, cfg, noise, rig),
+                      SolveOptions(max_iter=cfg.max_iter))
+    assert report.converged and out.report.converged
+    assert abs(out.report.final_cost - report.final_cost) <= 1e-6 * report.final_cost
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_camera_free_estimate_draws_no_landmark_prior(mode, imu_gps_sim):
+    """A camera-free run reads neither the scene's landmarks nor the
+    estimator seed: with ``landmarks_true`` empty and another seed, the
+    estimate is bit for bit the same."""
+    gt, rig, noise, meas = imu_gps_sim
+    cfg = (est.CtConfig if mode == "ct" else est.DtConfig)(use_cam=False)
+    a = est.run(meas, rig, noise, cfg, mode=mode, seed=0)
+    b = est.run(dataclasses.replace(meas, landmarks_true={}), rig, noise, cfg,
+                mode=mode, seed=7)
+    assert a.state.landmarks == {} and b.state.landmarks == {}
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.rotations, b.rotations)
+    assert a.t_gps_imu == b.t_gps_imu
+    assert a.report.cost_history == b.report.cost_history
+
+
+def test_camera_free_run_without_frames(imu_gps_sim):
+    """With no camera frames at all, a camera-free CT run fits its start to
+    poses at the IMU stamps and converges, its spline within the GPS noise
+    of the truth; DT, which places one state per camera frame, raises a
+    DataError that says so."""
+    gt, rig, noise, meas = imu_gps_sim
+    bare = dataclasses.replace(meas, frames=[], landmarks_true={})
+    out = est.run(bare, rig, noise, est.CtConfig(use_cam=False), mode="ct")
+    assert out.report.converged and out.t_ns.size == 0
+    t = bare.seconds(bare.imu_t_ns)
+    err = out.state.position.sample_many(t) - gt.position.sample_many(
+        bare.imu_t_ns * 1e-9)
+    assert np.sqrt(np.mean(np.sum(err**2, axis=1))) < noise.gps_sigma
+    with pytest.raises(DataError, match="DT places one state per camera frame"):
+        est.run(bare, rig, noise, est.DtConfig(use_cam=False), mode="dt")
 
 
 EPOCH_NS = 1_700_000_000 * 1_000_000_000  # a whole number of seconds

@@ -10,6 +10,7 @@ from splinefusion import simulate as sim
 from splinefusion import solver
 from splinefusion.camera import CameraModel
 from splinefusion.errors import (
+    DataError,
     DegenerateConfigurationError,
     InvalidArgumentError,
     NumericalFailureError,
@@ -25,7 +26,7 @@ from splinefusion.solver import (
     solve,
 )
 
-from conftest import random_rotation
+from conftest import noiseless_spec, random_rotation, wobbly_ground_truth
 
 
 def test_umeyama_exact(rng):
@@ -282,6 +283,53 @@ def test_pnp_degenerate(rng):
         ini.pnp_dlt(cam, np.zeros((4, 3)), np.zeros((4, 2)))
     with pytest.raises(DegenerateConfigurationError):
         ini.pnp_dlt(cam, np.tile(np.ones(3), (10, 1)), np.zeros((10, 2)))
+
+
+def _gps_gyro_poses(meas, rig, query):
+    """:func:`ini.gps_gyro_poses` on the streams of ``meas``."""
+    return ini.gps_gyro_poses(
+        meas.seconds(meas.imu_t_ns), meas.gyro, meas.accel,
+        meas.seconds(meas.gps_t_ns), meas.gps, rig.p_antenna_body, query)
+
+
+@pytest.mark.parametrize("imu_hz,gps_hz", [(100.0, 5.0), (200.0, 7.0)])
+def test_gps_gyro_poses_recover_the_true_attitude(imu_hz, gps_hz):
+    """On noise-free data the gyro chain aligned by the accelerometer gives
+    the true attitude at every IMU stamp, heading included, and at the GPS
+    stamps the positions are the fixes less the lever arm."""
+    gt = wobbly_ground_truth(duration=8.0)
+    rig = sim.default_rig()
+    meas = sim.synthesize(gt, rig, noiseless_spec(imu_hz=imu_hz, gps_hz=gps_hz),
+                          num_landmarks=80).measurements
+    t_imu, t_gps = meas.seconds(meas.imu_t_ns), meas.seconds(meas.gps_t_ns)
+    _, R = _gps_gyro_poses(meas, rig, t_imu)
+    err = so3_log(np.swapaxes(gt.rotation.sample_many(meas.imu_t_ns * 1e-9),
+                              -1, -2) @ R)
+    assert np.linalg.norm(err, axis=1).max() < 1e-4
+    p, _ = _gps_gyro_poses(meas, rig, t_gps)
+    assert np.abs(p - gt.position.sample_many(meas.gps_t_ns * 1e-9)).max() < 1e-4
+
+
+def test_gps_gyro_poses_reject_a_straight_constant_velocity_track():
+    """On a straight line at constant speed the accelerometer sees gravity
+    alone, so the heading is not determined: a DataError names the
+    singular-value ratio."""
+    gt = sim.make_ground_truth("line", duration=10.0, radius=2.0, rate=0.5)
+    rig = sim.default_rig()
+    meas = sim.synthesize(gt, rig, noiseless_spec(imu_hz=200.0, gps_hz=7.0),
+                          num_landmarks=80).measurements
+    with pytest.raises(DataError, match=r"heading not determined.*second "
+                       r"singular value is .* of its first \(need >= 1e-06\)"):
+        _gps_gyro_poses(meas, rig, meas.seconds(meas.imu_t_ns))
+
+
+def test_gps_gyro_poses_need_four_fixes_in_the_imu_span():
+    gt = wobbly_ground_truth(duration=6.0)
+    rig = sim.default_rig()
+    meas = sim.synthesize(gt, rig, noiseless_spec(), num_landmarks=80).measurements
+    few = dataclasses.replace(meas, gps_t_ns=meas.gps_t_ns[:3], gps=meas.gps[:3])
+    with pytest.raises(DataError, match="3 GPS fixes inside the IMU span"):
+        _gps_gyro_poses(few, rig, meas.seconds(meas.imu_t_ns))
 
 
 def test_fit_spline_to_poses_fast_convergence():

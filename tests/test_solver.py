@@ -692,12 +692,14 @@ def test_normal_equations_plan_is_reused_bit_for_bit(rng):
     """Calls that share a memo give the numbers of memo-free calls, bit for
     bit, while a group's columns change between them, as when a clock
     offset moves a sample across a knot.  The plan is kept while the
-    columns repeat and redone for new ones; an entry outside the band widens
-    it."""
+    columns repeat and redone when a group with points moves.  A group
+    without points that moves within the band keeps the layout; an entry
+    outside the band widens it."""
     chain = [(b, b + 1) for b in range(29)]
     seen = [(2 * p + q, p) for p in range(8) for q in range(3)]
     moved = list(seen)
     moved[4] = (seen[4][0] + 1, seen[4][1])  # still a block coupled to a point
+    near = chain[:10] + [(11, 12)] + chain[11:]
     far = chain[:20] + [(20, 28)] + chain[21:]
 
     def same(a, b):
@@ -707,14 +709,16 @@ def test_normal_equations_plan_is_reused_bit_for_bit(rng):
                         for f in ("ll", "cl", "rows", "pts")))
 
     memo, layouts = {}, []
-    for c, v in [(chain, seen), (chain, seen), (chain, moved), (chain, seen), (far, seen)]:
+    for c, v in [(chain, seen), (chain, seen), (chain, moved), (chain, seen), (near, seen),
+                 (far, seen)]:
         r, J = _chain_jacobian(rng, c, v)
         assert same(solver._normal_equations(r, J, 24, memo),
                     solver._normal_equations(r, J, 24))
         layouts.append(memo["zero"])
     assert layouts[0] is layouts[1]
     assert layouts[2] is not layouts[1] and layouts[3] is not layouts[2]
-    assert layouts[4].band.shape[0] > layouts[3].band.shape[0]
+    assert layouts[4] is layouts[3]
+    assert layouts[5].band.shape[0] > layouts[4].band.shape[0]
 
 
 def test_band_solve_checks_lapack_info():
