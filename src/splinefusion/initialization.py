@@ -12,8 +12,8 @@ import scipy.linalg as sla
 from . import bsplines as bs
 from .errors import DataError, DegenerateConfigurationError, InvalidArgumentError
 from .residuals import GRAVITY
-from .rotations import (Pose, hat, slerp_many, so3_exp, so3_log,
-                        so3_right_jacobian_inv)
+from .rotations import (Pose, hat, running_products, slerp_many, so3_exp,
+                        so3_log, so3_right_jacobian_inv)
 from .solver import (
     EUCLIDEAN,
     ROTATION,
@@ -176,18 +176,18 @@ def gps_gyro_poses(imu_t, gyro, accel, gps_t, gps, lever, query):
     midpoint is then R0 A + v0, A the interval mean of U plus the lever
     arm's turn dR l over it; R0 is the Kabsch fit (one SVD) of these
     centred tracks, after Cao, Lu and Shen, "GVINS" (T-RO 2022).  The
-    positions are the fixes, interpolated, less R l.  Raises
+    antenna follows the fixes, interpolated, and outside them the model
+    carries the nearest fix e: p_e + v0 (t - t_e) + R0 (X(t) - X(t_e)) - g
+    (t^2 - t_e^2) / 2, X = W + dR l, v0 = mean(B) - R0 mean(A), W the
+    integral of U.  The body positions are the antenna's less R l.  Raises
     :class:`DataError` for fewer than four fixes in the IMU span, or when
     the fit's second singular value is below ``_HEADING_MIN_RATIO`` of its
     first: a track with no acceleration across gravity, such as a straight
     line at constant speed, whose heading the accelerometer cannot see.
     """
     dt = np.diff(imu_t)[:, None]
-    step = so3_exp(0.5 * (gyro[1:] + gyro[:-1]) * dt)
-    dR = np.empty((imu_t.size, 3, 3))
-    dR[0] = np.eye(3)
-    for n, E in enumerate(step):
-        dR[n + 1] = dR[n] @ E
+    dR = running_products(np.concatenate(
+        [[np.eye(3)], so3_exp(0.5 * (gyro[1:] + gyro[:-1]) * dt)]))
     f = np.einsum("nij,nj->ni", dR, accel)
     U = np.vstack([np.zeros(3), np.cumsum(0.5 * (f[1:] + f[:-1]) * dt, axis=0)])
     W = np.vstack([np.zeros(3), np.cumsum(0.5 * (U[1:] + U[:-1]) * dt, axis=0)])
@@ -197,7 +197,9 @@ def gps_gyro_poses(imu_t, gyro, accel, gps_t, gps, lever, query):
         raise DataError(f"{t.size} GPS fixes inside the IMU span: the GPS and "
                         "gyro start needs at least 4")
     h = np.diff(t)[:, None]
-    A = np.diff(_interp_positions(imu_t, W + dR @ lever, t), axis=0) / h
+    X = W + dR @ lever
+    X_t = _interp_positions(imu_t, X, t)
+    A = np.diff(X_t, axis=0) / h
     B = np.diff(p, axis=0) / h + GRAVITY * (t[1:, None] + t[:-1, None]) / 2
     Uc, s, Vt = np.linalg.svd((B - B.mean(axis=0)).T @ (A - A.mean(axis=0)))
     if not s[1] >= _HEADING_MIN_RATIO * s[0]:
@@ -208,7 +210,14 @@ def gps_gyro_poses(imu_t, gyro, accel, gps_t, gps, lever, query):
             "gravity")
     R0 = Uc @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Uc @ Vt))]) @ Vt
     R = R0 @ _interp_rotations(imu_t, dR, query)
-    return _interp_positions(t, p, query) - R @ lever, R
+    v0 = B.mean(axis=0) - R0 @ A.mean(axis=0)
+    e = np.where(query < t[0], 0, t.size - 1)
+    q, t_e = query[:, None], t[e, None]
+    carry = (p[e] + (q - t_e) * (v0 - GRAVITY * (q + t_e) / 2)
+             + (_interp_positions(imu_t, X, query) - X_t[e]) @ R0.T)
+    outside = ((query < t[0]) | (query > t[-1]))[:, None]
+    return (np.where(outside, carry, _interp_positions(t, p, query))
+            - R @ lever), R
 
 
 # ---------------------------------------------------------------------------

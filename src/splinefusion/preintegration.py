@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .rotations import hat, so3_exp, so3_log, so3_right_jacobian
+from .rotations import (hat, running_products, so3_exp, so3_log,
+                        so3_right_jacobian)
 
 _JITTER = 1e-16
 
@@ -32,15 +33,11 @@ class PreintegratedImu:
     def corrected(self, b_accel, b_gyro):
         """First-order bias-corrected (dR, dv, dp), per segment when the
         fields carry a leading segment axis (see :func:`stack`)."""
-        dba = np.asarray(b_accel, dtype=float) - self.bias_lin[0]
-        dbg = np.asarray(b_gyro, dtype=float) - self.bias_lin[1]
-        J = self.J_bias
-        dR = self.dR @ so3_exp(_matvec(J[..., 0:3, 3:6], dbg))
-        dv = (self.dv + _matvec(J[..., 3:6, 0:3], dba)
-              + _matvec(J[..., 3:6, 3:6], dbg))
-        dp = (self.dp + _matvec(J[..., 6:9, 0:3], dba)
-              + _matvec(J[..., 6:9, 3:6], dbg))
-        return dR, dv, dp
+        db = np.concatenate([np.subtract(b_accel, self.bias_lin[0]),
+                             np.subtract(b_gyro, self.bias_lin[1])], axis=-1)
+        d = _matvec(self.J_bias, db)  # its rotation rows see only b_gyro
+        return (self.dR @ so3_exp(d[..., 0:3]), self.dv + d[..., 3:6],
+                self.dp + d[..., 6:9])
 
     def sqrt_info(self):
         """Matrix W with W^T W = covariance^{-1} (whitens the residual)."""
@@ -64,13 +61,6 @@ def stack(pims):
                                for f in fields(PreintegratedImu)})
 
 
-def _interp_row(times, values, t):
-    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0,
-                    len(times) - 2))
-    a = (t - times[k]) / (times[k + 1] - times[k])
-    return (1.0 - a) * values[k] + a * values[k + 1]
-
-
 def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
               gyro_sigma=1e-3, accel_sigma=8e-3, t_start=None, t_end=None):
     """Midpoint-rule preintegration of an IMU slice over [t_start, t_end].
@@ -82,9 +72,11 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     Everything one step needs from its own samples is computed for all
     steps at once: the increments ``E_n = Exp(phi_n)``, the right Jacobians,
     the midpoint rotations ``R_mid = dR_n Exp(phi_n / 2)``, the transitions
-    ``A_n`` and the noise terms.  ``dv`` and ``dp`` are cumulative sums.
-    Only the recurrences ``dR <- dR E_n``, ``cov <- A_n cov A_n^T + C_n``
-    and ``J <- A_n J + G_n`` loop over the steps.
+    ``A_n`` and the noise terms.  ``dv`` and ``dp`` are cumulative sums, the
+    ``dR_n`` running products of ``E``.  With ``Phi_n = A_{N-1} ... A_{n+1}``
+    the recurrences ``J <- A_n J + G_n`` and ``cov <- A_n cov A_n^T + G_n Q
+    G_n^T`` sum to ``J = sum Phi_n G_n`` and ``cov = sum (Phi_n G_n) Q (Phi_n
+    G_n)^T``.
     """
     times = np.asarray(times, dtype=float)
     gyro = np.asarray(gyro, dtype=float)
@@ -112,33 +104,32 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
             f"[{t_start}, {t_end}]"
         )
 
+    # (gyro, accel) rows at the samples inside and at both edges
     inner = (times > t_start) & (times < t_end)
     ts = np.concatenate([[t_start], times[inner], [t_end]])
-    ws = np.vstack([[_interp_row(times, gyro, t_start)], gyro[inner],
-                    [_interp_row(times, gyro, t_end)]])
-    accs = np.vstack([[_interp_row(times, accel, t_start)], accel[inner],
-                      [_interp_row(times, accel, t_end)]])
+    k = np.searchsorted(times[1:-1], ts[[0, -1]], side="right")  # bracketing rows
+    u = ((ts[[0, -1]] - times[k]) / (times[k + 1] - times[k]))[:, None]
+    rows = np.hstack([gyro, accel])
+    at_edges = (1.0 - u) * rows[k] + u * rows[k + 1]
+    samples = np.concatenate([at_edges[:1], rows[inner], at_edges[1:]])
 
     # one row per step n, from ts[n] to ts[n + 1]
     dt = np.diff(ts)[:, None]
     dt3 = dt[:, :, None]
-    w = 0.5 * (ws[:-1] + ws[1:]) - b_g
-    a = 0.5 * (accs[:-1] + accs[1:]) - b_a
-    phi = w * dt
-    E = so3_exp(phi)
-    dRs = np.empty_like(E)  # dR at the start of each step
-    dR = np.eye(3)
-    for n, E_n in enumerate(E):
-        dRs[n] = dR
-        dR = dR @ E_n
-    half = so3_exp(0.5 * phi)
-    R_mid = dRs @ half
+    mid = 0.5 * (samples[:-1] + samples[1:]) - np.concatenate([b_g, b_a])
+    a = mid[:, 3:]
+    phi = mid[:, :3] * dt
+    both = np.concatenate([phi, 0.5 * phi])
+    E, half = so3_exp(both).reshape(2, -1, 3, 3)
+    Jr, Jr_half = so3_right_jacobian(both).reshape(2, -1, 3, 3)
+    chain = running_products(E)
+    R_mid = np.concatenate([half[:1], chain[:-1] @ half[1:]])
     Ra = (R_mid @ a[:, :, None])[:, :, 0]
     RH = R_mid @ hat(a)
     # R_mid a moves by -RH Exp(phi/2)^T eps when dR <- dR Exp(eps), and by
     # RH Jr(phi/2) dt/2 per unit of b_g through the half step Exp(phi/2)
     RH_rot = RH @ np.swapaxes(half, 1, 2)
-    RH_bg = RH @ so3_right_jacobian(0.5 * phi) * (0.5 * dt3)
+    RH_bg = RH @ Jr_half * (0.5 * dt3)
     eye = np.eye(3)
     A = np.zeros((len(E), 9, 9))
     A[:, 0:3, 0:3] = np.swapaxes(E, 1, 2)
@@ -149,27 +140,24 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     A[:, 6:9, 6:9] = eye
     # G_n: what step n adds to the bias Jacobian, columns (b_accel,
     # b_gyro).  The noise map B_n is -G_n with the column blocks swapped to
-    # (gyro, accel), so C_n = B_n Q B_n^T = G_n diag(accel^2, gyro^2) G_n^T.
+    # (gyro, accel), so B_n Q B_n^T = G_n diag(accel^2, gyro^2) G_n^T.
     G = np.zeros((len(E), 9, 6))
-    G[:, 0:3, 3:6] = -so3_right_jacobian(phi) * dt3
+    G[:, 0:3, 3:6] = -Jr * dt3
     G[:, 3:6, 0:3] = -R_mid * dt3
     G[:, 3:6, 3:6] = RH_bg * dt3
     G[:, 6:9, 0:3] = -0.5 * R_mid * dt3 * dt3
     G[:, 6:9, 3:6] = 0.5 * RH_bg * dt3 * dt3
-    q = np.repeat([accel_sigma**2, gyro_sigma**2], 3)
-    C = (G * q) @ np.swapaxes(G, 1, 2)
-    cov = np.zeros((9, 9))
-    J = np.zeros((9, 6))
-    for A_n, C_n, G_n in zip(A, C, G):
-        cov = A_n @ cov @ A_n.T + C_n
-        J = A_n @ J + G_n
+    PG = G.copy()  # Phi_n G_n, Phi_{N-1} = I
+    PG[:-1] = running_products(A[:0:-1])[::-1] @ G[:-1]
+    q = np.array(3 * [accel_sigma**2] + 3 * [gyro_sigma**2])
+    cov = (PG * q @ np.swapaxes(PG, 1, 2)).sum(axis=0)
 
     vel = np.cumsum(Ra * dt, axis=0)  # dv at the end of each step
-    dv_start = np.vstack([np.zeros(3), vel[:-1]])
+    dv_start = np.concatenate([np.zeros((1, 3)), vel[:-1]])
     dp = np.cumsum(dv_start * dt + 0.5 * Ra * dt * dt, axis=0)[-1]
     return PreintegratedImu(
-        dR=dR, dv=vel[-1], dp=dp, dt_total=t_end - t_start,
-        covariance=0.5 * (cov + cov.T), J_bias=J,
+        dR=chain[-1], dv=vel[-1], dp=dp, dt_total=t_end - t_start,
+        covariance=0.5 * (cov + cov.T), J_bias=PG.sum(axis=0),
         bias_lin=(b_a.copy(), b_g.copy()), t_start=t_start, t_end=t_end,
     )
 

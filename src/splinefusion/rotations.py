@@ -1,5 +1,8 @@
 """SO(3) utilities: exponential/logarithm maps, SLERP, quaternions.
 
+Exp and the right Jacobians are closed forms in [phi]x (Sola, Deray and
+Atchuthan, arXiv:1812.01537); Log goes through the quaternion only near pi.
+
 Conventions
 -----------
 Rotations are stored as 3x3 orthonormal matrices with determinant +1 and
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 _SMALL_ANGLE = 1e-8
+_NEAR_PI_COS = -0.995  # Log goes through the quaternion below this cos(angle)
 
 
 def hat(v):
@@ -34,6 +38,29 @@ def hat(v):
     return out
 
 
+def _so3_poly(v, t2, a, b):
+    """I + a [v]x + b [v]x^2, (..., 3, 3), built entry by entry from the
+    components of v with [v]x^2 = v v^T - t2 I, t2 = |v|^2."""
+    flat = np.einsum("...i,...j->...ij", b[..., None] * v, v).reshape(
+        v.shape[:-1] + (9,))  # row-major entries
+    av = a[..., None] * v
+    flat[..., ::4] += (1.0 - b * t2)[..., None]
+    flat[..., 7] += av[..., 0]
+    flat[..., 5] -= av[..., 0]
+    flat[..., 2] += av[..., 1]
+    flat[..., 6] -= av[..., 1]
+    flat[..., 3] += av[..., 2]
+    flat[..., 1] -= av[..., 2]
+    return flat.reshape(v.shape[:-1] + (3, 3))
+
+
+def _angle(phi, small_angle):
+    """|phi|^2, the mask |phi| < small_angle and |phi| (1 under the mask)."""
+    t2 = np.vecdot(phi, phi)
+    small = t2 < small_angle * small_angle
+    return t2, small, np.sqrt(np.where(small, 1.0, t2))
+
+
 def so3_exp(v):
     """Exponential map: axis-angle vector(s) to rotation matrix(es).
 
@@ -45,28 +72,11 @@ def so3_exp(v):
         raise InvalidArgumentError(f"expected (...,3) rotation vector, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidArgumentError("non-finite rotation vector")
-    theta = np.linalg.norm(v, axis=-1)
-    small = theta < _SMALL_ANGLE
-    # sin(t)/t and (1-cos(t))/t^2 with series fallbacks
-    t2 = theta * theta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        b = np.where(
-            small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2)
-        )
-    K = hat(v)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + a[..., None, None] * K + b[..., None, None] * (K @ K)
-
-
-def _right_jacobian_parts(phi):
-    """hat(phi), its square, the small-angle mask and theta = |phi| (1.0
-    where small, so that no coefficient divides by zero)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.sqrt(np.vecdot(phi, phi))
-    K = hat(phi)
-    small = theta < 1e-7
-    return K, K @ K, small, np.where(small, 1.0, theta)
+    t2, small, theta = _angle(v, _SMALL_ANGLE)
+    # sin(t)/t and (1-cos(t))/t^2 = 2 (sin(t/2)/t)^2 with series fallbacks
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / theta)
+    b = np.where(small, 0.5 - t2 / 24.0, 2.0 * (np.sin(0.5 * theta) / theta)**2)
+    return _so3_poly(v, t2, a, b)
 
 
 def so3_right_jacobian(phi):
@@ -74,11 +84,11 @@ def so3_right_jacobian(phi):
 
     To first order ``Exp(phi + d) = Exp(phi) Exp(J_r(phi) d)``.
     """
-    K, KK, small, theta = _right_jacobian_parts(phi)
-    t2 = theta * theta
-    a = np.where(small, 0.5, (1.0 - np.cos(theta)) / t2)
-    b = np.where(small, 1.0 / 6.0, (theta - np.sin(theta)) / (t2 * theta))
-    return np.eye(3) - a[..., None, None] * K + b[..., None, None] * KK
+    phi = np.asarray(phi, dtype=float)
+    t2, small, theta = _angle(phi, 1e-7)
+    a = np.where(small, 0.5, 2.0 * (np.sin(0.5 * theta) / theta)**2)
+    b = np.where(small, 1.0 / 6.0, (theta - np.sin(theta)) / theta**3)
+    return _so3_poly(phi, t2, -a, b)
 
 
 def so3_right_jacobian_inv(phi):
@@ -86,11 +96,23 @@ def so3_right_jacobian_inv(phi):
 
     To first order ``Log(Exp(phi) Exp(d)) = phi + J_r(phi)^-1 d``.
     """
-    K, KK, small, theta = _right_jacobian_parts(phi)
+    phi = np.asarray(phi, dtype=float)
+    t2, small, theta = _angle(phi, 1e-7)
     half = 0.5 * theta
     c = np.where(small, 1.0 / 12.0, 1.0 / (theta * theta)
                  - np.cos(half) / (2.0 * theta * np.sin(half)))
-    return np.eye(3) + 0.5 * K + c[..., None, None] * KK
+    return _so3_poly(phi, t2, np.full_like(t2, 0.5), c)
+
+
+def running_products(M):
+    """The running products M_0, M_0 M_1, ..., M_0 M_1 ... M_{N-1} of the
+    stack ``M`` (N, k, k), by doubling: ceil(log2 N) batched products."""
+    P = np.array(M, dtype=float)
+    step = 1
+    while step < len(P):
+        P[step:] = P[:-step] @ P[step:]
+        step *= 2
+    return P
 
 
 def rotation_to_quat(R):
@@ -186,20 +208,26 @@ def require_rotation(R, tol=1e-6):
 def so3_log(R, *, validate=True):
     """Logarithm map: rotation matrix(es) to principal axis-angle vector(s).
 
-    Goes through the quaternion representation, which is stable both near
-    the identity and near angle pi.  The returned norm is <= pi.
+    With v the vee of (R - R^T) / 2, theta = atan2(|v|, (tr R - 1) / 2) and
+    Log R = theta v / |v|.  Where cos theta < -0.995 the axis from v loses
+    accuracy, and those rotations go through the quaternion (Shepperd's
+    method) instead.  The returned norm is <= pi.
     """
     R = np.asarray(R, dtype=float)
     if validate:
         require_rotation(R)
-    q = rotation_to_quat(R)
-    vec = q[..., 1:]
-    norm_v = np.linalg.norm(vec, axis=-1)
-    theta = 2.0 * np.arctan2(norm_v, q[..., 0])
-    small = norm_v < _SMALL_ANGLE
-    scale = np.where(small, 2.0 / np.clip(q[..., 0], 1e-12, None),
-                     theta / np.where(small, 1.0, norm_v))
-    return scale[..., None] * vec
+    v = 0.5 * (R[..., [2, 0, 1], [1, 2, 0]] - R[..., [1, 2, 0], [2, 0, 1]])
+    c = 0.5 * (np.einsum("...ii->...", R) - 1.0)
+    s = np.sqrt(np.vecdot(v, v))
+    small = s < _SMALL_ANGLE  # theta / s -> 1 there, away from pi
+    scale = np.where(small, 1.0, np.arctan2(s, c) / np.where(small, 1.0, s))
+    out = scale[..., None] * v
+    near_pi = c < _NEAR_PI_COS
+    if np.any(near_pi):
+        q = rotation_to_quat(R[near_pi])
+        norm_v = np.linalg.norm(q[:, 1:], axis=-1)
+        out[near_pi] = (2.0 * np.arctan2(norm_v, q[:, 0]) / norm_v)[:, None] * q[:, 1:]
+    return out
 
 
 def slerp(Ra, Rb, u):

@@ -295,19 +295,25 @@ def _gps_gyro_poses(meas, rig, query):
 @pytest.mark.parametrize("imu_hz,gps_hz", [(100.0, 5.0), (200.0, 7.0)])
 def test_gps_gyro_poses_recover_the_true_attitude(imu_hz, gps_hz):
     """On noise-free data the gyro chain aligned by the accelerometer gives
-    the true attitude at every IMU stamp, heading included, and at the GPS
-    stamps the positions are the fixes less the lever arm."""
+    the true attitude at every IMU stamp, heading included; at the GPS
+    stamps the positions are the fixes less the lever arm, and at the IMU
+    stamps before the first fix and after the last the fitted model carries
+    the nearest fix to the true position."""
     gt = wobbly_ground_truth(duration=8.0)
     rig = sim.default_rig()
     meas = sim.synthesize(gt, rig, noiseless_spec(imu_hz=imu_hz, gps_hz=gps_hz),
                           num_landmarks=80).measurements
     t_imu, t_gps = meas.seconds(meas.imu_t_ns), meas.seconds(meas.gps_t_ns)
-    _, R = _gps_gyro_poses(meas, rig, t_imu)
+    p_imu, R = _gps_gyro_poses(meas, rig, t_imu)
     err = so3_log(np.swapaxes(gt.rotation.sample_many(meas.imu_t_ns * 1e-9),
                               -1, -2) @ R)
     assert np.linalg.norm(err, axis=1).max() < 1e-4
     p, _ = _gps_gyro_poses(meas, rig, t_gps)
     assert np.abs(p - gt.position.sample_many(meas.gps_t_ns * 1e-9)).max() < 1e-4
+    outside = (t_imu < t_gps[0]) | (t_imu > t_gps[-1])
+    assert outside[0] and outside[-1]
+    truth = gt.position.sample_many(meas.imu_t_ns[outside] * 1e-9)
+    assert np.abs(p_imu[outside] - truth).max() < 1e-3
 
 
 def test_gps_gyro_poses_reject_a_straight_constant_velocity_track():

@@ -21,6 +21,13 @@ def constant_input(T=0.5, hz=200.0, omega=(0.0, 0.0, 0.0), a=(0.0, 0.0, 0.0)):
     return times, gyro, accel
 
 
+def _interp_row(times, values, t):
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0,
+                    len(times) - 2))
+    a = (t - times[k]) / (times[k + 1] - times[k])
+    return (1.0 - a) * values[k] + a * values[k + 1]
+
+
 def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
                         t_start, t_end):
     """The per-sample loop ``integrate`` replaced: one step at a time, each
@@ -31,10 +38,10 @@ def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
     b_a, b_g = bias_lin
     inner = (times > t_start) & (times < t_end)
     ts = np.concatenate([[t_start], times[inner], [t_end]])
-    ws = np.vstack([[pre._interp_row(times, gyro, t_start)], gyro[inner],
-                    [pre._interp_row(times, gyro, t_end)]])
-    accs = np.vstack([[pre._interp_row(times, accel, t_start)], accel[inner],
-                      [pre._interp_row(times, accel, t_end)]])
+    ws = np.vstack([[_interp_row(times, gyro, t_start)], gyro[inner],
+                    [_interp_row(times, gyro, t_end)]])
+    accs = np.vstack([[_interp_row(times, accel, t_start)], accel[inner],
+                      [_interp_row(times, accel, t_end)]])
     dR = np.eye(3)
     dv = np.zeros(3)
     dp = np.zeros(3)
@@ -94,7 +101,7 @@ def reference_integrate(times, gyro, accel, bias_lin, gyro_sigma, accel_sigma,
 def test_integrate_matches_per_sample_reference():
     """The batched ``integrate`` agrees with the per-sample loop to 1e-12
     relative in every output, on jittered 200 Hz samples with random rates
-    and a nonzero linearization bias."""
+    and a nonzero linearization bias, for segments of 1 to 119 steps."""
     rng = np.random.default_rng(11)
     times = np.cumsum(rng.uniform(0.004, 0.006, size=120))
     gyro = rng.normal(scale=1.5, size=(times.size, 3))
@@ -107,6 +114,10 @@ def test_integrate_matches_per_sample_reference():
         (times[-2], times[-1]),  # one step, the segment's own samples
         (times[40] + 0.001, times[41] - 0.001),  # no sample inside
     ]
+    # step counts on both sides of the powers of two that the running
+    # products double through
+    segments += [(times[10] + 0.001, times[10 + n - 1] + 0.001)
+                 for n in (2, 3, 4, 5, 16, 17, 33)]
     for t_start, t_end in segments:
         pim = pre.integrate(times, gyro, accel, bias_lin=bias_lin,
                             gyro_sigma=2e-3, accel_sigma=3e-2,

@@ -13,6 +13,8 @@ from splinefusion.rotations import (
     slerp_many,
     so3_exp,
     so3_log,
+    so3_right_jacobian,
+    so3_right_jacobian_inv,
 )
 
 from conftest import random_rotation
@@ -64,6 +66,52 @@ def test_log_near_pi():
         axis = axis / np.linalg.norm(axis)
         v = axis * (np.pi - 1e-9)
         assert np.allclose(so3_log(so3_exp(v)), v, atol=1e-6)
+
+
+def _log_via_quaternion(R):
+    """Log through the quaternion, the route ``so3_log`` keeps near pi."""
+    q = rotation_to_quat(R)
+    norm_v = np.linalg.norm(q[..., 1:], axis=-1)
+    small = norm_v < 1e-8
+    scale = np.where(small, 2.0 / q[..., 0], 2.0 * np.arctan2(norm_v, q[..., 0])
+                     / np.where(small, 1.0, norm_v))
+    return scale[..., None] * q[..., 1:]
+
+
+def test_log_matches_quaternion_route(rng):
+    """From 1e-12 rad to pi, and on both sides of the angle where ``so3_log``
+    switches to the quaternion (cos theta = -0.995), the two routes agree to
+    1e-12.  Conjugating by a random rotation gives the entries of R the
+    rounding of a general product."""
+    switch = np.arccos(-0.995)
+    angles = np.concatenate([np.logspace(-12, 0, 25), np.linspace(1.0, np.pi, 40),
+                             switch + np.array([-1e-3, -1e-9, 1e-9, 1e-3]),
+                             np.pi - np.array([1e-3, 1e-4, 1e-6, 1e-9, 0.0])])
+    axes = rng.normal(size=(angles.size, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    Q = np.stack([random_rotation(rng) for _ in angles])
+    R = Q @ so3_exp(axes * angles[:, None]) @ np.swapaxes(Q, 1, 2)
+    assert np.max(np.abs(so3_log(R) - _log_via_quaternion(R))) < 1e-12
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-4, 0.5, 2.0, 3.0])
+def test_right_jacobians_match_central_differences(angle, rng):
+    """Exp(phi + d) = Exp(phi) Exp(J_r d) and Log(Exp(phi) Exp(d)) = phi +
+    J_r^-1 d to first order, and J_r J_r^-1 = I."""
+    axis = rng.normal(size=3)
+    phi = angle * axis / np.linalg.norm(axis)
+    h = 1e-6
+    Jr = np.empty((3, 3))
+    Jr_inv = np.empty((3, 3))
+    for k, d in enumerate(h * np.eye(3)):
+        Jr[:, k] = (so3_log(so3_exp(phi).T @ so3_exp(phi + d))
+                    - so3_log(so3_exp(phi).T @ so3_exp(phi - d))) / (2 * h)
+        Jr_inv[:, k] = (so3_log(so3_exp(phi) @ so3_exp(d))
+                        - so3_log(so3_exp(phi) @ so3_exp(-d))) / (2 * h)
+    assert np.max(np.abs(so3_right_jacobian(phi) - Jr)) < 1e-8
+    assert np.max(np.abs(so3_right_jacobian_inv(phi) - Jr_inv)) < 1e-8
+    assert np.max(np.abs(so3_right_jacobian(phi) @ so3_right_jacobian_inv(phi)
+                         - np.eye(3))) < 1e-12
 
 
 def test_exp_rejects_bad_input():
