@@ -51,7 +51,7 @@ from .estimators import (
     run,
     shift_feature,
 )
-from .metrics import AlignedPairs, align_pairs, associate, ate_p, ate_r, make_pairs
+from .metrics import AlignedPairs, align_pairs, ate_p, ate_r, make_pairs
 from .config import RunConfig, load_config, save_config
 
 __version__ = "1.0.0"
@@ -89,7 +89,6 @@ __all__ = [
     "SplineR3",
     "SplineSO3",
     "align_pairs",
-    "associate",
     "ate_p",
     "ate_r",
     "build_ct_problem",

@@ -57,19 +57,28 @@ def _simulate_dataset(cfg: RunConfig):
     return gt, rig, noise, result
 
 
-def _pairs_against_gt(result, gt, align="none"):
-    pairs = met.make_pairs(result.t_ns, result.positions, result.rotations,
-                           gt[0], gt[1], gt[2])
+def _gauge(cfg: RunConfig):
+    """The alignment for the gauge the run's sensors leave free: none with
+    GPS, yaw and translation without (gravity holds roll and pitch)."""
+    return "none" if cfg.sensors.gps else "pos_yaw"
+
+
+def _pairs_against_gt(est_poses, gt, align):
+    """The aligned pairs of the (t_ns, positions, rotations) of an estimate
+    and of the ground truth; a DataError when no estimate stamp falls in
+    the ground truth's span."""
+    pairs = met.make_pairs(*est_poses, *gt)
     if len(pairs) == 0:
-        raise DataError("no estimate/ground-truth timestamp pairs within 1 ms")
+        raise DataError("no estimate stamp inside the ground truth's span")
     return met.align_pairs(pairs, align)
 
 
-def _report(result, wall_s, pairs=None):
+def _report(result, wall_s, align, pairs=None):
     return {
         "mode": result.mode,
         "ate_p_m": met.ate_p(pairs) if pairs is not None else None,
         "ate_r_deg": met.ate_r(pairs) if pairs is not None else None,
+        "align": align,
         "t_cam_imu_ms": result.t_cam_imu * 1e3,
         "t_gps_imu_ms": result.t_gps_imu * 1e3,
         "iterations": result.report.iterations,
@@ -147,8 +156,10 @@ def _cmd_estimate(args, mode):
     os.makedirs(args.out, exist_ok=True)
     write_pose_csv(os.path.join(args.out, "estimate.csv"), result.t_ns,
                    result.positions, result.rotations)
-    pairs = _pairs_against_gt(result, gt, cfg.align) if gt is not None else None
-    report = _report(result, wall, pairs)
+    align = _gauge(cfg)
+    pairs = (_pairs_against_gt((result.t_ns, result.positions, result.rotations),
+                               gt, align) if gt is not None else None)
+    report = _report(result, wall, align, pairs)
     report["factor_counts"] = result.factor_counts
     report["stage_seconds"] = result.stage_seconds
     report["stage_reports"] = {
@@ -171,12 +182,8 @@ def _cmd_estimate(args, mode):
 
 
 def cmd_evaluate(args):
-    et, ep, er = read_pose_csv(args.est)
-    gt_t, gt_p, gt_r = read_pose_csv(args.gt)
-    pairs = met.make_pairs(et, ep, er, gt_t, gt_p, gt_r)
-    if len(pairs) == 0:
-        raise DataError("no estimate/ground-truth timestamp pairs within 1 ms")
-    pairs = met.align_pairs(pairs, args.align)
+    pairs = _pairs_against_gt(read_pose_csv(args.est), read_pose_csv(args.gt),
+                              args.align)
     os.makedirs(args.out, exist_ok=True)
     met.write_metrics_json(os.path.join(args.out, "metrics.json"), pairs)
     met.write_traj_xy_csv(os.path.join(args.out, "traj_xy.csv"), pairs)
@@ -197,6 +204,7 @@ def cmd_compare(args):
     if not offsets_ms:
         raise UsageError("--offsets must list at least one value")
     os.makedirs(args.out, exist_ok=True)
+    align = _gauge(cfg)
     rows = []
     for off in offsets_ms:
         run_cfg = dataclasses.replace(
@@ -209,7 +217,8 @@ def cmd_compare(args):
             ecfg = run_cfg.estimator_config(mode)
             result = est.run(meas, rig, noise, ecfg, mode=mode,
                              seed=run_cfg.seed)
-            pairs = _pairs_against_gt(result, gt_tuple, run_cfg.align)
+            pairs = _pairs_against_gt(
+                (result.t_ns, result.positions, result.rotations), gt_tuple, align)
             rows.append({
                 "offset_true_ms": off,
                 "mode": mode,

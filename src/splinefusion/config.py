@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .dataset import NoiseSpec, build_section
-from .errors import DataError, InvalidArgumentError
+from .errors import DataError, InvalidArgumentError, require_finite
 from .estimators import CtConfig, DtConfig
-from .metrics import ALIGN_MODES
 from .simulate import ProfileParams
 
 # CtConfig/DtConfig fields that RunConfig takes from ``sensors`` instead
@@ -45,6 +44,8 @@ class SimulateConfig:
 
     def __post_init__(self):
         self.profile_params()
+        require_finite("t_cam_imu_ms", self.t_cam_imu_ms)
+        require_finite("t_gps_imu_ms", self.t_gps_imu_ms)
         if not self.duration >= 5.0:
             raise InvalidArgumentError(f"duration must be >= 5 s, got {self.duration}")
 
@@ -72,7 +73,6 @@ class RunConfig:
     estimator (CT or DT)."""
 
     seed: int = 0
-    align: str = "none"  # evaluation alignment: none | pos_yaw | sim3
     sensors: SensorFlags = field(default_factory=SensorFlags)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -80,8 +80,8 @@ class RunConfig:
     dt: DtConfig = field(default_factory=DtConfig)
 
     def __post_init__(self):
-        if self.align not in ALIGN_MODES:
-            raise InvalidArgumentError(f"unknown align mode {self.align!r}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         # estimator_config takes the switches from ``sensors``, so a switch
         # set in ``ct``/``dt`` would be ignored
         for name in ("ct", "dt"):
@@ -113,7 +113,6 @@ class RunConfig:
     def to_dict(self):
         return {
             "seed": self.seed,
-            "align": self.align,
             "sensors": dataclasses.asdict(self.sensors),
             "simulate": dataclasses.asdict(self.simulate),
             "noise": dataclasses.asdict(self.noise),
@@ -124,8 +123,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data):
         data = dict(data or {})
-        known = {"seed", "align", "sensors", "simulate", "noise",
-                 "ct", "dt"}
+        known = {"seed", "sensors", "simulate", "noise", "ct", "dt"}
         unknown = set(data) - known
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
@@ -138,7 +136,6 @@ class RunConfig:
             raise DataError(f"config key 'seed' must be an integer, got {seed!r}")
         return cls(
             seed=seed,
-            align=data.get("align", "none"),
             sensors=build(SensorFlags, "sensors"),
             simulate=build(SimulateConfig, "simulate"),
             noise=build(NoiseSpec, "noise"),

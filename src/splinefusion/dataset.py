@@ -119,6 +119,8 @@ class SensorRig:
     def __post_init__(self):
         if not is_rotation(self.T_cam_imu.R):
             raise InvalidArgumentError("extrinsic rotation is not orthonormal")
+        require_finite("t_cam_imu", self.t_cam_imu)
+        require_finite("t_gps_imu", self.t_gps_imu)
         if abs(self.t_cam_imu) >= 1.0 or abs(self.t_gps_imu) >= 1.0:
             raise InvalidArgumentError("time offsets must be below 1 s")
         object.__setattr__(
@@ -183,6 +185,8 @@ class NoiseSpec:
             require_finite(name, getattr(self, name), positive=True)
         if self.imu_hz < self.cam_hz:
             raise InvalidArgumentError("imu rate must be >= camera rate")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,9 +1,9 @@
-"""Trajectory evaluation: timestamp association, ATE metrics, reports.
+"""Trajectory evaluation: estimate/ground-truth pairs, ATE metrics, reports.
 
-Estimates and ground truth are associated by nearest timestamp (one-to-one,
-within 1 ms); metrics are computed in the shared world frame by default,
-with optional pre-alignment: ``pos_yaw`` for GPS-free runs, whose gauge is
-free in yaw and translation (gravity is held), or ``sim3``.
+Each estimate pose is paired with the ground truth interpolated at its own
+stamp; metrics are computed in the shared world frame by default, with
+optional pre-alignment: ``pos_yaw`` for GPS-free runs, whose gauge is free
+in yaw and translation (gravity is held), or ``sim3``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .initialization import umeyama
+from .dataset import seconds_since
+from .initialization import _interp_positions, _interp_rotations, umeyama
 from .rotations import so3_exp, so3_log
 
-ASSOCIATION_TOL_NS = 1_000_000  # 1 ms
 ALIGN_MODES = ("none", "pos_yaw", "sim3")
 
 
@@ -45,51 +45,27 @@ class AlignedPairs:
         return self.t_ns.size
 
 
-def associate(est_t_ns, gt_t_ns):
-    """One-to-one nearest-timestamp matching within ``ASSOCIATION_TOL_NS``.
-
-    Returns (est_indices, gt_indices); candidate pairs are taken greedily in
-    order of increasing time difference so no index is used twice.
-    """
+def make_pairs(est_t_ns, est_p, est_R, gt_t_ns, gt_p, gt_R):
+    """AlignedPairs of each estimate stamp inside the span of the ground
+    truth (stamps strictly increasing) with the ground truth there: the
+    sample itself at a stamp it has, else positions interpolated linearly
+    and rotations by slerp between the two samples around the stamp.  A
+    stamp outside the span gets no pair.  Interpolation runs on seconds
+    since the first ground-truth stamp, so epoch-scale stamps stay exact."""
     est_t = np.asarray(est_t_ns, dtype=np.int64)
     gt_t = np.asarray(gt_t_ns, dtype=np.int64)
-    if est_t.size == 0 or gt_t.size == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    pos = np.searchsorted(gt_t, est_t)
-    cand = []
-    for i, p in enumerate(pos):
-        for j in (p - 1, p):
-            if 0 <= j < gt_t.size:
-                d = abs(int(est_t[i]) - int(gt_t[j]))
-                if d <= ASSOCIATION_TOL_NS:
-                    cand.append((d, i, j))
-    cand.sort()
-    used_e, used_g = set(), set()
-    ei, gi = [], []
-    for _, i, j in cand:
-        if i in used_e or j in used_g:
-            continue
-        used_e.add(i)
-        used_g.add(j)
-        ei.append(i)
-        gi.append(j)
-    order = np.argsort([est_t[i] for i in ei]) if ei else []
-    ei = np.asarray(ei, dtype=int)[order] if len(ei) else np.zeros(0, dtype=int)
-    gi = np.asarray(gi, dtype=int)[order] if len(gi) else np.zeros(0, dtype=int)
-    return ei, gi
-
-
-def make_pairs(est_t_ns, est_p, est_R, gt_t_ns, gt_p, gt_R):
-    """Associate two timestamped trajectories into AlignedPairs."""
-    ei, gi = associate(est_t_ns, gt_t_ns)
-    est_t_ns = np.asarray(est_t_ns, dtype=np.int64)
-    return AlignedPairs(
-        t_ns=est_t_ns[ei],
-        est_p=np.asarray(est_p, dtype=float)[ei],
-        est_R=np.asarray(est_R, dtype=float)[ei],
-        gt_p=np.asarray(gt_p, dtype=float)[gi],
-        gt_R=np.asarray(gt_R, dtype=float)[gi],
-    )
+    gt_p = np.asarray(gt_p, dtype=float)
+    gt_R = np.asarray(gt_R, dtype=float)
+    inside = (est_t >= gt_t[0]) & (est_t <= gt_t[-1])
+    t = est_t[inside]
+    at = np.searchsorted(gt_t, t)  # gt_t[at] >= t, so == t where it has t
+    s_gt, s = seconds_since(gt_t, gt_t[0]), seconds_since(t, gt_t[0])
+    p = _interp_positions(s_gt, gt_p, s)
+    R = _interp_rotations(s_gt, gt_R, s)
+    exact = gt_t[at] == t
+    p[exact], R[exact] = gt_p[at[exact]], gt_R[at[exact]]
+    return AlignedPairs(t, np.asarray(est_p, dtype=float)[inside],
+                        np.asarray(est_R, dtype=float)[inside], p, R)
 
 
 def align_pairs(pairs: AlignedPairs, mode="none"):

@@ -162,23 +162,6 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     )
 
 
-def compose(a: PreintegratedImu, b: PreintegratedImu):
-    """Concatenate two adjacent preintegrated segments (deltas only)."""
-    if abs(a.t_end - b.t_start) > 1e-9:
-        raise InvalidArgumentError("segments are not adjacent")
-    return PreintegratedImu(
-        dR=a.dR @ b.dR,
-        dv=a.dv + a.dR @ b.dv,
-        dp=a.dp + a.dv * b.dt_total + a.dR @ b.dp,
-        dt_total=a.dt_total + b.dt_total,
-        covariance=np.zeros((9, 9)),
-        J_bias=np.zeros((9, 6)),
-        bias_lin=a.bias_lin,
-        t_start=a.t_start,
-        t_end=b.t_end,
-    )
-
-
 def preint_residual(R_i, p_i, v_i, b_accel_i, b_gyro_i, R_j, p_j, v_j,
                     gravity, pim: PreintegratedImu):
     """9-DOF preintegration residual (rotation Log, velocity, position).

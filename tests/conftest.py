@@ -14,6 +14,12 @@ def noiseless_spec(cam_hz=10.0, imu_hz=100.0, gps_hz=5.0, seed=0):
     )
 
 
+def concatenate(a, b):
+    """The deltas (dR, dv, dp) of the preintegrated segment ``a`` followed by
+    the adjacent segment ``b``, in closed form."""
+    return a.dR @ b.dR, a.dv + a.dR @ b.dv, a.dp + a.dv * b.dt_total + a.dR @ b.dp
+
+
 def random_rotation(rng):
     """Uniform random rotation from a normalized Gaussian quaternion."""
     q = rng.normal(size=4)

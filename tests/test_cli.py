@@ -86,7 +86,8 @@ def test_malformed_config_is_data_error(tmp_path, capsys):
         assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["radius", "duration"])
+@pytest.mark.parametrize("key", ["radius", "duration", "t_cam_imu_ms",
+                                 "t_gps_imu_ms"])
 def test_non_finite_profile_value_exits_2(key, tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(f"simulate: {{{key}: .nan}}\n")
@@ -234,6 +235,7 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     assert report["at_bound"] == []
     # GPS noise is 0.1 m, so the unaligned ATE sits at that order
     assert report["ate_p_m"] < 0.3
+    assert report["align"] == "none"  # GPS fixes the gauge
     assert set(report["factor_counts"]) == {
         "reprojection", "accel", "gyro", "bias_rate", "gps", "total"
     }
@@ -244,6 +246,68 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     lines = (out / "estimate.csv").read_text().splitlines()
     assert lines[0] == "t_ns,x,y,z,qw,qx,qy,qz"
     assert len(lines) > 50
+
+
+def test_runs_off_the_imu_stamps_are_scored(tmp_path, capsys):
+    """With a 7 ms camera offset every frame stamp lies 3 ms from the
+    nearest ground-truth (IMU) stamp; both estimates are scored against
+    the ground truth interpolated at their stamps, and ``compare`` runs
+    at that offset too."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG_SMALL.replace("noise:", "  t_cam_imu_ms: 7.0\nnoise:"))
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(data)]) == 0
+    meas, _, _, (gt_t, _, _) = read_dataset(data)
+    assert not np.isin(meas.frame_t_ns, gt_t).any()
+    for mode in ("ct", "dt"):
+        out = tmp_path / mode
+        rc = cli.main([f"estimate-{mode}", "--config", str(data / "config.yaml"),
+                       "--data", str(data), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["ate_p_m"] < 0.3
+        if mode == "ct":
+            assert abs(report["t_cam_imu_ms"] - 7.0) < 2.0
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(tmp_path / "config.yaml"),
+                     "--seed", "3", "--offsets", "7", "--out", str(out)]) == 0
+    assert len((out / "compare.csv").read_text().splitlines()) == 3
+
+
+def test_gps_free_run_is_scored_in_its_gauge(tmp_path):
+    """Without GPS a run is aligned in yaw and translation before its ATE,
+    which is then that of ``evaluate --align pos_yaw`` on its estimate."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("sensors: {gps: false}\n" + CONFIG_SMALL)
+    data, out = tmp_path / "data", tmp_path / "dt"
+    assert cli.main(["simulate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(data)]) == 0
+    assert cli.main(["estimate-dt", "--config", str(data / "config.yaml"),
+                     "--data", str(data), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["align"] == "pos_yaw"
+    assert cli.main(["evaluate", "--est", str(out / "estimate.csv"),
+                     "--gt", str(data / "gt.csv"), "--align", "pos_yaw",
+                     "--out", str(tmp_path / "eval")]) == 0
+    m = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert m["ate_p_m"] == report["ate_p_m"]
+    # estimate.csv holds the rotations as quaternions
+    assert np.isclose(m["ate_r_deg"], report["ate_r_deg"], rtol=1e-9, atol=0)
+
+
+def test_nan_offset_and_negative_seed_exit_2(tmp_path, capsys):
+    """A NaN camera offset to ``compare`` and a negative seed, in a config
+    or on the command line, exit 2 naming the key instead of a traceback."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("seed: -2\n")
+    out = str(tmp_path / "out")
+    for argv, key in ((["compare", "--offsets", "nan"], "t_cam_imu_ms"),
+                      (["simulate", "--config", str(cfg)], "seed"),
+                      (["simulate", "--seed", "-1"], "seed"),
+                      (["estimate-dt", "--seed", "-1", "--data", out], "seed")):
+        assert cli.main(argv + ["--out", out]) == 2, argv
+        assert key in capsys.readouterr().err, argv
 
 
 def test_ct_initial_spline_follows_the_data_span(small_dataset):

@@ -97,18 +97,31 @@ def test_estimator_config_applies_sensor_flags():
     assert dt.use_gps is False
 
 
+def test_align_key_rejected(tmp_path, capsys):
+    """A run aligns by the gauge its sensors leave free, so ``align`` is an
+    unknown key, in Python and on the command line."""
+    with pytest.raises(DataError, match=r"unknown config keys: \['align'\]"):
+        RunConfig.from_dict({"align": "pos_yaw"})
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("align: none\n")
+    rc = cli.main(["estimate-ct", "--config", str(cfg),
+                   "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'align'" in capsys.readouterr().err
+
+
 def test_validation_errors():
-    with pytest.raises(InvalidArgumentError):
-        RunConfig(align="icp")
     with pytest.raises(InvalidArgumentError):
         SimulateConfig(profile="spiral")
     with pytest.raises(InvalidArgumentError):
         SimulateConfig(duration=2.0)
     with pytest.raises(InvalidArgumentError):
         SensorFlags(camera=True, imu=False, gps=False)
-    # out-of-range estimator settings are named, not left to fail later
+    # out-of-range settings are named, not left to fail later
     nan, inf = float("nan"), float("inf")
     for klass, key, value in (
+            (SimulateConfig, "t_cam_imu_ms", nan),
+            (SimulateConfig, "t_gps_imu_ms", inf), (RunConfig, "seed", -1),
             (CtConfig, "node_hz", 0.0), (CtConfig, "node_hz", nan),
             (CtConfig, "node_hz", inf), (CtConfig, "node_hz", -10.0),
             (CtConfig, "bias_node_hz", 0.0), (CtConfig, "bias_node_hz", nan),

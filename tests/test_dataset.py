@@ -324,6 +324,8 @@ def test_noise_spec_validation():
         NoiseSpec(imu_hz=0.0)
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(cam_hz=300.0, imu_hz=200.0)
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
+        NoiseSpec(seed=-1)
     # non-finite sigmas and rates are named, not left to fail later
     for key in ("pixel_sigma", "accel_sigma", "gyro_sigma", "accel_bias_rw",
                 "gyro_bias_rw", "gps_sigma", "cam_hz", "imu_hz", "gps_hz"):
@@ -343,6 +345,12 @@ def test_rig_validation(rng):
         SensorRig(T_cam_imu=Pose(np.eye(3), np.zeros(3)),
                   p_antenna_body=np.zeros(3), t_cam_imu=1.5, t_gps_imu=0.0,
                   camera=cam)
+    # NaN passes a test of |t| >= 1 s, so it is named instead
+    for key in ("t_cam_imu", "t_gps_imu"):
+        offsets = {"t_cam_imu": 0.0, "t_gps_imu": 0.0, key: float("nan")}
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be finite"):
+            SensorRig(T_cam_imu=Pose(np.eye(3), np.zeros(3)),
+                      p_antenna_body=np.zeros(3), camera=cam, **offsets)
 
 
 @pytest.mark.parametrize("edit, match", [

@@ -7,28 +7,9 @@ import pytest
 from splinefusion import metrics as met
 from splinefusion.errors import InvalidArgumentError
 from splinefusion.initialization import Sim3Transform
-from splinefusion.rotations import so3_exp
+from splinefusion.rotations import so3_exp, so3_log
 
 from conftest import random_rotation
-
-
-def test_associate_exact_and_tolerance():
-    est = np.array([0, 1_000_000_000, 2_000_000_000], dtype=np.int64)
-    gt = np.array([500_000, 1_000_500_000, 3_000_000_000], dtype=np.int64)
-    ei, gi = met.associate(est, gt)
-    assert list(ei) == [0, 1] and list(gi) == [0, 1]  # third pair beyond 1 ms
-
-
-def test_associate_one_to_one():
-    est = np.array([0, 100_000], dtype=np.int64)
-    gt = np.array([0], dtype=np.int64)
-    ei, gi = met.associate(est, gt)
-    assert list(ei) == [0] and list(gi) == [0]
-
-
-def test_associate_empty():
-    ei, gi = met.associate(np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64))
-    assert ei.size == 0 and gi.size == 0
 
 
 def make_pairs(rng, n=50):
@@ -113,13 +94,33 @@ def test_align_sim3_removes_scale(rng):
 
 
 def test_make_pairs(rng):
-    t, p, R = make_pairs(rng, 20)
-    # ground truth at a slightly jittered, denser timeline
-    gt_t = np.sort(np.concatenate([t + 2000, t[:5] + 50_000_000]))
-    idx = np.searchsorted(t + 2000, gt_t)
-    pairs = met.make_pairs(t, p, R, t + 2000, p, R)
-    assert len(pairs) == 20
-    assert np.allclose(pairs.est_p, pairs.gt_p)
+    """Each estimate stamp in the ground truth's span is paired with the
+    ground truth there: its own sample at a stamp it has, the last one
+    included, the lerp and slerp midpoint halfway between two samples; a
+    stamp outside the span gets no pair.  Epoch-scale stamps give the same
+    pairs."""
+    gt_t, gt_p, gt_R = make_pairs(rng, 20)
+    half = 50_000_000
+    est_t = np.array([-1, 0, 3 * 100_000_000 + half, 7 * 100_000_000,
+                      gt_t[-1], gt_t[-1] + 1], dtype=np.int64)
+    est_p = rng.normal(size=(est_t.size, 3))
+    est_R = np.stack([random_rotation(rng) for _ in est_t])
+    pairs = met.make_pairs(est_t, est_p, est_R, gt_t, gt_p, gt_R)
+    assert np.array_equal(pairs.t_ns, est_t[1:5])
+    assert np.array_equal(pairs.est_p, est_p[1:5])
+    assert np.array_equal(pairs.est_R, est_R[1:5])
+    own = [0, 2, 3]  # the pairs at a ground-truth stamp
+    assert np.array_equal(pairs.gt_p[own], gt_p[[0, 7, 19]])
+    assert np.array_equal(pairs.gt_R[own], gt_R[[0, 7, 19]])
+    assert np.allclose(pairs.gt_p[1], 0.5 * (gt_p[3] + gt_p[4]),
+                       rtol=0, atol=1e-12)
+    mid_R = gt_R[3] @ so3_exp(0.5 * so3_log(gt_R[3].T @ gt_R[4]))
+    assert np.allclose(pairs.gt_R[1], mid_R, rtol=0, atol=1e-12)
+    shift = 1_700_000_000 * 1_000_000_000
+    moved = met.make_pairs(est_t + shift, est_p, est_R, gt_t + shift, gt_p, gt_R)
+    assert np.array_equal(moved.t_ns, pairs.t_ns + shift)
+    assert np.array_equal(moved.gt_p, pairs.gt_p)
+    assert np.array_equal(moved.gt_R, pairs.gt_R)
 
 
 def test_empty_pairs_raise():
