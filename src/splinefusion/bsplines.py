@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfDomainError
+from .errors import InvalidArgumentError, OutOfDomainError, require_finite, require_int
 from .rotations import (
     hat,
     is_rotation,
@@ -79,10 +79,8 @@ def cumulative_matrix(order):
 
 
 def _check_order(order):
-    k = int(order)
-    if not MIN_ORDER <= k <= MAX_ORDER:
-        raise InvalidArgumentError(f"unsupported spline order {order} (need 2..8)")
-    return k
+    require_int("spline order", order, MIN_ORDER, MAX_ORDER)
+    return int(order)
 
 
 def blending_many(order, u):
@@ -179,7 +177,12 @@ class KnotGrid:
 
 
 def grid_covering(t_min, t_max, dt, order):
-    """Smallest KnotGrid with the given spacing whose domain covers [t_min, t_max]."""
+    """Smallest KnotGrid with the given spacing whose domain covers [t_min,
+    t_max]; raises :class:`InvalidArgumentError` naming a non-finite bound
+    or a ``dt`` that is not finite > 0."""
+    require_finite("t_min", t_min)
+    require_finite("t_max", t_max)
+    require_finite("dt", dt, positive=True)
     span = max(t_max - t_min, 0.0)
     segments = max(int(np.ceil(span / dt + 1e-9)) + 1, 1)
     return KnotGrid(t0=t_min, dt=dt, count=segments + order - 1, order=order)

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit."""
 
 import math
+import numbers
 
 
 class SplineFusionError(Exception):
@@ -45,3 +46,12 @@ def require_finite(name, value, positive=None):
             positive is not None and not (value > 0 if positive else value >= 0)):
         bound = "" if positive is None else f" and {'>' if positive else '>='} 0"
         raise InvalidArgumentError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def require_int(name, value, low, high=math.inf):
+    """An InvalidArgumentError naming ``name`` unless ``value`` is an
+    integer, not a bool, in [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value <= high):
+        span = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise InvalidArgumentError(f"{name} must be an int {span}, got {value!r}")

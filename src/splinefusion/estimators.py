@@ -35,10 +35,10 @@ from .camera import project_many
 from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError,
-                     require_finite)
+                     require_finite, require_int)
 from .initialization import (R3FitGroup, add_field_blocks, cut_windows,
                              fit_spline_to_poses, gps_gyro_poses, pnp_dlt,
-                             window_slots)
+                             r3_window_jacobian, window_slot)
 from .residuals import GRAVITY, CtState, DtState
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
@@ -50,6 +50,7 @@ from .solver import (
     Slot,
     SolveOptions,
     solve,
+    window_jacobian,
 )
 
 
@@ -67,9 +68,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if sum((self.use_cam, self.use_imu, self.use_gps)) < 2:
             raise InvalidArgumentError("need at least two sensor modalities")
-        if self.max_iter < 1:
-            raise InvalidArgumentError(
-                f"max_iter must be >= 1, got {self.max_iter!r}")
+        require_int("max_iter", self.max_iter, 1)
         require_finite("offset_bound", self.offset_bound, positive=True)
         require_finite("landmark_sigma", self.landmark_sigma, positive=False)
 
@@ -93,6 +92,7 @@ class CtConfig(EstimatorConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        bs._check_order(self.spline_order)
         require_finite("node_hz", self.node_hz, positive=True)
         require_finite("bias_node_hz", self.bias_node_hz, positive=True)
         if self.use_imu and self.spline_order < 4:
@@ -162,25 +162,33 @@ def flatten_observations(meas: MeasurementSet):
 # continuous-time factor groups
 
 
+def _pose_window_jacobians(E_p, E_R, coeff, JR):
+    """The position and rotation window slots' Jacobians of a sampled pose:
+    ``coeff_s E_p`` and ``E_R JR_s`` for node s, the sampled position (or
+    its derivative) being sum_s coeff_s p_s and R <- R Exp(JR_s delta_s)."""
+    return {0: window_jacobian(coeff[..., None, None] * np.expand_dims(E_p, -3)),
+            1: window_jacobian(np.expand_dims(E_R, -3) @ JR)}
+
+
 class _SplineGroup(FactorGroup):
     """A continuous-time family on the pose spline pair.  Subclasses set
     ``grid`` and ``pos0``/``rot0``, the block ids of the first position and
     rotation node; ``ctx`` is the first segment of each factor's window.
 
-    A family that samples the pose puts the 2k window slots first
+    A family that samples the pose puts the two window slots first
     (:meth:`_pose_slots`: positions, then rotations) and states only its
     residual's derivatives in the sampled pose: ``E_p`` in the sampled
     position (or the derivative of it that it samples) and ``E_R`` in the
     right perturbation ``R <- R Exp(eps)`` of the sampled rotation.
-    :meth:`_window_jacobians` chains them to the window nodes, after Sommer
-    et al., "Efficient Derivative Computation for Cumulative B-Splines on
-    Lie Groups" (CVPR 2020).  A family sampled at a clock-shifted time is
-    also a :class:`_SampledPoseGroup` with the window as pose source
-    (:meth:`_locate`, :meth:`_sample`); the others set fixed ``slots``.
-    :meth:`_sample` evaluates the window once per distinct sample time, on
-    the window of the first factor there, and repeats the rows for the
-    others: the features of one camera frame share a stamp, so CT
-    reprojection makes one evaluation per frame.
+    :func:`_pose_window_jacobians` chains them to the window nodes, after
+    Sommer et al., "Efficient Derivative Computation for Cumulative
+    B-Splines on Lie Groups" (CVPR 2020).  A family sampled at a
+    clock-shifted time is also a :class:`_SampledPoseGroup` with the window
+    as pose source (:meth:`_locate`, :meth:`_sample`); the others set fixed
+    ``slots``.  :meth:`_sample` evaluates the window once per distinct
+    sample time, on the window of the first factor there, and repeats the
+    rows for the others: the features of one camera frame share a stamp, so
+    CT reprojection makes one evaluation per frame.
     """
 
     def jumps(self, problem, state, seg):
@@ -190,24 +198,8 @@ class _SplineGroup(FactorGroup):
 
     def _pose_slots(self, seg):
         k = self.grid.order
-        return (window_slots(self.pos0, seg, k, EUCLIDEAN)
-                + window_slots(self.rot0, seg, k, ROTATION))
-
-    def _windows(self, gathered):
-        """Position (n, k, 3) and rotation (n, k, 3, 3) windows."""
-        k = self.grid.order
-        return (np.stack(gathered[:k], axis=-2),
-                np.stack(gathered[k : 2 * k], axis=-3))
-
-    def _window_jacobians(self, E_p, E_R, JR, coeff):
-        """Slot -> Jacobian of the 2k window slots: ``coeff_s E_p`` for
-        position node s, with ``coeff`` the per-node coefficients of the
-        sampled position derivative, and ``E_R JR_s`` for rotation node s,
-        with JR from :func:`bs.so3_window_eval_jacobians`."""
-        k = self.grid.order
-        jacs = {s: coeff[:, s, None, None] * E_p for s in range(k)}
-        jacs.update({k + s: E_R @ JR[:, s] for s in range(k)})
-        return jacs
+        return [window_slot(self.pos0, seg, k, EUCLIDEAN),
+                window_slot(self.rot0, seg, k, ROTATION)]
 
     def _locate(self, t):
         seg, _ = self.grid.normalized_times(t)
@@ -216,7 +208,7 @@ class _SplineGroup(FactorGroup):
     def _sample(self, ctx, pose, t, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
         t, first, each = np.unique(t, return_index=True, return_inverse=True)
-        posw, rotw = self._windows([x[first] for x in pose])
+        posw, rotw = (x[first] for x in pose)
         u = (t - self.grid.t0) / dt - ctx[first]
         p = bs.r3_window_eval(posw, u, k, dt)[each]
         if not jacobians:
@@ -224,14 +216,15 @@ class _SplineGroup(FactorGroup):
         R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
         return (p, R[each], bs.r3_window_eval(posw, u, k, dt, 1)[each],
                 omega[each],
-                partial(self._window_jacobians, JR=JR[each],
+                partial(_pose_window_jacobians, JR=JR[each],
                         coeff=bs.window_node_coefficients(k, u)[each]))
 
 
 class _SampledPoseGroup(FactorGroup):
     """A family sampling the pose at ``stamps + offset``, the offset being
-    the clock-offset block ``offset_id``; its slots are the pose slots, the
-    family's own slots ``own`` (a tuple, maybe empty), then the offset.  The
+    the clock-offset block ``offset_id``; its slots are the position and
+    rotation window slots, the family's own slots ``own`` (a tuple, maybe
+    empty), then the offset.  The
     family supplies ``_error(p, R, *own)``, the whitened residual, and with
     ``jacobians=True`` ``(e, E_p, E_R, *E_own)``.  The pose source supplies
     ``_locate(t)``, the ``ctx`` and pose slots at times ``t``, and
@@ -240,7 +233,7 @@ class _SampledPoseGroup(FactorGroup):
     ``(E_p, E_R)`` to the pose-slot Jacobians.  The offset column is
     ``E_R omega + E_p pdot``.  A source may sample once per distinct time
     and repeat the rows: factors at one time have the same ``ctx`` and pose
-    slots, also under the one-slot steps of :meth:`FactorGroup._fd_slot`."""
+    slots, also under the one-block steps of :meth:`FactorGroup._fd_slot`."""
 
     def build(self, problem, state):
         offset = state.euc[problem.blocks[self.offset_id].store]
@@ -248,15 +241,14 @@ class _SampledPoseGroup(FactorGroup):
         return ctx, [*pose, *self.own, Slot(self.offset_id, EUCLIDEAN, 1)]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        n = len(gathered) - 1 - len(self.own)
-        pose, own = gathered[:n], gathered[n:-1]
+        pose, own = gathered[:2], gathered[2:-1]
         t = self.stamps + gathered[-1][..., 0]
         if not jacobians:
             return self._error(*self._sample(ctx, pose, t), *own)
         p, R, pdot, omega, chain = self._sample(ctx, pose, t, jacobians=True)
         e, E_p, E_R, *E_own = self._error(p, R, *own, jacobians=True)
         jacs = chain(E_p, E_R)
-        jacs.update(enumerate(E_own, start=n))
+        jacs.update(enumerate(E_own, start=2))
         jacs[len(gathered) - 1] = E_R @ omega[..., None] + E_p @ pdot[..., None]
         return e, jacs
 
@@ -341,16 +333,15 @@ class CtAccelGroup(_SplineGroup):
         self.w = weight
         self.ctx, self.u = grid.normalized_times(times)
         bseg, self.bu = bias_grid.normalized_times(times)
-        self.slots = (self._pose_slots(self.ctx)
-                      + window_slots(ba0, bseg, 4, EUCLIDEAN))
+        self.slots = self._pose_slots(self.ctx) + [
+            window_slot(ba0, bseg, 4, EUCLIDEAN)]
         self._c2 = bs.window_node_coefficients(grid.order, self.u, 2) * (
             1.0 / grid.dt**2)
-        self._cb = bs.window_node_coefficients(4, self.bu, 0)
+        self._jb = r3_window_jacobian(4, self.bu, weight)
 
     def kernel(self, ctx, gathered, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
-        posw, rotw = self._windows(gathered)
-        baw = np.stack(gathered[2 * k : 2 * k + 4], axis=-2)
+        posw, rotw, baw = gathered
         acc = bs.r3_window_eval(posw, self.u, k, dt, 2)
         if jacobians:
             R, _, JR = bs.so3_window_eval_jacobians(rotw, self.u, k, dt)
@@ -363,11 +354,8 @@ class CtAccelGroup(_SplineGroup):
             return e
         Rt = np.swapaxes(R, -1, -2) * self.w
         # R <- R Exp(eps) moves R^T f by hat(R^T f) eps
-        jacs = self._window_jacobians(Rt, self.w * hat(f_body), JR, self._c2)
-        eye = np.eye(3)
-        for s in range(4):
-            jacs[2 * k + s] = self.w * self._cb[:, s, None, None] * eye[None]
-        return e, jacs
+        return e, {**_pose_window_jacobians(Rt, self.w * hat(f_body), self._c2, JR),
+                   2: self._jb}
 
 
 class CtGyroGroup(_SplineGroup):
@@ -384,14 +372,13 @@ class CtGyroGroup(_SplineGroup):
         self.w = weight
         self.ctx, self.u = grid.normalized_times(times)
         bseg, self.bu = bias_grid.normalized_times(times)
-        self.slots = (window_slots(rot0, self.ctx, grid.order, ROTATION)
-                      + window_slots(bg0, bseg, 4, EUCLIDEAN))
-        self._cb = bs.window_node_coefficients(4, self.bu, 0)
+        self.slots = [window_slot(rot0, self.ctx, grid.order, ROTATION),
+                      window_slot(bg0, bseg, 4, EUCLIDEAN)]
+        self._jb = r3_window_jacobian(4, self.bu, weight)
 
     def kernel(self, ctx, gathered, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
-        rotw = np.stack(gathered[0:k], axis=-3)
-        bgw = np.stack(gathered[k : k + 4], axis=-2)
+        rotw, bgw = gathered
         if jacobians:
             omega, JW = bs.so3_window_angvel_jacobians(rotw, self.u, k, dt)
         else:
@@ -400,11 +387,7 @@ class CtGyroGroup(_SplineGroup):
         e = (omega + bg - self.gyro) * self.w
         if not jacobians:
             return e
-        eye = np.eye(3)
-        jacs = {s: self.w * JW[:, s] for s in range(k)}
-        for s in range(4):
-            jacs[k + s] = self.w * self._cb[:, s, None, None] * eye[None]
-        return e, jacs
+        return e, {0: window_jacobian(self.w * JW), 1: self._jb}
 
 
 class CtBiasRateGroup(R3FitGroup):
@@ -486,8 +469,15 @@ class DtReprojGroup(_ReprojGroup):
         return r, {0: -B, 1: B_rot, 2: B, 3: Jt[:, :, None]}
 
 
+def _pairs(ids):
+    """The (K - 1, 2) windows of consecutive frame blocks ``ids``."""
+    return np.stack([ids[:-1], ids[1:]], axis=1)
+
+
 class DtPreintGroup(FactorGroup):
-    """Preintegration residuals between consecutive frames.
+    """Preintegration residuals between consecutive frames: one window slot
+    each for the position, rotation and velocity pair (frame i, frame j =
+    i + 1), then the biases of frame i.
 
     Each segment is preintegrated once, here, at the biases ``bias_accel[n]``
     and ``bias_gyro[n]`` of its first frame, the build's initial state; the
@@ -527,28 +517,26 @@ class DtPreintGroup(FactorGroup):
         pim = pre.stack(pims)
         self.ctx = (pim, pim.sqrt_info())
         self.slots = [
-            Slot(ids["p"][:-1], EUCLIDEAN, 3),
-            Slot(ids["R"][:-1], ROTATION, 3),
-            Slot(ids["v"][:-1], EUCLIDEAN, 3),
+            Slot(_pairs(ids["p"]), EUCLIDEAN, 3),
+            Slot(_pairs(ids["R"]), ROTATION, 3),
+            Slot(_pairs(ids["v"]), EUCLIDEAN, 3),
             Slot(ids["ba"][:-1], EUCLIDEAN, 3),
             Slot(ids["bg"][:-1], EUCLIDEAN, 3),
-            Slot(ids["p"][1:], EUCLIDEAN, 3),
-            Slot(ids["R"][1:], ROTATION, 3),
-            Slot(ids["v"][1:], EUCLIDEAN, 3),
         ]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        p_i, R_i, v_i, ba_i, bg_i, p_j, R_j, v_j = gathered
+        p, R, v, ba_i, bg_i = gathered
         pim, W = ctx
-        e = pre.preint_residual(R_i, p_i, v_i, ba_i, bg_i, R_j, p_j, v_j,
-                                GRAVITY, pim)
+        e = pre.preint_residual(R[:, 0], p[:, 0], v[:, 0], ba_i, bg_i, R[:, 1],
+                                p[:, 1], v[:, 1], GRAVITY, pim)
         r = np.einsum("nij,nj->ni", W, e)
         return (r, {}) if jacobians else r
 
 
 class DtBiasWalkGroup(FactorGroup):
-    """Whitened bias random-walk residuals between consecutive frames.  The
-    residuals are linear in the biases, so the Jacobians are constants."""
+    """Whitened bias random-walk residuals between consecutive frames, on
+    the accelerometer and the gyro bias pair.  The residuals are linear in
+    the biases, so the Jacobians are constants."""
 
     name = "dt_bias_walk"
     dim = 6
@@ -556,27 +544,16 @@ class DtBiasWalkGroup(FactorGroup):
     def __init__(self, ids, frame_times, accel_rw, gyro_rw):
         self.w_a = 1.0 / (_sigma(accel_rw) * np.sqrt(np.diff(frame_times)))
         self.w_g = 1.0 / (_sigma(gyro_rw) * np.sqrt(np.diff(frame_times)))
-        self.slots = [
-            Slot(ids["ba"][:-1], EUCLIDEAN, 3),
-            Slot(ids["bg"][:-1], EUCLIDEAN, 3),
-            Slot(ids["ba"][1:], EUCLIDEAN, 3),
-            Slot(ids["bg"][1:], EUCLIDEAN, 3),
-        ]
-        self.jacobians = {}
-        for si, (w, sgn, rows) in enumerate(
-            [(self.w_a, -1.0, 0), (self.w_g, -1.0, 3),
-             (self.w_a, 1.0, 0), (self.w_g, 1.0, 3)]
-        ):
-            Jm = np.zeros((w.size, 6, 3))
-            Jm[:, rows : rows + 3, :] = sgn * w[:, None, None] * np.eye(3)
-            self.jacobians[si] = Jm
+        self.slots = [Slot(_pairs(ids["ba"]), EUCLIDEAN, 3),
+                      Slot(_pairs(ids["bg"]), EUCLIDEAN, 3)]
+        step = np.hstack([-np.eye(3), np.eye(3)])  # d (b_j - b_i) / d (b_i, b_j)
+        self.jacobians = {0: self.w_a[:, None, None] * np.vstack([step, 0 * step]),
+                          1: self.w_g[:, None, None] * np.vstack([0 * step, step])}
 
     def kernel(self, ctx, gathered, jacobians=False):
-        ba_i, bg_i, ba_j, bg_j = gathered
-        r = np.concatenate(
-            [(ba_j - ba_i) * self.w_a[:, None], (bg_j - bg_i) * self.w_g[:, None]],
-            axis=1,
-        )
+        ba, bg = gathered
+        r = np.concatenate([(ba[:, 1] - ba[:, 0]) * self.w_a[:, None],
+                            (bg[:, 1] - bg[:, 0]) * self.w_g[:, None]], axis=1)
         return (r, self.jacobians) if jacobians else r
 
 
@@ -584,7 +561,8 @@ class DtGpsGroup(_GpsModel, _SampledPoseGroup):
     """GPS residuals on the frame states k, k+1 around t_d + t_gps_imu
     (clamped to the first and last pair): p = p_k + alpha dp and the slerp
     R = R_k Exp(alpha d), d = Log(R_k^T R_{k+1}), the order-2 cumulative
-    B-spline over knots at the frame times."""
+    B-spline over knots at the frame times.  Its pose slots are the
+    position and rotation pair windows, as CT GPS's at order 2."""
 
     name = "dt_gps"
 
@@ -596,17 +574,16 @@ class DtGpsGroup(_GpsModel, _SampledPoseGroup):
     def _locate(self, t):
         k = np.clip(np.searchsorted(self.pose_times, t, side="right") - 1,
                     0, len(self.pose_times) - 2)
-        p, R = self.ids["p"], self.ids["R"]
         return (self.pose_times[k], self.pose_times[k + 1]), [
-            Slot(p[k], EUCLIDEAN, 3), Slot(R[k], ROTATION, 3),
-            Slot(p[k + 1], EUCLIDEAN, 3), Slot(R[k + 1], ROTATION, 3)]
+            Slot(_pairs(self.ids["p"])[k], EUCLIDEAN, 3),
+            Slot(_pairs(self.ids["R"])[k], ROTATION, 3)]
 
     def _sample(self, ctx, pose, t, jacobians=False):
-        (t_k, t_k1), (p_k, R_k, p_k1, R_k1) = ctx, pose
+        (t_k, t_k1), (pw, Rw) = ctx, pose
         span = (t_k1 - t_k)[:, None]
         alpha = (t - t_k)[:, None] / span
-        dp = p_k1 - p_k
-        R_rel = np.swapaxes(R_k, -1, -2) @ R_k1
+        p_k, R_k, dp = pw[:, 0], Rw[:, 0], pw[:, 1] - pw[:, 0]
+        R_rel = np.swapaxes(R_k, -1, -2) @ Rw[:, 1]
         d = so3_log(R_rel, validate=False)
         E = so3_exp(alpha * d)
         p, R = p_k + alpha * dp, R_k @ E
@@ -615,11 +592,11 @@ class DtGpsGroup(_GpsModel, _SampledPoseGroup):
         # R_{k+1} <- R_{k+1} Exp(eps) moves d by J_r(d)^-1 eps and R by
         # Exp(G1 eps); R_k <- R_k Exp(eps) moves d by -J_r(d)^-1 R_rel^T eps,
         # so R by Exp(G0 eps)
-        a = alpha[..., None]
-        G1 = a * so3_right_jacobian(alpha * d) @ so3_right_jacobian_inv(d)
+        G1 = alpha[..., None] * so3_right_jacobian(alpha * d) @ so3_right_jacobian_inv(d)
         G0 = np.swapaxes(E, -1, -2) - G1 @ np.swapaxes(R_rel, -1, -2)
-        return p, R, dp / span, d / span, lambda E_p, E_R: {
-            0: (1.0 - a) * E_p, 1: E_R @ G0, 2: a * E_p, 3: E_R @ G1}
+        return p, R, dp / span, d / span, partial(
+            _pose_window_jacobians, coeff=np.hstack([1.0 - alpha, alpha]),
+            JR=np.stack([G0, G1], axis=1))
 
 
 # ---------------------------------------------------------------------------

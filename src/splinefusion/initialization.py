@@ -23,6 +23,7 @@ from .solver import (
     SolveOptions,
     _levenberg_marquardt,
     solve,
+    window_jacobian,
 )
 
 
@@ -239,10 +240,17 @@ def _interp_rotations(times, rotations, query):
     return slerp_many(rotations[idx], rotations[idx + 1], alpha)
 
 
-def window_slots(first_block, seg, order, kind):
-    """The ``order`` slots of the spline window starting at node ``seg`` of
-    the nodes whose block ids count up from ``first_block``."""
-    return [Slot(first_block + seg + j, kind, 3) for j in range(order)]
+def window_slot(first_block, seg, order, kind):
+    """The window slot of the ``order`` spline nodes starting at node
+    ``seg``, of the nodes whose block ids count up from ``first_block``."""
+    return Slot(first_block + seg[..., None] + np.arange(order), kind, 3)
+
+
+def r3_window_jacobian(order, u, weight, derivative=0, dt=1.0):
+    """The constant Jacobian ``w c_s I / dt^d`` of the weighted derivative
+    ``d`` of an R^3 spline window slot sampled at the fractions ``u``."""
+    coeffs = bs.window_node_coefficients(order, u, derivative) / dt**derivative
+    return window_jacobian(weight * coeffs[..., None, None] * np.eye(3))
 
 
 def add_field_blocks(problem, field, prefix, rows, add, to_value):
@@ -281,22 +289,14 @@ class R3FitGroup(FactorGroup):
         self.targets = targets
         self.weight = weight
         self.derivative = derivative
-        self.slots = window_slots(first_block, seg, grid.order, EUCLIDEAN)
-        self._coeffs = bs.window_node_coefficients(
-            grid.order, u, derivative) / grid.dt**derivative
+        self.slots = [window_slot(first_block, seg, grid.order, EUCLIDEAN)]
+        self._jacobian = r3_window_jacobian(grid.order, u, weight, derivative, grid.dt)
 
     def kernel(self, ctx, gathered, jacobians=False):
-        windows = np.stack(gathered, axis=-2)
-        val = bs.r3_window_eval(windows, self.u, self.grid.order, self.grid.dt,
+        val = bs.r3_window_eval(gathered[0], self.u, self.grid.order, self.grid.dt,
                                 self.derivative)
         r = (val - self.targets) * self.weight
-        if not jacobians:
-            return r
-        eye = np.eye(3)
-        return r, {
-            j: self.weight * self._coeffs[:, j, None, None] * eye[None, :, :]
-            for j in range(self.grid.order)
-        }
+        return (r, {0: self._jacobian}) if jacobians else r
 
 
 class SO3FitGroup(FactorGroup):
@@ -316,10 +316,10 @@ class SO3FitGroup(FactorGroup):
         self.u = u
         self.targets = targets
         self.weight = weight
-        self.slots = window_slots(first_block, seg, grid.order, ROTATION)
+        self.slots = [window_slot(first_block, seg, grid.order, ROTATION)]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        windows = np.stack(gathered, axis=-3)
+        windows = gathered[0]
         if not jacobians:
             R = bs.so3_window_eval(windows, self.u, self.grid.order)
             return self.weight * so3_log(
@@ -328,7 +328,7 @@ class SO3FitGroup(FactorGroup):
                                                 self.grid.dt)
         e = so3_log(np.swapaxes(R, -1, -2) @ self.targets, validate=False)
         E = -self.weight * so3_right_jacobian_inv(-e)
-        return self.weight * e, {s: E @ JR[:, s] for s in range(self.grid.order)}
+        return self.weight * e, {0: window_jacobian(np.expand_dims(E, -3) @ JR)}
 
     def jumps(self, problem, state, ctx):
         """Factors whose window is cut (:func:`cut_windows`)."""

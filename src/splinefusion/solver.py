@@ -5,12 +5,14 @@ are updated on the manifold with the right retraction ``R <- R @ Exp(delta)``.
 Residuals are supplied by *factor groups*: vectorized batches of identically
 shaped factors.  A group names the blocks each factor reads as *slots*,
 fixed ones in its ``slots`` attribute or state-dependent ones from its own
-``build``.  Each group gathers its per-factor block values into dense
-arrays and evaluates all residuals at once; one kernel call with
-``jacobians=True`` also returns the exact per-slot Jacobians the group has,
-and central differences on the gathered values fill the other slots: those
-of DT preintegration and of the rotation-spline fit.  Each family declares
-the factors on a jump of its residuals through ``FactorGroup.jumps``.
+``build``; a slot gives each factor one block or a *window* of blocks of one
+kind, such as the k nodes a spline sample reads.  Each group gathers its
+per-factor block values into dense arrays and evaluates all residuals at
+once; one kernel call with ``jacobians=True`` also returns the exact
+per-slot Jacobians the group has, a window's blocks side by side, and
+central differences on the gathered values fill the other slots: those of
+DT preintegration.  Each family declares the factors on a jump of its
+residuals through ``FactorGroup.jumps``.
 
 The normal equations are accumulated from each group's dense per-factor
 Jacobians, as block-sparse bundle adjusters do, after a plan made once per
@@ -41,7 +43,8 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import InvalidArgumentError, NumericalFailureError, OutOfDomainError
+from .errors import (InvalidArgumentError, NumericalFailureError, OutOfDomainError,
+                     require_finite, require_int)
 from .rotations import so3_exp
 
 EUCLIDEAN = "euclidean"
@@ -86,13 +89,23 @@ class Slot:
     """One parameter slot of a factor group.
 
     ``block_ids`` maps each factor to the block filling this slot (a scalar
-    means the block is shared by all factors in the group).
+    means the block is shared by all factors in the group), or, of shape
+    (num, w), to a window of w blocks of the slot's ``kind`` and ``dim``.
+    The slot's Jacobian is (num, dim_r, w * dim): the blocks' columns side
+    by side, w = 1 for a single block.
     """
 
     def __init__(self, block_ids, kind, dim):
         self.block_ids = np.atleast_1d(np.asarray(block_ids, dtype=int))
         self.kind = kind
         self.dim = dim
+        self.width = self.block_ids.shape[1] if self.block_ids.ndim == 2 else 1
+
+
+def window_jacobian(J):
+    """The Jacobian (..., a, w * b) of a window slot from its per-block
+    Jacobians J (..., w, a, b)."""
+    return np.swapaxes(J, -3, -2).reshape(J.shape[:-3] + (J.shape[-2], -1))
 
 
 class FactorGroup:
@@ -108,15 +121,17 @@ class FactorGroup:
     kernel is the one Jacobian protocol: ``kernel(ctx, gathered)``
     returns the whitened residuals, and ``kernel(ctx, gathered,
     jacobians=True)`` returns ``(r, jacs)`` with the same ``r`` and the
-    exact Jacobians it has, slot index -> (num, dim, tdim).  A slot missing
-    from ``jacs`` gets central finite differences (:meth:`_fd_slot`), which
-    are also the test oracle of the exact ones.  Every family is exact in
-    every slot except the discrete-time preintegration group; the
-    continuous-time families that sample the pose state their derivatives
-    in the sampled pose and get the ones in the spline nodes from
-    ``estimators._SplineGroup``.  A family whose residuals jump (the SO(3)
-    spline families, at a control pair near angle pi) names the factors on
-    a jump through :meth:`jumps`; nothing else looks for them.
+    exact Jacobians it has, slot index -> (num, dim, width * tdim), a
+    window slot's blocks side by side (:func:`window_jacobian`).  A slot
+    missing from ``jacs`` gets central finite differences
+    (:meth:`_fd_slot`), which are also the test oracle of the exact ones.
+    Every family is exact in every slot except the discrete-time
+    preintegration group; the continuous-time families that sample the
+    pose state their derivatives in the sampled pose and get the ones in
+    the spline window from ``estimators._SplineGroup``.  A family whose
+    residuals jump (the SO(3) spline families, at a control pair near
+    angle pi) names the factors on a jump through :meth:`jumps`; nothing
+    else looks for them.
     """
 
     name = "group"
@@ -162,20 +177,26 @@ class FactorGroup:
         return r, slots, jacs, jumps
 
     def _fd_slot(self, ctx, gathered, si, slot):
-        """Central differences (num, dim, tdim) in the tangent space of slot
-        ``si``: euclidean steps, or ``R <- R Exp(+-h e_a)`` for a rotation."""
-        h = self.fd_step
-        value = gathered[si]
+        """Central differences (num, dim, width * tdim) in the tangent space
+        of slot ``si``, one block of each factor's window at a time:
+        euclidean steps, or ``R <- R Exp(+-h e_a)`` for a rotation."""
+        h, value = self.fd_step, gathered[si]
+        item = (3, 3) if slot.kind == ROTATION else (slot.dim,)
+        blocks = value.reshape((len(value), slot.width) + item)
         cols = []
-        for a in range(slot.dim):
+        for j, a in np.ndindex(slot.width, slot.dim):
             if slot.kind == ROTATION:
                 dR = so3_exp(h * np.eye(3)[a])
-                moved = (value @ dR, value @ dR.T)
+                moved = (blocks[:, j] @ dR, blocks[:, j] @ dR.T)
             else:
                 step = h * np.eye(slot.dim)[a]
-                moved = (value + step, value - step)
-            f = [self.kernel(ctx, gathered[:si] + [m] + gathered[si + 1:])
-                 for m in moved]
+                moved = (blocks[:, j] + step, blocks[:, j] - step)
+            f = []
+            for m in moved:
+                window = blocks.copy()
+                window[:, j] = m
+                f.append(self.kernel(ctx, gathered[:si] + [window.reshape(value.shape)]
+                                     + gathered[si + 1:]))
             cols.append((f[0] - f[1]) / (2 * h))
         return np.stack(cols, axis=-1)
 
@@ -278,14 +299,12 @@ class Problem:
         return state.euc[meta.store : meta.store + meta.dim]
 
     def gather(self, state, slot: Slot):
-        """Per-factor values for a slot: (num, dim) or (num, 3, 3)."""
-        ids = slot.block_ids
+        """Per-factor values for a slot: (num, dim) or (num, 3, 3), a
+        window's (num, w, dim) or (num, w, 3, 3)."""
+        stores = self._store_array[slot.block_ids]
         if slot.kind == ROTATION:
-            stores = self._store_array[ids]
             return state.rot[stores]
-        offs = self._store_array[ids]
-        cols = offs[:, None] + np.arange(slot.dim)
-        return state.euc[cols]
+        return state.euc[stores[..., None] + np.arange(slot.dim)]
 
     # -- layout -------------------------------------------------------------
 
@@ -376,27 +395,29 @@ class Problem:
             num, dim = r.shape
             res.append(r.ravel())
             # the columns of the block, built and checked once per slot structure
-            key = (num, [(s.dim, s.block_ids.tobytes()) for s in slots])
+            key = (num, [(s.dim, s.block_ids.shape, s.block_ids.tobytes())
+                         for s in slots])
             if self._columns_memo.get(gi, (None,))[0] != key:
                 self._columns_memo[gi] = (key, *self._columns(group, slots, num))
             free, cols = self._columns_memo[gi][1:]
             if num:  # the normal equations take no empty group
                 blocks.append((np.concatenate([np.zeros((num, dim, 0))] + [
-                    np.broadcast_to(jacs[si], (num, dim, slots[si].dim))
+                    np.broadcast_to(jacs[si], (num, dim, slots[si].width * slots[si].dim))
                     for si in free], axis=2), cols))
         r_all = np.concatenate(res) if res else np.zeros(0)
         return r_all, BlockJacobian(blocks, (r_all.size, self.num_cols)), jump_rows
 
     def _columns(self, group, slots, num):
         """The slots with a free block and the (num, w) columns of their
-        blocks; raises unless each factor's columns fall in at most one
-        point."""
-        starts = [np.broadcast_to(self._col_array[s.block_ids], (num,))[:, None]
-                  for s in slots]  # each slot's first column per factor, -1 if fixed
+        blocks, a window's side by side; raises unless each factor's columns
+        fall in at most one point."""
+        # each block's first column per factor, -1 if fixed
+        starts = [np.broadcast_to(self._col_array[s.block_ids].reshape(-1, s.width),
+                                  (num, s.width))[..., None] for s in slots]
         free = [si for si, c in enumerate(starts) if (c >= 0).any()]
         cols = np.hstack([np.zeros((num, 0), int)] + [
             np.where(starts[si] >= 0, starts[si] + np.arange(slots[si].dim), -1)
-            for si in free])
+            .reshape(num, -1) for si in free])
         p0 = self.num_cols - self.num_point_cols  # first point column
         points = np.where(cols >= p0, (cols - p0) // 3, -1)
         top = points.max(axis=1, keepdims=True, initial=-1)
@@ -411,12 +432,18 @@ class Problem:
 
 @dataclass
 class SolveOptions:
-    """Iteration cap, initial LM damping, and the relative cost drop below
-    which an accepted step ends the solve as converged."""
+    """Iteration cap (an int >= 1), initial LM damping (finite > 0), and
+    the relative cost drop (finite >= 0) below which an accepted step ends
+    the solve as converged."""
 
     max_iter: int = 50
     lm_lambda0: float = 1e-4
     rel_tol: float = 1e-8
+
+    def __post_init__(self):
+        require_int("max_iter", self.max_iter, 1)
+        require_finite("lm_lambda0", self.lm_lambda0, positive=True)
+        require_finite("rel_tol", self.rel_tol, positive=False)
 
 
 @dataclass

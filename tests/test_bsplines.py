@@ -203,6 +203,22 @@ def test_grid_covering():
     assert grid.num_segments == grid.count - grid.order + 1
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 1.0, 0.0, 4), "dt"), ((0.0, 1.0, -0.1, 4), "dt"),
+    ((0.0, 1.0, np.nan, 4), "dt"), ((0.0, 1.0, np.inf, 4), "dt"),
+    ((0.0, np.inf, 0.1, 4), "t_max"), ((np.nan, 1.0, 0.1, 4), "t_min")])
+def test_grid_covering_rejects_non_finite_bounds_and_steps(args, name):
+    with pytest.raises(InvalidArgumentError, match=name):
+        bs.grid_covering(*args)
+
+
+@pytest.mark.parametrize("order", [4.5, 4.0, True, 1, 9])
+def test_spline_order_must_be_an_int_in_range(order):
+    """A non-integer order is rejected, not truncated."""
+    with pytest.raises(InvalidArgumentError, match="spline order"):
+        bs.KnotGrid(t0=0.0, dt=1.0, count=10, order=order)
+
+
 def test_serialization_roundtrip(rng, tmp_path):
     """save_spline_pair writes a file from which the same splines rebuild:
     grid in whole nanoseconds, position nodes, rotation nodes as quaternions."""

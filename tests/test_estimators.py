@@ -62,6 +62,21 @@ def test_config_validation():
         est.DtConfig(use_imu=False, use_gps=False, use_cam=True)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(spline_order=4.5), "spline order"), (dict(spline_order=True), "spline order"),
+    (dict(spline_order=9, use_imu=False), "spline order"),
+    (dict(max_iter=2.5), "max_iter"), (dict(max_iter=True), "max_iter"),
+    (dict(max_iter=0), "max_iter")])
+def test_integer_settings_checked_at_construction(kwargs, name):
+    """The spline order and the iteration cap are checked when the config
+    is made, not when ``run`` first uses them."""
+    with pytest.raises(InvalidArgumentError, match=name):
+        est.CtConfig(**kwargs)
+    if "max_iter" in kwargs:
+        with pytest.raises(InvalidArgumentError, match=name):
+            est.DtConfig(**kwargs)
+
+
 def test_flatten_observations(tiny_noiseless):
     _, _, _, result = tiny_noiseless
     meas = result.measurements
@@ -312,14 +327,14 @@ def _per_observation_sample(group, ctx, pose, t, jacobians=False):
     """The per-observation reference of ``_SplineGroup._sample``: the
     window kernels run once per factor."""
     k, dt = group.grid.order, group.grid.dt
-    posw, rotw = group._windows(pose)
+    posw, rotw = pose
     u = (t - group.grid.t0) / dt - ctx
     p = bs.r3_window_eval(posw, u, k, dt)
     if not jacobians:
         return p, bs.so3_window_eval(rotw, u, k)
     R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
     return (p, R, bs.r3_window_eval(posw, u, k, dt, 1), omega,
-            partial(group._window_jacobians, JR=JR,
+            partial(est._pose_window_jacobians, JR=JR,
                     coeff=bs.window_node_coefficients(k, u)))
 
 
@@ -549,9 +564,9 @@ def test_dt_bias_walk_whitens_by_density_and_frame_gap():
     ids = {"ba": np.array([0, 2]), "bg": np.array([1, 3])}
     group = est.DtBiasWalkGroup(ids, np.array([0.0, 0.25]), accel_rw=1e-3,
                                 gyro_rw=1e-4)
-    zero = np.zeros((1, 3))
-    r = group.kernel(None, [zero, zero, np.array([[1e-3, 0.0, 0.0]]),
-                            np.array([[0.0, 2e-4, 0.0]])])
+    ba = np.array([[[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]]])
+    bg = np.array([[[0.0, 0.0, 0.0], [0.0, 2e-4, 0.0]]])
+    r = group.kernel(None, [ba, bg])
     assert np.isclose(r[0, 0], 1e-3 / (1e-3 * 0.5))
     assert np.isclose(r[0, 4], 2e-4 / (1e-4 * 0.5))
     assert np.count_nonzero(r) == 2

@@ -102,12 +102,11 @@ def test_dt_gps_is_ct_gps_at_order_2(rng):
     r_ct, slots_ct, J_ct, _ = ct.linearize(problem, state)
     r_dt, slots_dt, J_dt, _ = dt.linearize(problem, state)
     assert np.max(np.abs(r_ct - r_dt)) < 1e-12
-    # CT (p_s, p_s+1, R_s, R_s+1) against DT (p_k, R_k, p_k+1, R_k+1), then
-    # t_gps
-    assert len(slots_ct) == len(slots_dt) == 5
-    for c, d in enumerate((0, 2, 1, 3, 4)):
-        assert np.array_equal(slots_ct[c].block_ids, slots_dt[d].block_ids)
-        assert np.max(np.abs(J_ct[c] - J_dt[d])) < 1e-12
+    # the position pair, the rotation pair, then t_gps
+    assert len(slots_ct) == len(slots_dt) == 3
+    for c in range(3):
+        assert np.array_equal(slots_ct[c].block_ids, slots_dt[c].block_ids)
+        assert np.max(np.abs(J_ct[c] - J_dt[c])) < 1e-12
 
 
 def test_dt_state_validation(rng):

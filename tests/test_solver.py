@@ -803,3 +803,168 @@ def test_solve_linearizes_only_where_another_iteration_follows(monkeypatch):
                             jac_fn=lambda x: [np.array([[-1.0]])]))
     report, made, accepted = run(uphill)
     assert report.termination == "stalled" and accepted == 0 and made == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5), dict(max_iter=True),
+    dict(lm_lambda0=-1.0), dict(lm_lambda0=float("nan")), dict(lm_lambda0=0.0),
+    dict(lm_lambda0=float("inf")), dict(rel_tol=float("nan")), dict(rel_tol=-1e-8)])
+def test_solve_options_validation(kwargs):
+    """Each setting is checked where the options are made, naming it."""
+    name, = kwargs
+    with pytest.raises(InvalidArgumentError, match=name):
+        SolveOptions(**kwargs)
+
+
+def _window_problem(rng):
+    """Euclidean blocks e0..e3 (e2 held), rotation blocks R0..R3 and two
+    point blocks."""
+    problem = Problem()
+    e = [problem.add_euclidean(f"e{i}", rng.normal(size=3), fixed=i == 2)
+         for i in range(4)]
+    R = [problem.add_rotation(f"R{i}", random_rotation(rng)) for i in range(4)]
+    pts = [problem.add_euclidean(f"p{i}", rng.normal(size=3), point=True)
+           for i in range(2)]
+    problem._layout()
+    return problem, np.array(e), np.array(R), pts
+
+
+class _WindowGroup(FactorGroup):
+    """A smooth residual of a euclidean and a rotation window, read either
+    as two window slots (``windows``) or as one slot per block."""
+
+    name = "window"
+    dim = 3
+
+    def __init__(self, e_ids, R_ids, windows):
+        self.e_ids, self.R_ids, self.windows = e_ids, R_ids, windows
+
+    def build(self, problem, state):
+        if self.windows:
+            return None, [Slot(self.e_ids, EUCLIDEAN, 3), Slot(self.R_ids, ROTATION, 3)]
+        w = self.e_ids.shape[1]
+        return None, ([Slot(self.e_ids[:, j], EUCLIDEAN, 3) for j in range(w)]
+                      + [Slot(self.R_ids[:, j], ROTATION, 3) for j in range(w)])
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        if self.windows:
+            e, R = gathered
+        else:
+            w = len(gathered) // 2
+            e, R = np.stack(gathered[:w], axis=1), np.stack(gathered[w:], axis=1)
+        r = np.sin(e).sum(axis=1) + so3_log(R[:, 0].swapaxes(-1, -2) @ R[:, -1])
+        return (r, {}) if jacobians else r
+
+
+def test_window_slot_gathers_its_blocks_stacked(rng):
+    problem, e, R, _ = _window_problem(rng)
+    state = problem.initial_state()
+    windows = np.array([[0, 1, 2], [3, 2, 1]])
+    for ids, kind, axis in ((e, EUCLIDEAN, -2), (R, ROTATION, -3)):
+        got = problem.gather(state, Slot(ids[windows], kind, 3))
+        assert got.shape[:2] == windows.shape
+        assert np.array_equal(got, np.stack(
+            [problem.gather(state, Slot(ids[windows[:, j]], kind, 3))
+             for j in range(3)], axis=1))
+    two = problem.add_euclidean("two", np.arange(4.0))
+    problem._layout()
+    wide = problem.gather(problem.initial_state(), Slot([[two, two]], EUCLIDEAN, 4))
+    assert np.array_equal(wide, [[np.arange(4.0)] * 2])
+
+
+def test_window_slot_columns_sit_side_by_side(rng):
+    """A window's columns are its blocks' one-block columns side by side,
+    -1 for the held block inside it."""
+    problem, e, _, _ = _window_problem(rng)
+    windows = e[np.array([[0, 2, 3], [1, 0, 2]])]
+    group = _WindowGroup(windows, windows, True)
+    free, cols = problem._columns(group, [Slot(windows, EUCLIDEAN, 3)], 2)
+    one = [problem._columns(group, [Slot(windows[:, j], EUCLIDEAN, 3)], 2)[1]
+           for j in range(3)]
+    assert free == [0]
+    assert np.array_equal(cols, np.hstack(one))
+    assert np.array_equal(cols[0, 3:6], [-1, -1, -1])
+    assert np.array_equal(cols[1, 6:], [-1, -1, -1])
+    assert (cols[:, :3] >= 0).all()
+
+
+def test_window_slot_finite_differences_are_the_blocks_side_by_side(rng):
+    """``_fd_slot`` over a window steps one block of each factor's window
+    at a time: bit for bit the one-block differences side by side."""
+    problem, e, R, _ = _window_problem(rng)
+    state = problem.initial_state()
+    e_ids, R_ids = e[np.array([[0, 1], [3, 1]])], R[np.array([[0, 2], [3, 1]])]
+    win, single = _WindowGroup(e_ids, R_ids, True), _WindowGroup(e_ids, R_ids, False)
+    (_, win_slots), (_, one_slots) = (g.build(problem, state) for g in (win, single))
+    win_values = [problem.gather(state, s) for s in win_slots]
+    one_values = [problem.gather(state, s) for s in one_slots]
+    assert np.array_equal(win.kernel(None, win_values), single.kernel(None, one_values))
+    for si in range(2):
+        fd = win._fd_slot(None, win_values, si, win_slots[si])
+        ref = np.concatenate([single._fd_slot(None, one_values, 2 * si + j,
+                                              one_slots[2 * si + j])
+                              for j in range(2)], axis=-1)
+        assert fd.shape == (2, 3, 6)
+        assert np.array_equal(fd, ref)
+        assert np.abs(fd).max() > 0.1
+
+
+def test_window_joining_two_points_raises(rng):
+    problem, _, _, (p0, p1) = _window_problem(rng)
+
+    class PointWindow(FactorGroup):
+        name = "point_window"
+        dim = 3
+        slots = [Slot([[p0, p1]], EUCLIDEAN, 3)]
+
+        def kernel(self, ctx, gathered, jacobians=False):
+            r = gathered[0][:, 0] - gathered[0][:, 1]
+            return (r, {0: np.hstack([np.eye(3), -np.eye(3)])}) if jacobians else r
+
+    problem.add_group(PointWindow())
+    with pytest.raises(InvalidArgumentError, match="joins the point blocks p0 and p1"
+                       "|joins the point blocks p1 and p0"):
+        problem.linearize(problem.initial_state())
+
+
+class _SharedWindowGroup(FactorGroup):
+    """Block i minus one, for the blocks ``ids``: one factor per block
+    reading its own block, or, with ``shared``, each reading the window of
+    all of them, with the same ids."""
+
+    name = "shared_window"
+    dim = 3
+    shared = False
+
+    def __init__(self, ids):
+        self.ids = np.asarray(ids)
+
+    def build(self, problem, state):
+        return None, [Slot(self.ids[None] if self.shared else self.ids, EUCLIDEAN, 3)]
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        x = gathered[0]
+        n = len(self.ids)
+        r = (x[0] if self.shared else x) - 1.0
+        if not jacobians:
+            return r
+        J = np.eye(3 * n).reshape(n, 3, 3 * n) if self.shared else np.eye(3)
+        return r, {0: J}
+
+
+def test_columns_memo_tells_a_window_from_a_slot_with_the_same_ids(rng):
+    """An (n, w) window and an (n * w,) slot hold the same id bytes; the
+    structure memo keys on their shape too."""
+    problem = Problem()
+    ids = [problem.add_euclidean(f"x{i}", rng.normal(size=3)) for i in range(2)]
+    group = _SharedWindowGroup(ids)
+    problem.add_group(group)
+    state = problem.initial_state()
+    r, J, _ = problem.linearize(state)
+    assert np.array_equal(J.blocks[0][1], [[0, 1, 2], [3, 4, 5]])
+    group.shared = True
+    r_win, J_win, _ = problem.linearize(state)
+    assert np.array_equal(r_win, r)
+    assert np.array_equal(J_win.blocks[0][1], [[0, 1, 2, 3, 4, 5]] * 2)
+    h_err, g_err, nnz, csr_nnz = oracle_errors(problem, state)
+    assert h_err <= 1e-12 and g_err <= 1e-12 and nnz == csr_nnz
