@@ -145,10 +145,7 @@ class KnotGrid:
         _check_order(self.order)
         if not (np.isfinite(self.t0) and np.isfinite(self.dt)) or self.dt <= 0:
             raise InvalidArgumentError("knot grid needs finite t0 and dt > 0")
-        if self.count < self.order:
-            raise InvalidArgumentError(
-                f"need at least order={self.order} nodes, got {self.count}"
-            )
+        require_int("count", self.count, self.order)
 
     @property
     def num_segments(self):

@@ -60,7 +60,7 @@ def _simulate_dataset(cfg: RunConfig):
 def _gauge(cfg: RunConfig):
     """The alignment for the gauge the run's sensors leave free: none with
     GPS, yaw and translation without (gravity holds roll and pitch)."""
-    return "none" if cfg.sensors.gps else "pos_yaw"
+    return "none" if cfg.estimator.use_gps else "pos_yaw"
 
 
 def _pairs_against_gt(est_poses, gt, align):
@@ -113,9 +113,9 @@ def cmd_simulate(args):
         gt=(result.gt_t_ns, result.gt_positions, result.gt_rotations),
         extra_meta={"profile": dataclasses.asdict(cfg.simulate)},
     )
-    # how the data were made; no estimator field to outdate the dataset
+    # how the data were made; the estimator settings do not change the data
     save_config(os.path.join(args.out, "config.yaml"), cfg,
-                sections=("seed", "sensors", "simulate", "noise"))
+                sections=("seed", "simulate", "noise"))
     print(f"wrote dataset to {args.out}: "
           f"{len(result.measurements.frames)} frames, "
           f"{result.measurements.imu_t_ns.size} IMU samples, "
@@ -147,7 +147,7 @@ def _cmd_estimate(args, mode):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     meas, rig, noise, gt = read_dataset(
-        args.data, require_gps=cfg.sensors.gps
+        args.data, require_gps=cfg.estimator.use_gps
     )
     ecfg = cfg.estimator_config(mode)
     t0 = time.perf_counter()

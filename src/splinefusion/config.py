@@ -1,5 +1,10 @@
-"""Run configuration: one YAML file describing simulation, noise, and both
-estimator modes.
+"""Run configuration: one YAML file for simulation, noise and estimator.
+
+``seed``, ``simulate`` and ``noise`` say how a synthetic dataset is made.
+The one ``estimator`` section is a :class:`CtConfig` that CT and DT both
+read: the sensor switches, ``max_iter``, ``offset_bound`` and
+``landmark_sigma`` for both, and ``spline_order``, ``node_hz`` and
+``bias_node_hz`` for CT only.
 
 Every key has a default; an empty file (or no ``--config``) is a valid
 configuration.  The full schema with defaults is documented in the README
@@ -15,12 +20,9 @@ from dataclasses import dataclass, field
 import yaml
 
 from .dataset import NoiseSpec, build_section
-from .errors import DataError, InvalidArgumentError, require_finite
+from .errors import DataError, InvalidArgumentError, require_finite, require_int
 from .estimators import CtConfig, DtConfig
 from .simulate import ProfileParams
-
-# CtConfig/DtConfig fields that RunConfig takes from ``sensors`` instead
-_SENSOR_SWITCHES = ("use_cam", "use_imu", "use_gps")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class SimulateConfig:
         self.profile_params()
         require_finite("t_cam_imu_ms", self.t_cam_imu_ms)
         require_finite("t_gps_imu_ms", self.t_gps_imu_ms)
+        require_int("num_landmarks", self.num_landmarks, 0)
+        require_finite("landmark_spread", self.landmark_spread, positive=False)
         if not self.duration >= 5.0:
             raise InvalidArgumentError(f"duration must be >= 5 s, got {self.duration}")
 
@@ -57,98 +61,50 @@ class SimulateConfig:
 
 
 @dataclass(frozen=True)
-class SensorFlags:
-    camera: bool = True
-    imu: bool = True
-    gps: bool = True
-
-    def __post_init__(self):
-        if sum((self.camera, self.imu, self.gps)) < 2:
-            raise InvalidArgumentError("need at least two sensor modalities")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a run reads besides its data; the subcommand picks the
-    estimator (CT or DT)."""
+    estimator (CT or DT), and both read the one ``estimator`` section."""
 
     seed: int = 0
-    sensors: SensorFlags = field(default_factory=SensorFlags)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    ct: CtConfig = field(default_factory=CtConfig)
-    dt: DtConfig = field(default_factory=DtConfig)
+    estimator: CtConfig = field(default_factory=CtConfig)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        # estimator_config takes the switches from ``sensors``, so a switch
-        # set in ``ct``/``dt`` would be ignored
-        for name in ("ct", "dt"):
-            section = getattr(self, name)
-            moved = sorted(f.name for f in dataclasses.fields(section)
-                           if f.name in _SENSOR_SWITCHES
-                           and getattr(section, f.name) != f.default)
-            if moved:
-                raise DataError(
-                    f"{moved} in config section {name!r}: sensors are "
-                    f"switched in the 'sensors' section (camera, imu, gps)"
-                )
+        require_int("seed", self.seed, 0)
 
     def estimator_config(self, mode):
-        """The CtConfig/DtConfig for ``mode`` ("ct" or "dt") with sensor
-        flags applied."""
-        base = self.ct if mode == "ct" else self.dt
-        return dataclasses.replace(
-            base,
-            use_cam=self.sensors.camera,
-            use_imu=self.sensors.imu,
-            use_gps=self.sensors.gps,
-        )
+        """The CtConfig (``mode`` "ct") or DtConfig ("dt") of the run: the
+        ``estimator`` section, or the fields of it that DT reads."""
+        if mode == "ct":
+            return self.estimator
+        return DtConfig(**{f.name: getattr(self.estimator, f.name)
+                           for f in dataclasses.fields(DtConfig)})
 
     @staticmethod
     def default_dict():
         return RunConfig().to_dict()
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "sensors": dataclasses.asdict(self.sensors),
-            "simulate": dataclasses.asdict(self.simulate),
-            "noise": dataclasses.asdict(self.noise),
-            "ct": _estimator_dict(self.ct),
-            "dt": _estimator_dict(self.dt),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data):
         data = dict(data or {})
-        known = {"seed", "sensors", "simulate", "noise", "ct", "dt"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
 
         def build(klass, name):
             return build_section(klass, data.get(name), "config", name)
 
-        seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise DataError(f"config key 'seed' must be an integer, got {seed!r}")
-        return cls(
-            seed=seed,
-            sensors=build(SensorFlags, "sensors"),
-            simulate=build(SimulateConfig, "simulate"),
-            noise=build(NoiseSpec, "noise"),
-            ct=build(CtConfig, "ct"),
-            dt=build(DtConfig, "dt"),
-        )
-
-
-def _estimator_dict(cfg):
-    d = dataclasses.asdict(cfg)
-    for key in _SENSOR_SWITCHES:
-        del d[key]
-    return d
+        sections = dict(simulate=build(SimulateConfig, "simulate"),
+                        noise=build(NoiseSpec, "noise"),
+                        estimator=build(CtConfig, "estimator"))
+        try:
+            return cls(seed=data.get("seed", 0), **sections)
+        except InvalidArgumentError as e:
+            raise DataError(f"config key 'seed': {e}") from None
 
 
 def load_config(path=None):

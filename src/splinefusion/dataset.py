@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraModel
-from .errors import DataError, InvalidArgumentError, require_finite
+from .errors import DataError, InvalidArgumentError, require_finite, require_int
 from .rotations import Pose, is_rotation, quat_to_rotation, rotation_to_quat
 
 # the values a field of each type accepts (YAML and JSON give bool, int,
@@ -185,8 +185,7 @@ class NoiseSpec:
             require_finite(name, getattr(self, name), positive=True)
         if self.imu_hz < self.cam_hz:
             raise InvalidArgumentError("imu rate must be >= camera rate")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        require_int("seed", self.seed, 0)
 
 
 @dataclass

@@ -51,7 +51,8 @@ def require_finite(name, value, positive=None):
 def require_int(name, value, low, high=math.inf):
     """An InvalidArgumentError naming ``name`` unless ``value`` is an
     integer, not a bool, in [low, high]."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not low <= value <= high):
+    whole = not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    if not (whole and low <= value <= high):
         span = f">= {low}" if high == math.inf else f"in {low}..{high}"
-        raise InvalidArgumentError(f"{name} must be an int {span}, got {value!r}")
+        raise InvalidArgumentError(
+            f"{name} must be {'' if whole else 'an int '}{span}, got {value!r}")

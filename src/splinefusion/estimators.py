@@ -777,8 +777,14 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
     imu_t, gps_t = _stream_times(meas, cfg)
     if cfg.use_imu:
         slack = _edge_margin(cfg)
-        if imu_t[0] > pose_times[0] + slack or imu_t[-1] < pose_times[-1] - slack:
-            raise DataError("IMU does not cover the pose span")
+        for side, gap in (("start", imu_t[0] - pose_times[0]),
+                          ("end", pose_times[-1] - imu_t[-1])):
+            if gap > slack:
+                raise DataError(
+                    f"IMU does not cover the pose span: its {side} lies "
+                    f"{gap:.4f} s inside the frames', more than the allowed "
+                    f"slack of {slack:.4f} s (offset_bound + 10 ms; a larger "
+                    f"offset_bound widens it)")
 
     problem = Problem()
     # (block name prefix, state field, adder); no block is held, as in CT
@@ -972,6 +978,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     An IMU gap is rejected before the initialization, which is the slow
     part of a failed run.
     """
+    require_int("seed", seed, 0)
     mode = mode.lower()
     if mode not in ("ct", "dt"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")

@@ -203,6 +203,16 @@ def test_grid_covering():
     assert grid.num_segments == grid.count - grid.order + 1
 
 
+@pytest.mark.parametrize("count", [10.5, 10.0, 3, "10"])
+def test_knot_grid_count_must_be_an_int_of_at_least_order(count):
+    """A node count that is not an integer would give a fractional domain
+    and float segment indices; it is named at construction."""
+    with pytest.raises(InvalidArgumentError, match="count"):
+        bs.KnotGrid(t0=0.0, dt=1.0, count=count, order=4)
+    assert bs.KnotGrid(t0=0.0, dt=1.0, count=np.int64(10), order=4).domain == (
+        0.0, 7.0)
+
+
 @pytest.mark.parametrize("args, name", [
     ((0.0, 1.0, 0.0, 4), "dt"), ((0.0, 1.0, -0.1, 4), "dt"),
     ((0.0, 1.0, np.nan, 4), "dt"), ((0.0, 1.0, np.inf, 4), "dt"),

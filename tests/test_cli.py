@@ -73,11 +73,11 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
 
 def test_malformed_config_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
-    for text in ("ct: 5\n", "sensors: abc\n", "seed: x\n",
-                 "simulate: {duration: x}\n", "ct: {spline_order: x}\n",
-                 "noise: {pixel_sigma: x}\n", 'sensors: {camera: "no"}\n',
-                 "ct: {node_hz: abc}\n", "bogus: 1\n",
-                 "ct: {margin: 0.1}\n", "noise: {cam_hz: .nan}\n",
+    for text in ("estimator: 5\n", "estimator: abc\n", "seed: x\n",
+                 "simulate: {duration: x}\n", "estimator: {spline_order: x}\n",
+                 "noise: {pixel_sigma: x}\n", 'estimator: {use_cam: "no"}\n',
+                 "estimator: {node_hz: abc}\n", "bogus: 1\n",
+                 "estimator: {margin: 0.1}\n", "noise: {cam_hz: .nan}\n",
                  "noise: {gps_sigma: .inf}\n"):
         cfg.write_text(text)
         rc = cli.main(["simulate", "--config", str(cfg),
@@ -96,6 +96,32 @@ def test_non_finite_profile_value_exits_2(key, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config section 'simulate'" in err and key in err
+
+
+@pytest.mark.parametrize("setting", ["num_landmarks: -5", "num_landmarks: 2.5",
+                                     "landmark_spread: .nan",
+                                     "landmark_spread: .inf",
+                                     "landmark_spread: -1.0"])
+def test_bad_landmark_setting_exits_2(setting, tmp_path, capsys):
+    """A landmark count that is no int >= 0 or a spread that is not finite
+    and >= 0 exits 2 naming the key."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"simulate: {{{setting}}}\n")
+    rc = cli.main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "section 'simulate'" in err and setting.split(":")[0] in err
+
+
+def test_simulate_without_landmarks(tmp_path):
+    """0 landmarks is valid: it makes a dataset without camera frames."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG_SMALL.replace("num_landmarks: 120", "num_landmarks: 0"))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    meas, _, _, _ = read_dataset(tmp_path / "out", require_gps=True)
+    assert meas.frames == [] and meas.imu_t_ns.size > 0
 
 
 def test_imu_gap_reported(small_dataset, tmp_path, capsys):
@@ -220,7 +246,7 @@ def test_estimate_ct_end_to_end(small_dataset, tmp_path, capsys):
     # the dataset's config.yaml records how the data were made, with no
     # estimator section, and an estimate reads it as its config
     made = yaml.safe_load((small_dataset / "config.yaml").read_text())
-    assert set(made) == {"seed", "sensors", "simulate", "noise"}
+    assert set(made) == {"seed", "simulate", "noise"}
     out = tmp_path / "est"
     rc = cli.main(["estimate-ct", "--config",
                    str(small_dataset / "config.yaml"),
@@ -275,15 +301,33 @@ def test_runs_off_the_imu_stamps_are_scored(tmp_path, capsys):
     assert len((out / "compare.csv").read_text().splitlines()) == 3
 
 
+def test_compare_runs_both_modes_with_one_offset_bound(tmp_path, capsys):
+    """At a 70 ms camera offset the frames reach past the IMU stream by more
+    than the default 60 ms slack; one ``offset_bound`` in the ``estimator``
+    section widens it for CT and DT alike, and both rows are written."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG_SMALL + "estimator: {offset_bound: 0.1}\n")
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(cfg), "--seed", "3",
+                   "--offsets", "70", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    rows = (out / "compare.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["70", "ct"], ["70", "dt"]]
+
+
 def test_gps_free_run_is_scored_in_its_gauge(tmp_path):
     """Without GPS a run is aligned in yaw and translation before its ATE,
     which is then that of ``evaluate --align pos_yaw`` on its estimate."""
     cfg = tmp_path / "config.yaml"
-    cfg.write_text("sensors: {gps: false}\n" + CONFIG_SMALL)
+    cfg.write_text(CONFIG_SMALL)
     data, out = tmp_path / "data", tmp_path / "dt"
     assert cli.main(["simulate", "--config", str(cfg), "--seed", "3",
                      "--out", str(data)]) == 0
-    assert cli.main(["estimate-dt", "--config", str(data / "config.yaml"),
+    # the dataset's own config with GPS switched off for the estimate
+    est_cfg = tmp_path / "estimate.yaml"
+    est_cfg.write_text((data / "config.yaml").read_text()
+                       + "estimator: {use_gps: false}\n")
+    assert cli.main(["estimate-dt", "--config", str(est_cfg),
                      "--data", str(data), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["align"] == "pos_yaw"
@@ -340,7 +384,7 @@ def test_report_gives_every_solving_stage(small_dataset, tmp_path,
 
     monkeypatch.setattr(est, "fit_spline_to_poses", capped_fit)
     cfg = tmp_path / "config.yaml"
-    cfg.write_text("ct:\n  max_iter: 2\ndt:\n  max_iter: 2\n")
+    cfg.write_text("estimator:\n  max_iter: 2\n")
     for mode in ("ct", "dt"):
         out = tmp_path / mode
         cli.main([f"estimate-{mode}", "--config", str(cfg),
@@ -417,12 +461,12 @@ def test_out_of_range_settings_are_errors(small_dataset, tmp_path, capsys):
     ``fit`` that is not finite and positive, exits 2 naming the setting
     instead of a traceback, a misleading message or a run of 0 steps."""
     cfg = tmp_path / "bad.yaml"
-    for text, key in (("ct: {node_hz: 0.0}", "node_hz"),
-                      ("ct: {bias_node_hz: 0.0}", "bias_node_hz"),
-                      ("ct: {node_hz: .nan}", "node_hz"),
-                      ("ct: {landmark_sigma: -1.0}", "landmark_sigma"),
-                      ("ct: {offset_bound: -0.05}", "offset_bound"),
-                      ("ct: {max_iter: 0}", "max_iter")):
+    for text, key in (("estimator: {node_hz: 0.0}", "node_hz"),
+                      ("estimator: {bias_node_hz: 0.0}", "bias_node_hz"),
+                      ("estimator: {node_hz: .nan}", "node_hz"),
+                      ("estimator: {landmark_sigma: -1.0}", "landmark_sigma"),
+                      ("estimator: {offset_bound: -0.05}", "offset_bound"),
+                      ("estimator: {max_iter: 0}", "max_iter")):
         cfg.write_text(text + "\n")
         rc = cli.main(["estimate-ct", "--config", str(cfg),
                        "--data", str(small_dataset),

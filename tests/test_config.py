@@ -1,16 +1,18 @@
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from splinefusion import cli
 from splinefusion.config import (
     RunConfig,
-    SensorFlags,
     SimulateConfig,
     load_config,
     save_config,
 )
+from splinefusion.dataset import NoiseSpec
 from splinefusion.errors import DataError, InvalidArgumentError
 from splinefusion.estimators import CtConfig, DtConfig
 
@@ -28,29 +30,29 @@ def test_unknown_keys_rejected():
     with pytest.raises(DataError, match="unknown config keys"):
         RunConfig.from_dict({"mode": "dt"})  # the subcommand picks the mode
     with pytest.raises(DataError, match="unknown keys"):
-        RunConfig.from_dict({"ct": {"spline_ordre": 6}})
+        RunConfig.from_dict({"estimator": {"spline_ordre": 6}})
     with pytest.raises(DataError, match="noise"):
         RunConfig.from_dict({"noise": {"pixel_sgima": 1.0}})
-    with pytest.raises(DataError, match="section 'ct'"):
-        RunConfig.from_dict({"ct": {"spline_ordre": 6}})
+    with pytest.raises(DataError, match="section 'estimator'"):
+        RunConfig.from_dict({"estimator": {"spline_ordre": 6}})
     # a section that is not a mapping and a seed that is not an integer
-    with pytest.raises(DataError, match="section 'ct' must be a mapping"):
-        RunConfig.from_dict({"ct": 5})
-    with pytest.raises(DataError, match="section 'sensors' must be a mapping"):
-        RunConfig.from_dict({"sensors": "abc"})
+    with pytest.raises(DataError, match="section 'estimator' must be a mapping"):
+        RunConfig.from_dict({"estimator": 5})
+    with pytest.raises(DataError, match="section 'estimator' must be a mapping"):
+        RunConfig.from_dict({"estimator": "abc"})
     with pytest.raises(DataError, match="section 'noise' must be a mapping"):
         RunConfig.from_dict({"noise": [1.0]})
     for seed in ("x", 1.5, True):
-        with pytest.raises(DataError, match="'seed' must be an integer"):
+        with pytest.raises(DataError, match="'seed'.* must be an int"):
             RunConfig.from_dict({"seed": seed})
     # a value of the wrong type inside a section
     for name, key, value in [("simulate", "duration", "x"),
-                             ("ct", "spline_order", "x"),
-                             ("ct", "spline_order", 6.5),
-                             ("ct", "node_hz", "abc"),
-                             ("dt", "max_iter", True),
+                             ("estimator", "spline_order", "x"),
+                             ("estimator", "spline_order", 6.5),
+                             ("estimator", "node_hz", "abc"),
+                             ("estimator", "max_iter", True),
                              ("noise", "pixel_sigma", "x"),
-                             ("sensors", "camera", "no"),
+                             ("estimator", "use_cam", "no"),
                              ("simulate", "profile", 3)]:
         with pytest.raises(DataError, match=f"'{key}' in section '{name}'"):
             RunConfig.from_dict({name: {key: value}})
@@ -59,12 +61,12 @@ def test_unknown_keys_rejected():
 def test_offset_switches_rejected(tmp_path, capsys):
     """Both clock offsets are unknowns of every run: a switch to hold one
     is an unknown key, in Python and on the command line."""
-    for name, key, value in (("ct", "estimate_t_cam", True),
-                             ("dt", "estimate_t_gps", False)):
-        with pytest.raises(DataError, match=f"section '{name}': \\['{key}'\\]"):
-            RunConfig.from_dict({name: {key: value}})
+    for key, value in (("estimate_t_cam", True), ("estimate_t_gps", False)):
+        with pytest.raises(DataError,
+                           match=f"section 'estimator': \\['{key}'\\]"):
+            RunConfig.from_dict({"estimator": {key: value}})
     cfg = tmp_path / "config.yaml"
-    cfg.write_text("ct: {estimate_t_cam: true}\n")
+    cfg.write_text("estimator: {estimate_t_cam: true}\n")
     rc = cli.main(["estimate-ct", "--config", str(cfg),
                    "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -90,7 +92,7 @@ def test_partial_overrides():
 
 
 def test_estimator_config_applies_sensor_flags():
-    cfg = RunConfig.from_dict({"sensors": {"gps": False}})
+    cfg = RunConfig.from_dict({"estimator": {"use_gps": False}})
     ct = cfg.estimator_config("ct")
     assert ct.use_gps is False and ct.use_cam is True and ct.use_imu is True
     dt = cfg.estimator_config("dt")
@@ -115,8 +117,8 @@ def test_validation_errors():
         SimulateConfig(profile="spiral")
     with pytest.raises(InvalidArgumentError):
         SimulateConfig(duration=2.0)
-    with pytest.raises(InvalidArgumentError):
-        SensorFlags(camera=True, imu=False, gps=False)
+    with pytest.raises(InvalidArgumentError, match="two sensor modalities"):
+        CtConfig(use_cam=True, use_imu=False, use_gps=False)
     # out-of-range settings are named, not left to fail later
     nan, inf = float("nan"), float("inf")
     for klass, key, value in (
@@ -136,13 +138,13 @@ def test_validation_errors():
 
 def test_yaml_roundtrip(tmp_path):
     cfg = RunConfig.from_dict(
-        {"seed": 7, "ct": {"node_hz": 5.0}}
+        {"seed": 7, "estimator": {"node_hz": 5.0}}
     )
     path = tmp_path / "config.yaml"
     save_config(path, cfg)
     loaded = load_config(path)
     assert loaded == cfg
-    assert loaded.ct.node_hz == 5.0
+    assert loaded.estimator.node_hz == 5.0
 
 
 def test_load_config_edge_cases(tmp_path):
@@ -162,14 +164,36 @@ def test_load_config_edge_cases(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
-def test_sensor_switches_only_in_sensors_section():
-    """``estimator_config`` takes the sensor switches from ``sensors``, so a
-    switch in the ``ct``/``dt`` section would be ignored; it is rejected,
-    from a config dict and from Python alike."""
-    for section, klass in (("ct", CtConfig), ("dt", DtConfig)):
-        with pytest.raises(DataError, match="sensors"):
-            RunConfig.from_dict({section: {"use_gps": False}})
-        with pytest.raises(DataError, match="sensors"):
-            RunConfig(**{section: klass(use_gps=False)})
-        assert not {"use_cam", "use_imu", "use_gps"} & set(
-            RunConfig().to_dict()[section])
+def test_one_estimator_section_reaches_both_modes():
+    """CT and DT read the one ``estimator`` section: every setting DT has
+    comes out the same in both modes."""
+    cfg = RunConfig.from_dict(
+        {"estimator": {"use_gps": False, "offset_bound": 0.1, "max_iter": 7}})
+    ct, dt = cfg.estimator_config("ct"), cfg.estimator_config("dt")
+    assert type(ct) is CtConfig and type(dt) is DtConfig
+    assert ct == cfg.estimator
+    for f in dataclasses.fields(DtConfig):
+        assert getattr(ct, f.name) == getattr(dt, f.name), f.name
+    assert (dt.use_gps, dt.offset_bound, dt.max_iter) == (False, 0.1, 7)
+
+
+@pytest.mark.parametrize("section", ["sensors", "ct", "dt"])
+def test_old_estimator_sections_are_unknown_keys(section):
+    """The sensor switches and both estimators' settings live in
+    ``estimator``; a ``sensors``, ``ct`` or ``dt`` section is an unknown
+    key, also when it is empty."""
+    for body in ({}, {"max_iter": 5}):
+        with pytest.raises(DataError,
+                           match=rf"unknown config keys: \['{section}'\]"):
+            RunConfig.from_dict({section: body})
+
+
+def test_seed_must_be_a_non_negative_int():
+    """A seed that is no int, a bool or negative is named where it is set,
+    not left to numpy's RNG."""
+    for seed in (1.5, True, -1, "3"):
+        for make in (RunConfig, NoiseSpec):
+            with pytest.raises(InvalidArgumentError, match="seed"):
+                make(seed=seed)
+    assert NoiseSpec(seed=np.int64(4)).seed == 4
+

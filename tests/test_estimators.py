@@ -657,6 +657,52 @@ def test_run_rejects_imu_gap_before_initialization(zero_offset_sim, monkeypatch)
             est.run(gappy, rig, noise, cfg, mode=mode)
 
 
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_dt_imu_coverage_error_names_side_gap_and_slack(zero_offset_sim, side):
+    """Frames that reach 70 ms past an end of the IMU stream exceed the
+    default slack of offset_bound + 10 ms = 60 ms; the error gives the
+    side, the gap and the slack, and names offset_bound, which widens it."""
+    gt, rig, noise, result = zero_offset_sim
+    meas = result.measurements
+    ft = meas.frame_t_ns
+    shift = (meas.imu_t_ns[0] - 70_000_000 - ft[0] if side == "start"
+             else meas.imu_t_ns[-1] + 70_000_000 - ft[-1])
+    shifted = dataclasses.replace(meas, frames=[
+        dataclasses.replace(f, t_ns=f.t_ns + int(shift)) for f in meas.frames])
+    ft = shifted.frame_t_ns
+    message = (rf"IMU does not cover the pose span: its {side} lies "
+               rf"0\.0700 s inside the frames', more than the allowed "
+               rf"slack of 0\.0600 s \(offset_bound \+ 10 ms; a larger "
+               rf"offset_bound widens it\)")
+    state0 = dataclasses.replace(true_dt_state(gt, rig, meas), t_ns=ft)
+    with pytest.raises(DataError, match=message):
+        est.build_dt_problem(shifted, state0, est.DtConfig(), noise, rig)
+    # the same error ends a full run
+    if side == "start":
+        with pytest.raises(DataError, match=message):
+            est.run(shifted, rig, noise, est.DtConfig(), mode="dt")
+    # a bound past the gap lets the problem be built
+    est.build_dt_problem(shifted, state0, est.DtConfig(offset_bound=0.1),
+                         noise, rig)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_run_rejects_a_seed_that_is_no_non_negative_int(zero_offset_sim,
+                                                        monkeypatch, seed):
+    """A bad seed is named before the initialization, which would pass it
+    to numpy's RNG."""
+    _, rig, noise, result = zero_offset_sim
+
+    def no_initialization(*args, **kwargs):
+        raise AssertionError("initialization ran with a bad seed")
+
+    monkeypatch.setattr(est, "initialize_ct", no_initialization)
+    monkeypatch.setattr(est, "initialize_dt", no_initialization)
+    for cfg, mode in ((est.CtConfig(), "ct"), (est.DtConfig(), "dt")):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            est.run(result.measurements, rig, noise, cfg, mode=mode, seed=seed)
+
+
 def _first_frames(meas, n):
     return dataclasses.replace(meas, frames=meas.frames[:n])
 
