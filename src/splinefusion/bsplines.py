@@ -13,8 +13,9 @@ and on SO(3) from
 The cumulative blending coefficients ``lambda_j(u)`` are polynomials in
 ``u`` whose exact rational coefficient matrices are precomputed per order.
 Time derivatives cost O(k): the difference vectors are formed once and
-combined with derivative blending coefficients.  So do the Jacobians of an
-SO(3) sample and of its angular velocity with respect to the window nodes.
+combined with derivative blending coefficients.  The SO(3) value and
+angular-velocity kernels are one O(k) pass each, which with
+``jacobians=True`` also gives the Jacobians in the window nodes.
 """
 
 from __future__ import annotations
@@ -211,45 +212,21 @@ def so3_window_diffs(rot_windows):
     return so3_log(Ra @ rot_windows[..., 1:, :, :], validate=False)
 
 
-def so3_window_eval(rot_windows, u, order):
-    """Evaluate an SO(3) cumulative spline from gathered node windows."""
-    lam, _, _ = blending_many(order, u)
-    diffs = so3_window_diffs(rot_windows)
-    R = rot_windows[..., 0, :, :].copy()
-    for j in range(order - 1):
-        R = R @ so3_exp(lam[..., j, None] * diffs[..., j, :])
-    return R
-
-
-def so3_window_angvel(rot_windows, u, order, dt):
-    """Body-frame angular velocity of the SO(3) spline, (..., 3) rad/s.
-
-    Accumulates omega_j = A_j^T omega_{j-1} + dlambda_j * d_j along the
-    factor chain, which keeps the cost linear in the order.
-    """
-    lam, dlam, _ = blending_many(order, u)
-    diffs = so3_window_diffs(rot_windows)
-    omega = np.zeros(rot_windows.shape[:-3] + (3,))
-    for j in range(order - 1):
-        A = so3_exp(lam[..., j, None] * diffs[..., j, :])
-        omega = np.einsum("...ba,...b->...a", A, omega) + dlam[..., j, None] * diffs[
-            ..., j, :
-        ]
-    return omega / dt
-
-
-def _so3_window_pass(rot_windows, u, order):
-    """Shared O(k) pass of the node Jacobians (Sommer et al., "Efficient
+def _so3_window_pass(rot_windows, u, order, jacobians):
+    """The O(k) pass shared by the SO(3) window kernels: dlambda, the
+    differences d_j and the steps A_j = Exp(lambda_j d_j), stacked over j on
+    axis -2 (or -3).  With ``jacobians`` also P^T, G and the inverse right
+    Jacobians J_r^-1(d_j) of the node Jacobians (Sommer et al., "Efficient
     Derivative Computation for Cumulative B-Splines on Lie Groups", CVPR
-    2020).  With A_j = Exp(lambda_j d_j) and P_j = A_{j+1} ... A_{k-1}
-    (P_{k-1} = I), a change e of d_j turns R(u) by
-    G_j e = P_j^T lambda_j J_r(lambda_j d_j) e on the right, and
-    d_j = Log(R_{j-1}^T R_j) moves by J_r^-1(d_j) delta_j and by
-    -J_r^-1(d_j)^T delta_{j-1}.  Returns dlambda, d, A, P^T, G and the
-    inverse right Jacobians, each stacked over j on axis -3 (or -2)."""
+    2020): with P_j = A_{j+1} ... A_{k-1} (P_{k-1} = I), a change e of d_j
+    turns R(u) by G_j e = P_j^T lambda_j J_r(lambda_j d_j) e on the right,
+    and d_j = Log(R_{j-1}^T R_j) moves by J_r^-1(d_j) delta_j and by
+    -J_r^-1(d_j)^T delta_{j-1}."""
     lam, dlam, _ = blending_many(order, u)
     d = so3_window_diffs(rot_windows)
     A = so3_exp(lam[..., None] * d)
+    if not jacobians:
+        return dlam, d, A
     P = np.empty(A.shape[:-3] + (order, 3, 3))
     P[..., -1, :, :] = np.eye(3)
     for j in range(order - 1, 0, -1):
@@ -271,43 +248,42 @@ def _node_jacobians(M, Jinv, first=None):
     return J
 
 
-def so3_window_eval_jacobians(rot_windows, u, order, dt):
-    """Value, angular velocity and value Jacobians of an SO(3) spline window.
-
-    Returns ``(R, omega, J)``: R(u) (..., 3, 3) as :func:`so3_window_eval`,
-    the body angular velocity omega(u) (..., 3) as
-    :func:`so3_window_angvel`, and J (..., k, 3, 3) with
+def so3_window_eval(rot_windows, u, order, jacobians=False):
+    """R(u) (..., 3, 3) of an SO(3) cumulative spline from gathered node
+    windows; with ``jacobians`` ``(R, J)``, J (..., k, 3, 3) giving
     R(u) <- R(u) Exp(J[s] delta_s) to first order under the right
-    perturbation R_s <- R_s Exp(delta_s) of window node s.  One O(k) pass.
-    """
-    dlam, d, A, Pt, G, Jinv = _so3_window_pass(rot_windows, u, order)
+    perturbation R_s <- R_s Exp(delta_s) of window node s."""
+    _, _, A, *jac = _so3_window_pass(rot_windows, u, order, jacobians)
     R = rot_windows[..., 0, :, :].copy()
-    omega = np.zeros(rot_windows.shape[:-3] + (3,))
     for j in range(order - 1):
         R = R @ A[..., j, :, :]
-        omega = np.einsum("...ba,...b->...a", A[..., j, :, :], omega) + dlam[
-            ..., j, None] * d[..., j, :]
-    return R, omega / dt, _node_jacobians(G, Jinv, Pt[..., 0, :, :])
+    if not jacobians:
+        return R
+    Pt, G, Jinv = jac
+    return R, _node_jacobians(G, Jinv, Pt[..., 0, :, :])
 
 
-def so3_window_angvel_jacobians(rot_windows, u, order, dt):
-    """Angular velocity of an SO(3) spline window and its node Jacobians.
-
-    Returns ``(omega, J)``: omega(u) (..., 3) rad/s as
-    :func:`so3_window_angvel`, and J (..., k, 3, 3) = d omega / d delta_s
-    under the right perturbation R_s <- R_s Exp(delta_s).  One O(k) pass:
-    a change e of d_j moves omega by
-    (hat(P_j^T A_j^T omega_{j-1}) G_j + dlambda_j P_j^T) e / dt.
-    """
-    dlam, d, A, Pt, G, Jinv = _so3_window_pass(rot_windows, u, order)
+def so3_window_angvel(rot_windows, u, order, dt, jacobians=False):
+    """Body-frame angular velocity omega(u) (..., 3) rad/s of the SO(3)
+    spline: omega_j = A_j^T omega_{j-1} + dlambda_j d_j along the factor
+    chain, linear in the order.  With ``jacobians`` ``(omega, J)``, J
+    (..., k, 3, 3) = d omega / d delta_s under R_s <- R_s Exp(delta_s): a
+    change e of d_j moves omega by
+    (hat(P_j^T A_j^T omega_{j-1}) G_j + dlambda_j P_j^T) e / dt."""
+    dlam, d, A, *jac = _so3_window_pass(rot_windows, u, order, jacobians)
     omega = np.zeros(rot_windows.shape[:-3] + (3,))
-    H = np.empty_like(G)
+    if jacobians:
+        Pt, G, Jinv = jac
+        H = np.empty_like(G)
     for j in range(order - 1):
         x = np.einsum("...ba,...b->...a", A[..., j, :, :], omega)
-        Ptj = Pt[..., j + 1, :, :]
-        H[..., j, :, :] = hat(np.einsum("...ab,...b->...a", Ptj, x)) @ G[
-            ..., j, :, :] + dlam[..., j, None, None] * Ptj
+        if jacobians:
+            Ptj = Pt[..., j + 1, :, :]
+            H[..., j, :, :] = hat(np.einsum("...ab,...b->...a", Ptj, x)) @ G[
+                ..., j, :, :] + dlam[..., j, None, None] * Ptj
         omega = x + dlam[..., j, None] * d[..., j, :]
+    if not jacobians:
+        return omega / dt
     return omega / dt, _node_jacobians(H / dt, Jinv)
 
 

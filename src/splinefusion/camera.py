@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_finite
 
 MIN_DEPTH = 1e-6
 
@@ -21,8 +21,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidArgumentError("focal lengths must be positive")
+        require_finite("fx", self.fx, positive=True)
+        require_finite("fy", self.fy, positive=True)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InvalidArgumentError("principal point must lie inside the image")
 

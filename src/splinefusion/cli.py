@@ -7,7 +7,9 @@ camera-offset grid).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure
 (including an estimate whose final solve ended ``stalled`` or
-``discontinuous``; its outputs are still written).
+``discontinuous``; its outputs are still written).  ``compare`` writes each
+row of ``compare.csv`` as its run ends, so a failing run keeps the rows
+before it, and exits 3 after the grid when any run ended so.
 """
 
 from __future__ import annotations
@@ -89,6 +91,36 @@ def _report(result, wall_s, align, pairs=None):
     }
 
 
+def _run_scored(cfg: RunConfig, mode, meas, rig, noise, gt):
+    """Run the ``mode`` estimator on the data and time it; returns the
+    RunResult and its :func:`_report`, scored in the run's gauge against
+    the ground truth ``gt`` (t_ns, positions, rotations) unless it is None.
+    Prints a warning for each offset that ended on its bound."""
+    t0 = time.perf_counter()
+    result = est.run(meas, rig, noise, cfg.estimator_config(mode), mode=mode,
+                     seed=cfg.seed)
+    wall = time.perf_counter() - t0
+    align = _gauge(cfg)
+    pairs = (_pairs_against_gt((result.t_ns, result.positions, result.rotations),
+                               gt, align) if gt is not None else None)
+    report = _report(result, wall, align, pairs)
+    for name in report["at_bound"]:
+        print(f"warning: {name} ended on its bound; the estimate is clamped there",
+              file=sys.stderr)
+    return result, report
+
+
+def _exit_code(reports):
+    """3, after a solver-failure line for each run whose final solve ended
+    ``stalled`` or ``discontinuous``, else 0."""
+    failed = [r["termination"] for r in reports
+              if r["termination"] in (STALLED, DISCONTINUOUS)]
+    for termination in failed:
+        print(f"solver failure: the final solve ended {termination}",
+              file=sys.stderr)
+    return 3 if failed else 0
+
+
 def _write_json(path, data):
     with open(path, "w") as f:
         json.dump(data, f, indent=2)
@@ -149,36 +181,23 @@ def _cmd_estimate(args, mode):
     meas, rig, noise, gt = read_dataset(
         args.data, require_gps=cfg.estimator.use_gps
     )
-    ecfg = cfg.estimator_config(mode)
-    t0 = time.perf_counter()
-    result = est.run(meas, rig, noise, ecfg, mode=mode, seed=cfg.seed)
-    wall = time.perf_counter() - t0
+    result, report = _run_scored(cfg, mode, meas, rig, noise, gt)
     os.makedirs(args.out, exist_ok=True)
     write_pose_csv(os.path.join(args.out, "estimate.csv"), result.t_ns,
                    result.positions, result.rotations)
-    align = _gauge(cfg)
-    pairs = (_pairs_against_gt((result.t_ns, result.positions, result.rotations),
-                               gt, align) if gt is not None else None)
-    report = _report(result, wall, align, pairs)
     report["factor_counts"] = result.factor_counts
     report["stage_seconds"] = result.stage_seconds
     report["stage_reports"] = {
         stage: {"termination": rep.termination, "iterations": rep.iterations}
         for stage, rep in result.stage_reports.items()}
     _write_json(os.path.join(args.out, "report.json"), report)
-    ate_txt = (f" ate_p={report['ate_p_m']:.4f} m" if pairs is not None else "")
+    ate_txt = (f" ate_p={report['ate_p_m']:.4f} m" if gt is not None else "")
     print(f"{mode}: {result.report.iterations} iterations, "
           f"converged={report['converged']},"
           f"{ate_txt} t_cam={report['t_cam_imu_ms']:.2f} ms "
-          f"t_gps={report['t_gps_imu_ms']:.2f} ms ({wall:.1f} s)")
-    for name in report["at_bound"]:
-        print(f"warning: {name} ended on its bound; the estimate is clamped there",
-              file=sys.stderr)
-    if report["termination"] in (STALLED, DISCONTINUOUS):
-        print(f"solver failure: the final solve ended {report['termination']}",
-              file=sys.stderr)
-        return 3
-    return 0
+          f"t_gps={report['t_gps_imu_ms']:.2f} ms "
+          f"({report['wall_ms'] * 1e-3:.1f} s)")
+    return _exit_code([report])
 
 
 def cmd_evaluate(args):
@@ -204,39 +223,29 @@ def cmd_compare(args):
     if not offsets_ms:
         raise UsageError("--offsets must list at least one value")
     os.makedirs(args.out, exist_ok=True)
-    align = _gauge(cfg)
-    rows = []
-    for off in offsets_ms:
-        run_cfg = dataclasses.replace(
-            cfg, simulate=dataclasses.replace(cfg.simulate, t_cam_imu_ms=off))
-        gt, rig, noise, sim_result = _simulate_dataset(run_cfg)
-        meas = sim_result.measurements
-        gt_tuple = (sim_result.gt_t_ns, sim_result.gt_positions,
-                    sim_result.gt_rotations)
-        for mode in ("ct", "dt"):
-            ecfg = run_cfg.estimator_config(mode)
-            result = est.run(meas, rig, noise, ecfg, mode=mode,
-                             seed=run_cfg.seed)
-            pairs = _pairs_against_gt(
-                (result.t_ns, result.positions, result.rotations), gt_tuple, align)
-            rows.append({
-                "offset_true_ms": off,
-                "mode": mode,
-                "ate_p_m": met.ate_p(pairs),
-                "ate_r_deg": met.ate_r(pairs),
-                "offset_est_ms": result.t_cam_imu * 1e3,
-            })
-            print(f"offset {off:g} ms {mode}: ate_p={rows[-1]['ate_p_m']:.4f} m "
-                  f"offset_est={rows[-1]['offset_est_ms']:.3f} ms")
     out_csv = os.path.join(args.out, "compare.csv")
+    reports = []
+    # each row is written as it is made, so a failing run keeps the rows before it
     with open(out_csv, "w") as f:
         f.write("offset_true_ms,mode,ate_p_m,ate_r_deg,offset_est_ms\n")
-        for r in rows:
-            f.write(f"{r['offset_true_ms']:g},{r['mode']},"
-                    f"{r['ate_p_m']:.9f},{r['ate_r_deg']:.9f},"
-                    f"{r['offset_est_ms']:.6f}\n")
+        for off in offsets_ms:
+            run_cfg = dataclasses.replace(
+                cfg, simulate=dataclasses.replace(cfg.simulate, t_cam_imu_ms=off))
+            _, rig, noise, sim_result = _simulate_dataset(run_cfg)
+            gt_tuple = (sim_result.gt_t_ns, sim_result.gt_positions,
+                        sim_result.gt_rotations)
+            for mode in ("ct", "dt"):
+                _, report = _run_scored(run_cfg, mode, sim_result.measurements,
+                                        rig, noise, gt_tuple)
+                reports.append(report)
+                f.write(f"{off:g},{mode},{report['ate_p_m']:.9f},"
+                        f"{report['ate_r_deg']:.9f},"
+                        f"{report['t_cam_imu_ms']:.6f}\n")
+                f.flush()
+                print(f"offset {off:g} ms {mode}: ate_p={report['ate_p_m']:.4f} m "
+                      f"offset_est={report['t_cam_imu_ms']:.3f} ms")
     print(f"wrote {out_csv}")
-    return 0
+    return _exit_code(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Run configuration: one YAML file for simulation, noise and estimator.
 
-``seed``, ``simulate`` and ``noise`` say how a synthetic dataset is made.
+``seed``, ``simulate`` and ``noise`` say how a synthetic dataset is made;
+the top-level ``seed`` drives the noise, so ``noise`` has no ``seed`` key.
 The one ``estimator`` section is a :class:`CtConfig` that CT and DT both
 read: the sensor switches, ``max_iter``, ``offset_bound`` and
-``landmark_sigma`` for both, and ``spline_order``, ``node_hz`` and
-``bias_node_hz`` for CT only.
+``landmark_sigma`` for both, and ``spline_order`` and ``node_hz`` for CT
+only.
 
 Every key has a default; an empty file (or no ``--config``) is a valid
 configuration.  The full schema with defaults is documented in the README
@@ -86,7 +87,9 @@ class RunConfig:
         return RunConfig().to_dict()
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        data = dataclasses.asdict(self)
+        del data["noise"]["seed"]  # the top-level seed drives the noise
+        return data
 
     @classmethod
     def from_dict(cls, data):
@@ -94,6 +97,9 @@ class RunConfig:
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
+        if isinstance(data.get("noise"), dict) and "seed" in data["noise"]:
+            raise DataError("config key 'noise.seed' is not read; the "
+                            "top-level 'seed' drives the noise")
 
         def build(klass, name):
             return build_section(klass, data.get(name), "config", name)

@@ -53,6 +53,8 @@ from .solver import (
     window_jacobian,
 )
 
+BIAS_NODE_HZ = 1.0  # knot rate of CT's cubic bias splines
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -88,13 +90,11 @@ class CtConfig(EstimatorConfig):
 
     spline_order: int = 6
     node_hz: float = 10.0
-    bias_node_hz: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         bs._check_order(self.spline_order)
         require_finite("node_hz", self.node_hz, positive=True)
-        require_finite("bias_node_hz", self.bias_node_hz, positive=True)
         if self.use_imu and self.spline_order < 4:
             raise InvalidArgumentError(
                 "IMU factors need spline order >= 4 for C2 continuity"
@@ -213,9 +213,9 @@ class _SplineGroup(FactorGroup):
         p = bs.r3_window_eval(posw, u, k, dt)[each]
         if not jacobians:
             return p, bs.so3_window_eval(rotw, u, k)[each]
-        R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
+        R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True)
         return (p, R[each], bs.r3_window_eval(posw, u, k, dt, 1)[each],
-                omega[each],
+                bs.so3_window_angvel(rotw, u, k, dt)[each],
                 partial(_pose_window_jacobians, JR=JR[each],
                         coeff=bs.window_node_coefficients(k, u)[each]))
 
@@ -344,7 +344,7 @@ class CtAccelGroup(_SplineGroup):
         posw, rotw, baw = gathered
         acc = bs.r3_window_eval(posw, self.u, k, dt, 2)
         if jacobians:
-            R, _, JR = bs.so3_window_eval_jacobians(rotw, self.u, k, dt)
+            R, JR = bs.so3_window_eval(rotw, self.u, k, jacobians=True)
         else:
             R = bs.so3_window_eval(rotw, self.u, k)
         ba = bs.r3_window_eval(baw, self.bu, 4, self.bias_grid.dt)
@@ -380,7 +380,8 @@ class CtGyroGroup(_SplineGroup):
         k, dt = self.grid.order, self.grid.dt
         rotw, bgw = gathered
         if jacobians:
-            omega, JW = bs.so3_window_angvel_jacobians(rotw, self.u, k, dt)
+            omega, JW = bs.so3_window_angvel(rotw, self.u, k, dt,
+                                             jacobians=True)
         else:
             omega = bs.so3_window_angvel(rotw, self.u, k, dt)
         bg = bs.r3_window_eval(bgw, self.bu, 4, self.bias_grid.dt)
@@ -923,7 +924,7 @@ def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
     t_lo, t_hi = lo - _edge_margin(cfg), hi + _edge_margin(cfg)
     fit = fit_spline_to_poses(stamps, pos, rot, cfg.spline_order, cfg.node_hz,
                               t_start=t_lo, t_end=t_hi)
-    bias_grid = bs.grid_covering(t_lo, t_hi, 1.0 / cfg.bias_node_hz, 4)
+    bias_grid = bs.grid_covering(t_lo, t_hi, 1.0 / BIAS_NODE_HZ, 4)
     zeros = np.zeros((bias_grid.count, 3))
     return CtState(
         position=fit.position, rotation=fit.rotation, landmarks=landmarks,

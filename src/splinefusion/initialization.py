@@ -302,7 +302,7 @@ class R3FitGroup(FactorGroup):
 class SO3FitGroup(FactorGroup):
     """Rotation-spline fitting residuals ``w e`` with ``e = Log(R(u)^T
     R_bar)``.  Its Jacobians are exact: R(u) <- R(u) Exp(JR_s delta_s)
-    under node s's right perturbation (:func:`bs.so3_window_eval_jacobians`)
+    under node s's right perturbation (:func:`bs.so3_window_eval`)
     moves ``e`` by ``-J_r^-1(-e) JR_s delta_s``, so slot s gets
     ``-w J_r^-1(-e) JR_s``."""
 
@@ -324,8 +324,8 @@ class SO3FitGroup(FactorGroup):
             R = bs.so3_window_eval(windows, self.u, self.grid.order)
             return self.weight * so3_log(
                 np.swapaxes(R, -1, -2) @ self.targets, validate=False)
-        R, _, JR = bs.so3_window_eval_jacobians(windows, self.u, self.grid.order,
-                                                self.grid.dt)
+        R, JR = bs.so3_window_eval(windows, self.u, self.grid.order,
+                                   jacobians=True)
         e = so3_log(np.swapaxes(R, -1, -2) @ self.targets, validate=False)
         E = -self.weight * so3_right_jacobian_inv(-e)
         return self.weight * e, {0: window_jacobian(np.expand_dims(E, -3) @ JR)}

@@ -48,6 +48,13 @@ def test_in_image():
 def test_camera_validation():
     with pytest.raises(InvalidArgumentError):
         CameraModel(fx=-1.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="fx must be finite"):
+            CameraModel(fx=bad, fy=400.0, cx=320.0, cy=240.0, width=640,
+                        height=480)
+        with pytest.raises(InvalidArgumentError, match="fy must be finite"):
+            CameraModel(fx=400.0, fy=bad, cx=320.0, cy=240.0, width=640,
+                        height=480)
     with pytest.raises(InvalidArgumentError):
         CameraModel(fx=400.0, fy=400.0, cx=700.0, cy=240.0, width=640, height=480)
 

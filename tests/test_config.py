@@ -112,6 +112,22 @@ def test_align_key_rejected(tmp_path, capsys):
     assert "'align'" in capsys.readouterr().err
 
 
+def test_noise_seed_is_rejected_for_the_top_level_seed(tmp_path, capsys):
+    """The top-level ``seed`` drives the noise, so a ``noise.seed`` key,
+    which would do nothing, is a data error naming both; no written config
+    carries one."""
+    with pytest.raises(DataError, match=r"'noise\.seed'.*top-level 'seed'"):
+        RunConfig.from_dict({"noise": {"seed": 5}})
+    assert "seed" not in RunConfig.default_dict()["noise"]
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("noise: {seed: 5}\n")
+    rc = cli.main(["simulate", "--config", str(cfg), "--seed", "3",
+                   "--out", str(tmp_path / "data")])
+    assert rc == 2
+    assert "noise.seed" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_validation_errors():
     with pytest.raises(InvalidArgumentError):
         SimulateConfig(profile="spiral")
@@ -126,7 +142,6 @@ def test_validation_errors():
             (SimulateConfig, "t_gps_imu_ms", inf), (RunConfig, "seed", -1),
             (CtConfig, "node_hz", 0.0), (CtConfig, "node_hz", nan),
             (CtConfig, "node_hz", inf), (CtConfig, "node_hz", -10.0),
-            (CtConfig, "bias_node_hz", 0.0), (CtConfig, "bias_node_hz", nan),
             (CtConfig, "landmark_sigma", -1.0), (DtConfig, "landmark_sigma", nan),
             (CtConfig, "offset_bound", -0.05), (DtConfig, "offset_bound", 0.0),
             (DtConfig, "offset_bound", inf), (CtConfig, "max_iter", 0),

@@ -363,6 +363,10 @@ def test_rig_validation(rng):
      r"scene\.json key 'gps_sigma' in section 'noise' must be float, got 'x'$"),
     (lambda s: s["rig"]["camera"].pop("fx"),
      r"missing keys in \S+scene\.json section 'rig.camera': \['fx'\]$"),
+    (lambda s: s["rig"]["camera"].update(fx=float("nan")),
+     r"scene\.json section 'rig\.camera': fx must be finite and > 0, got nan$"),
+    (lambda s: s["rig"]["camera"].update(fy=float("inf")),
+     r"scene\.json section 'rig\.camera': fy must be finite and > 0, got inf$"),
     (lambda s: s["landmarks"].pop(),
      r"scene\.json: 'landmark_ids' has 2 entries but 'landmarks' has 1$"),
     (lambda s: s["rig"].update(p_antenna_body=[0.1, 0.2]),
@@ -384,7 +388,7 @@ def test_rig_validation(rng):
     (lambda s: s.update(landmarks=5),
      r"scene\.json key 'landmarks' must be a list, got 5$"),
 ], ids=["no_rig", "extra_noise_key", "noise_nan", "noise_type", "no_camera_fx",
-        "landmark_count", "lever_arm_length", "t_cam_type", "quat_length",
+        "camera_fx_nan", "camera_fy_inf", "landmark_count", "lever_arm_length", "t_cam_type", "quat_length",
         "p_cam_type", "offset_range", "landmark_length", "landmark_id_type",
         "landmarks_type"])
 def test_malformed_scene_rejected(tmp_path, rng, edit, match):

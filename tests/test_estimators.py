@@ -332,8 +332,9 @@ def _per_observation_sample(group, ctx, pose, t, jacobians=False):
     p = bs.r3_window_eval(posw, u, k, dt)
     if not jacobians:
         return p, bs.so3_window_eval(rotw, u, k)
-    R, omega, JR = bs.so3_window_eval_jacobians(rotw, u, k, dt)
-    return (p, R, bs.r3_window_eval(posw, u, k, dt, 1), omega,
+    R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True)
+    return (p, R, bs.r3_window_eval(posw, u, k, dt, 1),
+            bs.so3_window_angvel(rotw, u, k, dt),
             partial(est._pose_window_jacobians, JR=JR,
                     coeff=bs.window_node_coefficients(k, u)))
 
@@ -348,15 +349,14 @@ def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
     frames = np.unique(group.stamps).size
     assert frames < group.stamps.size
     rows = []
-    for name in ("r3_window_eval", "so3_window_eval",
-                 "so3_window_eval_jacobians"):
+    for name in ("r3_window_eval", "so3_window_eval", "so3_window_angvel"):
         def counting(windows, u, *args, _kernel=getattr(bs, name), **kwargs):
             rows.append(u.shape[0])
             return _kernel(windows, u, *args, **kwargs)
 
         monkeypatch.setattr(bs, name, counting)
     r, slots, jacs, _ = group.linearize(problem, state)
-    assert rows == [frames] * 3  # p, then R with its Jacobians, then pdot
+    assert rows == [frames] * 4  # p, R with its Jacobians, pdot, omega
     rows.clear()
     trial = group.residuals(problem, state)
     assert rows == [frames] * 2

@@ -250,7 +250,7 @@ def test_fd_rotation_slot_away_from_cut_is_plain_central():
     _, _, jacs, jumps = group.linearize(problem, state)
     assert not jumps.any()
     windows = np.stack(gathered, axis=-3)
-    R, _, JR = bs.so3_window_eval_jacobians(windows, group.u, 2, 1.0)
+    R, JR = bs.so3_window_eval(windows, group.u, 2, jacobians=True)
     x = np.array([0.3, 1.0, -0.5])
     for si in range(2):
         exact = -R @ hat(x) @ JR[:, si]
