@@ -367,19 +367,18 @@ class SplineSO3:
 # serialization
 
 
-def spline_pair_to_dict(pos: SplineR3 | None, rot: SplineSO3 | None,
-                        origin_ns=0):
+def spline_pair_to_dict(pos: SplineR3, rot: SplineSO3, origin_ns=0):
     """JSON-ready dict {order, t0_ns, dt_ns, positions, rotations (wxyz)} of
     splines that run on seconds since the stamp ``origin_ns``."""
-    grid = (pos or rot).grid
-    if pos is not None and rot is not None and pos.grid != rot.grid:
+    grid = pos.grid
+    if rot.grid != grid:
         raise InvalidArgumentError("position and rotation splines must share a grid")
     return {
         "order": grid.order,
         "t0_ns": int(origin_ns) + int(round(grid.t0 * 1e9)),
         "dt_ns": int(round(grid.dt * 1e9)),
-        "positions": pos.nodes.tolist() if pos is not None else [],
-        "rotations": rotation_to_quat(rot.nodes).tolist() if rot is not None else [],
+        "positions": pos.nodes.tolist(),
+        "rotations": rotation_to_quat(rot.nodes).tolist(),
     }
 
 

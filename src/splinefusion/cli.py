@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -258,13 +259,10 @@ def build_parser():
                             "trajectory estimation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config=True, seed=True, out=True):
-        if config:
-            sp.add_argument("--config", default=None, help="YAML config file")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
-        if out:
-            sp.add_argument("--out", required=True, help="output directory")
+    def add_common(sp):
+        sp.add_argument("--config", default=None, help="YAML config file")
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("simulate", help="write a synthetic dataset")
     add_common(sp)
@@ -284,7 +282,7 @@ def build_parser():
         sp = sub.add_parser(name, help=f"run the {mode.upper()} estimator")
         add_common(sp)
         sp.add_argument("--data", required=True, help="dataset directory")
-        sp.set_defaults(fn=_cmd_estimate, mode=mode)
+        sp.set_defaults(fn=partial(_cmd_estimate, mode=mode))
 
     sp = sub.add_parser("evaluate", help="ATE metrics for an estimate CSV")
     sp.add_argument("--est", required=True, help="estimate.csv path")
@@ -307,8 +305,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.fn is _cmd_estimate:
-            return _cmd_estimate(args, args.mode)
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -332,11 +332,17 @@ def write_pose_csv(path, t_ns, positions, rotations):
 
 def read_pose_csv(path):
     """Read ``t_ns,x,y,z,qw,qx,qy,qz`` rows; returns (t_ns (N,) int64,
-    positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows
-    or with stamps that do not strictly increase."""
+    positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows,
+    with a non-finite value or a quaternion of zero norm, or with stamps
+    that do not strictly increase."""
     t_ns, rows = _read_csv(path, 8)
     if t_ns.size == 0:
         raise DataError(f"{path}: no pose rows")
+    for bad, what in ((~np.all(np.isfinite(rows), axis=1), "a non-finite value"),
+                      (np.linalg.norm(rows[:, 3:7], axis=1) == 0,
+                       "a quaternion of zero norm")):
+        if bad.any():
+            raise DataError(f"{path}:{np.argmax(bad) + 2}: {what}")
     back = np.flatnonzero(np.diff(t_ns) <= 0)
     if back.size:
         i = back[0] + 1  # the first row out of order; rows start on line 2
@@ -404,6 +410,10 @@ def read_dataset(data_dir, require_gps=True):
     noise = build_section(NoiseSpec, scene["noise"], scene_path, "noise")
     lids = _array(scene["landmark_ids"], (None,), scene_path, "landmark_ids",
                   "int")
+    ids, counts = np.unique(lids, return_counts=True)
+    if np.any(counts > 1):
+        raise DataError(f"{scene_path}: 'landmark_ids' repeats id "
+                        f"{ids[counts > 1][0]}")
     points = scene["landmarks"]
     if not isinstance(points, list):
         raise DataError(f"{scene_path} key 'landmarks' must be a list, got "
@@ -419,7 +429,15 @@ def read_dataset(data_dir, require_gps=True):
         gps_t_ns, gps = _read_csv(gps_path, 4)
     else:
         gps_t_ns, gps = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
-    feat_t_ns, feats = _read_csv(os.path.join(data_dir, "features.csv"), 5)
+    feat_path = os.path.join(data_dir, "features.csv")
+    feat_t_ns, feats = _read_csv(feat_path, 5)
+    for col, name in enumerate(("frame_id", "landmark_id")):
+        v = feats[:, col]
+        bad = ~np.isfinite(v) | (v != np.round(v))
+        if bad.any():
+            i = np.argmax(bad)
+            raise DataError(f"{feat_path}:{i + 2}: {name} {v[i]:g} is not an "
+                            f"integer")
 
     # one stable sort groups the rows by frame, each in its file order
     frame_ids = feats[:, 0].astype(int)

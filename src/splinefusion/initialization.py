@@ -39,10 +39,6 @@ class Sim3Transform:
         if self.s <= 0:
             raise InvalidArgumentError("similarity scale must be positive")
 
-    def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.s * (self.R @ x.T).T + self.t
-
 
 def umeyama(source, target):
     """Closed-form similarity aligning ``source`` onto ``target`` points.

@@ -20,6 +20,8 @@ _JITTER = 1e-16
 
 @dataclass(frozen=True)
 class PreintegratedImu:
+    """Delta state over ``dt_total`` s, its covariance and bias Jacobian."""
+
     dR: np.ndarray  # (3, 3)
     dv: np.ndarray  # (3,)
     dp: np.ndarray  # (3,)
@@ -27,8 +29,6 @@ class PreintegratedImu:
     covariance: np.ndarray  # (9, 9), (theta, v, p) ordering
     J_bias: np.ndarray  # (9, 6), columns (b_accel, b_gyro)
     bias_lin: tuple  # (b_accel (3,), b_gyro (3,))
-    t_start: float
-    t_end: float
 
     def corrected(self, b_accel, b_gyro):
         """First-order bias-corrected (dR, dv, dp), per segment when the
@@ -96,8 +96,7 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
         return PreintegratedImu(
             dR=np.eye(3), dv=np.zeros(3), dp=np.zeros(3), dt_total=0.0,
             covariance=np.zeros((9, 9)), J_bias=np.zeros((9, 6)),
-            bias_lin=(b_a.copy(), b_g.copy()), t_start=t_start, t_end=t_end,
-        )
+            bias_lin=(b_a.copy(), b_g.copy()))
     if times.size < 2 or times[0] > t_start + 1e-9 or times[-1] < t_end - 1e-9:
         raise DataError(
             f"IMU samples [{times[0]}, {times[-1]}] do not cover "
@@ -158,8 +157,7 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     return PreintegratedImu(
         dR=chain[-1], dv=vel[-1], dp=dp, dt_total=t_end - t_start,
         covariance=0.5 * (cov + cov.T), J_bias=PG.sum(axis=0),
-        bias_lin=(b_a.copy(), b_g.copy()), t_start=t_start, t_end=t_end,
-    )
+        bias_lin=(b_a.copy(), b_g.copy()))
 
 
 def preint_residual(R_i, p_i, v_i, b_accel_i, b_gyro_i, R_j, p_j, v_j,

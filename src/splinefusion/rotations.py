@@ -198,13 +198,6 @@ def so3_orthonormalize(R):
     return 1.5 * R - 0.5 * R @ (np.swapaxes(R, -1, -2) @ R)
 
 
-def require_rotation(R, tol=1e-6):
-    R = np.asarray(R, dtype=float)
-    if not is_rotation(R, tol):
-        raise InvalidArgumentError("matrix is not a rotation within tolerance")
-    return R
-
-
 def so3_log(R, *, validate=True):
     """Logarithm map: rotation matrix(es) to principal axis-angle vector(s).
 
@@ -214,8 +207,8 @@ def so3_log(R, *, validate=True):
     method) instead.  The returned norm is <= pi.
     """
     R = np.asarray(R, dtype=float)
-    if validate:
-        require_rotation(R)
+    if validate and not is_rotation(R):
+        raise InvalidArgumentError("matrix is not a rotation within tolerance")
     v = 0.5 * (R[..., [2, 0, 1], [1, 2, 0]] - R[..., [1, 2, 0], [2, 0, 1]])
     c = 0.5 * (np.einsum("...ii->...", R) - 1.0)
     s = np.sqrt(np.vecdot(v, v))
@@ -255,9 +248,6 @@ class Pose:
     def __init__(self, R, p):
         self.R = np.asarray(R, dtype=float)
         self.p = np.asarray(p, dtype=float)
-
-    def apply(self, x):
-        return (self.R @ np.asarray(x, dtype=float).T).T + self.p
 
     def compose(self, other: "Pose") -> "Pose":
         return Pose(self.R @ other.R, self.R @ other.p + self.p)

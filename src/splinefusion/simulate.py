@@ -131,13 +131,13 @@ def profile_poses(ts, params):
 
 @dataclass
 class GroundTruth:
-    """Continuous-time ground truth on the IMU clock."""
+    """Continuous-time ground truth on the IMU clock over [t_start, t_end],
+    and the RMS position error of the spline fit it came from."""
 
     position: bs.SplineR3
     rotation: bs.SplineSO3
     t_start: float
     t_end: float
-    params: ProfileParams
     fit_rms: float
 
 
@@ -178,7 +178,6 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
         rotation=bs.SplineSO3(fit.rotation.grid, so3_orthonormalize(fit.rotation.nodes)),
         t_start=0.0,
         t_end=float(duration),
-        params=params,
         fit_rms=fit.rms_position,
     )
 
@@ -209,10 +208,9 @@ def make_landmarks(gt: GroundTruth, count, rng, spread=3.0):
 
 @dataclass
 class SimulationResult:
+    """What :func:`synthesize` makes: measurements, true poses and biases."""
+
     measurements: MeasurementSet
-    rig: SensorRig
-    noise: NoiseSpec
-    ground_truth: GroundTruth
     gt_t_ns: np.ndarray
     gt_positions: np.ndarray
     gt_rotations: np.ndarray
@@ -312,9 +310,6 @@ def synthesize(gt: GroundTruth, rig: SensorRig, noise: NoiseSpec,
     meas.validate()
     return SimulationResult(
         measurements=meas,
-        rig=rig,
-        noise=noise,
-        ground_truth=gt,
         gt_t_ns=meas.imu_t_ns,
         gt_positions=gt.position.sample_many(imu_t),
         gt_rotations=R_wb,

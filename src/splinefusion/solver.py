@@ -28,9 +28,9 @@ coupled to a point and the densest others form the arrow, which takes the
 point fill and is eliminated last by a dense Schur complement; the rest
 form a band in reverse Cuthill-McKee order.
 
-One LM loop, :func:`_levenberg_marquardt`, holds the damping, acceptance
-and termination rules: :func:`solve` runs it on a :class:`Problem`, the PnP
-refinement on its dense 6-column system.
+One LM loop, :func:`_levenberg_marquardt`, holds the damping (from a fixed
+start), acceptance and termination rules: :func:`solve` runs it on a
+:class:`Problem`, the PnP refinement on its dense 6-column system.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ MAX_ITER = "max_iter"
 STALLED = "stalled"
 DISCONTINUOUS = "discontinuous"
 
-# The LM loop stops as converged when the gradient's largest entry is below
-# _ABS_TOL, and raises after _MAX_REJECTS damped systems of one iteration
-# all fail to factor into a finite step.
+# The LM loop starts with damping _LM_LAMBDA0, stops as converged when the
+# gradient's largest entry is below _ABS_TOL, and raises after _MAX_REJECTS
+# damped systems of one iteration all fail to factor into a finite step.
+_LM_LAMBDA0 = 1e-4
 _ABS_TOL = 1e-12
 _MAX_REJECTS = 40
 
@@ -432,17 +433,14 @@ class Problem:
 
 @dataclass
 class SolveOptions:
-    """Iteration cap (an int >= 1), initial LM damping (finite > 0), and
-    the relative cost drop (finite >= 0) below which an accepted step ends
-    the solve as converged."""
+    """Iteration cap (an int >= 1) and the relative cost drop (finite >= 0)
+    below which an accepted step ends the solve as converged."""
 
     max_iter: int = 50
-    lm_lambda0: float = 1e-4
     rel_tol: float = 1e-8
 
     def __post_init__(self):
         require_int("max_iter", self.max_iter, 1)
-        require_finite("lm_lambda0", self.lm_lambda0, positive=True)
         require_finite("rel_tol", self.rel_tol, positive=False)
 
 
@@ -465,8 +463,7 @@ class SolveReport:
     bounded blocks whose returned value lies on a bound (see
     :meth:`Problem.at_bound`); it does not change ``termination``.
     ``grad_norm`` is the gradient's inf-norm at the start of the last
-    iteration, not at the returned state, and ``lm_lambda`` the damping
-    after the last trial.
+    iteration, not at the returned state.
     """
 
     iterations: int
@@ -475,8 +472,6 @@ class SolveReport:
     termination: str
     cost_history: list = field(default_factory=list)
     grad_norm: float = float("nan")
-    lm_lambda: float = float("nan")
-    rel_tol: float = float("nan")
     jump_rows: int = 0
     at_bound: list = field(default_factory=list)
 
@@ -715,18 +710,18 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
     each accepted step another iteration follows; ``residuals(state)`` the
     residual vector; ``solve_damped(H, d, g)`` the step x of ``(H + diag(d))
     x = -g``, or raises ``np.linalg.LinAlgError``; ``retract(state, x)`` the
-    stepped state, a :class:`State` or a tuple of arrays.  Damping is
-    multiplicative on ``clip(diag(H), 1e-12)``: divided by 10 on an accepted
-    step, multiplied by 10 on a rejected one.  An iteration ends with no
-    step once a damped step leaves the state unchanged, since a larger
-    damping only shortens the step.  Raises :class:`NumericalFailureError`
-    when none of the ``_MAX_REJECTS`` damped systems of an iteration gives a
-    finite step.
+    stepped state, a :class:`State` or a tuple of arrays.  Damping starts at
+    ``_LM_LAMBDA0`` and is multiplicative on ``clip(diag(H), 1e-12)``:
+    divided by 10 on an accepted step, multiplied by 10 on a rejected one.
+    An iteration ends with no step once a damped step leaves the state
+    unchanged, since a larger damping only shortens the step.  Raises
+    :class:`NumericalFailureError` when none of the ``_MAX_REJECTS`` damped
+    systems of an iteration gives a finite step.
     """
     r, H, g = linearize(state)
     cost = float(r @ r)
     history = [cost]
-    lam = opts.lm_lambda0
+    lam = _LM_LAMBDA0
     termination = MAX_ITER
     grad_norm = float("inf")
     iterations = 0
@@ -784,7 +779,7 @@ def _levenberg_marquardt(state, linearize, residuals, solve_damped, retract, opt
             break
 
     return state, SolveReport(iterations, history[0], cost, termination, history,
-                              grad_norm, lam, opts.rel_tol)
+                              grad_norm)
 
 
 def solve(problem: Problem, opts: SolveOptions | None = None):

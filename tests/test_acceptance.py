@@ -415,7 +415,7 @@ def test_initialization_building_blocks():
     # point-cloud alignment is exact on exact correspondences
     src = rng.normal(size=(50, 3))
     true = ini.Sim3Transform(1.6, random_rotation(rng), rng.normal(size=3))
-    estT = ini.umeyama(src, true.apply(src))
+    estT = ini.umeyama(src, true.s * src @ true.R.T + true.t)
     align_err = max(abs(estT.s - true.s),
                     np.max(np.abs(estT.R - true.R)),
                     np.max(np.abs(estT.t - true.t)))

@@ -538,6 +538,22 @@ def test_out_of_order_poses_are_data_errors(small_dataset, tmp_path, capsys):
             assert f"{name}:5: stamp" in capsys.readouterr().err
 
 
+def test_non_finite_pose_is_a_data_error(small_dataset, tmp_path, capsys):
+    """``evaluate`` on an estimate with a NaN position exits 2 naming the
+    file and line, and writes no ``metrics.json`` (a NaN is not JSON)."""
+    lines = (small_dataset / "gt.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[2] = "nan"
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--est", str(path),
+                   "--gt", str(small_dataset / "gt.csv"), "--out", str(out)])
+    assert rc == 2
+    assert "nan.csv:4: a non-finite value" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
 SHIFT_NS = 1_700_000_000 * 1_000_000_000
 
 

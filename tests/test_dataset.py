@@ -129,6 +129,58 @@ def test_pose_stamps_must_strictly_increase(tmp_path, rng):
         read_dataset(tmp_path / "data")
 
 
+def test_pose_csv_rejects_values_it_cannot_hold(tmp_path, rng):
+    """A non-finite value or a quaternion of zero norm in a pose CSV is a
+    DataError naming the file and the line, not a NaN pose; a dataset's
+    gt.csv is read the same way."""
+    t = np.arange(4, dtype=np.int64) * 100_000_000
+    pos = rng.normal(size=(4, 3))
+    R = np.stack([random_rotation(rng) for _ in range(4)])
+    path = tmp_path / "poses.csv"
+    write_pose_csv(path, t, pos, R)
+    lines = path.read_text().splitlines()
+    for lineno, fields, what in (
+            (3, {2: "nan"}, "a non-finite value"),
+            (4, {1: "inf"}, "a non-finite value"),
+            (2, {7: "-inf"}, "a non-finite value"),
+            (5, {4: "0", 5: "0", 6: "0", 7: "0"}, "a quaternion of zero norm")):
+        row = lines[lineno - 1].split(",")
+        for k, v in fields.items():
+            row[k] = v
+        path.write_text("\n".join(lines[:lineno - 1] + [",".join(row)]
+                                  + lines[lineno:]) + "\n")
+        with pytest.raises(DataError, match=rf"poses\.csv:{lineno}: {what}$"):
+            read_pose_csv(path)
+    write_dataset(tmp_path / "data", make_meas(), make_rig(rng), NoiseSpec(),
+                  gt=(t, pos, R))
+    gt_path = tmp_path / "data" / "gt.csv"
+    gt_lines = gt_path.read_text().splitlines()
+    row = gt_lines[2].split(",")
+    row[1] = "nan"
+    gt_lines[2] = ",".join(row)
+    gt_path.write_text("\n".join(gt_lines) + "\n")
+    with pytest.raises(DataError, match=r"gt\.csv:3: a non-finite value$"):
+        read_dataset(tmp_path / "data")
+
+
+@pytest.mark.parametrize("col, value, name", [
+    (2, "1.7", "landmark_id"), (1, "0.5", "frame_id"), (2, "nan", "landmark_id"),
+    (1, "inf", "frame_id")])
+def test_feature_ids_must_be_integers(tmp_path, rng, col, value, name):
+    """A features.csv id that is not an integer is a DataError naming the
+    file and the line, not an id truncated to the integer below it."""
+    write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec())
+    path = tmp_path / "features.csv"
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[col] = value
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError,
+                       match=rf"features\.csv:4: {name} {value} is not an integer$"):
+        read_dataset(tmp_path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError):
         read_dataset(tmp_path)
@@ -387,10 +439,12 @@ def test_rig_validation(rng):
      r"scene\.json key 'landmark_ids' must be n finite ints, got \['a', 2\]$"),
     (lambda s: s.update(landmarks=5),
      r"scene\.json key 'landmarks' must be a list, got 5$"),
+    (lambda s: s["landmark_ids"].__setitem__(1, 1),
+     r"scene\.json: 'landmark_ids' repeats id 1$"),
 ], ids=["no_rig", "extra_noise_key", "noise_nan", "noise_type", "no_camera_fx",
         "camera_fx_nan", "camera_fy_inf", "landmark_count", "lever_arm_length", "t_cam_type", "quat_length",
         "p_cam_type", "offset_range", "landmark_length", "landmark_id_type",
-        "landmarks_type"])
+        "landmarks_type", "landmark_id_repeat"])
 def test_malformed_scene_rejected(tmp_path, rng, edit, match):
     write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec())
     path = tmp_path / "scene.json"

@@ -32,12 +32,12 @@ from conftest import noiseless_spec, random_rotation, wobbly_ground_truth
 def test_umeyama_exact(rng):
     src = rng.normal(size=(40, 3))
     true = ini.Sim3Transform(1.7, random_rotation(rng), rng.normal(size=3))
-    tgt = true.apply(src)
+    tgt = true.s * src @ true.R.T + true.t
     est = ini.umeyama(src, tgt)
     assert abs(est.s - true.s) < 1e-9
     assert np.max(np.abs(est.R - true.R)) < 1e-9
     assert np.max(np.abs(est.t - true.t)) < 1e-9
-    assert np.max(np.abs(est.apply(src) - tgt)) < 1e-9
+    assert np.max(np.abs(est.s * src @ est.R.T + est.t - tgt)) < 1e-9
 
 
 def test_umeyama_reflection_guard(rng):

@@ -83,7 +83,7 @@ def test_align_pos_yaw_removes_yaw_and_translation(rng):
 def test_align_sim3_removes_scale(rng):
     t, p, R = make_pairs(rng)
     sim3 = Sim3Transform(2.0, random_rotation(rng), rng.normal(size=3))
-    pairs = met.AlignedPairs(t, sim3.apply(p), sim3.R @ R, p, R)
+    pairs = met.AlignedPairs(t, sim3.s * p @ sim3.R.T + sim3.t, sim3.R @ R, p, R)
     # pos_yaw cannot undo the scale, sim3 can
     assert met.ate_p(met.align_pairs(pairs, "sim3")) < 1e-9
     assert met.ate_p(met.align_pairs(pairs, "pos_yaw")) > 0.1

@@ -175,7 +175,9 @@ def test_pose_algebra(rng):
     A = Pose(random_rotation(rng), rng.normal(size=3))
     B = Pose(random_rotation(rng), rng.normal(size=3))
     x = rng.normal(size=(4, 3))
-    assert np.allclose(A.compose(B).apply(x), A.apply(B.apply(x)), atol=1e-12)
+    AB = A.compose(B)
+    Bx = x @ B.R.T + B.p
+    assert np.allclose(x @ AB.R.T + AB.p, Bx @ A.R.T + A.p, atol=1e-12)
     AI = A.compose(A.inverse())
     assert np.allclose(AI.R, np.eye(3), atol=1e-12)
     assert np.allclose(AI.p, 0.0, atol=1e-12)
