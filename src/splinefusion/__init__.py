@@ -33,12 +33,7 @@ from .simulate import (
 )
 from .residuals import GRAVITY, CtState, DtState
 from .preintegration import PreintegratedImu, integrate, preint_residual
-from .initialization import (
-    Sim3Transform,
-    fit_spline_to_poses,
-    pnp_dlt,
-    umeyama,
-)
+from .initialization import fit_spline_to_poses, pnp_dlt
 from .solver import Problem, SolveOptions, SolveReport, solve
 from .estimators import (
     CtConfig,
@@ -81,7 +76,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SensorRig",
-    "Sim3Transform",
     "SimulationResult",
     "SolveOptions",
     "SolveReport",
@@ -113,6 +107,5 @@ __all__ = [
     "so3_log",
     "solve",
     "synthesize",
-    "umeyama",
     "write_dataset",
 ]

@@ -20,7 +20,6 @@ angular-velocity kernels are one O(k) pass each, which with
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,6 @@ from .errors import InvalidArgumentError, OutOfDomainError, require_finite, requ
 from .rotations import (
     hat,
     is_rotation,
-    rotation_to_quat,
     so3_exp,
     so3_log,
     so3_right_jacobian,
@@ -361,28 +359,3 @@ class SplineSO3:
         i, u = self.grid.normalized_times(ts)
         idx = i[..., None] + np.arange(self.grid.order)
         return so3_window_angvel(self.nodes[idx], u, self.grid.order, self.grid.dt)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def spline_pair_to_dict(pos: SplineR3, rot: SplineSO3, origin_ns=0):
-    """JSON-ready dict {order, t0_ns, dt_ns, positions, rotations (wxyz)} of
-    splines that run on seconds since the stamp ``origin_ns``."""
-    grid = pos.grid
-    if rot.grid != grid:
-        raise InvalidArgumentError("position and rotation splines must share a grid")
-    return {
-        "order": grid.order,
-        "t0_ns": int(origin_ns) + int(round(grid.t0 * 1e9)),
-        "dt_ns": int(round(grid.dt * 1e9)),
-        "positions": pos.nodes.tolist(),
-        "rotations": rotation_to_quat(rot.nodes).tolist(),
-    }
-
-
-def save_spline_pair(path, pos, rot, origin_ns=0):
-    with open(path, "w") as f:
-        json.dump(spline_pair_to_dict(pos, rot, origin_ns), f)
-

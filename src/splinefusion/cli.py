@@ -1,9 +1,8 @@
 """Command-line entry points tying the pipeline together.
 
-Subcommands: ``simulate`` (write a synthetic dataset), ``fit`` (spline fit
-to a pose CSV), ``estimate-ct`` / ``estimate-dt`` (batch estimation),
-``evaluate`` (ATE metrics), ``compare`` (both modes across an injected
-camera-offset grid).
+Subcommands: ``simulate`` (write a synthetic dataset), ``estimate-ct`` /
+``estimate-dt`` (batch estimation), ``evaluate`` (ATE metrics), ``compare``
+(both modes across an injected camera-offset grid).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure
 (including an estimate whose final solve ended ``stalled`` or
@@ -27,13 +26,10 @@ import numpy as np
 from . import estimators as est
 from . import metrics as met
 from .config import RunConfig, load_config, save_config
-from .dataset import (read_dataset, read_pose_csv, seconds_since,
-                      write_dataset, write_pose_csv)
+from .dataset import read_dataset, read_pose_csv, write_dataset, write_pose_csv
 from .errors import DataError, NumericalFailureError, SplineFusionError
-from .initialization import fit_spline_to_poses
 from .simulate import default_rig, make_ground_truth, synthesize
 from .solver import DISCONTINUOUS, STALLED
-from .bsplines import save_spline_pair
 
 
 class UsageError(Exception):
@@ -156,25 +152,6 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_fit(args):
-    t_ns, pos, rot = read_pose_csv(args.poses)
-    fit = fit_spline_to_poses(seconds_since(t_ns, t_ns[0]), pos, rot,
-                              args.order, args.node_hz)
-    os.makedirs(args.out, exist_ok=True)
-    save_spline_pair(os.path.join(args.out, "spline.json"),
-                     fit.position, fit.rotation, t_ns[0])
-    _write_json(os.path.join(args.out, "fit_report.json"), {
-        "iterations": fit.report.iterations,
-        "converged": bool(fit.report.converged),
-        "termination": fit.report.termination,
-        "rms_position_m": fit.rms_position,
-        "rms_rotation_rad": fit.rms_rotation,
-    })
-    print(f"fit {fit.report.termination} in {fit.report.iterations} iterations; "
-          f"rms position {fit.rms_position:.3e} m")
-    return 0
-
-
 def _cmd_estimate(args, mode):
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -206,7 +183,6 @@ def cmd_evaluate(args):
                               args.align)
     os.makedirs(args.out, exist_ok=True)
     met.write_metrics_json(os.path.join(args.out, "metrics.json"), pairs)
-    met.write_traj_xy_csv(os.path.join(args.out, "traj_xy.csv"), pairs)
     m = met.metrics_dict(pairs)
     print(f"ate_p={m['ate_p_m']:.4f} m ate_r={m['ate_r_deg']:.4f} deg "
           f"({m['n_pairs']} pairs)")
@@ -269,14 +245,6 @@ def build_parser():
     sp.add_argument("--profile", default=None,
                     choices=("line", "circle", "lemniscate"))
     sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("fit", help="fit a spline pair to a pose CSV")
-    sp.add_argument("--poses", required=True,
-                    help="CSV with t_ns,x,y,z,qw,qx,qy,qz rows")
-    sp.add_argument("--order", type=int, default=6)
-    sp.add_argument("--node-hz", type=float, default=10.0)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_fit)
 
     for name, mode in (("estimate-ct", "ct"), ("estimate-dt", "dt")):
         sp = sub.add_parser(name, help=f"run the {mode.upper()} estimator")

@@ -1,5 +1,5 @@
-"""Initialization pipeline: PnP poses, GPS and gyro poses, spline fitting
-and similarity alignment."""
+"""Initialization pipeline: PnP poses, GPS and gyro poses and spline
+fitting."""
 
 from __future__ import annotations
 
@@ -25,52 +25,6 @@ from .solver import (
     solve,
     window_jacobian,
 )
-
-
-@dataclass(frozen=True)
-class Sim3Transform:
-    """Similarity transform acting as ``y = s * R @ x + t``."""
-
-    s: float
-    R: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        if self.s <= 0:
-            raise InvalidArgumentError("similarity scale must be positive")
-
-
-def umeyama(source, target):
-    """Closed-form similarity aligning ``source`` onto ``target`` points.
-
-    Minimizes ``sum || target_i - (s R source_i + t) ||^2`` with the
-    determinant-sign correction for reflections.
-    """
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 3:
-        raise InvalidArgumentError("point lists must both be (N, 3)")
-    n = source.shape[0]
-    if n < 3:
-        raise DegenerateConfigurationError("need at least 3 correspondences")
-    mu_s = source.mean(axis=0)
-    mu_t = target.mean(axis=0)
-    xs = source - mu_s
-    xt = target - mu_t
-    cov = xt.T @ xs / n
-    U, d, Vt = np.linalg.svd(cov)
-    if d[1] < max(d[0], 1e-300) * 1e-9:
-        raise DegenerateConfigurationError(
-            "correspondences are (near) collinear; similarity is rank deficient"
-        )
-    S = np.eye(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        S[2, 2] = -1.0
-    R = U @ S @ Vt
-    var_s = (xs * xs).sum() / n
-    s = float(np.trace(np.diag(d) @ S) / var_s)
-    t = mu_t - s * R @ mu_s
-    return Sim3Transform(s, R, t)
 
 
 def _pnp_residuals(R_wc, p_wc, points, xy, jacobians=False):
@@ -338,7 +292,6 @@ class SplineFit:
     rotation: bs.SplineSO3
     report: object
     rms_position: float
-    rms_rotation: float
 
 
 def fit_spline_to_poses(times, positions, rotations, order, node_hz,
@@ -400,13 +353,9 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
         to_value(np.stack([problem.block_value(state, b) for b in ids]))
         for ids, to_value in (problem.meta["position"], problem.meta["rotation"]))
     ep = pos_spline.sample_many(query) - tgt_pos
-    er = so3_log(
-        np.swapaxes(rot_spline.sample_many(query), -1, -2) @ tgt_rot, validate=False
-    )
     return SplineFit(
         position=pos_spline,
         rotation=rot_spline,
         report=report,
         rms_position=float(np.sqrt((ep**2).sum(axis=1).mean())),
-        rms_rotation=float(np.sqrt((er**2).sum(axis=1).mean())),
     )

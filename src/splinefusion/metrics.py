@@ -1,14 +1,13 @@
 """Trajectory evaluation: estimate/ground-truth pairs, ATE metrics, reports.
 
 Each estimate pose is paired with the ground truth interpolated at its own
-stamp; metrics are computed in the shared world frame by default, with
-optional pre-alignment: ``pos_yaw`` for GPS-free runs, whose gauge is free
-in yaw and translation (gravity is held), or ``sim3``.
+stamp; metrics are computed in the shared world frame by default, or after
+a ``pos_yaw`` pre-alignment for GPS-free runs, whose gauge is free in yaw
+and translation (gravity is held).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -16,10 +15,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .dataset import seconds_since
-from .initialization import _interp_positions, _interp_rotations, umeyama
+from .initialization import _interp_positions, _interp_rotations
 from .rotations import so3_exp, so3_log
 
-ALIGN_MODES = ("none", "pos_yaw", "sim3")
+ALIGN_MODES = ("none", "pos_yaw")
 
 
 @dataclass
@@ -72,25 +71,21 @@ def align_pairs(pairs: AlignedPairs, mode="none"):
     """Optionally pre-align the estimate to ground truth.
 
     ``pos_yaw`` fits a translation and a rotation about gravity (z) to the
-    positions in closed form, the 4-DoF gauge of a visual-inertial estimate;
-    ``sim3`` fits the full similarity (Umeyama).  The rotation part of the
-    alignment is applied to the estimated orientations as well.
+    positions in closed form, the 4-DoF gauge of a visual-inertial estimate.
+    The rotation part of the alignment is applied to the estimated
+    orientations as well.
     """
     if mode == "none":
         return pairs
-    if mode == "pos_yaw":
-        a = pairs.est_p - pairs.est_p.mean(axis=0)
-        b = pairs.gt_p - pairs.gt_p.mean(axis=0)
-        c = a[:, :2].T @ b[:, :2]  # the yaw maximizes sum_i b_i . Rz a_i
-        yaw = np.arctan2(c[0, 1] - c[1, 0], c[0, 0] + c[1, 1])
-        s, R = 1.0, so3_exp(np.array([0.0, 0.0, yaw]))
-        t = pairs.gt_p.mean(axis=0) - R @ pairs.est_p.mean(axis=0)
-    elif mode == "sim3":
-        fit = umeyama(pairs.est_p, pairs.gt_p)
-        s, R, t = fit.s, fit.R, fit.t
-    else:
+    if mode != "pos_yaw":
         raise InvalidArgumentError(f"unknown alignment mode {mode!r}")
-    return AlignedPairs(pairs.t_ns, s * (pairs.est_p @ R.T) + t,
+    a = pairs.est_p - pairs.est_p.mean(axis=0)
+    b = pairs.gt_p - pairs.gt_p.mean(axis=0)
+    c = a[:, :2].T @ b[:, :2]  # the yaw maximizes sum_i b_i . Rz a_i
+    yaw = np.arctan2(c[0, 1] - c[1, 0], c[0, 0] + c[1, 1])
+    R = so3_exp(np.array([0.0, 0.0, yaw]))
+    t = pairs.gt_p.mean(axis=0) - R @ pairs.est_p.mean(axis=0)
+    return AlignedPairs(pairs.t_ns, pairs.est_p @ R.T + t,
                         R @ pairs.est_R, pairs.gt_p, pairs.gt_R)
 
 
@@ -123,23 +118,3 @@ def write_metrics_json(path, pairs: AlignedPairs):
     with open(path, "w") as f:
         json.dump(metrics_dict(pairs), f, indent=2)
         f.write("\n")
-
-
-def _seconds_text(t_ns):
-    """The stamp ``t_ns`` as exact decimal seconds, ``-0.010000000`` for
-    -10 ms: its integer seconds and nanoseconds, no float between."""
-    whole, frac = divmod(abs(t_ns), 1_000_000_000)
-    return f"{'-' if t_ns < 0 else ''}{whole}.{frac:09d}"
-
-
-def write_traj_xy_csv(path, pairs: AlignedPairs):
-    """Plot-ready XY view: one row (t, est_x, est_y, gt_x, gt_y) per pair."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "est_x", "est_y", "gt_x", "gt_y"])
-        for k in range(len(pairs)):
-            w.writerow([
-                _seconds_text(int(pairs.t_ns[k])),
-                f"{pairs.est_p[k, 0]:.9f}", f"{pairs.est_p[k, 1]:.9f}",
-                f"{pairs.gt_p[k, 0]:.9f}", f"{pairs.gt_p[k, 1]:.9f}",
-            ])

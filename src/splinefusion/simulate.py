@@ -131,14 +131,12 @@ def profile_poses(ts, params):
 
 @dataclass
 class GroundTruth:
-    """Continuous-time ground truth on the IMU clock over [t_start, t_end],
-    and the RMS position error of the spline fit it came from."""
+    """Continuous-time ground truth on the IMU clock over [t_start, t_end]."""
 
     position: bs.SplineR3
     rotation: bs.SplineSO3
     t_start: float
     t_end: float
-    fit_rms: float
 
 
 def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
@@ -178,7 +176,6 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
         rotation=bs.SplineSO3(fit.rotation.grid, so3_orthonormalize(fit.rotation.nodes)),
         t_start=0.0,
         t_end=float(duration),
-        fit_rms=fit.rms_position,
     )
 
 

@@ -411,16 +411,6 @@ def test_ablation_spline_order_and_node_density(offset_grid_runs,
 
 
 def test_initialization_building_blocks():
-    rng = np.random.default_rng(11)
-    # point-cloud alignment is exact on exact correspondences
-    src = rng.normal(size=(50, 3))
-    true = ini.Sim3Transform(1.6, random_rotation(rng), rng.normal(size=3))
-    estT = ini.umeyama(src, true.s * src @ true.R.T + true.t)
-    align_err = max(abs(estT.s - true.s),
-                    np.max(np.abs(estT.R - true.R)),
-                    np.max(np.abs(estT.t - true.t)))
-    assert align_err < 1e-9
-
     # spline fitting to smooth poses converges quickly and accurately
     gt = sim.make_ground_truth("circle", duration=8.0, margin=0.5)
     ts = np.arange(0.0, 8.0, 0.1)
@@ -430,8 +420,8 @@ def test_initialization_building_blocks():
     assert fit.report.iterations < 20
     assert fit.rms_position < 1e-4
 
-    print(f"\ninitialization: PASS — alignment dev {align_err:.1e}, spline "
-          f"fit {fit.report.iterations} iters rms {fit.rms_position:.1e} m")
+    print(f"\ninitialization: PASS — spline fit {fit.report.iterations} "
+          f"iters rms {fit.rms_position:.1e} m")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from splinefusion import cli
 from splinefusion import estimators as est
 from splinefusion.config import load_config
 from splinefusion.dataset import read_dataset, read_pose_csv
-from splinefusion.rotations import rotation_to_quat
 from splinefusion.solver import SolveReport
 
 
@@ -56,12 +55,20 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert mismatch == [] and errors == []
 
 
-def test_usage_errors(capsys):
-    assert cli.main(["simulate"]) == 1  # missing --out
-    assert cli.main(["no-such-command"]) == 1
-    assert cli.main(["simulate", "--profile", "zigzag", "--out", "/tmp/x"]) == 1
-    err = capsys.readouterr().err
-    assert "usage error" in err
+def test_usage_errors(tmp_path, capsys):
+    cases = (["simulate"],  # missing --out
+             ["no-such-command"],
+             ["simulate", "--profile", "zigzag", "--out", str(tmp_path / "x")],
+             # ``fit`` and ``--align sim3`` are no choices of this CLI
+             ["fit", "--poses", str(tmp_path / "gt.csv"),
+              "--out", str(tmp_path / "fit")],
+             ["evaluate", "--est", str(tmp_path / "estimate.csv"),
+              "--gt", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "eval"),
+              "--align", "sim3"])
+    for argv in cases:
+        assert cli.main(argv) == 1, argv
+        assert "usage error" in capsys.readouterr().err, argv
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_dataset_is_data_error(tmp_path, capsys):
@@ -171,54 +178,6 @@ def test_repeated_observation_is_data_error(small_dataset, tmp_path, capsys):
         capsys.readouterr().err
 
 
-def test_fit_command(small_dataset, tmp_path, capsys):
-    """``fit`` reports a converged fit and writes the fitted spline pair to
-    spline.json: grid, position nodes and rotation nodes as quaternions."""
-    out = tmp_path / "fit"
-    rc = cli.main(["fit", "--poses", str(small_dataset / "gt.csv"),
-                   "--order", "5", "--node-hz", "10", "--out", str(out)])
-    assert rc == 0
-    assert "fit converged" in capsys.readouterr().out
-    report = json.loads((out / "fit_report.json").read_text())
-    assert report["converged"] is True
-    assert report["termination"] == "converged"
-    assert report["rms_position_m"] < 1e-3
-    spline = json.loads((out / "spline.json").read_text())
-    t_ns, pos, rot = read_pose_csv(small_dataset / "gt.csv")
-    fit = cli.fit_spline_to_poses(t_ns * 1e-9, pos, rot, 5, 10.0)
-    grid = fit.position.grid
-    assert set(spline) == {"order", "t0_ns", "dt_ns", "positions", "rotations"}
-    assert spline["order"] == grid.order == 5
-    assert spline["t0_ns"] == round(grid.t0 * 1e9)
-    assert spline["dt_ns"] == round(grid.dt * 1e9) == 100_000_000
-    assert np.array_equal(spline["positions"], fit.position.nodes)
-    assert np.array_equal(spline["rotations"], rotation_to_quat(fit.rotation.nodes))
-
-
-def test_fit_reports_a_fit_stopped_at_max_iter(small_dataset, tmp_path,
-                                                monkeypatch, capsys):
-    """A fit that ends at its iteration cap says so on stdout and in
-    fit_report.json, not "converged"."""
-    fit_spline = cli.fit_spline_to_poses
-
-    def capped_fit(*args, **kwargs):
-        fit = fit_spline(*args, **kwargs)
-        fit.report = SolveReport(iterations=25, initial_cost=2.0, final_cost=1.0,
-                                 termination="max_iter")
-        return fit
-
-    monkeypatch.setattr(cli, "fit_spline_to_poses", capped_fit)
-    out = tmp_path / "fit"
-    rc = cli.main(["fit", "--poses", str(small_dataset / "gt.csv"),
-                   "--order", "5", "--node-hz", "10", "--out", str(out)])
-    assert rc == 0
-    stdout = capsys.readouterr().out
-    assert "fit max_iter in 25 iterations" in stdout and "converged" not in stdout
-    report = json.loads((out / "fit_report.json").read_text())
-    assert report["termination"] == "max_iter"
-    assert report["converged"] is False
-
-
 def test_evaluate_command(small_dataset, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = cli.main(["evaluate", "--est", str(small_dataset / "gt.csv"),
@@ -227,7 +186,6 @@ def test_evaluate_command(small_dataset, tmp_path, capsys):
     assert "ate_p=0.0000" in capsys.readouterr().out
     m = json.loads((out / "metrics.json").read_text())
     assert m["ate_p_m"] == 0.0 and m["ate_r_deg"] == 0.0
-    assert (out / "traj_xy.csv").exists()
     rc = cli.main(["evaluate", "--est", str(small_dataset / "gt.csv"),
                    "--gt", str(small_dataset / "gt.csv"), "--out", str(out),
                    "--align", "pos_yaw"])
@@ -499,9 +457,9 @@ def test_estimate_warns_for_each_block_on_its_bound(small_dataset, tmp_path,
 
 
 def test_out_of_range_settings_are_errors(small_dataset, tmp_path, capsys):
-    """An out-of-range estimator setting in a config, or a node rate of
-    ``fit`` that is not finite and positive, exits 2 naming the setting
-    instead of a traceback, a misleading message or a run of 0 steps."""
+    """An out-of-range estimator setting in a config exits 2 naming the
+    setting instead of a traceback, a misleading message or a run of 0
+    steps."""
     cfg = tmp_path / "bad.yaml"
     for text, key in (("estimator: {node_hz: 0.0}", "node_hz"),
                       ("estimator: {node_hz: .nan}", "node_hz"),
@@ -514,16 +472,11 @@ def test_out_of_range_settings_are_errors(small_dataset, tmp_path, capsys):
                        "--out", str(tmp_path / "out")])
         assert rc == 2, text
         assert key in capsys.readouterr().err, text
-    for rate in ("0", "nan", "inf"):
-        rc = cli.main(["fit", "--poses", str(small_dataset / "gt.csv"),
-                       "--node-hz", rate, "--out", str(tmp_path / "fit")])
-        assert rc == 2, rate
-        assert "node rate" in capsys.readouterr().err, rate
 
 
 def test_out_of_order_poses_are_data_errors(small_dataset, tmp_path, capsys):
     """A pose file with two rows swapped or a stamp repeated is a data error
-    (exit 2) naming the file and line, for ``fit`` and for ``evaluate``."""
+    (exit 2) naming the file and line."""
     gt = small_dataset / "gt.csv"
     lines = gt.read_text().splitlines()
     swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
@@ -531,11 +484,10 @@ def test_out_of_order_poses_are_data_errors(small_dataset, tmp_path, capsys):
     for name, body in (("swapped.csv", swapped), ("repeated.csv", repeated)):
         path = tmp_path / name
         path.write_text("\n".join(body) + "\n")
-        for argv in (["fit", "--poses", str(path)],
-                     ["evaluate", "--est", str(path), "--gt", str(gt)]):
-            rc = cli.main(argv + ["--out", str(tmp_path / "out")])
-            assert rc == 2, (name, argv[0])
-            assert f"{name}:5: stamp" in capsys.readouterr().err
+        rc = cli.main(["evaluate", "--est", str(path), "--gt", str(gt),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2, name
+        assert f"{name}:5: stamp" in capsys.readouterr().err
 
 
 def test_non_finite_pose_is_a_data_error(small_dataset, tmp_path, capsys):
@@ -560,7 +512,8 @@ SHIFT_NS = 1_700_000_000 * 1_000_000_000
 def test_outputs_do_not_depend_on_the_epoch(small_dataset, tmp_path):
     """With every stamp of the dataset moved by 1.7e18 ns, a whole number of
     seconds, ``estimate-dt`` writes the same poses, offsets and ATE, and
-    ``fit`` the same nodes; only the stamps move, by exactly the shift."""
+    ``evaluate`` of each estimate against its ground truth the same
+    metrics; only the stamps move, by exactly the shift."""
     shifted = tmp_path / "shifted"
     shutil.copytree(small_dataset, shifted)
     for name in ("imu.csv", "gps.csv", "features.csv", "gt.csv"):
@@ -573,8 +526,8 @@ def test_outputs_do_not_depend_on_the_epoch(small_dataset, tmp_path):
         out = tmp_path / f"out{k}"
         assert cli.main(["estimate-dt", "--data", str(data),
                          "--out", str(out)]) == 0
-        assert cli.main(["fit", "--poses", str(data / "gt.csv"), "--order",
-                         "5", "--out", str(out)]) == 0
+        assert cli.main(["evaluate", "--est", str(out / "estimate.csv"),
+                         "--gt", str(data / "gt.csv"), "--out", str(out)]) == 0
         outs.append(out)
     rows0, rows1 = ([row.split(",", 1) for row in
                      (out / "estimate.csv").read_text().splitlines()[1:]]
@@ -585,7 +538,5 @@ def test_outputs_do_not_depend_on_the_epoch(small_dataset, tmp_path):
                         for out in outs)
     for key in ("t_cam_imu_ms", "t_gps_imu_ms", "ate_p_m", "ate_r_deg"):
         assert report1[key] == report0[key], key
-    spline0, spline1 = (json.loads((out / "spline.json").read_text())
-                        for out in outs)
-    assert spline1.pop("t0_ns") == spline0.pop("t0_ns") + SHIFT_NS
-    assert spline1 == spline0
+    metrics0, metrics1 = ((out / "metrics.json").read_text() for out in outs)
+    assert metrics1 == metrics0

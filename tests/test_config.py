@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import yaml
 
 from splinefusion import cli
+from splinefusion import metrics as met
 from splinefusion.config import (
     RunConfig,
     SimulateConfig,
@@ -80,6 +83,22 @@ def test_readme_schema_is_the_default_config():
     after = text.split("The full schema (defaults shown) is:", 1)[1]
     block = after.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == RunConfig.default_dict()
+
+
+def test_readme_cli_block_is_the_parser():
+    """The README's CLI block names exactly the subcommands of
+    ``cli.build_parser()`` and, on its ``evaluate`` line, the ``--align``
+    choices of ``metrics.ALIGN_MODES``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text.split("All subcommands are under one entry point:", 1)[1]
+    lines = after.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    commands = [line.split()[1] for line in lines]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(sub.choices)
+    (evaluate,) = [line for line in lines if line.split()[1] == "evaluate"]
+    modes = re.search(r"--align ([\w|]+)", evaluate).group(1).split("|")
+    assert tuple(modes) == met.ALIGN_MODES
 
 
 def test_partial_overrides():

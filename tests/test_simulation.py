@@ -215,6 +215,10 @@ def test_every_track_observed_twice(tiny_noiseless):
     assert counts and min(counts.values()) >= 2
 
 
-def test_ground_truth_fit_quality(tiny_noiseless):
-    gt, _, _, _ = tiny_noiseless
-    assert gt.fit_rms < 1e-4
+def test_ground_truth_fit_quality():
+    """The ground truth reproduces its profile to 1e-4 m or is refused: a
+    lemniscate of phase rate 15 rad/s fits to about 7e-4 m and raises, one
+    of 10 rad/s fits to about 3e-5 m."""
+    with pytest.raises(InvalidArgumentError, match="ground-truth fit too loose"):
+        sim.make_ground_truth("lemniscate", duration=5.0, rate=15.0)
+    sim.make_ground_truth("lemniscate", duration=5.0, rate=10.0)
