@@ -27,13 +27,16 @@ class CameraModel:
             raise InvalidArgumentError("principal point must lie inside the image")
 
 
-def project_many(cam: CameraModel, p_cam):
-    """Project camera-frame points to pixels.
+def project_many(cam: CameraModel, p_cam, jacobians=False):
+    """Project camera-frame points to pixels: the one pinhole model of the
+    simulator, the reprojection factors and the PnP refinement.
 
     ``p_cam`` of shape (..., 3) gives (pixels (..., 2), valid mask (...));
     one point of shape (3,) gives a (2,) pixel and a 0-d mask.  Points at
     or behind the minimum depth get a zero pixel and a False mask instead
     of an error, matching the soft-exclusion policy of the batch factors.
+    With ``jacobians=True`` also returns d pixel / d p_cam (..., 2, 3),
+    zero where a point is invalid.
     """
     p_cam = np.asarray(p_cam, dtype=float)
     z = p_cam[..., 2]
@@ -47,7 +50,14 @@ def project_many(cam: CameraModel, p_cam):
         axis=-1,
     )
     px = np.where(valid[..., None], px, 0.0)
-    return px, valid
+    if not jacobians:
+        return px, valid
+    J = np.zeros(p_cam.shape[:-1] + (2, 3))
+    J[..., 0, 0] = cam.fx / zs
+    J[..., 0, 2] = -cam.fx * p_cam[..., 0] / (zs * zs)
+    J[..., 1, 1] = cam.fy / zs
+    J[..., 1, 2] = -cam.fy * p_cam[..., 1] / (zs * zs)
+    return px, valid, J * valid[..., None, None]
 
 
 def in_image(cam: CameraModel, px, margin=0.0):

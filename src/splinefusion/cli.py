@@ -94,7 +94,7 @@ def _run_scored(cfg: RunConfig, mode, meas, rig, noise, gt):
     the ground truth ``gt`` (t_ns, positions, rotations) unless it is None.
     Prints a warning for each offset that ended on its bound."""
     t0 = time.perf_counter()
-    result = est.run(meas, rig, noise, cfg.estimator_config(mode), mode=mode,
+    result = est.run(meas, rig, noise, cfg.estimator, mode=mode,
                      seed=cfg.seed)
     wall = time.perf_counter() - t0
     align = _gauge(cfg)
@@ -182,8 +182,8 @@ def cmd_evaluate(args):
     pairs = _pairs_against_gt(read_pose_csv(args.est), read_pose_csv(args.gt),
                               args.align)
     os.makedirs(args.out, exist_ok=True)
-    met.write_metrics_json(os.path.join(args.out, "metrics.json"), pairs)
     m = met.metrics_dict(pairs)
+    _write_json(os.path.join(args.out, "metrics.json"), m)
     print(f"ate_p={m['ate_p_m']:.4f} m ate_r={m['ate_r_deg']:.4f} deg "
           f"({m['n_pairs']} pairs)")
     return 0

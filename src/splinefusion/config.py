@@ -22,7 +22,7 @@ import yaml
 
 from .dataset import NoiseSpec, build_section
 from .errors import DataError, InvalidArgumentError, require_finite, require_int
-from .estimators import CtConfig, DtConfig
+from .estimators import CtConfig
 from .simulate import ProfileParams
 
 
@@ -73,14 +73,6 @@ class RunConfig:
 
     def __post_init__(self):
         require_int("seed", self.seed, 0)
-
-    def estimator_config(self, mode):
-        """The CtConfig (``mode`` "ct") or DtConfig ("dt") of the run: the
-        ``estimator`` section, or the fields of it that DT reads."""
-        if mode == "ct":
-            return self.estimator
-        return DtConfig(**{f.name: getattr(self.estimator, f.name)
-                           for f in dataclasses.fields(DtConfig)})
 
     @staticmethod
     def default_dict():

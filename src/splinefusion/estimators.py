@@ -103,7 +103,9 @@ class CtConfig(EstimatorConfig):
 
 @dataclass(frozen=True)
 class DtConfig(EstimatorConfig):
-    """Discrete-time estimator settings: the shared ones, nothing of its own."""
+    """Discrete-time estimator settings: the shared ones, nothing of its own.
+    DT reads only those, so it runs on a :class:`CtConfig` too, as the CLI
+    does with the one ``estimator`` config section."""
 
 
 def shift_feature(z, v_feat, t_offset):
@@ -266,19 +268,19 @@ class _ReprojGroup(FactorGroup):
         self.camera = rig.camera
         self.w = weight
 
-    def _project(self, R, p, lm):
-        """Body- and camera-frame points, pixels and the valid-depth mask."""
+    def _project(self, R, p, lm, jacobians=False):
+        """Body-frame points, pixels, the valid-depth mask and, with
+        ``jacobians``, the whitened d e / d landmark (N, 2, 3), zeroed where
+        invalid (None without)."""
         p_body = np.einsum("nji,nj->ni", R, lm - p)
         p_cam = (p_body - self.p_cb) @ self.R_cb
-        px, valid = project_many(self.camera, p_cam)
-        return p_body, p_cam, px, valid
-
-    def _landmark_jacobian(self, R, p_cam, valid):
-        """Whitened d e / d landmark, (N, 2, 3), zeroed where invalid."""
-        J_pi = _projection_jacobian(self.camera, p_cam, valid)
-        # dpc/dl = R_cb^T R^T; e = z - pi so de/dl = -J_pi R_cb^T R^T
+        if not jacobians:
+            return (p_body, *project_many(self.camera, p_cam), None)
+        px, valid, J_pi = project_many(self.camera, p_cam, jacobians=True)
+        # dpc/dl = R_cb^T R^T; e = z - pi so de/dl = -J_pi R_cb^T R^T,
+        # zero where invalid because J_pi is
         B = np.einsum("nab,ncb,ndc->nad", -J_pi, self.R_cb[None], R)
-        return B * valid[:, None, None] * self.w
+        return p_body, px, valid, B * self.w
 
 
 class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
@@ -296,24 +298,12 @@ class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
         self.own = (Slot(lm_ids, EUCLIDEAN, 3),)
 
     def _error(self, p, R, lm, jacobians=False):
-        p_body, p_cam, px, valid = self._project(R, p, lm)
+        p_body, px, valid, B = self._project(R, p, lm, jacobians)  # B = -d e / d p
         e = (self.pixels - px) * valid[:, None] * self.w
         if not jacobians:
             return e
-        B = self._landmark_jacobian(R, p_cam, valid)  # = -d e / d p
         # R <- R Exp(eps) moves p_body by hat(p_body) eps
         return e, -B, B @ R @ hat(p_body), B
-
-
-def _projection_jacobian(camera, p_cam, valid):
-    """d pi / d p_cam, (N, 2, 3), zeroed where invalid."""
-    z = np.where(valid, p_cam[:, 2], 1.0)
-    J = np.zeros((p_cam.shape[0], 2, 3))
-    J[:, 0, 0] = camera.fx / z
-    J[:, 0, 2] = -camera.fx * p_cam[:, 0] / (z * z)
-    J[:, 1, 1] = camera.fy / z
-    J[:, 1, 2] = -camera.fy * p_cam[:, 1] / (z * z)
-    return J * valid[:, None, None]
 
 
 class CtAccelGroup(_SplineGroup):
@@ -458,12 +448,11 @@ class DtReprojGroup(_ReprojGroup):
 
     def kernel(self, ctx, gathered, jacobians=False):
         p, R, lm, t_cam = gathered
-        p_body, p_cam, px, valid = self._project(R, p, lm)
+        p_body, px, valid, B = self._project(R, p, lm, jacobians)  # B = -d e / d p
         z_shift = shift_feature(self.pixels, self.vel, -t_cam[..., 0, None])
         r = (z_shift - px) * valid[:, None] * self.w
         if not jacobians:
             return r
-        B = self._landmark_jacobian(R, p_cam, valid)  # = -d e / d p
         # R <- R Exp(eps) moves p_body by hat(p_body) eps
         B_rot = B @ R @ hat(p_body)
         Jt = -self.vel * valid[:, None] * self.w

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import bsplines as bs
+from .camera import project_many
 from .errors import DataError, DegenerateConfigurationError, InvalidArgumentError
 from .residuals import GRAVITY
 from .rotations import (Pose, hat, running_products, slerp_many, so3_exp,
@@ -27,28 +28,23 @@ from .solver import (
 )
 
 
-def _pnp_residuals(R_wc, p_wc, points, xy, jacobians=False):
-    """Reprojection residuals (2n,) of the n world ``points`` seen from the
-    camera pose (R_wc, p_wc), against normalized image coordinates ``xy``.
+def _pnp_residuals(camera, R_wc, p_wc, points, pixels, jacobians=False):
+    """Pixel reprojection residuals (2n,) of the n world ``points`` seen
+    from the camera pose (R_wc, p_wc), against their ``pixels``, through
+    :func:`project_many`; a point at or behind the camera gives zeros.
 
     With ``jacobians=True`` returns ``(r, J)``: J (2n, 6) is exact, with
     the right perturbation of R_wc in columns 0-2 and p_wc in columns 3-5.
-    Depths below 1e-6 are clamped and get no depth derivative.
     """
     pc = (points - p_wc) @ R_wc
-    front = pc[:, 2] > 1e-6
-    z = np.where(front, pc[:, 2], 1e-6)
-    uv = pc[:, :2] / z[:, None]
-    r = (uv - xy).ravel()
+    px, valid, *J_pi = project_many(camera, pc, jacobians)
+    r = ((px - pixels) * valid[:, None]).ravel()
     if not jacobians:
         return r
-    # d uv / d pc, with no depth column where the depth is clamped
-    P = np.zeros((len(z), 2, 3))
-    P[:, 0, 0] = P[:, 1, 1] = 1.0 / z
-    P[:, :, 2] = -uv / z[:, None] * front[:, None]
     # pc = R_wc^T (X - p_wc); a right perturbation of R_wc moves it by
     # hat(pc) per unit angle
-    return r, np.concatenate([P @ hat(pc), -P @ R_wc.T], axis=2).reshape(-1, 6)
+    J_pi = J_pi[0]
+    return r, np.concatenate([J_pi @ hat(pc), -J_pi @ R_wc.T], axis=2).reshape(-1, 6)
 
 
 def pnp_dlt(camera, points_world, pixels):
@@ -57,8 +53,10 @@ def pnp_dlt(camera, points_world, pixels):
     Returns the world-from-camera pose (R_wc, p_wc).  Needs >= 6 points in
     general position; solves for the projection matrix in normalized image
     coordinates, orthonormalizes the rotation part, then refines the pose
-    by minimizing the reprojection error with the solver's LM loop on the
-    dense 6-column system of :func:`_pnp_residuals`.
+    by minimizing the pixel reprojection error with the solver's LM loop on
+    the dense 6-column system of :func:`_pnp_residuals`.  A point at or
+    behind the camera drops out of the refinement, as it does from every
+    reprojection factor.
     """
     pts = np.asarray(points_world, dtype=float)
     px = np.asarray(pixels, dtype=float)
@@ -98,15 +96,13 @@ def pnp_dlt(camera, points_world, pixels):
     t_eff = sc * P[:, 3] / det_scale
     T_wc = Pose(R_cw, t_eff - R_cw @ mu).inverse()
 
-    xy = np.stack([xn, yn], axis=1)
-
     def linearize(pose):
-        r, J = _pnp_residuals(*pose, pts, xy, jacobians=True)
+        r, J = _pnp_residuals(camera, *pose, pts, px, jacobians=True)
         return r, J.T @ J, J.T @ r
 
     (R_wc, p_wc), _ = _levenberg_marquardt(
         (T_wc.R, T_wc.p), linearize,
-        lambda pose: _pnp_residuals(*pose, pts, xy),
+        lambda pose: _pnp_residuals(camera, *pose, pts, px),
         lambda H, d, g: sla.cho_solve(
             sla.cho_factor(H + np.diag(d), check_finite=False), -g, check_finite=False),
         lambda pose, x: (pose[0] @ so3_exp(x[:3]), pose[1] + x[3:]),
@@ -291,7 +287,6 @@ class SplineFit:
     position: bs.SplineR3
     rotation: bs.SplineSO3
     report: object
-    rms_position: float
 
 
 def fit_spline_to_poses(times, positions, rotations, order, node_hz,
@@ -352,10 +347,4 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     pos_spline, rot_spline = (
         to_value(np.stack([problem.block_value(state, b) for b in ids]))
         for ids, to_value in (problem.meta["position"], problem.meta["rotation"]))
-    ep = pos_spline.sample_many(query) - tgt_pos
-    return SplineFit(
-        position=pos_spline,
-        rotation=rot_spline,
-        report=report,
-        rms_position=float(np.sqrt((ep**2).sum(axis=1).mean())),
-    )
+    return SplineFit(position=pos_spline, rotation=rot_spline, report=report)

@@ -8,7 +8,6 @@ and translation (gravity is held).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +111,3 @@ def metrics_dict(pairs: AlignedPairs):
         "ate_r_deg": ate_r(pairs),
         "n_pairs": int(len(pairs)),
     }
-
-
-def write_metrics_json(path, pairs: AlignedPairs):
-    with open(path, "w") as f:
-        json.dump(metrics_dict(pairs), f, indent=2)
-        f.write("\n")

@@ -166,9 +166,10 @@ def make_ground_truth(profile, duration, margin=0.5, **profile_kwargs):
     ts = np.arange(-margin, duration + margin + 1.0 / SAMPLE_HZ, 1.0 / SAMPLE_HZ)
     p, R = profile_poses(ts, params)
     fit = fit_spline_to_poses(ts, p, R, order=GT_ORDER, node_hz=GT_NODE_HZ)
-    if fit.rms_position > 1e-4:
+    rms = float(np.sqrt(((fit.position.sample_many(ts) - p)**2).sum(axis=1).mean()))
+    if rms > 1e-4:
         raise InvalidArgumentError(
-            f"ground-truth fit too loose: rms {fit.rms_position:.2e} m; "
+            f"ground-truth fit too loose: rms {rms:.2e} m; "
             "lower the profile rate"
         )
     return GroundTruth(

@@ -39,6 +39,28 @@ def test_project_many_soft_invalid():
     assert np.allclose(px[1:], 0.0)
 
 
+def test_projection_jacobian_matches_central_differences(rng):
+    """d pixel / d p_cam agrees with central differences, for a batch and
+    for one point, and is zero for a point behind the camera; the pixels
+    and mask are those of the call without Jacobians."""
+    pts = rng.normal(size=(20, 3))
+    pts[:, 2] = rng.uniform(0.5, 10.0, size=20)
+    pts[3] = [0.3, -0.2, -1.5]
+    px, valid, J = project_many(CAM, pts, jacobians=True)
+    assert J.shape == (20, 2, 3)
+    px0, valid0 = project_many(CAM, pts)
+    assert np.array_equal(px, px0) and np.array_equal(valid, valid0)
+    assert not valid[3] and not J[3].any()
+    h = 1e-6
+    fd = np.stack([(project_many(CAM, pts + h * e)[0]
+                    - project_many(CAM, pts - h * e)[0]) / (2 * h)
+                   for e in np.eye(3)], axis=-1)
+    scale = np.abs(fd).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(J - fd) <= 1e-7 * scale)
+    for p, Jp in zip(pts, J):
+        assert np.array_equal(project_many(CAM, p, jacobians=True)[2], Jp)
+
+
 def test_in_image():
     px = np.array([[0.0, 0.0], [639.0, 479.0], [640.0, 240.0], [-1.0, 10.0]])
     assert list(in_image(CAM, px)) == [True, True, False, False]

@@ -11,7 +11,7 @@ import yaml
 from splinefusion import cli
 from splinefusion import estimators as est
 from splinefusion.config import load_config
-from splinefusion.dataset import read_dataset, read_pose_csv
+from splinefusion.dataset import read_dataset, read_pose_csv, write_pose_csv
 from splinefusion.solver import SolveReport
 
 
@@ -179,13 +179,25 @@ def test_repeated_observation_is_data_error(small_dataset, tmp_path, capsys):
 
 
 def test_evaluate_command(small_dataset, tmp_path, capsys):
+    """``evaluate`` writes the ATEs and the pair count to metrics.json: zero
+    for the ground truth against itself, 0.1 sqrt(3) m for it shifted by
+    0.1 m on each axis, and zero after a ``pos_yaw`` alignment."""
     out = tmp_path / "eval"
     rc = cli.main(["evaluate", "--est", str(small_dataset / "gt.csv"),
                    "--gt", str(small_dataset / "gt.csv"), "--out", str(out)])
     assert rc == 0
     assert "ate_p=0.0000" in capsys.readouterr().out
     m = json.loads((out / "metrics.json").read_text())
+    assert set(m) == {"ate_p_m", "ate_r_deg", "n_pairs"}
     assert m["ate_p_m"] == 0.0 and m["ate_r_deg"] == 0.0
+    t_ns, p, R = read_pose_csv(small_dataset / "gt.csv")
+    assert m["n_pairs"] == len(t_ns)
+    shifted = tmp_path / "shifted.csv"
+    write_pose_csv(shifted, t_ns, p + 0.1, R)
+    assert cli.main(["evaluate", "--est", str(shifted), "--gt",
+                     str(small_dataset / "gt.csv"), "--out", str(out)]) == 0
+    m = json.loads((out / "metrics.json").read_text())
+    assert np.isclose(m["ate_p_m"], np.sqrt(3) * 0.1)
     rc = cli.main(["evaluate", "--est", str(small_dataset / "gt.csv"),
                    "--gt", str(small_dataset / "gt.csv"), "--out", str(out),
                    "--align", "pos_yaw"])
@@ -340,8 +352,7 @@ def test_ct_initial_spline_follows_the_data_span(small_dataset):
     margin nodes have no frame of their own."""
     cfg = load_config(small_dataset / "config.yaml")
     meas, rig, _, (gt_t, gt_p, _) = read_dataset(small_dataset)
-    init, _ = est.initialize_ct(meas, rig, cfg.estimator_config("ct"),
-                                seed=cfg.seed)
+    init, _ = est.initialize_ct(meas, rig, cfg.estimator, seed=cfg.seed)
     lo, hi = meas.time_span_ns()
     span = (gt_t >= lo) & (gt_t <= hi)
     assert gt_t[span][-1] > meas.frame_t_ns[-1]

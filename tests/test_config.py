@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import re
 from pathlib import Path
 
@@ -110,12 +109,30 @@ def test_partial_overrides():
     assert cfg.simulate.duration == 8.0
 
 
-def test_estimator_config_applies_sensor_flags():
+class _Handed(Exception):
+    pass
+
+
+def _configs_handed_to_run(cfg, monkeypatch):
+    """The estimator config the CLI hands ``estimators.run`` in each mode."""
+    seen = {}
+
+    def run(meas, rig, noise, est_cfg, mode, seed):
+        seen[mode] = est_cfg
+        raise _Handed
+
+    monkeypatch.setattr(cli.est, "run", run)
+    for mode in ("ct", "dt"):
+        with pytest.raises(_Handed):
+            cli._run_scored(cfg, mode, None, None, None, None)
+    return seen
+
+
+def test_estimator_config_applies_sensor_flags(monkeypatch):
     cfg = RunConfig.from_dict({"estimator": {"use_gps": False}})
-    ct = cfg.estimator_config("ct")
-    assert ct.use_gps is False and ct.use_cam is True and ct.use_imu is True
-    dt = cfg.estimator_config("dt")
-    assert dt.use_gps is False
+    for mode, handed in _configs_handed_to_run(cfg, monkeypatch).items():
+        assert (handed.use_gps, handed.use_cam, handed.use_imu) == (
+            False, True, True), mode
 
 
 def test_align_key_rejected(tmp_path, capsys):
@@ -198,17 +215,15 @@ def test_load_config_edge_cases(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
-def test_one_estimator_section_reaches_both_modes():
-    """CT and DT read the one ``estimator`` section: every setting DT has
-    comes out the same in both modes."""
+def test_one_estimator_section_reaches_both_modes(monkeypatch):
+    """CT and DT read the one ``estimator`` section: the CLI hands that
+    section itself to the estimator of either mode."""
     cfg = RunConfig.from_dict(
         {"estimator": {"use_gps": False, "offset_bound": 0.1, "max_iter": 7}})
-    ct, dt = cfg.estimator_config("ct"), cfg.estimator_config("dt")
-    assert type(ct) is CtConfig and type(dt) is DtConfig
-    assert ct == cfg.estimator
-    for f in dataclasses.fields(DtConfig):
-        assert getattr(ct, f.name) == getattr(dt, f.name), f.name
-    assert (dt.use_gps, dt.offset_bound, dt.max_iter) == (False, 0.1, 7)
+    handed = _configs_handed_to_run(cfg, monkeypatch)
+    assert handed["ct"] is cfg.estimator and handed["dt"] is cfg.estimator
+    assert (cfg.estimator.use_gps, cfg.estimator.offset_bound,
+            cfg.estimator.max_iter) == (False, 0.1, 7)
 
 
 @pytest.mark.parametrize("section", ["sensors", "ct", "dt"])

@@ -59,14 +59,15 @@ class _PnPRefinement(FactorGroup):
     name = "pnp"
     dim = 2
 
-    def __init__(self, points, xy, rot, pos):
+    def __init__(self, camera, points, pixels, rot, pos):
+        self.camera = camera
         self.points = points
-        self.xy = xy
+        self.pixels = pixels
         self.slots = [Slot(rot, ROTATION, 3), Slot(pos, EUCLIDEAN, 3)]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        out = ini._pnp_residuals(gathered[0][0], gathered[1][0], self.points,
-                                 self.xy, jacobians=jacobians)
+        out = ini._pnp_residuals(self.camera, gathered[0][0], gathered[1][0],
+                                 self.points, self.pixels, jacobians=jacobians)
         if not jacobians:
             return out.reshape(-1, 2)
         r, J = out
@@ -74,26 +75,28 @@ class _PnPRefinement(FactorGroup):
         return r.reshape(-1, 2), {0: J[..., :3], 1: J[..., 3:]}
 
 
-def _pnp_problem(R_wc, p_wc, points, xy):
+def _pnp_problem(camera, R_wc, p_wc, points, pixels):
     problem = Problem()
     rot = problem.add_rotation("pnp_R", R_wc)
     pos = problem.add_euclidean("pnp_p", p_wc)
-    problem.add_group(_PnPRefinement(points, xy, rot, pos))
+    problem.add_group(_PnPRefinement(camera, points, pixels, rot, pos))
     return problem
 
 
 def test_pnp_jacobians_match_finite_differences():
     """The PnP refinement's exact rotation and position Jacobians agree with
-    central differences, also for a point behind the camera, whose depth
-    is clamped."""
+    central differences, also for a point behind the camera, whose
+    residual and Jacobian rows are zero."""
     rng = np.random.default_rng(5)
+    cam = CameraModel(fx=400.0, fy=400.0, cx=320.0, cy=240.0,
+                      width=640, height=480)
     R_wc = random_rotation(rng)
     p_wc = rng.normal(size=3)
     pts_cam = rng.uniform([-1.5, -1.0, 2.0], [1.5, 1.0, 8.0], size=(12, 3))
     pts_cam[4] = [0.3, -0.2, -1.5]
-    xy = rng.normal(scale=0.2, size=(12, 2))
-    problem = _pnp_problem(R_wc @ so3_exp([0.02, -0.01, 0.03]),
-                           p_wc + [0.05, 0.02, -0.04], pts_cam @ R_wc.T + p_wc, xy)
+    px = rng.normal(scale=0.2, size=(12, 2)) * cam.fx + [cam.cx, cam.cy]
+    problem = _pnp_problem(cam, R_wc @ so3_exp([0.02, -0.01, 0.03]),
+                           p_wc + [0.05, 0.02, -0.04], pts_cam @ R_wc.T + p_wc, px)
     group = problem.groups[0]
     problem._layout()
     state = problem.initial_state()
@@ -101,6 +104,7 @@ def test_pnp_jacobians_match_finite_differences():
     gathered = [problem.gather(state, s) for s in slots]
     r, jacs = group.kernel(ctx, gathered, jacobians=True)
     assert np.array_equal(r, group.kernel(ctx, gathered))
+    assert not r[4].any() and not jacs[0][4].any() and not jacs[1][4].any()
     assert sorted(jacs) == [0, 1]
     for si, slot in enumerate(slots):
         fd = group._fd_slot(ctx, gathered, si, slot)
@@ -113,10 +117,7 @@ def test_pnp_dense_refinement_matches_sparse_problem(rng, monkeypatch):
     """From the DLT pose, the dense 6-column refinement of ``pnp_dlt`` ends
     at the pose that a general Problem with the same residuals ends at
     under ``solver.solve``, on noisy frames and on one with a point behind
-    the camera.  That frame starts at a cost near 2e11 (the clamped depth
-    of the point behind) and ends at the 15-iteration cap; there the two
-    sums of the normal equations, sparse and dense, drift apart by 1.4e-11
-    over the iterations, so its poses agree to 1e-10."""
+    the camera, which drops out of both."""
     starts = []
     lm = ini._levenberg_marquardt
 
@@ -131,12 +132,32 @@ def test_pnp_dense_refinement_matches_sparse_problem(rng, monkeypatch):
         if behind:
             pts_world[7] = R_wc @ [0.3, -0.2, -1.5] + p_wc
         T = ini.pnp_dlt(cam, pts_world, px)
-        xy = (px - [cam.cx, cam.cy]) / [cam.fx, cam.fy]
-        problem = _pnp_problem(*starts[-1], pts_world, xy)
+        problem = _pnp_problem(cam, *starts[-1], pts_world, px)
         state, _ = solve(problem, SolveOptions(max_iter=15, rel_tol=1e-10))
         assert np.max(np.abs(T.R - problem.block_value(state, "pnp_R"))) <= tol
         assert np.max(np.abs(T.p - problem.block_value(state, "pnp_p"))) <= tol
     assert len(starts) == 3
+
+
+def test_pnp_drops_a_point_behind_the_camera(rng, monkeypatch):
+    """A point behind the camera drops out of the refinement, as it does
+    from every reprojection factor: on a noisy frame with one such point,
+    the refinement converges and the pose ends within 1 cm of the truth."""
+    reports = []
+    lm = ini._levenberg_marquardt
+
+    def recording_lm(*args):
+        out = lm(*args)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(ini, "_levenberg_marquardt", recording_lm)
+    cam, R_wc, p_wc, pts_world, px = _pnp_scene(rng)
+    px = px + rng.normal(scale=0.5, size=px.shape)
+    pts_world[7] = R_wc @ [0.3, -0.2, -1.5] + p_wc
+    T = ini.pnp_dlt(cam, pts_world, px)
+    assert reports[-1].converged, reports[-1].termination
+    assert np.linalg.norm(T.p - p_wc) < 0.01
 
 
 def test_pnp_evaluates_no_trial_at_an_unchanged_pose(monkeypatch):
@@ -147,14 +168,14 @@ def test_pnp_evaluates_no_trial_at_an_unchanged_pose(monkeypatch):
     residuals = ini._pnp_residuals
     seen = {"at": None, "trials": 0, "unchanged": 0}
 
-    def counting(R_wc, p_wc, *args, jacobians=False):
+    def counting(camera, R_wc, p_wc, *args, jacobians=False):
         if jacobians:  # a linearization: the pose the trials step from
             seen["at"] = (R_wc, p_wc)
         else:
             seen["trials"] += 1
             seen["unchanged"] += (np.array_equal(R_wc, seen["at"][0])
                                   and np.array_equal(p_wc, seen["at"][1]))
-        return residuals(R_wc, p_wc, *args, jacobians=jacobians)
+        return residuals(camera, R_wc, p_wc, *args, jacobians=jacobians)
 
     monkeypatch.setattr(ini, "_pnp_residuals", counting)
     rng = np.random.default_rng(7)
@@ -314,7 +335,8 @@ def test_fit_spline_to_poses_fast_convergence():
     rot = gt.rotation.sample_many(ts)
     fit = ini.fit_spline_to_poses(ts, pos, rot, order=5, node_hz=5.0)
     assert fit.report.iterations < 20
-    assert fit.rms_position < 1e-4
+    ep = fit.position.sample_many(ts) - pos
+    assert np.sqrt((ep**2).sum(axis=1).mean()) < 1e-4
     er = so3_log(np.swapaxes(fit.rotation.sample_many(ts), -1, -2) @ rot)
     assert np.sqrt((er**2).sum(axis=1).mean()) < 1e-3
 
