@@ -139,9 +139,7 @@ def cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     write_dataset(
         args.out, result.measurements, rig, noise,
-        gt=(result.gt_t_ns, result.gt_positions, result.gt_rotations),
-        extra_meta={"profile": dataclasses.asdict(cfg.simulate)},
-    )
+        gt=(result.gt_t_ns, result.gt_positions, result.gt_rotations))
     # how the data were made; the estimator settings do not change the data
     save_config(os.path.join(args.out, "config.yaml"), cfg,
                 sections=("seed", "simulate", "noise"))

@@ -6,7 +6,7 @@ Directory layout written by the simulator and consumed by the estimators:
     gps.csv       t_ns,x,y,z                    (GPS clock)
     features.csv  t_ns,frame_id,landmark_id,u_px,v_px   (camera clock)
     gt.csv        t_ns,x,y,z,qw,qx,qy,qz        (IMU clock, body pose in world)
-    scene.json    landmarks, rig, noise, seed, profile metadata
+    scene.json    landmarks, rig, noise, seed, row counts
 
 Timestamps are integer nanoseconds in every file; only this module turns
 them into float seconds, since an integer origin subtracted exactly in int64
@@ -352,7 +352,7 @@ def read_pose_csv(path):
 
 
 def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec,
-                  gt=None, extra_meta=None):
+                  gt=None):
     """Write the full CSV/JSON dataset layout.
 
     ``gt`` is an optional tuple ``(t_ns (N,), positions (N,3), rotations
@@ -385,8 +385,6 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
             "observations": int(fidx.size),
         },
     }
-    if extra_meta:
-        scene.update(extra_meta)
     with open(os.path.join(out_dir, "scene.json"), "w") as f:
         json.dump(scene, f, indent=1)
 

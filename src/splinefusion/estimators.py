@@ -36,9 +36,9 @@ from .dataset import MeasurementSet, NoiseSpec, SensorRig
 from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError,
                      require_finite, require_int)
-from .initialization import (R3FitGroup, add_field_blocks, cut_windows,
-                             fit_spline_to_poses, gps_gyro_poses, pnp_dlt,
-                             r3_window_jacobian, window_slot)
+from .initialization import (R3FitGroup, _interp_positions, _interp_rotations,
+                             add_field_blocks, cut_windows, gps_gyro_poses,
+                             pnp_dlt, r3_window_jacobian, window_slot)
 from .residuals import GRAVITY, CtState, DtState
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
@@ -84,7 +84,7 @@ class CtConfig(EstimatorConfig):
     rotations to stay below angle pi apart: its Log difference flips branch
     at pi and the spline jumps there.  The node rate must therefore suit
     the motion.  A grid too sparse to follow it (say, 1 Hz nodes under a
-    1.3 Hz wobble) makes the fit push control rotations apart until a pair
+    1.3 Hz wobble) makes the solve push control rotations apart until a pair
     sits on the cut, and the solve ends ``"discontinuous"``.
     """
 
@@ -905,27 +905,32 @@ def _start_poses(meas: MeasurementSet, rig: SensorRig, cfg, seed, stamps):
 
 
 def initialize_ct(meas: MeasurementSet, rig: SensorRig, cfg: CtConfig, seed=0):
-    """The initial CtState, from a spline fit to the :func:`_start_poses`
-    (without the camera at the IMU stamps), and the fit's SolveReport."""
+    """The initial CtState.  Each trajectory node takes the
+    :func:`_start_poses` track (without the camera at the IMU stamps) at the
+    peak of its basis function, t_i - (k - 2) dt / 2, interpolated (slerp
+    for rotations) and held past the track's ends: Schoenberg's
+    variation-diminishing rule (de Boor, "A Practical Guide to Splines",
+    ch. XI), with no solve."""
     landmarks, stamps, pos, rot = _start_poses(meas, rig, cfg, seed,
                                                meas.seconds(meas.imu_t_ns))
     lo, hi = meas.seconds(meas.time_span_ns())
     t_lo, t_hi = lo - _edge_margin(cfg), hi + _edge_margin(cfg)
-    fit = fit_spline_to_poses(stamps, pos, rot, cfg.spline_order, cfg.node_hz,
-                              t_start=t_lo, t_end=t_hi)
+    grid = bs.grid_covering(t_lo, t_hi, 1.0 / cfg.node_hz, cfg.spline_order)
+    peaks = grid.t0 + (np.arange(grid.count) - (grid.order - 2) / 2) * grid.dt
     bias_grid = bs.grid_covering(t_lo, t_hi, 1.0 / BIAS_NODE_HZ, 4)
     zeros = np.zeros((bias_grid.count, 3))
     return CtState(
-        position=fit.position, rotation=fit.rotation, landmarks=landmarks,
-        t_cam_imu=0.0, t_gps_imu=0.0,
+        position=bs.SplineR3(grid, _interp_positions(stamps, pos, peaks)),
+        rotation=bs.SplineSO3(grid, _interp_rotations(stamps, rot, peaks)),
+        landmarks=landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
         bias_accel=bs.SplineR3(bias_grid, zeros),
         bias_gyro=bs.SplineR3(bias_grid, zeros.copy()),
-    ), fit.report
+    )
 
 
 def initialize_dt(meas: MeasurementSet, rig: SensorRig, cfg: DtConfig, seed=0):
     """The initial DtState, from the :func:`_start_poses` at the frame
-    stamps, and None: DT fits nothing to them."""
+    stamps."""
     if not meas.frames:
         raise DataError("DT places one state per camera frame, and the data "
                         "has no camera frames")
@@ -937,7 +942,7 @@ def initialize_dt(meas: MeasurementSet, rig: SensorRig, cfg: DtConfig, seed=0):
         t_ns=meas.frame_t_ns, positions=pos, rotations=rot, velocities=vel,
         bias_accel=np.zeros((K, 3)), bias_gyro=np.zeros((K, 3)),
         landmarks=landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
-    ), None
+    )
 
 
 @dataclass
@@ -956,8 +961,8 @@ class RunResult:
     factor_counts: dict
     stage_seconds: dict = field(default_factory=dict)
     # the SolveReport of each stage that solves, keyed as in stage_seconds:
-    # the CT spline fit ("initialize"), stage 1 ("solve_fixed_offsets", run
-    # with the camera only) and the final solve
+    # stage 1 ("solve_fixed_offsets", run with the camera only) and the
+    # final solve
     stage_reports: dict = field(default_factory=dict)
 
 
@@ -980,10 +985,8 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
     opts = SolveOptions(max_iter=cfg.max_iter)
 
     t0 = time.perf_counter()
-    init, fit_report = initialize(meas, rig, cfg, seed=seed)
+    init = initialize(meas, rig, cfg, seed=seed)
     stages["initialize"] = time.perf_counter() - t0
-    if fit_report is not None:
-        reports["initialize"] = fit_report
 
     # Stage 1, with the camera only: offsets held at zero and landmarks held
     # at their prior so the trajectory and bias states settle without

@@ -1,5 +1,5 @@
-"""Initialization pipeline: PnP poses, GPS and gyro poses and spline
-fitting."""
+"""Initialization pipeline: PnP poses, GPS and gyro poses, their
+interpolation, and the spline fit of the simulator's ground truth."""
 
 from __future__ import annotations
 
@@ -168,7 +168,7 @@ def gps_gyro_poses(imu_t, gyro, accel, gps_t, gps, lever, query):
 
 
 # ---------------------------------------------------------------------------
-# spline fitting to discrete poses
+# pose interpolation and spline fitting to discrete poses
 
 
 def _interp_positions(times, positions, query):
@@ -289,16 +289,14 @@ class SplineFit:
     report: object
 
 
-def fit_spline_to_poses(times, positions, rotations, order, node_hz,
-                        t_start=None, t_end=None):
-    """Fit position and rotation splines to timestamped poses.
+def fit_spline_to_poses(times, positions, rotations, order, node_hz):
+    """Fit position and rotation splines to timestamped poses (the
+    simulator's ground truth).
 
     Control nodes are initialized by linear interpolation (SLERP for
-    rotations) at the knot times and refined by minimizing the summed
-    position and Log-rotation errors at the input pose times, with at most
-    25 LM iterations.  Where ``t_start`` or ``t_end`` lies past the poses,
-    the first or last pose is repeated out to it at the median pose
-    spacing, so that the nodes there have targets too.
+    rotations) at the knot times, held at the end poses past them, and
+    refined by minimizing the summed position and Log-rotation errors at
+    the input pose times, with at most 25 LM iterations.
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -313,25 +311,17 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     dt = 1.0 / node_hz
     if times[-1] - times[0] < order * dt * 0.5:
         raise InvalidArgumentError("pose span too short for the requested grid")
-    lo = times[0] if t_start is None else t_start
-    hi = times[-1] if t_end is None else t_end
-    grid = bs.grid_covering(lo, hi, dt, order)
-    h = float(np.median(np.diff(times)))
-    a, b = np.ceil(np.maximum([(times[0] - lo) / h, (hi - times[-1]) / h],
-                              0.0)).astype(int)
-    times = np.r_[times[0] - h * np.arange(a, 0, -1), times,
-                  times[-1] + h * np.arange(1, b + 1)]
-    positions = np.pad(positions, ((a, b), (0, 0)), mode="edge")
-    rotations = np.pad(rotations, ((a, b), (0, 0), (0, 0)), mode="edge")
+    grid = bs.grid_covering(times[0], times[-1], dt, order)
 
     node_times = grid.t0 + np.arange(grid.count) * grid.dt
-    clamped = np.clip(node_times, times[0], times[-1])
-    pos_nodes = _interp_positions(times, positions, clamped)
-    rot_nodes = _interp_rotations(times, rotations, clamped)
+    pos_nodes = _interp_positions(times, positions, node_times)
+    rot_nodes = _interp_rotations(times, rotations, node_times)
 
-    query = times[(times >= grid.domain[0]) & (times < grid.domain[1])]
-    tgt_pos = _interp_positions(times, positions, query)
-    tgt_rot = _interp_rotations(times, rotations, query)
+    # the poses read back at their own stamps: the last rotation comes out
+    # of the slerp a few ulp off, and every simulated dataset depends on
+    # these targets bit for bit
+    tgt_pos = _interp_positions(times, positions, times)
+    tgt_rot = _interp_rotations(times, rotations, times)
 
     problem = Problem()
     pos_ids = add_field_blocks(problem, "position", "pos", pos_nodes,
@@ -339,7 +329,7 @@ def fit_spline_to_poses(times, positions, rotations, order, node_hz,
     rot_ids = add_field_blocks(problem, "rotation", "rot", rot_nodes,
                                problem.add_rotation, partial(bs.SplineSO3, grid))
 
-    seg, u = grid.normalized_times(query)
+    seg, u = grid.normalized_times(times)
     problem.add_group(R3FitGroup(grid, pos_ids[0], seg, u, tgt_pos))
     problem.add_group(SO3FitGroup(grid, rot_ids[0], seg, u, tgt_rot))
 

@@ -6,6 +6,7 @@ The estimator scenarios share module-scope fixtures; the full file runs in
 a few minutes.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -272,6 +273,30 @@ def test_ct_recovers_injected_camera_offsets(offset_grid_runs):
     print(f"\nCT offset recovery: PASS — errors "
           + ", ".join(f"{o:g}ms:{e:.3f}ms" for o, e in errs.items())
           + f"; ATE spread {spread * 100:.1f}%")
+
+
+@pytest.mark.parametrize("gap", [(5.0, 6.0), (5.0, 7.0)],
+                         ids=["frames_5_6s", "frames_5_7s"])
+def test_ct_bridges_a_camera_dropout(offset_grid_runs, gap):
+    """CT on the 10 ms data with the frames of a 1 s and of a 2 s window
+    removed (seconds from the first frame), IMU and GPS present
+    throughout: the start interpolates the pose track across the gap, and
+    the run converges with ATE-P below the GPS noise and t_cam within
+    2 ms."""
+    _, datasets = offset_grid_runs
+    gt, rig, noise, meas = datasets[10.0]
+    t = (meas.frame_t_ns - meas.frame_t_ns[0]) * 1e-9
+    keep = (t < gap[0]) | (t >= gap[1])
+    gappy = dataclasses.replace(
+        meas, frames=[f for f, k in zip(meas.frames, keep) if k])
+    out = est.run(gappy, rig, noise, est.CtConfig(), mode="ct", seed=0)
+    err = abs(out.t_cam_imu * 1e3 - 10.0)
+    ate = ate_p(gt, out)
+    assert out.report.termination == "converged"
+    assert ate < noise.gps_sigma
+    assert err <= 2.0
+    print(f"\nCT across frames {gap[0]:g}-{gap[1]:g} s removed: PASS — "
+          f"ATE {ate * 1e3:.1f} mm, t_cam error {err:.3f} ms")
 
 
 # ---------------------------------------------------------------------------

@@ -569,7 +569,7 @@ def test_estimator_step_matches_dense_lu(tiny_noiseless, mode):
     cfg = est.CtConfig() if mode == "ct" else est.DtConfig()
     initialize = est.initialize_ct if mode == "ct" else est.initialize_dt
     build = est.build_ct_problem if mode == "ct" else est.build_dt_problem
-    init, _ = initialize(meas, rig, cfg, seed=0)
+    init = initialize(meas, rig, cfg, seed=0)
     problem = build(meas, init, cfg, noise, rig)
     r, J, _ = problem.linearize(problem.initial_state())
     assert problem.num_point_cols == 3 * len(init.landmarks)
