@@ -31,13 +31,14 @@ from .simulate import (
     make_ground_truth,
     synthesize,
 )
-from .residuals import GRAVITY, CtState, DtState
-from .preintegration import PreintegratedImu, integrate, preint_residual
+from .preintegration import GRAVITY, PreintegratedImu, integrate, preint_residual
 from .initialization import fit_spline_to_poses, pnp_dlt
 from .solver import Problem, SolveOptions, SolveReport, solve
 from .estimators import (
     CtConfig,
+    CtState,
     DtConfig,
+    DtState,
     RunResult,
     build_ct_problem,
     build_dt_problem,
@@ -47,7 +48,7 @@ from .estimators import (
     shift_feature,
 )
 from .metrics import AlignedPairs, align_pairs, ate_p, ate_r, make_pairs
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 
 __version__ = "1.0.0"
 
@@ -100,7 +101,6 @@ __all__ = [
     "preint_residual",
     "read_dataset",
     "run",
-    "save_config",
     "shift_feature",
     "slerp",
     "so3_exp",

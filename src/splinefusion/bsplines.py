@@ -173,9 +173,10 @@ class KnotGrid:
 
 
 def grid_covering(t_min, t_max, dt, order):
-    """Smallest KnotGrid with the given spacing whose domain covers [t_min,
-    t_max]; raises :class:`InvalidArgumentError` naming a non-finite bound
-    or a ``dt`` that is not finite > 0."""
+    """KnotGrid with the given spacing from ``t_min`` whose half-open domain
+    covers [t_min, t_max] with ``ceil(span / dt + 1e-9) + 1`` segments, at
+    least one more than covering needs; raises :class:`InvalidArgumentError`
+    naming a non-finite bound or a ``dt`` that is not finite > 0."""
     require_finite("t_min", t_min)
     require_finite("t_max", t_max)
     require_finite("dt", dt, positive=True)

@@ -22,10 +22,11 @@ import time
 from functools import partial
 
 import numpy as np
+import yaml
 
 from . import estimators as est
 from . import metrics as met
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .dataset import read_dataset, read_pose_csv, write_dataset, write_pose_csv
 from .errors import DataError, NumericalFailureError, SplineFusionError
 from .simulate import default_rig, make_ground_truth, synthesize
@@ -45,15 +46,19 @@ class _Parser(argparse.ArgumentParser):
 # shared helpers
 
 
-def _simulate_dataset(cfg: RunConfig):
+def _ground_truth(cfg: RunConfig):
     sim = cfg.simulate
-    gt = make_ground_truth(sim.profile_params(), duration=sim.duration)
+    return make_ground_truth(sim.profile_params(), duration=sim.duration)
+
+
+def _simulate_dataset(cfg: RunConfig, gt):
+    sim = cfg.simulate
     rig = default_rig(t_cam_imu=sim.t_cam_imu_ms * 1e-3,
                       t_gps_imu=sim.t_gps_imu_ms * 1e-3)
     noise = dataclasses.replace(cfg.noise, seed=cfg.seed)
     result = synthesize(gt, rig, noise, num_landmarks=sim.num_landmarks,
                         landmark_spread=sim.landmark_spread)
-    return gt, rig, noise, result
+    return rig, noise, result
 
 
 def _gauge(cfg: RunConfig):
@@ -135,14 +140,16 @@ def cmd_simulate(args):
             cfg, simulate=dataclasses.replace(cfg.simulate, profile=args.profile))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    gt, rig, noise, result = _simulate_dataset(cfg)
+    rig, noise, result = _simulate_dataset(cfg, _ground_truth(cfg))
     os.makedirs(args.out, exist_ok=True)
     write_dataset(
         args.out, result.measurements, rig, noise,
         gt=(result.gt_t_ns, result.gt_positions, result.gt_rotations))
     # how the data were made; the estimator settings do not change the data
-    save_config(os.path.join(args.out, "config.yaml"), cfg,
-                sections=("seed", "simulate", "noise"))
+    data = cfg.to_dict()
+    with open(os.path.join(args.out, "config.yaml"), "w") as f:
+        yaml.safe_dump({k: data[k] for k in ("seed", "simulate", "noise")}, f,
+                       sort_keys=False)
     print(f"wrote dataset to {args.out}: "
           f"{len(result.measurements.frames)} frames, "
           f"{result.measurements.imu_t_ns.size} IMU samples, "
@@ -200,13 +207,14 @@ def cmd_compare(args):
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, "compare.csv")
     reports = []
+    gt = _ground_truth(cfg)  # the offset moves only the rig
     # each row is written as it is made, so a failing run keeps the rows before it
     with open(out_csv, "w") as f:
         f.write("offset_true_ms,mode,ate_p_m,ate_r_deg,offset_est_ms\n")
         for off in offsets_ms:
             run_cfg = dataclasses.replace(
                 cfg, simulate=dataclasses.replace(cfg.simulate, t_cam_imu_ms=off))
-            _, rig, noise, sim_result = _simulate_dataset(run_cfg)
+            rig, noise, sim_result = _simulate_dataset(run_cfg, gt)
             gt_tuple = (sim_result.gt_t_ns, sim_result.gt_positions,
                         sim_result.gt_rotations)
             for mode in ("ct", "dt"):

@@ -9,7 +9,7 @@ only.
 
 Every key has a default; an empty file (or no ``--config``) is a valid
 configuration.  The full schema with defaults is documented in the README
-and reproducible via :func:`RunConfig.default_dict`.
+and is ``RunConfig().to_dict()``.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class RunConfig:
     def __post_init__(self):
         require_int("seed", self.seed, 0)
 
-    @staticmethod
-    def default_dict():
-        return RunConfig().to_dict()
-
     def to_dict(self):
         data = dataclasses.asdict(self)
         del data["noise"]["seed"]  # the top-level seed drives the noise
@@ -121,10 +117,3 @@ def load_config(path=None):
     if not isinstance(data, dict):
         raise DataError(f"{path}: top level must be a mapping")
     return RunConfig.from_dict(data)
-
-
-def save_config(path, config: RunConfig, sections=None):
-    """Write ``config`` as YAML, only its top-level ``sections`` if given."""
-    data = config.to_dict()
-    with open(path, "w") as f:
-        yaml.safe_dump({k: data[k] for k in sections or data}, f, sort_keys=False)

@@ -6,7 +6,7 @@ Directory layout written by the simulator and consumed by the estimators:
     gps.csv       t_ns,x,y,z                    (GPS clock)
     features.csv  t_ns,frame_id,landmark_id,u_px,v_px   (camera clock)
     gt.csv        t_ns,x,y,z,qw,qx,qy,qz        (IMU clock, body pose in world)
-    scene.json    landmarks, rig, noise, seed, row counts
+    scene.json    landmarks, rig, noise (with its seed), row counts
 
 Timestamps are integer nanoseconds in every file; only this module turns
 them into float seconds, since an integer origin subtracted exactly in int64
@@ -373,7 +373,6 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
         write_pose_csv(os.path.join(out_dir, "gt.csv"), *gt)
     lids = sorted(meas.landmarks_true)
     scene = {
-        "seed": noise.seed,
         "noise": dataclasses.asdict(noise),
         "rig": rig.to_dict(),
         "landmark_ids": lids,

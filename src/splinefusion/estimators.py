@@ -8,7 +8,8 @@ pose/velocity/bias tuple per camera frame.  Both add the landmarks and the
 clock offsets, so both estimate the same unknowns.  Both hold gravity at
 ``GRAVITY``, and the camera extrinsic and the GPS lever arm at the rig's
 values (``scene.json``): they are not estimated.  No trajectory block is
-held, so without GPS yaw and translation are a free gauge.
+held, so without GPS yaw and translation are a free gauge.  Poses map body
+to world, and ``t_imu = t_cam + t_cam_imu = t_gps + t_gps_imu``.
 
 Time-offset handling: CT samples the spline at the shifted measurement
 time; DT shifts image features along their track velocity (and shifts the
@@ -39,7 +40,7 @@ from .errors import (DataError, DegenerateConfigurationError,
 from .initialization import (R3FitGroup, _interp_positions, _interp_rotations,
                              add_field_blocks, cut_windows, gps_gyro_poses,
                              pnp_dlt, r3_window_jacobian, window_slot)
-from .residuals import GRAVITY, CtState, DtState
+from .preintegration import GRAVITY
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
                         so3_right_jacobian_inv)
 from .solver import (
@@ -106,6 +107,54 @@ class DtConfig(EstimatorConfig):
     """Discrete-time estimator settings: the shared ones, nothing of its own.
     DT reads only those, so it runs on a :class:`CtConfig` too, as the CLI
     does with the one ``estimator`` config section."""
+
+
+@dataclass
+class CtState:
+    """Continuous-time state: the spline trajectory, cubic bias splines, the
+    landmarks and the clock offsets.  Gravity is ``GRAVITY``, as in DT.  The
+    splines run on seconds since the origin of the measurements ``meas``:
+    sample them at stamps ``t_ns`` with ``sample_many(meas.seconds(t_ns))``."""
+
+    position: bs.SplineR3  # body position in world
+    rotation: bs.SplineSO3  # body orientation in world
+    landmarks: dict  # id -> (3,) world
+    t_cam_imu: float
+    t_gps_imu: float
+    bias_accel: bs.SplineR3  # cubic (order 4)
+    bias_gyro: bs.SplineR3
+
+    def __post_init__(self):
+        for b in (self.bias_accel, self.bias_gyro):
+            if b.grid.order != 4:
+                raise InvalidArgumentError("bias splines must be cubic (order 4)")
+
+
+@dataclass
+class DtState:
+    """Discrete-time state: one pose/velocity/bias per camera frame."""
+
+    t_ns: np.ndarray  # (K,) pose stamps, IMU clock; seconds: meas.seconds(t_ns)
+    positions: np.ndarray  # (K, 3)
+    rotations: np.ndarray  # (K, 3, 3)
+    velocities: np.ndarray  # (K, 3)
+    bias_accel: np.ndarray  # (K, 3)
+    bias_gyro: np.ndarray  # (K, 3)
+    landmarks: dict
+    t_cam_imu: float
+    t_gps_imu: float
+
+    def __post_init__(self):
+        self.t_ns = np.asarray(self.t_ns, dtype=np.int64)
+        k = self.t_ns.size
+        for name in ("positions", "rotations", "velocities", "bias_accel",
+                     "bias_gyro"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, arr)
+            if arr.shape[0] != k:
+                raise InvalidArgumentError(f"{name} length != number of poses")
+        if k > 1 and np.any(np.diff(self.t_ns) <= 0):
+            raise InvalidArgumentError("pose timestamps must strictly increase")
 
 
 def shift_feature(z, v_feat, t_offset):
@@ -518,7 +567,7 @@ class DtPreintGroup(FactorGroup):
         p, R, v, ba_i, bg_i = gathered
         pim, W = ctx
         e = pre.preint_residual(R[:, 0], p[:, 0], v[:, 0], ba_i, bg_i, R[:, 1],
-                                p[:, 1], v[:, 1], GRAVITY, pim)
+                                p[:, 1], v[:, 1], pim)
         r = np.einsum("nij,nj->ni", W, e)
         return (r, {}) if jacobians else r
 

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 from . import bsplines as bs
 from .camera import project_many
 from .errors import DataError, DegenerateConfigurationError, InvalidArgumentError
-from .residuals import GRAVITY
+from .preintegration import GRAVITY
 from .rotations import (Pose, hat, running_products, slerp_many, so3_exp,
                         so3_log, so3_right_jacobian_inv)
 from .solver import (
@@ -246,35 +246,33 @@ class R3FitGroup(FactorGroup):
 
 
 class SO3FitGroup(FactorGroup):
-    """Rotation-spline fitting residuals ``w e`` with ``e = Log(R(u)^T
-    R_bar)``.  Its Jacobians are exact: R(u) <- R(u) Exp(JR_s delta_s)
-    under node s's right perturbation (:func:`bs.so3_window_eval`)
-    moves ``e`` by ``-J_r^-1(-e) JR_s delta_s``, so slot s gets
-    ``-w J_r^-1(-e) JR_s``."""
+    """Rotation-spline fitting residuals ``e = Log(R(u)^T R_bar)``.  Its
+    Jacobians are exact: R(u) <- R(u) Exp(JR_s delta_s) under node s's
+    right perturbation (:func:`bs.so3_window_eval`) moves ``e`` by
+    ``-J_r^-1(-e) JR_s delta_s``, so slot s gets ``-J_r^-1(-e) JR_s``."""
 
     name = "so3_fit"
     dim = 3
 
-    def __init__(self, grid, first_block, seg, u, targets, weight=1.0):
+    def __init__(self, grid, first_block, seg, u, targets):
         self.grid = grid
         self.first_block = first_block
         self.seg = seg
         self.u = u
         self.targets = targets
-        self.weight = weight
         self.slots = [window_slot(first_block, seg, grid.order, ROTATION)]
 
     def kernel(self, ctx, gathered, jacobians=False):
         windows = gathered[0]
         if not jacobians:
             R = bs.so3_window_eval(windows, self.u, self.grid.order)
-            return self.weight * so3_log(
-                np.swapaxes(R, -1, -2) @ self.targets, validate=False)
+            return so3_log(np.swapaxes(R, -1, -2) @ self.targets,
+                           validate=False)
         R, JR = bs.so3_window_eval(windows, self.u, self.grid.order,
                                    jacobians=True)
         e = so3_log(np.swapaxes(R, -1, -2) @ self.targets, validate=False)
-        E = -self.weight * so3_right_jacobian_inv(-e)
-        return self.weight * e, {0: window_jacobian(np.expand_dims(E, -3) @ JR)}
+        E = -so3_right_jacobian_inv(-e)
+        return e, {0: window_jacobian(np.expand_dims(E, -3) @ JR)}
 
     def jumps(self, problem, state, ctx):
         """Factors whose window is cut (:func:`cut_windows`)."""

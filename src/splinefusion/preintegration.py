@@ -1,5 +1,8 @@
 """IMU preintegration between consecutive frames (midpoint rule).
 
+The accelerometer model is ``a_bar = R^T (pddot + g) + b_a`` with ``g =
+GRAVITY`` held fixed: the world frame is the GPS frame, where gravity is known.
+
 The delta state is (dR, dv, dp) relative to the frame at the interval
 start.  The 9x9 covariance and the 9x6 bias Jacobian use the tangent
 ordering (rotation, velocity, position) and bias ordering (accel, gyro).
@@ -15,6 +18,7 @@ from .errors import DataError, InvalidArgumentError
 from .rotations import (hat, running_products, so3_exp, so3_log,
                         so3_right_jacobian)
 
+GRAVITY = np.array([0.0, 0.0, -9.81])
 _JITTER = 1e-16
 
 
@@ -161,19 +165,18 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
 
 
 def preint_residual(R_i, p_i, v_i, b_accel_i, b_gyro_i, R_j, p_j, v_j,
-                    gravity, pim: PreintegratedImu):
+                    pim: PreintegratedImu):
     """9-DOF preintegration residual (rotation Log, velocity, position).
 
     Uses the kinematic model pddot = R(a_bar - b_a) - g implied by the
-    accelerometer convention a_bar = R^T (pddot + g) + b_a.  The states
-    and ``pim`` may carry a leading segment axis; the result is then
-    (N, 9), one row per segment.
+    accelerometer model, with g = ``GRAVITY``.  The states and ``pim`` may
+    carry a leading segment axis; the result is then (N, 9), one row per
+    segment.
     """
     dR, dv, dp = pim.corrected(b_accel_i, b_gyro_i)
     dt = np.asarray(pim.dt_total)[..., None]
-    g = np.asarray(gravity, dtype=float)
     Rit = np.swapaxes(R_i, -1, -2)
     r_rot = so3_log(np.swapaxes(dR, -1, -2) @ Rit @ R_j, validate=False)
-    r_vel = _matvec(Rit, v_j - v_i + g * dt) - dv
-    r_pos = _matvec(Rit, p_j - p_i - v_i * dt + 0.5 * g * dt**2) - dp
+    r_vel = _matvec(Rit, v_j - v_i + GRAVITY * dt) - dv
+    r_pos = _matvec(Rit, p_j - p_i - v_i * dt + 0.5 * GRAVITY * dt**2) - dp
     return np.concatenate([r_rot, r_vel, r_pos], axis=-1)

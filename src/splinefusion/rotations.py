@@ -178,8 +178,8 @@ def quat_to_rotation(q):
     return R
 
 
-def is_rotation(R, tol=1e-6):
-    """True if R is orthonormal with det +1 within tol (Frobenius)."""
+def is_rotation(R):
+    """True if R is orthonormal with det +1 within 1e-6 (Frobenius)."""
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3) or not np.all(np.isfinite(R)):
         return False
@@ -187,7 +187,7 @@ def is_rotation(R, tol=1e-6):
         np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1)
     )
     det = np.linalg.det(R)
-    return bool(np.all(err < tol) & np.all(np.abs(det - 1.0) < tol))
+    return bool(np.all(err < 1e-6) & np.all(np.abs(det - 1.0) < 1e-6))
 
 
 def so3_orthonormalize(R):

@@ -26,7 +26,7 @@ from .dataset import (MeasurementSet, NoiseSpec, SensorRig,
                       frames_from_observations)
 from .errors import InvalidArgumentError, require_finite
 from .initialization import fit_spline_to_poses
-from .residuals import GRAVITY
+from .preintegration import GRAVITY
 from .rotations import Pose, so3_exp, so3_orthonormalize
 
 PROFILES = ("line", "circle", "lemniscate")

@@ -21,7 +21,8 @@ from splinefusion import preintegration as pre
 from splinefusion import simulate as sim
 from splinefusion.camera import CameraModel
 from splinefusion.dataset import NoiseSpec
-from splinefusion.residuals import GRAVITY, CtState, DtState
+from splinefusion.estimators import CtState, DtState
+from splinefusion.preintegration import GRAVITY
 from splinefusion.rotations import so3_exp, so3_log
 
 from conftest import concatenate, random_rotation
@@ -242,7 +243,7 @@ def test_generative_consistency_all_residual_families():
         v_j = v_i - GRAVITY * dt + R_i @ pim.dv
         p_j = p_i + v_i * dt - 0.5 * GRAVITY * dt * dt + R_i @ pim.dp
         r = pre.preint_residual(R_i, p_i, v_i, np.zeros(3), np.zeros(3),
-                                R_j, p_j, v_j, GRAVITY, pim)
+                                R_j, p_j, v_j, pim)
         worst = max(worst, float(np.max(np.abs(r))))
         R_i, p_i, v_i = R_j, p_j, v_j
     family_max["dt_preint"] = worst

@@ -450,6 +450,30 @@ def test_compare_exits_3_after_writing_every_row_of_a_stalled_grid(
     assert failures == ["solver failure: the final solve ended stalled"] * 4
 
 
+def test_compare_makes_the_ground_truth_once(small_dataset, tmp_path,
+                                             monkeypatch):
+    """The camera offset moves only the rig, so ``compare`` makes the
+    ground truth once for its whole grid, not once per offset."""
+    monkeypatch.setattr(cli.est, "run",
+                        _fake_run(small_dataset, termination="converged"))
+    calls = []
+    make = cli.make_ground_truth
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_ground_truth", counting)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(CONFIG_SMALL)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(cfg), "--seed", "3",
+                   "--offsets", "0,10", "--out", str(out)])
+    assert rc == 0
+    assert len((out / "compare.csv").read_text().splitlines()) == 5
+    assert len(calls) == 1
+
+
 def test_estimate_warns_for_each_block_on_its_bound(small_dataset, tmp_path,
                                                      monkeypatch, capsys):
     """Offsets that end on their clamp are listed in report.json and get a

@@ -8,12 +8,7 @@ import yaml
 
 from splinefusion import cli
 from splinefusion import metrics as met
-from splinefusion.config import (
-    RunConfig,
-    SimulateConfig,
-    load_config,
-    save_config,
-)
+from splinefusion.config import RunConfig, SimulateConfig, load_config
 from splinefusion.dataset import NoiseSpec
 from splinefusion.errors import DataError, InvalidArgumentError
 from splinefusion.estimators import CtConfig, DtConfig
@@ -23,7 +18,7 @@ def test_defaults_roundtrip():
     cfg = RunConfig()
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     assert RunConfig.from_dict(None) == cfg
-    assert RunConfig.default_dict() == cfg.to_dict()
+    assert RunConfig().to_dict() == cfg.to_dict()
 
 
 def test_unknown_keys_rejected():
@@ -77,11 +72,11 @@ def test_offset_switches_rejected(tmp_path, capsys):
 
 def test_readme_schema_is_the_default_config():
     """The YAML block after "The full schema (defaults shown) is:" in the
-    README is ``RunConfig.default_dict()``."""
+    README is ``RunConfig().to_dict()``."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     after = text.split("The full schema (defaults shown) is:", 1)[1]
     block = after.split("```yaml\n", 1)[1].split("```", 1)[0]
-    assert yaml.safe_load(block) == RunConfig.default_dict()
+    assert yaml.safe_load(block) == RunConfig().to_dict()
 
 
 def test_readme_cli_block_is_the_parser():
@@ -154,7 +149,7 @@ def test_noise_seed_is_rejected_for_the_top_level_seed(tmp_path, capsys):
     carries one."""
     with pytest.raises(DataError, match=r"'noise\.seed'.*top-level 'seed'"):
         RunConfig.from_dict({"noise": {"seed": 5}})
-    assert "seed" not in RunConfig.default_dict()["noise"]
+    assert "seed" not in RunConfig().to_dict()["noise"]
     cfg = tmp_path / "config.yaml"
     cfg.write_text("noise: {seed: 5}\n")
     rc = cli.main(["simulate", "--config", str(cfg), "--seed", "3",
@@ -192,7 +187,7 @@ def test_yaml_roundtrip(tmp_path):
         {"seed": 7, "estimator": {"node_hz": 5.0}}
     )
     path = tmp_path / "config.yaml"
-    save_config(path, cfg)
+    path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=False))
     loaded = load_config(path)
     assert loaded == cfg
     assert loaded.estimator.node_hz == 5.0

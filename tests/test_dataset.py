@@ -85,6 +85,14 @@ def test_roundtrip(tmp_path, rng):
     assert np.max(np.abs(gt2[2] - gt_R)) < 1e-12
 
 
+def test_scene_json_records_the_seed_once(tmp_path, rng):
+    """``scene.json`` keeps the noise seed in its ``noise`` section only."""
+    write_dataset(tmp_path, make_meas(), make_rig(rng), NoiseSpec(seed=7))
+    scene = json.loads((tmp_path / "scene.json").read_text())
+    assert set(scene) == {"rig", "noise", "landmark_ids", "landmarks", "counts"}
+    assert scene["noise"]["seed"] == 7
+
+
 EPOCH_NS = 1_700_000_000_123_456_789
 
 

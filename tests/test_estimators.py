@@ -17,13 +17,13 @@ from splinefusion import initialization as ini
 from splinefusion import preintegration as pre
 from splinefusion import simulate as sim
 from splinefusion.dataset import Frame, MeasurementSet, NoiseSpec
+from splinefusion.estimators import CtState, DtState
 from splinefusion.errors import (
     DataError,
     DegenerateConfigurationError,
     InvalidArgumentError,
     NumericalFailureError,
 )
-from splinefusion.residuals import CtState, DtState
 from splinefusion.rotations import so3_exp
 from splinefusion.solver import FactorGroup, Problem, SolveOptions, solve
 

@@ -3,7 +3,7 @@ import pytest
 
 from splinefusion import preintegration as pre
 from splinefusion.errors import DataError, InvalidArgumentError
-from splinefusion.residuals import GRAVITY
+from splinefusion.preintegration import GRAVITY
 from splinefusion.rotations import (
     hat,
     so3_exp,
@@ -279,7 +279,7 @@ def test_residual_zero_for_consistent_states(rng):
     v_j = v_i - GRAVITY * dt + R_i @ pim.dv
     p_j = p_i + v_i * dt - 0.5 * GRAVITY * dt * dt + R_i @ pim.dp
     r = pre.preint_residual(
-        R_i, p_i, v_i, np.zeros(3), np.zeros(3), R_j, p_j, v_j, GRAVITY, pim
+        R_i, p_i, v_i, np.zeros(3), np.zeros(3), R_j, p_j, v_j, pim
     )
     assert np.max(np.abs(r)) < 1e-12
 
@@ -330,10 +330,9 @@ def test_stacked_residual_matches_per_segment_calls(rng):
     stacked = pre.stack(pims)
     assert stacked.dR.shape == (n, 3, 3)
     assert stacked.bias_lin[0].shape == (n, 3)
-    r = pre.preint_residual(R_i, p_i, v_i, b_a, b_g, R_j, p_j, v_j, GRAVITY,
-                            stacked)
+    r = pre.preint_residual(R_i, p_i, v_i, b_a, b_g, R_j, p_j, v_j, stacked)
     assert r.shape == (n, 9)
     for k, pim in enumerate(pims):
         r_k = pre.preint_residual(R_i[k], p_i[k], v_i[k], b_a[k], b_g[k],
-                                  R_j[k], p_j[k], v_j[k], GRAVITY, pim)
+                                  R_j[k], p_j[k], v_j[k], pim)
         assert np.allclose(r[k], r_k, rtol=0.0, atol=1e-12)

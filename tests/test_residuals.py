@@ -3,7 +3,6 @@ import pytest
 
 from splinefusion import bsplines as bs
 from splinefusion import estimators as est
-from splinefusion import residuals as res
 from splinefusion import simulate as sim
 from splinefusion.errors import InvalidArgumentError
 from splinefusion.rotations import slerp, so3_exp
@@ -15,7 +14,7 @@ from conftest import random_rotation
 def make_ct_state(gt, rig, landmarks):
     bias_grid = bs.grid_covering(gt.t_start - 0.5, gt.t_end + 0.5, 1.0, 4)
     zeros = np.zeros((bias_grid.count, 3))
-    return res.CtState(
+    return est.CtState(
         position=gt.position, rotation=gt.rotation,
         landmarks={int(k): v for k, v in landmarks.items()},
         t_cam_imu=rig.t_cam_imu, t_gps_imu=rig.t_gps_imu,
@@ -111,7 +110,7 @@ def test_dt_gps_is_ct_gps_at_order_2(rng):
 
 def test_dt_state_validation(rng):
     with pytest.raises(InvalidArgumentError):
-        res.DtState(
+        est.DtState(
             t_ns=np.array([0, 0]), positions=np.zeros((2, 3)),
             rotations=np.stack([np.eye(3)] * 2), velocities=np.zeros((2, 3)),
             bias_accel=np.zeros((2, 3)), bias_gyro=np.zeros((2, 3)),
@@ -124,7 +123,7 @@ def test_ct_state_requires_cubic_bias(tiny_noiseless):
     state = make_ct_state(gt, rig, result.measurements.landmarks_true)
     bad_grid = bs.grid_covering(gt.t_start, gt.t_end, 1.0, 5)
     with pytest.raises(InvalidArgumentError):
-        res.CtState(
+        est.CtState(
             position=state.position, rotation=state.rotation,
             landmarks=state.landmarks, t_cam_imu=0.0, t_gps_imu=0.0,
             bias_accel=bs.SplineR3(bad_grid, np.zeros((bad_grid.count, 3))),

@@ -5,7 +5,7 @@ from splinefusion import simulate as sim
 from splinefusion.camera import in_image, project_many
 from splinefusion.dataset import NoiseSpec
 from splinefusion.errors import InvalidArgumentError
-from splinefusion.residuals import GRAVITY
+from splinefusion.preintegration import GRAVITY
 
 from conftest import noiseless_spec, wobbly_ground_truth
 
