@@ -218,7 +218,7 @@ def _pose_window_jacobians(E_p, E_R, coeff, JR):
     ``coeff_s E_p`` and ``E_R JR_s`` for node s, the sampled position (or
     its derivative) being sum_s coeff_s p_s and R <- R Exp(JR_s delta_s)."""
     return {0: window_jacobian(coeff[..., None, None] * np.expand_dims(E_p, -3)),
-            1: window_jacobian(np.expand_dims(E_R, -3) @ JR)}
+            1: E_R @ np.swapaxes(JR, -3, -2).reshape(JR.shape[:-3] + (3, -1))}
 
 
 class _SplineGroup(FactorGroup):
@@ -259,16 +259,16 @@ class _SplineGroup(FactorGroup):
     def _sample(self, ctx, pose, t, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
         t, first, each = np.unique(t, return_index=True, return_inverse=True)
-        posw, rotw = (x[first] for x in pose)
-        u = (t - self.grid.t0) / dt - ctx[first]
-        p = bs.r3_window_eval(posw, u, k, dt)[each]
+        posw, rotw = (x.take(first, axis=0) for x in pose)
+        u = (t - self.grid.t0) / dt - ctx.take(first)
+        p = bs.r3_window_eval(posw, u, k, dt).take(each, axis=0)
         if not jacobians:
-            return p, bs.so3_window_eval(rotw, u, k)[each]
+            return p, bs.so3_window_eval(rotw, u, k).take(each, axis=0)
         R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True)
-        return (p, R[each], bs.r3_window_eval(posw, u, k, dt, 1)[each],
-                bs.so3_window_angvel(rotw, u, k, dt)[each],
-                partial(_pose_window_jacobians, JR=JR[each],
-                        coeff=bs.window_node_coefficients(k, u)[each]))
+        return (p, R.take(each, axis=0), bs.r3_window_eval(posw, u, k, dt, 1).take(each, axis=0),
+                bs.so3_window_angvel(rotw, u, k, dt).take(each, axis=0),
+                partial(_pose_window_jacobians, JR=JR.take(each, axis=0),
+                        coeff=bs.window_node_coefficients(k, u).take(each, axis=0)))
 
 
 class _SampledPoseGroup(FactorGroup):
@@ -1048,6 +1048,7 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
         opts1 = dataclasses.replace(opts, max_iter=min(opts.max_iter, 25))
         state1, reports["solve_fixed_offsets"] = solve(problem1, opts1)
         init = extract_state(problem1, state1, init)
+        del problem1, state1  # the final solve needs neither
         stages["solve_fixed_offsets"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()

@@ -19,6 +19,7 @@ from .rotations import (hat, running_products, so3_exp, so3_log,
                         so3_right_jacobian)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY.setflags(write=False)  # shared by both estimators and the simulator
 _JITTER = 1e-16
 
 

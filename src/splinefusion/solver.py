@@ -26,7 +26,8 @@ other columns is a band plus an arrow (:class:`_BandArrow`), after Triggs
 et al., "Bundle Adjustment - A Modern Synthesis" (2000): the columns
 coupled to a point and the densest others form the arrow, which takes the
 point fill and is eliminated last by a dense Schur complement; the rest
-form a band in reverse Cuthill-McKee order.
+form a band in reverse Cuthill-McKee order of the pattern of S^T S, S the
+incidence of factor column sets on them.  Rows move by ``np.take``/``np.put``.
 
 One LM loop, :func:`_levenberg_marquardt`, holds the damping (from a fixed
 start), acceptance and termination rules: :func:`solve` runs it on a
@@ -302,10 +303,10 @@ class Problem:
     def gather(self, state, slot: Slot):
         """Per-factor values for a slot: (num, dim) or (num, 3, 3), a
         window's (num, w, dim) or (num, w, 3, 3)."""
-        stores = self._store_array[slot.block_ids]
+        stores = self._store_array.take(slot.block_ids)
         if slot.kind == ROTATION:
-            return state.rot[stores]
-        return state.euc[stores[..., None] + np.arange(slot.dim)]
+            return state.rot.take(stores, axis=0)
+        return state.euc.take(stores[..., None] + np.arange(slot.dim))
 
     # -- layout -------------------------------------------------------------
 
@@ -485,13 +486,14 @@ class _Normal:
     """J^T J in blocks: ``cc`` the :class:`_BandArrow` over the non-point
     columns, ``ll`` the (m, 3, 3) point blocks, ``cl`` (K, 3) the coupling
     of row ``rows[k]`` (ascending), an arrow column of ``cc``, to point
-    ``pts[k]``."""
+    ``pts[k]``, ``yat`` (3K,) its flat places in the (arrow, 3m) panel."""
 
     cc: object
     ll: np.ndarray
     cl: np.ndarray
     rows: np.ndarray
     pts: np.ndarray
+    yat: np.ndarray
 
     def diagonal(self):
         return np.concatenate([self.cc.diagonal(), np.einsum("nii->ni", self.ll).ravel()])
@@ -519,12 +521,12 @@ def _band_layout(sets, nc, coupled):
     groups' ``sets``, the columns ``coupled`` to a point in the arrow, where
     the point fill lands; and per group the :func:`_band_places` of its
     products."""
-    on = [(s[:, :, None] >= 0) & (s[:, None, :] >= 0) for s in sets]
-    i, j = (np.concatenate([np.zeros(0, int)] + [
-        np.broadcast_to(s[:, :, None] if a else s[:, None, :], o.shape)[o]
-        for s, o in zip(sets, on)]) for a in (1, 0))
+    on = [(s >= 0) & ~np.isin(s, coupled) for s in sets]
+    ptr = np.cumsum(np.concatenate([[0]] + [o.sum(axis=1) for o in on]))
+    S = sp.csr_matrix((np.ones(ptr[-1]), np.concatenate([np.zeros(0, int)] + [
+        s[o] for s, o in zip(sets, on)]), ptr), shape=(ptr.size - 1, nc))
     rest = np.setdiff1d(np.arange(nc), coupled)
-    P = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(nc, nc))[rest][:, rest]
+    P = (S.T @ S).tocsr()[rest][:, rest]
     # A column with n entries puts one at least n // 2 places off the
     # diagonal in any order.  The k densest columns go to the arrow, for the
     # k that makes k plus that bound over the other columns least.
@@ -547,8 +549,8 @@ def _band_layout(sets, nc, coupled):
 def _band_places(zero, sets):
     """The distinct places ``tgt`` in the flat band and arrow of the
     :class:`_BandArrow` ``zero`` of the products of one group's ``sets``,
-    and each product's int32 index ``inv`` in ``tgt``; None when a product
-    falls outside the band."""
+    and each product's int32 index ``inv`` in ``tgt`` (:func:`_rank`); None
+    when a product falls outside the band."""
     nc, (w1, nb) = zero.order.size, zero.band.shape
     at = np.argsort(zero.order)[sets]
     pi = np.where((sets[:, :, None] >= 0) & (sets[:, None, :] >= 0), at[:, :, None], -1)
@@ -558,10 +560,16 @@ def _band_places(zero, sets):
         return None
     idx = np.where(pi < 0, -1, np.where(pj >= nb, zero.band.size + pi * (nc - nb) + pj - nb,
                                         np.where(band, (pi - pj) * nb + pj, -1))).ravel()
-    seen = np.zeros(zero.band.size + zero.arrow.size + 1, bool)
-    seen[idx] = True  # -1 marks the last
-    tgt = np.flatnonzero(seen[:-1]).astype(np.int32)  # -1 ranks tgt.size
-    return tgt, (np.cumsum(seen, dtype=np.int32) - 1)[idx]
+    return _rank(idx, zero.band.size + zero.arrow.size)
+
+
+def _rank(keys, size):
+    """The sorted distinct ``keys`` in range(size) and their int32 ranks, -1 last."""
+    seen = np.zeros(size + 1, bool)
+    seen[keys] = True  # -1 marks the last
+    tgt, rank = np.flatnonzero(seen), np.empty(size + 1, np.int32)
+    rank[tgt] = np.arange(tgt.size, dtype=np.int32)
+    return tgt[: tgt.size - seen[-1]], rank[keys]
 
 
 def _set_plan(cols, nc):
@@ -581,23 +589,23 @@ def _set_plan(cols, nc):
 
 
 def _point_plan(cols, nc, m):
-    """Per group with a point, its columns holding one, each factor's pick
-    of its point's columns and the flat index of each free (factor, column)
-    entry; ``inv`` places those entries in the distinct (row, point) keys:
-    the points' own rows and the coupling rows."""
+    """Per group with a point, its columns holding one and each factor's
+    pick of its point's columns; ``inv`` ranks each free (factor, column,
+    axis) entry of those groups among the (row, point) keys: ``ncl`` coupling
+    rows ``row * m + point``, then the own rows ``nc * m + row - nc``."""
     groups, keys = [], []
     for c in cols:
         pc = np.flatnonzero((c >= nc).any(axis=0))
         pcol = c[:, pc, None] - nc
         pt = np.where(pcol >= 0, pcol // 3, -1).max(axis=(1, 2), initial=-1)
-        on = np.flatnonzero((c >= 0) & (pt >= 0)[:, None]).astype(np.int32)
-        keys.append((c * m + pt[:, None]).ravel()[on])
-        groups.append((pc, (pcol >= 0) & (pcol % 3 == np.arange(3)), on) if pc.size else None)
-    keys, inv = np.unique(np.concatenate([np.zeros(0, int)] + keys), return_inverse=True)
-    rows, pts = np.divmod(keys, max(m, 1))
-    own = rows >= nc
-    return dict(groups=groups, inv=inv.astype(np.int32), n=keys.size, own=own,
-                ll=(pts[own], (rows[own] - nc) % 3), rows=rows[~own], pts=pts[~own])
+        groups.append((pc, (pcol >= 0) & (pcol % 3 == np.arange(3))) if pc.size else None)
+        keys += [np.where((c >= 0) & (pt >= 0)[:, None], np.where(
+            c < nc, c * m + pt[:, None], nc * m - nc + c), -1).ravel()] if pc.size else []
+    keys, inv = _rank(np.concatenate([np.zeros(0, int)] + keys), (nc + 3) * m)
+    ncl = int(np.searchsorted(keys, nc * m))
+    (rows, pts), own = np.divmod(keys[:ncl], max(m, 1)), keys[ncl:] - nc * m
+    return dict(groups=groups, inv=(3 * inv[:, None] + np.arange(3)).ravel(), n=keys.size,
+                ncl=ncl, rows=rows, pts=pts, ll=(3 * own[:, None] + np.arange(3)).ravel())
 
 
 def _plan(J, n_points, memo):
@@ -620,6 +628,8 @@ def _plan(J, n_points, memo):
     memo.clear()  # the old plan goes before the new one is made
     sets, points = [_set_plan(c, nc) for c in cols], _point_plan(cols, nc, n_points // 3)
     zero, at = _band_layout([s["sets"] for s in sets], nc, np.unique(points["rows"]))
+    y = (np.argsort(zero.order)[points["rows"]] - zero.band.shape[1]) * n_points
+    points["yat"] = ((y + 3 * points["pts"])[:, None] + np.arange(3)).ravel()
     memo.update(cols=cols, sets=sets, points=points, zero=zero, at=at)
     return memo
 
@@ -631,7 +641,7 @@ def _normal_equations(r, J, n_points, memo=None):
     one gather stacks each set's factors, one batched M^T M per set goes on
     by one ``bincount``, and each factor's M^T M_point on its point's rows."""
     plan = _plan(J, n_points, {} if memo is None else memo)
-    n, points, zero, row0, pv = J.shape[1], plan["points"], plan["zero"], 0, [np.zeros((0, 3))]
+    n, points, zero, row0, pv = J.shape[1], plan["points"], plan["zero"], 0, [np.zeros(0)]
     g, flat = np.zeros(n), np.zeros(zero.band.size + zero.arrow.size)
     for (M, cols), s, (tgt, inv), p in zip(J.blocks, plan["sets"], plan["at"], points["groups"]):
         num, dim, _ = M.shape
@@ -644,14 +654,14 @@ def _normal_equations(r, J, n_points, memo=None):
         P.reshape(sets * most, dim, u)[s["dst"]] = M[:, :, s["used"]]
         flat[tgt] += np.bincount(inv, (np.swapaxes(P, 1, 2) @ P).ravel(), tgt.size + 1)[:-1]
         if p is not None:
-            pv.append((np.swapaxes(M, 1, 2) @ (M[:, :, p[0]] @ p[1])).reshape(-1, 3)[p[2]])
-    pv, own = np.concatenate(pv).T, points["own"]
-    pv = np.stack([np.bincount(points["inv"], v, points["n"]) for v in pv], -1)
+            pv.append((np.swapaxes(M, 1, 2) @ (M[:, :, p[0]] @ p[1])).ravel())
+    n3, ncl = 3 * points["n"], points["ncl"]
+    pv = np.bincount(points["inv"], np.concatenate(pv), n3 + 3)[:n3].reshape(-1, 3)
     ll = np.zeros((n_points // 3, 3, 3))
-    ll[points["ll"]] = pv[own]
+    np.put(ll, points["ll"], pv[ncl:])
     cc = _BandArrow(zero.order, flat[: zero.band.size].reshape(zero.band.shape),
                     flat[zero.band.size :].reshape(zero.arrow.shape))
-    return r, _Normal(cc, ll, pv[~own], points["rows"], points["pts"]), g
+    return r, _Normal(cc, ll, pv[:ncl], points["rows"], points["pts"], points["yat"]), g
 
 
 def _solve_normal(H, d, g):
@@ -665,10 +675,8 @@ def _solve_normal(H, d, g):
     positive definite raises ``np.linalg.LinAlgError``."""
     A, m, nc, nb = H.cc, len(H.ll), H.cc.order.size, H.cc.band.shape[1]
     Linv = np.linalg.inv(np.linalg.cholesky(H.ll + d[nc:].reshape(m, 3, 1) * np.eye(3)))
-    pos = np.argsort(A.order)
     Y = np.zeros((nc - nb, 3 * m))  # the arrow rows of Y
-    Y[pos[H.rows, None] - nb, 3 * H.pts[:, None] + np.arange(3)] = np.einsum(
-        "ka,kba->kb", H.cl, Linv[H.pts])
+    np.put(Y, H.yat, np.einsum("ka,kba->kb", H.cl, Linv.take(H.pts, axis=0)))
     y = np.einsum("nij,nj->ni", Linv, -g[nc:].reshape(m, 3)).ravel()
     dc, b = d[:nc][A.order], -g[:nc][A.order]
     b[nb:] -= Y @ y
@@ -679,7 +687,7 @@ def _solve_normal(H, d, g):
     E = A.arrow[nb:] + np.diag(dc[nb:]) - Y @ Y.T - Zc.T @ Zc
     x2 = sla.cho_solve(sla.cho_factor(E, overwrite_a=True, check_finite=False),
                        b[nb:] - Zc.T @ z, check_finite=False)
-    x = np.r_[_band_solve(L, (z - Zc @ x2)[:, None], "T")[:, 0], x2][pos]
+    x = np.r_[_band_solve(L, (z - Zc @ x2)[:, None], "T")[:, 0], x2][np.argsort(A.order)]
     return np.concatenate(
         [x, np.einsum("nji,nj->ni", Linv, (y - Y.T @ x2).reshape(m, 3)).ravel()])
 

@@ -336,3 +336,15 @@ def test_stacked_residual_matches_per_segment_calls(rng):
         r_k = pre.preint_residual(R_i[k], p_i[k], v_i[k], b_a[k], b_g[k],
                                   R_j[k], p_j[k], v_j[k], pim)
         assert np.allclose(r[k], r_k, rtol=0.0, atol=1e-12)
+
+
+def test_gravity_is_read_only():
+    """The constant every estimator and the simulator import cannot be
+    changed in place through the package export."""
+    import splinefusion as sf
+    from splinefusion import estimators, simulate
+
+    with pytest.raises(ValueError):
+        sf.GRAVITY[2] = -9.7
+    for module in (estimators, simulate):
+        assert np.array_equal(module.GRAVITY, [0.0, 0.0, -9.81])

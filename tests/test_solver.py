@@ -18,7 +18,8 @@ from splinefusion.solver import (
     solve,
 )
 
-from block_oracle import assemble_csr, block_normal, dense_normal, oracle_errors
+from block_oracle import (assemble_csr, block_normal, dense_normal, oracle_errors,
+                          reference_normal)
 from conftest import random_rotation
 
 
@@ -719,6 +720,67 @@ def test_normal_equations_plan_is_reused_bit_for_bit(rng):
     assert layouts[2] is not layouts[1] and layouts[3] is not layouts[2]
     assert layouts[4] is layouts[3]
     assert layouts[5].band.shape[0] > layouts[4].band.shape[0]
+
+
+def _plan_jacobian(rng, joins, sees, n_blocks=24, n_points=6):
+    """A BlockJacobian of random values over ``n_blocks`` 3-column blocks,
+    one global column and ``n_points`` points, block or point -1 fixed:
+    factor i of the first group joins the blocks ``joins[i]`` beside a
+    column fixed for every factor; factor i of the second joins block
+    ``sees[i][0]``, the global column and point ``sees[i][1]``; then a
+    group with no free column and a prior on each point."""
+    nc, c3 = 3 * n_blocks + 1, np.arange(3)
+
+    def cols(b, first=0):
+        return first + 3 * b + c3 if b >= 0 else np.full(3, -1)
+
+    joined = np.array([np.r_[cols(a), cols(b), -1] for a, b in joins])
+    seen = np.array([np.r_[cols(b), nc - 1, cols(p, nc)] for b, p in sees])
+    prior = nc + 3 * np.arange(n_points)[:, None] + c3
+    blocks = [(rng.normal(size=(len(joined), 4, 7)), joined),
+              (rng.normal(size=(len(seen), 2, 7)), seen),
+              (np.zeros((5, 3, 0)), np.zeros((5, 0), int)),
+              (rng.normal(size=(n_points, 3, 3)), prior)]
+    rows = sum(M.shape[0] * M.shape[1] for M, _ in blocks)
+    J = solver.BlockJacobian(blocks, (rows, nc + 3 * n_points))
+    return rng.normal(size=rows), J
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_plan_matches_the_pair_and_unique_oracle(seed):
+    """On random structures, with fixed blocks, fixed points, a column
+    fixed in every factor, a group with no free column and a point prior,
+    the plan gives the layout of the explicit-pair column graph and the
+    places and keys of ``np.unique``: the same ``order``, band width and
+    places, then the same H, g and damped step bit for bit.  A memo that
+    re-plans one group in the kept layout, or plans all anew, agrees too."""
+    rng = np.random.default_rng(seed)
+    joins = [(b, b + 1) for b in range(23)] + [
+        (b, b + 2 if rng.random() < 0.7 else -1) for b in rng.integers(0, 22, 8)]
+    sees = [(b, p if rng.random() < 0.9 else -1)
+            for b, p in zip(rng.integers(0, 10, 30), rng.integers(0, 6, 30))]
+    moves = [(joins, sees), (joins, sees), ([joins[1]] + joins[1:], sees),
+             (joins + [(0, 23)], sees), (joins + [(0, 23)], sees[::-1])]
+    memo, layouts = {}, []
+    for j, v in moves:
+        r, J = _plan_jacobian(rng, j, v)
+        kept = memo.get("zero")
+        _, H, g = solver._normal_equations(r, J, 18, memo)
+        layouts.append(memo["zero"])
+        H_ref, g_ref, places = reference_normal(r, J, 18, kept if memo["zero"] is kept else None)
+        assert np.array_equal(H.cc.order, H_ref.cc.order)
+        assert H.cc.band.shape == H_ref.cc.band.shape
+        for (tgt, inv), (tgt_ref, inv_ref) in zip(memo["at"], places):
+            assert np.array_equal(tgt, tgt_ref) and np.array_equal(inv, inv_ref)
+        for f in ("ll", "cl", "rows", "pts", "yat"):
+            assert np.array_equal(getattr(H, f), getattr(H_ref, f)), f
+        assert np.array_equal(H.cc.band, H_ref.cc.band) and np.array_equal(g, g_ref)
+        assert np.array_equal(H.cc.arrow, H_ref.cc.arrow)
+        d = 1e-3 * np.clip(H_ref.diagonal(), 1e-12, None)
+        assert np.array_equal(solver._solve_normal(H, d, g),
+                              solver._solve_normal(H_ref, d, g_ref))
+    assert layouts[1] is layouts[0] and layouts[2] is layouts[1]  # one group re-planned
+    assert layouts[4] is not layouts[3]  # a group with points moved
 
 
 def test_band_solve_checks_lapack_info():
