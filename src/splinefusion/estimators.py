@@ -216,15 +216,17 @@ def flatten_observations(meas: MeasurementSet):
 def _pose_window_jacobians(E_p, E_R, coeff, JR):
     """The position and rotation window slots' Jacobians of a sampled pose:
     ``coeff_s E_p`` and ``E_R JR_s`` for node s, the sampled position (or
-    its derivative) being sum_s coeff_s p_s and R <- R Exp(JR_s delta_s)."""
-    return {0: window_jacobian(coeff[..., None, None] * np.expand_dims(E_p, -3)),
-            1: E_R @ np.swapaxes(JR, -3, -2).reshape(JR.shape[:-3] + (3, -1))}
+    its derivative) being sum_s coeff_s p_s and R <- R Exp(JR_s delta_s).
+    Both come in the slot's layout (:func:`window_jacobian`), as ``JR`` does."""
+    Jp = coeff[..., None, :, None] * np.expand_dims(E_p, -2)
+    return {0: Jp.reshape(Jp.shape[:-2] + (-1,)), 1: E_R @ JR}
 
 
 class _SplineGroup(FactorGroup):
     """A continuous-time family on the pose spline pair.  Subclasses set
     ``grid`` and ``pos0``/``rot0``, the block ids of the first position and
-    rotation node; ``ctx`` is the first segment of each factor's window.
+    rotation node.  Its window slots carry one window per distinct time or
+    segment; ``ctx`` starts with their first segments and each factor's row.
 
     A family that samples the pose puts the two window slots first
     (:meth:`_pose_slots`: positions, then rotations) and states only its
@@ -236,38 +238,38 @@ class _SplineGroup(FactorGroup):
     B-Splines on Lie Groups" (CVPR 2020).  A family sampled at a
     clock-shifted time is also a :class:`_SampledPoseGroup` with the window
     as pose source (:meth:`_locate`, :meth:`_sample`); the others set fixed
-    ``slots``.  :meth:`_sample` evaluates the window once per distinct
-    sample time, on the window of the first factor there, and repeats the
-    rows for the others: the features of one camera frame share a stamp, so
-    CT reprojection makes one evaluation per frame.
+    ``slots``.  :meth:`_locate` makes one window per distinct stamp (one
+    offset keeps their grouping), :meth:`_sample` evaluates each once and
+    repeats the rows for its factors: the features of one camera frame
+    share a stamp, so CT reprojection has one window per frame.
     """
 
-    def jumps(self, problem, state, seg):
+    def jumps(self, problem, state, ctx):
         """Factors whose window is cut (:func:`cut_windows`)."""
-        return cut_windows(problem, state, self.grid, self.rot0, seg,
-                           self.fd_step)
+        return cut_windows(problem, state, self.grid, self.rot0, ctx[0],
+                           self.fd_step).take(ctx[1])
 
-    def _pose_slots(self, seg):
+    def _pose_slots(self, seg, rows):
         k = self.grid.order
-        return [window_slot(self.pos0, seg, k, EUCLIDEAN),
-                window_slot(self.rot0, seg, k, ROTATION)]
+        return [window_slot(self.pos0, seg, k, EUCLIDEAN, rows),
+                window_slot(self.rot0, seg, k, ROTATION, rows)]
 
     def _locate(self, t):
-        seg, _ = self.grid.normalized_times(t)
-        return seg, self._pose_slots(seg)
+        seg, _ = self.grid.normalized_times(t.take(self._first))
+        return (seg, self._each, self._first), self._pose_slots(seg, self._each)
 
     def _sample(self, ctx, pose, t, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
-        t, first, each = np.unique(t, return_index=True, return_inverse=True)
-        posw, rotw = (x.take(first, axis=0) for x in pose)
-        u = (t - self.grid.t0) / dt - ctx.take(first)
+        seg, each, first = ctx
+        posw, rotw = pose
+        u = (t.take(first) - self.grid.t0) / dt - seg
         p = bs.r3_window_eval(posw, u, k, dt).take(each, axis=0)
         if not jacobians:
             return p, bs.so3_window_eval(rotw, u, k).take(each, axis=0)
         R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True)
         return (p, R.take(each, axis=0), bs.r3_window_eval(posw, u, k, dt, 1).take(each, axis=0),
                 bs.so3_window_angvel(rotw, u, k, dt).take(each, axis=0),
-                partial(_pose_window_jacobians, JR=JR.take(each, axis=0),
+                partial(_pose_window_jacobians, JR=window_jacobian(JR).take(each, axis=0),
                         coeff=bs.window_node_coefficients(k, u).take(each, axis=0)))
 
 
@@ -343,6 +345,7 @@ class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
         self.pos0 = pos0
         self.rot0 = rot0
         self.stamps = obs.stamps
+        _, self._first, self._each = np.unique(obs.stamps, return_index=True, return_inverse=True)
         self.offset_id = tcam_id
         self.own = (Slot(lm_ids, EUCLIDEAN, 3),)
 
@@ -355,75 +358,83 @@ class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
         return e, -B, B @ R @ hat(p_body), B
 
 
+class _ImuStamps:
+    """The (unshifted) IMU stamps of both IMU families of a problem on its
+    grids: the distinct segments ``segs``, each stamp's one ``at``, and the
+    ``memo`` of the last SO(3) window pass, which the families share."""
+
+    def __init__(self, grid, bias_grid, times):
+        seg, self.u = grid.normalized_times(times)
+        self.segs, self.at = np.unique(seg, return_inverse=True)
+        self.bseg, self.bu = bias_grid.normalized_times(times)
+        self.memo = {}
+
+
 class CtAccelGroup(_SplineGroup):
-    """Accelerometer residuals R^T (pddot + g) + b_a - a_bar, with
-    g = ``GRAVITY`` held as in DT's preintegration."""
+    """Accelerometer residuals R^T (pddot + g) + b_a - a_bar at the
+    :class:`_ImuStamps`, with g = ``GRAVITY`` held as in DT's preintegration."""
 
     name = "ct_accel"
     dim = 3
 
-    def __init__(self, grid, bias_grid, pos0, rot0, ba0, times, accel,
+    def __init__(self, grid, bias_grid, pos0, rot0, ba0, stamps, accel,
                  weight):
         self.grid = grid
         self.bias_grid = bias_grid
         self.pos0 = pos0
         self.rot0 = rot0
+        self.stamps = stamps
         self.accel = accel
         self.w = weight
-        self.ctx, self.u = grid.normalized_times(times)
-        bseg, self.bu = bias_grid.normalized_times(times)
-        self.slots = self._pose_slots(self.ctx) + [
-            window_slot(ba0, bseg, 4, EUCLIDEAN)]
-        self._c2 = bs.window_node_coefficients(grid.order, self.u, 2) * (
+        self.ctx = (stamps.segs, stamps.at)
+        self.slots = self._pose_slots(*self.ctx) + [
+            window_slot(ba0, stamps.bseg, 4, EUCLIDEAN)]
+        self._c2 = bs.window_node_coefficients(grid.order, stamps.u, 2) * (
             1.0 / grid.dt**2)
-        self._jb = r3_window_jacobian(4, self.bu, weight)
+        self._jb = r3_window_jacobian(4, stamps.bu, weight)
 
     def kernel(self, ctx, gathered, jacobians=False):
-        k, dt = self.grid.order, self.grid.dt
+        k, dt, s = self.grid.order, self.grid.dt, self.stamps
         posw, rotw, baw = gathered
-        acc = bs.r3_window_eval(posw, self.u, k, dt, 2)
-        if jacobians:
-            R, JR = bs.so3_window_eval(rotw, self.u, k, jacobians=True)
-        else:
-            R = bs.so3_window_eval(rotw, self.u, k)
-        ba = bs.r3_window_eval(baw, self.bu, 4, self.bias_grid.dt)
+        acc = bs.r3_window_eval(posw.take(s.at, axis=0), s.u, k, dt, 2)
+        R = bs.so3_window_eval(rotw, s.u, k, jacobians, s.at, s.memo)
+        R, JR = R if jacobians else (R, None)
+        ba = bs.r3_window_eval(baw, s.bu, 4, self.bias_grid.dt)
         f_body = np.einsum("nji,nj->ni", R, acc + GRAVITY)
         e = (f_body + ba - self.accel) * self.w
         if not jacobians:
             return e
         Rt = np.swapaxes(R, -1, -2) * self.w
         # R <- R Exp(eps) moves R^T f by hat(R^T f) eps
+        JR = window_jacobian(JR)
         return e, {**_pose_window_jacobians(Rt, self.w * hat(f_body), self._c2, JR),
                    2: self._jb}
 
 
 class CtGyroGroup(_SplineGroup):
-    """Gyroscope residuals omega + b_w - w_bar."""
+    """Gyroscope residuals omega + b_w - w_bar at the :class:`_ImuStamps`."""
 
     name = "ct_gyro"
     dim = 3
 
-    def __init__(self, grid, bias_grid, rot0, bg0, times, gyro, weight):
+    def __init__(self, grid, bias_grid, rot0, bg0, stamps, gyro, weight):
         self.grid = grid
         self.bias_grid = bias_grid
         self.rot0 = rot0
+        self.stamps = stamps
         self.gyro = gyro
         self.w = weight
-        self.ctx, self.u = grid.normalized_times(times)
-        bseg, self.bu = bias_grid.normalized_times(times)
-        self.slots = [window_slot(rot0, self.ctx, grid.order, ROTATION),
-                      window_slot(bg0, bseg, 4, EUCLIDEAN)]
-        self._jb = r3_window_jacobian(4, self.bu, weight)
+        self.ctx = (stamps.segs, stamps.at)
+        self.slots = [window_slot(rot0, stamps.segs, grid.order, ROTATION, stamps.at),
+                      window_slot(bg0, stamps.bseg, 4, EUCLIDEAN)]
+        self._jb = r3_window_jacobian(4, stamps.bu, weight)
 
     def kernel(self, ctx, gathered, jacobians=False):
-        k, dt = self.grid.order, self.grid.dt
+        k, dt, s = self.grid.order, self.grid.dt, self.stamps
         rotw, bgw = gathered
-        if jacobians:
-            omega, JW = bs.so3_window_angvel(rotw, self.u, k, dt,
-                                             jacobians=True)
-        else:
-            omega = bs.so3_window_angvel(rotw, self.u, k, dt)
-        bg = bs.r3_window_eval(bgw, self.bu, 4, self.bias_grid.dt)
+        omega = bs.so3_window_angvel(rotw, s.u, k, dt, jacobians, s.at, s.memo)
+        omega, JW = omega if jacobians else (omega, None)
+        bg = bs.r3_window_eval(bgw, s.bu, 4, self.bias_grid.dt)
         e = (omega + bg - self.gyro) * self.w
         if not jacobians:
             return e
@@ -474,6 +485,7 @@ class CtGpsGroup(_GpsModel, _SplineGroup, _SampledPoseGroup):
         self.grid = grid
         self.pos0 = pos0
         self.rot0 = rot0
+        _, self._first, self._each = np.unique(stamps, return_index=True, return_inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +647,7 @@ class DtGpsGroup(_GpsModel, _SampledPoseGroup):
         G0 = np.swapaxes(E, -1, -2) - G1 @ np.swapaxes(R_rel, -1, -2)
         return p, R, dp / span, d / span, partial(
             _pose_window_jacobians, coeff=np.hstack([1.0 - alpha, alpha]),
-            JR=np.stack([G0, G1], axis=1))
+            JR=np.concatenate([G0, G1], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +788,13 @@ def build_ct_problem(meas: MeasurementSet, init: CtState, cfg: CtConfig,
         )
         counts["reprojection"] = obs.pixels.shape[0]
     if cfg.use_imu:
+        stamps = _ImuStamps(grid, bias_grid, imu_t)
         problem.add_group(
-            CtAccelGroup(grid, bias_grid, pos0, rot0, ba0, imu_t, meas.accel,
+            CtAccelGroup(grid, bias_grid, pos0, rot0, ba0, stamps, meas.accel,
                          1.0 / _sigma(noise.accel_sigma))
         )
         problem.add_group(
-            CtGyroGroup(grid, bias_grid, rot0, bg0, imu_t, meas.gyro,
+            CtGyroGroup(grid, bias_grid, rot0, bg0, stamps, meas.gyro,
                         1.0 / _sigma(noise.gyro_sigma))
         )
         counts["accel"] = counts["gyro"] = imu_t.size

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import bsplines as bs
 from .camera import project_many
@@ -103,11 +103,19 @@ def pnp_dlt(camera, points_world, pixels):
     (R_wc, p_wc), _ = _levenberg_marquardt(
         (T_wc.R, T_wc.p), linearize,
         lambda pose: _pnp_residuals(camera, *pose, pts, px),
-        lambda H, d, g: sla.cho_solve(
-            sla.cho_factor(H + np.diag(d), check_finite=False), -g, check_finite=False),
+        _cholesky_step,
         lambda pose, x: (pose[0] @ so3_exp(x[:3]), pose[1] + x[3:]),
         SolveOptions(max_iter=15, rel_tol=1e-10))
     return Pose(R_wc, p_wc)
+
+
+def _cholesky_step(H, d, g):
+    """x of (H + diag(d)) x = -g by LAPACK dposv (dpotrf, then dpotrs, as
+    ``cho_factor``/``cho_solve``); ``LinAlgError`` on a nonzero ``info``."""
+    _, x, info = lapack.dposv(H + np.diag(d), -g, overwrite_a=1, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"PnP step: LAPACK info {info}")
+    return x
 
 
 _HEADING_MIN_RATIO = 1e-6  # least s2 / s1 of the gps_gyro_poses alignment
@@ -186,10 +194,10 @@ def _interp_rotations(times, rotations, query):
     return slerp_many(rotations[idx], rotations[idx + 1], alpha)
 
 
-def window_slot(first_block, seg, order, kind):
-    """The window slot of the ``order`` spline nodes starting at node
-    ``seg``, of the nodes whose block ids count up from ``first_block``."""
-    return Slot(first_block + seg[..., None] + np.arange(order), kind, 3)
+def window_slot(first_block, seg, order, kind, rows=None):
+    """The window slot (``rows`` as in :class:`Slot`) of the ``order`` nodes
+    from node ``seg``, of the nodes whose block ids count up from ``first_block``."""
+    return Slot(first_block + seg[..., None] + np.arange(order), kind, 3, rows)
 
 
 def r3_window_jacobian(order, u, weight, derivative=0, dt=1.0):

@@ -7,9 +7,9 @@ shaped factors.  A group names the blocks each factor reads as *slots*,
 fixed ones in its ``slots`` attribute or state-dependent ones from its own
 ``build``; a slot gives each factor one block or a *window* of blocks of one
 kind, such as the k nodes a spline sample reads.  Each group gathers its
-per-factor block values into dense arrays and evaluates all residuals at
-once; one kernel call with ``jacobians=True`` also returns the exact
-per-slot Jacobians the group has, a window's blocks side by side, and
+per-factor block values (a shared window once) into dense arrays and
+evaluates all residuals at once; a kernel call with ``jacobians=True`` also
+returns the exact per-slot Jacobians, a window's blocks side by side, and
 central differences on the gathered values fill the other slots: those of
 DT preintegration.  Each family declares the factors on a jump of its
 residuals through ``FactorGroup.jumps``.
@@ -93,15 +93,21 @@ class Slot:
     ``block_ids`` maps each factor to the block filling this slot (a scalar
     means the block is shared by all factors in the group), or, of shape
     (num, w), to a window of w blocks of the slot's ``kind`` and ``dim``.
-    The slot's Jacobian is (num, dim_r, w * dim): the blocks' columns side
+    With ``rows`` (num,), each factor's window among them, ``block_ids``
+    gives each distinct window once and the slot gathers those.  The slot's
+    Jacobian is (num, dim_r, w * dim), per factor: the blocks' columns side
     by side, w = 1 for a single block.
     """
 
-    def __init__(self, block_ids, kind, dim):
+    def __init__(self, block_ids, kind, dim, rows=None):
         self.block_ids = np.atleast_1d(np.asarray(block_ids, dtype=int))
         self.kind = kind
         self.dim = dim
         self.width = self.block_ids.shape[1] if self.block_ids.ndim == 2 else 1
+        self.rows = None if rows is None else np.asarray(rows, dtype=int)
+
+    def factor_blocks(self):
+        return self.block_ids if self.rows is None else self.block_ids[self.rows]
 
 
 def window_jacobian(J):
@@ -302,7 +308,7 @@ class Problem:
 
     def gather(self, state, slot: Slot):
         """Per-factor values for a slot: (num, dim) or (num, 3, 3), a
-        window's (num, w, dim) or (num, w, 3, 3)."""
+        window's (num, w, dim) or (num, w, 3, 3), for ``rows`` per window."""
         stores = self._store_array.take(slot.block_ids)
         if slot.kind == ROTATION:
             return state.rot.take(stores, axis=0)
@@ -397,7 +403,8 @@ class Problem:
             num, dim = r.shape
             res.append(r.ravel())
             # the columns of the block, built and checked once per slot structure
-            key = (num, [(s.dim, s.block_ids.shape, s.block_ids.tobytes())
+            key = (num, [(s.dim, s.block_ids.shape, s.block_ids.tobytes(),
+                          None if s.rows is None else s.rows.tobytes())
                          for s in slots])
             if self._columns_memo.get(gi, (None,))[0] != key:
                 self._columns_memo[gi] = (key, *self._columns(group, slots, num))
@@ -414,7 +421,7 @@ class Problem:
         blocks, a window's side by side; raises unless each factor's columns
         fall in at most one point."""
         # each block's first column per factor, -1 if fixed
-        starts = [np.broadcast_to(self._col_array[s.block_ids].reshape(-1, s.width),
+        starts = [np.broadcast_to(self._col_array[s.factor_blocks()].reshape(-1, s.width),
                                   (num, s.width))[..., None] for s in slots]
         free = [si for si, c in enumerate(starts) if (c >= 0).any()]
         cols = np.hstack([np.zeros((num, 0), int)] + [

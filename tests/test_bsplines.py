@@ -301,6 +301,32 @@ def test_so3_window_node_jacobians_match_finite_differences(rng, order):
         assert np.abs(JW - fd_W).max() / np.abs(fd_W).max() < 1e-7
 
 
+@pytest.mark.parametrize("order", [4, 6])
+def test_segment_shared_kernels_match_per_sample_reference(rng, order):
+    """The window kernels on distinct windows with each sample's window
+    ``at`` give, bit for bit, the kernels on the windows taken per sample,
+    with and without Jacobians; so does a memo, reused at equal windows and
+    recomputed at a finite-difference-stepped window and back."""
+    dt = 0.1
+    windows = np.stack([_window(rng, order) for _ in range(5)])
+    at = np.repeat(np.arange(5), [7, 1, 12, 3, 9])  # repeated segments
+    u = rng.uniform(0.0, 1.0, at.size)
+    stepped = windows.copy()
+    stepped[:, 2] = windows[:, 2] @ so3_exp(np.array([0.0, 1e-6, 0.0]))
+    kernels = ((bs.so3_window_eval, (order,)),
+               (bs.so3_window_angvel, (order, dt)))
+    memo = {}
+    for w in (windows, windows, stepped, windows):
+        for jacobians in (False, True):
+            for fn, args in kernels:
+                ref = fn(w.take(at, axis=0), u, *args, jacobians=jacobians)
+                for kw in ({}, {"memo": memo}):
+                    got = fn(w, u, *args, jacobians=jacobians, at=at, **kw)
+                    pairs = zip(ref, got) if jacobians else [(ref, got)]
+                    assert all(np.array_equal(x, y) for x, y in pairs)
+        assert np.array_equal(memo["windows"], w)
+
+
 def test_branch_cut_rule_flags_pairs_near_pi():
     """A control pair within ``reach`` of angle pi is on the cut of the Log
     difference; a window is flagged when it spans both nodes."""

@@ -25,7 +25,8 @@ from splinefusion.errors import (
     NumericalFailureError,
 )
 from splinefusion.rotations import so3_exp
-from splinefusion.solver import FactorGroup, Problem, SolveOptions, solve
+from splinefusion.solver import (FactorGroup, Problem, SolveOptions, solve,
+                                window_jacobian)
 
 from block_oracle import oracle_errors
 from conftest import noiseless_spec, wobbly_ground_truth
@@ -252,6 +253,56 @@ def test_ct_exact_jacobians_match_fd(perturbed_ct):
     _jacobian_check(problem, state)
 
 
+def test_ct_imu_families_share_one_window_pass_per_state(perturbed_ct,
+                                                        monkeypatch):
+    """Over a CT solve the two IMU families make one SO(3) window pass per
+    distinct state of their rotation windows, shared by both families and
+    by the trial and the linearization at one state, and form its Jacobian
+    parts once per linearization."""
+    problem, _ = perturbed_ct
+    accel, = [g for g in problem.groups if g.name == "ct_accel"]
+    gyro, = [g for g in problem.groups if g.name == "ct_gyro"]
+    stamps = accel.stamps
+    assert gyro.stamps is stamps
+    stamps.memo.clear()
+    calls = {"steps": 0, "jacobians": 0}
+    imu_pass = []  # whether the innermost window pass is at the IMU stamps
+    window_pass = bs._so3_window_pass
+
+    def flagged(*args):  # (windows, u, order, jacobians, at, memo)
+        imu_pass.append(args[4] is stamps.at)
+        try:
+            return window_pass(*args)
+        finally:
+            imu_pass.pop()
+
+    monkeypatch.setattr(bs, "_so3_window_pass", flagged)
+    # a pass forms the steps from the node differences and its Jacobian
+    # parts from their J_r^-1
+    for name, key in (("so3_window_diffs", "steps"),
+                      ("so3_right_jacobian_inv", "jacobians")):
+        def counting(x, _fn=getattr(bs, name), _key=key):
+            calls[_key] += bool(imu_pass) and imu_pass[-1]
+            return _fn(x)
+
+        monkeypatch.setattr(bs, name, counting)
+    windows, linearizations = [], 0
+    for name in ("residual_vector", "linearize"):
+        def recording(self, state, _fn=getattr(Problem, name),
+                      _lin=name == "linearize"):
+            nonlocal linearizations
+            linearizations += _lin
+            windows.append(self.gather(state, accel.slots[1]))
+            return _fn(self, state)
+
+        monkeypatch.setattr(Problem, name, recording)
+    solve(problem, SolveOptions(max_iter=4))
+    changes = 1 + sum(not np.array_equal(a, b)
+                      for a, b in zip(windows, windows[1:]))
+    assert linearizations >= 3 and changes < len(windows)
+    assert calls == {"steps": changes, "jacobians": linearizations}
+
+
 @pytest.fixture(scope="module")
 def spline_fit_problem():
     """The problem ``fit_spline_to_poses`` solves, at its initial state:
@@ -325,17 +376,18 @@ def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
 
 def _per_observation_sample(group, ctx, pose, t, jacobians=False):
     """The per-observation reference of ``_SplineGroup._sample``: the
-    window kernels run once per factor."""
+    window kernels run once per factor, on the windows taken per factor."""
     k, dt = group.grid.order, group.grid.dt
-    posw, rotw = pose
-    u = (t - group.grid.t0) / dt - ctx
+    seg, each, _ = ctx
+    posw, rotw = (x.take(each, axis=0) for x in pose)
+    u = (t - group.grid.t0) / dt - seg.take(each)
     p = bs.r3_window_eval(posw, u, k, dt)
     if not jacobians:
         return p, bs.so3_window_eval(rotw, u, k)
     R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True)
     return (p, R, bs.r3_window_eval(posw, u, k, dt, 1),
             bs.so3_window_angvel(rotw, u, k, dt),
-            partial(est._pose_window_jacobians, JR=JR,
+            partial(est._pose_window_jacobians, JR=window_jacobian(JR),
                     coeff=bs.window_node_coefficients(k, u)))
 
 

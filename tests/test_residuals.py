@@ -104,7 +104,8 @@ def test_dt_gps_is_ct_gps_at_order_2(rng):
     # the position pair, the rotation pair, then t_gps
     assert len(slots_ct) == len(slots_dt) == 3
     for c in range(3):
-        assert np.array_equal(slots_ct[c].block_ids, slots_dt[c].block_ids)
+        assert np.array_equal(slots_ct[c].factor_blocks(),
+                              slots_dt[c].factor_blocks())
         assert np.max(np.abs(J_ct[c] - J_dt[c])) < 1e-12
 
 

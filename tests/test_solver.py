@@ -971,6 +971,55 @@ def test_window_slot_finite_differences_are_the_blocks_side_by_side(rng):
         assert np.abs(fd).max() > 0.1
 
 
+class _RowsGroup(FactorGroup):
+    """The residual of :class:`_WindowGroup` on windows that factors share,
+    read from slots that carry each distinct window once with each
+    factor's ``rows`` (``shared``), or from per-factor window slots."""
+
+    name = "rows"
+    dim = 3
+
+    def __init__(self, e_ids, R_ids, rows, shared):
+        self.e_ids, self.R_ids, self.rows, self.shared = e_ids, R_ids, rows, shared
+
+    def build(self, problem, state):
+        if self.shared:
+            return self.rows, [Slot(self.e_ids, EUCLIDEAN, 3, self.rows),
+                               Slot(self.R_ids, ROTATION, 3, self.rows)]
+        return self.rows, [Slot(self.e_ids[self.rows], EUCLIDEAN, 3),
+                           Slot(self.R_ids[self.rows], ROTATION, 3)]
+
+    def kernel(self, ctx, gathered, jacobians=False):
+        e, R = gathered
+        if self.shared:
+            e, R = e.take(ctx, axis=0), R.take(ctx, axis=0)
+        r = np.sin(e).sum(axis=1) + so3_log(R[:, 0].swapaxes(-1, -2) @ R[:, -1])
+        return (r, {}) if jacobians else r
+
+
+def test_slots_with_rows_give_the_per_factor_block_jacobian(rng):
+    """A slot with one window per distinct time and each factor's row gives
+    the residuals and the BlockJacobian, columns and finite-difference
+    blocks, of the slot with each factor's window, bit for bit; a new
+    ``rows`` over the same windows re-expands the columns."""
+    problem, e, R, _ = _window_problem(rng)
+    state = problem.initial_state()
+    e_ids, R_ids = e[np.array([[0, 1, 2], [2, 3, 0]])], R[np.array([[0, 1, 2], [3, 2, 1]])]
+    for rows in (np.array([0, 1, 1, 0, 1]), np.array([1, 1, 0])):
+        out = []
+        for shared in (True, False):
+            problem.groups = [_RowsGroup(e_ids, R_ids, rows, shared)]
+            out.append(problem.linearize(state))
+        (r, J, _), (r_ref, J_ref, _) = out
+        assert np.array_equal(r, r_ref)
+        (M, cols), = J.blocks
+        (M_ref, cols_ref), = J_ref.blocks
+        assert cols.shape == (rows.size, 18)
+        assert np.array_equal(cols, cols_ref)
+        assert np.array_equal(M, M_ref)
+        assert np.abs(M).max() > 0.1
+
+
 def test_window_joining_two_points_raises(rng):
     problem, _, _, (p0, p1) = _window_problem(rng)
 
