@@ -298,16 +298,14 @@ def so3_window_angvel(rot_windows, u, order, dt, jacobians=False, at=None, memo=
     return omega / dt, _node_jacobians(H / dt, Jinv)
 
 
-def so3_cut_windows(nodes, seg, order, reach):
-    """(N,) mask of the order-``order`` windows starting at node ``seg``
-    that hold a consecutive control pair within ``reach`` of angle pi.
+def so3_cut_windows(rot_windows, reach):
+    """(...,) mask of the node windows (..., k, 3, 3) that hold a
+    consecutive control pair within ``reach`` of angle pi.
 
     There Log(R_i^T R_{i+1}) flips branch under a perturbation of
     ``reach``, so every spline sample whose window holds the pair jumps.
     """
-    cut = np.linalg.norm(so3_window_diffs(nodes), axis=-1) > np.pi - reach
-    before = np.concatenate([[0], np.cumsum(cut)])  # cut pairs (i, i+1) < i
-    return before[seg + order - 1] > before[seg]
+    return (np.linalg.norm(so3_window_diffs(rot_windows), axis=-1) > np.pi - reach).any(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,10 @@ def frames_from_observations(t_ns, frame_index, landmark_ids, pixels):
 # CSV helpers
 
 _HEADERS = {
-    "imu.csv": "t_ns,wx,wy,wz,ax,ay,az",
-    "gps.csv": "t_ns,x,y,z",
-    "features.csv": "t_ns,frame_id,landmark_id,u_px,v_px",
-    "gt.csv": "t_ns,x,y,z,qw,qx,qy,qz",
+    "imu": "t_ns,wx,wy,wz,ax,ay,az",
+    "gps": "t_ns,x,y,z",
+    "features": "t_ns,frame_id,landmark_id,u_px,v_px",
+    "pose": "t_ns,x,y,z,qw,qx,qy,qz",
 }
 
 
@@ -293,18 +293,18 @@ def _stamped_rows(t_ns, values):
             for t, row in zip(t_ns, values))
 
 
-def _read_csv(path, ncols):
-    """(t_ns (N,) int64, the other columns (N, ncols - 1) float) of a CSV;
-    a float64 would hold an epoch-scale t_ns only to within 128 ns."""
+def _read_csv(path, expect):
+    """(t_ns (N,) int64, the other columns (N, C) float) of a CSV whose
+    header must be ``expect``, of C + 1 columns; a float64 would hold an
+    epoch-scale t_ns only to within 128 ns."""
     if not os.path.exists(path):
         raise DataError(f"missing required file {path}")
     with open(path) as f:
         lines = f.read().splitlines()
     header = lines[0].strip() if lines else ""
-    expect = _HEADERS.get(os.path.basename(path))
-    if expect is not None and header != expect:
+    if header != expect:
         raise DataError(f"{path}: unexpected header {header!r} (want {expect!r})")
-    dtype = np.dtype([("t_ns", np.int64), ("values", float, (ncols - 1,))])
+    dtype = np.dtype([("t_ns", np.int64), ("values", float, (expect.count(","),))])
     with warnings.catch_warnings():
         # a file with a header and no rows has no rows, nothing to warn of
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -326,16 +326,16 @@ def _read_csv(path, ncols):
 def write_pose_csv(path, t_ns, positions, rotations):
     """Write body poses as ``t_ns,x,y,z,qw,qx,qy,qz`` rows (the layout of
     ``gt.csv`` and of an estimate's ``estimate.csv``)."""
-    _write_csv(path, _HEADERS["gt.csv"], _stamped_rows(
+    _write_csv(path, _HEADERS["pose"], _stamped_rows(
         t_ns, np.hstack([positions, rotation_to_quat(rotations)])))
 
 
 def read_pose_csv(path):
     """Read ``t_ns,x,y,z,qw,qx,qy,qz`` rows; returns (t_ns (N,) int64,
-    positions (N, 3), rotations (N, 3, 3)).  Raises on a file without rows,
-    with a non-finite value or a quaternion of zero norm, or with stamps
-    that do not strictly increase."""
-    t_ns, rows = _read_csv(path, 8)
+    positions (N, 3), rotations (N, 3, 3)).  Raises on a file under
+    another header or without rows, with a non-finite value or a
+    quaternion of zero norm, or with stamps that do not strictly increase."""
+    t_ns, rows = _read_csv(path, _HEADERS["pose"])
     if t_ns.size == 0:
         raise DataError(f"{path}: no pose rows")
     for bad, what in ((~np.all(np.isfinite(rows), axis=1), "a non-finite value"),
@@ -359,13 +359,13 @@ def write_dataset(out_dir, meas: MeasurementSet, rig: SensorRig, noise: NoiseSpe
     (N,3,3))`` of body poses on the IMU clock.
     """
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "imu.csv"), _HEADERS["imu.csv"],
+    _write_csv(os.path.join(out_dir, "imu.csv"), _HEADERS["imu"],
                _stamped_rows(meas.imu_t_ns, np.hstack([meas.gyro, meas.accel])))
-    _write_csv(os.path.join(out_dir, "gps.csv"), _HEADERS["gps.csv"],
+    _write_csv(os.path.join(out_dir, "gps.csv"), _HEADERS["gps"],
                _stamped_rows(meas.gps_t_ns, meas.gps))
 
     fidx, obs_ids, pixels = meas.observations()
-    _write_csv(os.path.join(out_dir, "features.csv"), _HEADERS["features.csv"], (
+    _write_csv(os.path.join(out_dir, "features.csv"), _HEADERS["features"], (
         [str(t), str(k), str(i), f"{u:.17g}", f"{v:.17g}"]
         for t, k, i, (u, v) in zip(meas.frame_t_ns[fidx].tolist(), fidx.tolist(),
                                    obs_ids.tolist(), pixels)))
@@ -419,15 +419,15 @@ def read_dataset(data_dir, require_gps=True):
         raise DataError(f"{scene_path}: 'landmark_ids' has {len(lids)} "
                         f"entries but 'landmarks' has {len(points)}")
 
-    imu_t_ns, imu = _read_csv(os.path.join(data_dir, "imu.csv"), 7)
+    imu_t_ns, imu = _read_csv(os.path.join(data_dir, "imu.csv"), _HEADERS["imu"])
     gps_path = os.path.join(data_dir, "gps.csv")
     have_gps = require_gps or os.path.exists(gps_path)
     if have_gps:
-        gps_t_ns, gps = _read_csv(gps_path, 4)
+        gps_t_ns, gps = _read_csv(gps_path, _HEADERS["gps"])
     else:
         gps_t_ns, gps = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
     feat_path = os.path.join(data_dir, "features.csv")
-    feat_t_ns, feats = _read_csv(feat_path, 5)
+    feat_t_ns, feats = _read_csv(feat_path, _HEADERS["features"])
     for col, name in enumerate(("frame_id", "landmark_id")):
         v = feats[:, col]
         bad = ~np.isfinite(v) | (v != np.round(v))

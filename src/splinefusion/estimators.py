@@ -38,7 +38,7 @@ from .errors import (DataError, DegenerateConfigurationError,
                      InvalidArgumentError, NumericalFailureError,
                      require_finite, require_int)
 from .initialization import (R3FitGroup, _interp_positions, _interp_rotations,
-                             add_field_blocks, cut_windows, gps_gyro_poses,
+                             add_field_blocks, gps_gyro_poses,
                              pnp_dlt, r3_window_jacobian, window_slot)
 from .preintegration import GRAVITY
 from .rotations import (hat, so3_exp, so3_log, so3_right_jacobian,
@@ -227,6 +227,7 @@ class _SplineGroup(FactorGroup):
     ``grid`` and ``pos0``/``rot0``, the block ids of the first position and
     rotation node.  Its window slots carry one window per distinct time or
     segment; ``ctx`` starts with their first segments and each factor's row.
+    :meth:`jumps` tests the gathered rotation windows, slot ``rot_slot``.
 
     A family that samples the pose puts the two window slots first
     (:meth:`_pose_slots`: positions, then rotations) and states only its
@@ -244,10 +245,11 @@ class _SplineGroup(FactorGroup):
     share a stamp, so CT reprojection has one window per frame.
     """
 
-    def jumps(self, problem, state, ctx):
-        """Factors whose window is cut (:func:`cut_windows`)."""
-        return cut_windows(problem, state, self.grid, self.rot0, ctx[0],
-                           self.fd_step).take(ctx[1])
+    rot_slot = 1
+
+    def jumps(self, ctx, gathered):
+        """Factors whose window is cut (:func:`bs.so3_cut_windows`)."""
+        return bs.so3_cut_windows(gathered[self.rot_slot], self.fd_step).take(ctx[1])
 
     def _pose_slots(self, seg, rows):
         k = self.grid.order
@@ -266,9 +268,10 @@ class _SplineGroup(FactorGroup):
         p = bs.r3_window_eval(posw, u, k, dt).take(each, axis=0)
         if not jacobians:
             return p, bs.so3_window_eval(rotw, u, k).take(each, axis=0)
-        R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True)
+        memo = {}  # one pass for both kernels; u moves with the offset
+        R, JR = bs.so3_window_eval(rotw, u, k, jacobians=True, memo=memo)
         return (p, R.take(each, axis=0), bs.r3_window_eval(posw, u, k, dt, 1).take(each, axis=0),
-                bs.so3_window_angvel(rotw, u, k, dt).take(each, axis=0),
+                bs.so3_window_angvel(rotw, u, k, dt, memo=memo).take(each, axis=0),
                 partial(_pose_window_jacobians, JR=window_jacobian(JR).take(each, axis=0),
                         coeff=bs.window_node_coefficients(k, u).take(each, axis=0)))
 
@@ -416,6 +419,7 @@ class CtGyroGroup(_SplineGroup):
 
     name = "ct_gyro"
     dim = 3
+    rot_slot = 0
 
     def __init__(self, grid, bias_grid, rot0, bg0, stamps, gyro, weight):
         self.grid = grid

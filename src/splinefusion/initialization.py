@@ -1,5 +1,7 @@
 """Initialization pipeline: PnP poses, GPS and gyro poses, their
-interpolation, and the spline fit of the simulator's ground truth."""
+interpolation, the spline fit of the simulator's ground truth (whose
+rotation fit tests its own windows for the SO(3) branch cut), and the
+spline window slots the estimators share."""
 
 from __future__ import annotations
 
@@ -220,15 +222,6 @@ def add_field_blocks(problem, field, prefix, rows, add, to_value):
     return ids
 
 
-def cut_windows(problem, state, grid, first_block, seg, step):
-    """Mask of the windows starting at node ``seg`` of the rotation nodes
-    from block ``first_block`` that hold a control pair within ``step`` of
-    angle pi, where the SO(3) spline jumps (:func:`bs.so3_cut_windows`)."""
-    ids = first_block + np.arange(grid.count)
-    nodes = problem.gather(state, Slot(ids, ROTATION, 3))
-    return bs.so3_cut_windows(nodes, seg, grid.order, step)
-
-
 class R3FitGroup(FactorGroup):
     """Position-spline fitting residuals ``p^(d)(u(t_j)) - p_bar_j``, with
     ``d`` the time ``derivative`` of the position that is fitted."""
@@ -264,8 +257,6 @@ class SO3FitGroup(FactorGroup):
 
     def __init__(self, grid, first_block, seg, u, targets):
         self.grid = grid
-        self.first_block = first_block
-        self.seg = seg
         self.u = u
         self.targets = targets
         self.slots = [window_slot(first_block, seg, grid.order, ROTATION)]
@@ -282,10 +273,9 @@ class SO3FitGroup(FactorGroup):
         E = -so3_right_jacobian_inv(-e)
         return e, {0: window_jacobian(np.expand_dims(E, -3) @ JR)}
 
-    def jumps(self, problem, state, ctx):
-        """Factors whose window is cut (:func:`cut_windows`)."""
-        return cut_windows(problem, state, self.grid, self.first_block,
-                           self.seg, self.fd_step)
+    def jumps(self, ctx, gathered):
+        """Factors whose window is cut (:func:`bs.so3_cut_windows`)."""
+        return bs.so3_cut_windows(gathered[0], self.fd_step)
 
 
 @dataclass

@@ -138,8 +138,9 @@ class FactorGroup:
     pose state their derivatives in the sampled pose and get the ones in
     the spline window from ``estimators._SplineGroup``.  A family whose
     residuals jump (the SO(3) spline families, at a control pair near
-    angle pi) names the factors on a jump through :meth:`jumps`; nothing
-    else looks for them.
+    angle pi) names the factors on a jump through :meth:`jumps`, which
+    reads the kernel's inputs, ``jumps(ctx, gathered)``; nothing else
+    looks for them.
     """
 
     name = "group"
@@ -157,16 +158,21 @@ class FactorGroup:
         ``(r, jacs)`` with ``jacobians=True``."""
         raise NotImplementedError
 
-    def jumps(self, problem, state, ctx):
+    def jumps(self, ctx, gathered):
         """Mask of the factors whose residuals jump within ``fd_step`` of
-        ``state``; none by default."""
+        the gathered slot values; none by default."""
         return False
 
     # -- shared machinery ---------------------------------------------------
 
-    def residuals(self, problem, state):
+    def inputs(self, problem, state):
+        """``(ctx, slots, gathered)``: :meth:`build` at ``state`` and the
+        slot values the kernel reads."""
         ctx, slots = self.build(problem, state)
-        gathered = [problem.gather(state, s) for s in slots]
+        return ctx, slots, [problem.gather(state, s) for s in slots]
+
+    def residuals(self, problem, state):
+        ctx, _, gathered = self.inputs(problem, state)
         return self.kernel(ctx, gathered)
 
     def linearize(self, problem, state):
@@ -175,10 +181,9 @@ class FactorGroup:
         Returns ``(r, slots, jacs, jumps)``; ``jumps`` is the (num,) bool
         mask of the factors :meth:`jumps` names.
         """
-        ctx, slots = self.build(problem, state)
-        gathered = [problem.gather(state, s) for s in slots]
+        ctx, slots, gathered = self.inputs(problem, state)
         r, jacs = self.kernel(ctx, gathered, jacobians=True)
-        jumps = np.zeros(r.shape[0], dtype=bool) | self.jumps(problem, state, ctx)
+        jumps = np.zeros(r.shape[0], dtype=bool) | self.jumps(ctx, gathered)
         for si, slot in enumerate(slots):
             if si not in jacs:
                 jacs[si] = self._fd_slot(ctx, gathered, si, slot)
@@ -813,8 +818,8 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
         lambda s: _normal_equations(*problem.linearize(s)[:2], problem.num_point_cols,
                                     memo),
         problem.residual_vector, _solve_normal, problem.retract, opts)
-    report.jump_rows = sum(int(np.count_nonzero(g.jumps(problem, state, g.build(
-        problem, state)[0]))) for g in problem.groups)
+    report.jump_rows = sum(int(np.count_nonzero(g.jumps(*g.inputs(problem, state)[::2])))
+                           for g in problem.groups)
     if report.jump_rows:
         report.termination = DISCONTINUOUS
     report.at_bound = problem.at_bound(state)

@@ -336,6 +336,49 @@ def test_branch_cut_rule_flags_pairs_near_pi():
     for a in angles:
         nodes.append(nodes[-1] @ so3_exp(a * z))
     # only the pair (1, 2) is on the cut; order-3 windows start at nodes 0..3
-    assert bs.so3_cut_windows(np.stack(nodes), np.arange(4), 3, 1e-6).tolist() == [
-        True, True, False, False]
-    assert not bs.so3_cut_windows(np.stack(nodes), np.arange(4), 3, 1e-10).any()
+    windows = np.stack(nodes)[np.arange(4)[:, None] + np.arange(3)]
+    assert bs.so3_cut_windows(windows, 1e-6).tolist() == [True, True, False, False]
+    assert not bs.so3_cut_windows(windows, 1e-10).any()
+
+
+def _cut_windows_over_all_nodes(nodes, seg, order, reach):
+    """Reference: the branch-cut rule over the whole node chain, a prefix
+    count of its cut pairs read at each window's first and last pair."""
+    cut = np.linalg.norm(bs.so3_window_diffs(nodes), axis=-1) > np.pi - reach
+    before = np.concatenate([[0], np.cumsum(cut)])  # cut pairs (i, i+1) < i
+    return before[seg + order - 1] > before[seg]
+
+
+@pytest.mark.parametrize("order", range(bs.MIN_ORDER, bs.MAX_ORDER + 1))
+def test_cut_windows_match_the_rule_over_all_nodes(order):
+    """The rule on gathered windows, taken per factor through repeated rows,
+    flags exactly the factors the rule over all nodes flags, with pairs
+    placed at pi - {0.2, 0.5, 1, 1.0000001, 2} reach, on both sides of and
+    at its threshold; the node-pair norms it compares are equal bit for bit."""
+    rng = np.random.default_rng(order)
+    reach = 1e-6
+    flagged = factors = 0
+    for _ in range(50):
+        n = int(rng.integers(order + 1, order + 12))
+        angles = rng.uniform(0.1, 3.0, n - 1)
+        near = rng.choice(n - 1, size=int(rng.integers(1, 3)), replace=False)
+        near_pi = rng.choice([0.2, 0.5, 1.0, 1.0000001, 2.0], near.size) * reach
+        angles[near] = np.pi - near_pi
+        axes = rng.normal(size=(n - 1, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        steps = so3_exp(angles[:, None] * axes)
+        nodes = [random_rotation(rng)]
+        for dR in steps:
+            nodes.append(nodes[-1] @ dR)
+        nodes = np.stack(nodes)
+        seg = np.unique(rng.integers(0, n - order + 1, size=n))
+        rows = rng.integers(0, seg.size, size=3 * seg.size)
+        windows = nodes[seg[:, None] + np.arange(order)]
+        got = bs.so3_cut_windows(windows, reach).take(rows)
+        ref = _cut_windows_over_all_nodes(nodes, seg.take(rows), order, reach)
+        assert np.array_equal(got, ref)
+        pairs = seg[:, None] + np.arange(order - 1)
+        assert np.array_equal(np.linalg.norm(bs.so3_window_diffs(windows), axis=-1),
+                              np.linalg.norm(bs.so3_window_diffs(nodes), axis=-1)[pairs])
+        flagged, factors = flagged + got.sum(), factors + got.size
+    assert 0 < flagged < factors

@@ -541,6 +541,20 @@ def test_non_finite_pose_is_a_data_error(small_dataset, tmp_path, capsys):
     assert not (out / "metrics.json").exists()
 
 
+def test_evaluate_rejects_a_pose_file_under_another_header(small_dataset, tmp_path,
+                                                        capsys):
+    """``evaluate --est`` on a pose file whose header orders the quaternion
+    ``qx,qy,qz,qw`` exits 2 naming the file and the header, not a silently
+    reordered estimate."""
+    lines = (small_dataset / "gt.csv").read_text().splitlines()
+    path = tmp_path / "estimate.csv"
+    path.write_text("\n".join(["t_ns,x,y,z,qx,qy,qz,qw"] + lines[1:]) + "\n")
+    rc = cli.main(["evaluate", "--est", str(path),
+                   "--gt", str(small_dataset / "gt.csv"), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "estimate.csv: unexpected header" in capsys.readouterr().err
+
+
 SHIFT_NS = 1_700_000_000 * 1_000_000_000
 
 

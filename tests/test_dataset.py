@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -137,6 +138,18 @@ def test_pose_stamps_must_strictly_increase(tmp_path, rng):
         read_dataset(tmp_path / "data")
 
 
+def test_pose_csv_header_is_checked_under_any_file_name(tmp_path):
+    """A pose CSV under another header is a DataError naming both headers,
+    whatever the file is called: read as ``qw,qx,qy,qz``, the identity
+    written under ``qx,qy,qz,qw`` would turn into diag(-1, -1, 1)."""
+    path = tmp_path / "poses.csv"
+    path.write_text("t_ns,x,y,z,qx,qy,qz,qw\n0,0,0,0,0,0,0,1\n")
+    with pytest.raises(DataError, match=re.escape(
+            "poses.csv: unexpected header 't_ns,x,y,z,qx,qy,qz,qw' "
+            "(want 't_ns,x,y,z,qw,qx,qy,qz')")):
+        read_pose_csv(path)
+
+
 def test_pose_csv_rejects_values_it_cannot_hold(tmp_path, rng):
     """A non-finite value or a quaternion of zero norm in a pose CSV is a
     DataError naming the file and the line, not a NaN pose; a dataset's
@@ -227,7 +240,7 @@ def test_header_without_rows(tmp_path):
     path.write_text("t_ns,x,y,z\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        t_ns, rows = _read_csv(str(path), 4)
+        t_ns, rows = _read_csv(str(path), "t_ns,x,y,z")
     assert t_ns.shape == (0,) and t_ns.dtype == np.int64
     assert rows.shape == (0, 3)
 

@@ -214,8 +214,7 @@ def _jacobian_check(problem, state, rtol=5e-4, every_slot=False):
     slots."""
     problem._layout()
     for group in problem.groups:
-        ctx, slots = group.build(problem, state)
-        gathered = [problem.gather(state, s) for s in slots]
+        ctx, slots, gathered = group.inputs(problem, state)
         r, exact = group.kernel(ctx, gathered, jacobians=True)
         if every_slot:
             assert sorted(exact) == list(range(len(slots))), group.name
@@ -422,6 +421,21 @@ def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
     assert sorted(jacs_ref) == sorted(jacs) == list(range(len(slots)))
     for si in jacs:
         assert np.array_equal(jacs_ref[si], jacs[si]), si
+
+
+def test_ct_reproj_kernel_makes_one_window_pass(perturbed_ct, monkeypatch):
+    """One CT reprojection kernel call with Jacobians samples the rotation
+    and the angular velocity from one SO(3) window pass: it forms the node
+    differences of its rotation windows once, not once per window kernel."""
+    problem, state = perturbed_ct
+    group, = [g for g in problem.groups if g.name == "ct_reproj"]
+    ctx, _, gathered = group.inputs(problem, state)
+    formed = []
+    diffs = bs.so3_window_diffs
+    monkeypatch.setattr(bs, "so3_window_diffs",
+                        lambda windows: formed.append(windows.shape[0]) or diffs(windows))
+    group.kernel(ctx, gathered, jacobians=True)
+    assert formed == [gathered[1].shape[0]]
 
 
 def test_bias_rate_residual_is_weighted_bias_velocity():
@@ -633,8 +647,7 @@ def test_kernel_residuals_same_with_and_without_jacobians(which, request):
     residual bits."""
     problem, state = request.getfixturevalue(which)
     for group in problem.groups:
-        ctx, slots = group.build(problem, state)
-        gathered = [problem.gather(state, s) for s in slots]
+        ctx, slots, gathered = group.inputs(problem, state)
         r, _ = group.kernel(ctx, gathered, jacobians=True)
         assert np.array_equal(r, group.kernel(ctx, gathered)), group.name
 

@@ -100,8 +100,7 @@ def test_pnp_jacobians_match_finite_differences():
     group = problem.groups[0]
     problem._layout()
     state = problem.initial_state()
-    ctx, slots = group.build(problem, state)
-    gathered = [problem.gather(state, s) for s in slots]
+    ctx, slots, gathered = group.inputs(problem, state)
     r, jacs = group.kernel(ctx, gathered, jacobians=True)
     assert np.array_equal(r, group.kernel(ctx, gathered))
     assert not r[4].any() and not jacs[0][4].any() and not jacs[1][4].any()

@@ -238,8 +238,7 @@ def _slerp_problem(angle):
     problem.add_group(group)
     problem._layout()
     state = problem.initial_state()
-    ctx, slots = group.build(problem, state)
-    gathered = [problem.gather(state, s) for s in slots]
+    ctx, slots, gathered = group.inputs(problem, state)
     return group, problem, state, ctx, slots, gathered
 
 
@@ -267,8 +266,8 @@ class _LogTargetGroup(Factor):
         super().__init__([R], lambda R: so3_log(R, validate=False) - target, dim=3)
         self.declare = declare
 
-    def jumps(self, problem, state, ctx):
-        angle = np.linalg.norm(so3_log(problem.block_value(state, "R")))
+    def jumps(self, ctx, gathered):
+        angle = np.linalg.norm(so3_log(gathered[0][0]))
         return self.declare and angle > np.pi - self.fd_step
 
 
