@@ -298,14 +298,19 @@ def so3_window_angvel(rot_windows, u, order, dt, jacobians=False, at=None, memo=
     return omega / dt, _node_jacobians(H / dt, Jinv)
 
 
-def so3_cut_windows(rot_windows, reach):
+def so3_cut_windows(rot_windows, reach, memo=None):
     """(...,) mask of the node windows (..., k, 3, 3) that hold a
     consecutive control pair within ``reach`` of angle pi.
 
     There Log(R_i^T R_{i+1}) flips branch under a perturbation of
     ``reach``, so every spline sample whose window holds the pair jumps.
+    A ``memo`` of :func:`_so3_window_pass` that holds these windows gives
+    their differences; one that holds others is left as it is.
     """
-    return (np.linalg.norm(so3_window_diffs(rot_windows), axis=-1) > np.pi - reach).any(-1)
+    memo = {} if memo is None else memo
+    d = (memo["node_d"] if np.array_equal(memo.get("windows"), rot_windows)
+         else so3_window_diffs(rot_windows))
+    return (np.linalg.norm(d, axis=-1) > np.pi - reach).any(-1)
 
 
 # ---------------------------------------------------------------------------

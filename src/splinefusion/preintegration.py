@@ -172,12 +172,30 @@ def preint_residual(R_i, p_i, v_i, b_accel_i, b_gyro_i, R_j, p_j, v_j,
     Uses the kinematic model pddot = R(a_bar - b_a) - g implied by the
     accelerometer model, with g = ``GRAVITY``.  The states and ``pim`` may
     carry a leading segment axis; the result is then (N, 9), one row per
-    segment.
+    segment.  It is the bias correction :meth:`PreintegratedImu.corrected`
+    and three terms, each reading only its own states: :func:`rotation_term`
+    (R and, through dR, b_gyro), :func:`velocity_term` (R, v and both
+    biases) and :func:`position_term` (all of them).
     """
     dR, dv, dp = pim.corrected(b_accel_i, b_gyro_i)
     dt = np.asarray(pim.dt_total)[..., None]
+    return np.concatenate([rotation_term(R_i, R_j, dR),
+                           velocity_term(R_i, v_i, v_j, dv, dt),
+                           position_term(R_i, p_i, v_i, p_j, dp, dt)], axis=-1)
+
+
+def rotation_term(R_i, R_j, dR):
+    """Rotation rows Log(dR^T R_i^T R_j)."""
     Rit = np.swapaxes(R_i, -1, -2)
-    r_rot = so3_log(np.swapaxes(dR, -1, -2) @ Rit @ R_j, validate=False)
-    r_vel = _matvec(Rit, v_j - v_i + GRAVITY * dt) - dv
-    r_pos = _matvec(Rit, p_j - p_i - v_i * dt + 0.5 * GRAVITY * dt**2) - dp
-    return np.concatenate([r_rot, r_vel, r_pos], axis=-1)
+    return so3_log(np.swapaxes(dR, -1, -2) @ Rit @ R_j, validate=False)
+
+
+def velocity_term(R_i, v_i, v_j, dv, dt):
+    """Velocity rows R_i^T (v_j - v_i + g dt) - dv."""
+    return _matvec(np.swapaxes(R_i, -1, -2), v_j - v_i + GRAVITY * dt) - dv
+
+
+def position_term(R_i, p_i, v_i, p_j, dp, dt):
+    """Position rows R_i^T (p_j - p_i - v_i dt + g dt^2 / 2) - dp."""
+    return _matvec(np.swapaxes(R_i, -1, -2),
+                   p_j - p_i - v_i * dt + 0.5 * GRAVITY * dt**2) - dp

@@ -132,8 +132,10 @@ class FactorGroup:
     exact Jacobians it has, slot index -> (num, dim, width * tdim), a
     window slot's blocks side by side (:func:`window_jacobian`).  A slot
     missing from ``jacs`` gets central finite differences
-    (:meth:`_fd_slot`), which are also the test oracle of the exact ones.
-    Every family is exact in every slot except the discrete-time
+    (:meth:`_fd_slot`), which are also the test oracle of the exact ones;
+    each of their kernel calls passes the unmoved slots as the same
+    arrays, so a kernel may keep the parts of its residual that read only
+    those.  Every family is exact in every slot except the discrete-time
     preintegration group; the continuous-time families that sample the
     pose state their derivatives in the sampled pose and get the ones in
     the spline window from ``estimators._SplineGroup``.  A family whose

@@ -341,6 +341,31 @@ def test_branch_cut_rule_flags_pairs_near_pi():
     assert not bs.so3_cut_windows(windows, 1e-10).any()
 
 
+def test_cut_windows_take_differences_from_a_memo_holding_them(monkeypatch):
+    """The rule takes the node differences of a window-pass memo that holds
+    the windows, and forms none; with a memo of other windows it forms them
+    and leaves the memo as it was.  The masks are those without a memo."""
+    z = np.array([0.0, 0.0, 1.0])
+    nodes = [np.eye(3)]
+    for a in [0.3, np.pi - 1e-9, 0.5, np.pi - 1e-3, 0.2]:
+        nodes.append(nodes[-1] @ so3_exp(a * z))
+    windows = np.stack(nodes)[np.arange(4)[:, None] + np.arange(3)]
+    other = windows.copy()
+    other[:, :, :2, :2] = np.eye(2)  # every pair at angle 0
+    memo = {}
+    bs.so3_window_eval(windows, np.full(4, 0.5), 3, memo=memo)
+    formed = []
+    diffs = bs.so3_window_diffs
+    monkeypatch.setattr(bs, "so3_window_diffs",
+                        lambda w: formed.append(w.shape[0]) or diffs(w))
+    assert bs.so3_cut_windows(windows, 1e-6, memo).tolist() == [True, True, False, False]
+    assert formed == []
+    assert not bs.so3_cut_windows(other, 1e-6, memo).any()
+    assert formed == [4]
+    assert np.array_equal(memo["windows"], windows)
+    assert np.array_equal(memo["node_d"], diffs(windows))
+
+
 def _cut_windows_over_all_nodes(nodes, seg, order, reach):
     """Reference: the branch-cut rule over the whole node chain, a prefix
     count of its cut pairs read at each window's first and last pair."""

@@ -423,6 +423,37 @@ def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
         assert np.array_equal(jacs_ref[si], jacs[si]), si
 
 
+def test_ct_imu_jumps_read_the_window_pass_memo(perturbed_ct, monkeypatch):
+    """The CT IMU families test their windows for a cut with the node
+    differences of the shared window pass when its memo holds them, forming
+    none, and form their own when the memo holds another state (as in
+    ``solve``'s final count after a trial); the mask is the rule's on the
+    gathered windows either way."""
+    problem, state = perturbed_ct
+    far = state.copy()
+    far.rot = far.rot @ so3_exp(np.full((far.rot.shape[0], 3), 0.1))
+    formed = []
+    diffs = bs.so3_window_diffs
+    monkeypatch.setattr(bs, "so3_window_diffs",
+                        lambda w: formed.append(w.shape[0]) or diffs(w))
+    for name in ("ct_accel", "ct_gyro"):
+        group, = [g for g in problem.groups if g.name == name]
+        ctx, _, gathered = group.inputs(problem, state)
+        windows = gathered[group.rot_slot]
+        cut = bs.so3_cut_windows(windows, group.fd_step).take(ctx[1])
+        group.kernel(ctx, gathered)
+        formed.clear()
+        assert np.array_equal(group.jumps(ctx, gathered), cut)
+        assert formed == []
+        group.residuals(problem, far)
+        # a memo trusted without its windows would flag every factor
+        group.memo["node_d"] = np.full_like(group.memo["node_d"], np.pi)
+        formed.clear()
+        assert np.array_equal(group.jumps(ctx, gathered), cut)
+        assert formed == [windows.shape[0]]
+        group.memo.clear()
+
+
 def test_ct_reproj_kernel_makes_one_window_pass(perturbed_ct, monkeypatch):
     """One CT reprojection kernel call with Jacobians samples the rotation
     and the angular velocity from one SO(3) window pass: it forms the node
@@ -589,6 +620,97 @@ def test_dt_reprojection_linearize_makes_no_finite_differences(perturbed_dt):
     finally:
         del group.kernel
     assert calls == [True]
+
+
+def _plain_preint_kernel(ctx, gathered, jacobians=False):
+    """The preintegration kernel that reuses nothing, the oracle of
+    ``DtPreintGroup.kernel``: every part evaluated at every call."""
+    p, R, v, ba_i, bg_i = gathered
+    pim, W = ctx
+    e = pre.preint_residual(R[:, 0], p[:, 0], v[:, 0], ba_i, bg_i, R[:, 1],
+                            p[:, 1], v[:, 1], pim)
+    r = np.einsum("nij,nj->ni", W, e)
+    return (r, {}) if jacobians else r
+
+
+def _bias_moved(problem, state, seed):
+    """``state`` with every frame's biases moved away from those the
+    preintegration was linearized at."""
+    rng = np.random.default_rng(seed)
+    return _moved(problem, state, {(b.name, i): rng.normal(scale=0.02)
+                                   for b in problem.blocks
+                                   if b.name[:2] in ("ba", "bg") for i in range(3)})
+
+
+@pytest.mark.parametrize("biases", ["at_linearization", "moved"])
+def test_dt_preint_linearize_equals_plain_finite_differences(perturbed_dt,
+                                                             biases):
+    """The reused residual parts change no bit: the residuals and every
+    slot's central differences equal those through the plain kernel, at
+    the biases the segments were integrated at and away from them."""
+    problem, state = perturbed_dt
+    if biases == "moved":
+        state = _bias_moved(problem, state, 4)
+    group, = [g for g in problem.groups if g.name == "dt_preint"]
+    r, slots, jacs, _ = group.linearize(problem, state)
+    ctx, _, gathered = group.inputs(problem, state)
+    plain = types.SimpleNamespace(kernel=_plain_preint_kernel,
+                                  fd_step=group.fd_step)
+    assert np.array_equal(r, _plain_preint_kernel(ctx, gathered))
+    assert sorted(jacs) == list(range(len(slots)))
+    for si, slot in enumerate(slots):
+        assert np.array_equal(jacs[si], FactorGroup._fd_slot(
+            plain, ctx, gathered, si, slot)), si
+
+
+def test_dt_preint_linearize_recomputes_only_moved_parts(perturbed_dt,
+                                                         monkeypatch):
+    """One linearization makes 49 kernel calls (the residuals, then two per
+    tangent direction of the 24 in the pair windows and the 6 of the
+    biases) but corrects the biases only when a bias moved (13 times),
+    forms the rotation term when R or b_gyro moved and once more when R
+    returns to its value for the steps of v (20), the velocity term unless p
+    alone moved (37) and the position term at every call."""
+    problem, state = perturbed_dt
+    group, = [g for g in problem.groups if g.name == "dt_preint"]
+    calls = dict.fromkeys(("kernel", "corrected", "rotation_term",
+                           "velocity_term", "position_term"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(group, "kernel", counting("kernel", group.kernel))
+    monkeypatch.setattr(pre.PreintegratedImu, "corrected", counting(
+        "corrected", pre.PreintegratedImu.corrected))
+    for name in ("rotation_term", "velocity_term", "position_term"):
+        monkeypatch.setattr(pre, name, counting(name, getattr(pre, name)))
+    group.linearize(problem, state)
+    assert calls == {"kernel": 49, "corrected": 13, "rotation_term": 20,
+                     "velocity_term": 37, "position_term": 49}
+
+
+def test_dt_preint_kernel_recomputes_a_slot_whose_values_changed(perturbed_dt):
+    """After a call, a call with any one slot replaced by other values (the
+    others the same arrays) gives the plain kernel's bits, and so does the
+    call at the first values again."""
+    problem, state = perturbed_dt
+    group, = [g for g in problem.groups if g.name == "dt_preint"]
+    ctx, slots, gathered = group.inputs(problem, state)
+    rng = np.random.default_rng(9)
+    base = _plain_preint_kernel(ctx, gathered)
+    assert np.array_equal(group.kernel(ctx, gathered), base)
+    for si, value in enumerate(gathered):
+        if si == 1:  # rotations
+            other = value @ so3_exp(rng.normal(scale=0.01, size=value.shape[:-1]))
+        else:
+            other = value + rng.normal(scale=0.01, size=value.shape)
+        moved = gathered[:si] + [other] + gathered[si + 1:]
+        assert np.array_equal(group.kernel(ctx, moved),
+                              _plain_preint_kernel(ctx, moved)), si
+        assert np.array_equal(group.kernel(ctx, gathered), base), si
 
 
 def test_dt_preint_segments_integrate_their_own_imu_slice():
