@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -228,7 +228,7 @@ class _SplineGroup(FactorGroup):
     rotation node.  Its window slots carry one window per distinct time or
     segment; ``ctx`` starts with their first segments and each factor's row.
     :meth:`jumps` tests the gathered rotation windows, slot ``rot_slot``,
-    through the ``memo`` of their SO(3) window pass, if the family keeps one.
+    once per solve, at the state it returns.
 
     A family that samples the pose puts the two window slots first
     (:meth:`_pose_slots`: positions, then rotations) and states only its
@@ -247,21 +247,25 @@ class _SplineGroup(FactorGroup):
     """
 
     rot_slot = 1
-    memo = None
 
     def jumps(self, ctx, gathered):
         """Factors whose window is cut (:func:`bs.so3_cut_windows`)."""
-        return bs.so3_cut_windows(gathered[self.rot_slot], self.fd_step,
-                                  self.memo).take(ctx[1])
+        return bs.so3_cut_windows(gathered[self.rot_slot], self.fd_step).take(ctx[1])
 
     def _pose_slots(self, seg, rows):
         k = self.grid.order
         return [window_slot(self.pos0, seg, k, EUCLIDEAN, rows),
                 window_slot(self.rot0, seg, k, ROTATION, rows)]
 
+    @cached_property
+    def _stamp_rows(self):
+        """The first factor at each distinct stamp and each factor's stamp."""
+        return np.unique(self.stamps, return_index=True, return_inverse=True)[1:]
+
     def _locate(self, t):
-        seg, _ = self.grid.normalized_times(t.take(self._first))
-        return (seg, self._each, self._first), self._pose_slots(seg, self._each)
+        first, each = self._stamp_rows
+        seg, _ = self.grid.normalized_times(t.take(first))
+        return (seg, each, first), self._pose_slots(seg, each)
 
     def _sample(self, ctx, pose, t, jacobians=False):
         k, dt = self.grid.order, self.grid.dt
@@ -351,7 +355,6 @@ class CtReprojGroup(_ReprojGroup, _SplineGroup, _SampledPoseGroup):
         self.pos0 = pos0
         self.rot0 = rot0
         self.stamps = obs.stamps
-        _, self._first, self._each = np.unique(obs.stamps, return_index=True, return_inverse=True)
         self.offset_id = tcam_id
         self.own = (Slot(lm_ids, EUCLIDEAN, 3),)
 
@@ -390,7 +393,6 @@ class CtAccelGroup(_SplineGroup):
         self.pos0 = pos0
         self.rot0 = rot0
         self.stamps = stamps
-        self.memo = stamps.memo
         self.accel = accel
         self.w = weight
         self.ctx = (stamps.segs, stamps.at)
@@ -430,7 +432,6 @@ class CtGyroGroup(_SplineGroup):
         self.bias_grid = bias_grid
         self.rot0 = rot0
         self.stamps = stamps
-        self.memo = stamps.memo
         self.gyro = gyro
         self.w = weight
         self.ctx = (stamps.segs, stamps.at)
@@ -494,7 +495,6 @@ class CtGpsGroup(_GpsModel, _SplineGroup, _SampledPoseGroup):
         self.grid = grid
         self.pos0 = pos0
         self.rot0 = rot0
-        _, self._first, self._each = np.unique(stamps, return_index=True, return_inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +724,11 @@ def _check_imu_gaps(meas: MeasurementSet):
 
 
 def _stream_times(meas: MeasurementSet, cfg: EstimatorConfig):
-    """IMU and GPS stamps in seconds; the IMU is checked for gaps if used."""
+    """IMU and GPS stamps in seconds, each checked if used: IMU gaps, GPS fixes."""
     if cfg.use_imu:
         _check_imu_gaps(meas)
+    if cfg.use_gps and not meas.gps_t_ns.size:
+        raise DataError("GPS is enabled but the GPS stream has no fixes")
     return meas.seconds(meas.imu_t_ns), meas.seconds(meas.gps_t_ns)
 
 
@@ -919,6 +921,11 @@ def build_dt_problem(meas: MeasurementSet, init: DtState, cfg: DtConfig,
         keep = (gps_t + margin >= pose_times[0]) & (
             gps_t - margin + 1e-12 <= pose_times[-1]
         )
+        if not keep.any():
+            raise DataError(
+                f"GPS is enabled but none of its {gps_t.size} fixes lies within "
+                f"{margin:.4f} s of the pose span [{pose_times[0]:.3f}, "
+                f"{pose_times[-1]:.3f}] s")
         problem.add_group(
             DtGpsGroup(ids, pose_times, rig, tgps_id, gps_t[keep],
                        meas.gps[keep], 1.0 / _sigma(noise.gps_sigma))
@@ -1070,15 +1077,14 @@ def run(meas: MeasurementSet, rig: SensorRig, noise: NoiseSpec, cfg,
         mode="ct", seed=0):
     """Full pipeline: initialize, build, solve, sample at camera times.
 
-    An IMU gap is rejected before the initialization, which is the slow
-    part of a failed run.
+    An IMU gap or a GPS stream with no fixes is rejected before the
+    initialization, which is the slow part of a failed run.
     """
     require_int("seed", seed, 0)
     mode = mode.lower()
     if mode not in ("ct", "dt"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
-    if cfg.use_imu:
-        _check_imu_gaps(meas)
+    _stream_times(meas, cfg)
     stages, reports = {}, {}
     initialize = initialize_ct if mode == "ct" else initialize_dt
     build = build_ct_problem if mode == "ct" else build_dt_problem

@@ -12,7 +12,8 @@ evaluates all residuals at once; a kernel call with ``jacobians=True`` also
 returns the exact per-slot Jacobians, a window's blocks side by side, and
 central differences on the gathered values fill the other slots: those of
 DT preintegration.  Each family declares the factors on a jump of its
-residuals through ``FactorGroup.jumps``.
+residuals through ``FactorGroup.jumps``, which :func:`solve` tests once, at
+the state it returns.
 
 The normal equations are accumulated from each group's dense per-factor
 Jacobians, as block-sparse bundle adjusters do, after a plan made once per
@@ -141,8 +142,8 @@ class FactorGroup:
     the spline window from ``estimators._SplineGroup``.  A family whose
     residuals jump (the SO(3) spline families, at a control pair near
     angle pi) names the factors on a jump through :meth:`jumps`, which
-    reads the kernel's inputs, ``jumps(ctx, gathered)``; nothing else
-    looks for them.
+    reads the kernel's inputs, ``jumps(ctx, gathered)``; :func:`solve`
+    calls it once, at the state it returns, and nothing else does.
     """
 
     name = "group"
@@ -178,18 +179,13 @@ class FactorGroup:
         return self.kernel(ctx, gathered)
 
     def linearize(self, problem, state):
-        """Residuals, per-slot Jacobians and the factors on a jump.
-
-        Returns ``(r, slots, jacs, jumps)``; ``jumps`` is the (num,) bool
-        mask of the factors :meth:`jumps` names.
-        """
+        """Residuals and per-slot Jacobians: ``(r, slots, jacs)``."""
         ctx, slots, gathered = self.inputs(problem, state)
         r, jacs = self.kernel(ctx, gathered, jacobians=True)
-        jumps = np.zeros(r.shape[0], dtype=bool) | self.jumps(ctx, gathered)
         for si, slot in enumerate(slots):
             if si not in jacs:
                 jacs[si] = self._fd_slot(ctx, gathered, si, slot)
-        return r, slots, jacs, jumps
+        return r, slots, jacs
 
     def _fd_slot(self, ctx, gathered, si, slot):
         """Central differences (num, dim, width * tdim) in the tangent space
@@ -396,17 +392,16 @@ class Problem:
     def linearize(self, state):
         """Full residual vector, its :class:`BlockJacobian` over the free
         tangent columns (a slot whose blocks are all fixed is left out), and
-        the number of factors on a jump (see :meth:`FactorGroup.linearize`).
+        ``num_point_cols``, the number of its last columns that are points.
 
         Raises :class:`InvalidArgumentError` when a factor's columns fall in
         two point blocks, through two slots or through one slot wider than a
         point.
         """
         self._layout()
-        res, blocks, jump_rows = [], [], 0
+        res, blocks = [], []
         for gi, group in enumerate(self.groups):
-            r, slots, jacs, jumps = group.linearize(self, state)
-            jump_rows += int(np.count_nonzero(jumps))
+            r, slots, jacs = group.linearize(self, state)
             num, dim = r.shape
             res.append(r.ravel())
             # the columns of the block, built and checked once per slot structure
@@ -421,7 +416,7 @@ class Problem:
                     np.broadcast_to(jacs[si], (num, dim, slots[si].width * slots[si].dim))
                     for si in free], axis=2), cols))
         r_all = np.concatenate(res) if res else np.zeros(0)
-        return r_all, BlockJacobian(blocks, (r_all.size, self.num_cols)), jump_rows
+        return r_all, BlockJacobian(blocks, (r_all.size, self.num_cols)), self.num_point_cols
 
     def _columns(self, group, slots, num):
         """The slots with a free block and the (num, w) columns of their
@@ -471,8 +466,9 @@ class SolveReport:
     - ``"max_iter"``: the iteration cap was reached first;
     - ``"stalled"``: no damped step lowered the cost;
     - ``"discontinuous"``: the groups name ``jump_rows`` factors on a jump
-      at the returned state (:meth:`FactorGroup.jumps`), so it is not a
-      stationary point of a smooth cost.  This overrides the other three.
+      at the returned state (:meth:`FactorGroup.jumps`), the one state a
+      solve tests, so it is not a stationary point of a smooth cost.  This
+      overrides the other three.
 
     ``converged`` is True only for ``"converged"``.  ``at_bound`` names the
     bounded blocks whose returned value lies on a bound (see
@@ -817,8 +813,7 @@ def solve(problem: Problem, opts: SolveOptions | None = None):
     memo = {}
     state, report = _levenberg_marquardt(
         problem.initial_state(),
-        lambda s: _normal_equations(*problem.linearize(s)[:2], problem.num_point_cols,
-                                    memo),
+        lambda s: _normal_equations(*problem.linearize(s), memo),
         problem.residual_vector, _solve_normal, problem.retract, opts)
     report.jump_rows = sum(int(np.count_nonzero(g.jumps(*g.inputs(problem, state)[::2])))
                            for g in problem.groups)

@@ -177,6 +177,22 @@ def test_repeated_observation_is_data_error(small_dataset, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_gps_stream_without_fixes_is_data_error(small_dataset, tmp_path, capsys):
+    """A gps.csv of its header alone (scene.json counting no fixes), with
+    GPS enabled: exit 2 and a message naming the cause, not a traceback."""
+    bad = tmp_path / "bad"
+    shutil.copytree(small_dataset, bad)
+    path = bad / "gps.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    scene = json.loads((bad / "scene.json").read_text())
+    scene["counts"]["gps"] = 0
+    (bad / "scene.json").write_text(json.dumps(scene))
+    rc = cli.main(["estimate-dt", "--data", str(bad),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "GPS is enabled but the GPS stream has no fixes" in capsys.readouterr().err
+
+
 def test_evaluate_command(small_dataset, tmp_path, capsys):
     """``evaluate`` writes the ATEs and the pair count to metrics.json: zero
     for the ground truth against itself, 0.1 sqrt(3) m for it shifted by

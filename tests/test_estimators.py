@@ -367,9 +367,9 @@ def test_ct_linearize_makes_no_finite_differences(perturbed_ct, monkeypatch):
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(group, "kernel", counting_kernel)
-    _, J, jump_rows = problem.linearize(state)
+    _, J, _ = problem.linearize(state)
     assert calls == {"fd": 0, "kernel": 6}
-    assert jump_rows == 0
+    assert not any(np.any(g.jumps(*g.inputs(problem, state)[::2])) for g in problem.groups)
     assert all(np.all(np.isfinite(M)) for M, _ in J.blocks)
 
 
@@ -406,7 +406,7 @@ def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
             return _kernel(windows, u, *args, **kwargs)
 
         monkeypatch.setattr(bs, name, counting)
-    r, slots, jacs, _ = group.linearize(problem, state)
+    r, slots, jacs = group.linearize(problem, state)
     assert rows == [frames] * 4  # p, R with its Jacobians, pdot, omega
     rows.clear()
     trial = group.residuals(problem, state)
@@ -415,7 +415,7 @@ def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
 
     monkeypatch.setattr(group, "_sample", partial(_per_observation_sample,
                                                   group))
-    r_ref, _, jacs_ref, _ = group.linearize(problem, state)
+    r_ref, _, jacs_ref = group.linearize(problem, state)
     assert np.array_equal(r_ref, r)
     assert np.array_equal(group.residuals(problem, state), trial)
     assert sorted(jacs_ref) == sorted(jacs) == list(range(len(slots)))
@@ -423,35 +423,28 @@ def test_ct_reproj_samples_the_spline_once_per_frame(perturbed_ct,
         assert np.array_equal(jacs_ref[si], jacs[si]), si
 
 
-def test_ct_imu_jumps_read_the_window_pass_memo(perturbed_ct, monkeypatch):
-    """The CT IMU families test their windows for a cut with the node
-    differences of the shared window pass when its memo holds them, forming
-    none, and form their own when the memo holds another state (as in
-    ``solve``'s final count after a trial); the mask is the rule's on the
-    gathered windows either way."""
-    problem, state = perturbed_ct
-    far = state.copy()
-    far.rot = far.rot @ so3_exp(np.full((far.rot.shape[0], 3), 0.1))
-    formed = []
-    diffs = bs.so3_window_diffs
-    monkeypatch.setattr(bs, "so3_window_diffs",
-                        lambda w: formed.append(w.shape[0]) or diffs(w))
-    for name in ("ct_accel", "ct_gyro"):
-        group, = [g for g in problem.groups if g.name == name]
-        ctx, _, gathered = group.inputs(problem, state)
-        windows = gathered[group.rot_slot]
-        cut = bs.so3_cut_windows(windows, group.fd_step).take(ctx[1])
-        group.kernel(ctx, gathered)
-        formed.clear()
-        assert np.array_equal(group.jumps(ctx, gathered), cut)
-        assert formed == []
-        group.residuals(problem, far)
-        # a memo trusted without its windows would flag every factor
-        group.memo["node_d"] = np.full_like(group.memo["node_d"], np.pi)
-        formed.clear()
-        assert np.array_equal(group.jumps(ctx, gathered), cut)
-        assert formed == [windows.shape[0]]
-        group.memo.clear()
+def test_ct_solve_tests_for_jumps_once_at_the_returned_state(perturbed_ct,
+                                                             monkeypatch):
+    """A CT solve calls each family's ``jumps`` once, on the kernel inputs
+    at the state it returns, and at none of its linearizations."""
+    problem, _ = perturbed_ct
+    seen = []
+    for group in problem.groups:
+        def recording(ctx, gathered, _group=group, _jumps=group.jumps):
+            seen.append((_group, gathered))
+            return _jumps(ctx, gathered)
+
+        monkeypatch.setattr(group, "jumps", recording)
+    linearizations = []
+    linearize = Problem.linearize
+    monkeypatch.setattr(Problem, "linearize",
+                        lambda self, s: linearizations.append(s) or linearize(self, s))
+    state, report = solve(problem, SolveOptions(max_iter=3))
+    assert len(linearizations) >= 2 and report.jump_rows == 0
+    assert [g for g, _ in seen] == problem.groups
+    for group, gathered in seen:
+        at_state = group.inputs(problem, state)[2]
+        assert all(np.array_equal(a, b) for a, b in zip(gathered, at_state, strict=True))
 
 
 def test_ct_reproj_kernel_makes_one_window_pass(perturbed_ct, monkeypatch):
@@ -595,10 +588,10 @@ def test_dt_linearize_makes_finite_differences_only_for_preintegration(
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(gps, "kernel", counting_kernel)
-    _, J, jump_rows = problem.linearize(state)
+    _, J, _ = problem.linearize(state)
     assert fd_groups and set(fd_groups) == {"dt_preint"}
     assert gps_kernels == [True]
-    assert jump_rows == 0
+    assert not any(np.any(g.jumps(*g.inputs(problem, state)[::2])) for g in problem.groups)
     assert all(np.all(np.isfinite(M)) for M, _ in J.blocks)
 
 
@@ -652,7 +645,7 @@ def test_dt_preint_linearize_equals_plain_finite_differences(perturbed_dt,
     if biases == "moved":
         state = _bias_moved(problem, state, 4)
     group, = [g for g in problem.groups if g.name == "dt_preint"]
-    r, slots, jacs, _ = group.linearize(problem, state)
+    r, slots, jacs = group.linearize(problem, state)
     ctx, _, gathered = group.inputs(problem, state)
     plain = types.SimpleNamespace(kernel=_plain_preint_kernel,
                                   fd_step=group.fd_step)
@@ -842,6 +835,50 @@ def test_run_rejects_imu_gap_before_initialization(zero_offset_sim, monkeypatch)
     for cfg, mode in ((est.CtConfig(), "ct"), (est.DtConfig(), "dt")):
         with pytest.raises(DataError, match="gap"):
             est.run(gappy, rig, noise, cfg, mode=mode)
+
+
+def test_ct_gps_without_fixes_is_data_error(tiny_noiseless, monkeypatch):
+    """With GPS enabled and a GPS stream of no fixes, the CT builder raises a
+    DataError that says so, and a full run raises it before the
+    initialization; with GPS off the same data build."""
+    gt, rig, noise, result = tiny_noiseless
+    meas = result.measurements
+    empty = dataclasses.replace(meas, gps_t_ns=meas.gps_t_ns[:0], gps=meas.gps[:0])
+    state0 = true_ct_state(gt, rig, meas.landmarks_true)
+    message = "GPS is enabled but the GPS stream has no fixes"
+    with pytest.raises(DataError, match=message):
+        est.build_ct_problem(empty, state0, est.CtConfig(), noise, rig)
+
+    def no_initialization(*args, **kwargs):
+        raise AssertionError("initialization ran on a GPS stream of no fixes")
+
+    monkeypatch.setattr(est, "initialize_ct", no_initialization)
+    with pytest.raises(DataError, match=message):
+        est.run(empty, rig, noise, est.CtConfig(), mode="ct")
+    est.build_ct_problem(empty, state0, est.CtConfig(use_gps=False), noise, rig)
+
+
+@pytest.mark.parametrize("fixes", ["none", "outside the pose span"])
+def test_dt_gps_without_fixes_in_span_is_data_error(zero_offset_sim, fixes):
+    """With GPS enabled, the DT builder raises a DataError that names the
+    cause when the GPS stream has no fixes, and when every fix lies more
+    than offset_bound + 1 ms outside the pose span (the default 50 ms
+    bound: 51 ms)."""
+    gt, rig, noise, result = zero_offset_sim
+    meas = result.measurements
+    state0 = true_dt_state(gt, rig, meas)
+    if fixes == "none":
+        data = dataclasses.replace(meas, gps_t_ns=meas.gps_t_ns[:0], gps=meas.gps[:0])
+        message = "GPS is enabled but the GPS stream has no fixes"
+    else:
+        data = dataclasses.replace(meas, gps_t_ns=meas.gps_t_ns + 100_000_000_000)
+        t = meas.frame_t_ns * 1e-9
+        message = (rf"GPS is enabled but none of its {meas.gps_t_ns.size} fixes "
+                   rf"lies within 0\.0510 s of the pose span "
+                   rf"\[{t[0]:.3f}, {t[-1]:.3f}\] s")
+    with pytest.raises(DataError, match=message):
+        est.build_dt_problem(data, state0, est.DtConfig(), noise, rig)
+    est.build_dt_problem(data, state0, est.DtConfig(use_gps=False), noise, rig)
 
 
 @pytest.mark.parametrize("side", ["start", "end"])

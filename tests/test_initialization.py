@@ -347,7 +347,7 @@ def test_fit_spline_to_poses_fast_convergence():
 
 def test_so3_fit_declares_the_windows_holding_a_cut_pair():
     """With the control pair (3, 4) within ``fd_step`` of angle pi, the
-    rotation-fit linearization flags exactly the order-4 windows that hold
+    rotation fit's jump test flags exactly the order-4 windows that hold
     both of its nodes, those starting at nodes 1, 2 and 3."""
     grid = bs.grid_covering(0.0, 1.0, 0.1, 4)
     angles = np.full(grid.count - 1, 0.2)
@@ -362,7 +362,7 @@ def test_so3_fit_declares_the_windows_holding_a_cut_pair():
     group = ini.SO3FitGroup(grid, first, seg, u, np.stack(nodes[:seg.size]))
     problem.add_group(group)
     problem._layout()
-    _, _, _, jumps = group.linearize(problem, problem.initial_state())
+    jumps = group.jumps(*group.inputs(problem, problem.initial_state())[::2])
     assert np.flatnonzero(jumps).tolist() == [1, 2, 3]
 
 

@@ -98,8 +98,8 @@ def test_dt_gps_is_ct_gps_at_order_2(rng):
     dt = est.DtGpsGroup(ids, 0.1 * np.arange(K), RIG, tgps_id, stamps, gps,
                         1.0)
     state = problem.initial_state()
-    r_ct, slots_ct, J_ct, _ = ct.linearize(problem, state)
-    r_dt, slots_dt, J_dt, _ = dt.linearize(problem, state)
+    r_ct, slots_ct, J_ct = ct.linearize(problem, state)
+    r_dt, slots_dt, J_dt = dt.linearize(problem, state)
     assert np.max(np.abs(r_ct - r_dt)) < 1e-12
     # the position pair, the rotation pair, then t_gps
     assert len(slots_ct) == len(slots_dt) == 3
