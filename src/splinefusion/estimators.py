@@ -548,8 +548,8 @@ class DtPreintGroup(FactorGroup):
     camera-free run builds once.
 
     Its Jacobians are central finite differences, 49 kernel calls per
-    linearization, of which 13 correct the biases, 20 form the rotation
-    term and 37 the velocity term (:meth:`kernel`).
+    linearization, of which 7 form the corrected dR, 13 correct dv and dp,
+    20 form the rotation term and 37 the velocity term (:meth:`kernel`).
     """
 
     name = "dt_preint"
@@ -560,14 +560,9 @@ class DtPreintGroup(FactorGroup):
         # ids: dict name -> array of block ids for p, R, v, ba, bg
         # hold-extrapolate the IMU at the edges so that pose stamps slightly
         # outside the sampled span (clock offsets) stay integrable
-        if imu_t[0] > frame_times[0]:
-            imu_t = np.concatenate([[frame_times[0]], imu_t])
-            gyro = np.concatenate([gyro[:1], gyro])
-            accel = np.concatenate([accel[:1], accel])
-        if imu_t[-1] < frame_times[-1]:
-            imu_t = np.concatenate([imu_t, [frame_times[-1]]])
-            gyro = np.concatenate([gyro, gyro[-1:]])
-            accel = np.concatenate([accel, accel[-1:]])
+        lead, tail = int(imu_t[0] > frame_times[0]), int(imu_t[-1] < frame_times[-1])
+        imu_t = np.concatenate([frame_times[:lead], imu_t, frame_times[::-1][:tail]])
+        gyro, accel = (np.pad(x, ((lead, tail), (0, 0)), "edge") for x in (gyro, accel))
         pims = []
         for n, (t0, t1) in enumerate(zip(frame_times[:-1], frame_times[1:])):
             # the samples from the last one at or before the segment start to
@@ -590,20 +585,20 @@ class DtPreintGroup(FactorGroup):
         ]
 
     def kernel(self, ctx, gathered, jacobians=False):
-        """The whitened :func:`pre.preint_residual`, its parts reused: the
-        bias correction and the rotation and velocity terms keep their last
-        value with the arrays it came from, and are recomputed only when
-        one of those is not the array of this call.  :meth:`_fd_slot`
+        """The whitened :func:`pre.preint_residual`, its parts reused: dR,
+        the bias correction and the rotation and velocity terms keep their
+        last value with the arrays it came from, and are recomputed only
+        when one of those is not the array of this call.  :meth:`_fd_slot`
         passes the unmoved slots as the same arrays, so a one-block step of
-        p recomputes the position term alone.  Arrays are compared by
-        identity, so a gathered array must not be written after a call."""
+        p recomputes the position term alone, and one of b_accel keeps dR.
+        Arrays are compared by identity, so a gathered array must not be
+        written after a call."""
         p, R, v, ba_i, bg_i = gathered
         pim, W = ctx
         dt = np.asarray(pim.dt_total)[..., None]
+        dR = self._reuse("dR", (pim, bg_i), pim.corrected_rotation, bg_i)
         dR, dv, dp = self._reuse("correction", (pim, ba_i, bg_i),
-                                 pim.corrected, ba_i, bg_i)
-        # dR reads b_gyro alone: the rotation rows of J_bias are zero in
-        # the b_accel columns
+                                 pim.corrected, ba_i, bg_i, dR)
         e = np.concatenate([
             self._reuse("rotation", (pim, R, bg_i), pre.rotation_term,
                         R[:, 0], R[:, 1], dR),

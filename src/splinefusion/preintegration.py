@@ -4,8 +4,8 @@ The accelerometer model is ``a_bar = R^T (pddot + g) + b_a`` with ``g =
 GRAVITY`` held fixed: the world frame is the GPS frame, where gravity is known.
 
 The delta state is (dR, dv, dp) relative to the frame at the interval
-start.  The 9x9 covariance and the 9x6 bias Jacobian use the tangent
-ordering (rotation, velocity, position) and bias ordering (accel, gyro).
+start; its 9x9 covariance and 9x6 bias Jacobian (tangent ordering rotation,
+velocity, position; bias ordering accel, gyro) are closed-form step sums.
 """
 
 from __future__ import annotations
@@ -35,14 +35,20 @@ class PreintegratedImu:
     J_bias: np.ndarray  # (9, 6), columns (b_accel, b_gyro)
     bias_lin: tuple  # (b_accel (3,), b_gyro (3,))
 
-    def corrected(self, b_accel, b_gyro):
+    def corrected(self, b_accel, b_gyro, dR=None):
         """First-order bias-corrected (dR, dv, dp), per segment when the
-        fields carry a leading segment axis (see :func:`stack`)."""
+        fields carry a leading segment axis (see :func:`stack`); ``dR``, if
+        given, is :meth:`corrected_rotation` at ``b_gyro``."""
         db = np.concatenate([np.subtract(b_accel, self.bias_lin[0]),
                              np.subtract(b_gyro, self.bias_lin[1])], axis=-1)
-        d = _matvec(self.J_bias, db)  # its rotation rows see only b_gyro
-        return (self.dR @ so3_exp(d[..., 0:3]), self.dv + d[..., 3:6],
-                self.dp + d[..., 6:9])
+        d = _matvec(self.J_bias[..., 3:9, :], db)
+        dR = self.corrected_rotation(b_gyro) if dR is None else dR
+        return dR, self.dv + d[..., 0:3], self.dp + d[..., 3:6]
+
+    def corrected_rotation(self, b_gyro):
+        """dR corrected to ``b_gyro`` (J_bias's rotation rows are 0 in b_accel)."""
+        db_g = np.subtract(b_gyro, self.bias_lin[1])
+        return self.dR @ so3_exp(_matvec(self.J_bias[..., 0:3, 3:6], db_g))
 
     def sqrt_info(self):
         """Matrix W with W^T W = covariance^{-1} (whitens the residual)."""
@@ -74,14 +80,19 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     deviations.  Boundary samples are linearly interpolated to the exact
     segment edges; the samples must cover the segment.
 
-    Everything one step needs from its own samples is computed for all
-    steps at once: the increments ``E_n = Exp(phi_n)``, the right Jacobians,
-    the midpoint rotations ``R_mid = dR_n Exp(phi_n / 2)``, the transitions
-    ``A_n`` and the noise terms.  ``dv`` and ``dp`` are cumulative sums, the
-    ``dR_n`` running products of ``E``.  With ``Phi_n = A_{N-1} ... A_{n+1}``
-    the recurrences ``J <- A_n J + G_n`` and ``cov <- A_n cov A_n^T + G_n Q
-    G_n^T`` sum to ``J = sum Phi_n G_n`` and ``cov = sum (Phi_n G_n) Q (Phi_n
-    G_n)^T``.
+    Every step is evaluated at once: the deltas ``dR_n``, ``dv_n``, ``dp_n``
+    at the end of step n are running products of ``Exp(phi_n)`` and
+    cumulative sums, and ``R_mid,n = dR_{n-1} Exp(phi_n / 2)``.  The bias
+    Jacobian ``sum C_n`` and covariance ``sum C_n Q C_n^T``, ``C_n`` what
+    step n adds at the segment end, are in closed form (Forster et al.,
+    "On-Manifold Preintegration for Real-Time Visual-Inertial Odometry",
+    T-RO 2017).  With ``u_n = dR_n (-J_r(phi_n) dt_n)``, ``tau_n`` the time
+    after step n, ``w_n = tau_n + dt_n / 2`` and ``H_n = R_mid,n [a_n]x
+    J_r(phi_n / 2) dt_n^2 / 2``, the b_gyro columns of ``C_n`` are ``dR_N^T
+    u_n``, ``H_n - [dv_N - dv_n]x u_n`` and ``w_n H_n - [dp_N - dp_n - tau_n
+    dv_n]x u_n`` (rotation, velocity, position), its b_accel columns
+    ``-R_mid,n dt_n`` and ``w_n`` times that; the later steps m sum to these
+    as ``R_mid,m [a_m]x Exp(phi_m / 2)^T dR_{m-1}^T = [R_mid,m a_m]x``.
     """
     times = np.asarray(times, dtype=float)
     gyro = np.asarray(gyro, dtype=float)
@@ -112,9 +123,9 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     inner = (times > t_start) & (times < t_end)
     ts = np.concatenate([[t_start], times[inner], [t_end]])
     k = np.searchsorted(times[1:-1], ts[[0, -1]], side="right")  # bracketing rows
-    u = ((ts[[0, -1]] - times[k]) / (times[k + 1] - times[k]))[:, None]
+    f = ((ts[[0, -1]] - times[k]) / (times[k + 1] - times[k]))[:, None]
     rows = np.hstack([gyro, accel])
-    at_edges = (1.0 - u) * rows[k] + u * rows[k + 1]
+    at_edges = (1.0 - f) * rows[k] + f * rows[k + 1]
     samples = np.concatenate([at_edges[:1], rows[inner], at_edges[1:]])
 
     # one row per step n, from ts[n] to ts[n + 1]
@@ -129,39 +140,31 @@ def integrate(times, gyro, accel, bias_lin=(np.zeros(3), np.zeros(3)),
     chain = running_products(E)
     R_mid = np.concatenate([half[:1], chain[:-1] @ half[1:]])
     Ra = (R_mid @ a[:, :, None])[:, :, 0]
-    RH = R_mid @ hat(a)
-    # R_mid a moves by -RH Exp(phi/2)^T eps when dR <- dR Exp(eps), and by
-    # RH Jr(phi/2) dt/2 per unit of b_g through the half step Exp(phi/2)
-    RH_rot = RH @ np.swapaxes(half, 1, 2)
-    RH_bg = RH @ Jr_half * (0.5 * dt3)
-    eye = np.eye(3)
-    A = np.zeros((len(E), 9, 9))
-    A[:, 0:3, 0:3] = np.swapaxes(E, 1, 2)
-    A[:, 3:6, 0:3] = -RH_rot * dt3
-    A[:, 3:6, 3:6] = eye
-    A[:, 6:9, 0:3] = -0.5 * RH_rot * dt3 * dt3
-    A[:, 6:9, 3:6] = eye * dt3
-    A[:, 6:9, 6:9] = eye
-    # G_n: what step n adds to the bias Jacobian, columns (b_accel,
-    # b_gyro).  The noise map B_n is -G_n with the column blocks swapped to
-    # (gyro, accel), so B_n Q B_n^T = G_n diag(accel^2, gyro^2) G_n^T.
-    G = np.zeros((len(E), 9, 6))
-    G[:, 0:3, 3:6] = -Jr * dt3
-    G[:, 3:6, 0:3] = -R_mid * dt3
-    G[:, 3:6, 3:6] = RH_bg * dt3
-    G[:, 6:9, 0:3] = -0.5 * R_mid * dt3 * dt3
-    G[:, 6:9, 3:6] = 0.5 * RH_bg * dt3 * dt3
-    PG = G.copy()  # Phi_n G_n, Phi_{N-1} = I
-    PG[:-1] = running_products(A[:0:-1])[::-1] @ G[:-1]
-    q = np.array(3 * [accel_sigma**2] + 3 * [gyro_sigma**2])
-    cov = (PG * q @ np.swapaxes(PG, 1, 2)).sum(axis=0)
-
     vel = np.cumsum(Ra * dt, axis=0)  # dv at the end of each step
     dv_start = np.concatenate([np.zeros((1, 3)), vel[:-1]])
-    dp = np.cumsum(dv_start * dt + 0.5 * Ra * dt * dt, axis=0)[-1]
+    pos = np.cumsum(dv_start * dt + 0.5 * Ra * dt * dt, axis=0)  # dp likewise
+
+    # b_gyro columns of C_n; cov's b_accel part is kron(weights^T weights, I)
+    tau = ts[-1] - ts[1:, None]
+    w = tau + 0.5 * dt
+    u = chain @ (-Jr * dt3)
+    ha, hv, hp = hat(np.concatenate(
+        [a, vel[-1] - vel, pos[-1] - pos - tau * vel])).reshape(3, -1, 3, 3)
+    H = R_mid @ ha @ Jr_half * (0.5 * dt3 * dt3)
+    gyro_cols = np.concatenate([chain[-1].T @ u, H - hv @ u,
+                                w[:, :, None] * H - hp @ u], axis=1)
+    weights = np.hstack([dt, w * dt])  # of -R_mid in the b_accel columns
+    J_bias = np.zeros((9, 6))
+    J_bias[3:, :3] = -(weights.T @ R_mid.reshape(-1, 9)).reshape(6, 3)
+    J_bias[:, 3:] = gyro_cols.sum(axis=0)
+    g = gyro_cols.transpose(1, 0, 2).reshape(9, -1)
+    cov = gyro_sigma**2 * (g @ g.T)
+    S = accel_sigma**2 * weights.T @ weights
+    cov[3:, 3:] += (S[:, None, :, None] * np.eye(3)[:, None]).reshape(6, 6)
+
     return PreintegratedImu(
-        dR=chain[-1], dv=vel[-1], dp=dp, dt_total=t_end - t_start,
-        covariance=0.5 * (cov + cov.T), J_bias=PG.sum(axis=0),
+        dR=chain[-1], dv=vel[-1], dp=pos[-1], dt_total=t_end - t_start,
+        covariance=0.5 * (cov + cov.T), J_bias=J_bias,
         bias_lin=(b_a.copy(), b_g.copy()))
 
 

@@ -706,6 +706,67 @@ def test_dt_preint_kernel_recomputes_a_slot_whose_values_changed(perturbed_dt):
         assert np.array_equal(group.kernel(ctx, gathered), base), si
 
 
+def test_dt_preint_forms_dR_only_when_b_gyro_moved(perturbed_dt, monkeypatch):
+    """dR reads b_gyro alone, so a linearization forms it 7 times (the
+    residuals, then the 6 steps of b_gyro), one ``so3_exp`` item per segment
+    each, not at each of the 13 bias corrections; the 6 steps of b_accel
+    keep it.  The residuals and every slot's Jacobian are the bits of a
+    linearization that forms dR at every kernel call."""
+    problem, state = perturbed_dt
+    group, = [g for g in problem.groups if g.name == "dt_preint"]
+    segments = group.ctx[0].dR.shape[0]
+    items, calls = [], dict.fromkeys(("corrected", "corrected_rotation"), 0)
+    exp = pre.so3_exp
+
+    def counting_exp(phi):
+        items.append(np.shape(phi)[0])
+        return exp(phi)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(pre, "so3_exp", counting_exp)
+    for name in calls:
+        monkeypatch.setattr(pre.PreintegratedImu, name, counting(
+            name, getattr(pre.PreintegratedImu, name)))
+    r, slots, jacs = group.linearize(problem, state)
+    assert calls == {"corrected": 13, "corrected_rotation": 7}
+    assert sum(items) == 7 * segments
+
+    reuse = group._reuse
+    monkeypatch.setattr(group, "_reuse", lambda part, key, compute, *args: (
+        compute(*args) if part == "dR" else reuse(part, key, compute, *args)))
+    items.clear()
+    r_every, _, jacs_every = group.linearize(problem, state)
+    assert sum(items) == 49 * segments
+    assert np.array_equal(r, r_every)
+    assert sorted(jacs) == sorted(jacs_every) == list(range(len(slots)))
+    for si in jacs:
+        assert np.array_equal(jacs[si], jacs_every[si]), si
+
+
+def test_ct_run_never_preintegrates(short_sim, monkeypatch):
+    """CT fits its spline to the raw IMU samples: a CT run with the camera
+    completes with ``integrate`` and the bias correction raising, where a
+    DT run stops at its build."""
+    rig, noise, meas = short_sim
+
+    def no_preintegration(*args, **kwargs):
+        raise AssertionError("preintegrated")
+
+    monkeypatch.setattr(pre, "integrate", no_preintegration)
+    for name in ("corrected", "corrected_rotation"):
+        monkeypatch.setattr(pre.PreintegratedImu, name, no_preintegration)
+    out = est.run(meas, rig, noise, est.CtConfig(max_iter=3), mode="ct", seed=0)
+    assert out.positions.shape == (len(meas.frames), 3)
+    assert np.all(np.isfinite(out.positions))
+    with pytest.raises(AssertionError, match="preintegrated"):
+        est.run(meas, rig, noise, est.DtConfig(max_iter=3), mode="dt", seed=0)
+
+
 def test_dt_preint_segments_integrate_their_own_imu_slice():
     """Each segment hands ``integrate`` only the samples around it, at the
     biases of its first frame, and gets exactly what integrating the whole
